@@ -1,4 +1,4 @@
-.PHONY: all build test check bench chaos fuzz adversary adversary-verifier-smoke adversary-collusion-smoke serve-bench resume-smoke shard-smoke serve-smoke serve-overload-smoke durable durable-smoke clean
+.PHONY: all build test check bench chaos fuzz adversary adversary-verifier-smoke adversary-collusion-smoke serve-bench resume-smoke shard-smoke serve-smoke serve-overload-smoke durable durable-smoke perf-pairs clean
 
 all: build
 
@@ -261,6 +261,37 @@ durable-smoke: build
 	  wait $$pid; test $$ok -eq 0'
 	@rm -rf $(DURABLE_TMP)
 	@echo "durable-smoke: disk crashes recovered, torn writes contained, shards respawned, ledger survived, truncated reload rejected"
+
+# Judge the working tree against BASE with the repository benchmark:
+# PAIRS pairs of 20 s untraced WORKLOAD runs, one on BASE and one on the
+# working tree, alternating which side runs first and cycling the pairs
+# through SEEDS. BASE is built in a git worktree at .perf-run/base (hidden,
+# so dune and git skip it). Results go to .perf-run/pairs/{base,head}.jsonl
+# and end in `perf.exe --compare`, which exits 1 on any regression.
+#   make perf-pairs BASE=HEAD~1 WORKLOAD=translate PAIRS=10
+WORKLOAD ?= translate
+PAIRS ?= 10
+SEEDS ?= 1000 7000
+PAIRS_DIR := .perf-run/pairs
+perf-pairs:
+	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<rev> [WORKLOAD=w] [PAIRS=n] [SEEDS='s ...']"; exit 2; }
+	rm -rf .perf-run/base $(PAIRS_DIR)
+	git worktree prune
+	git worktree add --detach .perf-run/base $(BASE)
+	mkdir -p $(PAIRS_DIR)
+	for p in $$(seq 1 $(PAIRS)); do \
+	  set -- $(SEEDS); shift $$(( (p - 1) % $$# )); seed=$$1; \
+	  if [ $$((p % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = base ]; then dir=.perf-run/base; else dir=.; fi; \
+	    echo "pair $$p: $$side, seed $$seed"; \
+	    (cd $$dir && bash bench/perf/run.sh --workload $(WORKLOAD) --seed $$seed \
+	      --seconds 20 --trace 0 --out $(CURDIR)/$(PAIRS_DIR)/$$side.jsonl > /dev/null) \
+	      || exit 1; \
+	  done; \
+	done
+	git worktree remove --force .perf-run/base
+	./_build/default/bench/perf/perf.exe --compare $(PAIRS_DIR)/base.jsonl $(PAIRS_DIR)/head.jsonl
 
 clean:
 	dune clean

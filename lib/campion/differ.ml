@@ -255,6 +255,73 @@ let attribute_findings ~original ~translation =
   List.rev !fs
 
 (* ------------------------------------------------------------------ *)
+(* Memoised symbolic diffs                                             *)
+(* ------------------------------------------------------------------ *)
+
+type checker = {
+  policies :
+    ( Route_map.t * Route_map.t * Eval.env * Eval.env,
+      Symbolic.Policy_diff.difference list )
+    Hashtbl.t;
+  acls : (Acl.t * Acl.t, Symbolic.Acl_diff.difference list) Hashtbl.t;
+  mutable policy_lookups : int;
+  mutable acl_lookups : int;
+}
+
+let checker () =
+  { policies = Hashtbl.create 16; acls = Hashtbl.create 8; policy_lookups = 0; acl_lookups = 0 }
+
+type stats = { policy_pairs : int; policy_hits : int; acl_pairs : int; acl_hits : int }
+
+let stats c =
+  {
+    policy_pairs = c.policy_lookups;
+    policy_hits = c.policy_lookups - Hashtbl.length c.policies;
+    acl_pairs = c.acl_lookups;
+    acl_hits = c.acl_lookups - Hashtbl.length c.acls;
+  }
+
+let memo table key diff =
+  match Hashtbl.find_opt table key with
+  | Some v -> v
+  | None ->
+      let v = diff () in
+      Hashtbl.add table key v;
+      v
+
+(* The part of an environment a policy diff reads: the prefix and AS-path
+   lists either map names (the witness search evaluates both maps' AS-path
+   constraints against [env_a]), kept in environment order so a duplicate
+   name still resolves to its first definition; and every community list,
+   since witnesses are decorated with communities drawn from all of them. *)
+let env_slice (m_a : Route_map.t) (m_b : Route_map.t) (env : Eval.env) =
+  let named referenced name_of lists =
+    let names = referenced m_a @ referenced m_b in
+    List.filter (fun l -> List.mem (name_of l) names) lists
+  in
+  {
+    env with
+    Eval.prefix_lists =
+      named Route_map.prefix_lists_referenced
+        (fun (l : Prefix_list.t) -> l.Prefix_list.name)
+        env.Eval.prefix_lists;
+    as_path_lists =
+      named Route_map.as_path_lists_referenced
+        (fun (l : As_path_list.t) -> l.As_path_list.name)
+        env.Eval.as_path_lists;
+  }
+
+let diff_policies c ~env_a ~env_b m_a m_b =
+  c.policy_lookups <- c.policy_lookups + 1;
+  memo c.policies
+    (m_a, m_b, env_slice m_a m_b env_a, env_slice m_a m_b env_b)
+    (fun () -> Symbolic.Policy_diff.compare_maps ~env_a ~env_b m_a m_b)
+
+let diff_acls c a b =
+  c.acl_lookups <- c.acl_lookups + 1;
+  memo c.acls (a, b) (fun () -> Symbolic.Acl_diff.compare_acls a b)
+
+(* ------------------------------------------------------------------ *)
 (* Behavior comparison                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -266,12 +333,12 @@ let policy_of (c : Config_ir.t) name =
          also what the simulator does. Lint reports the dangling name. *)
       Route_map.permit_all name
 
-let behavior_findings ~original ~translation =
+let behavior_findings c ~original ~translation =
   let env_o = Eval.env_of_config original and env_t = Eval.env_of_config translation in
   let fs = ref [] in
   let compare_policies direction neighbor name_o name_t =
     let m_o = policy_of original name_o and m_t = policy_of translation name_t in
-    let diffs = Symbolic.Policy_diff.compare_maps ~env_a:env_o ~env_b:env_t m_o m_t in
+    let diffs = diff_policies c ~env_a:env_o ~env_b:env_t m_o m_t in
     List.iter
       (fun (d : Symbolic.Policy_diff.difference) ->
         match d.Symbolic.Policy_diff.example with
@@ -323,7 +390,7 @@ let acl_of (c : Config_ir.t) name =
   | Some a -> a
   | None -> Acl.make name []  (* dangling attachment: implicit deny-all *)
 
-let acl_findings ~original ~translation =
+let acl_findings c ~original ~translation =
   let fs = ref [] in
   List.iter
     (fun (i : Config_ir.interface) ->
@@ -346,8 +413,7 @@ let acl_findings ~original ~translation =
                           translated_packet_action = d.Symbolic.Acl_diff.action_b;
                         }
                       :: !fs)
-                  (Symbolic.Acl_diff.compare_acls (acl_of original name_o)
-                     (acl_of translation name_t))
+                  (diff_acls c (acl_of original name_o) (acl_of translation name_t))
             | _ -> ()
           in
           compare_attached Import i.Config_ir.acl_in i'.Config_ir.acl_in;
@@ -359,14 +425,16 @@ let acl_findings ~original ~translation =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compare ~original ~translation =
+let check c ~original ~translation =
   (* Normalize the Cisco side so redistribution, OSPF area membership and
      default costs are expressed the same way on both sides. *)
   let original = Juniper.Translate.of_cisco_ir original in
   structural_findings ~original ~translation
   @ attribute_findings ~original ~translation
-  @ behavior_findings ~original ~translation
-  @ acl_findings ~original ~translation
+  @ behavior_findings c ~original ~translation
+  @ acl_findings c ~original ~translation
+
+let compare ~original ~translation = check (checker ()) ~original ~translation
 
 let equivalent ~original ~translation = compare ~original ~translation = []
 

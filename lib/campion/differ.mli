@@ -78,7 +78,41 @@ val compare : original:Config_ir.t -> translation:Config_ir.t -> finding list
 (** Structural findings first, then attributes, then behavior — the order
     the paper says matters ("syntax errors and structural mismatches have to
     be handled earlier since they can mask attribute differences and policy
-    behavior differences"). *)
+    behavior differences"). [compare] is {!check} on a fresh {!checker}. *)
+
+(** {2 Checking a sequence of drafts}
+
+    A VPP loop diffs every draft against the same original, and each fix
+    touches one stanza, so most route-map and ACL pairs it compares were
+    already compared on an earlier draft. A checker remembers those
+    symbolic diffs. *)
+
+type checker
+(** Memoised symbolic diffs, meant to live for one loop. It keeps every
+    distinct pair it has seen, with no eviction, which is bounded by the
+    drafts of one loop. It is not safe to share between domains: give each
+    loop its own. *)
+
+val checker : unit -> checker
+
+val check : checker -> original:Config_ir.t -> translation:Config_ir.t -> finding list
+(** Exactly {!compare}'s findings, witnesses included. The structural and
+    attribute passes always run; the symbolic diffs are looked up first:
+    - a route-map pair is keyed on both maps plus the part of each side's
+      environment the diff reads: the prefix and AS-path lists either map
+      names, in their original order so a first-match lookup is unchanged,
+      and {e all} community lists, because witness routes are decorated
+      with communities drawn from every one of them;
+    - an ACL pair is keyed on both ACLs. *)
+
+type stats = {
+  policy_pairs : int;  (** Route-map pairs diffed through the checker. *)
+  policy_hits : int;  (** Of those, answered from the memo. *)
+  acl_pairs : int;
+  acl_hits : int;
+}
+
+val stats : checker -> stats
 
 val equivalent : original:Config_ir.t -> translation:Config_ir.t -> bool
 

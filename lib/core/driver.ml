@@ -948,7 +948,8 @@ let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
     transcript.converged
     &&
     let ir, diags = Exec.Memo.check Batfish.Parse_check.Junos final_text in
-    first_error diags = None && Campion.Differ.compare ~original:cisco_ir ~translation:ir = []
+    first_error diags = None
+    && Resilience.Verifier.oracle suite.Resilience.Suite.campion (cisco_ir, ir) = []
   in
   { transcript; final_text; outcomes = outcomes_of tr chat; verified }
 

@@ -19,6 +19,7 @@ type t = {
 
 let make runtime =
   let arm ~dirty kind oracle = Runtime.arm runtime (Verifier.wrap ~dirty kind oracle) in
+  let differ = Campion.Differ.checker () in
   {
     runtime;
     parse =
@@ -28,7 +29,7 @@ let make runtime =
     campion =
       arm Verifier.Campion
         ~dirty:(fun findings -> findings <> [])
-        (fun (original, translation) -> Campion.Differ.compare ~original ~translation);
+        (fun (original, translation) -> Campion.Differ.check differ ~original ~translation);
     topology =
       arm Verifier.Topology
         ~dirty:(fun findings -> findings <> [])

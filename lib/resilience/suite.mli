@@ -7,6 +7,12 @@
     (and can never be memoized as truth) and cache state can never shift
     the fault schedule.
 
+    The Campion oracle is {!Campion.Differ.check} on one checker owned by
+    the suite, so one loop's drafts share its memoised policy and ACL
+    diffs. The chaos, lie and trust layers all wrap that oracle, so only
+    pristine results are memoised. A suite belongs to one loop in one
+    domain.
+
     The global no-transit check is use-case-specific, so the driver wraps
     it itself with {!Verifier.wrap} [Bgp_sim] + {!Runtime.arm}. *)
 

@@ -55,46 +55,42 @@ let refine_example ~env_a ~env_b map_a map_b space r =
 let compare_maps ~env_a ~env_b ?(universe = Pred.default_universe) map_a map_b =
   let regions_a = Transfer.compile env_a map_a in
   let regions_b = Transfer.compile env_b map_b in
-  let differences = ref [] in
-  List.iter
-    (fun (ra : Transfer.region) ->
-      List.iter
-        (fun (rb : Transfer.region) ->
-          let overlap = Pred.inter ra.space rb.space in
-          if not (Pred.is_empty overlap) then
-            let kind =
-              if ra.action <> rb.action then Some Action_mismatch
-              else if
-                ra.action = Action.Permit
-                && not (Effects.equal ra.effect_ rb.effect_)
-              then Some (Effect_mismatch (Effects.differing_fields ra.effect_ rb.effect_))
-              else None
-            in
-            match kind with
-            | None -> ()
-            | Some kind ->
-                (* Prefer a witness visible to both evaluation environments;
-                   env_a suffices since AS-path constraints are name-based
-                   and both sides share the universe. *)
-                let example =
-                  Option.map
-                    (refine_example ~env_a ~env_b map_a map_b overlap)
-                    (Pred.sample ~env:env_a ~universe overlap)
-                in
-                differences :=
-                  {
-                    space = overlap;
-                    example;
-                    action_a = ra.action;
-                    action_b = rb.action;
-                    seq_a = ra.seq;
-                    seq_b = rb.seq;
-                    kind;
-                  }
-                  :: !differences)
-        regions_b)
-    regions_a;
-  List.rev !differences
+  (* Decide whether a region pair can differ before intersecting it: most
+     pairs agree, and the intersection is the expensive part. *)
+  let difference (ra : Transfer.region) (rb : Transfer.region) =
+    let action_mismatch = ra.action <> rb.action in
+    if
+      (not action_mismatch)
+      && (ra.action = Action.Deny || Effects.equal ra.effect_ rb.effect_)
+    then None
+    else
+      let overlap = Pred.inter ra.space rb.space in
+      if Pred.is_empty overlap then None
+      else
+        let kind =
+          if action_mismatch then Action_mismatch
+          else Effect_mismatch (Effects.differing_fields ra.effect_ rb.effect_)
+        in
+        (* Prefer a witness visible to both evaluation environments; env_a
+           suffices since AS-path constraints are name-based and both sides
+           share the universe. *)
+        let example =
+          Option.map
+            (refine_example ~env_a ~env_b map_a map_b overlap)
+            (Pred.sample ~env:env_a ~universe overlap)
+        in
+        Some
+          {
+            space = overlap;
+            example;
+            action_a = ra.action;
+            action_b = rb.action;
+            seq_a = ra.seq;
+            seq_b = rb.seq;
+            kind;
+          }
+  in
+  List.concat_map (fun ra -> List.filter_map (difference ra) regions_b) regions_a
 
 let equivalent ~env_a ~env_b map_a map_b =
   compare_maps ~env_a ~env_b map_a map_b = []

@@ -478,6 +478,175 @@ let test_campion_structural_masks_nothing_on_equal () =
     (Campion.Differ.equivalent ~original:border_ir
        ~translation:(reparse_junos correct_translation))
 
+(* A checker shared across many drafts must answer exactly what a one-shot
+   compare answers on each: the same findings and the same witnesses. *)
+let witness = function
+  | Campion.Differ.Behavior b -> Some (Route.to_string b.Campion.Differ.example)
+  | Campion.Differ.Acl_behavior a -> Some (Packet.to_string a.Campion.Differ.packet)
+  | _ -> None
+
+let check_shared shared label ~original ~translation =
+  let got = Campion.Differ.check shared ~original ~translation in
+  let want = Campion.Differ.compare ~original ~translation in
+  let strings = Alcotest.(list string) in
+  check strings (label ^ ": findings")
+    (List.map Campion.Differ.finding_to_string want)
+    (List.map Campion.Differ.finding_to_string got);
+  check strings (label ^ ": witnesses")
+    (List.filter_map witness want) (List.filter_map witness got);
+  got
+
+(* Walk a translation conversation the way the loop does: the first
+   finding's prompt goes back automated, and to a human once it has been
+   sent four times. *)
+let walk_translation shared ~sample ~seed =
+  let original = fst (Cisco.Parser.parse sample) in
+  let chat =
+    Llmsim.Chat.start ~seed ~regression_rate:0.2 Llmsim.Fault.Junos_cfg
+      ~correct:(Juniper.Translate.of_cisco_ir original)
+  in
+  let sent = Hashtbl.create 8 in
+  let rec go step =
+    let ir, diags = Batfish.Parse_check.check Batfish.Parse_check.Junos (Llmsim.Chat.draft chat) in
+    let prompt =
+      match List.find_opt Diag.is_error diags with
+      | Some d -> Some (Cosynth.Humanizer.of_diag d)
+      | None -> (
+          let label = Printf.sprintf "seed %d step %d" seed step in
+          match check_shared shared label ~original ~translation:ir with
+          | f :: _ -> Some (Cosynth.Humanizer.of_campion f)
+          | [] -> None)
+    in
+    match prompt with
+    | Some { Cosynth.Humanizer.text; refs } when step < 60 ->
+        let tries = Option.value ~default:0 (Hashtbl.find_opt sent text) in
+        let strength = if tries < 4 then Llmsim.Chat.Auto else Llmsim.Chat.Human in
+        Hashtbl.replace sent text (if tries < 4 then tries + 1 else 0);
+        Llmsim.Chat.respond chat { Llmsim.Chat.text; refs; strength };
+        go (step + 1)
+    | _ -> ()
+  in
+  go 1
+
+let test_checker_translation_walks () =
+  let shared = Campion.Differ.checker () in
+  List.iter
+    (fun sample ->
+      for seed = 1 to 10 do
+        walk_translation shared ~sample ~seed
+      done)
+    [ Cisco.Samples.border_router; Cisco.Samples.edge_router; Cisco.Samples.minimal ];
+  let s = Campion.Differ.stats shared in
+  check bool_t "policy diffs repeat within walks" true
+    (s.Campion.Differ.policy_hits > s.Campion.Differ.policy_pairs / 2);
+  check bool_t "acl diffs repeat within walks" true
+    (s.Campion.Differ.acl_hits > s.Campion.Differ.acl_pairs / 2)
+
+let test_checker_junos_mutants () =
+  let shared = Campion.Differ.checker () in
+  let corpus = Fuzz.Corpus.texts Fuzz.Corpus.Junos in
+  let clean = ref 0 in
+  for round = 0 to 299 do
+    let text = Fuzz.Mutator.mutant ~seed:12 ~round ~corpus in
+    let ir, diags = Batfish.Parse_check.check Batfish.Parse_check.Junos text in
+    if not (List.exists Diag.is_error diags) then begin
+      incr clean;
+      ignore
+        (check_shared shared
+           (Printf.sprintf "mutant %d" round)
+           ~original:border_ir ~translation:ir)
+    end
+  done;
+  check bool_t "enough clean mutants" true (!clean >= 50)
+
+(* Edits that leave every route map alone and change only a list the diff
+   reads. Each one changes the answer, so a memo key that missed the edited
+   list would hand back the stale one. The last edit adds a community list
+   nothing references: it still moves the witness, because witnesses are
+   decorated with communities drawn from every list, in order. *)
+let with_lists ?(prefix_lists = []) ?(as_path_lists = []) ?(community_lists = []) ir =
+  let replace name_of lists =
+    List.map (fun l ->
+        Option.value ~default:l (List.find_opt (fun n -> name_of n = name_of l) lists))
+  in
+  {
+    ir with
+    Config_ir.prefix_lists =
+      replace (fun (l : Prefix_list.t) -> l.Prefix_list.name) prefix_lists
+        ir.Config_ir.prefix_lists;
+    as_path_lists =
+      replace (fun (l : As_path_list.t) -> l.As_path_list.name) as_path_lists
+        ir.Config_ir.as_path_lists;
+    community_lists = community_lists @ ir.Config_ir.community_lists;
+  }
+
+let export_only sets lists =
+  {
+    (Config_ir.empty "r") with
+    Config_ir.community_lists = lists;
+    route_maps = [ Route_map.make "pol" [ Route_map.entry ~sets 10 ] ];
+    bgp =
+      Some
+        {
+          Config_ir.asn = 65001;
+          router_id = None;
+          networks = [];
+          neighbors =
+            [
+              Config_ir.neighbor (ip "10.0.0.2") ~remote_as:65002 ~local_as:65001
+                ~export_policy:"pol";
+            ];
+          redistributions = [];
+        };
+  }
+
+let test_checker_environment_edits () =
+  let shared = Campion.Differ.checker () in
+  let answer label (original, translation) =
+    List.map
+      (fun f -> (Campion.Differ.finding_to_string f, witness f))
+      (check_shared shared label ~original ~translation)
+  in
+  let moves label before after =
+    let before = answer (label ^ " before") before in
+    let after = answer (label ^ " after") after in
+    check bool_t (label ^ " changes the answer") true (before <> after)
+  in
+  let edge_ir = fst (Cisco.Parser.parse Cisco.Samples.edge_router) in
+  let edge_junos = Juniper.Translate.of_cisco_ir edge_ir in
+  let own_le_23 =
+    Prefix_list.make "own" [ Prefix_list.entry 5 (Prefix_range.le (pfx "30.1.0.0/16") 23) ]
+  in
+  moves "prefix-list range" (edge_ir, edge_junos)
+    (edge_ir, with_lists ~prefix_lists:[ own_le_23 ] edge_junos);
+  (* Permitting what seq 15 denies puts a difference where the AS path
+     matches no-far; the original's regex picks the witness path. *)
+  let permit_15 =
+    match Config_ir.find_route_map edge_junos "from_provider_a" with
+    | None -> Alcotest.fail "edge router has no from_provider_a"
+    | Some m ->
+        Route_map.make m.Route_map.name
+          (List.map
+             (fun (e : Route_map.entry) ->
+               if e.Route_map.seq = 15 then { e with Route_map.action = Action.Permit } else e)
+             m.Route_map.entries)
+  in
+  let flipped = Config_ir.with_route_map edge_junos permit_15 in
+  let no_far regex =
+    with_lists ~as_path_lists:[ As_path_list.make "no-far" [ As_path_list.entry regex ] ] edge_ir
+  in
+  moves "as-path regex" (no_far "^65001_", flipped) (no_far "^65001_65002_", flipped);
+  (* One map deletes the communities in DEL and the other keeps them, so
+     the witness needs one of DEL's communities. *)
+  let del =
+    Community_list.make "DEL"
+      [ Community_list.entry [ comm "100:1" ]; Community_list.entry [ comm "100:2" ] ]
+  in
+  let deleting = export_only [ Route_map.Set_community_delete "DEL" ] in
+  let keeping = export_only [] [ del ] in
+  moves "unreferenced community list" (deleting [ del ], keeping)
+    (deleting [ cl "unused" "100:2"; del ], keeping)
+
 let () =
   Alcotest.run "verifiers"
     [
@@ -529,5 +698,10 @@ let () =
             test_campion_prefix_range_difference;
           Alcotest.test_case "equivalence reflexive" `Quick
             test_campion_structural_masks_nothing_on_equal;
+          Alcotest.test_case "shared checker: translation walks" `Quick
+            test_checker_translation_walks;
+          Alcotest.test_case "shared checker: junos mutants" `Quick test_checker_junos_mutants;
+          Alcotest.test_case "shared checker: environment edits" `Quick
+            test_checker_environment_edits;
         ] );
     ]
