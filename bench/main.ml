@@ -1592,6 +1592,14 @@ let perf_tests () =
       (Cosynth.Modularizer.plan star5)
   in
   let net5 = Cosynth.Modularizer.compose star5 configs5 in
+  let star15 = Star.make ~routers:15 in
+  let hub15 =
+    List.find
+      (fun (t : Cosynth.Modularizer.router_task) ->
+        t.Cosynth.Modularizer.router = star15.Star.hub)
+      (Cosynth.Modularizer.plan star15)
+  in
+  let hub15_text = Cisco.Printer.print hub15.Cosynth.Modularizer.correct in
   let our_networks = Option.get (Config_ir.find_prefix_list border_ir "our-networks") in
   let private_ips = Option.get (Config_ir.find_prefix_list border_ir "private-ips") in
   let space_a = Symbolic.Guard.compile_prefix_list our_networks in
@@ -1611,6 +1619,8 @@ let perf_tests () =
                 (Option.get (Config_ir.find_route_map corrupted "to_provider")))));
     Test.make ~name:"cisco/parse"
       (Staged.stage (fun () -> ignore (Cisco.Parser.parse cisco_text)));
+    Test.make ~name:"cisco/parse-hub15"
+      (Staged.stage (fun () -> ignore (Cisco.Parser.parse hub15_text)));
     Test.make ~name:"junos/parse"
       (Staged.stage (fun () -> ignore (Juniper.Parser.parse junos_text)));
     Test.make ~name:"junos/translate+print"
@@ -1619,6 +1629,11 @@ let perf_tests () =
     Test.make ~name:"campion/compare"
       (Staged.stage (fun () ->
            ignore (Campion.Differ.compare ~original:border_ir ~translation:corrupted)));
+    Test.make ~name:"batfish/route-policies-hub15"
+      (Staged.stage (fun () ->
+           ignore
+             (Batfish.Search_route_policies.check_all hub15.Cosynth.Modularizer.correct
+                hub15.Cosynth.Modularizer.specs)));
     Test.make ~name:"batfish/bgp-sim-star5"
       (Staged.stage (fun () -> ignore (Batfish.Bgp_sim.run net5)));
     Test.make ~name:"lightyear/prove-star5"

@@ -43,6 +43,11 @@ type outcome = Holds | Violated of violation | Policy_missing
 
 val requirement_to_string : requirement -> string
 
-val check : Config_ir.t -> spec -> outcome
-
 val check_all : Config_ir.t -> spec list -> (spec * outcome) list
+(** Every spec's outcome, in order. Compiles each route map the specs name
+    once per call, into the regions of {!Symbolic.Transfer.compile}, and
+    checks every spec naming that map against them; nothing is kept between
+    calls. A spec whose map is absent is [Policy_missing]. *)
+
+val check : Config_ir.t -> spec -> outcome
+(** [check config spec] is {!check_all} over the single spec. *)

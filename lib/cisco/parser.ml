@@ -7,13 +7,23 @@ open Policy
 
 type rm_key = { rm_name : string; rm_seq : int }
 
+(* One route-map stanza as its lines arrive: each [match]/[set] line conses
+   onto the open stanza, and [assemble] reverses each list once. *)
+type stanza = {
+  key : rm_key;
+  action : Action.t;
+  mutable matches : Route_map.match_cond list;  (* reversed *)
+  mutable sets : Route_map.set_action list;  (* reversed *)
+}
+
 type state = {
   mutable hostname : string;
-  mutable interfaces : Config_ir.interface list;  (* reversed *)
+  mutable interfaces : Config_ir.interface list;  (* in order *)
   mutable pl_entries : (string * Prefix_list.entry) list;  (* reversed *)
   mutable cl_entries : (string * Community_list.entry) list;  (* reversed *)
   mutable al_entries : (string * As_path_list.entry) list;  (* reversed *)
-  mutable rm_entries : (rm_key * Route_map.entry) list;  (* reversed *)
+  mutable rm_entries : stanza list;  (* reversed *)
+  rm_keys : (rm_key, unit) Hashtbl.t;  (* stanza headers seen, for duplicates *)
   mutable acl_entries : (string * Acl.entry) list;  (* in order *)
   mutable statics : Config_ir.static_route list;  (* in order *)
   mutable bgp : Config_ir.bgp option;
@@ -27,7 +37,7 @@ type context =
   | In_interface of Iface.t
   | In_bgp
   | In_ospf
-  | In_route_map of rm_key
+  | In_route_map of stanza
   | In_acl of string
 
 let fresh () =
@@ -38,6 +48,7 @@ let fresh () =
     cl_entries = [];
     al_entries = [];
     rm_entries = [];
+    rm_keys = Hashtbl.create 16;
     acl_entries = [];
     statics = [];
     bgp = None;
@@ -306,21 +317,9 @@ let handle_ospf_line st ~line toks =
       | None -> ())
   | _ -> err st ~line "unrecognized router ospf statement: '%s'" (String.concat " " toks)
 
-let handle_route_map_line st ~line key toks =
-  let add_match m =
-    st.rm_entries <-
-      List.map
-        (fun (k, (e : Route_map.entry)) ->
-          if k = key then (k, { e with Route_map.matches = e.matches @ [ m ] }) else (k, e))
-        st.rm_entries
-  in
-  let add_set s =
-    st.rm_entries <-
-      List.map
-        (fun (k, (e : Route_map.entry)) ->
-          if k = key then (k, { e with Route_map.sets = e.sets @ [ s ] }) else (k, e))
-        st.rm_entries
-  in
+let handle_route_map_line st ~line stanza toks =
+  let add_match m = stanza.matches <- m :: stanza.matches in
+  let add_set s = stanza.sets <- s :: stanza.sets in
   match toks with
   | [ "match"; "ip"; "address"; "prefix-list"; name ] ->
       add_match (Route_map.Match_prefix_list name)
@@ -385,9 +384,7 @@ let handle_route_map_line st ~line key toks =
       | [], _ -> err st ~line "as-path prepend requires at least one AS"
       | _, false -> err st ~line "invalid AS number in prepend"
       | _, true -> add_set (Route_map.Set_as_path_prepend (List.filter_map Fun.id parsed)))
-  | _ ->
-      err st ~line "unrecognized route-map statement: '%s'" (String.concat " " toks);
-      ignore key
+  | _ -> err st ~line "unrecognized route-map statement: '%s'" (String.concat " " toks)
 
 let parse_addr_spec st ~line toks =
   (* any | host A | A WILDCARD; returns the prefix and remaining tokens. *)
@@ -591,12 +588,14 @@ let dispatch_top st ~line toks : context =
       match (Action.of_string action, int_of_string_opt seq) with
       | Some action, Some seq ->
           let key = { rm_name = name; rm_seq = seq } in
-          if List.mem_assoc key st.rm_entries then (
+          if Hashtbl.mem st.rm_keys key then (
             err st ~line "duplicate route-map stanza %s %d" name seq;
             Top)
-          else (
-            st.rm_entries <- st.rm_entries @ [ (key, Route_map.entry ~action seq) ];
-            In_route_map key)
+          else
+            let stanza = { key; action; matches = []; sets = [] } in
+            Hashtbl.add st.rm_keys key ();
+            st.rm_entries <- stanza :: st.rm_entries;
+            In_route_map stanza
       | _ ->
           err st ~line "malformed route-map header";
           Top)
@@ -630,12 +629,20 @@ let dispatch_top st ~line toks : context =
 
 let group_by_name pairs =
   (* Preserve first-appearance order of names and entry order per name. *)
+  let groups = Hashtbl.create 16 in
   let names =
     List.fold_left
-      (fun acc (n, _) -> if List.mem n acc then acc else acc @ [ n ])
+      (fun names (n, e) ->
+        match Hashtbl.find_opt groups n with
+        | Some es ->
+            Hashtbl.replace groups n (e :: es);
+            names
+        | None ->
+            Hashtbl.add groups n [ e ];
+            n :: names)
       [] pairs
   in
-  List.map (fun n -> (n, List.filter_map (fun (m, e) -> if m = n then Some e else None) pairs)) names
+  List.rev_map (fun n -> (n, List.rev (Hashtbl.find groups n))) names
 
 let assemble st =
   let pl_pairs = List.rev st.pl_entries in
@@ -661,21 +668,15 @@ let assemble st =
   let as_path_lists =
     List.map (fun (n, es) -> As_path_list.make n es) (group_by_name (List.rev st.al_entries))
   in
-  let rm_names =
-    List.fold_left
-      (fun acc (k, _) -> if List.mem k.rm_name acc then acc else acc @ [ k.rm_name ])
-      [] st.rm_entries
-  in
   let route_maps =
-    List.map
-      (fun name ->
-        let entries =
-          List.filter_map
-            (fun (k, e) -> if k.rm_name = name then Some e else None)
-            st.rm_entries
-        in
-        Route_map.make name entries)
-      rm_names
+    List.rev_map
+      (fun s ->
+        ( s.key.rm_name,
+          Route_map.entry ~action:s.action ~matches:(List.rev s.matches)
+            ~sets:(List.rev s.sets) s.key.rm_seq ))
+      st.rm_entries
+    |> group_by_name
+    |> List.map (fun (n, es) -> Route_map.make n es)
   in
   (* Merge interface-level ospf costs into the ospf block. *)
   (match (st.ospf, List.rev st.ospf_costs) with
@@ -753,7 +754,7 @@ let parse text =
                 (String.concat " " toks)
             else handle_bgp_line st ~line toks
         | In_ospf, true -> handle_ospf_line st ~line toks
-        | In_route_map key, true -> handle_route_map_line st ~line key toks
+        | In_route_map stanza, true -> handle_route_map_line st ~line stanza toks
         | In_acl name, true -> handle_acl_line st ~line name toks)
     lines;
   let ir = assemble st in

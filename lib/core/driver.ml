@@ -1105,6 +1105,10 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
     in
     loop ()
   in
+  (* The IR of a router's final draft. The local loop has usually parsed
+     that draft already, so this is a memo hit. The memo holds the parser's
+     own output, never a stage value an adversary lens may have rewritten. *)
+  let final_ir draft = fst (Exec.Memo.check Batfish.Parse_check.Cisco_ios draft) in
   (* Each router is an independent task: its own chat, its own derived seed,
      its own loop state (budget = what is left after the initial prompt).
      That makes the fan-out embarrassingly parallel — Lightyear's
@@ -1148,7 +1152,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
       record sub Auto task.Modularizer.prompt
         (Printf.sprintf "modularizer prompt for %s" task.Modularizer.router);
     let final_draft, ok = local_loop sub suite task chat in
-    let ir, _ = Cisco.Parser.parse final_draft in
+    let ir = final_ir final_draft in
     (task.Modularizer.router, chat, ir, ok, sub)
   in
   let indexed = List.mapi (fun i t -> (i, t)) tasks in
@@ -1261,7 +1265,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
       let prompt = Humanizer.of_global_violations ~hub:hub_name violations in
       let resynthesize () =
         let draft, local_ok = local_loop st suite_main hub_task hub_chat in
-        let ir, _ = Cisco.Parser.parse draft in
+        let ir = final_ir draft in
         let results =
           List.map
             (fun ((name, chat, _, _) as r) ->

@@ -223,6 +223,10 @@ let serve ~socket_path ~handle ?(backlog = 16) ?(io_timeout_ms = 30_000)
         [ Sys.sigterm; Sys.sigint ]
     else []
   in
+  (* A reply written to a peer that already hung up must cost that client
+     only: with SIGPIPE ignored the write raises EPIPE into [client_loop]'s
+     handler instead of killing the process. *)
+  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   on_ready ();
   (try
      while not (locked (fun () -> !draining || !stopping)) do
@@ -251,6 +255,7 @@ let serve ~socket_path ~handle ?(backlog = 16) ?(io_timeout_ms = 30_000)
   Mutex.unlock threads_m;
   List.iter Thread.join ts;
   List.iter (fun (s, h) -> try Sys.set_signal s h with _ -> ()) old_handlers;
+  Sys.set_signal Sys.sigpipe old_pipe;
   (match old_hup with
   | Some h -> ( try Sys.set_signal Sys.sighup h with _ -> ())
   | None -> ());

@@ -62,8 +62,9 @@ val serve :
     clients proceed concurrently — so the handler must be thread-safe (the
     warm state it shares, [Exec.Memo] and [Exec.Pool], already is). A
     handler exception is answered with an [{"ok": false, "error": ...}]
-    frame rather than killing the connection; a framing error drops only
-    that client.
+    frame rather than killing the connection; a framing error, or a reply
+    to a peer that already closed its end, drops only that client (SIGPIPE
+    is ignored for the server's lifetime and restored before returning).
 
     Robustness knobs:
     {ul

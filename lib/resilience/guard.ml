@@ -107,16 +107,24 @@ let run ?timeout_ms ?fingerprint ~label f =
    crash immediately while the worker thread runs to completion in the
    background and then fires [on_settled] — which is why resources the
    thunk holds (an admission slot, say) must be released there, not on the
-   caller's return path. *)
-let run_deadline ~deadline_ms ?(poll_ms = 5) ?fingerprint
-    ?(on_settled = fun () -> ()) ~label f =
+   caller's return path. The caller sleeps in [select] on a per-call pipe
+   that the worker writes one byte to once its result is stored, so it
+   wakes on completion. The worker writes only while the caller still
+   listens, decided under the cell mutex: the caller closes the read end
+   as soon as it stops, and the worker closes the write end before
+   [on_settled]. *)
+let run_deadline ~deadline_ms ?fingerprint ?(on_settled = fun () -> ()) ~label f =
   let cell_m = Mutex.create () in
   let cell = ref None in
+  let abandoned = ref false in
+  let rd, wr = Unix.pipe ~cloexec:true () in
   let worker () =
     let r = run ?fingerprint ~label f in
     Mutex.lock cell_m;
     cell := Some r;
+    if not !abandoned then ignore (Unix.write_substring wr "." 0 1 : int);
     Mutex.unlock cell_m;
+    Unix.close wr;
     on_settled ()
   in
   ignore (Thread.create worker () : Thread.t);
@@ -124,28 +132,30 @@ let run_deadline ~deadline_ms ?(poll_ms = 5) ?fingerprint
     Unix.gettimeofday () +. (float_of_int (max 1 deadline_ms) /. 1000.)
   in
   let rec wait () =
-    Mutex.lock cell_m;
-    let r = !cell in
-    Mutex.unlock cell_m;
-    match r with
-    | Some r -> r
-    | None ->
-        if Unix.gettimeofday () >= deadline then begin
-          let c =
-            {
-              stage = label;
-              constructor = "Deadline_exceeded";
-              message = Printf.sprintf "deadline of %d ms exceeded" deadline_ms;
-              backtrace_digest = "-";
-              fingerprint = (match fingerprint with Some fp -> fp | None -> "-");
-            }
-          in
-          record c;
-          Error c
-        end
-        else begin
-          Thread.delay (float_of_int (max 1 poll_ms) /. 1000.);
-          wait ()
-        end
+    let left = deadline -. Unix.gettimeofday () in
+    if left > 0. then
+      match Unix.select [ rd ] [] [] left with
+      | [], _, _ -> wait ()
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
   in
-  wait ()
+  wait ();
+  Mutex.lock cell_m;
+  let r = !cell in
+  if Option.is_none r then abandoned := true;
+  Mutex.unlock cell_m;
+  Unix.close rd;
+  match r with
+  | Some r -> r
+  | None ->
+      let c =
+        {
+          stage = label;
+          constructor = "Deadline_exceeded";
+          message = Printf.sprintf "deadline of %d ms exceeded" deadline_ms;
+          backtrace_digest = "-";
+          fingerprint = (match fingerprint with Some fp -> fp | None -> "-");
+        }
+      in
+      record c;
+      Error c

@@ -38,7 +38,6 @@ val run :
 
 val run_deadline :
   deadline_ms:int ->
-  ?poll_ms:int ->
   ?fingerprint:string ->
   ?on_settled:(unit -> unit) ->
   label:string ->
@@ -46,7 +45,9 @@ val run_deadline :
   ('a, crash) result
 (** Like {!run}, but bounded by a wall-clock deadline and safe in a
     multi-threaded process (the daemon): the thunk runs on a fresh thread
-    while the caller polls (every [poll_ms], default 5). Past the deadline
+    while the caller waits on a per-call pipe, so it returns as soon as the
+    thunk finishes (both pipe ends are closed whichever way the call
+    ends). Past the deadline
     the caller gets [Error] with constructor ["Deadline_exceeded"]
     (recorded in the registry like any crash) — but since OCaml threads
     cannot be killed, the thunk is {e abandoned}, not stopped: it keeps

@@ -73,6 +73,25 @@ let test_cisco_round_trip () =
   check int_t "no diagnostics on canonical output" 0 (List.length diags);
   check bool_t "round trip" true (Config_ir.equal border_ir reparsed)
 
+(* Hub configs grow quadratically in route-map stanzas with the star's size;
+   each must print and re-parse to the same IR without a diagnostic. *)
+let test_cisco_hub_round_trip () =
+  List.iter
+    (fun routers ->
+      let star = Star.make ~routers in
+      let hub =
+        List.find
+          (fun (t : Cosynth.Modularizer.router_task) ->
+            t.Cosynth.Modularizer.router = star.Star.hub)
+          (Cosynth.Modularizer.plan star)
+      in
+      let ir = hub.Cosynth.Modularizer.correct in
+      let reparsed, diags = Cisco.Parser.parse (Cisco.Printer.print ir) in
+      let name = Printf.sprintf "star %d hub" routers in
+      check int_t (name ^ ": no diagnostics") 0 (List.length diags);
+      check bool_t (name ^ ": round trip") true (Config_ir.equal ir reparsed))
+    [ 3; 7; 15; 31 ]
+
 let test_cisco_lint_clean () =
   check int_t "no lint findings" 0 (List.length (Cisco.Lint.check border_ir))
 
@@ -84,6 +103,40 @@ let test_cisco_match_community_literal () =
   let _, diags = Cisco.Parser.parse text in
   check bool_t "flags literal community" true
     (diag_with ~sub:"'match community 100:1' is invalid" diags)
+
+let test_cisco_duplicate_stanza () =
+  let text =
+    String.concat "\n"
+      [
+        "route-map RM permit 10";
+        " match community CL1";
+        "route-map RM permit 10";
+        " match community CL2";
+        " set local-preference 200";
+        "";
+      ]
+  in
+  let ir, diags = Cisco.Parser.parse text in
+  let errors_at line =
+    List.filter_map
+      (fun (d : Diag.t) ->
+        if d.Diag.line = line && Diag.is_error d then Some d.Diag.message else None)
+      diags
+  in
+  check (Alcotest.list string_t) "duplicate header flagged on its line"
+    [ "duplicate route-map stanza RM 10" ] (errors_at 3);
+  List.iter
+    (fun line ->
+      check bool_t
+        (Printf.sprintf "line %d is outside any stanza" line)
+        true
+        (List.exists (contains ~sub:"only valid inside a route-map stanza") (errors_at line)))
+    [ 4; 5 ];
+  check int_t "no other diagnostics" 3 (List.length diags);
+  let m = Option.get (Config_ir.find_route_map ir "RM") in
+  check bool_t "the first stanza is kept unchanged" true
+    (m.Route_map.entries
+    = [ Route_map.entry ~matches:[ Route_map.Match_community_list "CL1" ] 10 ])
 
 let test_cisco_cli_keyword () =
   let _, diags = Cisco.Parser.parse "configure terminal\nhostname r1\nend\n" in
@@ -554,11 +607,14 @@ let () =
           Alcotest.test_case "prefix list ge" `Quick test_cisco_prefix_list_ge;
           Alcotest.test_case "round trip" `Quick test_cisco_round_trip;
           Alcotest.test_case "lint clean" `Quick test_cisco_lint_clean;
+          Alcotest.test_case "hub round trip, 3 to 31 routers" `Quick
+            test_cisco_hub_round_trip;
         ] );
       ( "cisco-diagnostics",
         [
           Alcotest.test_case "match community literal" `Quick
             test_cisco_match_community_literal;
+          Alcotest.test_case "duplicate stanza" `Quick test_cisco_duplicate_stanza;
           Alcotest.test_case "cli keywords" `Quick test_cisco_cli_keyword;
           Alcotest.test_case "misplaced neighbor" `Quick test_cisco_misplaced_neighbor;
           Alcotest.test_case "community list regex" `Quick test_cisco_community_list_regex;

@@ -1022,6 +1022,44 @@ let test_serve_overloaded_raises () =
             (Exec.Serve.request fd (J.Obj [ ("job", J.String "drain") ]) : J.t));
       Thread.join server)
 
+(* A client that hangs up before its reply must cost only itself: the
+   reply write fails with EPIPE inside its client loop instead of a SIGPIPE
+   killing the daemon and every other client with it. *)
+let test_serve_survives_vanished_peer () =
+  with_serve_dir (fun socket_path ->
+      let module J = Netcore.Json in
+      let cfg = { Cosynth.Service.default_config with Cosynth.Service.domains = Some 1 } in
+      let server =
+        Thread.create
+          (fun () ->
+            ignore (Cosynth.Service.serve ~socket_path cfg : Cosynth.Service.summary))
+          ()
+      in
+      let fd = Exec.Serve.connect ~total_budget_ms:3_000 ~socket_path () in
+      Exec.Serve.write_frame fd (J.Obj [ ("job", J.String "synth"); ("routers", J.Int 5) ]);
+      Unix.close fd;
+      Exec.Serve.with_connection ~socket_path (fun fd ->
+          let field k r = Option.value ~default:0 (Option.bind (J.member k r) J.to_int) in
+          (* [served] counts every request, these polls included: the synth
+             job has been taken once [served] runs ahead of the polls, and
+             it has settled once nothing is in flight. *)
+          let rec settle polls =
+            let h = Exec.Serve.request fd (J.Obj [ ("job", J.String "health") ]) in
+            if (field "served" h <= polls || field "in_flight" h > 0) && polls < 500 then begin
+              Thread.delay 0.01;
+              settle (polls + 1)
+            end
+          in
+          settle 1;
+          (* The reply to the vanished peer is written right after. *)
+          Thread.delay 0.1);
+      Exec.Serve.with_connection ~socket_path (fun fd ->
+          let r = Exec.Serve.request fd (J.Obj [ ("job", J.String "ping") ]) in
+          check bool_t "a second connection still gets its pong" true
+            (Option.bind (J.member "pong" r) J.to_bool = Some true);
+          ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
+      Thread.join server)
+
 (* ------------------------------------------------------------------ *)
 (* Sweep: certificate-aware budgeted scheduling                        *)
 (* ------------------------------------------------------------------ *)
@@ -1233,6 +1271,8 @@ let () =
             test_serve_connect_backoff;
           Alcotest.test_case "shed frame raises Server_overloaded" `Quick
             test_serve_overloaded_raises;
+          Alcotest.test_case "peer gone before its reply" `Quick
+            test_serve_survives_vanished_peer;
         ] );
       ( "global-phase",
         [

@@ -1062,6 +1062,55 @@ let test_guard_deadline_expiry () =
   Thread.delay 0.5;
   check bool_t "on_settled fired after abandonment" true !settled
 
+(* The caller wakes when the thunk finishes, not on a polling tick. *)
+let test_guard_deadline_wakes_on_completion () =
+  let times =
+    List.init 50 (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        (match Resilience.Guard.run_deadline ~deadline_ms:2_000 ~label:"quick" Fun.id with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "an in-time thunk must pass through");
+        Unix.gettimeofday () -. t0)
+  in
+  let median = List.nth (List.sort compare times) 25 in
+  check bool_t
+    (Printf.sprintf "median in-time call %.3f ms is under 2.5 ms" (median *. 1000.))
+    true (median < 0.0025)
+
+(* Every call opens a pipe; in-time and expired calls alike must close both
+   ends once the worker has settled. *)
+let test_guard_deadline_closes_fds () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    Resilience.Guard.reset ();
+    let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let settled = Atomic.make 0 in
+    let before = fds () in
+    let expired = ref 0 in
+    for i = 1 to 200 do
+      let slow = i mod 2 = 0 in
+      match
+        Resilience.Guard.run_deadline
+          ~deadline_ms:(if slow then 1 else 2_000)
+          ~on_settled:(fun () -> Atomic.incr settled)
+          ~label:"fds"
+          (fun () -> if slow then Thread.delay 0.01)
+      with
+      | Ok () -> ()
+      | Error _ -> incr expired
+    done;
+    let rec wait n =
+      if Atomic.get settled < 200 && n > 0 then begin
+        Thread.delay 0.01;
+        wait (n - 1)
+      end
+    in
+    wait 500;
+    check int_t "every worker settled" 200 (Atomic.get settled);
+    check bool_t "some calls expired" true (!expired > 0);
+    check int_t "no descriptor leaked" before (fds ());
+    Resilience.Guard.reset ()
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Trust: the Byzantine-verifier reputation ledger                     *)
 (* ------------------------------------------------------------------ *)
@@ -1616,6 +1665,10 @@ let () =
             test_guard_deadline_in_time;
           Alcotest.test_case "deadline: expiry abandons and records" `Quick
             test_guard_deadline_expiry;
+          Alcotest.test_case "deadline: wakes on completion" `Quick
+            test_guard_deadline_wakes_on_completion;
+          Alcotest.test_case "deadline: descriptors closed" `Quick
+            test_guard_deadline_closes_fds;
         ] );
       ( "admission",
         [

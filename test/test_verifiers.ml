@@ -149,6 +149,101 @@ let test_srp_policy_missing () =
     (Batfish.Search_route_policies.check (Config_ir.empty "r") spec
     = Batfish.Search_route_policies.Policy_missing)
 
+(* Differential: [check_all] against one-shot [check], and every witness
+   against concrete evaluation, on the hub of a star — the oracle config
+   and fault-injected drafts from the simulated LLM. *)
+
+let srp = Alcotest.testable (fun ppf _ -> Format.pp_print_string ppf "<outcome>") ( = )
+
+(* Whether the witness lies in the spec's space and, evaluated concretely,
+   gets the reported action and breaks the spec's requirement. A replacing
+   [set community] is invisible on a witness that carries no community, so
+   for [replaced_communities] the same witness carrying one extra
+   community, still inside the spec's space, may show the loss instead. *)
+let witness_breaks env map (v : Batfish.Search_route_policies.violation) =
+  let module S = Batfish.Search_route_policies in
+  let spec = v.S.spec in
+  let breaks route =
+    match (spec.S.requirement, Eval.eval env map route) with
+    | S.Permits, Eval.Denied -> true
+    | S.Denies, Eval.Permitted _ -> true
+    | (S.Adds_community _ | S.Prepends _), Eval.Denied -> true
+    | S.Adds_community c, Eval.Permitted out ->
+        (not (Route.has_community out c))
+        || not (Community.Set.subset route.Route.communities out.Route.communities)
+    | S.Prepends asns, Eval.Permitted out ->
+        out.Route.as_path <> List.fold_right As_path.prepend asns route.Route.as_path
+    | (S.Permits | S.Denies), _ -> false
+  in
+  let example = v.S.example in
+  let probe d =
+    Route.with_communities example (Community.Set.add d example.Route.communities)
+  in
+  Symbolic.Pred.satisfies ~env example spec.S.space
+  && Eval.verdict_action (Eval.eval env map example) = v.S.got_action
+  && (breaks example
+     || v.S.replaced_communities
+        && List.exists
+             (fun d ->
+               let r = probe d in
+               Symbolic.Pred.satisfies ~env r spec.S.space && breaks r)
+             [ comm "65000:999"; comm "64512:7" ])
+
+let test_srp_differential () =
+  List.iter
+    (fun routers ->
+      let star = Star.make ~routers in
+      let hub =
+        List.find
+          (fun (t : Cosynth.Modularizer.router_task) ->
+            t.Cosynth.Modularizer.router = star.Star.hub)
+          (Cosynth.Modularizer.plan star)
+      in
+      let specs = hub.Cosynth.Modularizer.specs in
+      let correct = hub.Cosynth.Modularizer.correct in
+      let drafts =
+        List.init 20 (fun i ->
+            let chat =
+              Llmsim.Chat.start ~seed:((routers * 1000) + i) Llmsim.Fault.Cisco_cfg ~correct
+            in
+            fst (Cisco.Parser.parse (Llmsim.Chat.draft chat)))
+      in
+      let violated = ref 0 in
+      List.iteri
+        (fun i cfg ->
+          let name = Printf.sprintf "star %d, config %d" routers i in
+          let all = Batfish.Search_route_policies.check_all cfg specs in
+          check (Alcotest.list srp)
+            (name ^ ": check_all = check per spec")
+            (List.map (fun s -> Batfish.Search_route_policies.check cfg s) specs)
+            (List.map snd all);
+          check bool_t (name ^ ": outcomes pair each spec in order") true
+            (List.map fst all = specs);
+          let env = Eval.env_of_config cfg in
+          List.iter
+            (fun (spec, outcome) ->
+              match outcome with
+              | Batfish.Search_route_policies.Violated v ->
+                  incr violated;
+                  let policy = spec.Batfish.Search_route_policies.policy in
+                  let map = Option.get (Config_ir.find_route_map cfg policy) in
+                  check bool_t
+                    (Printf.sprintf "%s: witness for %s (%s) breaks it concretely" name policy
+                       (Batfish.Search_route_policies.requirement_to_string
+                          spec.Batfish.Search_route_policies.requirement))
+                    true (witness_breaks env map v)
+              | Batfish.Search_route_policies.Holds
+              | Batfish.Search_route_policies.Policy_missing ->
+                  ())
+            all;
+          if i = 0 then
+            check bool_t (name ^ ": the oracle holds") true
+              (List.for_all (fun (_, o) -> o = Batfish.Search_route_policies.Holds) all))
+        (correct :: drafts);
+      check bool_t (Printf.sprintf "star %d: some draft is violated" routers) true
+        (!violated > 0))
+    [ 3; 7; 15 ]
+
 (* ------------------------------------------------------------------ *)
 (* BGP simulation                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -661,6 +756,7 @@ let () =
           Alcotest.test_case "counterexample" `Quick test_srp_counterexample;
           Alcotest.test_case "adds community" `Quick test_srp_adds_community;
           Alcotest.test_case "policy missing" `Quick test_srp_policy_missing;
+          Alcotest.test_case "differential on star hubs" `Quick test_srp_differential;
         ] );
       ( "bgp-sim",
         [
