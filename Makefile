@@ -202,7 +202,9 @@ durable:
 # collusion sweep's trust ledger killed mid-fsync and resumed: the final
 # ledger is byte-identical to the intact run's. Plus the SIGHUP
 # hot-reload hardening: a truncated admission file must be rejected
-# (reload_rejected=1 in health) with the old caps kept in force.
+# (reload_rejected=1 in health) with the old caps kept in force. And a
+# `--resume` without `--journal` is refused (exit 2) before any file is
+# opened: no trust ledger is left behind.
 DURABLE_TMP := $(shell mktemp -d)
 DURABLE_CHAOS := chaos --use-case no-transit --runs 6 --routers 5 --flake-rate 0.1
 DURABLE_ADV := adversary --runs 6 --seed 9980 --collude parse-check,campion \
@@ -249,6 +251,11 @@ durable-smoke: build
 	$(CLI) fsck $(DURABLE_TMP)/trust.jsonl --lww > /dev/null
 	$(CLI) fsck $(DURABLE_TMP)/full-trust.jsonl --lww > /dev/null
 	cmp $(DURABLE_TMP)/full-trust.jsonl $(DURABLE_TMP)/trust.jsonl
+	sh -c '$(CLI) chaos --runs 2 --resume --trust-ledger $(DURABLE_TMP)/rejected.jsonl \
+	  > /dev/null 2>&1; test $$? -eq 2'
+	sh -c '$(CLI) adversary --runs 2 --resume --trust-ledger $(DURABLE_TMP)/rejected.jsonl \
+	  > /dev/null 2>&1; test $$? -eq 2'
+	test ! -e $(DURABLE_TMP)/rejected.jsonl
 	sh -c 'echo "{\"max_in_flight\": 4}" > $(DURABLE_TMP)/caps.json; \
 	  $(CLI) serve --socket $(DURABLE_TMP)/reload.sock \
 	    --admission-file $(DURABLE_TMP)/caps.json > /dev/null 2>&1 & pid=$$!; \
@@ -260,7 +267,7 @@ durable-smoke: build
 	  $(CLI) client --socket $(DURABLE_TMP)/reload.sock shutdown > /dev/null; \
 	  wait $$pid; test $$ok -eq 0'
 	@rm -rf $(DURABLE_TMP)
-	@echo "durable-smoke: disk crashes recovered, torn writes contained, shards respawned, ledger survived, truncated reload rejected"
+	@echo "durable-smoke: disk crashes recovered, torn writes contained, shards respawned, ledger survived, truncated reload rejected, rejected resume left no ledger"
 
 # Judge the working tree against BASE with the repository benchmark:
 # PAIRS pairs of 20 s untraced WORKLOAD runs, one on BASE and one on the

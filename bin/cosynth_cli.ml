@@ -771,47 +771,47 @@ let disk_chaos_term =
   in
   Term.(
     const (fun short torn io_error enospc fsync_fail seed crash_after ->
-        Resilience.Diskchaos.make ~short_rate:short ~torn_rate:torn
+        Durable.Diskchaos.make ~short_rate:short ~torn_rate:torn
           ~io_error_rate:io_error ~enospc_rate:enospc
           ~fsync_fail_rate:fsync_fail ?crash_after ~seed ())
     $ short $ torn $ io_error $ enospc $ fsync_fail $ seed $ crash_after)
 
 let disk_chaos_arm disk =
-  if not (Resilience.Diskchaos.is_none disk) then begin
-    Resilience.Diskchaos.install disk;
-    Printf.eprintf "disk-chaos: armed: %s\n%!" (Resilience.Diskchaos.describe disk)
+  if not (Durable.Diskchaos.is_none disk) then begin
+    Durable.Diskchaos.install disk;
+    Printf.eprintf "disk-chaos: armed: %s\n%!" (Durable.Diskchaos.describe disk)
   end
 
 (* Stderr-only: the stdout of a faulted run that still completes must stay
    byte-identical to the fault-free run (the durable-smoke drills cmp it). *)
 let disk_chaos_footer disk =
-  if not (Resilience.Diskchaos.is_none disk) then begin
-    let s = Resilience.Diskchaos.stats () in
+  if not (Durable.Diskchaos.is_none disk) then begin
+    let s = Durable.Diskchaos.stats () in
     Printf.eprintf
       "disk-chaos: %d op(s): %d short, %d torn, %d io-error, %d enospc, %d \
        fsync-fail\n\
        %!"
-      s.Resilience.Diskchaos.ops s.Resilience.Diskchaos.shorts
-      s.Resilience.Diskchaos.torn s.Resilience.Diskchaos.io_errors
-      s.Resilience.Diskchaos.enospc s.Resilience.Diskchaos.fsync_failures
+      s.Durable.Diskchaos.ops s.Durable.Diskchaos.shorts
+      s.Durable.Diskchaos.torn s.Durable.Diskchaos.io_errors
+      s.Durable.Diskchaos.enospc s.Durable.Diskchaos.fsync_failures
   end
 
 (* The argv fragment reproducing a configuration in a child process (shard
    workers, the supervised serve daemon). *)
-let disk_chaos_args (d : Resilience.Diskchaos.config) =
+let disk_chaos_args (d : Durable.Diskchaos.config) =
   let rate flag r =
     if r > 0. then [ flag; Printf.sprintf "%g" r ] else []
   in
-  rate "--disk-short-rate" d.Resilience.Diskchaos.short_rate
-  @ rate "--disk-torn-rate" d.Resilience.Diskchaos.torn_rate
-  @ rate "--disk-io-error-rate" d.Resilience.Diskchaos.io_error_rate
-  @ rate "--disk-enospc-rate" d.Resilience.Diskchaos.enospc_rate
-  @ rate "--disk-fsync-fail-rate" d.Resilience.Diskchaos.fsync_fail_rate
-  @ (if d.Resilience.Diskchaos.seed <> 0 then
-       [ "--disk-seed"; string_of_int d.Resilience.Diskchaos.seed ]
+  rate "--disk-short-rate" d.Durable.Diskchaos.short_rate
+  @ rate "--disk-torn-rate" d.Durable.Diskchaos.torn_rate
+  @ rate "--disk-io-error-rate" d.Durable.Diskchaos.io_error_rate
+  @ rate "--disk-enospc-rate" d.Durable.Diskchaos.enospc_rate
+  @ rate "--disk-fsync-fail-rate" d.Durable.Diskchaos.fsync_fail_rate
+  @ (if d.Durable.Diskchaos.seed <> 0 then
+       [ "--disk-seed"; string_of_int d.Durable.Diskchaos.seed ]
      else [])
   @
-  match d.Resilience.Diskchaos.crash_after with
+  match d.Durable.Diskchaos.crash_after with
   | Some n -> [ "--disk-crash-after"; string_of_int n ]
   | None -> []
 
@@ -820,7 +820,7 @@ let disk_chaos_args (d : Resilience.Diskchaos.config) =
    finalizers on the way out have closed every journal handle. *)
 let exit_on_disk_crash f =
   try f ()
-  with Resilience.Diskchaos.Crashed what ->
+  with Durable.Diskchaos.Crashed what ->
     Printf.eprintf "disk-chaos: simulated crash during %s\n%!" what;
     exit 3
 
@@ -839,6 +839,10 @@ let chaos_cmd =
       (* Validated before the sweep runs: discovering a flag error only
          after a multi-hour sweep would be its own kind of fault. *)
       Printf.eprintf "error: --compact-journal requires --journal FILE\n%!";
+      exit 2
+    end;
+    if resume && journal_path = None then begin
+      Printf.eprintf "error: --resume requires --journal FILE\n%!";
       exit 2
     end;
     (* --trust-ledger implies --trust, and --trust with --journal needs the
@@ -882,29 +886,13 @@ let chaos_cmd =
     let trust_cfg = if trust then Some Resilience.Trust.default_config else None in
     let trust_before = Resilience.Trust.snapshot () in
     let quorum_before = Resilience.Trust.quorum_snapshot () in
-    let ledger_state =
-      ref (Option.join (Option.map Resilience.Trust.Ledger_store.load trust_ledger))
-    in
-    let ledger_handle =
-      Option.map
-        (fun path ->
-          (match !ledger_state with
-          | None -> Printf.eprintf "trust-ledger: recording to %s\n%!" path
-          | Some _ -> Printf.eprintf "trust-ledger: resuming trust state from %s\n%!" path);
-          Resilience.Trust.Ledger_store.open_ ~truncate:false path)
-        trust_ledger
-    in
+    let ledger = Option.map Resilience.Trust.open_ledger trust_ledger in
     let budget = use_case_budget use_case in
     (* Journal notices go to stderr: the stdout of a resumed sweep must be
        byte-identical to an uninterrupted one (make resume-smoke diffs it). *)
     let journal =
       match journal_path with
-      | None ->
-          if resume then begin
-            Printf.eprintf "error: --resume requires --journal FILE\n%!";
-            exit 2
-          end;
-          None
+      | None -> None
       | Some path ->
           let j =
             Exec.Sweep.journal ~resume ~path ~encode:chaos_encode
@@ -928,62 +916,35 @@ let chaos_cmd =
           (* Every completed record is already fsync'd, but close anyway so
              even the simulated crash leaves no open handle behind. *)
           Option.iter Exec.Sweep.journal_close journal;
-          Option.iter Resilience.Trust.Ledger_store.close ledger_handle;
+          Option.iter Resilience.Trust.close_ledger ledger;
           exit 3
       | _ -> ());
       incr fresh;
       (* Same per-seed ledger threading as `cosynth adversary`: each seed
          starts from the cumulative state (a quarantine earned by an
          earlier seed — or by the coordinator that seeded this worker's
-         ledger — is already in force) and lands one fsync'd line with its
-         evolved state plus this run's counter deltas. *)
-      let ledger_t =
-        Option.map
-          (fun _ ->
-            match !ledger_state with
-            | Some e -> Resilience.Trust.create_from Resilience.Trust.default_config e
-            | None -> Resilience.Trust.create Resilience.Trust.default_config)
-          ledger_handle
-      in
-      let t0 = Resilience.Trust.snapshot () in
-      let q0 = Resilience.Trust.quorum_snapshot () in
-      let outcome =
-        Exec.Supervisor.run_one ~plan ~index:run_seed (fun () ->
-            match use_case with
-            | `Translation ->
-                (Cosynth.Driver.run_translation ~seed:run_seed ~resilience
-                   ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-                   ~cisco_text:Cisco.Samples.border_router ())
-                  .Cosynth.Driver.transcript
-            | `No_transit ->
-                (Cosynth.Driver.run_no_transit ~seed:run_seed ~resilience
-                   ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-                   ~routers ())
-                  .Cosynth.Driver.transcript
-            | `Incremental ->
-                (Cosynth.Driver.run_incremental ~seed:run_seed ~resilience
-                   ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-                   ~routers ())
-                  .Cosynth.Driver.inc_transcript)
-      in
-      (match (outcome, ledger_t, ledger_handle) with
-      | Exec.Supervisor.Completed _, Some t, Some h ->
-          let counters =
-            Resilience.Trust.totals
-              (Resilience.Trust.diff (Resilience.Trust.snapshot ()) t0)
-          in
-          let quorum =
-            Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) q0
-          in
-          let e = Resilience.Trust.state_of t ~counters ~quorum in
-          Resilience.Trust.Ledger_store.record h ~seed:run_seed e;
-          ledger_state :=
-            Some
-              (match !ledger_state with
-              | None -> e
-              | Some a -> Resilience.Trust.Ledger_store.merge a e)
-      | _ -> ());
-      outcome
+         ledger — is already in force) and a completed seed lands one
+         fsync'd line. *)
+      Resilience.Trust.with_ledger ledger ~seed:run_seed
+        ~keep:(function Exec.Supervisor.Completed _ -> true | _ -> false)
+      @@ fun ledger_t ->
+      Exec.Supervisor.run_one ~plan ~index:run_seed (fun () ->
+        match use_case with
+        | `Translation ->
+            (Cosynth.Driver.run_translation ~seed:run_seed ~resilience
+               ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
+               ~cisco_text:Cisco.Samples.border_router ())
+              .Cosynth.Driver.transcript
+        | `No_transit ->
+            (Cosynth.Driver.run_no_transit ~seed:run_seed ~resilience
+               ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
+               ~routers ())
+              .Cosynth.Driver.transcript
+        | `Incremental ->
+            (Cosynth.Driver.run_incremental ~seed:run_seed ~resilience
+               ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
+               ~routers ())
+              .Cosynth.Driver.inc_transcript)
     in
     (* The abort trap lives inside the measured thunk so the per-verifier
        counter deltas survive: a sweep that dies halfway still reports what
@@ -994,7 +955,7 @@ let chaos_cmd =
       Fun.protect
         ~finally:(fun () ->
           Option.iter Exec.Sweep.journal_close journal;
-          Option.iter Resilience.Trust.Ledger_store.close ledger_handle)
+          Option.iter Resilience.Trust.close_ledger ledger)
         (fun () ->
           Cosynth.Metrics.measure (fun () ->
               try (Exec.Sweep.run_seeds ?journal ~seeds run_seed, None)
@@ -1002,7 +963,7 @@ let chaos_cmd =
               (* A simulated disk crash is a process death, not a sweep
                  abort: let it reach the exit-3 handler (the protecting
                  finalizers close the journal and ledger on the way). *)
-              | Resilience.Diskchaos.Crashed _ as c -> raise c
+              | Durable.Diskchaos.Crashed _ as c -> raise c
               | e -> ([], Some e)))
     in
     disk_chaos_footer disk;
@@ -1194,6 +1155,12 @@ let adversary_cmd =
          %!";
       exit 2
     end;
+    (* Refused before any file is opened: silently starting a fresh sweep
+       would quietly re-run every seed the caller believed was safe. *)
+    if resume && journal_path = None then begin
+      Printf.eprintf "error: --resume requires --journal FILE\n%!";
+      exit 2
+    end;
     let members =
       match collude with
       | None -> []
@@ -1239,16 +1206,7 @@ let adversary_cmd =
        state through the sweep sequentially, and record one fsync'd line
        per completed seed carrying the state plus that run's counter
        deltas. *)
-    let ledger_state = ref (Option.join (Option.map Resilience.Trust.Ledger_store.load trust_ledger)) in
-    let ledger_handle =
-      Option.map
-        (fun path ->
-          (match !ledger_state with
-          | None -> Printf.eprintf "trust-ledger: recording to %s\n%!" path
-          | Some _ -> Printf.eprintf "trust-ledger: resuming trust state from %s\n%!" path);
-          Resilience.Trust.Ledger_store.open_ ~truncate:false path)
-        trust_ledger
-    in
+    let ledger = Option.map Resilience.Trust.open_ledger trust_ledger in
     (* The driver defaults; the invariant under any rates in [0, 1] is that
        every run stays within them, never raises, and carries a convergence
        certificate exactly when the spec is non-trivial. *)
@@ -1289,17 +1247,10 @@ let adversary_cmd =
     in
     (* Journal notices to stderr, same discipline as `cosynth chaos`: a
        resumed sweep's stdout must be byte-identical to an uninterrupted
-       one. --resume without --journal is refused loudly — silently
-       starting a fresh sweep would truncate nothing here, but it would
-       quietly re-run every seed the caller believed was safe. *)
+       one. *)
     let journal =
       match journal_path with
-      | None ->
-          if resume then begin
-            Printf.eprintf "error: --resume requires --journal FILE\n%!";
-            exit 2
-          end;
-          None
+      | None -> None
       | Some path ->
           let j = Exec.Sweep.journal ~resume ~path ~encode ~decode () in
           (match Exec.Sweep.journaled_seeds j with
@@ -1320,67 +1271,36 @@ let adversary_cmd =
       | Some n when !fresh >= n ->
           Printf.eprintf "journal: halting after %d fresh run(s) (simulated crash)\n%!" n;
           Option.iter Exec.Sweep.journal_close journal;
-          Option.iter Resilience.Trust.Ledger_store.close ledger_handle;
+          Option.iter Resilience.Trust.close_ledger ledger;
           exit 3
       | _ -> ());
       incr fresh;
       (* Under --trust-ledger each seed runs against a fresh instance seeded
          from the cumulative ledger state — quarantine earned by earlier
          seeds (this process or a killed predecessor) is already in force —
-         and its evolved state plus this run's counter deltas land as one
-         fsync'd ledger line before the run is reported complete. *)
-      let ledger_t =
-        Option.map
-          (fun _ ->
-            match !ledger_state with
-            | Some e -> Resilience.Trust.create_from Resilience.Trust.default_config e
-            | None -> Resilience.Trust.create Resilience.Trust.default_config)
-          ledger_handle
-      in
-      let t0 = Resilience.Trust.snapshot () in
-      let q0 = Resilience.Trust.quorum_snapshot () in
-      let result =
-        match
-          Resilience.Guard.run ~label:"vpp-loop"
-            ~fingerprint:(string_of_int run_seed) (fun () ->
-              match use_case with
-              | `Translation ->
-                  (Cosynth.Driver.run_translation ~seed:run_seed ?max_prompts
-                     ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-                     ~cisco_text:Cisco.Samples.border_router ())
-                    .Cosynth.Driver.transcript
-              | `No_transit ->
-                  (Cosynth.Driver.run_no_transit ~seed:run_seed ?max_prompts
-                     ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-                     ~routers ())
-                    .Cosynth.Driver.transcript
-              | `Incremental ->
-                  (Cosynth.Driver.run_incremental ~seed:run_seed ?max_prompts
-                     ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-                     ~routers ())
-                    .Cosynth.Driver.inc_transcript)
-        with
-        | Error c -> Error (Resilience.Guard.crash_to_string c)
-        | Ok t -> Ok t
-      in
-      (match (result, ledger_t, ledger_handle) with
-      | Ok _, Some t, Some h ->
-          let counters =
-            Resilience.Trust.totals
-              (Resilience.Trust.diff (Resilience.Trust.snapshot ()) t0)
-          in
-          let quorum =
-            Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) q0
-          in
-          let e = Resilience.Trust.state_of t ~counters ~quorum in
-          Resilience.Trust.Ledger_store.record h ~seed:run_seed e;
-          ledger_state :=
-            Some
-              (match !ledger_state with
-              | None -> e
-              | Some a -> Resilience.Trust.Ledger_store.merge a e)
-      | _ -> ());
-      result
+         and a completed run lands one fsync'd ledger line before it is
+         reported complete. *)
+      Resilience.Trust.with_ledger ledger ~seed:run_seed ~keep:Result.is_ok
+      @@ fun ledger_t ->
+      Result.map_error Resilience.Guard.crash_to_string
+        (Resilience.Guard.run ~label:"vpp-loop" ~fingerprint:(string_of_int run_seed)
+           (fun () ->
+             match use_case with
+             | `Translation ->
+                 (Cosynth.Driver.run_translation ~seed:run_seed ?max_prompts
+                    ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
+                    ~cisco_text:Cisco.Samples.border_router ())
+                   .Cosynth.Driver.transcript
+             | `No_transit ->
+                 (Cosynth.Driver.run_no_transit ~seed:run_seed ?max_prompts
+                    ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
+                    ~routers ())
+                   .Cosynth.Driver.transcript
+             | `Incremental ->
+                 (Cosynth.Driver.run_incremental ~seed:run_seed ?max_prompts
+                    ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
+                    ~routers ())
+                   .Cosynth.Driver.inc_transcript))
     in
     (* The journal is closed even when a seed's Guard boundary is breached
        by something unguardable — the finally runs on every exit path, so
@@ -1422,7 +1342,7 @@ let adversary_cmd =
           Fun.protect
             ~finally:(fun () ->
               Option.iter Exec.Sweep.journal_close journal;
-              Option.iter Resilience.Trust.Ledger_store.close ledger_handle)
+              Option.iter Resilience.Trust.close_ledger ledger)
             (fun () ->
               Exec.Sweep.run_seeds ?journal ~seeds (fun s -> run_seed s))
     in
@@ -2660,10 +2580,10 @@ let triage_cmd =
 
 let fsck_cmd =
   let run file lww compact =
-    let records, stats = Resilience.Store.read file in
+    let records, stats = Durable.Store.read file in
     Printf.printf "%s: lines=%d ok=%d corrupt=%d legacy=%d\n" file
-      stats.Resilience.Store.lines stats.Resilience.Store.ok
-      stats.Resilience.Store.corrupt stats.Resilience.Store.legacy;
+      stats.Durable.Store.lines stats.Durable.Store.ok
+      stats.Durable.Store.corrupt stats.Durable.Store.legacy;
     (if lww then begin
        (* Checkpoint-journal semantics: one surviving record per seed.
           Records without the {"seed", "summary"} envelope (e.g. triage
@@ -2673,14 +2593,14 @@ let fsck_cmd =
          dropped kept
      end
      else if compact then
-       if Resilience.Store.rewrite file records then
+       if Durable.Store.rewrite file records then
          Printf.printf "compacted: %d record(s) kept, corruption dropped\n"
            (List.length records)
        else Printf.printf "compaction failed; file untouched\n");
     (* Nonzero exactly when corruption was observed, so scripts can gate
        on a clean store — compaction repairs the file but the exit code
        still reports what was found. *)
-    if stats.Resilience.Store.corrupt = 0 then 0 else 1
+    if stats.Durable.Store.corrupt = 0 then 0 else 1
   in
   let lww =
     Arg.(

@@ -105,3 +105,6 @@ let check_all (config : Config_ir.t) specs =
     specs
 
 let check config spec = snd (List.hd (check_all config [ spec ]))
+
+let violations outcomes =
+  List.filter_map (function _, Violated v -> Some v | _, (Holds | Policy_missing) -> None) outcomes

@@ -51,3 +51,6 @@ val check_all : Config_ir.t -> spec list -> (spec * outcome) list
 
 val check : Config_ir.t -> spec -> outcome
 (** [check config spec] is {!check_all} over the single spec. *)
+
+val violations : (spec * outcome) list -> violation list
+(** The [Violated] outcomes of a {!check_all} answer, in order. *)

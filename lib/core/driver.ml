@@ -210,7 +210,7 @@ let adv_derive adversary idx =
       })
     adversary
 
-let new_loop ?adversary ?trust ~max_prompts ~stall_threshold () =
+let new_loop ~adversary ~trust ~max_prompts ~stall_threshold =
   {
     events = [];
     human = 0;
@@ -220,9 +220,16 @@ let new_loop ?adversary ?trust ~max_prompts ~stall_threshold () =
     max_prompts;
     stall_threshold;
     certificate = None;
-    adversary = (match adversary with Some a -> a | None -> None);
-    trust = (match trust with Some t -> t | None -> None);
+    adversary;
+    trust;
   }
+
+(* The run's trust ledger: the caller's [trust_ledger] instance when one is
+   passed, else a fresh ledger for a [trust] config, else none. *)
+let trust_of ?trust ?trust_ledger () =
+  match trust_ledger with
+  | Some _ -> trust_ledger
+  | None -> Option.map Resilience.Trust.create trust
 
 let budget_left st = st.auto + st.human < st.max_prompts
 
@@ -262,22 +269,28 @@ let adv_respond st chat prompt =
   | None -> Llmsim.Chat.respond chat prompt
   | Some a -> Adversary.Llm.respond a.llm chat prompt
 
+(* Send a finding straight to the (simulated) human — the escalation path
+   when a verifier stage has degraded and the human ran the check by hand.
+   No stall bookkeeping: the human prompt is authoritative. Returns [None]
+   when the finding carries no actionable reference (the loop should give
+   up on it). *)
+let send_human st (chat : Llmsim.Chat.t) (prompt : Humanizer.prompt) ~note =
+  if prompt.Humanizer.refs = [] then None
+  else begin
+    let human_text = "[human] " ^ prompt.Humanizer.text in
+    adv_respond st chat
+      { Llmsim.Chat.text = human_text; refs = prompt.Humanizer.refs; strength = Llmsim.Chat.Human };
+    record st Human human_text note;
+    st.stalls <- List.remove_assoc prompt.Humanizer.text st.stalls;
+    Some Human
+  end
+
 (* Send a humanized prompt; escalate to a human prompt after
    [stall_threshold] automated attempts at the same prompt text. Returns the
-   origin used, or [None] when the finding has no actionable reference and
-   has stalled (the loop should give up on it). *)
+   origin used, or [None] as for [send_human]. *)
 let send st (chat : Llmsim.Chat.t) (prompt : Humanizer.prompt) ~note =
   let attempts = Option.value ~default:0 (List.assoc_opt prompt.Humanizer.text st.stalls) in
-  if attempts >= st.stall_threshold then
-    if prompt.Humanizer.refs = [] then None
-    else begin
-      let human_text = "[human] " ^ prompt.Humanizer.text in
-      adv_respond st chat
-        { Llmsim.Chat.text = human_text; refs = prompt.Humanizer.refs; strength = Llmsim.Chat.Human };
-      record st Human human_text note;
-      st.stalls <- List.remove_assoc prompt.Humanizer.text st.stalls;
-      Some Human
-    end
+  if attempts >= st.stall_threshold then send_human st chat prompt ~note
   else begin
     adv_respond st chat
       {
@@ -289,22 +302,6 @@ let send st (chat : Llmsim.Chat.t) (prompt : Humanizer.prompt) ~note =
     st.stalls <-
       (prompt.Humanizer.text, attempts + 1) :: List.remove_assoc prompt.Humanizer.text st.stalls;
     Some Auto
-  end
-
-(* Send a finding straight to the (simulated) human — the escalation path
-   when a verifier stage has degraded and the human ran the check by hand.
-   No stall bookkeeping: the human prompt is authoritative. Returns [None]
-   when the finding carries no actionable reference (same give-up contract
-   as [send]). *)
-let send_human st (chat : Llmsim.Chat.t) (prompt : Humanizer.prompt) ~note =
-  if prompt.Humanizer.refs = [] then None
-  else begin
-    let human_text = "[human] " ^ prompt.Humanizer.text in
-    adv_respond st chat
-      { Llmsim.Chat.text = human_text; refs = prompt.Humanizer.refs; strength = Llmsim.Chat.Human };
-    record st Human human_text note;
-    st.stalls <- List.remove_assoc prompt.Humanizer.text st.stalls;
-    Some Human
   end
 
 (* ------------------------------------------------------------------ *)
@@ -406,11 +403,8 @@ let topology_lens =
 
 let route_policies_lens =
   let open Batfish.Search_route_policies in
-  let is_violated (_, outcome) =
-    match outcome with Violated _ -> true | Holds | Policy_missing -> false
-  in
   {
-    Adversary.Verifier.dirty = (fun outcomes -> List.exists is_violated outcomes);
+    Adversary.Verifier.dirty = (fun outcomes -> violations outcomes <> []);
     clean =
       List.map (fun (s, o) -> match o with Violated _ -> (s, Holds) | _ -> (s, o));
     fabricate =
@@ -435,32 +429,48 @@ let route_policies_lens =
           | _ -> (s, o));
   }
 
-(* Arm the lying schedules on a wrapped suite. A no-op without an adversary
-   or with every lie rate 0 — the schedules stay exactly as chaos left
-   them, preserving rate-0 byte-identity. *)
-let arm_suite_lies adversary (suite : Resilience.Suite.t) =
-  match adversary with
-  | None -> ()
-  | Some a ->
-      Adversary.Verifier.arm a.lies ~lens:parse_lens suite.Resilience.Suite.parse;
-      Adversary.Verifier.arm a.lies ~lens:campion_lens suite.Resilience.Suite.campion;
-      Adversary.Verifier.arm a.lies ~lens:topology_lens suite.Resilience.Suite.topology;
-      Adversary.Verifier.arm a.lies ~lens:route_policies_lens
-        suite.Resilience.Suite.route_policies;
-      (* The coalition arms over whatever the lie engine installed, and —
-         when it owns the oracle — as the cross-check oracle service too. *)
-      Adversary.Collusion.arm a.colluders ~lens:parse_lens suite.Resilience.Suite.parse;
-      Adversary.Collusion.arm a.colluders ~lens:campion_lens suite.Resilience.Suite.campion;
-      Adversary.Collusion.arm a.colluders ~lens:topology_lens suite.Resilience.Suite.topology;
-      Adversary.Collusion.arm a.colluders ~lens:route_policies_lens
-        suite.Resilience.Suite.route_policies
-
+(* Arm the lying schedules — the lie engine's, then the coalition's over
+   it (and, when the coalition owns the oracle, as the cross-check oracle
+   service too). A no-op without an adversary or with every lie rate 0:
+   the schedules stay exactly as chaos left them, preserving rate-0
+   byte-identity. *)
 let arm_verifier_lies adversary ~lens v =
   match adversary with
   | None -> ()
   | Some a ->
       Adversary.Verifier.arm a.lies ~lens v;
       Adversary.Collusion.arm a.colluders ~lens v
+
+let arm_suite_lies adversary (suite : Resilience.Suite.t) =
+  arm_verifier_lies adversary ~lens:parse_lens suite.Resilience.Suite.parse;
+  arm_verifier_lies adversary ~lens:campion_lens suite.Resilience.Suite.campion;
+  arm_verifier_lies adversary ~lens:topology_lens suite.Resilience.Suite.topology;
+  arm_verifier_lies adversary ~lens:route_policies_lens suite.Resilience.Suite.route_policies
+
+(* The whole-network check (the paper's Minesweeper-style global verifier)
+   wrapped like a suite stage, with its one lens armed. Its answer is
+   [((ok, violations), proof)]; the incremental loop's closing check has no
+   proof and answers [None]. *)
+let global_verifier rt adversary check =
+  let v =
+    Resilience.Runtime.arm rt
+      (Resilience.Verifier.wrap ~dirty:(fun ((ok, _), _) -> not ok) Resilience.Verifier.Bgp_sim
+         check)
+  in
+  arm_verifier_lies adversary v
+    ~lens:
+      {
+        Adversary.Verifier.dirty = (fun ((ok, _), _) -> not ok);
+        clean = (fun (_, proof) -> ((true, []), proof));
+        fabricate =
+          (fun ((_, violations), proof) ->
+            ((false, violations @ [ "a route from ISP-1 can reach ISP-2" ]), proof));
+        mutate =
+          (fun ((ok, violations), proof) ->
+            ( (ok, List.map (fun v -> "between a different pair of spokes: " ^ v) violations),
+              proof ));
+      };
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Resilient verifier stages                                           *)
@@ -481,12 +491,6 @@ type 'a stage_result =
   | Hand_checked of 'a
   | Crashed_stage of Resilience.Guard.crash
 
-let stage_value = function
-  | Checked v | Hand_checked v -> v
-  | Crashed_stage c ->
-      invalid_arg
-        ("Driver.stage_value: crashed stage " ^ Resilience.Guard.crash_to_string c)
-
 let stage_degraded = function Checked _ -> false | Hand_checked _ | Crashed_stage _ -> true
 
 let run_stage st rt (v : _ Resilience.Verifier.t) input =
@@ -498,6 +502,14 @@ let run_stage st rt (v : _ Resilience.Verifier.t) input =
      degraded the automated path; the firewall keeps the loop alive either
      way. *)
   let hand_check () = Resilience.Verifier.hand_run v input in
+  let quarantined () =
+    record st Crosscheck
+      (Printf.sprintf
+         "[quarantine] the %s verifier fell below the trust threshold; its checks are now \
+          hand-run and its findings escalate to human prompts until probation clears."
+         kname)
+      "quarantine"
+  in
   let degraded reason =
     record st Degraded
       (Printf.sprintf
@@ -565,14 +577,7 @@ let run_stage st rt (v : _ Resilience.Verifier.t) input =
                  kname)
               "cross-check";
             (match Resilience.Trust.disagree ledger kind with
-            | `Quarantined ->
-                record st Crosscheck
-                  (Printf.sprintf
-                     "[quarantine] the %s verifier fell below the trust threshold; its \
-                      checks are now hand-run and its findings escalate to human \
-                      prompts until probation clears."
-                     kname)
-                  "quarantine"
+            | `Quarantined -> quarantined ()
             | `Ok -> ());
             Hand_checked honest
           in
@@ -643,15 +648,7 @@ let run_stage st rt (v : _ Resilience.Verifier.t) input =
                                       the referee's findings and debiting both."
                                      kname)
                                   "quorum";
-                                if kind_quarantined then
-                                  record st Crosscheck
-                                    (Printf.sprintf
-                                       "[quarantine] the %s verifier fell below the trust \
-                                        threshold; its checks are now hand-run and its \
-                                        findings escalate to human prompts until probation \
-                                        clears."
-                                       kname)
-                                    "quarantine";
+                                if kind_quarantined then quarantined ();
                                 if oracle_quarantined then
                                   record st Crosscheck
                                     "[oracle-quarantine] the cross-check oracle fell below \
@@ -775,6 +772,42 @@ let on_crash st chat crash ~k ~stop =
   | Some _ -> k ()
   | None -> stop ()
 
+(* One round's header, shared by every local loop: count the round, stop
+   when the prompt budget is spent, then draft and watch the draft for
+   oscillation. [body] gets the draft; [stop] ends the loop on it. *)
+let round st rt chat ~out_of_budget ~stop body =
+  st.rounds <- st.rounds + 1;
+  if not (budget_left st) then out_of_budget ()
+  else begin
+    Resilience.Runtime.new_round rt;
+    let draft = adv_draft st chat in
+    if observe_draft st draft then stop draft else body draft
+  end
+
+(* One verifier stage of a local loop. A clean answer ([findings] empty)
+   passes to [next]. Otherwise the watchdog sees the finding count and the
+   first finding goes out as a prompt named after the stage: the loop
+   [retry]s once it is delivered or dropped, and [stop]s when the watchdog
+   fires or delivery gives up. A crashed stage becomes a rewrite prompt.
+   [sent] sees every delivered prompt with its origin. *)
+let stage st rt chat v input ~name ~findings ~prompt ?(sent = fun _ _ -> ()) ~retry ~stop
+    next =
+  match run_stage st rt v input with
+  | Crashed_stage crash -> on_crash st chat crash ~k:retry ~stop
+  | (Checked answer | Hand_checked answer) as result -> (
+      match findings answer with
+      | [] -> next answer
+      | first :: _ as all -> (
+          if observe_findings st ~stage:name ~findings:(List.length all) then stop ()
+          else
+            let prompt = prompt first in
+            match deliver st chat ~degraded:(stage_degraded result) prompt ~note:name with
+            | `Sent origin ->
+                sent origin prompt;
+                retry ()
+            | `Dropped -> retry ()
+            | `Gave_up -> stop ()))
+
 let finish st converged =
   (* A hardened run always carries a verdict; the unhardened path carries
      none (and therefore serializes byte-identically to before). *)
@@ -858,6 +891,8 @@ type translation_result = {
 
 let first_error diags = List.find_opt Netcore.Diag.is_error diags
 
+let syntax_errors (_, diags) = List.filter Netcore.Diag.is_error diags
+
 let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
     ?(max_prompts = 200) ?(stall_threshold = 4) ?(quality = 0.0)
     ?(resilience = Resilience.Runtime.default_config) ?adversary ?trust ?trust_ledger
@@ -873,12 +908,8 @@ let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
   let adv = adv_of_spec adversary in
   arm_suite_lies adv suite;
   let st =
-    new_loop ~adversary:adv
-      ~trust:
-        (match trust_ledger with
-        | Some _ -> trust_ledger
-        | None -> Option.map Resilience.Trust.create trust)
-      ~max_prompts ~stall_threshold ()
+    new_loop ~adversary:adv ~trust:(trust_of ?trust ?trust_ledger ()) ~max_prompts
+      ~stall_threshold
   in
   let tr = { seen = []; tainted = [] } in
   (* The initial task prompt ("translate the configuration into an
@@ -891,55 +922,17 @@ let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
       (fun (f : Llmsim.Fault.t) -> if origin = Human then taint tr f.Llmsim.Fault.class_)
       prompt.Humanizer.refs
   in
+  let give_up () = finish st false in
   let rec loop () =
-    st.rounds <- st.rounds + 1;
     track_seen tr chat;
-    if not (budget_left st) then finish st false
-    else begin
-      Resilience.Runtime.new_round rt;
-      let draft = adv_draft st chat in
-      let give_up () = finish st false in
-      if observe_draft st draft then finish st false
-      else
-      match run_stage st rt suite.Resilience.Suite.parse (Batfish.Parse_check.Junos, draft) with
-      | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-      | (Checked _ | Hand_checked _) as parsed -> (
-          let ir, diags = stage_value parsed in
-          match first_error diags with
-          | Some diag ->
-              let n_errors = List.length (List.filter Netcore.Diag.is_error diags) in
-              if observe_findings st ~stage:"syntax" ~findings:n_errors then finish st false
-              else
-                let prompt = Humanizer.of_diag diag in
-                (match deliver st chat ~degraded:(stage_degraded parsed) prompt ~note:"syntax" with
-                | `Sent origin ->
-                    taint_refs origin prompt;
-                    loop ()
-                | `Dropped -> loop ()
-                | `Gave_up -> finish st false)
-          | None -> (
-              match run_stage st rt suite.Resilience.Suite.campion (cisco_ir, ir) with
-              | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-              | (Checked _ | Hand_checked _) as diffed -> (
-                  match stage_value diffed with
-                  | [] -> finish st true
-                  | finding :: _ as findings ->
-                      if
-                        observe_findings st ~stage:"campion"
-                          ~findings:(List.length findings)
-                      then finish st false
-                      else
-                        let prompt = Humanizer.of_campion finding in
-                        (match
-                           deliver st chat ~degraded:(stage_degraded diffed) prompt
-                             ~note:"campion"
-                         with
-                        | `Sent origin ->
-                            taint_refs origin prompt;
-                            loop ()
-                        | `Dropped -> loop ()
-                        | `Gave_up -> finish st false))))
-    end
+    round st rt chat ~out_of_budget:give_up ~stop:(fun _ -> give_up ()) @@ fun draft ->
+    let stage v input = stage st rt chat v input ~sent:taint_refs ~retry:loop ~stop:give_up in
+    stage suite.Resilience.Suite.parse (Batfish.Parse_check.Junos, draft) ~name:"syntax"
+      ~findings:syntax_errors ~prompt:Humanizer.of_diag
+    @@ fun (ir, _) ->
+    stage suite.Resilience.Suite.campion (cisco_ir, ir) ~name:"campion" ~findings:Fun.id
+      ~prompt:Humanizer.of_campion
+    @@ fun _ -> finish st true
   in
   let transcript = loop () in
   pre_taint tr;
@@ -1003,12 +996,8 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
   let adv_main = adv_of_spec adversary in
   arm_suite_lies adv_main suite_main;
   let st =
-    new_loop ~adversary:adv_main
-      ~trust:
-        (match trust_ledger with
-        | Some _ -> trust_ledger
-        | None -> Option.map Resilience.Trust.create trust)
-      ~max_prompts ~stall_threshold ()
+    new_loop ~adversary:adv_main ~trust:(trust_of ?trust ?trust_ledger ()) ~max_prompts
+      ~stall_threshold
   in
   record st Human
     (Printf.sprintf
@@ -1025,83 +1014,21 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
   let local_loop st (suite : Resilience.Suite.t) (task : Modularizer.router_task) chat =
     let rt = suite.Resilience.Suite.runtime in
     let rec loop () =
-      st.rounds <- st.rounds + 1;
-      if not (budget_left st) then (Llmsim.Chat.draft chat, false)
-      else begin
-        Resilience.Runtime.new_round rt;
-        let draft = adv_draft st chat in
-        let give_up () = (draft, false) in
-        if observe_draft st draft then (draft, false)
-        else
-        match
-          run_stage st rt suite.Resilience.Suite.parse (Batfish.Parse_check.Cisco_ios, draft)
-        with
-        | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-        | (Checked _ | Hand_checked _) as parsed -> (
-            let ir, diags = stage_value parsed in
-            match first_error diags with
-            | Some diag ->
-                let n_errors = List.length (List.filter Netcore.Diag.is_error diags) in
-                if observe_findings st ~stage:"syntax" ~findings:n_errors then (draft, false)
-                else (
-                  match
-                    deliver st chat ~degraded:(stage_degraded parsed) (Humanizer.of_diag diag)
-                      ~note:"syntax"
-                  with
-                  | `Sent _ | `Dropped -> loop ()
-                  | `Gave_up -> (draft, false))
-            | None -> (
-                match
-                  run_stage st rt suite.Resilience.Suite.topology
-                    (star.Netcore.Star.topology, task.Modularizer.router, ir)
-                with
-                | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-                | (Checked _ | Hand_checked _) as topo -> (
-                    match stage_value topo with
-                    | finding :: _ as findings ->
-                        if
-                          observe_findings st ~stage:"topology"
-                            ~findings:(List.length findings)
-                        then (draft, false)
-                        else (
-                          match
-                            deliver st chat ~degraded:(stage_degraded topo)
-                              (Humanizer.of_topology finding) ~note:"topology"
-                          with
-                          | `Sent _ | `Dropped -> loop ()
-                          | `Gave_up -> (draft, false))
-                    | [] -> (
-                        match
-                          run_stage st rt suite.Resilience.Suite.route_policies
-                            (ir, task.Modularizer.specs)
-                        with
-                        | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-                        | (Checked _ | Hand_checked _) as semantics -> (
-                            let violations =
-                              List.filter_map
-                                (fun (_, outcome) ->
-                                  match outcome with
-                                  | Batfish.Search_route_policies.Violated v -> Some v
-                                  | Batfish.Search_route_policies.Holds
-                                  | Batfish.Search_route_policies.Policy_missing ->
-                                      None)
-                                (stage_value semantics)
-                            in
-                            match violations with
-                            | [] -> (draft, true)
-                            | v :: _ ->
-                                if
-                                  observe_findings st ~stage:"semantic"
-                                    ~findings:(List.length violations)
-                                then (draft, false)
-                                else (
-                                  match
-                                    deliver st chat ~degraded:(stage_degraded semantics)
-                                      (Humanizer.of_violation v) ~note:"semantic"
-                                  with
-                                  | `Sent _ | `Dropped -> loop ()
-                                  | `Gave_up -> (draft, false)))))))
-      end
+      round st rt chat
+        ~out_of_budget:(fun () -> (Llmsim.Chat.draft chat, false))
+        ~stop:(fun draft -> (draft, false))
+      @@ fun draft ->
+      let stage v input = stage st rt chat v input ~retry:loop ~stop:(fun () -> (draft, false)) in
+      stage suite.Resilience.Suite.parse (Batfish.Parse_check.Cisco_ios, draft) ~name:"syntax"
+        ~findings:syntax_errors ~prompt:Humanizer.of_diag
+      @@ fun (ir, _) ->
+      stage suite.Resilience.Suite.topology
+        (star.Netcore.Star.topology, task.Modularizer.router, ir)
+        ~name:"topology" ~findings:Fun.id ~prompt:Humanizer.of_topology
+      @@ fun _ ->
+      stage suite.Resilience.Suite.route_policies (ir, task.Modularizer.specs) ~name:"semantic"
+        ~findings:Batfish.Search_route_policies.violations ~prompt:Humanizer.of_violation
+      @@ fun _ -> (draft, true)
     in
     loop ()
   in
@@ -1130,7 +1057,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
       new_loop
         ~adversary:(adv_derive adv_main idx)
         ~trust:(Option.map Resilience.Trust.derive st.trust)
-        ~max_prompts:router_budget ~stall_threshold ()
+        ~max_prompts:router_budget ~stall_threshold
     in
     let force_faults =
       if task.Modularizer.router = star.Netcore.Star.hub then force_hub_faults
@@ -1216,29 +1143,10 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
              "Driver.run_no_transit: hub %s missing from the synthesis results"
              hub_name)
   in
-  (* The whole-network check (the paper's Minesweeper-style global
-     verifier) is itself wrapped: when it degrades, the human runs the
-     simulation by hand and the counterexample feedback arrives as a human
-     prompt. *)
-  let global_verifier =
-    Resilience.Runtime.arm rt_main
-      (Resilience.Verifier.wrap
-         ~dirty:(fun ((ok, _), _) -> not ok)
-         Resilience.Verifier.Bgp_sim check_global)
-  in
-  arm_verifier_lies adv_main global_verifier
-    ~lens:
-      {
-        Adversary.Verifier.dirty = (fun ((ok, _), _) -> not ok);
-        clean = (fun ((_, _), proof) -> ((true, []), proof));
-        fabricate =
-          (fun ((_, violations), proof) ->
-            ((false, violations @ [ "a route from ISP-1 can reach ISP-2" ]), proof));
-        mutate =
-          (fun ((ok, violations), proof) ->
-            ( (ok, List.map (fun v -> "between a different pair of spokes: " ^ v) violations),
-              proof ));
-      };
+  (* The whole-network check is itself wrapped: when it degrades, the human
+     runs the simulation by hand and the counterexample feedback arrives as
+     a human prompt. *)
+  let global_verifier = global_verifier rt_main adv_main check_global in
   let rec global_phase results rounds =
     Resilience.Runtime.new_round rt_main;
     match run_stage st rt_main global_verifier (configs_of results) with
@@ -1254,8 +1162,8 @@ let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
           on_crash st (hub_chat_exn results) crash
             ~k:(fun () -> global_phase results (rounds - 1))
             ~stop:crashed
-    | (Checked _ | Hand_checked _) as checked -> (
-    let (ok, violations), proof = stage_value checked in
+    | (Checked ((ok, violations), proof) | Hand_checked ((ok, violations), proof)) as checked
+      -> (
     if ok || rounds = 0 || not (budget_left st) then (results, ok, violations, proof)
     else if observe_findings st ~stage:"global" ~findings:(List.length violations) then
       (results, ok, violations, proof)
@@ -1326,12 +1234,8 @@ let run_incremental ?(seed = 42) ?(max_prompts = 100) ?(stall_threshold = 2)
       (Modularizer.plan star)
   in
   let st =
-    new_loop ~adversary:adv
-      ~trust:
-        (match trust_ledger with
-        | Some _ -> trust_ledger
-        | None -> Option.map Resilience.Trust.create trust)
-      ~max_prompts ~stall_threshold ()
+    new_loop ~adversary:adv ~trust:(trust_of ?trust ?trust_ledger ()) ~max_prompts
+      ~stall_threshold
   in
   let interference = ref false in
   record st Human task.Modularizer.prompt "incremental task prompt";
@@ -1347,69 +1251,28 @@ let run_incremental ?(seed = 42) ?(max_prompts = 100) ?(stall_threshold = 2)
     Llmsim.Chat.start ~seed ~class_filter:edit_classes Llmsim.Fault.Cisco_cfg
       ~correct:task.Modularizer.correct
   in
+  (* A broken pre-existing local policy (anything but the new prepend) is
+     the verifier catching interference with the verified configuration;
+     it is flagged before the watchdog looks. *)
+  let violations outcomes =
+    let vs = Batfish.Search_route_policies.violations outcomes in
+    (match vs with
+    | v :: _ -> (
+        match v.Batfish.Search_route_policies.spec.requirement with
+        | Denies | Permits | Adds_community _ -> interference := true
+        | Prepends _ -> ())
+    | [] -> ());
+    vs
+  in
   let rec loop () =
-    st.rounds <- st.rounds + 1;
-    if not (budget_left st) then false
-    else begin
-      Resilience.Runtime.new_round rt;
-      let draft = adv_draft st chat in
-      let give_up () = false in
-      if observe_draft st draft then false
-      else
-      match
-        run_stage st rt suite.Resilience.Suite.parse (Batfish.Parse_check.Cisco_ios, draft)
-      with
-      | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-      | (Checked _ | Hand_checked _) as parsed -> (
-      let ir, diags = stage_value parsed in
-      match first_error diags with
-      | Some diag ->
-          let n_errors = List.length (List.filter Netcore.Diag.is_error diags) in
-          if observe_findings st ~stage:"syntax" ~findings:n_errors then false
-          else (
-            match
-              deliver st chat ~degraded:(stage_degraded parsed) (Humanizer.of_diag diag)
-                ~note:"syntax"
-            with
-            | `Sent _ | `Dropped -> loop ()
-            | `Gave_up -> false)
-      | None -> (
-          match
-            run_stage st rt suite.Resilience.Suite.route_policies (ir, task.Modularizer.specs)
-          with
-          | Crashed_stage crash -> on_crash st chat crash ~k:loop ~stop:give_up
-          | (Checked _ | Hand_checked _) as semantics -> (
-          let violations =
-            List.filter_map
-              (fun (_, outcome) ->
-                match outcome with
-                | Batfish.Search_route_policies.Violated v -> Some v
-                | Batfish.Search_route_policies.Holds
-                | Batfish.Search_route_policies.Policy_missing ->
-                    None)
-              (stage_value semantics)
-          in
-          match violations with
-          | [] -> true
-          | v :: _ ->
-              (match v.Batfish.Search_route_policies.spec.Batfish.Search_route_policies.requirement with
-              | Batfish.Search_route_policies.Denies
-              | Batfish.Search_route_policies.Permits
-              | Batfish.Search_route_policies.Adds_community _ ->
-                  (* A pre-existing local policy broke: the verifier caught
-                     interference with the verified configuration. *)
-                  interference := true
-              | Batfish.Search_route_policies.Prepends _ -> ());
-              if observe_findings st ~stage:"semantic" ~findings:(List.length violations)
-              then false
-              else (
-                match
-                  deliver st chat ~degraded:(stage_degraded semantics)
-                    (Humanizer.of_violation v) ~note:"semantic"
-                with
-                | `Sent _ | `Dropped -> loop ()
-                | `Gave_up -> false))))
-    end
+    round st rt chat ~out_of_budget:(fun () -> false) ~stop:(fun _ -> false) @@ fun draft ->
+    let stage v input = stage st rt chat v input ~retry:loop ~stop:(fun () -> false) in
+    stage suite.Resilience.Suite.parse (Batfish.Parse_check.Cisco_ios, draft) ~name:"syntax"
+      ~findings:syntax_errors ~prompt:Humanizer.of_diag
+    @@ fun (ir, _) ->
+    stage suite.Resilience.Suite.route_policies (ir, task.Modularizer.specs) ~name:"semantic"
+      ~findings:violations ~prompt:Humanizer.of_violation
+    @@ fun _ -> true
   in
   let specs_hold = loop () in
   let hub_config, _ = Cisco.Parser.parse (Llmsim.Chat.draft chat) in
@@ -1423,24 +1286,8 @@ let run_incremental ?(seed = 42) ?(max_prompts = 100) ?(stall_threshold = 2)
      an unchecked exception. The short-circuit stays — when the specs
      already failed there is nothing worth simulating. *)
   let global_verifier =
-    Resilience.Runtime.arm rt
-      (Resilience.Verifier.wrap
-         ~dirty:(fun (ok, _) -> not ok)
-         Resilience.Verifier.Bgp_sim
-         (fun configs -> Modularizer.no_transit_holds star configs))
+    global_verifier rt adv (fun configs -> (Modularizer.no_transit_holds star configs, None))
   in
-  arm_verifier_lies adv global_verifier
-    ~lens:
-      {
-        Adversary.Verifier.dirty = (fun (ok, _) -> not ok);
-        clean = (fun (_, _) -> (true, []));
-        fabricate =
-          (fun (_, violations) ->
-            (false, violations @ [ "a route from ISP-1 can reach ISP-2" ]));
-        mutate =
-          (fun (ok, violations) ->
-            (ok, List.map (fun v -> "between a different pair of spokes: " ^ v) violations));
-      };
   let global_ok =
     specs_hold
     &&
@@ -1451,7 +1298,7 @@ let run_incremental ?(seed = 42) ?(max_prompts = 100) ?(stall_threshold = 2)
             configs is a failed verification, recorded as such. *)
          ignore (send st chat (Humanizer.of_crash crash) ~note:"crash");
          false
-     | (Checked _ | Hand_checked _) as checked -> fst (stage_value checked))
+     | Checked ((ok, _), _) | Hand_checked ((ok, _), _) -> ok)
   in
   {
     inc_transcript = finish st (specs_hold && global_ok);

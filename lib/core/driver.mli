@@ -1,12 +1,21 @@
 (** The Verified Prompt Programming loops (Figure 3).
 
-    Both use cases share the shape: the LLM drafts, the verifier suite finds
-    problems in a fixed order (syntax, then structure/topology, then
-    semantics), the humanizer turns the first outstanding finding into an
-    automated prompt, and the loop repeats. A finding that survives
-    [stall_threshold] automated prompts escalates to a (simulated) human
-    prompt — the slow manual loop of Figure 2. Leverage is the ratio of
-    automated to human prompts. *)
+    Every use case shares the shape: the LLM drafts, the verifier stages
+    run in a fixed order, the humanizer turns the first outstanding finding
+    of the first dirty stage into an automated prompt, and the loop
+    repeats. A finding that survives [stall_threshold] automated prompts
+    escalates to a (simulated) human prompt — the slow manual loop of
+    Figure 2. Leverage is the ratio of automated to human prompts.
+
+    The stage order of each use case (transcript notes in quotes):
+    - translation: ["syntax"] (Junos parse check), then ["campion"];
+    - no-transit, per router: ["syntax"] (Cisco parse check), then
+      ["topology"], then ["semantic"] (Search Route Policies); once every
+      router verifies, the ["global"] phase (simulation and/or proof)
+      feeds counterexamples back to the hub, which re-runs its local
+      stages;
+    - incremental: ["syntax"], then ["semantic"], then one closing
+      whole-network BGP check. *)
 
 open Policy
 

@@ -140,57 +140,14 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
      ledger is configured — the unloaded reply frames then stay
      byte-identical to the trust-free daemon's. *)
   let trust_m = Mutex.create () in
-  let ledger_state =
-    ref
-      (Option.join
-         (Option.map Resilience.Trust.Ledger_store.load cfg.trust_ledger))
-  in
-  let ledger_handle =
-    Option.map
-      (fun path ->
-        (match !ledger_state with
-        | None -> Printf.eprintf "trust-ledger: recording to %s\n%!" path
-        | Some _ ->
-            Printf.eprintf "trust-ledger: resuming trust state from %s\n%!" path);
-        Resilience.Trust.Ledger_store.open_ ~truncate:false path)
-      cfg.trust_ledger
-  in
-  (* Run one synthesis job under the ledger: the driver gets a trust
-     instance seeded from the cumulative state, and the evolved state plus
-     this job's counter deltas land as one ledger line keyed on the
-     request seed. *)
+  let ledger = Option.map Resilience.Trust.open_ledger cfg.trust_ledger in
+  (* Run one synthesis job under the ledger, keyed on the request seed. *)
   let with_trust ~seed f =
-    match ledger_handle with
+    match ledger with
     | None -> f None
-    | Some h ->
-        Mutex.lock trust_m;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock trust_m)
-          (fun () ->
-            let t =
-              match !ledger_state with
-              | Some e ->
-                  Resilience.Trust.create_from Resilience.Trust.default_config e
-              | None -> Resilience.Trust.create Resilience.Trust.default_config
-            in
-            let t0 = Resilience.Trust.snapshot () in
-            let q0 = Resilience.Trust.quorum_snapshot () in
-            let r = f (Some t) in
-            let counters =
-              Resilience.Trust.totals
-                (Resilience.Trust.diff (Resilience.Trust.snapshot ()) t0)
-            in
-            let quorum =
-              Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) q0
-            in
-            let e = Resilience.Trust.state_of t ~counters ~quorum in
-            Resilience.Trust.Ledger_store.record h ~seed e;
-            ledger_state :=
-              Some
-                (match !ledger_state with
-                | None -> e
-                | Some a -> Resilience.Trust.Ledger_store.merge a e);
-            r)
+    | Some _ ->
+        Mutex.protect trust_m (fun () ->
+            Resilience.Trust.with_ledger ledger ~seed ~keep:(fun _ -> true) f)
   in
   let t0 = Unix.gettimeofday () in
   let m = Mutex.create () in
@@ -368,10 +325,7 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
      Health gets the operator's triage view (who is quarantined right
      now); stats gets the full cumulative counters. *)
   let trust_state () =
-    Mutex.lock trust_m;
-    let v = !ledger_state in
-    Mutex.unlock trust_m;
-    v
+    Mutex.protect trust_m (fun () -> Option.bind ledger Resilience.Trust.ledger_state)
   in
   let trust_health_fields () =
     match cfg.trust_ledger with
@@ -564,7 +518,7 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
   Exec.Pool.shutdown pool;
   (* Every ledger line is already fsync'd; the close just guarantees a
      drained/shut-down daemon leaves no open handle. *)
-  Option.iter Resilience.Trust.Ledger_store.close ledger_handle;
+  Option.iter Resilience.Trust.close_ledger ledger;
   (match cfg.triage with
   | Some path ->
       Resilience.Triage.record ~ts:(Unix.gettimeofday ()) ~path

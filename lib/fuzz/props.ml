@@ -464,7 +464,7 @@ let promote ~dir escapes =
            [*.tmp] a crash can leave is invisible to [replay_dir] (no
            [.txt] suffix). The bucket is marked covered only on success,
            so a failed write retries on the campaign's next escape. *)
-        if Resilience.Store.write_atomic (Filename.concat dir name) e.minimized
+        if Durable.Store.write_atomic (Filename.concat dir name) e.minimized
         then begin
           Hashtbl.replace covered key ();
           Some (name, e)

@@ -36,12 +36,6 @@ let make runtime =
         (fun (topo, router, ir) -> Topoverify.Verifier.check topo ~router ir);
     route_policies =
       arm Verifier.Route_policies
-        ~dirty:
-          (List.exists (fun (_, outcome) ->
-               match outcome with
-               | Batfish.Search_route_policies.Violated _ -> true
-               | Batfish.Search_route_policies.Holds
-               | Batfish.Search_route_policies.Policy_missing ->
-                   false))
+        ~dirty:(fun outcomes -> Batfish.Search_route_policies.violations outcomes <> [])
         (fun (ir, specs) -> Batfish.Search_route_policies.check_all ir specs);
   }

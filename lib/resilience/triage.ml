@@ -33,16 +33,16 @@ let encode_row ~seed ~ts (stage, constructor, count) =
 
 let append ?ts ~path ~seed crashes =
   if crashes <> [] then begin
-    let store = Store.open_ path in
+    let store = Durable.Store.open_ path in
     Fun.protect
-      ~finally:(fun () -> Store.close store)
+      ~finally:(fun () -> Durable.Store.close store)
       (fun () ->
         List.iter
           (fun bucket ->
             (* A false append (injected fault) loses that one row, exactly
                like a crash between rows would; the rows already appended
                are fsync'd and safe. *)
-            ignore (Store.append store (encode_row ~seed ~ts bucket) : bool))
+            ignore (Durable.Store.append store (encode_row ~seed ~ts bucket) : bool))
           crashes)
   end
 
@@ -61,7 +61,7 @@ let decode_row j =
   | _ -> None
 
 let load path =
-  let records, _stats = Store.read path in
+  let records, _stats = Durable.Store.read path in
   let order = ref [] in
   let merged = Hashtbl.create 16 in
   List.iter

@@ -619,3 +619,42 @@ let create_from cfg (e : Ledger_store.entry) =
   t.oracle_cell.quarantined <- e.Ledger_store.oracle.Ledger_store.s_quarantined;
   t.oracle_cell.streak <- 0;
   t
+
+(* ------------------------------------------------------------------ *)
+(* Ledger session                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type ledger = { handle : Ledger_store.handle; mutable state : Ledger_store.entry option }
+
+let open_ledger path =
+  let state = Ledger_store.load path in
+  (match state with
+  | None -> Printf.eprintf "trust-ledger: recording to %s\n%!" path
+  | Some _ -> Printf.eprintf "trust-ledger: resuming trust state from %s\n%!" path);
+  { handle = Ledger_store.open_ ~truncate:false path; state }
+
+let ledger_state l = l.state
+let close_ledger l = Ledger_store.close l.handle
+
+let with_ledger ledger ~seed ~keep f =
+  match ledger with
+  | None -> f None
+  | Some l ->
+      let t =
+        match l.state with
+        | Some e -> create_from default_config e
+        | None -> create default_config
+      in
+      let counters0 = snapshot () in
+      let quorum0 = quorum_snapshot () in
+      let r = f (Some t) in
+      if keep r then begin
+        let e =
+          state_of t
+            ~counters:(totals (diff (snapshot ()) counters0))
+            ~quorum:(diff_quorum (quorum_snapshot ()) quorum0)
+        in
+        Ledger_store.record l.handle ~seed e;
+        l.state <- Some (match l.state with None -> e | Some a -> Ledger_store.merge a e)
+      end;
+      r

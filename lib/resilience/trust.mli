@@ -244,3 +244,32 @@ val create_from : config -> Ledger_store.entry -> t
     are restored (scores capped at [initial]); probation streaks, budgets
     and suspicion history start fresh. [create_from cfg] of an
     all-initial-scores entry behaves identically to [create cfg]. *)
+
+(** {2 Ledger session}
+
+    The per-run threading every trust-armed sweep or daemon does with a
+    persistent ledger: each run starts from the cumulative state, and a
+    kept run lands one line with its evolved state and counter deltas. *)
+
+type ledger
+
+val open_ledger : string -> ledger
+(** Load the file's folded state, print a one-line notice on stderr
+    ("recording to" a fresh file, "resuming trust state from" a used one)
+    and open the file for appending. *)
+
+val with_ledger :
+  ledger option -> seed:int -> keep:('a -> bool) -> (t option -> 'a) -> 'a
+(** [with_ledger (Some l) ~seed ~keep f] runs [f] on a fresh {!t} with
+    {!default_config}, seeded from [l]'s state with {!create_from}
+    ({!create} while the state is empty). When [keep] accepts the result, the run's {!state_of}, with the
+    global counter deltas across [f], is recorded under [seed] and folded
+    into the state with {!Ledger_store.merge}. An exception from [f]
+    records nothing and propagates. [with_ledger None ~seed ~keep f] is
+    [f None]. Not reentrant: the counter deltas are process-wide, so runs
+    on one ledger must not overlap. *)
+
+val ledger_state : ledger -> Ledger_store.entry option
+(** The cumulative state: the file's at open, then every kept run's. *)
+
+val close_ledger : ledger -> unit

@@ -249,19 +249,19 @@ let test_promote_crash_atomic () =
   let target = Filename.concat dir "promoted-cisco-parse-failure.txt" in
   Fun.protect
     ~finally:(fun () ->
-      Resilience.Diskchaos.uninstall ();
+      Durable.Diskchaos.uninstall ();
       if Sys.file_exists dir then begin
         Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
         Unix.rmdir dir
       end)
     (fun () ->
       for crash_after = 0 to 2 do
-        Resilience.Diskchaos.install
-          (Resilience.Diskchaos.make ~crash_after ~seed:(100 + crash_after) ());
+        Durable.Diskchaos.install
+          (Durable.Diskchaos.make ~crash_after ~seed:(100 + crash_after) ());
         (match Fuzz.Props.promote ~dir [ e ] with
         | _ -> Alcotest.failf "write point %d did not crash" crash_after
-        | exception Resilience.Diskchaos.Crashed _ -> ());
-        Resilience.Diskchaos.uninstall ();
+        | exception Durable.Diskchaos.Crashed _ -> ());
+        Durable.Diskchaos.uninstall ();
         if Sys.file_exists target then
           check string_t
             (Printf.sprintf "write point %d: target whole" crash_after)
