@@ -1,4 +1,4 @@
-.PHONY: all build test check bench chaos fuzz adversary adversary-verifier-smoke adversary-collusion-smoke serve-bench resume-smoke shard-smoke serve-smoke serve-overload-smoke durable durable-smoke perf-pairs clean
+.PHONY: all build test check bench chaos fuzz adversary adversary-verifier-smoke adversary-collusion-smoke serve-bench shard-smoke serve-smoke serve-overload-smoke durable durable-smoke perf-pairs clean
 
 all: build
 
@@ -94,26 +94,6 @@ adversary-collusion-smoke: build
 # any result drift, a cold warm cache, or a daemon slower than cold).
 serve-bench:
 	dune exec bench/main.exe -- --serve
-
-# Crash/resume end-to-end: run a journaled chaos sweep, kill it halfway
-# via --halt-after (exit 3 is the simulated crash), resume from the
-# journal, and demand stdout byte-identical to an uninterrupted sweep.
-RESUME_TMP := $(shell mktemp -d)
-resume-smoke: build
-	dune exec bin/cosynth_cli.exe -- chaos --use-case no-transit --runs 12 \
-	  --routers 5 --worker-loss-rate 0.15 --flake-rate 0.1 \
-	  > $(RESUME_TMP)/full.out
-	sh -c 'dune exec bin/cosynth_cli.exe -- chaos --use-case no-transit \
-	  --runs 12 --routers 5 --worker-loss-rate 0.15 --flake-rate 0.1 \
-	  --journal $(RESUME_TMP)/sweep.jsonl --halt-after 6 \
-	  > $(RESUME_TMP)/halted.out; test $$? -eq 3'
-	dune exec bin/cosynth_cli.exe -- chaos --use-case no-transit --runs 12 \
-	  --routers 5 --worker-loss-rate 0.15 --flake-rate 0.1 \
-	  --journal $(RESUME_TMP)/sweep.jsonl --resume \
-	  > $(RESUME_TMP)/resumed.out
-	cmp $(RESUME_TMP)/full.out $(RESUME_TMP)/resumed.out
-	@rm -rf $(RESUME_TMP)
-	@echo "resume-smoke: resumed sweep byte-identical to the uninterrupted one"
 
 # Sharded sweep end-to-end: 2 worker processes (shard 0 killed mid-slice
 # via --halt-first and recovered from its journal) vs the sequential run;

@@ -23,90 +23,34 @@ let cisco_text = Cisco.Samples.border_router
 let border_ir = fst (Cisco.Parser.parse cisco_text)
 let correct_junos = Juniper.Translate.of_cisco_ir border_ir
 
-(* --smoke: 1 seed per experiment and no Bechamel pass — a fast end-to-end
-   exercise of the sweep plumbing for the `check` alias / CI.
-   --chaos: only the C1 chaos sweep, at full seed count regardless of
-   --smoke — the resilience layer's acceptance gate (`make chaos`). *)
-let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
-let chaos_only = Array.exists (fun a -> a = "--chaos") Sys.argv
-
-(* --fuzz: only the F1 totality-fuzzing gate (`make fuzz`) — corpus replay,
-   the planted-bug canary, then N seeds x M mutations per dialect; exits
-   nonzero on any escape. --smoke shrinks the budget for the check alias. *)
-let fuzz_only = Array.exists (fun a -> a = "--fuzz") Sys.argv
-
-(* --adversary: only the A1 Byzantine-robustness gate (`make adversary`) —
-   leverage vs adversary rate x mode, the rate-0 identity pin, certificate
-   presence, and the loop-level fuzzers; exits nonzero on any violation.
-   --smoke shrinks the seed and fuzz budgets for the check alias. *)
-let adversary_only = Array.exists (fun a -> a = "--adversary") Sys.argv
-
-(* --adversary-verifier: only the A2 Byzantine-verifier gate (`make
-   adversary-verifier-smoke`) — lying verifiers (false negative / false
-   positive / mutated, adaptive on/off) vs the Resilience.Trust cross-check
-   ledger: the rate-0 and honest-trust byte-identity pins, the verified-rate
-   headline with trust on vs off, per-run cross-check budget compliance and
-   detected-lie counts; exits nonzero on any violation. --smoke shrinks the
-   seed budget for the check alias. *)
-let adversary_verifier_only =
-  Array.exists (fun a -> a = "--adversary-verifier") Sys.argv
-
-(* --adversary-collusion: only the A3 collusion gate (`make
-   adversary-collusion-smoke`) — a seeded coalition of verifier kinds lying
-   consistently, optionally including the cross-check oracle itself, vs the
-   quorum audit layer: the all-zero-collusion and honest-quorum
-   byte-identity pins, the restored-ledger-equals-fresh-ledger pin, and the
-   verified-rate headline across oracle-only (PR 8) / quorum K=4 /
-   quorum K=3 defenses; exits nonzero on any violation. --smoke shrinks the
-   seed budget for the check alias. *)
-let adversary_collusion_only =
-  Array.exists (fun a -> a = "--adversary-collusion") Sys.argv
-
-(* --serve: only the S1 service-mode gate (`make serve-bench`) — the same
-   synthesis jobs through a warm in-process daemon vs cold per-job startup;
-   exits nonzero when the daemon loses results, state, or throughput.
-   --smoke shrinks the job count for the check alias. *)
-let serve_only = Array.exists (fun a -> a = "--serve") Sys.argv
-
-(* --serve-overload: only the S2 service-hardening gate (`make
-   serve-overload-smoke`) — the hardened Cosynth.Service daemon under a
-   2x-capacity burst: unloaded replies byte-identical to the unhardened
-   daemon, shed requests carry structured retry frames and succeed on
-   retry, expired deadlines answer timeout frames instead of hanging, and
-   a mid-burst drain loses zero admitted jobs. --smoke shrinks the burst. *)
-let serve_overload_only = Array.exists (fun a -> a = "--serve-overload") Sys.argv
-
-(* --durable: only the D1 durability gate (`make durable`) — every
-   persistence surface killed at every write point of a recorded
-   schedule and recovered; exhaustive truncation and bit-flip sweeps
-   over the CRC framing; fault-off byte-identity; atomic-promotion
-   crash states. --smoke shrinks the scripted record budget for the
-   check alias. *)
-let durable_only = Array.exists (fun a -> a = "--durable") Sys.argv
-let runs n = if smoke then 1 else n
-
-(* --journal DIR: checkpoint every seeded sweep (L1/L2/C1) to one journal
+(* The command line, parsed once into its flags and the --journal DIR
+   operand; the gate table at the bottom of this file lists every flag and
+   [main] refuses anything else.
+   --smoke: 1 seed per experiment and no Bechamel pass — a fast end-to-end
+   exercise of the sweep plumbing for the `check` alias / CI; each gate
+   shrinks its budget under it.
+   --journal DIR: checkpoint every seeded sweep (L1/L2/C1) to one journal
    file per sweep under DIR; --resume replays the recorded seeds instead of
    re-running them. Journal notices go to stderr so a resumed run's stdout
    stays comparable to an uninterrupted one. *)
-let journal_dir =
-  let rec find = function
-    | "--journal" :: dir :: _ -> Some dir
-    | _ :: rest -> find rest
-    | [] -> None
+let flags, journal_dir =
+  let rec parse = function
+    | "--journal" :: dir :: rest when not (String.starts_with ~prefix:"--" dir) ->
+        (fst (parse rest), Some dir)
+    | a :: rest ->
+        let flags, dir = parse rest in
+        (a :: flags, dir)
+    | [] -> ([], None)
   in
-  find (Array.to_list Sys.argv)
+  parse (List.tl (Array.to_list Sys.argv))
 
-let resume = Array.exists (fun a -> a = "--resume") Sys.argv
+let smoke = List.mem "--smoke" flags
+let resume = List.mem "--resume" flags
 
-let () =
-  if resume && journal_dir = None then begin
-    Printf.eprintf "error: --resume requires --journal DIR\n%!";
-    exit 2
-  end;
-  match journal_dir with
-  | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-  | _ -> ()
+(* C1 and C2 run at full seed count under the --chaos gate, --smoke or
+   not. *)
+let chaos_only = List.mem "--chaos" flags
+let runs n = if smoke then 1 else n
 
 (* One journal per sweep, named for the table cell that owns it. *)
 let journal_name name =
@@ -710,16 +654,8 @@ let table_c1 () =
         Some t
     | exception e -> violation "%s raised %s" label (Printexc.to_string e); None
   in
-  let degraded_events ts =
-    List.fold_left
-      (fun acc (t : Cosynth.Driver.transcript) ->
-        acc
-        + List.length
-            (List.filter
-               (fun (e : Cosynth.Driver.event) ->
-                 e.Cosynth.Driver.origin = Cosynth.Driver.Degraded)
-               t.Cosynth.Driver.events))
-      0 ts
+  let degraded_events =
+    List.fold_left (fun acc t -> acc + Cosynth.Driver.degraded_rounds t) 0
   in
   (* Journal-aware [List.filter_map f seeds]: under --journal each C1 cell
      checkpoints its per-seed outcome to its own file ([Null] = the
@@ -879,72 +815,6 @@ let table_c1 () =
 (* C2: supervised sweeps — worker loss, checkpoint/resume, policies    *)
 (* ------------------------------------------------------------------ *)
 
-(* The bench-side copy of the CLI's journal codec: the summary-relevant
-   projection of a supervised outcome, with placeholder [Degraded] events
-   so a replayed transcript summarizes identically. *)
-let c2_encode (o : Cosynth.Driver.transcript Exec.Supervisor.outcome) =
-  let degraded_rounds (t : Cosynth.Driver.transcript) =
-    List.length
-      (List.filter
-         (fun (e : Cosynth.Driver.event) ->
-           e.Cosynth.Driver.origin = Cosynth.Driver.Degraded)
-         t.Cosynth.Driver.events)
-  in
-  match o with
-  | Exec.Supervisor.Completed t ->
-      Netcore.Json.Obj
-        [
-          ("ok", Netcore.Json.Bool true);
-          ("auto", Netcore.Json.Int t.Cosynth.Driver.auto_prompts);
-          ("human", Netcore.Json.Int t.Cosynth.Driver.human_prompts);
-          ("converged", Netcore.Json.Bool t.Cosynth.Driver.converged);
-          ("rounds", Netcore.Json.Int t.Cosynth.Driver.rounds);
-          ("degraded", Netcore.Json.Int (degraded_rounds t));
-        ]
-  | Exec.Supervisor.Abandoned { attempts; reason } ->
-      Netcore.Json.Obj
-        [
-          ("ok", Netcore.Json.Bool false);
-          ("attempts", Netcore.Json.Int attempts);
-          ("reason", Netcore.Json.String reason);
-        ]
-
-let c2_decode json =
-  let mem f name = Option.bind (Netcore.Json.member name json) f in
-  match mem Netcore.Json.to_bool "ok" with
-  | Some true -> (
-      match
-        ( mem Netcore.Json.to_int "auto",
-          mem Netcore.Json.to_int "human",
-          mem Netcore.Json.to_bool "converged",
-          mem Netcore.Json.to_int "rounds",
-          mem Netcore.Json.to_int "degraded" )
-      with
-      | Some auto, Some human, Some converged, Some rounds, Some degraded ->
-          Some
-            (Exec.Supervisor.Completed
-               {
-                 Cosynth.Driver.events =
-                   List.init degraded (fun _ ->
-                       {
-                         Cosynth.Driver.origin = Cosynth.Driver.Degraded;
-                         prompt = "(replayed from journal)";
-                         note = "degraded";
-                       });
-                 human_prompts = human;
-                 auto_prompts = auto;
-                 converged;
-                 rounds;
-                 certificate = None;
-               })
-      | _ -> None)
-  | Some false -> (
-      match (mem Netcore.Json.to_int "attempts", mem Netcore.Json.to_str "reason") with
-      | Some attempts, Some reason ->
-          Some (Exec.Supervisor.Abandoned { attempts; reason })
-      | _ -> None)
-  | None -> None
-
 let table_c2 () =
   section
     "C2 — Supervised sweeps: worker-domain loss, checkpoint/resume, per-verifier \
@@ -1048,13 +918,14 @@ let table_c2 () =
   let journal_path = Filename.temp_file "cosynth_c2_" ".jsonl" in
   let half = List.filteri (fun i _ -> i < n / 2) seeds in
   let j1 =
-    Exec.Sweep.journal ~path:journal_path ~encode:c2_encode ~decode:c2_decode ()
+    Exec.Sweep.journal ~path:journal_path ~encode:Cosynth.Driver.outcome_to_json
+      ~decode:Cosynth.Driver.outcome_of_json ()
   in
   ignore (Exec.Sweep.run_seeds ~journal:j1 ~seeds:half sup_seed);
   Exec.Sweep.journal_close j1;
   let j2 =
-    Exec.Sweep.journal ~resume:true ~path:journal_path ~encode:c2_encode
-      ~decode:c2_decode ()
+    Exec.Sweep.journal ~resume:true ~path:journal_path
+      ~encode:Cosynth.Driver.outcome_to_json ~decode:Cosynth.Driver.outcome_of_json ()
   in
   let replayed = List.length (Exec.Sweep.journaled_seeds j2) in
   let resumed = Exec.Sweep.run_seeds ~journal:j2 ~seeds sup_seed in
@@ -2819,112 +2690,88 @@ let table_d1 () =
       List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) vs;
       exit 1
 
+(* The gates, in precedence order: the first whose flag is given runs its
+   tables alone; with none, the full harness runs.
+   - C1 + C2 (`make chaos`): the VPP loops under injected verifier faults,
+     then supervised sweeps under worker-domain loss, at full seed count.
+   - F1 (`make fuzz`): corpus replay, the planted-bug canary, then seeded
+     mutations per dialect behind the Guard firewall.
+   - A1 (`make adversary`): leverage vs Byzantine-LLM rate x mode, the
+     rate-0 pin, certificates and the loop-level fuzzers.
+   - A2 (`make adversary-verifier-smoke`): lying verifiers vs the trust
+     cross-check ledger.
+   - A3 (`make adversary-collusion-smoke`): a verifier coalition, oracle
+     included, vs the quorum audit layer.
+   - S1 (`make serve-bench`): a warm in-process daemon vs cold per-job
+     startup.
+   - S2 (`make serve-overload-smoke`): the hardened daemon under a
+     2x-capacity burst: shedding, deadlines and drain.
+   - D1 (`make durable`): every persistence surface killed at every write
+     point and recovered, plus CRC truncation and bit-flip sweeps.
+   Every gate exits nonzero on any violation. *)
+let gates =
+  let budget name = name ^ if smoke then " (smoke budget)" else " (full budget)" in
+  [
+    ("--fuzz", budget "fuzz gate", [ table_f1 ]);
+    ("--adversary", budget "adversary gate", [ table_a1 ]);
+    ("--adversary-verifier", budget "adversary verifier gate", [ table_a2 ]);
+    ("--adversary-collusion", budget "adversary collusion gate", [ table_a3 ]);
+    ("--serve", budget "serve gate", [ table_s1 ]);
+    ("--serve-overload", budget "serve overload gate", [ table_s2 ]);
+    ("--durable", budget "durability gate", [ table_d1 ]);
+    ("--chaos", "chaos sweep only (full seeds)", [ table_c1; table_c2 ]);
+  ]
+
 let () =
+  let gate_flags = List.map (fun (flag, _, _) -> flag) gates in
+  List.iter
+    (fun a ->
+      if not (List.mem a ("--smoke" :: "--resume" :: gate_flags)) then begin
+        if a = "--journal" then Printf.eprintf "error: --journal requires a DIR\n"
+        else Printf.eprintf "error: unknown argument %S\n" a;
+        Printf.eprintf "usage: main.exe [--smoke] [--journal DIR [--resume]] [%s]\n%!"
+          (String.concat " | " gate_flags);
+        exit 2
+      end)
+    flags;
+  if resume && journal_dir = None then begin
+    Printf.eprintf "error: --resume requires --journal DIR\n%!";
+    exit 2
+  end;
+  Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) journal_dir;
+  let gate = List.find_opt (fun (flag, _, _) -> List.mem flag flags) gates in
+  let label, tables =
+    match gate with
+    | Some (_, label, tables) -> (label, tables)
+    | None ->
+        ( (if smoke then "smoke (1 seed per experiment)" else "full"),
+          [
+            table_t1; table_t2; table_l1; figure_f4; table_t3; table_l2; table_g1;
+            table_ab1a; table_ab1b; table_ab1c; table_e1; table_e2; table_e3;
+            table_c1; table_c2; table_s1; table_s2;
+          ] )
+  in
   Printf.printf
     "CoSynth benchmark harness — reproduction of 'What do LLMs need to Synthesize \
      Correct Router Configurations?' (HotNets 2023)\n";
   Printf.printf "mode: %s | worker pool: %d domain(s) (COSYNTH_POOL_SIZE to override)\n"
-    (if fuzz_only then
-       if smoke then "fuzz gate (smoke budget)" else "fuzz gate (full budget)"
-     else if adversary_only then
-       if smoke then "adversary gate (smoke budget)" else "adversary gate (full budget)"
-     else if adversary_verifier_only then
-       if smoke then "adversary verifier gate (smoke budget)"
-       else "adversary verifier gate (full budget)"
-     else if adversary_collusion_only then
-       if smoke then "adversary collusion gate (smoke budget)"
-       else "adversary collusion gate (full budget)"
-     else if serve_only then
-       if smoke then "serve gate (smoke budget)" else "serve gate (full budget)"
-     else if serve_overload_only then
-       if smoke then "serve overload gate (smoke budget)"
-       else "serve overload gate (full budget)"
-     else if durable_only then
-       if smoke then "durability gate (smoke budget)"
-       else "durability gate (full budget)"
-     else if chaos_only then "chaos sweep only (full seeds)"
-     else if smoke then "smoke (1 seed per experiment)"
-     else "full")
-    (Exec.Pool.size pool);
-  if fuzz_only then begin
-    table_f1 ();
-    Exec.Pool.shutdown pool;
-    Printf.printf "\nDone.\n";
-    exit 0
+    label (Exec.Pool.size pool);
+  List.iter (fun table -> table ()) tables;
+  if Option.is_none gate then begin
+    if smoke then
+      Printf.printf "\n(smoke mode: skipping the Bechamel performance pass)\n"
+    else run_perf ();
+    let ps = Exec.Pool.stats pool in
+    let ms = Exec.Memo.stats () in
+    Printf.printf
+      "\npool: %d domain(s), %d jobs, %.1fs busy over %.1fs wall (utilization %.0f%%), \
+       %d worker restart(s)\n"
+      ps.Exec.Pool.domains ps.Exec.Pool.jobs_completed ps.Exec.Pool.busy_s
+      ps.Exec.Pool.wall_s
+      (100. *. Exec.Pool.utilization ps)
+      ps.Exec.Pool.restarts;
+    Printf.printf "memo: %d hits / %d misses since last reset, %d entries cached\n"
+      ms.Exec.Memo.hits ms.Exec.Memo.misses ms.Exec.Memo.entries
   end;
-  if adversary_only then begin
-    table_a1 ();
-    Exec.Pool.shutdown pool;
-    Printf.printf "\nDone.\n";
-    exit 0
-  end;
-  if adversary_verifier_only then begin
-    table_a2 ();
-    Exec.Pool.shutdown pool;
-    Printf.printf "\nDone.\n";
-    exit 0
-  end;
-  if adversary_collusion_only then begin
-    table_a3 ();
-    Exec.Pool.shutdown pool;
-    Printf.printf "\nDone.\n";
-    exit 0
-  end;
-  if serve_only then begin
-    table_s1 ();
-    Exec.Pool.shutdown pool;
-    Printf.printf "\nDone.\n";
-    exit 0
-  end;
-  if serve_overload_only then begin
-    table_s2 ();
-    Exec.Pool.shutdown pool;
-    Printf.printf "\nDone.\n";
-    exit 0
-  end;
-  if durable_only then begin
-    table_d1 ();
-    Exec.Pool.shutdown pool;
-    Printf.printf "\nDone.\n";
-    exit 0
-  end;
-  if chaos_only then begin
-    table_c1 ();
-    table_c2 ();
-    Exec.Pool.shutdown pool;
-    Printf.printf "\nDone.\n";
-    exit 0
-  end;
-  table_t1 ();
-  table_t2 ();
-  table_l1 ();
-  figure_f4 ();
-  table_t3 ();
-  table_l2 ();
-  table_g1 ();
-  table_ab1a ();
-  table_ab1b ();
-  table_ab1c ();
-  table_e1 ();
-  table_e2 ();
-  table_e3 ();
-  table_c1 ();
-  table_c2 ();
-  table_s1 ();
-  table_s2 ();
-  if smoke then
-    Printf.printf "\n(smoke mode: skipping the Bechamel performance pass)\n"
-  else run_perf ();
-  let ps = Exec.Pool.stats pool in
-  let ms = Exec.Memo.stats () in
-  Printf.printf
-    "\npool: %d domain(s), %d jobs, %.1fs busy over %.1fs wall (utilization %.0f%%), \
-     %d worker restart(s)\n"
-    ps.Exec.Pool.domains ps.Exec.Pool.jobs_completed ps.Exec.Pool.busy_s
-    ps.Exec.Pool.wall_s
-    (100. *. Exec.Pool.utilization ps)
-    ps.Exec.Pool.restarts;
-  Printf.printf "memo: %d hits / %d misses since last reset, %d entries cached\n"
-    ms.Exec.Memo.hits ms.Exec.Memo.misses ms.Exec.Memo.entries;
   Exec.Pool.shutdown pool;
   Printf.printf "\nDone.\n"

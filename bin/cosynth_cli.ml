@@ -407,7 +407,7 @@ let prove_cmd =
     Term.(const run $ topo $ dir)
 
 (* ------------------------------------------------------------------ *)
-(* leverage                                                            *)
+(* shared sweep plumbing (leverage / chaos / adversary / shard)        *)
 (* ------------------------------------------------------------------ *)
 
 let verifier_stats_footer perf =
@@ -426,33 +426,19 @@ let verifier_stats_footer perf =
         string_of_int totals.Resilience.Stats.max_attempts;
       ]
 
-(* ------------------------------------------------------------------ *)
-(* shared sweep plumbing (chaos / shard / adversary)                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The three seeded-sweep subcommands share the use-case vocabulary; only
-   the default differs. *)
-let use_case_conv ~default names =
-  let c =
-    Arg.conv
-      ( (function
-        | "translation" -> Ok `Translation
-        | "no-transit" -> Ok `No_transit
-        | "incremental" -> Ok `Incremental
-        | s -> Error (`Msg (Printf.sprintf "unknown use case %S" s))),
-        fun ppf c -> Format.pp_print_string ppf (match c with
-          | `Translation -> "translation"
-          | `No_transit -> "no-transit"
-          | `Incremental -> "incremental") )
-  in
-  Arg.(
-    value & opt c default
-    & info names ~docv:"CASE" ~doc:"translation, no-transit or incremental.")
-
 let use_case_name = function
   | `Translation -> "translation"
   | `No_transit -> "no-transit"
   | `Incremental -> "incremental"
+
+(* The seeded subcommands' use-case vocabulary, restricted to [cases]. *)
+let use_case_conv cases =
+  Arg.conv
+    ( (fun s ->
+        match List.find_opt (fun c -> use_case_name c = s) cases with
+        | Some c -> Ok c
+        | None -> Error (`Msg (Printf.sprintf "unknown use case %S" s))),
+      fun ppf c -> Format.pp_print_string ppf (use_case_name c) )
 
 (* The driver defaults; the invariant under any schedule is that the
    merged transcript stays within them and the loop never raises. *)
@@ -461,117 +447,239 @@ let use_case_budget = function
   | `No_transit -> 400
   | `Incremental -> 100
 
-let degraded_rounds (t : Cosynth.Driver.transcript) =
-  List.length
-    (List.filter
-       (fun (e : Cosynth.Driver.event) ->
-         e.Cosynth.Driver.origin = Cosynth.Driver.Degraded)
-       t.Cosynth.Driver.events)
+(* The seed range of `chaos`, `adversary` and `shard`: [--runs]
+   consecutive seeds from [--seed] over one use case, with each
+   subcommand's default use case and network size. Gives
+   [(use_case, routers, seed, seeds)]. *)
+let sweep_term ~use_case ~routers =
+  let use_case =
+    Arg.(
+      value
+      & opt (use_case_conv [ `Translation; `No_transit; `Incremental ]) use_case
+      & info [ "use-case" ] ~docv:"CASE" ~doc:"translation, no-transit or incremental.")
+  in
+  let runs = Arg.(value & opt int 20 & info [ "runs" ] ~docv:"N") in
+  let routers = Arg.(value & opt int routers & info [ "routers" ] ~docv:"N") in
+  let seed =
+    Arg.(
+      value & opt int 42
+      & info [ "seed" ] ~docv:"N"
+          ~doc:"Sweep base seed and the seed of its fault, lie and adversary \
+                streams; the sweep is exactly reproducible from the seed and \
+                the rates.")
+  in
+  Term.(
+    const (fun use_case runs routers seed ->
+        (use_case, routers, seed, List.init runs (fun i -> seed + i)))
+    $ use_case $ runs $ routers $ seed)
 
-(* The chaos-sweep journal codec keeps the summary-relevant projection of
-   each outcome. A replayed transcript gets placeholder [Degraded] events
-   so the degraded-rounds line reproduces exactly; everything else the
-   summary table reads is carried verbatim. Shared by `cosynth chaos`
-   (which writes and resumes journals) and `cosynth shard` (whose
-   coordinator decodes the merged per-shard journals to reprint the same
-   summary block a sequential sweep prints). *)
-let chaos_encode (o : Cosynth.Driver.transcript Exec.Supervisor.outcome) =
-  match o with
-  | Exec.Supervisor.Completed t ->
-      Netcore.Json.Obj
-        ([
-           ("ok", Netcore.Json.Bool true);
-           ("auto", Netcore.Json.Int t.Cosynth.Driver.auto_prompts);
-           ("human", Netcore.Json.Int t.Cosynth.Driver.human_prompts);
-           ("converged", Netcore.Json.Bool t.Cosynth.Driver.converged);
-           ("rounds", Netcore.Json.Int t.Cosynth.Driver.rounds);
-           ("degraded", Netcore.Json.Int (degraded_rounds t));
-         ]
-        @
-        (* Hardened (lie-armed) chaos runs carry a convergence certificate
-           the summary's stalled/oscillating counts read; round-trip it so
-           a resumed sweep reprints identically. Lie-free runs have none
-           and their journal lines keep the exact pre-certificate shape. *)
-        match t.Cosynth.Driver.certificate with
-        | None -> []
-        | Some c ->
-            [
-              ( "certificate",
-                Netcore.Json.Obj
-                  (match c with
-                  | Cosynth.Driver.Converged ->
-                      [ ("kind", Netcore.Json.String "converged") ]
-                  | Cosynth.Driver.Stalled_out reason ->
-                      [
-                        ("kind", Netcore.Json.String "stalled");
-                        ("reason", Netcore.Json.String reason);
-                      ]
-                  | Cosynth.Driver.Oscillating period ->
-                      [
-                        ("kind", Netcore.Json.String "oscillating");
-                        ("period", Netcore.Json.Int period);
-                      ]) );
-            ])
-  | Exec.Supervisor.Abandoned { attempts; reason } ->
-      Netcore.Json.Obj
-        [
-          ("ok", Netcore.Json.Bool false);
-          ("attempts", Netcore.Json.Int attempts);
-          ("reason", Netcore.Json.String reason);
-        ]
+(* The Resilience.Chaos rates plus --lie-fn, set on `chaos` and forwarded
+   by `shard` to every worker. Gives [(chaos, in_flight, lie_fn)]; the
+   chaos config is keyed on seed 0 until the sweep re-keys it. *)
+let chaos_rates_term =
+  let rate name doc = Arg.(value & opt float 0. & info [ name ] ~docv:"R" ~doc) in
+  let crash = rate "crash-rate" "Per-call crash probability (outage window, feeds the breaker)." in
+  let timeout = rate "timeout-rate" "Per-call timeout probability (burns the round's tick budget)." in
+  let flake = rate "flake-rate" "Per-call transient-failure probability (a retry may succeed)." in
+  let truncate = rate "truncate-rate" "Per-call truncated-findings probability (discarded, never a pass)." in
+  let worker_loss =
+    rate "worker-loss-rate"
+      "Per-dispatch probability that the worker domain running a seed dies; \
+       the supervisor requeues the seed (bounded retries) and abandons it \
+       when the budget is spent."
+  in
+  let in_flight =
+    rate "worker-loss-in-flight"
+      "Fraction of worker losses that strike mid-task instead of at \
+       dispatch: the seed runs to completion but its result dies with the \
+       domain, so the retry repeats work that already happened. Varying \
+       this never changes which dispatches are lost."
+  in
+  let lie_fn =
+    rate "lie-fn"
+      "Per-check probability a verifier swallows its real findings (false \
+       negative), on top of the chaos schedule; keyed on the fault-stream \
+       seed, so a shard worker draws the sequential sweep's lie stream."
+  in
+  Term.(
+    const (fun crash_rate timeout_rate flake_rate truncate_rate worker_loss_rate in_flight lie_fn ->
+        ( Resilience.Chaos.make ~crash_rate ~timeout_rate ~flake_rate ~truncate_rate
+            ~worker_loss_rate ~seed:0 (),
+          in_flight,
+          lie_fn ))
+    $ crash $ timeout $ flake $ truncate $ worker_loss $ in_flight $ lie_fn)
 
-let chaos_decode json =
-  let mem f name = Option.bind (Netcore.Json.member name json) f in
-  match mem Netcore.Json.to_bool "ok" with
-  | Some true -> (
-      match
-        ( mem Netcore.Json.to_int "auto",
-          mem Netcore.Json.to_int "human",
-          mem Netcore.Json.to_bool "converged",
-          mem Netcore.Json.to_int "rounds",
-          mem Netcore.Json.to_int "degraded" )
-      with
-      | Some auto, Some human, Some converged, Some rounds, Some degraded ->
-          let certificate =
-            Option.bind (Netcore.Json.member "certificate" json) (fun c ->
-                let cmem f name = Option.bind (Netcore.Json.member name c) f in
-                match cmem Netcore.Json.to_str "kind" with
-                | Some "converged" -> Some Cosynth.Driver.Converged
-                | Some "stalled" ->
-                    Option.map
-                      (fun r -> Cosynth.Driver.Stalled_out r)
-                      (cmem Netcore.Json.to_str "reason")
-                | Some "oscillating" ->
-                    Option.map
-                      (fun p -> Cosynth.Driver.Oscillating p)
-                      (cmem Netcore.Json.to_int "period")
-                | _ -> None)
-          in
-          Some
-            (Exec.Supervisor.Completed
-               {
-                 Cosynth.Driver.events =
-                   List.init degraded (fun _ ->
-                       {
-                         Cosynth.Driver.origin = Cosynth.Driver.Degraded;
-                         prompt = "(replayed from journal)";
-                         note = "degraded";
-                       });
-                 human_prompts = human;
-                 auto_prompts = auto;
-                 converged;
-                 rounds;
-                 certificate;
-               })
-      | _ -> None)
-  | Some false -> (
-      match
-        (mem Netcore.Json.to_int "attempts", mem Netcore.Json.to_str "reason")
-      with
-      | Some attempts, Some reason ->
-          Some (Exec.Supervisor.Abandoned { attempts; reason })
-      | _ -> None)
-  | None -> None
+(* A forwarded rate must reach the child process exactly: the shortest
+   rendering that reads back as the same float. *)
+let render_rate r =
+  let s = Printf.sprintf "%.15g" r in
+  if float_of_string s = r then s else Printf.sprintf "%.17g" r
+
+let rate_args =
+  List.concat_map (fun (flag, r) -> if r > 0. then [ flag; render_rate r ] else [])
+
+(* The argv fragment reproducing {!chaos_rates_term} in a worker. *)
+let chaos_rates_args ((c : Resilience.Chaos.config), in_flight, lie_fn) =
+  rate_args
+    [
+      ("--crash-rate", c.Resilience.Chaos.crash_rate);
+      ("--timeout-rate", c.Resilience.Chaos.timeout_rate);
+      ("--flake-rate", c.Resilience.Chaos.flake_rate);
+      ("--truncate-rate", c.Resilience.Chaos.truncate_rate);
+      ("--worker-loss-rate", c.Resilience.Chaos.worker_loss_rate);
+      ("--worker-loss-in-flight", in_flight);
+      ("--lie-fn", lie_fn);
+    ]
+
+(* Gives [(trust, trust_ledger)], where a ledger implies --trust: a
+   persisted ledger with the trust layer off would never change. *)
+let trust_term =
+  let trust =
+    Arg.(
+      value & flag
+      & info [ "trust" ]
+          ~doc:"Arm the cross-check trust ledger: suspicious answers are \
+                re-run against the raw oracle on a bounded budget, detected \
+                liars are quarantined (hand-run checks, findings escalate to \
+                human prompts) until probation clears. A shard sweep arms it \
+                in every worker, each recording its deltas to \
+                $(b,--journal-dir)/shard-K-trust.jsonl. A journaled sweep \
+                needs $(b,--trust-ledger) to carry it across a resume.")
+  in
+  let trust_ledger =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trust-ledger" ] ~docv:"FILE"
+          ~doc:"Persist the trust layer's state to $(docv), one fsync'd JSON \
+                line per completed seed (per-kind and oracle trust scores, \
+                quarantine flags, and that run's counter deltas). An existing \
+                ledger is loaded first, so quarantine earned before a kill — \
+                or inherited from a shard coordinator — is in force from the \
+                first run. A shard coordinator pre-seeds every worker's \
+                ledger from it and appends the campaign's merged deltas as \
+                one line. Implies $(b,--trust).")
+  in
+  Term.(
+    const (fun trust trust_ledger -> (trust || trust_ledger <> None, trust_ledger))
+    $ trust $ trust_ledger)
+
+(* Gives [(journal_path, resume, halt_after)]. *)
+let journal_term =
+  let path =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "journal" ] ~docv:"FILE"
+          ~doc:"Record each completed seed to $(docv) (one fsync'd JSON line \
+                per run). Without $(b,--resume) an existing file is \
+                truncated.")
+  in
+  let resume =
+    Arg.(
+      value & flag
+      & info [ "resume" ]
+          ~doc:"Skip the seeds already recorded in $(b,--journal) and \
+                reproduce the identical output from the mix of journaled \
+                and fresh runs. Refused without $(b,--journal).")
+  in
+  let halt_after =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "halt-after" ] ~docv:"N"
+          ~doc:"Simulate a crash: exit 3 before running the N+1th fresh \
+                (non-journaled) seed. With $(b,--journal)/$(b,--trust-ledger) \
+                a subsequent $(b,--resume) run completes the sweep with \
+                byte-identical output.")
+  in
+  Term.(const (fun p r h -> (p, r, h)) $ path $ resume $ halt_after)
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "error: %s\n%!" msg;
+      exit 2)
+    fmt
+
+(* Refused before any file is opened. A --resume without a journal would
+   quietly re-run every seed the caller believed safe. A resumed sweep
+   replays journaled transcripts without re-running their cross-checks, so
+   its trust lines can match an uninterrupted run's only when a ledger
+   carries the per-seed counter deltas. *)
+let check_journal_flags (journal_path, resume, _) (trust, trust_ledger) =
+  if resume && journal_path = None then usage_error "--resume requires --journal FILE";
+  if trust && journal_path <> None && trust_ledger = None then
+    usage_error
+      "--trust cannot be combined with --journal (add --trust-ledger FILE to \
+       persist cross-check state across resume)"
+
+(* The seed runner `chaos` and `adversary` share. It opens the trust
+   ledger, then the journal (notices on stderr: a resumed sweep's stdout
+   must be byte-identical to an uninterrupted one), and hands [body] the
+   journal and [step], which wraps each fresh seed's run. Only fresh
+   (non-journaled) seeds reach [step], so --halt-after counts exactly the
+   runs this process contributed. Each seed runs against the cumulative
+   ledger state — a quarantine earned by an earlier seed, a killed
+   predecessor or a shard coordinator is already in force — and a result
+   [keep] accepts lands one fsync'd ledger line. Both files are closed on
+   every exit path, the simulated crash included. *)
+let with_sweep ~journal:(path, resume, halt_after) ~trust_ledger ~encode ~decode ~keep body =
+  let ledger = Option.map Resilience.Trust.open_ledger trust_ledger in
+  let journal =
+    Option.map
+      (fun path ->
+        let j = Exec.Sweep.journal ~resume ~path ~encode ~decode () in
+        (match Exec.Sweep.journaled_seeds j with
+        | [] -> Printf.eprintf "journal: recording to %s\n%!" path
+        | done_ ->
+            Printf.eprintf "journal: resuming %d completed seed(s) from %s\n%!"
+              (List.length done_) path);
+        j)
+      path
+  in
+  let close () =
+    Option.iter Exec.Sweep.journal_close journal;
+    Option.iter Resilience.Trust.close_ledger ledger
+  in
+  let fresh = ref 0 in
+  let step seed run =
+    (match halt_after with
+    | Some n when !fresh >= n ->
+        Printf.eprintf "journal: halting after %d fresh run(s) (simulated crash)\n%!" n;
+        close ();
+        exit 3
+    | _ -> ());
+    incr fresh;
+    Resilience.Trust.with_ledger ledger ~seed ~keep run
+  in
+  Fun.protect ~finally:close (fun () -> body journal step)
+
+(* One VPP loop of the sweep's use case, reduced to its transcript;
+   [trust] arms the cross-checks with the default trust config. *)
+let run_loop use_case ~routers ~seed ?resilience ?max_prompts ~adversary ~trust
+    ?trust_ledger () =
+  let trust = if trust then Some Resilience.Trust.default_config else None in
+  match use_case with
+  | `Translation ->
+      (Cosynth.Driver.run_translation ~seed ?resilience ?max_prompts ~adversary ?trust
+         ?trust_ledger ~cisco_text:Cisco.Samples.border_router ())
+        .Cosynth.Driver.transcript
+  | `No_transit ->
+      (Cosynth.Driver.run_no_transit ~seed ?resilience ?max_prompts ~adversary ?trust
+         ?trust_ledger ~routers ())
+        .Cosynth.Driver.transcript
+  | `Incremental ->
+      (Cosynth.Driver.run_incremental ~seed ?resilience ?max_prompts ~adversary ?trust
+         ?trust_ledger ~routers ())
+        .Cosynth.Driver.inc_transcript
+
+let record_triage ~seed =
+  Option.iter (fun path ->
+      Resilience.Triage.record ~path ~seed ();
+      Printf.printf "triage: %d crash bucket(s) appended to %s\n"
+        (List.length (Resilience.Guard.crashes ()))
+        path)
 
 (* Print the block a chaos-style sweep ends with — fault schedule, leverage
    summary, degraded-round count, abandoned seeds — and return the budget
@@ -605,7 +713,7 @@ let print_sweep_summary ~chaos ~budget seeded =
       seeded
   in
   let degraded =
-    List.fold_left (fun acc t -> acc + degraded_rounds t) 0 transcripts
+    List.fold_left (fun acc t -> acc + Cosynth.Driver.degraded_rounds t) 0 transcripts
   in
   Printf.printf "fault schedule: %s\n" (Resilience.Chaos.describe chaos);
   Format.printf "%a@." Cosynth.Metrics.pp_summary
@@ -618,15 +726,9 @@ let print_sweep_summary ~chaos ~budget seeded =
     abandoned;
   violations
 
-(* The trust and quorum summary lines a trust-armed sweep ends with,
-   shared by `cosynth chaos`, `cosynth adversary` and the `cosynth shard`
-   coordinator. With a persistent ledger the lines are replayed from its
-   folded per-seed counter deltas — a killed-and-resumed sweep (or a
-   sharded one read from merged worker ledgers) reprints the exact lines
-   of an uninterrupted sequential run; otherwise the live process-global
-   tallies serve. The quorum line is keyed on activity, so it appears only
-   when cross-checks actually audited and every pre-quorum output shape is
-   unchanged. *)
+(* The trust and quorum summary lines a trust-armed sweep ends with. The
+   quorum line is keyed on activity, so it appears only when cross-checks
+   actually audited and every pre-quorum output shape is unchanged. *)
 let print_trust_lines (d : Resilience.Trust.counters)
     (q : Resilience.Trust.quorum_counters) =
   Printf.printf "trust: checks=%d lies-detected=%d quarantines=%d restores=%d\n"
@@ -640,22 +742,33 @@ let print_trust_lines (d : Resilience.Trust.counters)
       q.Resilience.Trust.outvoted q.Resilience.Trust.oracle_quarantines
       q.Resilience.Trust.oracle_restores
 
-let print_trust_summary ~trust_ledger ~trust_before ~quorum_before () =
-  let d, q =
-    match
-      Option.join (Option.map Resilience.Trust.Ledger_store.load trust_ledger)
-    with
-    | Some e ->
-        ( e.Resilience.Trust.Ledger_store.counters,
-          e.Resilience.Trust.Ledger_store.quorum )
-    | None ->
-        ( Resilience.Trust.totals
-            (Resilience.Trust.diff (Resilience.Trust.snapshot ()) trust_before),
-          Resilience.Trust.diff_quorum
-            (Resilience.Trust.quorum_snapshot ())
-            quorum_before )
-  in
-  print_trust_lines d q
+let print_ledger_entry (e : Resilience.Trust.Ledger_store.entry) =
+  print_trust_lines e.Resilience.Trust.Ledger_store.counters
+    e.Resilience.Trust.Ledger_store.quorum
+
+let load_ledger path = Option.join (Option.map Resilience.Trust.Ledger_store.load path)
+
+(* Snapshot the live trust tallies; the returned printer ends a sweep with
+   its trust lines when trust is armed. With a persistent ledger the lines
+   are replayed from its folded per-seed counter deltas, so a killed and
+   resumed sweep reprints the exact lines of an uninterrupted one;
+   otherwise the live process-global tallies since the snapshot serve. *)
+let trust_summary (trust, trust_ledger) =
+  let trust_before = Resilience.Trust.snapshot () in
+  let quorum_before = Resilience.Trust.quorum_snapshot () in
+  fun () ->
+    if trust then
+      match load_ledger trust_ledger with
+      | Some e -> print_ledger_entry e
+      | None ->
+          print_trust_lines
+            (Resilience.Trust.totals
+               (Resilience.Trust.diff (Resilience.Trust.snapshot ()) trust_before))
+            (Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) quorum_before)
+
+(* ------------------------------------------------------------------ *)
+(* leverage                                                            *)
+(* ------------------------------------------------------------------ *)
 
 let leverage_cmd =
   let run use_case runs routers jobs =
@@ -687,19 +800,9 @@ let leverage_cmd =
         1
   in
   let use_case =
-    let c =
-      Arg.conv
-        ( (function
-          | "translation" -> Ok `Translation
-          | "no-transit" -> Ok `No_transit
-          | s -> Error (`Msg (Printf.sprintf "unknown use case %S" s))),
-          fun ppf c ->
-            Format.pp_print_string ppf
-              (match c with `Translation -> "translation" | `No_transit -> "no-transit") )
-    in
     Arg.(
       value
-      & opt c `Translation
+      & opt (use_case_conv [ `Translation; `No_transit ]) `Translation
       & info [ "use-case" ] ~docv:"CASE" ~doc:"translation or no-transit.")
   in
   let runs = Arg.(value & opt int 20 & info [ "runs" ] ~docv:"N") in
@@ -799,14 +902,14 @@ let disk_chaos_footer disk =
 (* The argv fragment reproducing a configuration in a child process (shard
    workers, the supervised serve daemon). *)
 let disk_chaos_args (d : Durable.Diskchaos.config) =
-  let rate flag r =
-    if r > 0. then [ flag; Printf.sprintf "%g" r ] else []
-  in
-  rate "--disk-short-rate" d.Durable.Diskchaos.short_rate
-  @ rate "--disk-torn-rate" d.Durable.Diskchaos.torn_rate
-  @ rate "--disk-io-error-rate" d.Durable.Diskchaos.io_error_rate
-  @ rate "--disk-enospc-rate" d.Durable.Diskchaos.enospc_rate
-  @ rate "--disk-fsync-fail-rate" d.Durable.Diskchaos.fsync_fail_rate
+  rate_args
+    [
+      ("--disk-short-rate", d.Durable.Diskchaos.short_rate);
+      ("--disk-torn-rate", d.Durable.Diskchaos.torn_rate);
+      ("--disk-io-error-rate", d.Durable.Diskchaos.io_error_rate);
+      ("--disk-enospc-rate", d.Durable.Diskchaos.enospc_rate);
+      ("--disk-fsync-fail-rate", d.Durable.Diskchaos.fsync_fail_rate);
+    ]
   @ (if d.Durable.Diskchaos.seed <> 0 then
        [ "--disk-seed"; string_of_int d.Durable.Diskchaos.seed ]
      else [])
@@ -829,142 +932,54 @@ let exit_on_disk_crash f =
 (* ------------------------------------------------------------------ *)
 
 let chaos_cmd =
-  let run use_case runs routers seed chaos_seed crash timeout flake truncate
-      worker_loss worker_loss_in_flight lie_fn trust trust_ledger journal_path
-      resume compact_journal halt_after triage_path disk verbose =
+  let run (use_case, routers, seed, seeds) chaos_seed (chaos, in_flight, lie_fn)
+      ((trust, trust_ledger) as trust_flags) ((journal_path, _, _) as journal_flags)
+      compact_journal triage_path disk verbose =
    exit_on_disk_crash @@ fun () ->
     if triage_path <> None then Resilience.Guard.reset ();
     disk_chaos_arm disk;
-    if compact_journal && journal_path = None then begin
-      (* Validated before the sweep runs: discovering a flag error only
-         after a multi-hour sweep would be its own kind of fault. *)
-      Printf.eprintf "error: --compact-journal requires --journal FILE\n%!";
-      exit 2
-    end;
-    if resume && journal_path = None then begin
-      Printf.eprintf "error: --resume requires --journal FILE\n%!";
-      exit 2
-    end;
-    (* --trust-ledger implies --trust, and --trust with --journal needs the
-       ledger to carry cross-check state across a resume — the same rules
-       `cosynth adversary` enforces. Shard workers always journal, so a
-       trust-armed shard sweep always rides on per-shard ledgers. *)
-    let trust = trust || trust_ledger <> None in
-    if trust && journal_path <> None && trust_ledger = None then begin
-      Printf.eprintf
-        "error: --trust cannot be combined with --journal (add --trust-ledger FILE \
-         to persist cross-check state across resume)\n\
-         %!";
-      exit 2
-    end;
-    (* The fault streams are keyed on --chaos-seed (default: --seed) so a
-       shard worker owning the slice starting at seed 57 can still draw the
-       same schedule as the seed-42-based sequential sweep it is a slice
-       of. *)
-    let chaos =
-      Resilience.Chaos.make ~crash_rate:crash ~timeout_rate:timeout
-        ~flake_rate:flake ~truncate_rate:truncate ~worker_loss_rate:worker_loss
-        ~seed:(Option.value chaos_seed ~default:seed)
-        ()
-    in
+    (* Validated before the sweep runs: discovering a flag error only
+       after a multi-hour sweep would be its own kind of fault. *)
+    if compact_journal && journal_path = None then
+      usage_error "--compact-journal requires --journal FILE";
+    check_journal_flags journal_flags trust_flags;
+    (* The fault and lie streams are keyed on --chaos-seed (default:
+       --seed) so a shard worker owning the slice starting at seed 57 draws
+       the same schedules as the seed-42-based sequential sweep it is a
+       slice of. A rate-0 lie spec is treated by the driver exactly like no
+       spec, keeping lie-free sweeps byte-identical. *)
+    let stream_seed = Option.value chaos_seed ~default:seed in
+    let chaos = { chaos with Resilience.Chaos.seed = stream_seed } in
     let resilience = Resilience.Runtime.config ~chaos () in
-    let plan =
-      Resilience.Chaos.worker_plan ~in_flight:worker_loss_in_flight chaos ~salt:0
-    in
-    (* Lying verifiers under chaos: the lie stream is pinned to the same
-       base seed as the fault streams, so a shard worker's slice draws the
-       sequential sweep's schedule. A rate-0 spec is treated by the driver
-       exactly like no spec, keeping lie-free sweeps byte-identical. *)
-    let spec =
+    let plan = Resilience.Chaos.worker_plan ~in_flight chaos ~salt:0 in
+    let adversary =
       Adversary.Spec.make
-        ~verifier:
-          (Adversary.Verifier.make ~false_negative:lie_fn
-             ~seed:(Option.value chaos_seed ~default:seed)
-             ())
+        ~verifier:(Adversary.Verifier.make ~false_negative:lie_fn ~seed:stream_seed ())
         ()
     in
-    let trust_cfg = if trust then Some Resilience.Trust.default_config else None in
-    let trust_before = Resilience.Trust.snapshot () in
-    let quorum_before = Resilience.Trust.quorum_snapshot () in
-    let ledger = Option.map Resilience.Trust.open_ledger trust_ledger in
-    let budget = use_case_budget use_case in
-    (* Journal notices go to stderr: the stdout of a resumed sweep must be
-       byte-identical to an uninterrupted one (make resume-smoke diffs it). *)
-    let journal =
-      match journal_path with
-      | None -> None
-      | Some path ->
-          let j =
-            Exec.Sweep.journal ~resume ~path ~encode:chaos_encode
-              ~decode:chaos_decode ()
-          in
-          (match Exec.Sweep.journaled_seeds j with
-          | [] -> Printf.eprintf "journal: recording to %s\n%!" path
-          | done_ ->
-              Printf.eprintf "journal: resuming %d completed seed(s) from %s\n%!"
-                (List.length done_) path);
-          Some j
-    in
-    let seeds = List.init runs (fun i -> seed + i) in
-    let fresh = ref 0 in
-    let run_seed run_seed =
-      (* Only fresh (non-journaled) seeds reach this function, so the halt
-         counter measures exactly the runs this process contributed. *)
-      (match halt_after with
-      | Some n when !fresh >= n ->
-          Printf.eprintf "journal: halting after %d fresh run(s) (simulated crash)\n%!" n;
-          (* Every completed record is already fsync'd, but close anyway so
-             even the simulated crash leaves no open handle behind. *)
-          Option.iter Exec.Sweep.journal_close journal;
-          Option.iter Resilience.Trust.close_ledger ledger;
-          exit 3
-      | _ -> ());
-      incr fresh;
-      (* Same per-seed ledger threading as `cosynth adversary`: each seed
-         starts from the cumulative state (a quarantine earned by an
-         earlier seed — or by the coordinator that seeded this worker's
-         ledger — is already in force) and a completed seed lands one
-         fsync'd line. *)
-      Resilience.Trust.with_ledger ledger ~seed:run_seed
-        ~keep:(function Exec.Supervisor.Completed _ -> true | _ -> false)
-      @@ fun ledger_t ->
-      Exec.Supervisor.run_one ~plan ~index:run_seed (fun () ->
-        match use_case with
-        | `Translation ->
-            (Cosynth.Driver.run_translation ~seed:run_seed ~resilience
-               ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-               ~cisco_text:Cisco.Samples.border_router ())
-              .Cosynth.Driver.transcript
-        | `No_transit ->
-            (Cosynth.Driver.run_no_transit ~seed:run_seed ~resilience
-               ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-               ~routers ())
-              .Cosynth.Driver.transcript
-        | `Incremental ->
-            (Cosynth.Driver.run_incremental ~seed:run_seed ~resilience
-               ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-               ~routers ())
-              .Cosynth.Driver.inc_transcript)
-    in
+    let print_trust = trust_summary trust_flags in
     (* The abort trap lives inside the measured thunk so the per-verifier
        counter deltas survive: a sweep that dies halfway still reports what
-       its verifiers were doing when it died. The journal is closed on the
-       error path too, so the final record of an aborted sweep is never
-       left in an unflushed channel. *)
+       its verifiers were doing when it died. *)
     let (outcomes, aborted), perf =
-      Fun.protect
-        ~finally:(fun () ->
-          Option.iter Exec.Sweep.journal_close journal;
-          Option.iter Resilience.Trust.close_ledger ledger)
-        (fun () ->
-          Cosynth.Metrics.measure (fun () ->
-              try (Exec.Sweep.run_seeds ?journal ~seeds run_seed, None)
-              with
-              (* A simulated disk crash is a process death, not a sweep
-                 abort: let it reach the exit-3 handler (the protecting
-                 finalizers close the journal and ledger on the way). *)
-              | Durable.Diskchaos.Crashed _ as c -> raise c
-              | e -> ([], Some e)))
+      with_sweep ~journal:journal_flags ~trust_ledger
+        ~encode:Cosynth.Driver.outcome_to_json ~decode:Cosynth.Driver.outcome_of_json
+        ~keep:(function Exec.Supervisor.Completed _ -> true | _ -> false)
+      @@ fun journal step ->
+      Cosynth.Metrics.measure (fun () ->
+          try
+            ( Exec.Sweep.run_seeds ?journal ~seeds (fun s ->
+                  step s @@ fun trust_ledger ->
+                  Exec.Supervisor.run_one ~plan ~index:s (fun () ->
+                      run_loop use_case ~routers ~seed:s ~resilience ~adversary
+                        ~trust ?trust_ledger ())),
+              None )
+          with
+          (* A simulated disk crash is a process death, not a sweep
+             abort: let it reach the exit-3 handler (the protecting
+             finalizers close the journal and ledger on the way). *)
+          | Durable.Diskchaos.Crashed _ as c -> raise c
+          | e -> ([], Some e))
     in
     disk_chaos_footer disk;
     (match journal_path with
@@ -974,32 +989,18 @@ let chaos_cmd =
           path dropped kept
     | Some _ | None -> ());
     let seeded = if outcomes = [] then [] else List.combine seeds outcomes in
-    let violations = print_sweep_summary ~chaos ~budget seeded in
-    if trust then print_trust_summary ~trust_ledger ~trust_before ~quorum_before ();
+    let violations =
+      print_sweep_summary ~chaos ~budget:(use_case_budget use_case) seeded
+    in
+    print_trust ();
     if verbose || aborted <> None then print_string (verifier_stats_footer perf);
-    (match triage_path with
-    | Some path ->
-        Resilience.Triage.record ~path ~seed ();
-        Printf.printf "triage: %d crash bucket(s) appended to %s\n"
-          (List.length (Resilience.Guard.crashes ()))
-          path
-    | None -> ());
+    record_triage ~seed triage_path;
     List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) violations;
     match aborted with
     | Some e ->
         Printf.eprintf "error: sweep aborted: %s\n%!" (Printexc.to_string e);
         1
     | None -> if violations <> [] then 1 else 0
-  in
-  let use_case = use_case_conv ~default:`No_transit [ "use-case" ] in
-  let runs = Arg.(value & opt int 20 & info [ "runs" ] ~docv:"N") in
-  let routers = Arg.(value & opt int 7 & info [ "routers" ] ~docv:"N") in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Chaos stream seed and sweep base seed; the sweep is exactly \
-                reproducible from the seed and the rates.")
   in
   let chaos_seed =
     Arg.(
@@ -1011,69 +1012,6 @@ let chaos_cmd =
                 base seed here so the sliced sweep draws exactly the \
                 schedule of the equivalent sequential one.")
   in
-  let rate name doc =
-    Arg.(value & opt float 0. & info [ name ] ~docv:"R" ~doc)
-  in
-  let crash = rate "crash-rate" "Per-call crash probability (outage window, feeds the breaker)." in
-  let timeout = rate "timeout-rate" "Per-call timeout probability (burns the round's tick budget)." in
-  let flake = rate "flake-rate" "Per-call transient-failure probability (a retry may succeed)." in
-  let truncate = rate "truncate-rate" "Per-call truncated-findings probability (discarded, never a pass)." in
-  let worker_loss =
-    rate "worker-loss-rate"
-      "Per-dispatch probability that the worker domain running a seed dies; \
-       the supervisor requeues the seed (bounded retries) and abandons it \
-       when the budget is spent."
-  in
-  let worker_loss_in_flight =
-    rate "worker-loss-in-flight"
-      "Fraction of worker losses that strike mid-task instead of at \
-       dispatch: the seed runs to completion but its result dies with the \
-       domain, so the retry repeats work that already happened. Varying \
-       this never changes which dispatches are lost."
-  in
-  let lie_fn =
-    rate "lie-fn"
-      "Per-check probability a verifier swallows its real findings (false \
-       negative), on top of the chaos schedule; keyed on \
-       $(b,--chaos-seed) so a shard worker draws the sequential sweep's \
-       lie stream."
-  in
-  let trust =
-    Arg.(
-      value & flag
-      & info [ "trust" ]
-          ~doc:"Arm the cross-check trust ledger (see $(b,cosynth \
-                adversary)). With $(b,--journal), requires \
-                $(b,--trust-ledger).")
-  in
-  let trust_ledger =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trust-ledger" ] ~docv:"FILE"
-          ~doc:"Persist the trust layer's state to $(docv), one fsync'd \
-                JSON line per completed seed; an existing ledger — e.g. one \
-                a shard coordinator pre-seeded — is loaded first, so \
-                inherited quarantine is in force from the first run. \
-                Implies $(b,--trust).")
-  in
-  let journal_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Record each completed seed to $(docv) (one fsync'd JSON line \
-                per run). Without $(b,--resume) an existing file is \
-                truncated.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Skip the seeds already recorded in $(b,--journal) and \
-                reproduce the identical final table from the mix of \
-                journaled and fresh runs.")
-  in
   let compact_journal =
     Arg.(
       value & flag
@@ -1081,14 +1019,6 @@ let chaos_cmd =
           ~doc:"After the sweep, rewrite $(b,--journal) keeping only the \
                 surviving line per seed (retries and malformed lines \
                 dropped) via an atomic temp-file rename.")
-  in
-  let halt_after =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "halt-after" ] ~docv:"N"
-          ~doc:"Exit with status 3 (a simulated crash) once $(docv) fresh \
-                runs have completed; used by $(b,make resume-smoke).")
   in
   let triage_path =
     Arg.(
@@ -1108,59 +1038,35 @@ let chaos_cmd =
          "Fault-injection sweep over a VPP loop: every run must terminate within \
           its prompt budget without an exception (exits nonzero otherwise)")
     Term.(
-      const run $ use_case $ runs $ routers $ seed $ chaos_seed $ crash
-      $ timeout $ flake $ truncate $ worker_loss $ worker_loss_in_flight
-      $ lie_fn $ trust $ trust_ledger $ journal_path $ resume $ compact_journal
-      $ halt_after $ triage_path $ disk_chaos_term $ verbose)
+      const run
+      $ sweep_term ~use_case:`No_transit ~routers:7
+      $ chaos_seed $ chaos_rates_term $ trust_term $ journal_term $ compact_journal
+      $ triage_path $ disk_chaos_term $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* adversary                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let adversary_cmd =
-  let run use_case runs routers seed truncated wrong_dialect stale partial_fix
+  let run (use_case, routers, seed, seeds) truncated wrong_dialect stale partial_fix
       off_topic dropped duplicated misattributed garbled lie_fn lie_fp lie_mutate
-      lie_adaptive collude collude_oracle collude_rate trust trust_ledger
-      journal_path resume halt_after sweep_budget triage_path disk verbose =
+      lie_adaptive collude collude_oracle collude_rate
+      ((trust, trust_ledger) as trust_flags) ((journal_path, _, _) as journal_flags)
+      sweep_budget triage_path disk verbose =
    exit_on_disk_crash @@ fun () ->
     Resilience.Guard.reset ();
     disk_chaos_arm disk;
-    (* --trust-ledger implies --trust: a persisted ledger with the trust
-       layer off would never change. *)
-    let trust = trust || trust_ledger <> None in
     (* A budgeted sweep's per-seed allocations depend on what earlier seeds
        spent, while journal replay assumes a seed's run is a function of its
        seed alone — mixing them would replay records produced under
-       different allocations. Refuse loudly rather than resume wrongly. *)
-    (match (sweep_budget, journal_path) with
-    | Some _, Some _ ->
-        Printf.eprintf "error: --sweep-budget cannot be combined with --journal\n%!";
-        exit 2
-    | _ -> ());
-    (* The same objection applies to the persistent trust ledger: budgeted
-       allocations would be baked into the persisted trust trajectories. *)
-    if sweep_budget <> None && trust_ledger <> None then begin
-      Printf.eprintf "error: --sweep-budget cannot be combined with --trust-ledger\n%!";
-      exit 2
-    end;
-    (* Cross-check counters are live process-global tallies: a resumed sweep
-       replays journaled transcripts without re-running their cross-checks,
-       so the trust summary could never match an uninterrupted run's —
-       unless a --trust-ledger carries the per-seed counter deltas, in
-       which case the summary is replayed from the ledger instead. *)
-    if trust && journal_path <> None && trust_ledger = None then begin
-      Printf.eprintf
-        "error: --trust cannot be combined with --journal (add --trust-ledger FILE \
-         to persist cross-check state across resume)\n\
-         %!";
-      exit 2
-    end;
-    (* Refused before any file is opened: silently starting a fresh sweep
-       would quietly re-run every seed the caller believed was safe. *)
-    if resume && journal_path = None then begin
-      Printf.eprintf "error: --resume requires --journal FILE\n%!";
-      exit 2
-    end;
+       different allocations, and a ledger would bake them into the
+       persisted trust trajectories. Refuse loudly rather than resume
+       wrongly. *)
+    if sweep_budget <> None && journal_path <> None then
+      usage_error "--sweep-budget cannot be combined with --journal";
+    if sweep_budget <> None && trust_ledger <> None then
+      usage_error "--sweep-budget cannot be combined with --trust-ledger";
+    check_journal_flags journal_flags trust_flags;
     let members =
       match collude with
       | None -> []
@@ -1170,15 +1076,13 @@ let adversary_cmd =
               match Resilience.Verifier.kind_of_name (String.trim name) with
               | Some k -> k
               | None ->
-                  Printf.eprintf
-                    "error: --collude: unknown verifier kind %S (expected a comma-separated \
-                     subset of: %s)\n\
-                     %!"
+                  usage_error
+                    "--collude: unknown verifier kind %S (expected a comma-separated \
+                     subset of: %s)"
                     name
                     (String.concat ", "
                        (List.map Resilience.Verifier.kind_name
-                          Resilience.Verifier.all_kinds));
-                  exit 2)
+                          Resilience.Verifier.all_kinds)))
             (String.split_on_char ',' names)
     in
     let llm =
@@ -1198,20 +1102,11 @@ let adversary_cmd =
     in
     let spec = Adversary.Spec.make ~llm ~findings ~verifier ~collusion () in
     let hardened = not (Adversary.Spec.is_none spec) in
-    let trust_cfg = if trust then Some Resilience.Trust.default_config else None in
-    let trust_before = Resilience.Trust.snapshot () in
-    let quorum_before = Resilience.Trust.quorum_snapshot () in
-    (* The persistent trust ledger: load whatever earlier campaigns left
-       (quarantine survives kill/resume cycles), thread the cumulative
-       state through the sweep sequentially, and record one fsync'd line
-       per completed seed carrying the state plus that run's counter
-       deltas. *)
-    let ledger = Option.map Resilience.Trust.open_ledger trust_ledger in
+    let print_trust = trust_summary trust_flags in
     (* The driver defaults; the invariant under any rates in [0, 1] is that
        every run stays within them, never raises, and carries a convergence
        certificate exactly when the spec is non-trivial. *)
     let budget = use_case_budget use_case in
-    let seeds = List.init runs (fun i -> seed + i) in
     let violations = ref [] in
     let violation fmt =
       Printf.ksprintf (fun s -> violations := s :: !violations) fmt
@@ -1245,68 +1140,18 @@ let adversary_cmd =
       | Some false -> Option.map (fun m -> Error m) (mem Netcore.Json.to_str "crash")
       | None -> None
     in
-    (* Journal notices to stderr, same discipline as `cosynth chaos`: a
-       resumed sweep's stdout must be byte-identical to an uninterrupted
-       one. *)
-    let journal =
-      match journal_path with
-      | None -> None
-      | Some path ->
-          let j = Exec.Sweep.journal ~resume ~path ~encode ~decode () in
-          (match Exec.Sweep.journaled_seeds j with
-          | [] -> Printf.eprintf "journal: recording to %s\n%!" path
-          | done_ ->
-              Printf.eprintf "journal: resuming %d completed seed(s) from %s\n%!"
-                (List.length done_) path);
-          Some j
-    in
-    let fresh = ref 0 in
-    let run_seed ?max_prompts run_seed =
-      (* Only fresh (non-journaled) seeds reach this function, so the halt
-         counter measures exactly the runs this process contributed — same
-         discipline as `cosynth chaos`. Both journals are fsync'd per
-         record, but close anyway so even the simulated crash leaves no
-         open handle behind. *)
-      (match halt_after with
-      | Some n when !fresh >= n ->
-          Printf.eprintf "journal: halting after %d fresh run(s) (simulated crash)\n%!" n;
-          Option.iter Exec.Sweep.journal_close journal;
-          Option.iter Resilience.Trust.close_ledger ledger;
-          exit 3
-      | _ -> ());
-      incr fresh;
-      (* Under --trust-ledger each seed runs against a fresh instance seeded
-         from the cumulative ledger state — quarantine earned by earlier
-         seeds (this process or a killed predecessor) is already in force —
-         and a completed run lands one fsync'd ledger line before it is
-         reported complete. *)
-      Resilience.Trust.with_ledger ledger ~seed:run_seed ~keep:Result.is_ok
-      @@ fun ledger_t ->
+    let run_seed ?max_prompts step s =
+      step s @@ fun trust_ledger ->
       Result.map_error Resilience.Guard.crash_to_string
-        (Resilience.Guard.run ~label:"vpp-loop" ~fingerprint:(string_of_int run_seed)
+        (Resilience.Guard.run ~label:"vpp-loop" ~fingerprint:(string_of_int s)
            (fun () ->
-             match use_case with
-             | `Translation ->
-                 (Cosynth.Driver.run_translation ~seed:run_seed ?max_prompts
-                    ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-                    ~cisco_text:Cisco.Samples.border_router ())
-                   .Cosynth.Driver.transcript
-             | `No_transit ->
-                 (Cosynth.Driver.run_no_transit ~seed:run_seed ?max_prompts
-                    ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-                    ~routers ())
-                   .Cosynth.Driver.transcript
-             | `Incremental ->
-                 (Cosynth.Driver.run_incremental ~seed:run_seed ?max_prompts
-                    ~adversary:spec ?trust:trust_cfg ?trust_ledger:ledger_t
-                    ~routers ())
-                   .Cosynth.Driver.inc_transcript))
+             run_loop use_case ~routers ~seed:s ?max_prompts ~adversary:spec
+               ~trust ?trust_ledger ()))
     in
-    (* The journal is closed even when a seed's Guard boundary is breached
-       by something unguardable — the finally runs on every exit path, so
-       the last fsync'd record is never stranded in an open channel. *)
     let budget_stats = ref None in
     let recs =
+      with_sweep ~journal:journal_flags ~trust_ledger ~encode ~decode ~keep:Result.is_ok
+      @@ fun journal step ->
       match sweep_budget with
       | Some total ->
           (* Certificate-aware scheduling: each seed gets a fair share of
@@ -1318,7 +1163,7 @@ let adversary_cmd =
           let out, stats =
             Exec.Sweep.run_seeds_budgeted ~budget:total ~seeds
               (fun ~seed:s ~max_prompts ->
-                let r = run_seed ~max_prompts s in
+                let r = run_seed ~max_prompts step s in
                 let outcome =
                   match r with
                   | Error _ ->
@@ -1338,13 +1183,7 @@ let adversary_cmd =
           in
           budget_stats := Some stats;
           out
-      | None ->
-          Fun.protect
-            ~finally:(fun () ->
-              Option.iter Exec.Sweep.journal_close journal;
-              Option.iter Resilience.Trust.close_ledger ledger)
-            (fun () ->
-              Exec.Sweep.run_seeds ?journal ~seeds (fun s -> run_seed s))
+      | None -> Exec.Sweep.run_seeds ?journal ~seeds (run_seed step)
     in
     let seeded =
       List.filter_map
@@ -1375,7 +1214,7 @@ let adversary_cmd =
     Printf.printf "adversary: %s\n" (Adversary.Spec.describe spec);
     Format.printf "%a@." Cosynth.Metrics.pp_summary
       (Cosynth.Metrics.summarize transcripts);
-    if trust then print_trust_summary ~trust_ledger ~trust_before ~quorum_before ();
+    print_trust ();
     if hardened then
       print_string
         (Cosynth.Report.counts ~title:"convergence certificates"
@@ -1408,26 +1247,10 @@ let adversary_cmd =
             | Some c -> Cosynth.Driver.certificate_to_string c
             | None -> "(plain run)"))
         seeded;
-    (match triage_path with
-    | Some path ->
-        Resilience.Triage.record ~path ~seed ();
-        Printf.printf "triage: %d crash bucket(s) appended to %s\n"
-          (List.length (Resilience.Guard.crashes ()))
-          path
-    | None -> ());
+    record_triage ~seed triage_path;
     disk_chaos_footer disk;
     List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) (List.rev !violations);
     if !violations <> [] then 1 else 0
-  in
-  let use_case = use_case_conv ~default:`Translation [ "use-case" ] in
-  let runs = Arg.(value & opt int 20 & info [ "runs" ] ~docv:"N") in
-  let routers = Arg.(value & opt int 5 & info [ "routers" ] ~docv:"N") in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Adversary stream seed and sweep base seed; the sweep is \
-                exactly reproducible from the seed and the rates.")
   in
   let rate name doc = Arg.(value & opt float 0. & info [ name ] ~docv:"R" ~doc) in
   let truncated = rate "truncated" "Per-draft probability of a truncated reply." in
@@ -1495,55 +1318,6 @@ let adversary_cmd =
                 answer. 0 (the default) disarms the coalition entirely and \
                 keeps output byte-identical to a sweep without $(b,--collude).")
   in
-  let trust =
-    Arg.(
-      value & flag
-      & info [ "trust" ]
-          ~doc:"Arm the cross-check trust ledger: suspicious answers are \
-                re-run against the raw oracle on a bounded budget, detected \
-                liars are quarantined (hand-run checks, findings escalate to \
-                human prompts) until probation clears. Incompatible with \
-                $(b,--journal) unless $(b,--trust-ledger) persists the \
-                cross-check state.")
-  in
-  let trust_ledger =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trust-ledger" ] ~docv:"FILE"
-          ~doc:"Persist the trust layer's state to $(docv) (one fsync'd JSON \
-                line per completed seed: per-kind and oracle trust scores, \
-                quarantine flags, and that run's counter deltas). An existing \
-                ledger is loaded first, so quarantine earned before a kill \
-                survives the resume. Implies $(b,--trust).")
-  in
-  let halt_after =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "halt-after" ] ~docv:"N"
-          ~doc:"Simulate a crash: exit 3 before running the N+1th fresh \
-                (non-journaled) seed. With $(b,--journal)/$(b,--trust-ledger) \
-                a subsequent $(b,--resume) run completes the sweep with \
-                byte-identical output.")
-  in
-  let journal_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Record each completed seed to $(docv) (one fsync'd JSON line \
-                per run, full transcript fidelity). Without $(b,--resume) an \
-                existing file is truncated.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Skip the seeds already recorded in $(b,--journal) and \
-                reproduce the identical output from the mix of journaled \
-                and fresh runs. Refused without $(b,--journal).")
-  in
   let sweep_budget =
     Arg.(
       value
@@ -1574,34 +1348,24 @@ let adversary_cmd =
           its prompt budget with a convergence certificate (exits nonzero \
           otherwise)")
     Term.(
-      const run $ use_case $ runs $ routers $ seed $ truncated $ wrong_dialect
-      $ stale $ partial_fix $ off_topic $ dropped $ duplicated $ misattributed
-      $ garbled $ lie_fn $ lie_fp $ lie_mutate $ lie_adaptive $ collude
-      $ collude_oracle $ collude_rate $ trust $ trust_ledger $ journal_path
-      $ resume $ halt_after $ sweep_budget $ triage_path $ disk_chaos_term
-      $ verbose)
+      const run
+      $ sweep_term ~use_case:`Translation ~routers:5
+      $ truncated $ wrong_dialect $ stale $ partial_fix $ off_topic $ dropped
+      $ duplicated $ misattributed $ garbled $ lie_fn $ lie_fp $ lie_mutate
+      $ lie_adaptive $ collude $ collude_oracle $ collude_rate $ trust_term
+      $ journal_term $ sweep_budget $ triage_path $ disk_chaos_term $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* shard                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let shard_cmd =
-  let run shards use_case runs routers seed crash timeout flake truncate
-      worker_loss worker_loss_in_flight lie_fn trust trust_ledger dir out
+  let run shards (use_case, routers, seed, seeds) rates (trust, trust_ledger) dir out
       max_respawns halt_first disk =
-    if shards < 1 then begin
-      Printf.eprintf "error: --shards must be >= 1\n%!";
-      exit 2
-    end;
-    let trust = trust || trust_ledger <> None in
+    if shards < 1 then usage_error "--shards must be >= 1";
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let chaos =
-      Resilience.Chaos.make ~crash_rate:crash ~timeout_rate:timeout
-        ~flake_rate:flake ~truncate_rate:truncate ~worker_loss_rate:worker_loss
-        ~seed ()
-    in
-    let budget = use_case_budget use_case in
-    let seeds = List.init runs (fun i -> seed + i) in
+    let chaos, _, _ = rates in
+    let chaos = { chaos with Resilience.Chaos.seed } in
     let slices =
       List.filter (fun s -> s <> []) (Exec.Shard.slices ~seeds ~shards)
     in
@@ -1612,19 +1376,6 @@ let shard_cmd =
        is the same command plus --resume, which is exactly the recovery
        story a died worker needs (only its unjournaled seeds re-run). *)
     let exe = Sys.executable_name in
-    let rate_args =
-      List.concat_map
-        (fun (flag, v) -> if v = 0. then [] else [ flag; string_of_float v ])
-        [
-          ("--crash-rate", crash);
-          ("--timeout-rate", timeout);
-          ("--flake-rate", flake);
-          ("--truncate-rate", truncate);
-          ("--worker-loss-rate", worker_loss);
-          ("--worker-loss-in-flight", worker_loss_in_flight);
-          ("--lie-fn", lie_fn);
-        ]
-    in
     (* Trust-armed sharding: every worker gets its own per-shard trust
        ledger, pre-seeded with the coordinator's baseline (the folded
        state of --trust-ledger, counters zeroed so they are never counted
@@ -1633,11 +1384,7 @@ let shard_cmd =
        baseline write happens once, here; a respawned worker resumes from
        whatever its ledger already holds. *)
     let worker_ledger i = Filename.concat dir (Printf.sprintf "shard-%d-trust.jsonl" i) in
-    let baseline =
-      if trust then
-        Option.join (Option.map Resilience.Trust.Ledger_store.load trust_ledger)
-      else None
-    in
+    let baseline = if trust then load_ledger trust_ledger else None in
     if trust then
       List.iteri
         (fun i _ ->
@@ -1671,7 +1418,7 @@ let shard_cmd =
               "--routers";
               string_of_int routers;
             ]
-            @ rate_args
+            @ chaos_rates_args rates
             (* Disk faults are injected in the workers — the processes
                doing the journaled writes — not in the coordinator, whose
                merge already goes through the store's atomic-rewrite path
@@ -1698,25 +1445,20 @@ let shard_cmd =
         slices
     in
     Printf.eprintf "shard: %d worker(s) over %d seed(s), %s sweep\n%!"
-      (List.length workers) runs (use_case_name use_case);
+      (List.length workers) (List.length seeds) (use_case_name use_case);
     (* Early-abandoned classification for the per-shard counter: a record
-       the supervisor gave up on (ok=false), or a completed run whose
-       certificate says it stalled out — both handed budget back early.
-       Stderr-only bookkeeping: the coordinator's stdout stays
-       byte-identical to the sequential sweep. *)
+       the supervisor gave up on, or a completed run whose certificate says
+       it stalled out — both handed budget back early. Stderr-only
+       bookkeeping: the coordinator's stdout stays byte-identical to the
+       sequential sweep. *)
     let abandoned payload =
-      let mem f name = Option.bind (Netcore.Json.member name payload) f in
-      match mem Netcore.Json.to_bool "ok" with
-      | Some false -> true
-      | _ -> (
-          match
-            Option.bind
-              (Netcore.Json.member "certificate" payload)
-              (fun c ->
-                Option.bind (Netcore.Json.member "kind" c) Netcore.Json.to_str)
-          with
-          | Some "stalled" -> true
+      match Cosynth.Driver.outcome_of_json payload with
+      | Some (Exec.Supervisor.Abandoned _) -> true
+      | Some (Exec.Supervisor.Completed t) -> (
+          match t.Cosynth.Driver.certificate with
+          | Some (Cosynth.Driver.Stalled_out _) -> true
           | _ -> false)
+      | None -> false
     in
     match Exec.Shard.run ~max_respawns ~abandoned ~workers () with
     | Error e ->
@@ -1760,15 +1502,13 @@ let shard_cmd =
            folded. The coordinator's --trust-ledger gets it as one line at
            the base seed, inheriting across campaigns. *)
         let merged_trust =
-          if not trust then None
-          else
-            List.fold_left
-              (fun acc (i, _) ->
-                match (acc, shard_trust i) with
-                | None, e | e, None -> e
-                | Some a, Some b -> Some (Resilience.Trust.Ledger_store.merge a b))
-              None
-              (List.mapi (fun i s -> (i, s)) slices)
+          List.fold_left
+            (fun acc i ->
+              match (acc, shard_trust i) with
+              | None, e | e, None -> e
+              | Some a, Some b -> Some (Resilience.Trust.Ledger_store.merge a b))
+            None
+            (List.init (List.length slices) Fun.id)
         in
         (match (trust_ledger, merged_trust) with
         | Some path, Some e ->
@@ -1785,11 +1525,11 @@ let shard_cmd =
         (* Reprint the sequential sweep's summary block from the merged
            records: the coordinator's stdout (and the merged journal's
            bytes) must be indistinguishable from `cosynth chaos` run
-           unsharded — make shard-smoke and the S1 gate cmp both. *)
+           unsharded — the cram test and the S1 gate cmp both. *)
         let outcomes =
           List.map
             (fun (s, payload) ->
-              match chaos_decode payload with
+              match Cosynth.Driver.outcome_of_json payload with
               | Some o -> (s, o)
               | None ->
                   ( s,
@@ -1797,27 +1537,17 @@ let shard_cmd =
                       { attempts = 0; reason = "undecodable journal record" } ))
             report.Exec.Shard.merged
         in
-        let violations = print_sweep_summary ~chaos ~budget outcomes in
+        let violations =
+          print_sweep_summary ~chaos ~budget:(use_case_budget use_case) outcomes
+        in
         (* Stdout parity with a sequential trust-armed sweep: the same
            trust/quorum lines, folded from the coordinator ledger when one
            is kept (old campaigns included, as a resumed sequential ledger
            would fold them) or from this campaign's merged deltas alone. *)
         (if trust then
-           match trust_ledger with
-           | Some _ ->
-               print_trust_summary ~trust_ledger
-                 ~trust_before:(Resilience.Trust.snapshot ())
-                 ~quorum_before:(Resilience.Trust.quorum_snapshot ())
-                 ()
-           | None ->
-               let d, q =
-                 match merged_trust with
-                 | Some e ->
-                     ( e.Resilience.Trust.Ledger_store.counters,
-                       e.Resilience.Trust.Ledger_store.quorum )
-                 | None -> (Resilience.Trust.zero, Resilience.Trust.zero_quorum)
-               in
-               print_trust_lines d q);
+           match (load_ledger trust_ledger, merged_trust) with
+           | Some e, _ | None, Some e -> print_ledger_entry e
+           | None, None -> print_trust_lines Resilience.Trust.zero Resilience.Trust.zero_quorum);
         List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) violations;
         if violations <> [] then 1 else 0
   in
@@ -1825,50 +1555,6 @@ let shard_cmd =
     Arg.(
       value & opt int 2
       & info [ "shards" ] ~docv:"N" ~doc:"Worker processes to partition the seed range across.")
-  in
-  let use_case = use_case_conv ~default:`No_transit [ "use-case" ] in
-  let runs = Arg.(value & opt int 20 & info [ "runs" ] ~docv:"N") in
-  let routers = Arg.(value & opt int 7 & info [ "routers" ] ~docv:"N") in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Sweep base seed; also the fault-stream seed every worker is \
-                pinned to, so the sharded sweep equals the sequential one.")
-  in
-  let rate name doc = Arg.(value & opt float 0. & info [ name ] ~docv:"R" ~doc) in
-  let crash = rate "crash-rate" "Per-call crash probability, forwarded to every worker." in
-  let timeout = rate "timeout-rate" "Per-call timeout probability, forwarded to every worker." in
-  let flake = rate "flake-rate" "Per-call transient-failure probability, forwarded to every worker." in
-  let truncate = rate "truncate-rate" "Per-call truncated-findings probability, forwarded to every worker." in
-  let worker_loss = rate "worker-loss-rate" "Per-dispatch worker-domain-loss probability, forwarded to every worker." in
-  let worker_loss_in_flight =
-    rate "worker-loss-in-flight" "Fraction of domain losses striking mid-task, forwarded to every worker."
-  in
-  let lie_fn =
-    rate "lie-fn"
-      "Per-check verifier false-negative probability, forwarded to every \
-       worker (keyed on the coordinator's base seed, so the sharded lie \
-       stream equals the sequential one)."
-  in
-  let trust =
-    Arg.(
-      value & flag
-      & info [ "trust" ]
-          ~doc:"Arm the cross-check trust ledger in every worker; each \
-                shard records its deltas to $(b,--journal-dir)/shard-K-trust.jsonl \
-                and the coordinator merges them in seed order.")
-  in
-  let trust_ledger =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trust-ledger" ] ~docv:"FILE"
-          ~doc:"Coordinator trust ledger: its folded state is pre-seeded \
-                into every worker's per-shard ledger (so inherited \
-                quarantine is in force everywhere), and the merged deltas \
-                of the campaign are appended back as one line. Implies \
-                $(b,--trust).")
   in
   let dir =
     Arg.(
@@ -1909,9 +1595,10 @@ let shard_cmd =
           their journals, merge in seed order, and print the sequential \
           sweep's summary (exits nonzero on violations or unrecovered shards)")
     Term.(
-      const run $ shards $ use_case $ runs $ routers $ seed $ crash $ timeout
-      $ flake $ truncate $ worker_loss $ worker_loss_in_flight $ lie_fn $ trust
-      $ trust_ledger $ dir $ out $ max_respawns $ halt_first $ disk_chaos_term)
+      const run $ shards
+      $ sweep_term ~use_case:`No_transit ~routers:7
+      $ chaos_rates_term $ trust_term $ dir $ out $ max_respawns $ halt_first
+      $ disk_chaos_term)
 
 (* ------------------------------------------------------------------ *)
 (* serve / client                                                      *)
@@ -2445,13 +2132,7 @@ let fuzz_cmd =
         Printf.printf "promote-corpus: %d new bucket(s) written to %s\n"
           (List.length written) dir
     | None -> ());
-    (match triage_path with
-    | Some path ->
-        Resilience.Triage.record ~path ~seed ();
-        Printf.printf "triage: %d crash bucket(s) appended to %s\n"
-          (List.length (Resilience.Guard.crashes ()))
-          path
-    | None -> ());
+    record_triage ~seed triage_path;
     if !escapes > 0 then 1 else 0
   in
   let seeds_n = Arg.(value & opt int 4 & info [ "seeds" ] ~docv:"N") in

@@ -144,6 +144,87 @@ let transcript_of_json j =
         (list_exn (member_exn "events" j));
   }
 
+let degraded_rounds t =
+  List.length (List.filter (fun e -> e.origin = Degraded) t.events)
+
+(* The sweep-journal codec keeps the summary-relevant projection of each
+   supervised outcome. Certificates are emitted only when present, so
+   lie-free runs keep the exact pre-certificate line shape. *)
+let outcome_to_json (o : transcript Exec.Supervisor.outcome) =
+  let open Netcore.Json in
+  match o with
+  | Exec.Supervisor.Completed t ->
+      Obj
+        ([
+           ("ok", Bool true);
+           ("auto", Int t.auto_prompts);
+           ("human", Int t.human_prompts);
+           ("converged", Bool t.converged);
+           ("rounds", Int t.rounds);
+           ("degraded", Int (degraded_rounds t));
+         ]
+        @
+        match t.certificate with
+        | None -> []
+        | Some c ->
+            [
+              ( "certificate",
+                Obj
+                  (match c with
+                  | Converged -> [ ("kind", String "converged") ]
+                  | Stalled_out reason ->
+                      [ ("kind", String "stalled"); ("reason", String reason) ]
+                  | Oscillating period ->
+                      [ ("kind", String "oscillating"); ("period", Int period) ]) );
+            ])
+  | Exec.Supervisor.Abandoned { attempts; reason } ->
+      Obj [ ("ok", Bool false); ("attempts", Int attempts); ("reason", String reason) ]
+
+let outcome_of_json json =
+  let open Netcore.Json in
+  let mem f name j = Option.bind (member name j) f in
+  match mem to_bool "ok" json with
+  | Some true -> (
+      match
+        ( mem to_int "auto" json,
+          mem to_int "human" json,
+          mem to_bool "converged" json,
+          mem to_int "rounds" json,
+          mem to_int "degraded" json )
+      with
+      | Some auto, Some human, Some converged, Some rounds, Some degraded ->
+          let certificate =
+            Option.bind (member "certificate" json) (fun c ->
+                match mem to_str "kind" c with
+                | Some "converged" -> Some Converged
+                | Some "stalled" ->
+                    Option.map (fun r -> Stalled_out r) (mem to_str "reason" c)
+                | Some "oscillating" ->
+                    Option.map (fun p -> Oscillating p) (mem to_int "period" c)
+                | _ -> None)
+          in
+          (* Placeholder [Degraded] events make a replayed transcript
+             reprint the degraded-rounds line exactly. *)
+          let replayed =
+            { origin = Degraded; prompt = "(replayed from journal)"; note = "degraded" }
+          in
+          Some
+            (Exec.Supervisor.Completed
+               {
+                 events = List.init degraded (fun _ -> replayed);
+                 human_prompts = human;
+                 auto_prompts = auto;
+                 converged;
+                 rounds;
+                 certificate;
+               })
+      | _ -> None)
+  | Some false -> (
+      match (mem to_int "attempts" json, mem to_str "reason" json) with
+      | Some attempts, Some reason -> Some (Exec.Supervisor.Abandoned { attempts; reason })
+      | _ -> None)
+  | None -> None
+
 (* Per-loop adversary state: the Byzantine-LLM wrapper, the findings
    corruption layer, and the two convergence monitors. Present only when a
    non-trivial spec was passed — every [None] check below is the rate-0

@@ -78,6 +78,21 @@ val transcript_of_json : Netcore.Json.t -> transcript
     round-trips, so a journaled bench sweep reprints replayed transcripts
     byte-identically). Raises [Invalid_argument] on shape mismatch. *)
 
+val degraded_rounds : transcript -> int
+(** The transcript's [Degraded] annotations: verifier rounds the human
+    ran by hand. *)
+
+val outcome_to_json : transcript Exec.Supervisor.outcome -> Netcore.Json.t
+(** The journal line of a supervised sweep seed ([cosynth chaos], the
+    [cosynth shard] workers, the C2 gate): prompt counts, convergence,
+    rounds, degraded rounds and the certificate of a completed run, or
+    the attempts and reason of an abandoned one. *)
+
+val outcome_of_json : Netcore.Json.t -> transcript Exec.Supervisor.outcome option
+(** Inverse of {!outcome_to_json} up to event text: a replayed transcript
+    carries one placeholder [Degraded] event per degraded round, so every
+    summary line reprints identically. [None] on shape mismatch. *)
+
 (** {2 Use case 1: Cisco → Juniper translation} *)
 
 type class_outcome = {
