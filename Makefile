@@ -8,13 +8,13 @@ build:
 test:
 	dune runtest
 
-# Build + tests + one-seed smoke run of the bench harness (exercises the
-# parallel sweep plumbing end-to-end) + the full-scale chaos sweep + a
-# small-budget fuzz pass + smoke-budget adversary, adversary-verifier,
-# serve, serve-overload and durability gates (the check alias runs all
-# eight bench modes) + the shard, serve, serve-overload,
-# adversary-verifier and durable end-to-end smokes.
-check: shard-smoke serve-smoke serve-overload-smoke adversary-verifier-smoke adversary-collusion-smoke durable-smoke
+# Build + tests (the cram test test/sweep_cli.t pins the chaos, adversary
+# and shard CLIs, their kill/resume drills and refusals) + every bench
+# gate through the check alias in bench/dune (one-seed smoke run, chaos,
+# fuzz, adversary, adversary-verifier, adversary-collusion, serve,
+# serve-overload, durability) + the shard, serve, serve-overload and
+# durable end-to-end drills against the real binary.
+check: shard-smoke serve-smoke serve-overload-smoke durable-smoke
 	dune build @check
 
 bench:
@@ -47,47 +47,23 @@ adversary:
 # engine armed at all-zero rates, then a lie-mode x rate x trust-on/off
 # sweep pinning that cross-checks against the raw oracle restore the
 # verified end state a lying verifier destroys — within the per-run check
-# budget, with trust-off runs spending nothing) + a CLI drill that a
-# heavy false-negative liar ends up quarantined.
-adversary-verifier-smoke: build
+# budget, with trust-off runs spending nothing). `make check` runs it via
+# the check alias; the CLI drill of a quarantined heavy liar is pinned in
+# test/sweep_cli.t.
+adversary-verifier-smoke:
 	dune exec bench/main.exe -- --adversary-verifier --smoke
-	$(CLI) adversary --runs 4 --lie-fn 0.9 --trust | grep -Eq 'quarantines=[1-9]'
-	@echo "adversary-verifier-smoke: lies detected, liar quarantined, runs verified"
 
 # The collusion gate: A3 (the rate-0 / honest-quorum / restored-ledger
 # byte-identity pins, then the verified-rate headline across oracle-only /
 # quorum K=4 / quorum K=3 defenses against a coalition that owns the
-# cross-check oracle) + a CLI drill that a 3-kind coalition including the
-# oracle gets the oracle quarantined while every run still converges + the
-# persistent-ledger crash drill — a collusion sweep killed mid-run via
-# --halt-after (exit 3) and resumed from its journal AND trust ledger must
-# reproduce both the uninterrupted sweep's stdout and its final ledger
-# byte-for-byte, proving quarantine state survives the restart.
-COLLUDE_TMP := $(shell mktemp -d)
-COLLUDE_ARGS := --runs 8 --seed 9980 --collude parse-check,campion \
-  --collude-oracle --collude-rate 0.35
-adversary-collusion-smoke: build
+# cross-check oracle). `make check` runs it via the check alias; the CLI
+# drills — a 3-kind coalition including the oracle gets the oracle
+# quarantined while every run converges, and a collusion sweep killed
+# mid-run and resumed from its journal and trust ledger reproduces the
+# uninterrupted stdout and ledger byte-for-byte — are pinned in
+# test/sweep_cli.t.
+adversary-collusion-smoke:
 	dune exec bench/main.exe -- --adversary-collusion --smoke
-	$(CLI) adversary --runs 6 --seed 9980 \
-	  --collude parse-check,route-policies,bgp-sim --collude-oracle \
-	  --collude-rate 0.35 --trust > $(COLLUDE_TMP)/drill.out
-	grep -Eq 'converged=6' $(COLLUDE_TMP)/drill.out
-	grep -Eq 'oracle-quarantines=[1-9]' $(COLLUDE_TMP)/drill.out
-	$(CLI) adversary $(COLLUDE_ARGS) \
-	  --trust-ledger $(COLLUDE_TMP)/full-trust.jsonl \
-	  --journal $(COLLUDE_TMP)/full.jsonl > $(COLLUDE_TMP)/full.out 2>/dev/null
-	sh -c '$(CLI) adversary $(COLLUDE_ARGS) \
-	  --trust-ledger $(COLLUDE_TMP)/trust.jsonl \
-	  --journal $(COLLUDE_TMP)/sweep.jsonl --halt-after 4 \
-	  > $(COLLUDE_TMP)/halted.out 2>/dev/null; test $$? -eq 3'
-	$(CLI) adversary $(COLLUDE_ARGS) \
-	  --trust-ledger $(COLLUDE_TMP)/trust.jsonl \
-	  --journal $(COLLUDE_TMP)/sweep.jsonl --resume \
-	  > $(COLLUDE_TMP)/resumed.out 2>/dev/null
-	cmp $(COLLUDE_TMP)/full.out $(COLLUDE_TMP)/resumed.out
-	cmp $(COLLUDE_TMP)/full-trust.jsonl $(COLLUDE_TMP)/trust.jsonl
-	@rm -rf $(COLLUDE_TMP)
-	@echo "adversary-collusion-smoke: coalition overruled, oracle quarantined, ledger survives the crash"
 
 # The service-mode gate: S1 (the same synthesis jobs through a warm
 # in-process `serve` daemon vs cold per-job pool + memo startup; fails on
@@ -131,15 +107,13 @@ serve-smoke: build
 	@rm -rf $(SERVE_TMP)
 	@echo "serve-smoke: daemon served every job kind and shut down cleanly"
 
-# Service hardening end-to-end: the S2 overload gate (admission, deadline,
-# drain invariants against the in-process daemon) followed by the
-# supervisor smoke — crash the daemon via the debug `crash` job, let the
-# supervisor respawn it, confirm the restart count in `health`, then drain
-# and demand the socket gone. Same direct-binary discipline as
+# Service hardening end-to-end (the S2 overload gate itself runs in the
+# check alias): the supervisor smoke — crash the daemon via the debug
+# `crash` job, let the supervisor respawn it, confirm the restart count in
+# `health`, then drain and demand the socket gone. Same direct-binary discipline as
 # serve-smoke: a backgrounded `dune exec` would hold the dune lock.
 OVERLOAD_TMP := $(shell mktemp -d)
 serve-overload-smoke: build
-	dune exec bench/main.exe -- --serve-overload --smoke
 	$(CLI) serve --socket $(OVERLOAD_TMP)/cosynth.sock --supervise \
 	  --debug-jobs --triage $(OVERLOAD_TMP)/triage.jsonl \
 	  > $(OVERLOAD_TMP)/serve.out 2>&1 & \
@@ -156,7 +130,7 @@ serve-overload-smoke: build
 	$(CLI) triage $(OVERLOAD_TMP)/triage.jsonl | grep -q Deadline_exceeded && \
 	wait
 	@rm -rf $(OVERLOAD_TMP)
-	@echo "serve-overload-smoke: overload gate, crash/respawn, deadline, drain all clean"
+	@echo "serve-overload-smoke: crash/respawn, deadline, drain all clean"
 
 # The durability gate: D1 — every persistence surface (checkpoint
 # journal, trust ledger, crash triage, corpus promotion) killed at every
@@ -168,11 +142,11 @@ serve-overload-smoke: build
 durable:
 	dune exec bench/main.exe -- --durable
 
-# Durable-state end-to-end against the real binary: D1 at smoke budget,
-# then four drills. (1) a journaled chaos sweep killed by an injected
-# disk crash (exit 3, the kill/resume convention) and resumed fault-off:
-# stdout and the LWW-compacted journal must be byte-identical to an
-# intact run's. (2) the same sweep under silent torn writes: stdout
+# Durable-state end-to-end against the real binary (the D1 gate itself
+# runs in the check alias): four drills. (1) a journaled chaos sweep
+# killed by an injected disk crash (exit 3, the kill/resume convention)
+# and resumed fault-off: stdout and the LWW-compacted journal must be
+# byte-identical to an intact run's. (2) the same sweep under silent torn writes: stdout
 # unaffected, `fsck` counts the damage (exit 1), a resume re-runs
 # exactly the torn seeds and the compacted record sets converge (sorted
 # compare: re-run seeds land at the tail, order is not part of the
@@ -182,15 +156,12 @@ durable:
 # collusion sweep's trust ledger killed mid-fsync and resumed: the final
 # ledger is byte-identical to the intact run's. Plus the SIGHUP
 # hot-reload hardening: a truncated admission file must be rejected
-# (reload_rejected=1 in health) with the old caps kept in force. And a
-# `--resume` without `--journal` is refused (exit 2) before any file is
-# opened: no trust ledger is left behind.
+# (reload_rejected=1 in health) with the old caps kept in force.
 DURABLE_TMP := $(shell mktemp -d)
 DURABLE_CHAOS := chaos --use-case no-transit --runs 6 --routers 5 --flake-rate 0.1
 DURABLE_ADV := adversary --runs 6 --seed 9980 --collude parse-check,campion \
   --collude-oracle --collude-rate 0.35
 durable-smoke: build
-	dune exec bench/main.exe -- --durable --smoke
 	$(CLI) $(DURABLE_CHAOS) --journal $(DURABLE_TMP)/full.jsonl \
 	  > $(DURABLE_TMP)/full.out 2>/dev/null
 	sh -c '$(CLI) $(DURABLE_CHAOS) --journal $(DURABLE_TMP)/sweep.jsonl \
@@ -231,11 +202,6 @@ durable-smoke: build
 	$(CLI) fsck $(DURABLE_TMP)/trust.jsonl --lww > /dev/null
 	$(CLI) fsck $(DURABLE_TMP)/full-trust.jsonl --lww > /dev/null
 	cmp $(DURABLE_TMP)/full-trust.jsonl $(DURABLE_TMP)/trust.jsonl
-	sh -c '$(CLI) chaos --runs 2 --resume --trust-ledger $(DURABLE_TMP)/rejected.jsonl \
-	  > /dev/null 2>&1; test $$? -eq 2'
-	sh -c '$(CLI) adversary --runs 2 --resume --trust-ledger $(DURABLE_TMP)/rejected.jsonl \
-	  > /dev/null 2>&1; test $$? -eq 2'
-	test ! -e $(DURABLE_TMP)/rejected.jsonl
 	sh -c 'echo "{\"max_in_flight\": 4}" > $(DURABLE_TMP)/caps.json; \
 	  $(CLI) serve --socket $(DURABLE_TMP)/reload.sock \
 	    --admission-file $(DURABLE_TMP)/caps.json > /dev/null 2>&1 & pid=$$!; \
@@ -247,7 +213,7 @@ durable-smoke: build
 	  $(CLI) client --socket $(DURABLE_TMP)/reload.sock shutdown > /dev/null; \
 	  wait $$pid; test $$ok -eq 0'
 	@rm -rf $(DURABLE_TMP)
-	@echo "durable-smoke: disk crashes recovered, torn writes contained, shards respawned, ledger survived, truncated reload rejected, rejected resume left no ledger"
+	@echo "durable-smoke: disk crashes recovered, torn writes contained, shards respawned, ledger survived, truncated reload rejected"
 
 # Judge the working tree against BASE with the repository benchmark:
 # PAIRS pairs of 20 s untraced WORKLOAD runs, one on BASE and one on the

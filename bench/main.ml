@@ -788,21 +788,9 @@ let table_c1 () =
        ~header:[ "crash rate"; "auto"; "human"; "leverage"; "converged"; "degraded" ]
        crash_rows);
   print_newline ();
-  let totals = Cosynth.Metrics.verifier_totals perf in
   print_string
-    (Cosynth.Report.table ~title:"Per-verifier resilience counters (whole sweep)"
-       ~header:Cosynth.Metrics.verifier_header
-       (Cosynth.Metrics.verifier_rows perf)
-       ~footer:
-         [
-           "total";
-           string_of_int totals.Resilience.Stats.attempts;
-           string_of_int totals.Resilience.Stats.retries;
-           string_of_int totals.Resilience.Stats.failures;
-           string_of_int totals.Resilience.Stats.breaker_trips;
-           string_of_int totals.Resilience.Stats.degraded;
-           string_of_int totals.Resilience.Stats.max_attempts;
-         ]);
+    (Cosynth.Metrics.verifier_table ~title:"Per-verifier resilience counters (whole sweep)"
+       perf);
   Printf.printf "\n  rate-0 transcripts byte-identical to the unwrapped loops: %b\n"
     identical;
   if not identical then violation "rate-0 chaos transcripts differ from the unwrapped loops";

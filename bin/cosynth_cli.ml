@@ -410,21 +410,8 @@ let prove_cmd =
 (* shared sweep plumbing (leverage / chaos / adversary / shard)        *)
 (* ------------------------------------------------------------------ *)
 
-let verifier_stats_footer perf =
-  let totals = Cosynth.Metrics.verifier_totals perf in
-  Cosynth.Report.table ~title:"per-verifier resilience counters"
-    ~header:Cosynth.Metrics.verifier_header
-    (Cosynth.Metrics.verifier_rows perf)
-    ~footer:
-      [
-        "total";
-        string_of_int totals.Resilience.Stats.attempts;
-        string_of_int totals.Resilience.Stats.retries;
-        string_of_int totals.Resilience.Stats.failures;
-        string_of_int totals.Resilience.Stats.breaker_trips;
-        string_of_int totals.Resilience.Stats.degraded;
-        string_of_int totals.Resilience.Stats.max_attempts;
-      ]
+let verifier_stats_footer =
+  Cosynth.Metrics.verifier_table ~title:"per-verifier resilience counters"
 
 let use_case_name = function
   | `Translation -> "translation"

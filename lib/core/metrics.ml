@@ -165,8 +165,22 @@ let verifier_rows p =
           ])
     p.verifier
 
-let verifier_header =
-  [ "verifier"; "attempts"; "retries"; "failures"; "trips"; "degraded"; "max att" ]
+let verifier_table ~title p =
+  let t = verifier_totals p in
+  Report.table ~title
+    ~header:[ "verifier"; "attempts"; "retries"; "failures"; "trips"; "degraded"; "max att" ]
+    (verifier_rows p)
+    ~footer:
+      ("total"
+      :: List.map string_of_int
+           [
+             t.Resilience.Stats.attempts;
+             t.Resilience.Stats.retries;
+             t.Resilience.Stats.failures;
+             t.Resilience.Stats.breaker_trips;
+             t.Resilience.Stats.degraded;
+             t.Resilience.Stats.max_attempts;
+           ])
 
 let trust_totals p = Resilience.Trust.totals p.trust
 

@@ -79,15 +79,11 @@ val measure : ?pool:Exec.Pool.t -> (unit -> 'a) -> 'a * perf
 
 val memo_hit_rate : perf -> float
 
-val verifier_totals : perf -> Resilience.Stats.counters
-(** Sum of the per-verifier deltas. *)
-
-val verifier_rows : perf -> string list list
-(** Rows for {!Report.table} under {!verifier_header}, one per verifier
-    kind that saw any activity during the section (all-zero kinds are
-    dropped so a chaos-free run renders an empty table). *)
-
-val verifier_header : string list
+val verifier_table : title:string -> perf -> string
+(** The per-verifier resilience counters as a {!Report.table}: one row per
+    verifier kind that saw any activity during the section (all-zero kinds
+    are dropped so a chaos-free run renders an empty table), under a
+    totals footer. *)
 
 val trust_totals : perf -> Resilience.Trust.counters
 (** Sum of the per-kind trust deltas. *)

@@ -97,22 +97,3 @@ let reset () =
   misses := 0;
   evictions := 0;
   Mutex.unlock lock
-
-let reset_stats () =
-  Mutex.lock lock;
-  hits := 0;
-  misses := 0;
-  Mutex.unlock lock
-
-(* A scope is just the counter values at its creation; its stats are the
-   deltas since. Scopes nest and overlap freely, and unlike [reset_stats]
-   they cannot disturb a concurrent phase's accounting. *)
-type scope = { hits0 : int; misses0 : int }
-
-let scope () =
-  let s = stats () in
-  { hits0 = s.hits; misses0 = s.misses }
-
-let scope_stats sc =
-  let s = stats () in
-  { s with hits = s.hits - sc.hits0; misses = s.misses - sc.misses0 }

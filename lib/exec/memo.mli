@@ -20,12 +20,12 @@ val check_result :
   string ->
   parse:(unit -> (Policy.Config_ir.t * Netcore.Diag.t list, 'e) result) ->
   (Policy.Config_ir.t * Netcore.Diag.t list, 'e) result
-(** The failure-aware entry the resilience layer uses: consult the cache;
-    on a miss run [parse]. The table is {e success-only} — only [Ok]
-    results are cached, and an [Error] (a crashed, flaky or truncated
-    verifier call) bypasses the table untouched, so a transient fault can
-    never be memoized as truth. A bypassed failure still counts as a miss
-    in {!stats}. *)
+(** The failure-aware seam under {!check}, which the tests use to drive
+    eviction and failed parses: consult the cache; on a miss run [parse].
+    The table is {e success-only} — only [Ok] results are cached, and an
+    [Error] (a crashed, flaky or truncated verifier call) bypasses the
+    table untouched, so a transient fault can never be memoized as truth.
+    A bypassed failure still counts as a miss in {!stats}. *)
 
 type stats = {
   hits : int;
@@ -48,18 +48,3 @@ val hit_rate : stats -> float
 val reset : unit -> unit
 (** Drop every entry and zero the counters (used between bench sections so
     per-experiment hit rates are meaningful). *)
-
-val reset_stats : unit -> unit
-(** Zero the hit/miss counters but keep the table — per-phase hit rates
-    without sacrificing the warm cache (dropping it would also change the
-    phase's own hit rate). *)
-
-type scope
-(** A counter snapshot; the non-destructive alternative to {!reset_stats}
-    when phases can overlap (a bench section while a sweep is in flight). *)
-
-val scope : unit -> scope
-
-val scope_stats : scope -> stats
-(** Hits/misses accumulated since {!scope} (entries is the current table
-    size). *)

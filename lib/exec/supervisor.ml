@@ -12,11 +12,10 @@ let default_policy = { max_attempts = 4 }
 type loss = At_dispatch | In_flight
 type plan = index:int -> attempt:int -> loss option
 
-(* ------------------------------------------------------------------ *)
-(* Process-wide counters (same discipline as Resilience.Stats: global   *)
-(* atomics that aggregate across every supervised map and every worker  *)
-(* domain; they feed the bench report and never influence control flow) *)
-(* ------------------------------------------------------------------ *)
+(* Process-wide counters: one immutable record replaced whole under one
+   lock (the Resilience.Stats idiom), aggregated across every supervised
+   map and every worker domain. They feed the bench report and never
+   influence control flow. *)
 
 type counters = {
   dispatched : int;
@@ -37,22 +36,10 @@ let zero =
     abandoned = 0;
   }
 
-let c_dispatched = Atomic.make 0
-let c_completed = Atomic.make 0
-let c_losses = Atomic.make 0
-let c_requeues = Atomic.make 0
-let c_exceptions = Atomic.make 0
-let c_abandoned = Atomic.make 0
-
-let stats () =
-  {
-    dispatched = Atomic.get c_dispatched;
-    completed = Atomic.get c_completed;
-    losses = Atomic.get c_losses;
-    requeues = Atomic.get c_requeues;
-    task_exceptions = Atomic.get c_exceptions;
-    abandoned = Atomic.get c_abandoned;
-  }
+let lock = Mutex.create ()
+let counters = ref zero
+let stats () = Mutex.protect lock (fun () -> !counters)
+let bump f = Mutex.protect lock (fun () -> counters := f !counters)
 
 let diff a b =
   {
@@ -63,11 +50,6 @@ let diff a b =
     task_exceptions = b.task_exceptions - a.task_exceptions;
     abandoned = b.abandoned - a.abandoned;
   }
-
-let reset () =
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [ c_dispatched; c_completed; c_losses; c_requeues; c_exceptions; c_abandoned ]
 
 (* ------------------------------------------------------------------ *)
 (* The supervision loop                                                 *)
@@ -85,7 +67,7 @@ let reset () =
 let run_one ?pool ?plan ?(policy = default_policy) ~index f =
   let budget = Stdlib.max 1 policy.max_attempts in
   let rec go attempt =
-    Atomic.incr c_dispatched;
+    bump (fun c -> { c with dispatched = c.dispatched + 1 });
     let lost = match plan with Some p -> p ~index ~attempt | None -> None in
     match lost with
     | Some mode ->
@@ -94,10 +76,10 @@ let run_one ?pool ?plan ?(policy = default_policy) ~index f =
          value — and a body that raises changes nothing, the domain was
          dying anyway. *)
       (if mode = In_flight then try ignore (f ()) with _ -> ());
-      Atomic.incr c_losses;
+      bump (fun c -> { c with losses = c.losses + 1 });
       (match pool with Some p -> Pool.lose_current_worker p | None -> ());
       if attempt >= budget then begin
-        Atomic.incr c_abandoned;
+        bump (fun c -> { c with abandoned = c.abandoned + 1 });
         Abandoned
           {
             attempts = attempt;
@@ -107,22 +89,22 @@ let run_one ?pool ?plan ?(policy = default_policy) ~index f =
           }
       end
       else begin
-        Atomic.incr c_requeues;
+        bump (fun c -> { c with requeues = c.requeues + 1 });
         go (attempt + 1)
       end
     | None -> (
       match f () with
       | v ->
-          Atomic.incr c_completed;
+          bump (fun c -> { c with completed = c.completed + 1 });
           Completed v
       | exception e ->
-          Atomic.incr c_exceptions;
+          bump (fun c -> { c with task_exceptions = c.task_exceptions + 1 });
           if attempt >= budget then begin
-            Atomic.incr c_abandoned;
+            bump (fun c -> { c with abandoned = c.abandoned + 1 });
             Abandoned { attempts = attempt; reason = Printexc.to_string e }
           end
           else begin
-            Atomic.incr c_requeues;
+            bump (fun c -> { c with requeues = c.requeues + 1 });
             go (attempt + 1)
           end)
   in

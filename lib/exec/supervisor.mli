@@ -78,9 +78,10 @@ val map :
 
 (** {2 Process-wide counters}
 
-    Global atomics like [Resilience.Stats]: they aggregate across every
-    supervised map and every worker domain since the last {!reset}, feed
-    [Cosynth.Metrics.perf], and never influence control flow. *)
+    One record under one lock, like [Resilience.Stats]: it aggregates
+    across every supervised map and every worker domain since process
+    start, feeds [Cosynth.Metrics.perf], and never influences control
+    flow. *)
 
 type counters = {
   dispatched : int;  (** Task dispatches, including re-dispatches. *)
@@ -95,5 +96,3 @@ val zero : counters
 val stats : unit -> counters
 val diff : counters -> counters -> counters
 (** [diff before after]: the deltas for a measured section. *)
-
-val reset : unit -> unit

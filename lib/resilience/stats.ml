@@ -27,49 +27,28 @@ let add a b =
     max_attempts = Stdlib.max a.max_attempts b.max_attempts;
   }
 
-let n_kinds = List.length Verifier.all_kinds
-let cell () = Array.init n_kinds (fun _ -> Atomic.make 0)
-let attempts = cell ()
-let retries = cell ()
-let failures = cell ()
-let trips = cell ()
-let degraded = cell ()
-let max_att = cell ()
+(* One immutable record per kind, replaced whole under one lock: a bump
+   never loses a concurrent update, and a snapshot is one consistent view
+   across every kind. *)
+let lock = Mutex.create ()
+let cells = Array.make (List.length Verifier.all_kinds) zero
 
-let bump arr kind = Atomic.incr arr.(Verifier.kind_index kind)
-
-let record_attempt = bump attempts
-let record_retry = bump retries
-let record_failure = bump failures
-let record_trip = bump trips
-let record_degraded = bump degraded
-
-(* A high-water gauge, not a counter: the deepest single call (in attempts)
-   seen for this kind since the last [reset]. CAS max keeps it exact under
-   parallel sweeps. *)
-let record_call_attempts kind n =
-  let a = max_att.(Verifier.kind_index kind) in
-  let rec update () =
-    let cur = Atomic.get a in
-    if n > cur && not (Atomic.compare_and_set a cur n) then update ()
-  in
-  update ()
-
-let read kind =
+let update kind f =
   let i = Verifier.kind_index kind in
-  {
-    attempts = Atomic.get attempts.(i);
-    retries = Atomic.get retries.(i);
-    failures = Atomic.get failures.(i);
-    breaker_trips = Atomic.get trips.(i);
-    degraded = Atomic.get degraded.(i);
-    max_attempts = Atomic.get max_att.(i);
-  }
+  Mutex.protect lock (fun () -> cells.(i) <- f cells.(i))
 
-let snapshot () = List.map (fun k -> (k, read k)) Verifier.all_kinds
+let record_attempt k = update k (fun c -> { c with attempts = c.attempts + 1 })
+let record_retry k = update k (fun c -> { c with retries = c.retries + 1 })
+let record_failure k = update k (fun c -> { c with failures = c.failures + 1 })
+let record_trip k = update k (fun c -> { c with breaker_trips = c.breaker_trips + 1 })
+let record_degraded k = update k (fun c -> { c with degraded = c.degraded + 1 })
 
-let totals () =
-  List.fold_left (fun acc (_, c) -> add acc c) zero (snapshot ())
+let record_call_attempts k n =
+  update k (fun c -> { c with max_attempts = Stdlib.max c.max_attempts n })
+
+let snapshot () =
+  Mutex.protect lock (fun () ->
+      List.map (fun k -> (k, cells.(Verifier.kind_index k))) Verifier.all_kinds)
 
 let diff before after =
   List.map
@@ -87,8 +66,3 @@ let diff before after =
           max_attempts = (if a.attempts > b.attempts then a.max_attempts else 0);
         } ))
     after
-
-let reset () =
-  List.iter
-    (fun arr -> Array.iter (fun a -> Atomic.set a 0) arr)
-    [ attempts; retries; failures; trips; degraded; max_att ]

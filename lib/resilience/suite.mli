@@ -1,11 +1,10 @@
 (** The standard wrapped verifier suite for one resilience context.
 
     One armed {!Verifier.t} per checker the local VPP loops call. The
-    syntax check's oracle goes through {!Exec.Memo.check_result}, whose
-    table only ever holds successful parses — the chaos gate runs {e
-    before} the cache is consulted, so an injected fault bypasses the table
-    (and can never be memoized as truth) and cache state can never shift
-    the fault schedule.
+    syntax check's oracle is {!Exec.Memo.check}, wrapped inside the chaos
+    gate: the gate runs {e before} the cache is consulted, so an injected
+    fault never reaches the table (and can never be memoized as truth) and
+    cache state can never shift the fault schedule.
 
     The Campion oracle is {!Campion.Differ.check} on one checker owned by
     the suite, so one loop's drafts share its memoised policy and ACL

@@ -1,32 +1,18 @@
-type config = {
-  initial : float;
-  debit : float;
-  credit : float;
-  threshold : float;
-  probation : int;
-  check_budget : int;
-  quorum : int;
-  audit_budget : int;
-}
+type config = { probation : int; check_budget : int; quorum : int; audit_budget : int }
 
-let default_config =
-  {
-    initial = 1.0;
-    debit = 0.4;
-    credit = 0.02;
-    threshold = 0.5;
-    probation = 3;
-    check_budget = 16;
-    quorum = 4;
-    audit_budget = 8;
-  }
+let default_config = { probation = 3; check_budget = 16; quorum = 4; audit_budget = 8 }
+
+(* The score scale: every cell starts at (and is capped by) [initial], a
+   disagreement debits [debit], an agreement credits [credit], and a cell
+   below [threshold] is quarantined — so two disagreements quarantine a
+   kind. *)
+let initial = 1.0
+let debit = 0.4
+let credit = 0.02
+let threshold = 0.5
 
 let clamp_config c =
   {
-    initial = Float.max 0.0 c.initial;
-    debit = Float.max 0.0 c.debit;
-    credit = Float.max 0.0 c.credit;
-    threshold = Float.max 0.0 c.threshold;
     probation = max 1 c.probation;
     check_budget = max 0 c.check_budget;
     quorum = max 2 c.quorum;
@@ -34,8 +20,9 @@ let clamp_config c =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Global counters (Stats idiom): per-kind atomics, read by the bench   *)
-(* harness and the CLI via snapshot diffs.                             *)
+(* Global counters: one record per kind plus the quorum record, each    *)
+(* replaced whole under one lock, read by the bench harness and the CLI *)
+(* via snapshot diffs.                                                  *)
 (* ------------------------------------------------------------------ *)
 
 type counters = {
@@ -77,60 +64,10 @@ let diff_counters a b =
     probation_runs = a.probation_runs - b.probation_runs;
   }
 
-type global_cell = {
-  g_checks : int Atomic.t;
-  g_agree : int Atomic.t;
-  g_disagree : int Atomic.t;
-  g_quarantines : int Atomic.t;
-  g_restores : int Atomic.t;
-  g_probation : int Atomic.t;
-}
-
-let n_kinds = List.length Verifier.all_kinds
-
-let globals =
-  Array.init n_kinds (fun _ ->
-      {
-        g_checks = Atomic.make 0;
-        g_agree = Atomic.make 0;
-        g_disagree = Atomic.make 0;
-        g_quarantines = Atomic.make 0;
-        g_restores = Atomic.make 0;
-        g_probation = Atomic.make 0;
-      })
-
-let bump cell = Atomic.incr cell
-
-type snapshot = (Verifier.kind * counters) list
-
-let snapshot () : snapshot =
-  List.map
-    (fun kind ->
-      let g = globals.(Verifier.kind_index kind) in
-      ( kind,
-        {
-          cross_checks = Atomic.get g.g_checks;
-          agreements = Atomic.get g.g_agree;
-          disagreements = Atomic.get g.g_disagree;
-          quarantines = Atomic.get g.g_quarantines;
-          restores = Atomic.get g.g_restores;
-          probation_runs = Atomic.get g.g_probation;
-        } ))
-    Verifier.all_kinds
-
-let diff (after : snapshot) (before : snapshot) : snapshot =
-  List.map2
-    (fun (k, a) (k', b) ->
-      assert (k = k');
-      (k, diff_counters a b))
-    after before
-
-let totals (s : snapshot) = List.fold_left (fun acc (_, c) -> add acc c) zero s
-
 (* Quorum activity is tallied separately from the PR 8 counters above so
    that runs without collusion keep the historical trust rows and summary
-   lines byte-identical. One process-wide cell (not per-kind): the oracle
-   is a single shared service. *)
+   lines byte-identical. One record (not per-kind): the oracle is a single
+   shared service. *)
 
 type quorum_counters = {
   audits : int;
@@ -171,43 +108,36 @@ let diff_quorum a b =
     oracle_probations = a.oracle_probations - b.oracle_probations;
   }
 
-let q_audits = Atomic.make 0
-let q_overruled = Atomic.make 0
-let q_outvoted = Atomic.make 0
-let q_oracle_quarantines = Atomic.make 0
-let q_oracle_restores = Atomic.make 0
-let q_oracle_probations = Atomic.make 0
+let n_kinds = List.length Verifier.all_kinds
+let lock = Mutex.create ()
+let tallies = Array.make n_kinds zero
+let quorum_tally = ref zero_quorum
 
-let quorum_snapshot () =
-  {
-    audits = Atomic.get q_audits;
-    overruled = Atomic.get q_overruled;
-    outvoted = Atomic.get q_outvoted;
-    oracle_quarantines = Atomic.get q_oracle_quarantines;
-    oracle_restores = Atomic.get q_oracle_restores;
-    oracle_probations = Atomic.get q_oracle_probations;
-  }
+let tally kind f =
+  let i = Verifier.kind_index kind in
+  Mutex.protect lock (fun () -> tallies.(i) <- f tallies.(i))
+
+let tally_quorum f = Mutex.protect lock (fun () -> quorum_tally := f !quorum_tally)
+
+type snapshot = (Verifier.kind * counters) list
+
+let snapshot () : snapshot =
+  Mutex.protect lock (fun () ->
+      List.map (fun k -> (k, tallies.(Verifier.kind_index k))) Verifier.all_kinds)
+
+let diff (after : snapshot) (before : snapshot) : snapshot =
+  List.map2
+    (fun (k, a) (k', b) ->
+      assert (k = k');
+      (k, diff_counters a b))
+    after before
+
+let totals (s : snapshot) = List.fold_left (fun acc (_, c) -> add acc c) zero s
+let quorum_snapshot () = Mutex.protect lock (fun () -> !quorum_tally)
 
 let quorum_active c =
   c.audits <> 0 || c.overruled <> 0 || c.outvoted <> 0 || c.oracle_quarantines <> 0
   || c.oracle_restores <> 0 || c.oracle_probations <> 0
-
-let reset_globals () =
-  Array.iter
-    (fun g ->
-      Atomic.set g.g_checks 0;
-      Atomic.set g.g_agree 0;
-      Atomic.set g.g_disagree 0;
-      Atomic.set g.g_quarantines 0;
-      Atomic.set g.g_restores 0;
-      Atomic.set g.g_probation 0)
-    globals;
-  Atomic.set q_audits 0;
-  Atomic.set q_overruled 0;
-  Atomic.set q_outvoted 0;
-  Atomic.set q_oracle_quarantines 0;
-  Atomic.set q_oracle_restores 0;
-  Atomic.set q_oracle_probations 0
 
 (* ------------------------------------------------------------------ *)
 (* Per-run ledger                                                      *)
@@ -228,106 +158,55 @@ type t = {
   oracle_cell : cell;
   audits_by_kind : int array;
   mutable audits_spent : int;
-  mutable collusions_detected : int;
-  mutable oracle_quarantine_count : int;
-  mutable oracle_restore_count : int;
   mutable checks_spent : int;
-  mutable lies_detected : int;
-  mutable quarantine_count : int;
-  mutable restore_count : int;
 }
 
+(* [last_dirty] starts true: an unvetted kind's first clean pass is itself
+   suspicious — a first-round false negative must not slip through
+   unchecked. *)
+let fresh_cell () = { score = initial; quarantined = false; streak = 0; last_dirty = true }
+
 let create cfg =
-  let cfg = clamp_config cfg in
   {
-    cfg;
-    cells =
-      Array.init n_kinds (fun _ ->
-          (* [last_dirty] starts true: an unvetted kind's first clean pass
-             is itself suspicious — a first-round false negative must not
-             slip through unchecked. *)
-          { score = cfg.initial; quarantined = false; streak = 0; last_dirty = true });
-    oracle_cell = { score = cfg.initial; quarantined = false; streak = 0; last_dirty = true };
+    cfg = clamp_config cfg;
+    cells = Array.init n_kinds (fun _ -> fresh_cell ());
+    oracle_cell = fresh_cell ();
     audits_by_kind = Array.make n_kinds 0;
     audits_spent = 0;
-    collusions_detected = 0;
-    oracle_quarantine_count = 0;
-    oracle_restore_count = 0;
     checks_spent = 0;
-    lies_detected = 0;
-    quarantine_count = 0;
-    restore_count = 0;
   }
 
-let config_of t = t.cfg
 let derive t = create t.cfg
 let cell t kind = t.cells.(Verifier.kind_index kind)
 let quarantined t kind = (cell t kind).quarantined
 let score t kind = (cell t kind).score
 let checks_spent t = t.checks_spent
-let lies_detected t = t.lies_detected
-let quarantine_count t = t.quarantine_count
-let restore_count t = t.restore_count
 let oracle_quarantined t = t.oracle_cell.quarantined
 let oracle_score t = t.oracle_cell.score
 let audits_spent t = t.audits_spent
-let collusions_detected t = t.collusions_detected
 
-let should_check t kind ~dirty =
-  let c = cell t kind in
-  let suspicious = dirty || c.last_dirty in
-  c.last_dirty <- dirty;
-  if c.quarantined then false
-  else if t.oracle_cell.quarantined then begin
-    (* Alert mode: a quarantined oracle is categorical evidence of an
-       active coalition with unknown membership, so every answer is
-       suspicious — and free: the check budget bounds voluntary calls into
-       the oracle service, while these checks resolve against the hand-run
-       fallback the quarantine mandates anyway. Honest runs never
-       quarantine the oracle, so the peacetime path is untouched. *)
-    bump globals.(Verifier.kind_index kind).g_checks;
-    true
-  end
-  else if suspicious && t.checks_spent < t.cfg.check_budget then begin
-    t.checks_spent <- t.checks_spent + 1;
-    bump globals.(Verifier.kind_index kind).g_checks;
+(* The cell state machine, shared by the kinds and the oracle. A debit
+   returns true exactly when it pushed a trusted cell below the threshold
+   (entry into quarantine); a probation step lifts the quarantine after
+   [probation] consecutive agreements, and a disagreement resets the
+   streak. *)
+let debit_cell c amount =
+  c.score <- c.score -. amount;
+  if (not c.quarantined) && c.score < threshold then begin
+    c.quarantined <- true;
+    c.streak <- 0;
     true
   end
   else false
 
-let note_truth t kind ~dirty = (cell t kind).last_dirty <- dirty
-
-let agree t kind =
-  let c = cell t kind in
-  c.score <- Float.min t.cfg.initial (c.score +. t.cfg.credit);
-  bump globals.(Verifier.kind_index kind).g_agree
-
-let disagree t kind =
-  let c = cell t kind in
-  t.lies_detected <- t.lies_detected + 1;
-  bump globals.(Verifier.kind_index kind).g_disagree;
-  c.score <- c.score -. t.cfg.debit;
-  if (not c.quarantined) && c.score < t.cfg.threshold then begin
-    c.quarantined <- true;
-    c.streak <- 0;
-    t.quarantine_count <- t.quarantine_count + 1;
-    bump globals.(Verifier.kind_index kind).g_quarantines;
-    `Quarantined
-  end
-  else `Ok
-
-let probation t kind ~agree =
-  let c = cell t kind in
-  bump globals.(Verifier.kind_index kind).g_probation;
+let probation_step t c ~agree =
   if not c.quarantined then `Still
   else if agree then begin
     c.streak <- c.streak + 1;
     if c.streak >= t.cfg.probation then begin
       c.quarantined <- false;
-      c.score <- t.cfg.initial;
+      c.score <- initial;
       c.streak <- 0;
-      t.restore_count <- t.restore_count + 1;
-      bump globals.(Verifier.kind_index kind).g_restores;
       `Restored t.cfg.probation
     end
     else `Still
@@ -336,6 +215,56 @@ let probation t kind ~agree =
     c.streak <- 0;
     `Still
   end
+
+let should_check t kind ~dirty =
+  let c = cell t kind in
+  let suspicious = dirty || c.last_dirty in
+  c.last_dirty <- dirty;
+  let granted =
+    if c.quarantined then false
+    else if t.oracle_cell.quarantined then
+      (* Alert mode: a quarantined oracle is categorical evidence of an
+         active coalition with unknown membership, so every answer is
+         suspicious — and free: the check budget bounds voluntary calls
+         into the oracle service, while these checks resolve against the
+         hand-run fallback the quarantine mandates anyway. Honest runs
+         never quarantine the oracle, so the peacetime path is untouched. *)
+      true
+    else if suspicious && t.checks_spent < t.cfg.check_budget then begin
+      t.checks_spent <- t.checks_spent + 1;
+      true
+    end
+    else false
+  in
+  if granted then tally kind (fun c -> { c with cross_checks = c.cross_checks + 1 });
+  granted
+
+let note_truth t kind ~dirty = (cell t kind).last_dirty <- dirty
+
+let agree t kind =
+  let c = cell t kind in
+  c.score <- Float.min initial (c.score +. credit);
+  tally kind (fun c -> { c with agreements = c.agreements + 1 })
+
+let disagree t kind =
+  let q = debit_cell (cell t kind) debit in
+  tally kind (fun c ->
+      {
+        c with
+        disagreements = c.disagreements + 1;
+        quarantines = c.quarantines + Bool.to_int q;
+      });
+  if q then `Quarantined else `Ok
+
+let probation t kind ~agree =
+  let r = probation_step t (cell t kind) ~agree in
+  tally kind (fun c ->
+      {
+        c with
+        probation_runs = c.probation_runs + 1;
+        restores = c.restores + Bool.to_int (r <> `Still);
+      });
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Quorum cross-checks (the collusion defense)                         *)
@@ -367,7 +296,7 @@ let should_audit t kind =
     else begin
       t.audits_by_kind.(ix) <- t.audits_by_kind.(ix) + 1;
       t.audits_spent <- t.audits_spent + 1;
-      bump q_audits;
+      tally_quorum (fun q -> { q with audits = q.audits + 1 });
       true
     end
   end
@@ -382,8 +311,6 @@ let quorum_verdict t kind =
   let camp = Float.max 0.0 (score t kind) +. Float.max 0.0 t.oracle_cell.score in
   let referees = float_of_int (max 1 (t.cfg.quorum - 2)) in
   if referees >= camp then begin
-    bump q_overruled;
-    t.collusions_detected <- t.collusions_detected + 1;
     (* Refund the audit: the budget bounds what auditing *honest*
        agreements may cost, and an overrule just proved this one was
        collusion — detection pressure must not exhaust itself while the
@@ -393,50 +320,34 @@ let quorum_verdict t kind =
     let ix = Verifier.kind_index kind in
     t.audits_by_kind.(ix) <- max 0 (t.audits_by_kind.(ix) - 1);
     let kind_quarantined = disagree t kind = `Quarantined in
-    let o = t.oracle_cell in
     (* The oracle is debited at double weight: a kind's lie is a single
        noisy signal, but an overruled clean-agreement is corroborated by
        the whole referee quorum — categorical evidence the service every
        cross-check trusts has vouched for a lie. At the default
        debit/threshold one proven collusion quarantines it. *)
-    o.score <- o.score -. (2. *. t.cfg.debit);
-    let oracle_quarantined =
-      if (not o.quarantined) && o.score < t.cfg.threshold then begin
-        o.quarantined <- true;
-        o.streak <- 0;
-        t.oracle_quarantine_count <- t.oracle_quarantine_count + 1;
-        bump q_oracle_quarantines;
-        true
-      end
-      else false
-    in
+    let oracle_quarantined = debit_cell t.oracle_cell (2. *. debit) in
+    tally_quorum (fun q ->
+        {
+          q with
+          overruled = q.overruled + 1;
+          oracle_quarantines = q.oracle_quarantines + Bool.to_int oracle_quarantined;
+        });
     `Overruled (kind_quarantined, oracle_quarantined)
   end
   else begin
-    bump q_outvoted;
+    tally_quorum (fun q -> { q with outvoted = q.outvoted + 1 });
     `Outvoted
   end
 
 let oracle_probation t ~agree =
-  bump q_oracle_probations;
-  let o = t.oracle_cell in
-  if not o.quarantined then `Still
-  else if agree then begin
-    o.streak <- o.streak + 1;
-    if o.streak >= t.cfg.probation then begin
-      o.quarantined <- false;
-      o.score <- t.cfg.initial;
-      o.streak <- 0;
-      t.oracle_restore_count <- t.oracle_restore_count + 1;
-      bump q_oracle_restores;
-      `Restored t.cfg.probation
-    end
-    else `Still
-  end
-  else begin
-    o.streak <- 0;
-    `Still
-  end
+  let r = probation_step t t.oracle_cell ~agree in
+  tally_quorum (fun q ->
+      {
+        q with
+        oracle_probations = q.oracle_probations + 1;
+        oracle_restores = q.oracle_restores + Bool.to_int (r <> `Still);
+      });
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Persistent trust ledger (Exec.Checkpoint discipline)                *)
@@ -604,20 +515,16 @@ let state_of t ~counters ~quorum : Ledger_store.entry =
     quorum;
   }
 
+(* Probation streaks deliberately do not persist: a restart restarts
+   probation from zero, quarantine itself survives. *)
+let restore_cell c (s : Ledger_store.cell_state) =
+  c.score <- Float.min initial s.s_score;
+  c.quarantined <- s.s_quarantined
+
 let create_from cfg (e : Ledger_store.entry) =
   let t = create cfg in
-  List.iter
-    (fun (k, (s : Ledger_store.cell_state)) ->
-      let c = cell t k in
-      c.score <- Float.min t.cfg.initial s.Ledger_store.s_score;
-      c.quarantined <- s.Ledger_store.s_quarantined;
-      (* Probation streaks deliberately do not persist: a restart restarts
-         probation from zero, quarantine itself survives. *)
-      c.streak <- 0)
-    e.Ledger_store.kinds;
-  t.oracle_cell.score <- Float.min t.cfg.initial e.Ledger_store.oracle.Ledger_store.s_score;
-  t.oracle_cell.quarantined <- e.Ledger_store.oracle.Ledger_store.s_quarantined;
-  t.oracle_cell.streak <- 0;
+  List.iter (fun (k, s) -> restore_cell (cell t k) s) e.kinds;
+  restore_cell t.oracle_cell e.oracle;
   t
 
 (* ------------------------------------------------------------------ *)

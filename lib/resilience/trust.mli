@@ -21,10 +21,6 @@
     negative cannot slip through unchecked. *)
 
 type config = {
-  initial : float;  (** Starting (and maximum) trust score. *)
-  debit : float;  (** Subtracted on each cross-check disagreement. *)
-  credit : float;  (** Added (capped at [initial]) on each agreement. *)
-  threshold : float;  (** Quarantine when the score falls below this. *)
   probation : int;
       (** Consecutive agreeing probation re-runs required to lift a
           quarantine (clamped to >= 1, so quarantine exit is always
@@ -46,9 +42,11 @@ type config = {
 }
 
 val default_config : config
-(** Score 1.0, debit 0.4, credit 0.02, threshold 0.5, probation 3,
-    budget 16 — two disagreements quarantine a kind — plus quorum 4 and
-    audit budget 8 for the collusion defense. *)
+(** Probation 3, budget 16, quorum 4 and audit budget 8. The score scale
+    is fixed: every score starts at (and is capped by) 1.0, a disagreement
+    debits 0.4, an agreement credits 0.02, and a score below 0.5 is
+    quarantined — so two disagreements quarantine a kind, and one
+    overruled collusion (a double debit) quarantines the oracle. *)
 
 type t
 (** One ledger per driver loop (mirroring {!Runtime.create}): fan-out
@@ -59,14 +57,9 @@ val create : config -> t
 val derive : t -> t
 (** A fresh ledger with the same configuration (fan-out tasks). *)
 
-val config_of : t -> config
-
 val quarantined : t -> Verifier.kind -> bool
 val score : t -> Verifier.kind -> float
 val checks_spent : t -> int
-val lies_detected : t -> int
-val quarantine_count : t -> int
-val restore_count : t -> int
 
 val should_check : t -> Verifier.kind -> dirty:bool -> bool
 (** Should the driver spend a cross-check on this answer? True when the
@@ -98,8 +91,9 @@ val disagree : t -> Verifier.kind -> [ `Ok | `Quarantined ]
 
 val probation : t -> Verifier.kind -> agree:bool -> [ `Still | `Restored of int ]
 (** Record a probation re-run of a quarantined kind. [`Restored n] after
-    [n] consecutive agreements; a disagreement resets the streak. No-op
-    ([`Still]) when the kind is not quarantined. *)
+    [n] consecutive agreements, with the score back at 1.0; a disagreement
+    resets the streak. No-op ([`Still]) when the kind is not
+    quarantined. *)
 
 (** {2 Quorum cross-checks}
 
@@ -116,9 +110,6 @@ val probation : t -> Verifier.kind -> agree:bool -> [ `Still | `Restored of int 
 val oracle_quarantined : t -> bool
 val oracle_score : t -> float
 val audits_spent : t -> int
-
-val collusions_detected : t -> int
-(** Overruled clean-agreements (the collusion signature), this ledger. *)
 
 val should_audit : t -> Verifier.kind -> bool
 (** Should the driver spend a quorum audit on this clean agreement? True
@@ -143,13 +134,15 @@ val quorum_verdict : t -> Verifier.kind -> [ `Overruled of bool * bool | `Outvot
 
 val oracle_probation : t -> agree:bool -> [ `Still | `Restored of int ]
 (** Record a probation comparison of the (quarantined) oracle service
-    against a hand-run answer; mirrors {!probation}. *)
+    against a hand-run answer; the same streak step as {!probation}. *)
 
 (** {2 Global counters}
 
-    Process-wide per-kind tallies in the {!Stats} idiom, so the bench
-    harness and CLI can report cross-check activity as snapshot diffs
-    around a measured section. *)
+    Process-wide tallies in the {!Stats} idiom — one record per kind plus
+    one quorum record, under one lock — so the bench harness and CLI can
+    report cross-check activity as snapshot diffs around a measured
+    section. Each event is counted once, here; a ledger keeps only its
+    budgets. *)
 
 type counters = {
   cross_checks : int;
@@ -170,7 +163,6 @@ val diff : snapshot -> snapshot -> snapshot
 (** [diff after before]. *)
 
 val totals : snapshot -> counters
-val reset_globals : unit -> unit
 
 type quorum_counters = {
   audits : int;
@@ -187,7 +179,7 @@ val diff_quorum : quorum_counters -> quorum_counters -> quorum_counters
 (** [diff_quorum after before]. *)
 
 val quorum_snapshot : unit -> quorum_counters
-(** Process-wide quorum tallies (one cell, not per-kind: the oracle is a
+(** Process-wide quorum tallies (one record, not per-kind: the oracle is a
     single shared service). Kept separate from the PR 8 counters so
     collusion-free runs report byte-identical trust lines. *)
 
@@ -241,7 +233,7 @@ val state_of : t -> counters:counters -> quorum:quorum_counters -> Ledger_store.
 
 val create_from : config -> Ledger_store.entry -> t
 (** A fresh ledger seeded from persisted state: scores and quarantine flags
-    are restored (scores capped at [initial]); probation streaks, budgets
+    are restored (scores capped at 1.0); probation streaks, budgets
     and suspicion history start fresh. [create_from cfg] of an
     all-initial-scores entry behaves identically to [create cfg]. *)
 

@@ -180,25 +180,6 @@ let test_memo_thread_safe () =
         (diags = snd (Batfish.Parse_check.check d t)))
     results
 
-let test_memo_scope () =
-  Exec.Memo.reset ();
-  let corpus = draft_corpus () in
-  List.iter (fun (d, t) -> ignore (Exec.Memo.check d t)) corpus;
-  (* A scope opened now must see only what happens after it — the warm
-     cache turns the replay into pure hits. *)
-  let sc = Exec.Memo.scope () in
-  List.iter (fun (d, t) -> ignore (Exec.Memo.check d t)) corpus;
-  let s = Exec.Memo.scope_stats sc in
-  check int_t "scope sees only its own hits" (List.length corpus) s.Exec.Memo.hits;
-  check int_t "scope sees no earlier misses" 0 s.Exec.Memo.misses;
-  (* reset_stats zeroes the counters but keeps the table warm. *)
-  Exec.Memo.reset_stats ();
-  let s0 = Exec.Memo.stats () in
-  check int_t "counters zeroed" 0 (s0.Exec.Memo.hits + s0.Exec.Memo.misses);
-  check bool_t "entries survive" true (s0.Exec.Memo.entries > 0);
-  ignore (Exec.Memo.check (fst (List.hd corpus)) (snd (List.hd corpus)));
-  check int_t "warm table still hits" 1 (Exec.Memo.stats ()).Exec.Memo.hits
-
 (* ------------------------------------------------------------------ *)
 (* Supervisor: the exception/chaos boundary                            *)
 (* ------------------------------------------------------------------ *)
@@ -1216,7 +1197,6 @@ let () =
           Alcotest.test_case "matches uncached" `Quick test_memo_matches_uncached;
           Alcotest.test_case "hit accounting" `Quick test_memo_hits;
           Alcotest.test_case "thread safe" `Quick test_memo_thread_safe;
-          Alcotest.test_case "scoped stats" `Quick test_memo_scope;
           Alcotest.test_case "bounded eviction keeps the cache warm" `Quick
             test_memo_eviction;
         ] );

@@ -1115,9 +1115,15 @@ let test_guard_deadline_closes_fds () =
 (* Trust: the Byzantine-verifier reputation ledger                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The process-wide tallies for one kind since [before]. *)
+let trust_delta before k =
+  let open Resilience.Trust in
+  List.assoc k (diff (snapshot ()) before)
+
 let test_trust_two_disagreements_quarantine () =
   let t = Resilience.Trust.create Resilience.Trust.default_config in
   let k = Resilience.Verifier.Campion in
+  let before = Resilience.Trust.snapshot () in
   (* 1.0 - 0.4 = 0.6 >= 0.5: the first detected lie only debits... *)
   check bool_t "first disagreement debits" true
     (Resilience.Trust.disagree t k = `Ok);
@@ -1126,8 +1132,9 @@ let test_trust_two_disagreements_quarantine () =
   check bool_t "second disagreement quarantines" true
     (Resilience.Trust.disagree t k = `Quarantined);
   check bool_t "quarantined" true (Resilience.Trust.quarantined t k);
-  check int_t "both lies counted" 2 (Resilience.Trust.lies_detected t);
-  check int_t "entered quarantine once" 1 (Resilience.Trust.quarantine_count t);
+  let d = trust_delta before k in
+  check int_t "both lies counted" 2 d.Resilience.Trust.disagreements;
+  check int_t "entered quarantine once" 1 d.Resilience.Trust.quarantines;
   (* Reputation is per kind: a lying Campion says nothing about Batfish. *)
   check bool_t "other kinds untouched" false
     (Resilience.Trust.quarantined t Resilience.Verifier.Parse_check);
@@ -1140,6 +1147,7 @@ let test_trust_probation_restores () =
   let cfg = { Resilience.Trust.default_config with Resilience.Trust.probation = 2 } in
   let t = Resilience.Trust.create cfg in
   let k = Resilience.Verifier.Topology in
+  let before = Resilience.Trust.snapshot () in
   ignore (Resilience.Trust.disagree t k);
   check bool_t "setup: quarantined" true
     (Resilience.Trust.disagree t k = `Quarantined);
@@ -1154,10 +1162,11 @@ let test_trust_probation_restores () =
   check bool_t "second consecutive agreement restores" true
     (Resilience.Trust.probation t k ~agree:true = `Restored 2);
   check bool_t "quarantine lifted" false (Resilience.Trust.quarantined t k);
-  check int_t "restore counted" 1 (Resilience.Trust.restore_count t);
-  (* Restoration is a clean slate: the score is back at [initial]. *)
-  check bool_t "score reset to initial" true
-    (Resilience.Trust.score t k = cfg.Resilience.Trust.initial)
+  let d = trust_delta before k in
+  check int_t "restore counted" 1 d.Resilience.Trust.restores;
+  check int_t "every re-run counted" 4 d.Resilience.Trust.probation_runs;
+  (* Restoration is a clean slate: the score is back at the initial 1.0. *)
+  check bool_t "score reset to initial" true (Resilience.Trust.score t k = 1.0)
 
 let test_trust_suspicion_and_note_truth () =
   let t = Resilience.Trust.create Resilience.Trust.default_config in
@@ -1265,6 +1274,7 @@ let test_admission_set_caps_live () =
 let test_quorum_overrule_refund_and_tie () =
   let t = Resilience.Trust.create Resilience.Trust.default_config in
   let k = Resilience.Verifier.Campion in
+  let before = Resilience.Trust.quorum_snapshot () in
   check bool_t "audit granted against a fresh ledger" true
     (Resilience.Trust.should_audit t k);
   check int_t "the grant charges the budget" 1 (Resilience.Trust.audits_spent t);
@@ -1280,7 +1290,9 @@ let test_quorum_overrule_refund_and_tie () =
       check bool_t "one overrule quarantines the oracle" true oracle_q
   | `Outvoted -> Alcotest.fail "tie must go to the referees");
   check bool_t "oracle quarantined" true (Resilience.Trust.oracle_quarantined t);
-  check int_t "collusion counted" 1 (Resilience.Trust.collusions_detected t);
+  let d = Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) before in
+  check int_t "collusion counted" 1 d.Resilience.Trust.overruled;
+  check int_t "oracle quarantine counted" 1 d.Resilience.Trust.oracle_quarantines;
   (* The overrule refunds its audit charge: the budget bounds what
      auditing honest agreements may cost, never the pursuit of a proven
      coalition. *)
@@ -1299,12 +1311,14 @@ let test_quorum_k3_outvoted () =
   in
   let t = Resilience.Trust.create cfg in
   let k = Resilience.Verifier.Parse_check in
+  let before = Resilience.Trust.quorum_snapshot () in
   check bool_t "audit granted" true (Resilience.Trust.should_audit t k);
   check bool_t "one referee is outvoted" true
     (Resilience.Trust.quorum_verdict t k = `Outvoted);
-  check bool_t "no debit on an outvote" true
-    (Resilience.Trust.oracle_score t = cfg.Resilience.Trust.initial);
-  check int_t "no collusion counted" 0 (Resilience.Trust.collusions_detected t);
+  check bool_t "no debit on an outvote" true (Resilience.Trust.oracle_score t = 1.0);
+  let d = Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) before in
+  check int_t "no collusion counted" 0 d.Resilience.Trust.overruled;
+  check int_t "outvote counted" 1 d.Resilience.Trust.outvoted;
   check int_t "outvoted audit stays charged" 1 (Resilience.Trust.audits_spent t)
 
 let test_quorum_trust_weighted_shares () =
@@ -1343,6 +1357,7 @@ let test_quorum_oracle_probation_and_alert_mode () =
     (Resilience.Trust.checks_spent t);
   (* Oracle probation mirrors kind probation: a disagreement resets the
      streak, enough consecutive agreements restore. *)
+  let before = Resilience.Trust.quorum_snapshot () in
   check bool_t "first agreement not enough" true
     (Resilience.Trust.oracle_probation t ~agree:true = `Still);
   check bool_t "disagreement resets the streak" true
@@ -1354,6 +1369,9 @@ let test_quorum_oracle_probation_and_alert_mode () =
     (Resilience.Trust.oracle_probation t ~agree:true = `Restored 3);
   check bool_t "oracle quarantine lifted" false
     (Resilience.Trust.oracle_quarantined t);
+  let d = Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) before in
+  check int_t "every oracle re-run counted" 5 d.Resilience.Trust.oracle_probations;
+  check int_t "oracle restore counted" 1 d.Resilience.Trust.oracle_restores;
   (* Peacetime rules are back: clean-after-clean is no longer suspicious.
      ([k2]'s last observation above was clean.) *)
   check bool_t "alert mode ends with the quarantine" false
@@ -1463,8 +1481,7 @@ let test_trust_create_from () =
   List.iter
     (fun k ->
       check bool_t "no kind quarantined" false (Resilience.Trust.quarantined t k);
-      check bool_t "score at initial" true
-        (Resilience.Trust.score t k = cfg.Resilience.Trust.initial))
+      check bool_t "score at initial" true (Resilience.Trust.score t k = 1.0))
     Resilience.Verifier.all_kinds;
   check bool_t "oracle trusted" false (Resilience.Trust.oracle_quarantined t);
   (* Restoring battle scars puts the quarantines back in force. *)
@@ -1474,14 +1491,12 @@ let test_trust_create_from () =
   check bool_t "oracle quarantine restored" true
     (Resilience.Trust.oracle_quarantined t');
   check bool_t "debited score restored" true
-    (Resilience.Trust.score t' Resilience.Verifier.Parse_check
-    < cfg.Resilience.Trust.initial)
+    (Resilience.Trust.score t' Resilience.Verifier.Parse_check < 1.0)
 
 (* The ledger session: [with_ledger] records exactly the kept runs, each
    as [state_of] with that run's counter deltas, folded with [merge]. *)
 let test_trust_with_ledger () =
   let module T = Resilience.Trust in
-  let cfg = T.default_config in
   let path = Filename.temp_file "cosynth_trust_session_" ".jsonl" in
   let lines () =
     In_channel.with_open_text path In_channel.input_all
@@ -1534,7 +1549,7 @@ let test_trust_with_ledger () =
       (* The next run starts from the cumulative state. *)
       T.with_ledger (Some l) ~seed:3 ~keep:(fun _ -> false) (fun t ->
           check bool_t "next run starts debited" true
-            (T.score (Option.get t) Resilience.Verifier.Campion < cfg.T.initial));
+            (T.score (Option.get t) Resilience.Verifier.Campion < 1.0));
       let e2 = kept ~seed:4 in
       check int_t "second kept run appends one more" 2 (lines ());
       let folded = T.Ledger_store.merge e1 e2 in
@@ -1553,6 +1568,145 @@ let test_trust_with_ledger () =
       check bool_t "reopened ledger resumes the folded state" true
         (T.ledger_state l' = Some folded);
       T.close_ledger l')
+
+(* ------------------------------------------------------------------ *)
+(* Process-wide tallies under a pool                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every counter family keeps one record per kind (or one record) under
+   one lock. Bumped from many tasks at once on worker domains, no update
+   may be lost: each snapshot delta is the exact count, and the
+   [max_attempts] gauge is the largest value recorded. *)
+let test_tallies_exact_under_pool () =
+  let pool = Exec.Pool.create ~domains:4 () in
+  let n = 64 in
+  let kinds = Array.of_list Resilience.Verifier.all_kinds in
+  let kind i = kinds.(i mod Array.length kinds) in
+  let per_kind k = List.length (List.filter (fun i -> kind i = k) (List.init n Fun.id)) in
+  (* Far above any attempt count a real call records, so the gauge's
+     global mark is this test's. *)
+  let gauge i = 1_000_000 + i in
+  (* Enough rounds per task that an unlocked read-modify-write would lose
+     updates even on two cores. *)
+  let reps = 100 and stats_reps = 4 in
+  let s0 = Resilience.Stats.snapshot () in
+  let t0 = Resilience.Trust.snapshot () in
+  let q0 = Resilience.Trust.quorum_snapshot () in
+  let c0 = Exec.Supervisor.stats () in
+  let bump i =
+    let module S = Resilience.Stats in
+    let module T = Resilience.Trust in
+    let k = kind i in
+    for _ = 1 to reps do
+      for _ = 1 to stats_reps do
+        S.record_attempt k;
+        S.record_retry k;
+        S.record_failure k;
+        S.record_trip k;
+        S.record_degraded k;
+        S.record_call_attempts k (gauge i)
+      done;
+      (* One ledger per round: a check, an agreement, two lies
+         (quarantine), then three agreeing probation re-runs (restore). *)
+      let t = T.create T.default_config in
+      ignore (T.should_check t k ~dirty:true);
+      T.agree t k;
+      ignore (T.disagree t k);
+      ignore (T.disagree t k);
+      for _ = 1 to 3 do
+        ignore (T.probation t k ~agree:true)
+      done;
+      (* A second ledger: one overruled audit (a third lie on the kind,
+         the oracle quarantined), then the oracle's own restore. *)
+      let o = T.create T.default_config in
+      ignore (T.should_audit o k);
+      ignore (T.quorum_verdict o k);
+      for _ = 1 to 3 do
+        ignore (T.oracle_probation o ~agree:true)
+      done
+    done
+  in
+  ignore (Exec.Pool.map pool bump (List.init n Fun.id));
+  let stats = Resilience.Stats.diff s0 (Resilience.Stats.snapshot ()) in
+  let trust = Resilience.Trust.diff (Resilience.Trust.snapshot ()) t0 in
+  Array.iter
+    (fun k ->
+      let m = reps * per_kind k in
+      let name = Resilience.Verifier.kind_name k in
+      let s = List.assoc k stats in
+      List.iter
+        (fun (field, v) -> check int_t (name ^ " stats " ^ field) (stats_reps * m) v)
+        Resilience.Stats.
+          [
+            ("attempts", s.attempts);
+            ("retries", s.retries);
+            ("failures", s.failures);
+            ("trips", s.breaker_trips);
+            ("degraded", s.degraded);
+          ];
+      check int_t (name ^ " max_attempts is the largest recorded")
+        (List.fold_left max 0
+           (List.filter_map
+              (fun i -> if kind i = k then Some (gauge i) else None)
+              (List.init n Fun.id)))
+        s.Resilience.Stats.max_attempts;
+      let t = List.assoc k trust in
+      List.iter
+        (fun (field, want, v) -> check int_t (name ^ " trust " ^ field) want v)
+        Resilience.Trust.
+          [
+            ("cross_checks", m, t.cross_checks);
+            ("agreements", m, t.agreements);
+            ("disagreements", 3 * m, t.disagreements);
+            ("quarantines", m, t.quarantines);
+            ("restores", m, t.restores);
+            ("probation_runs", 3 * m, t.probation_runs);
+          ])
+    kinds;
+  let q = Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) q0 in
+  List.iter
+    (fun (field, want, v) -> check int_t ("quorum " ^ field) want v)
+    Resilience.Trust.
+      [
+        ("audits", reps * n, q.audits);
+        ("overruled", reps * n, q.overruled);
+        ("outvoted", 0, q.outvoted);
+        ("oracle_quarantines", reps * n, q.oracle_quarantines);
+        ("oracle_restores", reps * n, q.oracle_restores);
+        ("oracle_probations", 3 * reps * n, q.oracle_probations);
+      ];
+  (* Supervised map under a loss plan: a quarter of the tasks lose their
+     worker on every dispatch (abandoned after 4), a quarter lose it in
+     flight once, a quarter raise once; the rest run clean. *)
+  let raised = Array.init n (fun _ -> Atomic.make false) in
+  let plan ~index ~attempt =
+    match index mod 4 with
+    | 0 -> Some Exec.Supervisor.At_dispatch
+    | 1 when attempt = 1 -> Some Exec.Supervisor.In_flight
+    | _ -> None
+  in
+  let out =
+    Exec.Supervisor.map ~pool ~plan
+      (fun i ->
+        if i mod 4 = 2 && not (Atomic.exchange raised.(i) true) then failwith "boom";
+        i)
+      (List.init n Fun.id)
+  in
+  Exec.Pool.shutdown pool;
+  let quarter = n / 4 in
+  check int_t "abandoned outcomes" quarter (List.length (List.filter Exec.Supervisor.abandoned out));
+  let c = Exec.Supervisor.diff c0 (Exec.Supervisor.stats ()) in
+  List.iter
+    (fun (field, want, v) -> check int_t ("supervisor " ^ field) want v)
+    Exec.Supervisor.
+      [
+        ("dispatched", (4 * quarter) + (2 * quarter) + (2 * quarter) + quarter, c.dispatched);
+        ("completed", 3 * quarter, c.completed);
+        ("losses", (4 * quarter) + quarter, c.losses);
+        ("requeues", (3 * quarter) + quarter + quarter, c.requeues);
+        ("task_exceptions", quarter, c.task_exceptions);
+        ("abandoned", quarter, c.abandoned);
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Service daemon x trust layer races                                  *)
@@ -1789,6 +1943,10 @@ let () =
             test_trust_create_from;
           Alcotest.test_case "with_ledger records kept runs only" `Quick
             test_trust_with_ledger;
+        ] );
+      ( "tallies",
+        [
+          Alcotest.test_case "exact under a pool" `Quick test_tallies_exact_under_pool;
         ] );
       ( "service-trust",
         [
