@@ -82,8 +82,9 @@ let check_regions env regions spec =
         }
 
 (* A hub carries n ingress and n^2 egress specs over 2n route maps, so each
-   map is compiled once per call and its regions serve every spec naming it. *)
-let check_all (config : Config_ir.t) specs =
+   map name is looked up once per call, and its regions, from the cache,
+   serve every spec naming it. *)
+let check_in cache (config : Config_ir.t) specs =
   let env = Eval.env_of_config config in
   let compiled = Hashtbl.create 16 in
   let regions_of policy =
@@ -91,7 +92,9 @@ let check_all (config : Config_ir.t) specs =
     | Some regions -> regions
     | None ->
         let regions =
-          Option.map (Symbolic.Transfer.compile env) (Config_ir.find_route_map config policy)
+          Option.map
+            (Symbolic.Transfer.compile_in cache env)
+            (Config_ir.find_route_map config policy)
         in
         Hashtbl.add compiled policy regions;
         regions
@@ -103,6 +106,8 @@ let check_all (config : Config_ir.t) specs =
         | None -> Policy_missing
         | Some regions -> check_regions env regions spec ))
     specs
+
+let check_all config specs = check_in (Symbolic.Transfer.cache ()) config specs
 
 let check config spec = snd (List.hd (check_all config [ spec ]))
 

@@ -43,11 +43,18 @@ type outcome = Holds | Violated of violation | Policy_missing
 
 val requirement_to_string : requirement -> string
 
+val check_in :
+  Symbolic.Transfer.cache -> Config_ir.t -> spec list -> (spec * outcome) list
+(** Every spec's outcome, in order. Looks up each route map the specs name
+    once per call, takes its regions from the cache
+    ({!Symbolic.Transfer.compile_in}), and checks every spec naming that
+    map against them. A spec whose map is absent is [Policy_missing]. A
+    cache that lives across calls (one loop's drafts) compiles only the
+    maps an earlier draft did not already have. *)
+
 val check_all : Config_ir.t -> spec list -> (spec * outcome) list
-(** Every spec's outcome, in order. Compiles each route map the specs name
-    once per call, into the regions of {!Symbolic.Transfer.compile}, and
-    checks every spec naming that map against them; nothing is kept between
-    calls. A spec whose map is absent is [Policy_missing]. *)
+(** [check_all config specs] is {!check_in} on a fresh cache: each named map
+    is compiled once per call and nothing is kept between calls. *)
 
 val check : Config_ir.t -> spec -> outcome
 (** [check config spec] is {!check_all} over the single spec. *)

@@ -290,26 +290,13 @@ let memo table key diff =
       v
 
 (* The part of an environment a policy diff reads: the prefix and AS-path
-   lists either map names (the witness search evaluates both maps' AS-path
-   constraints against [env_a]), kept in environment order so a duplicate
-   name still resolves to its first definition; and every community list,
-   since witnesses are decorated with communities drawn from all of them. *)
+   lists either map names, as {!Symbolic.Transfer.env_slice} keeps them
+   (the witness search evaluates both maps' AS-path constraints against
+   [env_a]); and every community list, since witnesses are decorated with
+   communities drawn from all of them, so those are not filtered at all. *)
 let env_slice (m_a : Route_map.t) (m_b : Route_map.t) (env : Eval.env) =
-  let named referenced name_of lists =
-    let names = referenced m_a @ referenced m_b in
-    List.filter (fun l -> List.mem (name_of l) names) lists
-  in
-  {
-    env with
-    Eval.prefix_lists =
-      named Route_map.prefix_lists_referenced
-        (fun (l : Prefix_list.t) -> l.Prefix_list.name)
-        env.Eval.prefix_lists;
-    as_path_lists =
-      named Route_map.as_path_lists_referenced
-        (fun (l : As_path_list.t) -> l.As_path_list.name)
-        env.Eval.as_path_lists;
-  }
+  let named = Symbolic.Transfer.env_slice [ m_a; m_b ] { env with Eval.community_lists = [] } in
+  { named with Eval.community_lists = env.Eval.community_lists }
 
 let diff_policies c ~env_a ~env_b m_a m_b =
   c.policy_lookups <- c.policy_lookups + 1;

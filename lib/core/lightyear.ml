@@ -68,26 +68,41 @@ let prove_no_transit (star : Star.t) configs =
   | [] -> (
       let hub_config = List.assoc star.Star.hub configs in
       let env = Eval.env_of_config hub_config in
-      let policy_of name = Option.get (Config_ir.find_route_map hub_config name) in
+      let compile name =
+        Symbolic.Transfer.compile env (Option.get (Config_ir.find_route_map hub_config name))
+      in
       (* For every ordered spoke pair (i, j): any route entering from i and
          surviving the import policy must be denied by the export policy
          toward j. The input space is the full route space — no assumption
-         about what ISPs announce. *)
+         about what ISPs announce. Each session's export map is compiled,
+         and its import map's image of that space computed, at most once
+         per proof, on first use. *)
+      let sessions =
+        List.map
+          (fun spoke ->
+            let import, export =
+              Option.value ~default:(None, None) (hub_session_policies star hub_config spoke)
+            in
+            ( spoke,
+              Option.map
+                (fun name -> lazy (Symbolic.Compose.image (compile name) Symbolic.Pred.full))
+                import,
+              Option.map (fun name -> lazy (compile name)) export ))
+          star.Star.spokes
+      in
       let refutation =
         List.find_map
-          (fun from_spoke ->
-            match hub_session_policies star hub_config from_spoke with
-            | Some (Some import, _) ->
+          (fun (from_spoke, imported, _) ->
+            match imported with
+            | Some imported ->
                 List.find_map
-                  (fun to_spoke ->
+                  (fun (to_spoke, _, export) ->
                     if to_spoke = from_spoke then None
                     else
-                      match hub_session_policies star hub_config to_spoke with
-                      | Some (_, Some export) ->
+                      match export with
+                      | Some export ->
                           let escaping =
-                            Symbolic.Compose.chain_permits ~env_a:env
-                              ~map_a:(policy_of import) ~env_b:env
-                              ~map_b:(policy_of export) Symbolic.Pred.full
+                            Symbolic.Compose.permits (Lazy.force export) (Lazy.force imported)
                           in
                           if Symbolic.Pred.is_empty escaping then None
                           else
@@ -97,9 +112,9 @@ let prove_no_transit (star : Star.t) configs =
                                 to_spoke;
                                 example = Symbolic.Pred.sample ~env escaping;
                               }
-                      | _ -> None)
-                  star.Star.spokes
-            | _ -> None)
-          star.Star.spokes
+                      | None -> None)
+                  sessions
+            | None -> None)
+          sessions
       in
       match refutation with None -> Proved | Some r -> Refuted r)

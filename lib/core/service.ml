@@ -276,7 +276,9 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
            its warm state survive. The admission slot is released in
            [on_settled] — the only point that is reached exactly once
            whether the job completed in time or was abandoned past its
-           deadline. *)
+           deadline. An in-time job settles before [run_deadline]
+           returns, so the slot is free before the reply is sent and a
+           [health] right after it never counts the job as in flight. *)
         match
           Resilience.Guard.run_deadline ~deadline_ms ~fingerprint:name
             ~on_settled:(fun () -> Resilience.Admission.release adm ticket)

@@ -105,14 +105,16 @@ let run ?timeout_ms ?fingerprint ~label f =
    watchdog above is off limits. OCaml threads cannot be killed, so an
    expired thunk is *abandoned*, not stopped: the caller gets its timeout
    crash immediately while the worker thread runs to completion in the
-   background and then fires [on_settled] — which is why resources the
-   thunk holds (an admission slot, say) must be released there, not on the
-   caller's return path. The caller sleeps in [select] on a per-call pipe
-   that the worker writes one byte to once its result is stored, so it
-   wakes on completion. The worker writes only while the caller still
-   listens, decided under the cell mutex: the caller closes the read end
-   as soon as it stops, and the worker closes the write end before
-   [on_settled]. *)
+   background — which is why resources the thunk holds (an admission slot,
+   say) must be released in [on_settled], not on the caller's return path.
+   The caller sleeps in [select] on a per-call pipe that the worker writes
+   one byte to once its result is stored, so it wakes on completion.
+   Whether the caller still listens is decided under the cell mutex, and
+   that one decision also picks who runs [on_settled], exactly once: the
+   caller, before it returns an in-time result, or the worker, once the
+   call was abandoned. The worker closes the write end under the mutex and
+   the caller closes the read end before settling, so both are closed
+   whoever settles. *)
 let run_deadline ~deadline_ms ?fingerprint ?(on_settled = fun () -> ()) ~label f =
   let cell_m = Mutex.create () in
   let cell = ref None in
@@ -122,10 +124,11 @@ let run_deadline ~deadline_ms ?fingerprint ?(on_settled = fun () -> ()) ~label f
     let r = run ?fingerprint ~label f in
     Mutex.lock cell_m;
     cell := Some r;
-    if not !abandoned then ignore (Unix.write_substring wr "." 0 1 : int);
-    Mutex.unlock cell_m;
+    let settles_here = !abandoned in
+    if not settles_here then ignore (Unix.write_substring wr "." 0 1 : int);
     Unix.close wr;
-    on_settled ()
+    Mutex.unlock cell_m;
+    if settles_here then on_settled ()
   in
   ignore (Thread.create worker () : Thread.t);
   let deadline =
@@ -146,7 +149,9 @@ let run_deadline ~deadline_ms ?fingerprint ?(on_settled = fun () -> ()) ~label f
   Mutex.unlock cell_m;
   Unix.close rd;
   match r with
-  | Some r -> r
+  | Some r ->
+      on_settled ();
+      r
   | None ->
       let c =
         {

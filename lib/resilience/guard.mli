@@ -51,11 +51,13 @@ val run_deadline :
     the caller gets [Error] with constructor ["Deadline_exceeded"]
     (recorded in the registry like any crash) — but since OCaml threads
     cannot be killed, the thunk is {e abandoned}, not stopped: it keeps
-    running and [on_settled] fires (on the worker thread) when it actually
-    finishes, whether that is before or after the deadline. Release any
-    resource the job holds — e.g. its {!Admission} ticket — in
-    [on_settled], never on the caller's return path, or an abandoned job
-    would leak its slot. *)
+    running. [on_settled] fires exactly once either way: on the caller's
+    thread before an in-time result is returned, so its effect is visible
+    to whatever the caller does next; or, for an abandoned thunk, on the
+    worker thread when the thunk actually finishes. Release any resource
+    the job holds — e.g. its {!Admission} ticket — in [on_settled], never
+    on the caller's return path, or an abandoned job would leak its
+    slot. *)
 
 val crash_to_string : crash -> string
 

@@ -8,9 +8,12 @@
 
     The Campion oracle is {!Campion.Differ.check} on one checker owned by
     the suite, so one loop's drafts share its memoised policy and ACL
-    diffs. The chaos, lie and trust layers all wrap that oracle, so only
-    pristine results are memoised. A suite belongs to one loop in one
-    domain.
+    diffs. Likewise the Search Route Policies oracle is
+    {!Batfish.Search_route_policies.check_in} on one
+    {!Symbolic.Transfer.cache} owned by the suite, so a draft that changed
+    one route map recompiles that map only. The chaos, lie and trust layers
+    all wrap these oracles, so only pristine results are memoised. A suite
+    belongs to one loop in one domain.
 
     The global no-transit check is use-case-specific, so the driver wraps
     it itself with {!Verifier.wrap} [Bgp_sim] + {!Runtime.arm}. *)

@@ -29,8 +29,7 @@ let apply_effect (e : Effects.t) (c : Cube.t) =
   let comms = apply_comms e c.Cube.comms in
   { c with Cube.comms; med; aspath }
 
-let image env (m : Route_map.t) input =
-  let regions = Transfer.compile env m in
+let image regions input =
   List.fold_left
     (fun acc (r : Transfer.region) ->
       if r.Transfer.action <> Action.Permit then acc
@@ -45,13 +44,11 @@ let image env (m : Route_map.t) input =
           Pred.union acc transformed)
     Pred.empty regions
 
-let chain_permits ~env_a ~map_a ~env_b ~map_b input =
-  let mid = image env_a map_a input in
-  let regions_b = Transfer.compile env_b map_b in
+let permits regions input =
   List.fold_left
     (fun acc (r : Transfer.region) ->
       if r.Transfer.action <> Action.Permit then acc
       else
-        let surviving = Pred.inter r.Transfer.space mid in
+        let surviving = Pred.inter r.Transfer.space input in
         if Pred.is_empty surviving then acc else Pred.union acc surviving)
-    Pred.empty regions_b
+    Pred.empty regions

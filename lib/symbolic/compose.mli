@@ -4,7 +4,9 @@
     This is the machinery behind Lightyear-style modular proofs: to show
     that "hub tags at ingress" plus "hub filters at egress" imply no
     transit, compute the image of the full space under the ingress policy
-    and check the egress policy denies all of it.
+    and check the egress policy denies all of it. Both functions take maps
+    already compiled by {!Transfer.compile}, so a proof over many map pairs
+    compiles each map, and images each ingress map, once.
 
     Images are sound over-approximations: the [must] side of community
     cubes is exact under additive sets, while replacements and deletions
@@ -13,22 +15,15 @@
     route that can come out of the policy is inside the computed image, so
     "image ∩ bad = empty" is a valid proof of absence. *)
 
-open Policy
-
 val apply_effect : Effects.t -> Cube.t -> Cube.t
 (** The image of a cube under an effect (over-approximate, see above). *)
 
-val image : Eval.env -> Route_map.t -> Pred.t -> Pred.t
-(** Image of an input space: union over permit regions of
-    [apply_effect effect (region ∩ input)]. *)
+val image : Transfer.region list -> Pred.t -> Pred.t
+(** Image of an input space under a compiled map: union over its permit
+    regions of [apply_effect effect (region ∩ input)]. *)
 
-val chain_permits :
-  env_a:Eval.env ->
-  map_a:Route_map.t ->
-  env_b:Eval.env ->
-  map_b:Route_map.t ->
-  Pred.t ->
-  Pred.t
-(** The space that survives [map_a] then [map_b]: the image of the input
-    under [map_a], restricted to the permit regions of [map_b]. Empty means
-    nothing can pass through both policies. *)
+val permits : Transfer.region list -> Pred.t -> Pred.t
+(** The part of an input space a compiled map permits: union over its
+    permit regions of [region ∩ input]. Chaining two maps is
+    [permits regions_b (image regions_a input)]; empty means nothing can
+    pass through both policies. *)

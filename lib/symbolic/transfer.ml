@@ -46,6 +46,43 @@ let action_on env m query =
       if Pred.is_empty s then None else Some (r.action, { r with space = s }))
     (compile env m)
 
+(* Filtering keeps environment order, so a duplicate name still resolves to
+   its first definition. *)
+let env_slice maps (env : Eval.env) =
+  let named referenced name_of = function
+    | [] -> []
+    | lists ->
+        let names = List.concat_map referenced maps in
+        List.filter (fun l -> List.mem (name_of l) names) lists
+  in
+  {
+    Eval.prefix_lists =
+      named Route_map.prefix_lists_referenced
+        (fun (l : Prefix_list.t) -> l.Prefix_list.name)
+        env.Eval.prefix_lists;
+    community_lists =
+      named Route_map.community_lists_referenced
+        (fun (l : Community_list.t) -> l.Community_list.name)
+        env.Eval.community_lists;
+    as_path_lists =
+      named Route_map.as_path_lists_referenced
+        (fun (l : As_path_list.t) -> l.As_path_list.name)
+        env.Eval.as_path_lists;
+  }
+
+type cache = (Route_map.t * Eval.env, region list) Hashtbl.t
+
+let cache () : cache = Hashtbl.create 16
+
+let compile_in cache env m =
+  let key = (m, env_slice [ m ] env) in
+  match Hashtbl.find_opt cache key with
+  | Some regions -> regions
+  | None ->
+      let regions = compile env m in
+      Hashtbl.add cache key regions;
+      regions
+
 let pp_region ppf r =
   Format.fprintf ppf "[seq %s] %s %s on %s"
     (match r.seq with Some s -> string_of_int s | None -> "implicit")

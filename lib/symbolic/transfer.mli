@@ -21,4 +21,27 @@ val action_on : Eval.env -> Route_map.t -> Pred.t -> (Action.t * region) list
 (** The regions intersecting a query space, with the intersection
     restricted to it. *)
 
+val env_slice : Route_map.t list -> Eval.env -> Eval.env
+(** The part of an environment that compiling any of the maps reads: the
+    prefix, community and AS-path lists they name, each in its original
+    order so a first-match lookup by name is unchanged. *)
+
+(** {2 Compiling a sequence of drafts}
+
+    A VPP loop re-verifies every draft, and each fix touches one stanza, so
+    most maps it compiles were compiled on an earlier draft. A cache
+    remembers those regions. *)
+
+type cache
+(** Compiled regions, meant to live for one loop. It keeps every distinct
+    map it has seen, with no eviction, which is bounded by the drafts of
+    one loop. It is not safe to share between domains: give each loop its
+    own. *)
+
+val cache : unit -> cache
+
+val compile_in : cache -> Eval.env -> Route_map.t -> region list
+(** Exactly [compile env m]. Keyed on the map plus [env_slice [m] env], so
+    editing a list the map does not name still hits. *)
+
 val pp_region : Format.formatter -> region -> unit

@@ -62,7 +62,9 @@ let test_apply_effect_med () =
 let test_image_soundness_concrete () =
   (* Any concrete route pushed through the map lands inside the image. *)
   let m = tag "TAG" (comm "100:1") in
-  let img = Symbolic.Compose.image env_with_lists m Symbolic.Pred.full in
+  let img =
+    Symbolic.Compose.image (Symbolic.Transfer.compile env_with_lists m) Symbolic.Pred.full
+  in
   let routes =
     [
       Route.make (pfx "1.2.3.0/24");
@@ -79,24 +81,24 @@ let test_image_soundness_concrete () =
       | Eval.Denied -> ())
     routes
 
+(* What survives [map_a] then [map_b] from the full space. *)
+let chain map_a map_b =
+  Symbolic.Compose.permits
+    (Symbolic.Transfer.compile env_with_lists map_b)
+    (Symbolic.Compose.image (Symbolic.Transfer.compile env_with_lists map_a) Symbolic.Pred.full)
+
 let test_chain_tag_then_filter_blocks () =
   (* TAG adds 100:1; FILTER denies anything carrying 100:1: nothing passes. *)
   let m_tag = tag "TAG" (comm "100:1") in
   let m_filter = filter_or "FILTER" [ "c2" ] in
-  let escaping =
-    Symbolic.Compose.chain_permits ~env_a:env_with_lists ~map_a:m_tag
-      ~env_b:env_with_lists ~map_b:m_filter Symbolic.Pred.full
-  in
+  let escaping = chain m_tag m_filter in
   check bool_t "empty" true (Symbolic.Pred.is_empty escaping)
 
 let test_chain_wrong_filter_leaks () =
   (* TAG adds 100:1 but FILTER denies only 101:1: routes escape. *)
   let m_tag = tag "TAG" (comm "100:1") in
   let m_filter = filter_or "FILTER" [ "c3" ] in
-  let escaping =
-    Symbolic.Compose.chain_permits ~env_a:env_with_lists ~map_a:m_tag
-      ~env_b:env_with_lists ~map_b:m_filter Symbolic.Pred.full
-  in
+  let escaping = chain m_tag m_filter in
   check bool_t "non-empty" false (Symbolic.Pred.is_empty escaping);
   match Symbolic.Pred.sample ~env:env_with_lists escaping with
   | Some r -> check bool_t "witness carries tag" true (Route.has_community r (comm "100:1"))
@@ -108,11 +110,13 @@ let test_chain_wrong_filter_leaks () =
 
 let star = Star.make ~routers:6
 
-let oracle_configs () =
+let oracle_of star =
   List.map
     (fun (t : Cosynth.Modularizer.router_task) ->
       (t.Cosynth.Modularizer.router, t.Cosynth.Modularizer.correct))
     (Cosynth.Modularizer.plan star)
+
+let oracle_configs () = oracle_of star
 
 let test_proof_on_correct_network () =
   check bool_t "proved" true
@@ -208,6 +212,133 @@ let prop_proved_implies_simulation =
       | Cosynth.Lightyear.Refuted _ | Cosynth.Lightyear.Inapplicable _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Compile-once proof against the per-pair reference                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The proof as first written: for every ordered spoke pair, compile both
+   hub maps afresh and image the full space again. *)
+let per_pair_proof (star : Star.t) configs =
+  match Cosynth.Lightyear.side_conditions star configs with
+  | p :: _ -> Cosynth.Lightyear.Inapplicable p
+  | [] -> (
+      let hub = List.assoc star.Star.hub configs in
+      let env = Eval.env_of_config hub in
+      let policies spoke =
+        let session =
+          List.find
+            (fun (s : Topology.session) -> s.Topology.peer_name = spoke)
+            (Topology.sessions_of star.Star.topology star.Star.hub)
+        in
+        let n =
+          Option.get
+            (Config_ir.find_neighbor (Option.get hub.Config_ir.bgp) session.Topology.peer_addr)
+        in
+        (Option.get n.Config_ir.import_policy, Option.get n.Config_ir.export_policy)
+      in
+      let compile name =
+        Symbolic.Transfer.compile env (Option.get (Config_ir.find_route_map hub name))
+      in
+      let refutation =
+        List.find_map
+          (fun from_spoke ->
+            List.find_map
+              (fun to_spoke ->
+                if to_spoke = from_spoke then None
+                else
+                  let escaping =
+                    Symbolic.Compose.permits
+                      (compile (snd (policies to_spoke)))
+                      (Symbolic.Compose.image
+                         (compile (fst (policies from_spoke)))
+                         Symbolic.Pred.full)
+                  in
+                  if Symbolic.Pred.is_empty escaping then None
+                  else
+                    Some
+                      {
+                        Cosynth.Lightyear.from_spoke;
+                        to_spoke;
+                        example = Symbolic.Pred.sample ~env escaping;
+                      })
+              star.Star.spokes)
+          star.Star.spokes
+      in
+      match refutation with
+      | None -> Cosynth.Lightyear.Proved
+      | Some r -> Cosynth.Lightyear.Refuted r)
+
+let with_hub (star : Star.t) configs hub_ir =
+  (star.Star.hub, hub_ir) :: List.remove_assoc star.Star.hub configs
+
+(* Up to [steps] drafts of one hub conversation, each answering an
+   automated prompt about the first live fault of the one before. *)
+let hub_drafts ~seed ~force_faults ~steps correct =
+  let chat = Llmsim.Chat.start ~seed ~force_faults Llmsim.Fault.Cisco_cfg ~correct in
+  let rec go n acc =
+    let acc = fst (Cisco.Parser.parse (Llmsim.Chat.draft chat)) :: acc in
+    match Llmsim.Chat.live_faults chat with
+    | f :: _ when n > 1 ->
+        Llmsim.Chat.respond chat (Llmsim.Chat.auto_prompt f);
+        go (n - 1) acc
+    | _ -> List.rev acc
+  in
+  go steps []
+
+let test_proof_matches_per_pair () =
+  let proved = ref 0 and refuted = ref 0 in
+  let agree label star configs =
+    let got = Cosynth.Lightyear.prove_no_transit star configs in
+    (match got with
+    | Cosynth.Lightyear.Proved -> incr proved
+    | Cosynth.Lightyear.Refuted _ -> incr refuted
+    | Cosynth.Lightyear.Inapplicable _ -> ());
+    check bool_t (label ^ ": same result as per pair") true (got = per_pair_proof star configs)
+  in
+  let crossed =
+    Llmsim.Fault.make Llmsim.Error_class.Crossed_policy_attachment Llmsim.Fault.Whole_config
+  in
+  List.iter
+    (fun routers ->
+      let star = Star.make ~routers in
+      let configs = oracle_of star in
+      agree (Printf.sprintf "star %d oracle" routers) star configs;
+      let correct = List.assoc star.Star.hub configs in
+      for i = 0 to 5 do
+        let force_faults = if i mod 2 = 0 then [ crossed ] else [] in
+        List.iteri
+          (fun step hub_ir ->
+            agree
+              (Printf.sprintf "star %d chat %d draft %d" routers i step)
+              star (with_hub star configs hub_ir))
+          (hub_drafts ~seed:((routers * 100) + i) ~force_faults ~steps:4 correct)
+      done)
+    [ 3; 7; 15 ];
+  (* E1's four hub rows. *)
+  let star7 = Star.make ~routers:7 in
+  let configs7 = oracle_of star7 in
+  let hub7 = List.assoc star7.Star.hub configs7 in
+  List.iter
+    (fun (label, faults) ->
+      let text = Llmsim.Fault.render Llmsim.Fault.Cisco_cfg hub7 faults in
+      agree ("E1 " ^ label) star7 (with_hub star7 configs7 (fst (Cisco.Parser.parse text))))
+    [
+      ("correct (oracle)", []);
+      ( "AND/OR confusion",
+        [
+          Llmsim.Fault.make Llmsim.Error_class.And_or_confusion
+            (Llmsim.Fault.Policy (Cosynth.Modularizer.egress_map_name "R2"));
+        ] );
+      ("crossed ingress attachments", [ crossed ]);
+      ( "non-additive community",
+        [
+          Llmsim.Fault.make Llmsim.Error_class.Community_not_additive
+            (Llmsim.Fault.Policy_entry (Cosynth.Modularizer.ingress_map_name "R2", 10));
+        ] );
+    ];
+  check bool_t "some network proved" true (!proved > 0);
+  check bool_t "some network refuted" true (!refuted > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Driver global phase                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -255,6 +386,7 @@ let () =
           Alcotest.test_case "crossed invisible locally" `Quick
             test_crossed_attachment_invisible_locally;
           Alcotest.test_case "side conditions" `Quick test_proof_side_conditions;
+          Alcotest.test_case "compile once = per pair" `Quick test_proof_matches_per_pair;
         ] );
       ( "driver",
         [

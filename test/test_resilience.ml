@@ -1062,6 +1062,46 @@ let test_guard_deadline_expiry () =
   Thread.delay 0.5;
   check bool_t "on_settled fired after abandonment" true !settled
 
+(* An in-time call has settled by the time it returns, even when settling
+   is slow, and every call settles exactly once, in time or abandoned. *)
+let test_guard_deadline_settles_once () =
+  Resilience.Guard.reset ();
+  let settles = Atomic.make 0 in
+  let released = Atomic.make false in
+  let slow_settle () =
+    Thread.delay 0.05;
+    Atomic.incr settles;
+    Atomic.set released true
+  in
+  (match
+     Resilience.Guard.run_deadline ~deadline_ms:2_000 ~on_settled:slow_settle ~label:"in-time"
+       (fun () -> 1)
+   with
+  | Ok 1 -> ()
+  | _ -> Alcotest.fail "an in-time thunk must pass through");
+  check bool_t "settled before an in-time return" true (Atomic.get released);
+  Thread.delay 0.1;
+  check int_t "an in-time call settles once" 1 (Atomic.get settles);
+  let abandoned = Atomic.make 0 in
+  (match
+     Resilience.Guard.run_deadline ~deadline_ms:20
+       ~on_settled:(fun () -> Atomic.incr abandoned)
+       ~label:"abandoned"
+       (fun () -> Thread.delay 0.1)
+   with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "an overrunning thunk must be Error");
+  let rec wait n =
+    if Atomic.get abandoned = 0 && n > 0 then begin
+      Thread.delay 0.01;
+      wait (n - 1)
+    end
+  in
+  wait 300;
+  Thread.delay 0.1;
+  check int_t "an abandoned call settles once" 1 (Atomic.get abandoned);
+  Resilience.Guard.reset ()
+
 (* The caller wakes when the thunk finishes, not on a polling tick. *)
 let test_guard_deadline_wakes_on_completion () =
   let times =
@@ -1900,6 +1940,8 @@ let () =
             test_guard_deadline_wakes_on_completion;
           Alcotest.test_case "deadline: descriptors closed" `Quick
             test_guard_deadline_closes_fds;
+          Alcotest.test_case "deadline: settles once, in-time before return" `Quick
+            test_guard_deadline_settles_once;
         ] );
       ( "admission",
         [

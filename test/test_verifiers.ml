@@ -201,12 +201,28 @@ let test_srp_differential () =
       in
       let specs = hub.Cosynth.Modularizer.specs in
       let correct = hub.Cosynth.Modularizer.correct in
+      (* Each conversation's drafts in order, each answering an automated
+         prompt about the first live fault of the one before. *)
       let drafts =
-        List.init 20 (fun i ->
-            let chat =
-              Llmsim.Chat.start ~seed:((routers * 1000) + i) Llmsim.Fault.Cisco_cfg ~correct
-            in
-            fst (Cisco.Parser.parse (Llmsim.Chat.draft chat)))
+        List.concat
+          (List.init 20 (fun i ->
+               let chat =
+                 Llmsim.Chat.start ~seed:((routers * 1000) + i) Llmsim.Fault.Cisco_cfg ~correct
+               in
+               let rec go n acc =
+                 let acc = fst (Cisco.Parser.parse (Llmsim.Chat.draft chat)) :: acc in
+                 match Llmsim.Chat.live_faults chat with
+                 | f :: _ when n > 1 ->
+                     Llmsim.Chat.respond chat (Llmsim.Chat.auto_prompt f);
+                     go (n - 1) acc
+                 | _ -> List.rev acc
+               in
+               go 3 []))
+      in
+      (* One suite for the whole sequence, as one loop holds it: its
+         Search Route Policies oracle compiles through one shared cache. *)
+      let suite =
+        Resilience.Suite.make (Resilience.Runtime.create Resilience.Runtime.default_config)
       in
       let violated = ref 0 in
       List.iteri
@@ -217,6 +233,8 @@ let test_srp_differential () =
             (name ^ ": check_all = check per spec")
             (List.map (fun s -> Batfish.Search_route_policies.check cfg s) specs)
             (List.map snd all);
+          check bool_t (name ^ ": the suite's shared cache = check_all") true
+            (Resilience.Verifier.oracle suite.Resilience.Suite.route_policies (cfg, specs) = all);
           check bool_t (name ^ ": outcomes pair each spec in order") true
             (List.map fst all = specs);
           let env = Eval.env_of_config cfg in
