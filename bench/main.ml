@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's experiment index), then measures the
-   performance of the core components with Bechamel.
+   evaluation (see DESIGN.md's experiment index) and runs the robustness
+   gates. Performance is measured by bench/perf.
 
    Experiment ids:
    - T1  Table 1: sample rectification prompts for translation
@@ -17,7 +17,6 @@
    - S2  Service hardening: admission, deadlines and drain under overload *)
 
 open Netcore
-open Policy
 
 let cisco_text = Cisco.Samples.border_router
 let border_ir = fst (Cisco.Parser.parse cisco_text)
@@ -26,13 +25,14 @@ let correct_junos = Juniper.Translate.of_cisco_ir border_ir
 (* The command line, parsed once into its flags and the --journal DIR
    operand; the gate table at the bottom of this file lists every flag and
    [main] refuses anything else.
-   --smoke: 1 seed per experiment and no Bechamel pass — a fast end-to-end
-   exercise of the sweep plumbing for the `check` alias / CI; each gate
-   shrinks its budget under it.
+   --smoke: 1 seed per experiment — a fast end-to-end exercise of the
+   sweep plumbing for the `check` alias / CI; each gate shrinks its budget
+   under it.
    --journal DIR: checkpoint every seeded sweep (L1/L2/C1) to one journal
-   file per sweep under DIR; --resume replays the recorded seeds instead of
-   re-running them. Journal notices go to stderr so a resumed run's stdout
-   stays comparable to an uninterrupted one. *)
+   file per sweep under DIR, one {!Cosynth.Driver.outcome_to_json} line
+   per seed; --resume replays the recorded seeds instead of re-running
+   them. Journal notices go to stderr so a resumed run's stdout stays
+   comparable to an uninterrupted one. *)
 let flags, journal_dir =
   let rec parse = function
     | "--journal" :: dir :: rest when not (String.starts_with ~prefix:"--" dir) ->
@@ -61,12 +61,12 @@ let journal_name name =
       | _ -> '-')
     name
 
-let open_journal dir name ~encode ~decode =
+let open_journal dir name =
   let safe = journal_name name in
   let j =
     Exec.Sweep.journal ~resume
       ~path:(Filename.concat dir (safe ^ ".jsonl"))
-      ~encode ~decode ()
+      ~encode:Cosynth.Driver.outcome_to_json ~decode:Cosynth.Driver.outcome_of_json ()
   in
   (match Exec.Sweep.journaled_seeds j with
   | [] -> ()
@@ -74,11 +74,6 @@ let open_journal dir name ~encode ~decode =
       Printf.eprintf "journal: %s: resuming %d completed seed(s)\n%!" safe
         (List.length done_));
   j
-
-let transcript_journal dir name =
-  open_journal dir name ~encode:Cosynth.Driver.transcript_to_json
-    ~decode:(fun json ->
-      try Some (Cosynth.Driver.transcript_of_json json) with _ -> None)
 
 (* One worker pool for the whole harness; size comes from COSYNTH_POOL_SIZE
    or the machine (Exec.Pool.default_size). *)
@@ -107,20 +102,22 @@ type sweep_report =
    Under --journal the sweep instead runs once, pooled, checkpointing each
    completed seed to its own journal file (and replaying recorded seeds
    under --resume); the cross-pass determinism check is the unjournaled
-   bench's job. *)
+   bench's job. A replayed abandoned record has no transcript to
+   summarize. *)
 let determinism_sweep ~name ~seeds run =
   match journal_dir with
   | Some dir ->
       Exec.Memo.reset ();
-      let j = transcript_journal dir name in
+      let j = open_journal dir name in
       let replayed = List.length (Exec.Sweep.journaled_seeds j) in
-      let ts, perf =
+      let outcomes, perf =
         Cosynth.Metrics.measure ~pool (fun () ->
             Exec.Sweep.run_seeds ~pool ~journal:j ~seeds (fun seed ->
-                run ?pool:(Some pool) seed))
+                Exec.Supervisor.Completed (run ?pool:(Some pool) seed)))
       in
       Exec.Sweep.journal_close j;
-      (ts, Journaled { replayed; fresh = List.length seeds - replayed; perf })
+      ( List.filter_map Exec.Supervisor.completed outcomes,
+        Journaled { replayed; fresh = List.length seeds - replayed; perf } )
   | None ->
       Exec.Memo.reset ();
       let seq, seq_perf =
@@ -643,41 +640,42 @@ let table_c1 () =
   let violation fmt =
     Printf.ksprintf (fun s -> violations := s :: !violations) fmt
   in
-  (* The two invariants under ANY fault schedule: the loop never raises,
-     and the merged transcript never exceeds its prompt budget. *)
-  let guarded label budget f =
-    match f () with
-    | (t : Cosynth.Driver.transcript) ->
-        let spent = t.Cosynth.Driver.auto_prompts + t.Cosynth.Driver.human_prompts in
-        if spent > budget then
-          violation "%s spent %d prompts (budget %d)" label spent budget;
-        Some t
-    | exception e -> violation "%s raised %s" label (Printexc.to_string e); None
-  in
   let degraded_events =
     List.fold_left (fun acc t -> acc + Cosynth.Driver.degraded_rounds t) 0
   in
-  (* Journal-aware [List.filter_map f seeds]: under --journal each C1 cell
-     checkpoints its per-seed outcome to its own file ([Null] = the
-     budget/raise gate dropped the run) and --resume replays it. *)
-  let c1_sweep name f =
-    match journal_dir with
-    | None -> List.filter_map f seeds
-    | Some dir ->
-        let j =
-          open_journal dir ("c1-" ^ name)
-            ~encode:(function
-              | Some t -> Cosynth.Driver.transcript_to_json t
-              | None -> Netcore.Json.Null)
-            ~decode:(function
-              | Netcore.Json.Null -> Some None
-              | json -> (
-                  try Some (Some (Cosynth.Driver.transcript_of_json json))
-                  with _ -> None))
-        in
-        let out = Exec.Sweep.run_seeds ~journal:j ~seeds f in
-        Exec.Sweep.journal_close j;
-        List.filter_map Fun.id out
+  (* One C1 cell: the seeds of one loop under one schedule, checkpointed
+     to the cell's own journal under --journal and replayed under
+     --resume. The two invariants under ANY fault schedule — the loop
+     never raises (a raise is journaled as abandoned), and the merged
+     transcript stays within its prompt budget — are checked on the
+     outcomes the sweep returns, so a replayed record is held to them
+     exactly like a fresh run. *)
+  let c1_sweep name label budget run =
+    let run seed =
+      match run seed with
+      | t -> Exec.Supervisor.Completed t
+      | exception e ->
+          Exec.Supervisor.Abandoned { attempts = 1; reason = Printexc.to_string e }
+    in
+    let outcomes =
+      match journal_dir with
+      | None -> Exec.Sweep.run_seeds ~seeds run
+      | Some dir ->
+          let j = open_journal dir ("c1-" ^ name) in
+          let out = Exec.Sweep.run_seeds ~journal:j ~seeds run in
+          Exec.Sweep.journal_close j;
+          out
+    in
+    List.iter2
+      (fun seed -> function
+        | Exec.Supervisor.Completed t ->
+            List.iter
+              (violation "%s: %s" (label seed))
+              (Cosynth.Driver.run_violations ~budget ~hardened:false t)
+        | Exec.Supervisor.Abandoned { reason; _ } ->
+            violation "%s raised %s" (label seed) reason)
+      seeds outcomes;
+    List.filter_map Exec.Supervisor.completed outcomes
   in
   Exec.Memo.reset ();
   let (rows, crash_rows, identical), perf =
@@ -689,26 +687,20 @@ let table_c1 () =
               let ts =
                 c1_sweep
                   (Printf.sprintf "translation-%s" name)
+                  (Printf.sprintf "translation[%s seed %d]" name)
+                  trans_budget
                   (fun seed ->
-                    guarded
-                      (Printf.sprintf "translation[%s seed %d]" name seed)
-                      trans_budget
-                      (fun () ->
-                        (Cosynth.Driver.run_translation ~seed ~resilience
-                           ~cisco_text ())
-                          .Cosynth.Driver.transcript))
+                    (Cosynth.Driver.run_translation ~seed ~resilience ~cisco_text ())
+                      .Cosynth.Driver.transcript)
               in
               let ss =
                 c1_sweep
                   (Printf.sprintf "no-transit-%s" name)
+                  (Printf.sprintf "no-transit[%s seed %d]" name)
+                  synth_budget
                   (fun seed ->
-                    guarded
-                      (Printf.sprintf "no-transit[%s seed %d]" name seed)
-                      synth_budget
-                      (fun () ->
-                        (Cosynth.Driver.run_no_transit ~seed ~resilience
-                           ~routers:7 ())
-                          .Cosynth.Driver.transcript))
+                    (Cosynth.Driver.run_no_transit ~seed ~resilience ~routers:7 ())
+                      .Cosynth.Driver.transcript)
               in
               let st = Cosynth.Metrics.summarize ts in
               let sn = Cosynth.Metrics.summarize ss in
@@ -732,14 +724,11 @@ let table_c1 () =
               let ss =
                 c1_sweep
                   (Printf.sprintf "crash-%.2f" rate)
+                  (Printf.sprintf "no-transit[crash %.2f seed %d]" rate)
+                  synth_budget
                   (fun seed ->
-                    guarded
-                      (Printf.sprintf "no-transit[crash %.2f seed %d]" rate seed)
-                      synth_budget
-                      (fun () ->
-                        (Cosynth.Driver.run_no_transit ~seed ~resilience
-                           ~routers:7 ())
-                          .Cosynth.Driver.transcript))
+                    (Cosynth.Driver.run_no_transit ~seed ~resilience ~routers:7 ())
+                      .Cosynth.Driver.transcript)
               in
               let s = Cosynth.Metrics.summarize ss in
               [
@@ -991,36 +980,22 @@ let table_s1 () =
             fingerprint r.Cosynth.Driver.transcript)
           seeds)
   in
-  (* Warm: the same jobs through an in-process Exec.Serve daemon on a real
-     Unix socket — one shared pool, one persistent memo, one connection. *)
+  (* Warm: the same jobs through the daemon `cosynth serve` ships
+     (Cosynth.Service), in process on a real Unix socket — one shared
+     pool, one persistent memo, one connection. Its default verifier caps
+     are Runtime.default_config's, so its transcripts are the cold ones. *)
   Exec.Memo.reset ();
   let dir = Filename.temp_file "cosynth_s1_" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
   let socket_path = Filename.concat dir "s1.sock" in
-  let shared = Exec.Pool.create ~domains:2 () in
-  let handle ~client:_ req =
-    match Option.bind (J.member "job" req) J.to_str with
-    | Some "synth" ->
-        let seed =
-          Option.value ~default:0 (Option.bind (J.member "seed" req) J.to_int)
-        in
-        let r = Cosynth.Driver.run_no_transit ~seed ~pool:shared ~routers:5 () in
-        let t = r.Cosynth.Driver.transcript in
-        Exec.Serve.Reply
-          (J.Obj
-             [
-               ("ok", J.Bool true);
-               ("auto", J.Int t.Cosynth.Driver.auto_prompts);
-               ("human", J.Int t.Cosynth.Driver.human_prompts);
-               ("converged", J.Bool t.Cosynth.Driver.converged);
-               ("rounds", J.Int t.Cosynth.Driver.rounds);
-             ])
-    | Some "stop" -> Exec.Serve.Final (J.Obj [ ("ok", J.Bool true) ])
-    | _ -> Exec.Serve.Reply (J.Obj [ ("ok", J.Bool false) ])
-  in
   let server =
-    Thread.create (fun () -> Exec.Serve.serve ~socket_path ~handle ()) ()
+    Thread.create
+      (fun () ->
+        ignore
+          (Cosynth.Service.serve ~socket_path
+             { Cosynth.Service.default_config with Cosynth.Service.domains = Some 2 }))
+      ()
   in
   let warm, warm_perf =
     Cosynth.Metrics.measure (fun () ->
@@ -1028,14 +1003,16 @@ let table_s1 () =
             List.map
               (fun seed ->
                 Exec.Serve.request fd
-                  (J.Obj [ ("job", J.String "synth"); ("seed", J.Int seed) ]))
+                  (J.Obj
+                     [
+                       ("job", J.String "synth"); ("seed", J.Int seed); ("routers", J.Int 5);
+                     ]))
               seeds))
   in
   let memo_after = Exec.Memo.stats () in
   Exec.Serve.with_connection ~socket_path (fun fd ->
-      ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "stop") ])));
+      ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ])));
   Thread.join server;
-  Exec.Pool.shutdown shared;
   (try Sys.rmdir dir with _ -> ());
   (* Gate 1: the daemon returns the exact transcripts the cold runs
      computed — service mode is a perf story, never a semantics story. *)
@@ -1426,121 +1403,6 @@ let table_s2 () =
       exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Performance benchmarks (Bechamel)                                   *)
-(* ------------------------------------------------------------------ *)
-
-let perf_tests () =
-  let open Bechamel in
-  let junos_text = Juniper.Printer.print correct_junos in
-  let env = Eval.env_of_config border_ir in
-  let to_provider = Option.get (Config_ir.find_route_map border_ir "to_provider") in
-  let corrupted =
-    fst
-      (Juniper.Parser.parse
-         (Llmsim.Fault.render Llmsim.Fault.Junos_cfg correct_junos
-            [
-              Llmsim.Fault.make Llmsim.Error_class.Wrong_med
-                (Llmsim.Fault.Policy_entry ("to_provider", 10));
-            ]))
-  in
-  let star5 = Star.make ~routers:5 in
-  let configs5 =
-    List.map
-      (fun (t : Cosynth.Modularizer.router_task) ->
-        (t.Cosynth.Modularizer.router, t.Cosynth.Modularizer.correct))
-      (Cosynth.Modularizer.plan star5)
-  in
-  let net5 = Cosynth.Modularizer.compose star5 configs5 in
-  let star15 = Star.make ~routers:15 in
-  let hub15 =
-    List.find
-      (fun (t : Cosynth.Modularizer.router_task) ->
-        t.Cosynth.Modularizer.router = star15.Star.hub)
-      (Cosynth.Modularizer.plan star15)
-  in
-  let hub15_text = Cisco.Printer.print hub15.Cosynth.Modularizer.correct in
-  let our_networks = Option.get (Config_ir.find_prefix_list border_ir "our-networks") in
-  let private_ips = Option.get (Config_ir.find_prefix_list border_ir "private-ips") in
-  let space_a = Symbolic.Guard.compile_prefix_list our_networks in
-  let space_b = Symbolic.Guard.compile_prefix_list private_ips in
-  [
-    Test.make ~name:"prefix-space/inter+diff"
-      (Staged.stage (fun () ->
-           ignore
-             (Symbolic.Prefix_space.diff space_b (Symbolic.Prefix_space.inter space_a space_b))));
-    Test.make ~name:"symbolic/transfer-compile"
-      (Staged.stage (fun () -> ignore (Symbolic.Transfer.compile env to_provider)));
-    Test.make ~name:"symbolic/policy-diff"
-      (Staged.stage (fun () ->
-           ignore
-             (Symbolic.Policy_diff.compare_maps ~env_a:env
-                ~env_b:(Eval.env_of_config corrupted) to_provider
-                (Option.get (Config_ir.find_route_map corrupted "to_provider")))));
-    Test.make ~name:"cisco/parse"
-      (Staged.stage (fun () -> ignore (Cisco.Parser.parse cisco_text)));
-    Test.make ~name:"cisco/parse-hub15"
-      (Staged.stage (fun () -> ignore (Cisco.Parser.parse hub15_text)));
-    Test.make ~name:"junos/parse"
-      (Staged.stage (fun () -> ignore (Juniper.Parser.parse junos_text)));
-    Test.make ~name:"junos/translate+print"
-      (Staged.stage (fun () ->
-           ignore (Juniper.Printer.print (Juniper.Translate.of_cisco_ir border_ir))));
-    Test.make ~name:"campion/compare"
-      (Staged.stage (fun () ->
-           ignore (Campion.Differ.compare ~original:border_ir ~translation:corrupted)));
-    Test.make ~name:"batfish/route-policies-hub15"
-      (Staged.stage (fun () ->
-           ignore
-             (Batfish.Search_route_policies.check_all hub15.Cosynth.Modularizer.correct
-                hub15.Cosynth.Modularizer.specs)));
-    Test.make ~name:"batfish/bgp-sim-star5"
-      (Staged.stage (fun () -> ignore (Batfish.Bgp_sim.run net5)));
-    Test.make ~name:"lightyear/prove-star5"
-      (Staged.stage (fun () -> ignore (Cosynth.Lightyear.prove_no_transit star5 configs5)));
-    (let acl = Option.get (Config_ir.find_acl border_ir "mgmt-in") in
-     let flipped =
-       Acl.make acl.Acl.name
-         (List.map
-            (fun (e : Acl.entry) ->
-              if e.Acl.seq = 10 then { e with Acl.action = Action.flip e.Acl.action } else e)
-            acl.Acl.entries)
-     in
-     Test.make ~name:"acl/symbolic-diff"
-       (Staged.stage (fun () -> ignore (Symbolic.Acl_diff.compare_acls acl flipped))));
-    Test.make ~name:"loop/translation-e2e"
-      (Staged.stage (fun () -> ignore (Cosynth.Driver.run_translation ~seed:5 ~cisco_text ())));
-    Test.make ~name:"loop/no-transit-5-e2e"
-      (Staged.stage (fun () -> ignore (Cosynth.Driver.run_no_transit ~seed:5 ~routers:5 ())));
-  ]
-
-let run_perf () =
-  section "Performance benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) () in
-  let grouped = Test.make_grouped ~name:"cosynth" (perf_tests ()) in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let results = Analyze.all ols instance raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns = match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> nan in
-      rows := (name, ns) :: !rows)
-    results;
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) !rows in
-  let human ns =
-    if ns > 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-    else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-    else Printf.sprintf "%8.0f ns" ns
-  in
-  print_string
-    (Cosynth.Report.table ~title:"time per run (OLS estimate)"
-       ~header:[ "benchmark"; "time/run" ]
-       (List.map (fun (n, ns) -> [ n; human ns ]) rows))
-
-(* ------------------------------------------------------------------ *)
 (* F1: the fuzzing gate — totality of every pipeline stage             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1747,19 +1609,10 @@ let table_a1 () =
               let hardened = not (Adversary.Spec.is_none spec) in
               let ts = sweep (Some spec) in
               List.iter2
-                (fun seed (t : Cosynth.Driver.transcript) ->
-                  let prompts = t.Cosynth.Driver.auto_prompts + t.Cosynth.Driver.human_prompts in
-                  if prompts > a1_budget then
-                    violation "%s rate %.2f seed %d: %d prompts exceed budget %d"
-                      label rate seed prompts a1_budget;
-                  match (hardened, t.Cosynth.Driver.certificate) with
-                  | true, None ->
-                      violation "%s rate %.2f seed %d: hardened run without certificate"
-                        label rate seed
-                  | false, Some _ ->
-                      violation "%s rate %.2f seed %d: rate-0 run carries a certificate"
-                        label rate seed
-                  | _ -> ())
+                (fun seed t ->
+                  List.iter
+                    (violation "%s rate %.2f seed %d: %s" label rate seed)
+                    (Cosynth.Driver.run_violations ~budget:a1_budget ~hardened t))
                 seeds ts;
               if hardened then all_certs := !all_certs @ ts;
               Cosynth.Metrics.summarize ts)
@@ -1939,23 +1792,10 @@ let table_a2 () =
                     (fun (tag, runs, trust) ->
                       List.iter2
                         (fun seed ((r : Cosynth.Driver.translation_result), d) ->
-                          let t = r.Cosynth.Driver.transcript in
-                          let prompts =
-                            t.Cosynth.Driver.auto_prompts + t.Cosynth.Driver.human_prompts
-                          in
-                          if prompts > a2_budget then
-                            violation "%s rate %.2f seed %d [%s]: %d prompts exceed budget %d"
-                              label rate seed tag prompts a2_budget;
-                          (match (hardened, t.Cosynth.Driver.certificate) with
-                          | true, None ->
-                              violation
-                                "%s rate %.2f seed %d [%s]: hardened run without certificate"
-                                label rate seed tag
-                          | false, Some _ ->
-                              violation
-                                "%s rate %.2f seed %d [%s]: rate-0 run carries a certificate"
-                                label rate seed tag
-                          | _ -> ());
+                          List.iter
+                            (violation "%s rate %.2f seed %d [%s]: %s" label rate seed tag)
+                            (Cosynth.Driver.run_violations ~budget:a2_budget ~hardened
+                               r.Cosynth.Driver.transcript);
                           if trust then begin
                             if
                               d.Resilience.Trust.cross_checks
@@ -2746,9 +2586,6 @@ let () =
     label (Exec.Pool.size pool);
   List.iter (fun table -> table ()) tables;
   if Option.is_none gate then begin
-    if smoke then
-      Printf.printf "\n(smoke mode: skipping the Bechamel performance pass)\n"
-    else run_perf ();
     let ps = Exec.Pool.stats pool in
     let ms = Exec.Memo.stats () in
     Printf.printf

@@ -608,15 +608,19 @@ let check_journal_flags (journal_path, resume, _) (trust, trust_ledger) =
    (non-journaled) seeds reach [step], so --halt-after counts exactly the
    runs this process contributed. Each seed runs against the cumulative
    ledger state — a quarantine earned by an earlier seed, a killed
-   predecessor or a shard coordinator is already in force — and a result
-   [keep] accepts lands one fsync'd ledger line. Both files are closed on
-   every exit path, the simulated crash included. *)
-let with_sweep ~journal:(path, resume, halt_after) ~trust_ledger ~encode ~decode ~keep body =
+   predecessor or a shard coordinator is already in force — and a
+   completed run lands one fsync'd ledger line. The journal holds one
+   {!Cosynth.Driver.outcome_to_json} line per seed. Both files are closed
+   on every exit path, the simulated crash included. *)
+let with_sweep ~journal:(path, resume, halt_after) ~trust_ledger body =
   let ledger = Option.map Resilience.Trust.open_ledger trust_ledger in
   let journal =
     Option.map
       (fun path ->
-        let j = Exec.Sweep.journal ~resume ~path ~encode ~decode () in
+        let j =
+          Exec.Sweep.journal ~resume ~path ~encode:Cosynth.Driver.outcome_to_json
+            ~decode:Cosynth.Driver.outcome_of_json ()
+        in
         (match Exec.Sweep.journaled_seeds j with
         | [] -> Printf.eprintf "journal: recording to %s\n%!" path
         | done_ ->
@@ -638,7 +642,9 @@ let with_sweep ~journal:(path, resume, halt_after) ~trust_ledger ~encode ~decode
         exit 3
     | _ -> ());
     incr fresh;
-    Resilience.Trust.with_ledger ledger ~seed ~keep run
+    Resilience.Trust.with_ledger ledger ~seed
+      ~keep:(fun o -> not (Exec.Supervisor.abandoned o))
+      run
   in
   Fun.protect ~finally:close (fun () -> body journal step)
 
@@ -668,37 +674,35 @@ let record_triage ~seed =
         (List.length (Resilience.Guard.crashes ()))
         path)
 
+(* The contract violations of a sweep's seeds, in seed order: every
+   completed run, replayed or fresh, is held to
+   {!Cosynth.Driver.run_violations}; an abandoned seed is one only when
+   [crashes] says abandonment means the run raised. *)
+let seed_violations ~budget ~hardened ~crashes seeded =
+  List.concat_map
+    (fun (seed, o) ->
+      match o with
+      | Exec.Supervisor.Completed t ->
+          List.map (Printf.sprintf "seed %d: %s" seed)
+            (Cosynth.Driver.run_violations ~budget ~hardened t)
+      | Exec.Supervisor.Abandoned { reason; _ } ->
+          if crashes then [ Printf.sprintf "seed %d raised: %s" seed reason ] else [])
+    seeded
+
+(* The Byzantine-verifier spec of a `chaos` sweep: only its false-negative
+   rate is a flag, and a rate-0 spec leaves the runs unhardened. *)
+let chaos_adversary ~seed lie_fn =
+  Adversary.Spec.make
+    ~verifier:(Adversary.Verifier.make ~false_negative:lie_fn ~seed ())
+    ()
+
 (* Print the block a chaos-style sweep ends with — fault schedule, leverage
-   summary, degraded-round count, abandoned seeds — and return the budget
-   violations in seed order. `cosynth shard` reprints this from the merged
-   journals, so its stdout is byte-comparable to the sequential sweep's. *)
-let print_sweep_summary ~chaos ~budget seeded =
-  let outcomes = List.map snd seeded in
-  let transcripts = List.filter_map Exec.Supervisor.completed outcomes in
-  let abandoned =
-    List.filter_map
-      (fun (s, o) ->
-        match o with
-        | Exec.Supervisor.Abandoned { attempts; reason } -> Some (s, attempts, reason)
-        | Exec.Supervisor.Completed _ -> None)
-      seeded
-  in
-  let violations =
-    List.filter_map
-      (fun (run_seed, o) ->
-        match o with
-        | Exec.Supervisor.Completed t ->
-            let spent =
-              t.Cosynth.Driver.auto_prompts + t.Cosynth.Driver.human_prompts
-            in
-            if spent > budget then
-              Some
-                (Printf.sprintf "seed %d spent %d prompts (budget %d)" run_seed
-                   spent budget)
-            else None
-        | Exec.Supervisor.Abandoned _ -> None)
-      seeded
-  in
+   summary, degraded-round count, abandoned seeds — and return the
+   contract violations in seed order. `cosynth shard` reprints this from
+   the merged journals, so its stdout is byte-comparable to the sequential
+   sweep's. *)
+let print_sweep_summary ~chaos ~budget ~hardened seeded =
+  let transcripts = List.filter_map (fun (_, o) -> Exec.Supervisor.completed o) seeded in
   let degraded =
     List.fold_left (fun acc t -> acc + Cosynth.Driver.degraded_rounds t) 0 transcripts
   in
@@ -707,11 +711,13 @@ let print_sweep_summary ~chaos ~budget seeded =
     (Cosynth.Metrics.summarize transcripts);
   Printf.printf "degraded (hand-checked) verifier rounds: %d\n" degraded;
   List.iter
-    (fun (run_seed, attempts, reason) ->
-      Printf.printf "abandoned seed %d after %d attempt(s): %s\n" run_seed
-        attempts reason)
-    abandoned;
-  violations
+    (function
+      | run_seed, Exec.Supervisor.Abandoned { attempts; reason } ->
+          Printf.printf "abandoned seed %d after %d attempt(s): %s\n" run_seed
+            attempts reason
+      | _, Exec.Supervisor.Completed _ -> ())
+    seeded;
+  seed_violations ~budget ~hardened ~crashes:false seeded
 
 (* The trust and quorum summary lines a trust-armed sweep ends with. The
    quorum line is keyed on activity, so it appears only when cross-checks
@@ -939,20 +945,13 @@ let chaos_cmd =
     let chaos = { chaos with Resilience.Chaos.seed = stream_seed } in
     let resilience = Resilience.Runtime.config ~chaos () in
     let plan = Resilience.Chaos.worker_plan ~in_flight chaos ~salt:0 in
-    let adversary =
-      Adversary.Spec.make
-        ~verifier:(Adversary.Verifier.make ~false_negative:lie_fn ~seed:stream_seed ())
-        ()
-    in
+    let adversary = chaos_adversary ~seed:stream_seed lie_fn in
     let print_trust = trust_summary trust_flags in
     (* The abort trap lives inside the measured thunk so the per-verifier
        counter deltas survive: a sweep that dies halfway still reports what
        its verifiers were doing when it died. *)
     let (outcomes, aborted), perf =
-      with_sweep ~journal:journal_flags ~trust_ledger
-        ~encode:Cosynth.Driver.outcome_to_json ~decode:Cosynth.Driver.outcome_of_json
-        ~keep:(function Exec.Supervisor.Completed _ -> true | _ -> false)
-      @@ fun journal step ->
+      with_sweep ~journal:journal_flags ~trust_ledger @@ fun journal step ->
       Cosynth.Metrics.measure (fun () ->
           try
             ( Exec.Sweep.run_seeds ?journal ~seeds (fun s ->
@@ -977,7 +976,9 @@ let chaos_cmd =
     | Some _ | None -> ());
     let seeded = if outcomes = [] then [] else List.combine seeds outcomes in
     let violations =
-      print_sweep_summary ~chaos ~budget:(use_case_budget use_case) seeded
+      print_sweep_summary ~chaos ~budget:(use_case_budget use_case)
+        ~hardened:(not (Adversary.Spec.is_none adversary))
+        seeded
     in
     print_trust ();
     if verbose || aborted <> None then print_string (verifier_stats_footer perf);
@@ -1090,83 +1091,49 @@ let adversary_cmd =
     let spec = Adversary.Spec.make ~llm ~findings ~verifier ~collusion () in
     let hardened = not (Adversary.Spec.is_none spec) in
     let print_trust = trust_summary trust_flags in
-    (* The driver defaults; the invariant under any rates in [0, 1] is that
-       every run stays within them, never raises, and carries a convergence
-       certificate exactly when the spec is non-trivial. *)
-    let budget = use_case_budget use_case in
-    let violations = ref [] in
-    let violation fmt =
-      Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-    in
-    (* One journal record per seed: the full transcript of a completed run
-       (the Driver JSON codec round-trips every field, so the budget and
-       certificate checks recompute identically on replay) or the crash
-       string for a run the Guard caught (stored verbatim so a resumed
-       sweep reprints the same violation). *)
-    let encode = function
-      | Ok t ->
-          Netcore.Json.Obj
-            [
-              ("ok", Netcore.Json.Bool true);
-              ("t", Cosynth.Driver.transcript_to_json t);
-            ]
-      | Error msg ->
-          Netcore.Json.Obj
-            [
-              ("ok", Netcore.Json.Bool false);
-              ("crash", Netcore.Json.String msg);
-            ]
-    in
-    let decode json =
-      let mem f name = Option.bind (Netcore.Json.member name json) f in
-      match mem Netcore.Json.to_bool "ok" with
-      | Some true ->
-          Option.bind (Netcore.Json.member "t" json) (fun tj ->
-              try Some (Ok (Cosynth.Driver.transcript_of_json tj))
-              with _ -> None)
-      | Some false -> Option.map (fun m -> Error m) (mem Netcore.Json.to_str "crash")
-      | None -> None
-    in
+    (* The invariant under any rates in [0, 1]: every run stays within the
+       driver's default budget (under --sweep-budget, within the sweep's
+       total, which the schedule check below tightens), never raises, and
+       carries a convergence certificate exactly when the spec is
+       non-trivial. A run the Guard caught is journaled as abandoned after
+       one attempt, its crash string the reason, so a resumed sweep
+       reprints the same violation. *)
     let run_seed ?max_prompts step s =
       step s @@ fun trust_ledger ->
-      Result.map_error Resilience.Guard.crash_to_string
-        (Resilience.Guard.run ~label:"vpp-loop" ~fingerprint:(string_of_int s)
-           (fun () ->
-             run_loop use_case ~routers ~seed:s ?max_prompts ~adversary:spec
-               ~trust ?trust_ledger ()))
+      match
+        Resilience.Guard.run ~label:"vpp-loop" ~fingerprint:(string_of_int s)
+          (fun () ->
+            run_loop use_case ~routers ~seed:s ?max_prompts ~adversary:spec ~trust
+              ?trust_ledger ())
+      with
+      | Ok t -> Exec.Supervisor.Completed t
+      | Error c ->
+          Exec.Supervisor.Abandoned
+            { attempts = 1; reason = Resilience.Guard.crash_to_string c }
     in
     let budget_stats = ref None in
-    let recs =
-      with_sweep ~journal:journal_flags ~trust_ledger ~encode ~decode ~keep:Result.is_ok
-      @@ fun journal step ->
+    let outcomes =
+      with_sweep ~journal:journal_flags ~trust_ledger @@ fun journal step ->
       match sweep_budget with
       | Some total ->
           (* Certificate-aware scheduling: each seed gets a fair share of
-             what's left; a run that stalls out ([Stalled_out] certificate —
-             the watchdog or budget firing, not mere non-convergence) is
-             abandoned at whatever it actually spent and the rest of its
-             allocation flows to later seeds. A crash forfeits its whole
-             allocation — there is no transcript to read a spend from. *)
+             what's left; a run that stalls out is abandoned at whatever it
+             actually spent and the rest of its allocation flows to later
+             seeds. A crash forfeits its whole allocation — there is no
+             transcript to read a spend from. *)
           let out, stats =
             Exec.Sweep.run_seeds_budgeted ~budget:total ~seeds
               (fun ~seed:s ~max_prompts ->
-                let r = run_seed ~max_prompts step s in
-                let outcome =
-                  match r with
-                  | Error _ ->
+                let o = run_seed ~max_prompts step s in
+                ( o,
+                  match o with
+                  | Exec.Supervisor.Abandoned _ ->
                       { Exec.Sweep.spent = max_prompts; abandoned = false }
-                  | Ok t ->
+                  | Exec.Supervisor.Completed t ->
                       {
-                        Exec.Sweep.spent =
-                          t.Cosynth.Driver.auto_prompts
-                          + t.Cosynth.Driver.human_prompts;
-                        abandoned =
-                          (match t.Cosynth.Driver.certificate with
-                          | Some (Cosynth.Driver.Stalled_out _) -> true
-                          | _ -> false);
-                      }
-                in
-                (r, outcome))
+                        Exec.Sweep.spent = Cosynth.Driver.prompts t;
+                        abandoned = Cosynth.Driver.stalled_out t;
+                      } ))
           in
           budget_stats := Some stats;
           out
@@ -1174,30 +1141,15 @@ let adversary_cmd =
     in
     let seeded =
       List.filter_map
-        (fun (run_seed, r) ->
-          match r with
-          | Error msg ->
-              violation "seed %d raised: %s" run_seed msg;
-              None
-          | Ok t ->
-              let spent =
-                t.Cosynth.Driver.auto_prompts + t.Cosynth.Driver.human_prompts
-              in
-              (* Under --sweep-budget the per-seed cap is the dynamic
-                 allocation, not the use-case budget; the total check below
-                 covers the whole schedule instead. *)
-              if sweep_budget = None && spent > budget then
-                violation "seed %d spent %d prompts (budget %d)" run_seed spent
-                  budget;
-              (match (hardened, t.Cosynth.Driver.certificate) with
-              | true, None -> violation "seed %d: no convergence certificate" run_seed
-              | false, Some _ ->
-                  violation "seed %d: rate-0 run carries a certificate" run_seed
-              | _ -> ());
-              Some (run_seed, t))
-        (List.combine seeds recs)
+        (fun (s, o) -> Option.map (fun t -> (s, t)) (Exec.Supervisor.completed o))
+        (List.combine seeds outcomes)
     in
     let transcripts = List.map snd seeded in
+    let violations =
+      seed_violations ~hardened ~crashes:true
+        ~budget:(Option.value sweep_budget ~default:(use_case_budget use_case))
+        (List.combine seeds outcomes)
+    in
     Printf.printf "adversary: %s\n" (Adversary.Spec.describe spec);
     Format.printf "%a@." Cosynth.Metrics.pp_summary
       (Cosynth.Metrics.summarize transcripts);
@@ -1206,26 +1158,29 @@ let adversary_cmd =
       print_string
         (Cosynth.Report.counts ~title:"convergence certificates"
            (Cosynth.Metrics.certificates transcripts));
-    (match !budget_stats with
-    | Some (st : Exec.Sweep.budget_stats) ->
-        let total_spent =
-          List.fold_left
-            (fun acc (_, (t : Cosynth.Driver.transcript)) ->
-              acc + t.Cosynth.Driver.auto_prompts + t.Cosynth.Driver.human_prompts)
-            0 seeded
-        in
-        if total_spent > st.Exec.Sweep.budget then
-          violation "sweep spent %d prompts (sweep budget %d)" total_spent
-            st.Exec.Sweep.budget;
-        print_string
-          (Cosynth.Report.counts ~title:"budgeted schedule"
-             [
-               ("sweep budget", st.Exec.Sweep.budget);
-               ("spent", st.Exec.Sweep.spent);
-               ("abandoned early", st.Exec.Sweep.abandoned_early);
-               ("reclaimed", st.Exec.Sweep.reclaimed);
-             ])
-    | None -> ());
+    let violations =
+      match !budget_stats with
+      | Some (st : Exec.Sweep.budget_stats) ->
+          print_string
+            (Cosynth.Report.counts ~title:"budgeted schedule"
+               [
+                 ("sweep budget", st.Exec.Sweep.budget);
+                 ("spent", st.Exec.Sweep.spent);
+                 ("abandoned early", st.Exec.Sweep.abandoned_early);
+                 ("reclaimed", st.Exec.Sweep.reclaimed);
+               ]);
+          let total_spent =
+            List.fold_left (fun acc t -> acc + Cosynth.Driver.prompts t) 0 transcripts
+          in
+          if total_spent > st.Exec.Sweep.budget then
+            violations
+            @ [
+                Printf.sprintf "sweep spent %d prompts (sweep budget %d)" total_spent
+                  st.Exec.Sweep.budget;
+              ]
+          else violations
+      | None -> violations
+    in
     if verbose then
       List.iter
         (fun (run_seed, (t : Cosynth.Driver.transcript)) ->
@@ -1236,8 +1191,8 @@ let adversary_cmd =
         seeded;
     record_triage ~seed triage_path;
     disk_chaos_footer disk;
-    List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) (List.rev !violations);
-    if !violations <> [] then 1 else 0
+    List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) violations;
+    if violations <> [] then 1 else 0
   in
   let rate name doc = Arg.(value & opt float 0. & info [ name ] ~docv:"R" ~doc) in
   let truncated = rate "truncated" "Per-draft probability of a truncated reply." in
@@ -1351,7 +1306,7 @@ let shard_cmd =
       max_respawns halt_first disk =
     if shards < 1 then usage_error "--shards must be >= 1";
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let chaos, _, _ = rates in
+    let chaos, _, lie_fn = rates in
     let chaos = { chaos with Resilience.Chaos.seed } in
     let slices =
       List.filter (fun s -> s <> []) (Exec.Shard.slices ~seeds ~shards)
@@ -1441,10 +1396,7 @@ let shard_cmd =
     let abandoned payload =
       match Cosynth.Driver.outcome_of_json payload with
       | Some (Exec.Supervisor.Abandoned _) -> true
-      | Some (Exec.Supervisor.Completed t) -> (
-          match t.Cosynth.Driver.certificate with
-          | Some (Cosynth.Driver.Stalled_out _) -> true
-          | _ -> false)
+      | Some (Exec.Supervisor.Completed t) -> Cosynth.Driver.stalled_out t
       | None -> false
     in
     match Exec.Shard.run ~max_respawns ~abandoned ~workers () with
@@ -1525,7 +1477,9 @@ let shard_cmd =
             report.Exec.Shard.merged
         in
         let violations =
-          print_sweep_summary ~chaos ~budget:(use_case_budget use_case) outcomes
+          print_sweep_summary ~chaos ~budget:(use_case_budget use_case)
+            ~hardened:(not (Adversary.Spec.is_none (chaos_adversary ~seed lie_fn)))
+            outcomes
         in
         (* Stdout parity with a sequential trust-armed sweep: the same
            trust/quorum lines, folded from the coordinator ledger when one

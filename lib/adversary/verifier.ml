@@ -62,12 +62,6 @@ let effective t r =
 
 type decision = Honest | Lie_clean | Lie_fabricate | Lie_mutate
 
-let decision_name = function
-  | Honest -> "honest"
-  | Lie_clean -> "false-negative"
-  | Lie_fabricate -> "false-positive"
-  | Lie_mutate -> "mutated"
-
 let decide t ~kind_ix ~dirty =
   t.count <- t.count + 1;
   let counter = t.count in

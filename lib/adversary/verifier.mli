@@ -61,8 +61,6 @@ val derive : t -> int -> t
 
 type decision = Honest | Lie_clean | Lie_fabricate | Lie_mutate
 
-val decision_name : decision -> string
-
 val decide : t -> kind_ix:int -> dirty:bool -> decision
 (** One seeded draw per applicable mode for this call: a dirty honest
     answer can be swallowed ([Lie_clean]) or misplaced ([Lie_mutate]); a

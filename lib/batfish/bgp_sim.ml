@@ -230,17 +230,3 @@ let lookup t ~router prefix =
 let reachable t ~router prefix = lookup t ~router prefix <> None
 
 let routers t = List.map fst t
-
-let pp_ribs ppf (t : ribs) =
-  List.iter
-    (fun (name, m) ->
-      Format.fprintf ppf "== %s ==@." name;
-      Prefix.Map.iter
-        (fun _ (e : rib_entry) ->
-          Format.fprintf ppf "  %s%s@."
-            (Route.to_string e.route)
-            (match e.learned_from with
-            | Some n -> Printf.sprintf " (via %s)" n
-            | None -> " (local)"))
-        m)
-    t

@@ -52,5 +52,3 @@ val reachable : ribs -> router:string -> Prefix.t -> bool
     included. *)
 
 val routers : ribs -> string list
-
-val pp_ribs : Format.formatter -> ribs -> unit

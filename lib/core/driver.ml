@@ -61,23 +61,14 @@ let transcript_to_markdown ~title t =
     t.events;
   Buffer.contents buf
 
-(* Full-fidelity transcript (de)serialization, for journaled bench sweeps:
-   a resumed sweep must reprint the replayed transcript byte-identically,
-   so every event field round-trips. *)
+(* The transcript's JSON rendering: the golden digests and the rate-0
+   identity pins compare it byte for byte, so every event field is kept. *)
 let origin_to_string = function
   | Auto -> "auto"
   | Human -> "human"
   | Degraded -> "degraded"
   | Stalled -> "stalled"
   | Crosscheck -> "crosscheck"
-
-let origin_of_string = function
-  | "auto" -> Auto
-  | "human" -> Human
-  | "degraded" -> Degraded
-  | "stalled" -> Stalled
-  | "crosscheck" -> Crosscheck
-  | s -> invalid_arg ("Driver.origin_of_string: " ^ s)
 
 let certificate_to_json = function
   | Converged -> Netcore.Json.Obj [ ("k", Netcore.Json.String "converged") ]
@@ -88,14 +79,6 @@ let certificate_to_json = function
       Netcore.Json.Obj
         [ ("k", Netcore.Json.String "oscillating"); ("period", Netcore.Json.Int period) ]
 
-let certificate_of_json j =
-  let open Netcore.Json in
-  match str_exn (member_exn "k" j) with
-  | "converged" -> Converged
-  | "stalled" -> Stalled_out (str_exn (member_exn "reason" j))
-  | "oscillating" -> Oscillating (int_exn (member_exn "period" j))
-  | s -> invalid_arg ("Driver.certificate_of_json: " ^ s)
-
 let transcript_to_json t =
   Netcore.Json.Obj
     ([
@@ -104,8 +87,8 @@ let transcript_to_json t =
        ("converged", Netcore.Json.Bool t.converged);
        ("rounds", Netcore.Json.Int t.rounds);
      ]
-    (* The field is emitted only when present: unhardened journals keep the
-       exact pre-certificate shape, and old journals decode to [None]. *)
+    (* The field is emitted only when present, so unhardened transcripts
+       keep the exact pre-certificate shape. *)
     @ (match t.certificate with
       | None -> []
       | Some c -> [ ("cert", certificate_to_json c) ])
@@ -123,29 +106,23 @@ let transcript_to_json t =
              t.events) );
     ])
 
-let transcript_of_json j =
-  let open Netcore.Json in
-  {
-    human_prompts = int_exn (member_exn "human" j);
-    auto_prompts = int_exn (member_exn "auto" j);
-    converged = (match to_bool (member_exn "converged" j) with
-      | Some b -> b
-      | None -> invalid_arg "Driver.transcript_of_json: converged");
-    rounds = int_exn (member_exn "rounds" j);
-    certificate = Option.map certificate_of_json (member "cert" j);
-    events =
-      List.map
-        (fun e ->
-          {
-            origin = origin_of_string (str_exn (member_exn "o" e));
-            prompt = str_exn (member_exn "p" e);
-            note = str_exn (member_exn "n" e);
-          })
-        (list_exn (member_exn "events" j));
-  }
-
 let degraded_rounds t =
   List.length (List.filter (fun e -> e.origin = Degraded) t.events)
+
+let prompts t = t.auto_prompts + t.human_prompts
+
+let stalled_out t =
+  match t.certificate with Some (Stalled_out _) -> true | _ -> false
+
+let run_violations ~budget ~hardened t =
+  (if prompts t > budget then
+     [ Printf.sprintf "spent %d prompts (budget %d)" (prompts t) budget ]
+   else [])
+  @
+  match (hardened, t.certificate) with
+  | true, None -> [ "hardened run carries no convergence certificate" ]
+  | false, Some _ -> [ "rate-0 run carries a certificate" ]
+  | true, Some _ | false, None -> []
 
 (* The sweep-journal codec keeps the summary-relevant projection of each
    supervised outcome. Certificates are emitted only when present, so

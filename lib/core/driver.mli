@@ -72,26 +72,41 @@ val transcript_to_markdown : title:string -> transcript -> string
     automated/human with the verifier stage that produced it. *)
 
 val transcript_to_json : transcript -> Netcore.Json.t
-
-val transcript_of_json : Netcore.Json.t -> transcript
-(** Full-fidelity inverse of {!transcript_to_json} (every event field
-    round-trips, so a journaled bench sweep reprints replayed transcripts
-    byte-identically). Raises [Invalid_argument] on shape mismatch. *)
+(** Every event field, for byte-for-byte comparisons (the golden digests,
+    the rate-0 identity pins). Sweeps journal {!outcome_to_json} instead. *)
 
 val degraded_rounds : transcript -> int
 (** The transcript's [Degraded] annotations: verifier rounds the human
     ran by hand. *)
 
+val prompts : transcript -> int
+(** Automated plus human prompts: what the run spent of its budget. *)
+
+val stalled_out : transcript -> bool
+(** The run carries a [Stalled_out] certificate: the watchdog or the
+    budget ended it, so no further prompt would have helped. *)
+
+val run_violations : budget:int -> hardened:bool -> transcript -> string list
+(** The contract every seeded run is held to, replayed or fresh: it spent
+    at most [budget] prompts, and it carries a convergence certificate
+    exactly when it was [hardened] (a spec that is not
+    {!Adversary.Spec.is_none}). One message per broken clause, empty when
+    the run keeps the contract. *)
+
 val outcome_to_json : transcript Exec.Supervisor.outcome -> Netcore.Json.t
-(** The journal line of a supervised sweep seed ([cosynth chaos], the
-    [cosynth shard] workers, the C2 gate): prompt counts, convergence,
+(** The journal line of one sweep seed — the only journal format of the
+    seeded sweeps ([cosynth chaos], [adversary] and the [shard] workers;
+    the bench L1, L2, C1 and C2 sweeps): prompt counts, convergence,
     rounds, degraded rounds and the certificate of a completed run, or
-    the attempts and reason of an abandoned one. *)
+    the attempts and reason of an abandoned one (a crashed run is
+    abandoned after one attempt). *)
 
 val outcome_of_json : Netcore.Json.t -> transcript Exec.Supervisor.outcome option
 (** Inverse of {!outcome_to_json} up to event text: a replayed transcript
     carries one placeholder [Degraded] event per degraded round, so every
-    summary line reprints identically. [None] on shape mismatch. *)
+    summary line and {!run_violations} recompute identically. [None] on
+    shape mismatch — e.g. a line of an older codec — which a resumed
+    sweep answers by re-running the seed. *)
 
 (** {2 Use case 1: Cisco → Juniper translation} *)
 

@@ -198,61 +198,49 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
             J.List (List.map (fun d -> J.String (Netcore.Diag.to_string d)) diags)
           );
         ]
-    | "translate" ->
+    | job ->
+        (* translate, synth and repair (the incremental policy-addition
+           loop: start from the verified network, add the prepend policy,
+           repair any interference the verifiers catch) share the
+           transcript fields, then add their own verdicts. *)
         let seed = Option.value ~default:42 (jint "seed" req) in
-        let text =
-          Option.value ~default:Cisco.Samples.border_router (jstr "text" req)
-        in
-        let r =
+        let resilience = resilience_of req in
+        let t, verdicts =
           with_trust ~seed (fun trust_ledger ->
-              Driver.run_translation ~seed ?trust_ledger
-                ~resilience:(resilience_of req) ~cisco_text:text ())
+              match job with
+              | "translate" ->
+                  let cisco_text =
+                    Option.value ~default:Cisco.Samples.border_router (jstr "text" req)
+                  in
+                  let r =
+                    Driver.run_translation ~seed ?trust_ledger ~resilience ~cisco_text ()
+                  in
+                  (r.Driver.transcript, [ ("verified", J.Bool r.Driver.verified) ])
+              | "synth" ->
+                  let routers = Option.value ~default:7 (jint "routers" req) in
+                  let r =
+                    Driver.run_no_transit ~seed ~pool ?trust_ledger ~resilience ~routers ()
+                  in
+                  (r.Driver.transcript, [ ("global_ok", J.Bool r.Driver.global_ok) ])
+              | _ ->
+                  let routers = Option.value ~default:5 (jint "routers" req) in
+                  let r =
+                    Driver.run_incremental ~seed ?trust_ledger ~resilience ~routers ()
+                  in
+                  ( r.Driver.inc_transcript,
+                    [
+                      ("specs_hold", J.Bool r.Driver.specs_hold);
+                      ("global_ok", J.Bool r.Driver.global_ok);
+                      ("interference_caught", J.Bool r.Driver.interference_caught);
+                    ] ))
         in
-        let t = r.Driver.transcript in
         [
           ("auto", J.Int t.Driver.auto_prompts);
           ("human", J.Int t.Driver.human_prompts);
           ("rounds", J.Int t.Driver.rounds);
           ("converged", J.Bool t.Driver.converged);
-          ("verified", J.Bool r.Driver.verified);
         ]
-    | "synth" ->
-        let seed = Option.value ~default:42 (jint "seed" req) in
-        let routers = Option.value ~default:7 (jint "routers" req) in
-        let r =
-          with_trust ~seed (fun trust_ledger ->
-              Driver.run_no_transit ~seed ~pool ?trust_ledger
-                ~resilience:(resilience_of req) ~routers ())
-        in
-        let t = r.Driver.transcript in
-        [
-          ("auto", J.Int t.Driver.auto_prompts);
-          ("human", J.Int t.Driver.human_prompts);
-          ("rounds", J.Int t.Driver.rounds);
-          ("converged", J.Bool t.Driver.converged);
-          ("global_ok", J.Bool r.Driver.global_ok);
-        ]
-    | _ ->
-        (* repair: the incremental policy-addition loop — start from the
-           verified network, add the prepend policy, repair any
-           interference the verifiers catch. *)
-        let seed = Option.value ~default:42 (jint "seed" req) in
-        let routers = Option.value ~default:5 (jint "routers" req) in
-        let r =
-          with_trust ~seed (fun trust_ledger ->
-              Driver.run_incremental ~seed ?trust_ledger
-                ~resilience:(resilience_of req) ~routers ())
-        in
-        let t = r.Driver.inc_transcript in
-        [
-          ("auto", J.Int t.Driver.auto_prompts);
-          ("human", J.Int t.Driver.human_prompts);
-          ("rounds", J.Int t.Driver.rounds);
-          ("converged", J.Bool t.Driver.converged);
-          ("specs_hold", J.Bool r.Driver.specs_hold);
-          ("global_ok", J.Bool r.Driver.global_ok);
-          ("interference_caught", J.Bool r.Driver.interference_caught);
-        ]
+        @ verdicts
   in
   let admitted_work ~client job req =
     let name =

@@ -346,24 +346,12 @@ let fuzz_loop ~mode ~seed ~rate =
   with
   | Error c -> [ crash_violation "total-loop" c ]
   | Ok r ->
-      let t = r.Cosynth.Driver.transcript in
-      let violations = ref [] in
-      let fail property detail =
-        violations :=
-          { property; stage = "vpp-loop"; constructor = "Invariant"; detail }
-          :: !violations
-      in
-      let prompts = t.Cosynth.Driver.auto_prompts + t.Cosynth.Driver.human_prompts in
-      if prompts > loop_budget then
-        fail "loop-budget"
-          (Printf.sprintf "%d prompts exceed max_prompts=%d" prompts loop_budget);
-      (match (Adversary.Spec.is_none adversary, t.Cosynth.Driver.certificate) with
-      | false, None ->
-          fail "loop-certificate" "hardened run produced no convergence certificate"
-      | true, Some _ ->
-          fail "loop-certificate" "rate-0 run produced a certificate (identity broken)"
-      | _ -> ());
-      List.rev !violations
+      List.map
+        (fun detail ->
+          { property = "loop-contract"; stage = "vpp-loop"; constructor = "Invariant"; detail })
+        (Cosynth.Driver.run_violations ~budget:loop_budget
+           ~hardened:(not (Adversary.Spec.is_none adversary))
+           r.Cosynth.Driver.transcript)
 
 (* ------------------------------------------------------------------ *)
 (* Regression corpus replay                                            *)

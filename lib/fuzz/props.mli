@@ -70,9 +70,9 @@ val fuzz_corrupted_findings :
 
 val fuzz_loop : mode:Adversary.Llm.mode -> seed:int -> rate:float -> violation list
 (** One full translation loop under the given Byzantine-LLM mode at the
-    given rate, behind the Guard firewall. Violations: the loop raised, the
-    transcript exceeded its prompt budget, a hardened run carried no
-    convergence certificate, or a rate-0 run carried one. *)
+    given rate, behind the Guard firewall. Violations: the loop raised, or
+    its transcript broke {!Cosynth.Driver.run_violations} (the prompt
+    budget, and a certificate exactly when hardened). *)
 
 val replay_dir : string -> (string * escape list) list
 (** Replay every [*.txt] file in a regression-corpus directory (files named

@@ -141,9 +141,6 @@ let parse text =
 let find head nodes =
   List.find_opt (fun n -> match n.keywords with w :: _ -> w = head | [] -> false) nodes
 
-let find_all head nodes =
-  List.filter (fun n -> match n.keywords with w :: _ -> w = head | [] -> false) nodes
-
 let children n = Option.value ~default:[] n.children
 
 let needs_quotes w = String.contains w ' '

@@ -18,8 +18,6 @@ val parse : string -> node list * Netcore.Diag.t list
 val find : string -> node list -> node option
 (** First node whose head keyword matches. *)
 
-val find_all : string -> node list -> node list
-
 val children : node -> node list
 (** Empty list for leaves. *)
 

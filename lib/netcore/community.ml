@@ -20,8 +20,6 @@ let of_string_exn s =
   | None -> invalid_arg (Printf.sprintf "Community.of_string_exn: %S" s)
 
 let to_string c = Printf.sprintf "%d:%d" c.asn c.value
-let no_export = { asn = 0xFFFF; value = 0xFF01 }
-let no_advertise = { asn = 0xFFFF; value = 0xFF02 }
 
 let compare a b =
   match Int.compare a.asn b.asn with 0 -> Int.compare a.value b.value | c -> c

@@ -11,12 +11,6 @@ val of_string : string -> t option
 val of_string_exn : string -> t
 val to_string : t -> string
 
-val no_export : t
-(** Well-known community [65535:65281]. *)
-
-val no_advertise : t
-(** Well-known community [65535:65282]. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

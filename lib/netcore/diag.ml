@@ -4,8 +4,6 @@ type t = { line : int; severity : severity; message : string }
 
 let warning ?(line = 0) message = { line; severity = Warning; message }
 let error ?(line = 0) message = { line; severity = Error; message }
-let warningf ?line fmt = Printf.ksprintf (fun s -> warning ?line s) fmt
-let errorf ?line fmt = Printf.ksprintf (fun s -> error ?line s) fmt
 let is_error t = t.severity = Error
 
 let to_string t =

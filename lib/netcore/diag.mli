@@ -8,8 +8,6 @@ type t = { line : int; severity : severity; message : string }
 
 val warning : ?line:int -> string -> t
 val error : ?line:int -> string -> t
-val warningf : ?line:int -> ('a, unit, string, t) format4 -> 'a
-val errorf : ?line:int -> ('a, unit, string, t) format4 -> 'a
 
 val is_error : t -> bool
 val to_string : t -> string

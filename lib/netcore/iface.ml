@@ -2,8 +2,6 @@ type kind = Ethernet | FastEthernet | GigabitEthernet | Loopback
 type t = { kind : kind; slot : int; port : int }
 
 let ethernet ~slot ~port = { kind = Ethernet; slot; port }
-let fast_ethernet ~slot ~port = { kind = FastEthernet; slot; port }
-let gigabit_ethernet ~slot ~port = { kind = GigabitEthernet; slot; port }
 let loopback n = { kind = Loopback; slot = n; port = 0 }
 
 let cisco_name i =

@@ -11,8 +11,6 @@ type t = private { kind : kind; slot : int; port : int }
 (** For [Loopback], [slot] is the loopback number and [port] is unused. *)
 
 val ethernet : slot:int -> port:int -> t
-val fast_ethernet : slot:int -> port:int -> t
-val gigabit_ethernet : slot:int -> port:int -> t
 val loopback : int -> t
 
 val cisco_name : t -> string

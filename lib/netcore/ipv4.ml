@@ -46,7 +46,6 @@ let hash a = Hashtbl.hash a
 let succ a = (a + 1) land max32
 let bit a i = (a lsr (31 - i)) land 1 = 1
 let mask n = if n <= 0 then 0 else (max32 lsl (32 - n)) land max32
-let logand a b = a land b
 let logor a b = a lor b
 let lognot a = lnot a land max32
 let network a len = a land mask len

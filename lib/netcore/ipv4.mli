@@ -45,7 +45,6 @@ val bit : t -> int -> bool
 val mask : int -> t
 (** [mask n] is the netmask with [n] leading one bits; [n] in [0, 32]. *)
 
-val logand : t -> t -> t
 val logor : t -> t -> t
 val lognot : t -> t
 

@@ -52,8 +52,6 @@ let networks_of t name =
   let all = r.stub_networks @ link_subnets in
   List.fold_left (fun acc p -> if List.exists (Prefix.equal p) acc then acc else acc @ [ p ]) [] all
 
-let port_of_subnet r subnet =
-  List.find_opt (fun (p : port) -> Prefix.equal p.subnet subnet) r.ports
 let degree t name = List.length (links_of t name)
 
 let validate t =

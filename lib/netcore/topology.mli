@@ -46,8 +46,6 @@ val networks_of : t -> string -> Prefix.t list
 (** All networks router [name] should announce in BGP: its stub networks
     followed by the subnets of its incident links, without duplicates. *)
 
-val port_of_subnet : router -> Prefix.t -> port option
-
 val degree : t -> string -> int
 (** Number of incident links. *)
 

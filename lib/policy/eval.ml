@@ -80,7 +80,3 @@ let eval_optional env m r =
   match m with None -> Permitted r | Some m -> eval env m r
 
 let verdict_action = function Permitted _ -> Action.Permit | Denied -> Action.Deny
-
-let pp_verdict ppf = function
-  | Denied -> Format.pp_print_string ppf "DENY"
-  | Permitted r -> Format.fprintf ppf "PERMIT %a" Route.pp r

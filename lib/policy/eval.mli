@@ -35,4 +35,3 @@ val eval_optional : env -> Route_map.t option -> Route.t -> verdict
 (** [None] (no policy attached) permits the route unchanged. *)
 
 val verdict_action : verdict -> Action.t
-val pp_verdict : Format.formatter -> verdict -> unit

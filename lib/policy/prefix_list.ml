@@ -25,11 +25,6 @@ let matches t p =
   | Some e -> e.action = Action.Permit
   | None -> false
 
-let permitted_ranges t =
-  List.filter_map
-    (fun e -> if e.action = Action.Permit then Some e.range else None)
-    t.entries
-
 let equal a b = a = b
 
 let pp ppf t =

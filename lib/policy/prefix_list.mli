@@ -20,9 +20,5 @@ val matches : t -> Prefix.t -> bool
 
 val matching_entry : t -> Prefix.t -> entry option
 
-val permitted_ranges : t -> Prefix_range.t list
-(** The ranges of permit entries, in order (used to build symbolic spaces;
-    deny carve-outs are handled by the symbolic engine itself). *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

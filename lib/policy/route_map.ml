@@ -41,7 +41,6 @@ let make name entries =
 let entry ?(action = Action.Permit) ?(matches = []) ?(sets = []) seq =
   { seq; action; matches; sets }
 
-let find_entry t seq = List.find_opt (fun e -> e.seq = seq) t.entries
 let permit_all name = make name [ entry 10 ]
 let deny_all name = make name [ entry ~action:Action.Deny 10 ]
 

@@ -44,8 +44,6 @@ val make : string -> entry list -> t
 val entry :
   ?action:Action.t -> ?matches:match_cond list -> ?sets:set_action list -> int -> entry
 
-val find_entry : t -> int -> entry option
-
 val permit_all : string -> t
 (** A map with a single empty-match permit entry. *)
 

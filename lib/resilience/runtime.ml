@@ -135,4 +135,3 @@ let call t v input =
 let clock t = t.clock
 let breaker_state t kind = Breaker.state (breaker_for t kind)
 let breaker_trips t kind = Breaker.trips (breaker_for t kind)
-let chaos_active t = not (Chaos.is_none t.cfg.chaos)

@@ -75,4 +75,3 @@ val call : t -> ('i, 'o) Verifier.t -> 'i -> ('o, degraded) result
 val clock : t -> Clock.t
 val breaker_state : t -> Verifier.kind -> Breaker.state
 val breaker_trips : t -> Verifier.kind -> int
-val chaos_active : t -> bool

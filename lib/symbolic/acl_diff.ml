@@ -144,11 +144,6 @@ let compile (acl : Acl.t) =
   in
   List.rev regions @ implicit
 
-let permits_space acl =
-  List.concat_map
-    (fun r -> if r.action = Action.Permit then r.space else [])
-    (compile acl)
-
 type difference = {
   example : Packet.t;
   action_a : Action.t;

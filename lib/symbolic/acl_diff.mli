@@ -37,9 +37,6 @@ type region = { space : cube list; action : Action.t; seq : int option }
 val compile : Acl.t -> region list
 (** Disjoint covering regions in entry order, final implicit deny. *)
 
-val permits_space : Acl.t -> cube list
-(** The set of packets the ACL permits. *)
-
 type difference = {
   example : Packet.t;
   action_a : Action.t;

@@ -27,7 +27,6 @@ let sample = function
       first 0
 
 let satisfies v = function Any -> true | Eq n -> v = n | Neq l -> not (List.mem v l)
-let is_any = function Any -> true | _ -> false
 let equal a b = a = b
 
 let to_string = function

@@ -19,7 +19,6 @@ val sample : t -> int
 (** A satisfying value (deterministic). *)
 
 val satisfies : int -> t -> bool
-val is_any : t -> bool
 val equal : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

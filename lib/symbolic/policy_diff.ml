@@ -94,18 +94,3 @@ let compare_maps ~env_a ~env_b ?(universe = Pred.default_universe) map_a map_b =
 
 let equivalent ~env_a ~env_b map_a map_b =
   compare_maps ~env_a ~env_b map_a map_b = []
-
-let pp_difference ppf d =
-  let seq = function Some s -> string_of_int s | None -> "implicit" in
-  Format.fprintf ppf "a[seq %s]=%s vs b[seq %s]=%s (%s)%s" (seq d.seq_a)
-    (Action.to_string d.action_a) (seq d.seq_b)
-    (Action.to_string d.action_b)
-    (match d.kind with
-    | Action_mismatch -> "action mismatch"
-    | Effect_mismatch fields ->
-        "effect mismatch: "
-        ^ String.concat ", "
-            (List.map (fun (f, a, b) -> Printf.sprintf "%s %s vs %s" f a b) fields))
-    (match d.example with
-    | Some r -> Printf.sprintf " e.g. %s" (Route.to_string r)
-    | None -> "")

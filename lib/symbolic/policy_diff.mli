@@ -33,5 +33,3 @@ val compare_maps :
 
 val equivalent :
   env_a:Eval.env -> env_b:Eval.env -> Route_map.t -> Route_map.t -> bool
-
-val pp_difference : Format.formatter -> difference -> unit

@@ -34,18 +34,6 @@ let compile env (m : Route_map.t) =
   in
   List.rev regions @ implicit
 
-let compile_optional env = function
-  | None ->
-      [ { space = Pred.full; action = Action.Permit; effect_ = Effects.identity; seq = None } ]
-  | Some m -> compile env m
-
-let action_on env m query =
-  List.filter_map
-    (fun r ->
-      let s = Pred.inter r.space query in
-      if Pred.is_empty s then None else Some (r.action, { r with space = s }))
-    (compile env m)
-
 (* Filtering keeps environment order, so a duplicate name still resolves to
    its first definition. *)
 let env_slice maps (env : Eval.env) =
@@ -82,10 +70,3 @@ let compile_in cache env m =
       let regions = compile env m in
       Hashtbl.add cache key regions;
       regions
-
-let pp_region ppf r =
-  Format.fprintf ppf "[seq %s] %s %s on %s"
-    (match r.seq with Some s -> string_of_int s | None -> "implicit")
-    (Action.to_string r.action)
-    (Effects.to_string r.effect_)
-    (Pred.to_string r.space)

@@ -14,13 +14,6 @@ val compile : Eval.env -> Route_map.t -> region list
 (** Regions are pairwise disjoint and cover the full space; the last region
     is the implicit deny. Empty regions (shadowed entries) are dropped. *)
 
-val compile_optional : Eval.env -> Route_map.t option -> region list
-(** [None] (no policy attached) is a single permit-everything region. *)
-
-val action_on : Eval.env -> Route_map.t -> Pred.t -> (Action.t * region) list
-(** The regions intersecting a query space, with the intersection
-    restricted to it. *)
-
 val env_slice : Route_map.t list -> Eval.env -> Eval.env
 (** The part of an environment that compiling any of the maps reads: the
     prefix, community and AS-path lists they name, each in its original
@@ -43,5 +36,3 @@ val cache : unit -> cache
 val compile_in : cache -> Eval.env -> Route_map.t -> region list
 (** Exactly [compile env m]. Keyed on the map plus [env_slice [m] env], so
     editing a list the map does not name still hits. *)
-
-val pp_region : Format.formatter -> region -> unit

@@ -184,28 +184,103 @@ let test_rate0_identity () =
         (plain.Cosynth.Driver.certificate = None))
     [ 1; 5; 42 ]
 
-let test_certificate_roundtrip () =
+(* The sweep journal's record: every summary field and the certificate
+   survive [outcome_to_json]/[outcome_of_json], events up to one
+   placeholder per degraded round, and the re-encoded line is the
+   original byte for byte. *)
+let transcript ?(events = []) ?certificate ~auto ~human () =
+  {
+    Cosynth.Driver.events;
+    human_prompts = human;
+    auto_prompts = auto;
+    converged = certificate = Some Cosynth.Driver.Converged;
+    rounds = 4;
+    certificate;
+  }
+
+let decode_json text =
+  match Netcore.Json.of_string text with
+  | Ok j -> Cosynth.Driver.outcome_of_json j
+  | Error e -> Alcotest.failf "unparsable test record %s: %s" text e
+
+let test_outcome_roundtrip () =
+  let module D = Cosynth.Driver in
+  let ev origin = { D.origin; prompt = "p"; note = "n" } in
+  let line o = Netcore.Json.to_string (D.outcome_to_json o) in
   List.iter
-    (fun cert ->
-      let t =
-        {
-          Cosynth.Driver.events = [];
-          human_prompts = 1;
-          auto_prompts = 3;
-          converged = false;
-          rounds = 4;
-          certificate = cert;
-        }
-      in
-      let t' = Cosynth.Driver.transcript_of_json (Cosynth.Driver.transcript_to_json t) in
-      check bool_t "certificate round-trips" true
-        (t'.Cosynth.Driver.certificate = cert))
+    (fun o ->
+      match D.outcome_of_json (D.outcome_to_json o) with
+      | None -> Alcotest.failf "record does not decode: %s" (line o)
+      | Some o' -> (
+          check string_t "re-encoded line" (line o) (line o');
+          match (o, o') with
+          | Exec.Supervisor.Completed t, Exec.Supervisor.Completed t' ->
+              check int_t "auto" t.D.auto_prompts t'.D.auto_prompts;
+              check int_t "human" t.D.human_prompts t'.D.human_prompts;
+              check bool_t "converged" t.D.converged t'.D.converged;
+              check int_t "rounds" t.D.rounds t'.D.rounds;
+              check int_t "degraded rounds" (D.degraded_rounds t) (D.degraded_rounds t');
+              check bool_t "certificate" true (t.D.certificate = t'.D.certificate)
+          | Exec.Supervisor.Abandoned _, Exec.Supervisor.Abandoned _ ->
+              check bool_t "abandoned record" true (o = o')
+          | _ -> Alcotest.failf "record changed kind: %s" (line o)))
     [
-      None;
-      Some Cosynth.Driver.Converged;
-      Some (Cosynth.Driver.Stalled_out "watchdog");
-      Some (Cosynth.Driver.Oscillating 2);
+      Exec.Supervisor.Completed (transcript ~auto:3 ~human:1 ());
+      Exec.Supervisor.Completed (transcript ~certificate:D.Converged ~auto:9 ~human:2 ());
+      Exec.Supervisor.Completed
+        (transcript ~certificate:(D.Stalled_out "prompt budget exhausted") ~auto:30
+           ~human:10 ());
+      Exec.Supervisor.Completed
+        (transcript
+           ~events:[ ev D.Auto; ev D.Degraded; ev D.Human; ev D.Degraded; ev D.Degraded ]
+           ~certificate:(D.Oscillating 2) ~auto:5 ~human:2 ());
+      Exec.Supervisor.Abandoned { attempts = 1; reason = "Failure(\"boom\")" };
+    ];
+  (* Older codecs do not decode, so a resumed sweep re-runs those seeds:
+     the pre-outcome adversary line, a bench transcript line and C1's
+     raised-run null. *)
+  let t = transcript ~certificate:D.Converged ~auto:9 ~human:2 () in
+  List.iter
+    (fun (what, json) ->
+      check bool_t (what ^ " decodes to None") true (D.outcome_of_json json = None))
+    [
+      ( "adversary {ok,t} line",
+        Netcore.Json.Obj [ ("ok", Netcore.Json.Bool true); ("t", D.transcript_to_json t) ] );
+      ("bare transcript line", D.transcript_to_json t);
+      ("null record", Netcore.Json.Null);
     ]
+
+(* The run contract holds on decoded records exactly as on fresh runs. *)
+let test_run_contract () =
+  let module D = Cosynth.Driver in
+  let decoded text =
+    match decode_json text with
+    | Some (Exec.Supervisor.Completed t) -> t
+    | _ -> Alcotest.failf "not a completed record: %s" text
+  in
+  let overspent =
+    decoded {|{"ok":true,"auto":999,"human":0,"converged":true,"rounds":5,"degraded":0}|}
+  in
+  check int_t "prompts" 999 (D.prompts overspent);
+  check (Alcotest.list string_t) "999 prompts over budget 400"
+    [ "spent 999 prompts (budget 400)" ]
+    (D.run_violations ~budget:400 ~hardened:false overspent);
+  check (Alcotest.list string_t) "within a 999 budget" []
+    (D.run_violations ~budget:999 ~hardened:false overspent);
+  check (Alcotest.list string_t) "hardened record without a certificate"
+    [ "hardened run carries no convergence certificate" ]
+    (D.run_violations ~budget:999 ~hardened:true overspent);
+  let stalled =
+    decoded
+      {|{"ok":true,"auto":30,"human":10,"converged":false,"rounds":9,"degraded":0,"certificate":{"kind":"stalled","reason":"watchdog"}}|}
+  in
+  check bool_t "stalled out" true (D.stalled_out stalled);
+  check bool_t "overspent record is not stalled out" false (D.stalled_out overspent);
+  check (Alcotest.list string_t) "rate-0 record with a certificate"
+    [ "rate-0 run carries a certificate" ]
+    (D.run_violations ~budget:40 ~hardened:false stalled);
+  check (Alcotest.list string_t) "hardened record keeps the contract" []
+    (D.run_violations ~budget:40 ~hardened:true stalled)
 
 let test_hardened_run_certified () =
   let spec =
@@ -537,8 +612,10 @@ let () =
       ( "certificates",
         [
           Alcotest.test_case "rate-0 identity" `Quick test_rate0_identity;
-          Alcotest.test_case "certificate JSON round-trip" `Quick
-            test_certificate_roundtrip;
+          Alcotest.test_case "outcome journal round-trip" `Quick
+            test_outcome_roundtrip;
+          Alcotest.test_case "run contract on decoded records" `Quick
+            test_run_contract;
           Alcotest.test_case "hardened runs certified" `Quick
             test_hardened_run_certified;
         ] );
