@@ -154,6 +154,16 @@ let print_determinism = function
         replayed fresh;
       print_perf "wall:" perf
 
+(* A gate's last lines: [ok] when it recorded nothing, else every
+   recorded violation (or escape) and exit 1. *)
+let gate_verdict ?(noun = "violation") ~gate ~ok recorded =
+  match List.rev recorded with
+  | [] -> print_string ok
+  | vs ->
+      Printf.printf "\n  %s GATE FAILED: %d %s(s)\n" gate (List.length vs) noun;
+      List.iter (Printf.printf "  %s %s\n" (String.uppercase_ascii noun)) vs;
+      exit 1
+
 (* ------------------------------------------------------------------ *)
 (* T1: Table 1 — rectification prompts for translation                 *)
 (* ------------------------------------------------------------------ *)
@@ -241,57 +251,44 @@ let table_t2 () =
 (* L1 / L2: leverage                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let table_l1 () =
-  section "L1 — Translation leverage (paper: ~20 automated, 2 human, 10x)";
+(* One seeded sweep of a VPP loop, summarized against the paper's prompt
+   counts (2 human prompts in both use cases). *)
+let leverage_table ~heading ~name ~base ~loop ~paper_auto ~paper_leverage run =
+  section heading;
   let n = runs 30 in
   let transcripts, report =
-    determinism_sweep ~name:"l1-translation"
-      ~seeds:(Exec.Sweep.seeds ~base:1000 ~n)
-      (fun ?pool:_ seed ->
-        (Cosynth.Driver.run_translation ~seed ~cisco_text ()).Cosynth.Driver.transcript)
+    determinism_sweep ~name ~seeds:(Exec.Sweep.seeds ~base ~n) run
   in
   let s = Cosynth.Metrics.summarize transcripts in
   print_string
     (Cosynth.Report.kv
-       ~title:(Printf.sprintf "%d seeded runs of the translation VPP loop" n)
+       ~title:(Printf.sprintf "%d seeded runs of the %s VPP loop" n loop)
        [
          ("converged", Printf.sprintf "%d/%d" s.Cosynth.Metrics.converged s.Cosynth.Metrics.runs);
-         ("mean automated prompts", Printf.sprintf "%.1f (paper: ~20)" s.Cosynth.Metrics.mean_auto);
+         ( "mean automated prompts",
+           Printf.sprintf "%.1f (paper: %s)" s.Cosynth.Metrics.mean_auto paper_auto );
          ("mean human prompts", Printf.sprintf "%.1f (paper: 2)" s.Cosynth.Metrics.mean_human);
          ( "leverage",
-           Printf.sprintf "%.1fx mean, %.1f-%.1f range (paper: 10x)"
+           Printf.sprintf "%.1fx mean, %.1f-%.1f range (paper: %s)"
              s.Cosynth.Metrics.mean_leverage s.Cosynth.Metrics.min_leverage
-             s.Cosynth.Metrics.max_leverage );
+             s.Cosynth.Metrics.max_leverage paper_leverage );
        ]);
   print_determinism report
 
+let table_l1 () =
+  leverage_table ~heading:"L1 — Translation leverage (paper: ~20 automated, 2 human, 10x)"
+    ~name:"l1-translation" ~base:1000 ~loop:"translation" ~paper_auto:"~20"
+    ~paper_leverage:"10x" (fun ?pool:_ seed ->
+      (Cosynth.Driver.run_translation ~seed ~cisco_text ()).Cosynth.Driver.transcript)
+
+(* The pool is threaded into each run too: the per-router synthesis tasks
+   fan out across the same workers as the seeds (nested maps are safe —
+   the waiting caller helps drain the queue). *)
 let table_l2 () =
-  section "L2 — No-transit leverage (paper: 12 automated, 2 human, 6x)";
-  let n = runs 30 in
-  let transcripts, report =
-    (* The pool is threaded into each run too: the per-router synthesis
-       tasks fan out across the same workers as the seeds (nested maps are
-       safe — the waiting caller helps drain the queue). *)
-    determinism_sweep ~name:"l2-no-transit"
-      ~seeds:(Exec.Sweep.seeds ~base:2000 ~n)
-      (fun ?pool seed ->
-        (Cosynth.Driver.run_no_transit ~seed ?pool ~routers:7 ())
-          .Cosynth.Driver.transcript)
-  in
-  let s = Cosynth.Metrics.summarize transcripts in
-  print_string
-    (Cosynth.Report.kv
-       ~title:(Printf.sprintf "%d seeded runs of the 7-router no-transit VPP loop" n)
-       [
-         ("converged", Printf.sprintf "%d/%d" s.Cosynth.Metrics.converged s.Cosynth.Metrics.runs);
-         ("mean automated prompts", Printf.sprintf "%.1f (paper: 12)" s.Cosynth.Metrics.mean_auto);
-         ("mean human prompts", Printf.sprintf "%.1f (paper: 2)" s.Cosynth.Metrics.mean_human);
-         ( "leverage",
-           Printf.sprintf "%.1fx mean, %.1f-%.1f range (paper: 6x)"
-             s.Cosynth.Metrics.mean_leverage s.Cosynth.Metrics.min_leverage
-             s.Cosynth.Metrics.max_leverage );
-       ]);
-  print_determinism report
+  leverage_table ~heading:"L2 — No-transit leverage (paper: 12 automated, 2 human, 6x)"
+    ~name:"l2-no-transit" ~base:2000 ~loop:"7-router no-transit" ~paper_auto:"12"
+    ~paper_leverage:"6x" (fun ?pool seed ->
+      (Cosynth.Driver.run_no_transit ~seed ?pool ~routers:7 ()).Cosynth.Driver.transcript)
 
 (* ------------------------------------------------------------------ *)
 (* F4: Figure 4 — star topology                                        *)
@@ -1072,12 +1069,7 @@ let table_s1 () =
   then
     violation "warm daemon slower than cold startup (%.2fs vs %.2fs)"
       warm_perf.Cosynth.Metrics.wall_s cold_perf.Cosynth.Metrics.wall_s;
-  match List.rev !violations with
-  | [] -> Printf.printf "  S1: all invariants hold\n"
-  | vs ->
-      Printf.printf "\n  S1 GATE FAILED: %d violation(s)\n" (List.length vs);
-      List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) vs;
-      exit 1
+  gate_verdict ~gate:"S1" ~ok:"  S1: all invariants hold\n" !violations
 
 (* ------------------------------------------------------------------ *)
 (* S2: service hardening — admission, deadlines, drain under overload  *)
@@ -1395,12 +1387,7 @@ let table_s2 () =
          ( "draining rejects under drain",
            count `Draining drain_outcomes + if late_reject then 1 else 0 );
        ]);
-  match List.rev !violations with
-  | [] -> Printf.printf "\n  S2: all invariants hold\n"
-  | vs ->
-      Printf.printf "\n  S2 GATE FAILED: %d violation(s)\n" (List.length vs);
-      List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) vs;
-      exit 1
+  gate_verdict ~gate:"S2" ~ok:"\n  S2: all invariants hold\n" !violations
 
 (* ------------------------------------------------------------------ *)
 (* F1: the fuzzing gate — totality of every pipeline stage             *)
@@ -1517,12 +1504,8 @@ let table_f1 () =
            (List.map
               (fun (stage, ctor, n) -> [ stage; ctor; string_of_int n ])
               rows)));
-  match List.rev !violations with
-  | [] -> Printf.printf "\n  F1: zero unguarded escapes\n"
-  | vs ->
-      Printf.printf "\n  F1 GATE FAILED: %d escape(s)\n" (List.length vs);
-      List.iter (fun v -> Printf.printf "  ESCAPE %s\n" v) vs;
-      exit 1
+  gate_verdict ~noun:"escape" ~gate:"F1"
+    ~ok:"\n  F1: zero unguarded escapes\n" !violations
 
 (* ------------------------------------------------------------------ *)
 (* A1: the adversarial-robustness gate                                  *)
@@ -1677,12 +1660,7 @@ let table_a1 () =
   Printf.printf "  loop fuzz: %d mode(s) x %d seed(s) at rate 0.35, all within budget\n"
     (List.length Adversary.Llm.all_modes)
     (List.length loop_seeds);
-  match List.rev !violations with
-  | [] -> Printf.printf "\n  A1: all invariants hold\n"
-  | vs ->
-      Printf.printf "\n  A1 GATE FAILED: %d violation(s)\n" (List.length vs);
-      List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) vs;
-      exit 1
+  gate_verdict ~gate:"A1" ~ok:"\n  A1: all invariants hold\n" !violations
 
 (* Every verifier-lie mode as (config builder, row label) pairs for the A2
    headline table. The adaptive false-negative variant gets its own row so
@@ -1856,12 +1834,7 @@ let table_a2 () =
        ~header:Cosynth.Metrics.trust_header
        (Cosynth.Metrics.trust_rows perf));
   Format.printf "  %a@." Cosynth.Metrics.pp_perf perf;
-  match List.rev !violations with
-  | [] -> Printf.printf "\n  A2: all invariants hold\n"
-  | vs ->
-      Printf.printf "\n  A2 GATE FAILED: %d violation(s)\n" (List.length vs);
-      List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) vs;
-      exit 1
+  gate_verdict ~gate:"A2" ~ok:"\n  A2: all invariants hold\n" !violations
 
 (* ------------------------------------------------------------------ *)
 (* A3 — collusion-resistant trust: the compromised-oracle gate          *)
@@ -2077,12 +2050,7 @@ let table_a3 () =
        ~header:Cosynth.Metrics.trust_header
        (Cosynth.Metrics.trust_rows perf));
   Format.printf "  %a@." Cosynth.Metrics.pp_perf perf;
-  match List.rev !violations with
-  | [] -> Printf.printf "\n  A3: all invariants hold\n"
-  | vs ->
-      Printf.printf "\n  A3 GATE FAILED: %d violation(s)\n" (List.length vs);
-      List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) vs;
-      exit 1
+  gate_verdict ~gate:"A3" ~ok:"\n  A3: all invariants hold\n" !violations
 
 (* ------------------------------------------------------------------ *)
 (* D1: the durability gate — crash at every write point, recover       *)
@@ -2511,12 +2479,8 @@ let table_d1 () =
   d1_corruption_sweep ~violation ();
   Printf.printf "  corrupt lines skipped and counted so far: %d\n"
     (Durable.Store.corrupt_seen ());
-  match List.rev !violations with
-  | [] -> Printf.printf "\n  D1: every crash recovered, every corruption contained\n"
-  | vs ->
-      Printf.printf "\n  D1 GATE FAILED: %d violation(s)\n" (List.length vs);
-      List.iter (fun v -> Printf.printf "  VIOLATION %s\n" v) vs;
-      exit 1
+  gate_verdict ~gate:"D1"
+    ~ok:"\n  D1: every crash recovered, every corruption contained\n" !violations
 
 (* The gates, in precedence order: the first whose flag is given runs its
    tables alone; with none, the full harness runs.

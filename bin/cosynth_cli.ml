@@ -701,7 +701,7 @@ let chaos_adversary ~seed lie_fn =
    contract violations in seed order. `cosynth shard` reprints this from
    the merged journals, so its stdout is byte-comparable to the sequential
    sweep's. *)
-let print_sweep_summary ~chaos ~budget ~hardened seeded =
+let print_sweep_summary ~chaos ~use_case ~adversary seeded =
   let transcripts = List.filter_map (fun (_, o) -> Exec.Supervisor.completed o) seeded in
   let degraded =
     List.fold_left (fun acc t -> acc + Cosynth.Driver.degraded_rounds t) 0 transcripts
@@ -717,7 +717,9 @@ let print_sweep_summary ~chaos ~budget ~hardened seeded =
             attempts reason
       | _, Exec.Supervisor.Completed _ -> ())
     seeded;
-  seed_violations ~budget ~hardened ~crashes:false seeded
+  seed_violations ~budget:(use_case_budget use_case)
+    ~hardened:(not (Adversary.Spec.is_none adversary))
+    ~crashes:false seeded
 
 (* The trust and quorum summary lines a trust-armed sweep ends with. The
    quorum line is keyed on activity, so it appears only when cross-checks
@@ -975,11 +977,7 @@ let chaos_cmd =
           path dropped kept
     | Some _ | None -> ());
     let seeded = if outcomes = [] then [] else List.combine seeds outcomes in
-    let violations =
-      print_sweep_summary ~chaos ~budget:(use_case_budget use_case)
-        ~hardened:(not (Adversary.Spec.is_none adversary))
-        seeded
-    in
+    let violations = print_sweep_summary ~chaos ~use_case ~adversary seeded in
     print_trust ();
     if verbose || aborted <> None then print_string (verifier_stats_footer perf);
     record_triage ~seed triage_path;
@@ -1139,16 +1137,12 @@ let adversary_cmd =
           out
       | None -> Exec.Sweep.run_seeds ?journal ~seeds (run_seed step)
     in
-    let seeded =
-      List.filter_map
-        (fun (s, o) -> Option.map (fun t -> (s, t)) (Exec.Supervisor.completed o))
-        (List.combine seeds outcomes)
-    in
-    let transcripts = List.map snd seeded in
+    let seeded = List.combine seeds outcomes in
+    let transcripts = List.filter_map Exec.Supervisor.completed outcomes in
     let violations =
       seed_violations ~hardened ~crashes:true
         ~budget:(Option.value sweep_budget ~default:(use_case_budget use_case))
-        (List.combine seeds outcomes)
+        seeded
     in
     Printf.printf "adversary: %s\n" (Adversary.Spec.describe spec);
     Format.printf "%a@." Cosynth.Metrics.pp_summary
@@ -1183,11 +1177,13 @@ let adversary_cmd =
     in
     if verbose then
       List.iter
-        (fun (run_seed, (t : Cosynth.Driver.transcript)) ->
-          Printf.printf "  seed %d: %s\n" run_seed
-            (match t.Cosynth.Driver.certificate with
-            | Some c -> Cosynth.Driver.certificate_to_string c
-            | None -> "(plain run)"))
+        (function
+          | run_seed, Exec.Supervisor.Completed (t : Cosynth.Driver.transcript) ->
+              Printf.printf "  seed %d: %s\n" run_seed
+                (match t.Cosynth.Driver.certificate with
+                | Some c -> Cosynth.Driver.certificate_to_string c
+                | None -> "(plain run)")
+          | _, Exec.Supervisor.Abandoned _ -> ())
         seeded;
     record_triage ~seed triage_path;
     disk_chaos_footer disk;
@@ -1477,8 +1473,8 @@ let shard_cmd =
             report.Exec.Shard.merged
         in
         let violations =
-          print_sweep_summary ~chaos ~budget:(use_case_budget use_case)
-            ~hardened:(not (Adversary.Spec.is_none (chaos_adversary ~seed lie_fn)))
+          print_sweep_summary ~chaos ~use_case
+            ~adversary:(chaos_adversary ~seed lie_fn)
             outcomes
         in
         (* Stdout parity with a sequential trust-armed sweep: the same
