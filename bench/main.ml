@@ -94,6 +94,27 @@ type sweep_report =
     }
   | Journaled of { replayed : int; fresh : int; perf : Cosynth.Metrics.perf }
 
+(* The byte-identity pin: a transcript's markdown and JSON renderings. Two
+   runs are byte-identical when every rendering matches byte for byte. *)
+let renderings t =
+  [
+    ("markdown", Cosynth.Driver.transcript_to_markdown ~title:"run" t);
+    ("JSON", Json.to_string (Cosynth.Driver.transcript_to_json t));
+  ]
+
+let byte_identical xs ys = List.map renderings xs = List.map renderings ys
+
+(* The cells every leverage table draws from one summary. *)
+type cells = { auto : string; human : string; leverage : string; converged : string }
+
+let cells (s : Cosynth.Metrics.summary) =
+  {
+    auto = Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_auto;
+    human = Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_human;
+    leverage = Printf.sprintf "%.1fx" s.Cosynth.Metrics.mean_leverage;
+    converged = Printf.sprintf "%d/%d" s.Cosynth.Metrics.converged s.Cosynth.Metrics.runs;
+  }
+
 (* Run a seeded sweep twice — sequentially and on the pool — check the
    transcripts are byte-identical (determinism is the acceptance bar), and
    report both timings. The memo cache is cleared before each pass so the
@@ -129,16 +150,7 @@ let determinism_sweep ~name ~seeds run =
         Cosynth.Metrics.measure ~pool (fun () ->
             Exec.Sweep.run_seeds ~pool ~seeds (fun seed -> run ?pool:(Some pool) seed))
       in
-      let md (t : Cosynth.Driver.transcript) =
-        Cosynth.Driver.transcript_to_markdown ~title:"run" t
-      in
-      let identical =
-        List.for_all2
-          (fun a b ->
-            md a = md b && Cosynth.Driver.leverage a = Cosynth.Driver.leverage b)
-          seq par
-      in
-      (par, Two_pass { identical; seq_perf; par_perf })
+      (par, Two_pass { identical = byte_identical seq par; seq_perf; par_perf })
 
 let print_determinism = function
   | Two_pass { identical; seq_perf; par_perf } ->
@@ -154,15 +166,65 @@ let print_determinism = function
         replayed fresh;
       print_perf "wall:" perf
 
-(* A gate's last lines: [ok] when it recorded nothing, else every
-   recorded violation (or escape) and exit 1. *)
-let gate_verdict ?(noun = "violation") ~gate ~ok recorded =
-  match List.rev recorded with
+(* An invariant gate's body records what it finds through [violation]. *)
+type gate = { violation : 'a. ('a, unit, string, unit) format4 -> 'a }
+
+(* Run one invariant gate: print its section, run [body], and end with the
+   verdict — [ok] when the body recorded nothing, else every recorded
+   violation (or escape) and exit 1. *)
+let run_gate ?(noun = "violation") ~id ~ok title body =
+  section title;
+  let recorded = ref [] in
+  body
+    {
+      violation = (fun fmt -> Printf.ksprintf (fun v -> recorded := v :: !recorded) fmt);
+    };
+  match List.rev !recorded with
   | [] -> print_string ok
   | vs ->
-      Printf.printf "\n  %s GATE FAILED: %d %s(s)\n" gate (List.length vs) noun;
+      Printf.printf "\n  %s GATE FAILED: %d %s(s)\n" id (List.length vs) noun;
       List.iter (Printf.printf "  %s %s\n" (String.uppercase_ascii noun)) vs;
       exit 1
+
+(* Record one violation per rendering in which [variant] is not
+   byte-identical to [plain]. *)
+let pin g ~what ~seed plain variant =
+  List.iter2
+    (fun (rendering, a) (_, b) ->
+      if a <> b then g.violation "%s %s identity broken at seed %d" what rendering seed)
+    (renderings plain) (renderings variant)
+
+(* A fresh temp directory, removed with its files afterwards. *)
+let with_temp_dir prefix f =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+(* One daemon lifetime: the Cosynth.Service that `cosynth serve` ships, in
+   process on a real Unix socket in a fresh temp dir. [drive socket_path]
+   must end it with a shutdown or drain job; its result comes back with
+   the daemon's summary, and a socket file left behind is a violation. *)
+let with_daemon g cfg drive =
+  with_temp_dir "cosynth_serve_" (fun dir ->
+      let socket_path = Filename.concat dir "bench.sock" in
+      let summary = ref None in
+      let server =
+        Thread.create
+          (fun () -> summary := Some (Cosynth.Service.serve ~socket_path cfg))
+          ()
+      in
+      let r = drive socket_path in
+      Thread.join server;
+      if Sys.file_exists socket_path then
+        g.violation "socket %s still exists after the daemon returned" socket_path;
+      (r, !summary))
 
 (* ------------------------------------------------------------------ *)
 (* T1: Table 1 — rectification prompts for translation                 *)
@@ -260,18 +322,18 @@ let leverage_table ~heading ~name ~base ~loop ~paper_auto ~paper_leverage run =
     determinism_sweep ~name ~seeds:(Exec.Sweep.seeds ~base ~n) run
   in
   let s = Cosynth.Metrics.summarize transcripts in
+  let c = cells s in
   print_string
     (Cosynth.Report.kv
        ~title:(Printf.sprintf "%d seeded runs of the %s VPP loop" n loop)
        [
-         ("converged", Printf.sprintf "%d/%d" s.Cosynth.Metrics.converged s.Cosynth.Metrics.runs);
-         ( "mean automated prompts",
-           Printf.sprintf "%.1f (paper: %s)" s.Cosynth.Metrics.mean_auto paper_auto );
-         ("mean human prompts", Printf.sprintf "%.1f (paper: 2)" s.Cosynth.Metrics.mean_human);
+         ("converged", c.converged);
+         ("mean automated prompts", Printf.sprintf "%s (paper: %s)" c.auto paper_auto);
+         ("mean human prompts", c.human ^ " (paper: 2)");
          ( "leverage",
-           Printf.sprintf "%.1fx mean, %.1f-%.1f range (paper: %s)"
-             s.Cosynth.Metrics.mean_leverage s.Cosynth.Metrics.min_leverage
-             s.Cosynth.Metrics.max_leverage paper_leverage );
+           Printf.sprintf "%s mean, %.1f-%.1f range (paper: %s)" c.leverage
+             s.Cosynth.Metrics.min_leverage s.Cosynth.Metrics.max_leverage
+             paper_leverage );
        ]);
   print_determinism report
 
@@ -416,14 +478,9 @@ let table_ab1a () =
   let without =
     Cosynth.Metrics.no_transit_summary ~runs:(runs 15) ~routers:7 ~use_iips:false ~pool ()
   in
-  let row label (s : Cosynth.Metrics.summary) =
-    [
-      label;
-      Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_auto;
-      Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_human;
-      Printf.sprintf "%.1fx" s.Cosynth.Metrics.mean_leverage;
-      Printf.sprintf "%d/%d" s.Cosynth.Metrics.converged s.Cosynth.Metrics.runs;
-    ]
+  let row label s =
+    let c = cells s in
+    [ label; c.auto; c.human; c.leverage; c.converged ]
   in
   print_string
     (Cosynth.Report.table ~title:"The IIPs suppress the common syntax mistakes"
@@ -436,13 +493,10 @@ let table_ab1b () =
   let rows =
     List.map
       (fun routers ->
-        let s = Cosynth.Metrics.no_transit_summary ~runs:(runs 10) ~routers ~pool () in
-        [
-          string_of_int routers;
-          Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_auto;
-          Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_human;
-          Printf.sprintf "%.1fx" s.Cosynth.Metrics.mean_leverage;
-        ])
+        let c =
+          cells (Cosynth.Metrics.no_transit_summary ~runs:(runs 10) ~routers ~pool ())
+        in
+        [ string_of_int routers; c.auto; c.human; c.leverage ])
       [ 3; 5; 7; 9; 11 ]
   in
   print_string
@@ -464,13 +518,8 @@ let table_ab1c () =
               (Cosynth.Driver.run_translation ~seed ~stall_threshold:st ~cisco_text ())
                 .Cosynth.Driver.transcript)
         in
-        let s = Cosynth.Metrics.summarize transcripts in
-        [
-          string_of_int st;
-          Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_auto;
-          Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_human;
-          Printf.sprintf "%.1fx" s.Cosynth.Metrics.mean_leverage;
-        ])
+        let c = cells (Cosynth.Metrics.summarize transcripts) in
+        [ string_of_int st; c.auto; c.human; c.leverage ])
       [ 1; 2; 3; 4; 6 ]
   in
   print_string
@@ -593,14 +642,8 @@ let table_e3 () =
               (Cosynth.Driver.run_translation ~seed ~quality:q ~cisco_text ())
                 .Cosynth.Driver.transcript)
         in
-        let s = Cosynth.Metrics.summarize transcripts in
-        [
-          Printf.sprintf "%.2f" q;
-          Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_auto;
-          Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_human;
-          Printf.sprintf "%.1fx" s.Cosynth.Metrics.mean_leverage;
-          Printf.sprintf "%d/%d" s.Cosynth.Metrics.converged s.Cosynth.Metrics.runs;
-        ])
+        let c = cells (Cosynth.Metrics.summarize transcripts) in
+        [ Printf.sprintf "%.2f" q; c.auto; c.human; c.leverage; c.converged ])
       [ 0.0; 0.25; 0.5; 0.75; 0.95 ]
   in
   print_string
@@ -629,16 +672,21 @@ let chaos_schedules =
   ]
 
 let table_c1 () =
-  section "C1 — Chaos sweep: the VPP loops under injected verifier faults";
+  run_gate ~id:"C1" ~ok:"\n  C1: all invariants hold\n"
+    "C1 — Chaos sweep: the VPP loops under injected verifier faults"
+  @@ fun g ->
   let n = if chaos_only then 20 else if smoke then 5 else 20 in
   let seeds = Exec.Sweep.seeds ~base:8000 ~n in
-  let trans_budget = 200 and synth_budget = 400 in
-  let violations = ref [] in
-  let violation fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
   let degraded_events =
     List.fold_left (fun acc t -> acc + Cosynth.Driver.degraded_rounds t) 0
+  in
+  let translation ?resilience seed =
+    (Cosynth.Driver.run_translation ~seed ?resilience ~cisco_text ())
+      .Cosynth.Driver.transcript
+  in
+  let no_transit ?resilience seed =
+    (Cosynth.Driver.run_no_transit ~seed ?resilience ~routers:7 ())
+      .Cosynth.Driver.transcript
   in
   (* One C1 cell: the seeds of one loop under one schedule, checkpointed
      to the cell's own journal under --journal and replayed under
@@ -667,10 +715,10 @@ let table_c1 () =
       (fun seed -> function
         | Exec.Supervisor.Completed t ->
             List.iter
-              (violation "%s: %s" (label seed))
+              (g.violation "%s: %s" (label seed))
               (Cosynth.Driver.run_violations ~budget ~hardened:false t)
         | Exec.Supervisor.Abandoned { reason; _ } ->
-            violation "%s raised %s" (label seed) reason)
+            g.violation "%s raised %s" (label seed) reason)
       seeds outcomes;
     List.filter_map Exec.Supervisor.completed outcomes
   in
@@ -685,28 +733,19 @@ let table_c1 () =
                 c1_sweep
                   (Printf.sprintf "translation-%s" name)
                   (Printf.sprintf "translation[%s seed %d]" name)
-                  trans_budget
-                  (fun seed ->
-                    (Cosynth.Driver.run_translation ~seed ~resilience ~cisco_text ())
-                      .Cosynth.Driver.transcript)
+                  Cosynth.Driver.translation_budget (translation ~resilience)
               in
               let ss =
                 c1_sweep
                   (Printf.sprintf "no-transit-%s" name)
                   (Printf.sprintf "no-transit[%s seed %d]" name)
-                  synth_budget
-                  (fun seed ->
-                    (Cosynth.Driver.run_no_transit ~seed ~resilience ~routers:7 ())
-                      .Cosynth.Driver.transcript)
+                  Cosynth.Driver.no_transit_budget (no_transit ~resilience)
               in
-              let st = Cosynth.Metrics.summarize ts in
-              let sn = Cosynth.Metrics.summarize ss in
               [
                 name;
-                Printf.sprintf "%d/%d" (st.Cosynth.Metrics.converged + sn.Cosynth.Metrics.converged)
-                  (st.Cosynth.Metrics.runs + sn.Cosynth.Metrics.runs);
-                Printf.sprintf "%.1fx" st.Cosynth.Metrics.mean_leverage;
-                Printf.sprintf "%.1fx" sn.Cosynth.Metrics.mean_leverage;
+                (cells (Cosynth.Metrics.summarize (ts @ ss))).converged;
+                (cells (Cosynth.Metrics.summarize ts)).leverage;
+                (cells (Cosynth.Metrics.summarize ss)).leverage;
                 string_of_int (degraded_events ts + degraded_events ss);
               ])
             chaos_schedules
@@ -722,40 +761,27 @@ let table_c1 () =
                 c1_sweep
                   (Printf.sprintf "crash-%.2f" rate)
                   (Printf.sprintf "no-transit[crash %.2f seed %d]" rate)
-                  synth_budget
-                  (fun seed ->
-                    (Cosynth.Driver.run_no_transit ~seed ~resilience ~routers:7 ())
-                      .Cosynth.Driver.transcript)
+                  Cosynth.Driver.no_transit_budget (no_transit ~resilience)
               in
-              let s = Cosynth.Metrics.summarize ss in
+              let c = cells (Cosynth.Metrics.summarize ss) in
               [
-                Printf.sprintf "%.2f" rate;
-                Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_auto;
-                Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_human;
-                Printf.sprintf "%.1fx" s.Cosynth.Metrics.mean_leverage;
-                Printf.sprintf "%d/%d" s.Cosynth.Metrics.converged s.Cosynth.Metrics.runs;
+                Printf.sprintf "%.2f" rate; c.auto; c.human; c.leverage; c.converged;
                 string_of_int (degraded_events ss);
               ])
             [ 0.0; 0.05; 0.15; 0.30 ]
         in
         (* Pay-for-what-you-use: with every rate 0 the wrapped loops must
            produce byte-identical transcripts to the unwrapped ones. *)
-        let zero =
+        let resilience =
           Resilience.Runtime.config ~chaos:(List.assoc "no faults" chaos_schedules) ()
         in
-        let md t = Cosynth.Driver.transcript_to_markdown ~title:"run" t in
         let identical =
-          List.for_all
-            (fun seed ->
-              md (Cosynth.Driver.run_translation ~seed ~resilience:zero ~cisco_text ())
-                   .Cosynth.Driver.transcript
-              = md (Cosynth.Driver.run_translation ~seed ~cisco_text ())
-                  .Cosynth.Driver.transcript
-              && md (Cosynth.Driver.run_no_transit ~seed ~resilience:zero ~routers:7 ())
-                      .Cosynth.Driver.transcript
-                 = md (Cosynth.Driver.run_no_transit ~seed ~routers:7 ())
-                     .Cosynth.Driver.transcript)
-            seeds
+          byte_identical
+            (List.map (translation ~resilience) seeds)
+            (List.map translation seeds)
+          && byte_identical
+               (List.map (no_transit ~resilience) seeds)
+               (List.map no_transit seeds)
         in
         (rows, crash_rows, identical))
   in
@@ -779,26 +805,20 @@ let table_c1 () =
        perf);
   Printf.printf "\n  rate-0 transcripts byte-identical to the unwrapped loops: %b\n"
     identical;
-  if not identical then violation "rate-0 chaos transcripts differ from the unwrapped loops";
-  Printf.printf "  invariant violations (uncaught exceptions / budget overruns): %d\n"
-    (List.length !violations);
-  List.iter (fun v -> Printf.printf "    VIOLATION: %s\n" v) (List.rev !violations);
-  if !violations <> [] then exit 1
+  if not identical then
+    g.violation "rate-0 chaos transcripts differ from the unwrapped loops"
 
 (* ------------------------------------------------------------------ *)
 (* C2: supervised sweeps — worker loss, checkpoint/resume, policies    *)
 (* ------------------------------------------------------------------ *)
 
 let table_c2 () =
-  section
+  run_gate ~id:"C2" ~ok:"\n  C2: all invariants hold\n"
     "C2 — Supervised sweeps: worker-domain loss, checkpoint/resume, per-verifier \
-     policies";
+     policies"
+  @@ fun g ->
   let n = if chaos_only then 12 else if smoke then 4 else 12 in
   let seeds = Exec.Sweep.seeds ~base:8800 ~n in
-  let violations = ref [] in
-  let violation fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
   let run_seed resilience seed =
     (Cosynth.Driver.run_no_transit ~seed ~resilience ~routers:5 ())
       .Cosynth.Driver.transcript
@@ -806,17 +826,12 @@ let table_c2 () =
   let summary_line ts =
     Format.asprintf "%a" Cosynth.Metrics.pp_summary (Cosynth.Metrics.summarize ts)
   in
-  let md_concat ts =
-    String.concat "\n"
-      (List.map (Cosynth.Driver.transcript_to_markdown ~title:"run") ts)
-  in
   (* The pre-supervisor reference: today's plain pooled sweep. The rate-0
      supervised sweep below must reproduce it byte-for-byte. *)
   let zero = Resilience.Runtime.default_config in
   let baseline =
     Exec.Sweep.run_seeds ~pool ~seeds (fun seed -> run_seed zero seed)
   in
-  let baseline_md = md_concat baseline in
   let baseline_table = summary_line baseline in
   (* Kill-rate sweep: every task runs under the supervisor's boundary on
      the shared pool; the loss plan is keyed on the seed itself. *)
@@ -831,13 +846,13 @@ let table_c2 () =
            plan; only the wasted work differs. *)
         let plan = Resilience.Chaos.worker_plan ~in_flight:0.5 chaos ~salt:0 in
         let p0 = Exec.Pool.stats pool in
-        let c0 = Exec.Supervisor.stats () in
-        let outcomes =
-          Exec.Supervisor.map ~pool ~plan
-            ~index_of:(fun s -> s)
-            (run_seed resilience) seeds
+        let outcomes, perf =
+          Cosynth.Metrics.measure (fun () ->
+              Exec.Supervisor.map ~pool ~plan
+                ~index_of:(fun s -> s)
+                (run_seed resilience) seeds)
         in
-        let c = Exec.Supervisor.diff c0 (Exec.Supervisor.stats ()) in
+        let c = perf.Cosynth.Metrics.supervisor in
         let restarts =
           (Exec.Pool.stats pool).Exec.Pool.restarts - p0.Exec.Pool.restarts
         in
@@ -846,15 +861,15 @@ let table_c2 () =
           List.length (List.filter Exec.Supervisor.abandoned outcomes)
         in
         let table_equal = summary_line ts = baseline_table in
-        if rate = 0. && md_concat ts <> baseline_md then
-          violation
+        if rate = 0. && not (byte_identical ts baseline) then
+          g.violation
             "rate-0 supervised sweep is not byte-identical to the plain pooled sweep";
         (* The acceptance bar: modest loss rates must cost retries, never
            results. *)
         if rate <= 0.2 && abandoned > 0 then
-          violation "worker-loss rate %.2f abandoned %d seed(s)" rate abandoned;
+          g.violation "worker-loss rate %.2f abandoned %d seed(s)" rate abandoned;
         if rate <= 0.2 && not table_equal then
-          violation "worker-loss rate %.2f drifted from the rate-0 table" rate;
+          g.violation "worker-loss rate %.2f drifted from the rate-0 table" rate;
         [
           Printf.sprintf "%.2f" rate;
           Printf.sprintf "%d/%d" (List.length ts) n;
@@ -889,48 +904,47 @@ let table_c2 () =
     Exec.Supervisor.run_one ~plan ~index:seed (fun () -> run_seed resilience seed)
   in
   let direct = List.map sup_seed seeds in
-  let journal_path = Filename.temp_file "cosynth_c2_" ".jsonl" in
-  let half = List.filteri (fun i _ -> i < n / 2) seeds in
-  let j1 =
-    Exec.Sweep.journal ~path:journal_path ~encode:Cosynth.Driver.outcome_to_json
-      ~decode:Cosynth.Driver.outcome_of_json ()
+  let replayed, resumed =
+    with_temp_dir "cosynth_c2_" (fun dir ->
+        let journal ~resume =
+          Exec.Sweep.journal ~resume ~path:(Filename.concat dir "c2.jsonl")
+            ~encode:Cosynth.Driver.outcome_to_json
+            ~decode:Cosynth.Driver.outcome_of_json ()
+        in
+        let half = List.filteri (fun i _ -> i < n / 2) seeds in
+        let j1 = journal ~resume:false in
+        ignore (Exec.Sweep.run_seeds ~journal:j1 ~seeds:half sup_seed);
+        Exec.Sweep.journal_close j1;
+        let j2 = journal ~resume:true in
+        let replayed = List.length (Exec.Sweep.journaled_seeds j2) in
+        let resumed = Exec.Sweep.run_seeds ~journal:j2 ~seeds sup_seed in
+        Exec.Sweep.journal_close j2;
+        (replayed, resumed))
   in
-  ignore (Exec.Sweep.run_seeds ~journal:j1 ~seeds:half sup_seed);
-  Exec.Sweep.journal_close j1;
-  let j2 =
-    Exec.Sweep.journal ~resume:true ~path:journal_path
-      ~encode:Cosynth.Driver.outcome_to_json ~decode:Cosynth.Driver.outcome_of_json ()
-  in
-  let replayed = List.length (Exec.Sweep.journaled_seeds j2) in
-  let resumed = Exec.Sweep.run_seeds ~journal:j2 ~seeds sup_seed in
-  Exec.Sweep.journal_close j2;
-  Sys.remove journal_path;
-  let resumed_table =
+  let resume_ok =
     summary_line (List.filter_map Exec.Supervisor.completed resumed)
+    = summary_line (List.filter_map Exec.Supervisor.completed direct)
   in
-  let direct_table =
-    summary_line (List.filter_map Exec.Supervisor.completed direct)
-  in
-  let resume_ok = resumed_table = direct_table in
   Printf.printf
     "\n  resume: %d/%d seeds replayed from the journal; table identical to the \
      uninterrupted sweep: %b\n"
     replayed n resume_ok;
   if not resume_ok then
-    violation "resumed sweep drifted from the uninterrupted sweep";
+    g.violation "resumed sweep drifted from the uninterrupted sweep";
   (* Per-verifier policies: under one flake rate the cheap parse check may
      retry deeper than the expensive BGP sim ever can. *)
   let flaky =
     Resilience.Runtime.config
       ~chaos:(Resilience.Chaos.make ~flake_rate:0.3 ~seed:7 ()) ()
   in
-  let v0 = Resilience.Stats.snapshot () in
-  List.iter
-    (fun seed -> ignore (run_seed flaky seed))
-    (List.filteri (fun i _ -> i < 4) seeds);
-  let d = Resilience.Stats.diff v0 (Resilience.Stats.snapshot ()) in
+  let (), perf =
+    Cosynth.Metrics.measure (fun () ->
+        List.iter
+          (fun seed -> ignore (run_seed flaky seed))
+          (List.filteri (fun i _ -> i < 4) seeds))
+  in
   let max_att k =
-    (List.assoc k d).Resilience.Stats.max_attempts
+    (List.assoc k perf.Cosynth.Metrics.verifier).Resilience.Stats.max_attempts
   in
   let parse_max = max_att Resilience.Verifier.Parse_check in
   let bgp_max = max_att Resilience.Verifier.Bgp_sim in
@@ -939,26 +953,21 @@ let table_c2 () =
      bgp-sim max attempts %d\n"
     parse_max bgp_max;
   if bgp_max >= parse_max then
-    violation
+    g.violation
       "per-kind policies not in effect: bgp-sim reached %d attempts vs \
        parse-check's %d"
-      bgp_max parse_max;
-  Printf.printf "  invariant violations: %d\n" (List.length !violations);
-  List.iter (fun v -> Printf.printf "    VIOLATION: %s\n" v) (List.rev !violations);
-  if !violations <> [] then exit 1
+      bgp_max parse_max
 
 (* ------------------------------------------------------------------ *)
 (* S1: service mode — warm daemon vs cold per-job startup              *)
 (* ------------------------------------------------------------------ *)
 
 let table_s1 () =
-  section "S1 — Service mode: warm `serve` daemon vs cold per-job startup";
+  run_gate ~id:"S1" ~ok:"  S1: all invariants hold\n"
+    "S1 — Service mode: warm `serve` daemon vs cold per-job startup"
+  @@ fun g ->
   let module J = Json in
   let n = if smoke then 4 else 16 in
-  let violations = ref [] in
-  let violation fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
   let seeds = Exec.Sweep.seeds ~base:12000 ~n in
   let fingerprint (t : Cosynth.Driver.transcript) =
     (t.Cosynth.Driver.auto_prompts, t.Cosynth.Driver.human_prompts,
@@ -977,40 +986,32 @@ let table_s1 () =
             fingerprint r.Cosynth.Driver.transcript)
           seeds)
   in
-  (* Warm: the same jobs through the daemon `cosynth serve` ships
-     (Cosynth.Service), in process on a real Unix socket — one shared
-     pool, one persistent memo, one connection. Its default verifier caps
-     are Runtime.default_config's, so its transcripts are the cold ones. *)
+  (* Warm: the same jobs through the daemon over one connection — one
+     shared pool, one persistent memo. Its default verifier caps are
+     Runtime.default_config's, so its transcripts are the cold ones. *)
   Exec.Memo.reset ();
-  let dir = Filename.temp_file "cosynth_s1_" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let socket_path = Filename.concat dir "s1.sock" in
-  let server =
-    Thread.create
-      (fun () ->
-        ignore
-          (Cosynth.Service.serve ~socket_path
-             { Cosynth.Service.default_config with Cosynth.Service.domains = Some 2 }))
-      ()
-  in
-  let warm, warm_perf =
-    Cosynth.Metrics.measure (fun () ->
+  let (warm, warm_perf, memo_after), _ =
+    with_daemon g
+      { Cosynth.Service.default_config with Cosynth.Service.domains = Some 2 }
+      (fun socket_path ->
+        let warm, warm_perf =
+          Cosynth.Metrics.measure (fun () ->
+              Exec.Serve.with_connection ~socket_path (fun fd ->
+                  List.map
+                    (fun seed ->
+                      Exec.Serve.request fd
+                        (J.Obj
+                           [
+                             ("job", J.String "synth"); ("seed", J.Int seed);
+                             ("routers", J.Int 5);
+                           ]))
+                    seeds))
+        in
+        let memo_after = Exec.Memo.stats () in
         Exec.Serve.with_connection ~socket_path (fun fd ->
-            List.map
-              (fun seed ->
-                Exec.Serve.request fd
-                  (J.Obj
-                     [
-                       ("job", J.String "synth"); ("seed", J.Int seed); ("routers", J.Int 5);
-                     ]))
-              seeds))
+            ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ])));
+        (warm, warm_perf, memo_after))
   in
-  let memo_after = Exec.Memo.stats () in
-  Exec.Serve.with_connection ~socket_path (fun fd ->
-      ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ])));
-  Thread.join server;
-  (try Sys.rmdir dir with _ -> ());
   (* Gate 1: the daemon returns the exact transcripts the cold runs
      computed — service mode is a perf story, never a semantics story. *)
   List.iteri
@@ -1026,14 +1027,14 @@ let table_s1 () =
         | _ -> None
       in
       if field "ok" J.to_bool <> Some true then
-        violation "seed %d: daemon reply not ok" seed
+        g.violation "seed %d: daemon reply not ok" seed
       else if got <> Some (List.nth cold i) then
-        violation "seed %d: warm result differs from the cold run" seed)
+        g.violation "seed %d: warm result differs from the cold run" seed)
     warm;
   (* Gate 2: the daemon's state really is warm — the persistent memo must
      serve hits across requests (each cold job starts from 0%). *)
   if memo_after.Exec.Memo.hits = 0 then
-    violation "warm daemon served %d jobs without a single memo hit" n;
+    g.violation "warm daemon served %d jobs without a single memo hit" n;
   let throughput (p : Cosynth.Metrics.perf) =
     float_of_int n /. Float.max p.Cosynth.Metrics.wall_s 1e-9
   in
@@ -1067,30 +1068,62 @@ let table_s1 () =
     (not smoke)
     && warm_perf.Cosynth.Metrics.wall_s > 1.25 *. cold_perf.Cosynth.Metrics.wall_s
   then
-    violation "warm daemon slower than cold startup (%.2fs vs %.2fs)"
-      warm_perf.Cosynth.Metrics.wall_s cold_perf.Cosynth.Metrics.wall_s;
-  gate_verdict ~gate:"S1" ~ok:"  S1: all invariants hold\n" !violations
+    g.violation "warm daemon slower than cold startup (%.2fs vs %.2fs)"
+      warm_perf.Cosynth.Metrics.wall_s cold_perf.Cosynth.Metrics.wall_s
 
 (* ------------------------------------------------------------------ *)
 (* S2: service hardening — admission, deadlines, drain under overload  *)
 (* ------------------------------------------------------------------ *)
 
-(* The gate runs the exact Cosynth.Service handler the CLI ships, as an
-   in-process daemon on a real Unix socket, and drives it through one
-   lifetime: unloaded byte-identity first (hardening must cost nothing on
-   the happy path), then deadline expiry, the per-client cap, a
-   2x-capacity burst, and finally a drain fired mid-burst. *)
-let table_s2 () =
-  section "S2 — Service hardening: admission, deadlines and drain under overload";
-  let module J = Json in
-  let violations = ref [] in
-  let violation fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
+(* A boolean field of a daemon reply is set. *)
+let flag f reply = Option.bind (Json.member f reply) Json.to_bool = Some true
+
+(* What one daemon request came to, as S2 tallies it: the reply's flag, a
+   shed frame, or a broken connection. *)
+let outcome send =
+  match send () with
+  | r ->
+      if flag "ok" r then `Ok
+      else if flag "draining" r then `Draining
+      else if flag "timeout" r then `Timeout
+      else `Other
+  | exception Exec.Serve.Server_overloaded _ -> `Shed
+  | exception _ -> `Error
+
+(* Start [n] client threads, thread [i] running [send i] on its own
+   connection; the returned join gives each thread's outcome and wall
+   time, in index order. *)
+let burst ~socket_path n send =
+  let results = Array.make n (`Error, 0.) in
+  let threads =
+    List.init n (fun i ->
+        Thread.create
+          (fun () ->
+            let t0 = Unix.gettimeofday () in
+            let o =
+              outcome (fun () ->
+                  Exec.Serve.with_connection ~total_budget_ms:5_000 ~socket_path
+                    (send i))
+            in
+            results.(i) <- (o, Unix.gettimeofday () -. t0))
+          ())
   in
-  let dir = Filename.temp_file "cosynth_s2_" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let socket_path = Filename.concat dir "s2.sock" in
+  fun () ->
+    List.iter Thread.join threads;
+    Array.to_list results
+
+let count tag results = List.length (List.filter (fun (o, _) -> o = tag) results)
+
+(* The gate runs the exact Cosynth.Service handler the CLI ships and
+   drives it through one lifetime: unloaded byte-identity first (hardening
+   must cost nothing on the happy path), then deadline expiry, the
+   per-client cap, a 2x-capacity burst, and finally a drain fired
+   mid-burst. *)
+let table_s2 () =
+  run_gate ~id:"S2" ~ok:"\n  S2: all invariants hold\n"
+    "S2 — Service hardening: admission, deadlines and drain under overload"
+  @@ fun g ->
+  let module J = Json in
   let cap = if smoke then 2 else 4 in
   let queue = 2 in
   let cfg =
@@ -1108,15 +1141,6 @@ let table_s2 () =
           retry_after_ms = 20;
         };
     }
-  in
-  let summary = ref None in
-  let server =
-    Thread.create
-      (fun () -> summary := Some (Cosynth.Service.serve ~socket_path cfg))
-      ()
-  in
-  let with_conn f =
-    Exec.Serve.with_connection ~total_budget_ms:5_000 ~socket_path f
   in
   let sleep_req ?(ms = 150) ?(deadline = 5_000) client =
     J.Obj
@@ -1174,204 +1198,129 @@ let table_s2 () =
         ];
     ]
   in
-  let unloaded =
-    with_conn (fun fd -> List.map (Exec.Serve.request fd) unloaded_reqs)
+  let (burst_n, sheds, burst_done, drain_done, late_reject), summary =
+    with_daemon g cfg @@ fun socket_path ->
+    let with_conn f =
+      Exec.Serve.with_connection ~total_budget_ms:5_000 ~socket_path f
+    in
+    let unloaded =
+      with_conn (fun fd -> List.map (Exec.Serve.request fd) unloaded_reqs)
+    in
+    List.iteri
+      (fun i got ->
+        let want = List.nth expected_unloaded i in
+        if J.to_string got <> J.to_string want then
+          g.violation "unloaded reply %d not byte-identical: got %s, want %s" i
+            (J.to_string got) (J.to_string want))
+      (if List.length unloaded = List.length expected_unloaded then unloaded
+       else begin
+         g.violation "unloaded: %d replies for %d requests" (List.length unloaded)
+           (List.length expected_unloaded);
+         []
+       end);
+    (* Gate 2: deadline expiry. A sleep longer than its deadline must
+       answer a structured timeout frame near the deadline — not after the
+       full sleep, and never a hung connection — and the connection stays
+       usable. *)
+    let deadline_wall, timeout_ok, conn_alive =
+      with_conn (fun fd ->
+          let t0 = Unix.gettimeofday () in
+          let r =
+            Exec.Serve.request fd (sleep_req ~ms:1_500 ~deadline:100 "deadline")
+          in
+          let wall = Unix.gettimeofday () -. t0 in
+          let timeout_ok =
+            flag "timeout" r && Option.bind (J.member "ok" r) J.to_bool = Some false
+            && Option.bind (J.member "deadline_ms" r) J.to_int = Some 100
+          in
+          let p = Exec.Serve.request fd (J.Obj [ ("job", J.String "ping") ]) in
+          (wall, timeout_ok, flag "ok" p))
+    in
+    if not timeout_ok then g.violation "deadline expiry did not answer a timeout frame";
+    if deadline_wall > 1.0 then
+      g.violation "deadline-expired request took %.2fs (deadline 0.1s)" deadline_wall;
+    if not conn_alive then g.violation "connection dead after a deadline expiry";
+    (* Gate 3: the per-client cap. One identity flooding the daemon is shed
+       with per-client frames even though global capacity remains. *)
+    let greedy =
+      burst ~socket_path (cap + 2) (fun _ fd ->
+          Exec.Serve.request fd (sleep_req ~ms:200 "greedy"))
+        ()
+    in
+    if count `Shed greedy = 0 then
+      g.violation "per-client cap never shed (%d concurrent jobs, cap 2)" (cap + 2);
+    if count `Ok greedy = 0 then g.violation "per-client flood: no job admitted at all";
+    (* Gate 4: a 2x-capacity burst of distinct clients. Shed requests carry
+       the structured retry frame and — because the frame is flow control,
+       not failure — succeed on retry; nothing hangs past its deadline. A
+       shed past the last retry counts as observed too. *)
+    let burst_n = 2 * (cap + queue) in
+    let retries = Atomic.make 0 in
+    let burst_done =
+      burst ~socket_path burst_n (fun i fd ->
+          Exec.Serve.request_retrying ~retries:100
+            ~on_retry:(fun () -> Atomic.incr retries)
+            fd
+            (sleep_req ~ms:(if smoke then 120 else 200) (Printf.sprintf "burst-%d" i)))
+        ()
+    in
+    let sheds = Atomic.get retries + count `Shed burst_done in
+    if sheds = 0 then
+      g.violation "2x-capacity burst (%d jobs, capacity %d+%d) never shed" burst_n cap
+        queue;
+    if count `Ok burst_done <> burst_n then
+      g.violation "burst: %d/%d requests did not complete ok on retry"
+        (burst_n - count `Ok burst_done)
+        burst_n;
+    List.iteri
+      (fun i (_, w) ->
+        if w > 15. then g.violation "burst request %d took %.1fs (hang?)" i w)
+      burst_done;
+    (* Gate 5: drain mid-burst. Fire a second burst, then drain while it is
+       in flight: every admitted job still answers, requests arriving after
+       the drain get the structured draining reject (including on
+       connections that were already open), the server thread returns with
+       drained=true, and the socket is unlinked. Zero admitted jobs lost =
+       every thread ends in a terminal frame, none hangs or errors. *)
+    let drain_join =
+      burst ~socket_path (cap + queue) (fun i fd ->
+          Exec.Serve.request fd (sleep_req ~ms:400 (Printf.sprintf "drain-%d" i)))
+    in
+    let late_reject =
+      with_conn (fun fd ->
+          (* Opened before the drain lands; its post-drain request must get
+             the structured reject, not a closed socket. *)
+          Thread.delay 0.1;
+          let d =
+            with_conn (fun dfd ->
+                Exec.Serve.request dfd (J.Obj [ ("job", J.String "drain") ]))
+          in
+          if not (flag "draining" d) then
+            g.violation "drain job did not ack with draining:true";
+          match Exec.Serve.request fd (J.Obj [ ("job", J.String "ping") ]) with
+          | r -> flag "draining" r
+          | exception _ -> false)
+    in
+    if not late_reject then
+      g.violation "post-drain request on a live connection got no draining reject";
+    (burst_n, sheds, burst_done, drain_join (), late_reject)
   in
   List.iteri
-    (fun i got ->
-      let want = List.nth expected_unloaded i in
-      if J.to_string got <> J.to_string want then
-        violation "unloaded reply %d not byte-identical: got %s, want %s" i
-          (J.to_string got) (J.to_string want))
-    (if List.length unloaded = List.length expected_unloaded then unloaded
-     else begin
-       violation "unloaded: %d replies for %d requests" (List.length unloaded)
-         (List.length expected_unloaded);
-       []
-     end);
-  (* Gate 2: deadline expiry. A sleep longer than its deadline must answer
-     a structured timeout frame near the deadline — not after the full
-     sleep, and never a hung connection — and the connection stays usable. *)
-  let deadline_wall, timeout_ok, conn_alive =
-    with_conn (fun fd ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Exec.Serve.request fd (sleep_req ~ms:1_500 ~deadline:100 "deadline")
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        let timeout_ok =
-          Option.bind (J.member "timeout" r) J.to_bool = Some true
-          && Option.bind (J.member "ok" r) J.to_bool = Some false
-          && Option.bind (J.member "deadline_ms" r) J.to_int = Some 100
-        in
-        let p = Exec.Serve.request fd (J.Obj [ ("job", J.String "ping") ]) in
-        (wall, timeout_ok, Option.bind (J.member "ok" p) J.to_bool = Some true))
-  in
-  if not timeout_ok then violation "deadline expiry did not answer a timeout frame";
-  if deadline_wall > 1.0 then
-    violation "deadline-expired request took %.2fs (deadline 0.1s)" deadline_wall;
-  if not conn_alive then violation "connection dead after a deadline expiry";
-  (* Gate 3: the per-client cap. One identity flooding the daemon is shed
-     with per-client frames even though global capacity remains. *)
-  let greedy_outcomes = Array.make (cap + 2) `Pending in
-  let greedy =
-    List.init (cap + 2) (fun i ->
-        Thread.create
-          (fun () ->
-            greedy_outcomes.(i) <-
-              (try
-                 with_conn (fun fd ->
-                     match Exec.Serve.request fd (sleep_req ~ms:200 "greedy") with
-                     | r
-                       when Option.bind (J.member "ok" r) J.to_bool = Some true
-                       ->
-                         `Ok
-                     | _ -> `Other
-                     | exception Exec.Serve.Server_overloaded _ -> `Shed)
-               with e -> ignore e; `Other))
-          ())
-  in
-  List.iter Thread.join greedy;
-  let count tag arr =
-    Array.fold_left (fun acc o -> if o = tag then acc + 1 else acc) 0 arr
-  in
-  if count `Shed greedy_outcomes = 0 then
-    violation "per-client cap never shed (%d concurrent jobs, cap 2)" (cap + 2);
-  if count `Ok greedy_outcomes = 0 then
-    violation "per-client flood: no job admitted at all";
-  (* Gate 4: a 2x-capacity burst of distinct clients. Shed requests carry
-     the structured retry frame and — because the frame is flow control,
-     not failure — succeed on retry; nothing hangs past its deadline. *)
-  let burst_n = 2 * (cap + queue) in
-  let sheds = ref 0 in
-  let sheds_m = Mutex.create () in
-  let burst_outcomes = Array.make burst_n `Pending in
-  let burst_walls = Array.make burst_n 0. in
-  let burst_thread i =
-    let t0 = Unix.gettimeofday () in
-    let outcome =
-      try
-        with_conn (fun fd ->
-            let req =
-              sleep_req ~ms:(if smoke then 120 else 200)
-                (Printf.sprintf "burst-%d" i)
-            in
-            let rec go tries =
-              match Exec.Serve.request fd req with
-              | r when Option.bind (J.member "ok" r) J.to_bool = Some true ->
-                  `Ok
-              | r
-                when Option.bind (J.member "draining" r) J.to_bool = Some true
-                ->
-                  `Draining
-              | _ -> `Other
-              | exception Exec.Serve.Server_overloaded { retry_after_ms } ->
-                  Mutex.lock sheds_m;
-                  incr sheds;
-                  Mutex.unlock sheds_m;
-                  if tries >= 100 then `Shed_exhausted
-                  else begin
-                    Thread.delay (float_of_int (max 1 retry_after_ms) /. 1000.);
-                    go (tries + 1)
-                  end
-            in
-            go 0)
-      with e -> ignore e; `Other
-    in
-    burst_outcomes.(i) <- outcome;
-    burst_walls.(i) <- Unix.gettimeofday () -. t0
-  in
-  let burst = List.init burst_n (fun i -> Thread.create burst_thread i) in
-  List.iter Thread.join burst;
-  if !sheds = 0 then
-    violation "2x-capacity burst (%d jobs, capacity %d+%d) never shed" burst_n
-      cap queue;
-  if count `Ok burst_outcomes <> burst_n then
-    violation "burst: %d/%d requests did not complete ok on retry"
-      (burst_n - count `Ok burst_outcomes)
-      burst_n;
-  Array.iteri
-    (fun i w ->
-      if w > 15. then violation "burst request %d took %.1fs (hang?)" i w)
-    burst_walls;
-  (* Gate 5: drain mid-burst. Fire a second burst, then drain while it is
-     in flight: every admitted job still answers, requests arriving after
-     the drain get the structured draining reject (including on
-     connections that were already open), the server thread returns with
-     drained=true, and the socket is unlinked. Zero admitted jobs lost =
-     every thread ends in a terminal frame, none hangs or errors. *)
-  let drain_n = cap + queue in
-  let drain_outcomes = Array.make drain_n `Pending in
-  let drain_burst =
-    List.init drain_n (fun i ->
-        Thread.create
-          (fun () ->
-            drain_outcomes.(i) <-
-              (try
-                 with_conn (fun fd ->
-                     let req =
-                       sleep_req ~ms:400 (Printf.sprintf "drain-%d" i)
-                     in
-                     match Exec.Serve.request fd req with
-                     | r
-                       when Option.bind (J.member "ok" r) J.to_bool = Some true
-                       ->
-                         `Ok
-                     | r
-                       when Option.bind (J.member "draining" r) J.to_bool
-                            = Some true ->
-                         `Draining
-                     | r
-                       when Option.bind (J.member "timeout" r) J.to_bool
-                            = Some true ->
-                         `Timeout
-                     | _ -> `Other
-                     | exception Exec.Serve.Server_overloaded _ -> `Shed)
-               with e -> ignore e; `Error))
-          ())
-  in
-  let late_reject =
-    with_conn (fun fd ->
-        (* Opened before the drain lands; its post-drain request must get
-           the structured reject, not a closed socket. *)
-        Thread.delay 0.1;
-        let d =
-          with_conn (fun dfd ->
-              Exec.Serve.request dfd (J.Obj [ ("job", J.String "drain") ]))
-        in
-        if Option.bind (J.member "draining" d) J.to_bool <> Some true then
-          violation "drain job did not ack with draining:true";
-        match Exec.Serve.request fd (J.Obj [ ("job", J.String "ping") ]) with
-        | r -> Option.bind (J.member "draining" r) J.to_bool = Some true
-        | exception _ -> false)
-  in
-  if not late_reject then
-    violation "post-drain request on a live connection got no draining reject";
-  List.iter Thread.join drain_burst;
-  let terminal = function
-    | `Ok | `Draining | `Timeout | `Shed -> true
-    | _ -> false
-  in
-  Array.iteri
-    (fun i o ->
-      if not (terminal o) then
-        violation "drain burst request %d lost (no terminal reply)" i)
-    drain_outcomes;
-  if count `Ok drain_outcomes = 0 then
-    violation "drain mid-burst: no admitted job completed";
-  Thread.join server;
-  if Sys.file_exists socket_path then
-    violation "socket %s still exists after drain" socket_path;
-  (try Sys.rmdir dir with _ -> ());
-  (match !summary with
-  | None -> violation "server thread returned no summary"
+    (fun i (o, _) ->
+      match o with
+      | `Ok | `Draining | `Timeout | `Shed -> ()
+      | _ -> g.violation "drain burst request %d lost (no terminal reply)" i)
+    drain_done;
+  if count `Ok drain_done = 0 then
+    g.violation "drain mid-burst: no admitted job completed";
+  (match summary with
+  | None -> g.violation "server thread returned no summary"
   | Some s ->
       if not s.Cosynth.Service.drained then
-        violation "summary says the daemon did not drain";
-      if s.Cosynth.Service.shed = 0 then
-        violation "summary counted no shed requests";
+        g.violation "summary says the daemon did not drain";
+      if s.Cosynth.Service.shed = 0 then g.violation "summary counted no shed requests";
       if s.Cosynth.Service.timed_out = 0 then
-        violation "summary counted no deadline expiries");
+        g.violation "summary counted no deadline expiries");
   print_string
     (Cosynth.Report.counts
        ~title:
@@ -1381,13 +1330,12 @@ let table_s2 () =
             cap queue burst_n)
        [
          ("unloaded byte-identical replies", List.length expected_unloaded);
-         ("shed then completed on retry", count `Ok burst_outcomes);
-         ("sheds observed", !sheds);
-         ("admitted jobs answered under drain", count `Ok drain_outcomes);
+         ("shed then completed on retry", count `Ok burst_done);
+         ("sheds observed", sheds);
+         ("admitted jobs answered under drain", count `Ok drain_done);
          ( "draining rejects under drain",
-           count `Draining drain_outcomes + if late_reject then 1 else 0 );
-       ]);
-  gate_verdict ~gate:"S2" ~ok:"\n  S2: all invariants hold\n" !violations
+           count `Draining drain_done + if late_reject then 1 else 0 );
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* F1: the fuzzing gate — totality of every pipeline stage             *)
@@ -1401,9 +1349,10 @@ let corpus_dir () =
     [ "test/corpus"; "../test/corpus"; "../../test/corpus" ]
 
 let table_f1 () =
-  section "F1 — fuzz gate: every stage total on mutated config text";
+  run_gate ~noun:"escape" ~id:"F1" ~ok:"\n  F1: zero unguarded escapes\n"
+    "F1 — fuzz gate: every stage total on mutated config text"
+  @@ fun g ->
   Resilience.Guard.reset ();
-  let violations = ref [] in
   (* 1. Regression corpus: every previously found crasher stays fixed. *)
   let replayed =
     match corpus_dir () with
@@ -1415,8 +1364,7 @@ let table_f1 () =
   List.iter
     (fun (file, escapes) ->
       List.iter
-        (fun e ->
-          violations := Printf.sprintf "corpus %s: %s" file (Fuzz.Props.escape_to_string e) :: !violations)
+        (fun e -> g.violation "corpus %s: %s" file (Fuzz.Props.escape_to_string e))
         escapes)
     replayed;
   Printf.printf "  regression corpus: %d file(s) replayed, %d escape(s)\n"
@@ -1434,7 +1382,7 @@ let table_f1 () =
         (String.length e.Fuzz.Props.minimized)
         e.Fuzz.Props.violation.Fuzz.Props.stage
         e.Fuzz.Props.violation.Fuzz.Props.constructor e.Fuzz.Props.fingerprint
-  | Error why -> violations := ("canary: " ^ why) :: !violations);
+  | Error why -> g.violation "canary: %s" why);
   (* 3. The seeded mutation sweep over both dialects. COSYNTH_FUZZ_SEEDS /
      COSYNTH_FUZZ_MUTATIONS override the budget for deeper hunts. *)
   let env_int name =
@@ -1460,7 +1408,7 @@ let table_f1 () =
         r.Fuzz.Props.inputs
         (List.length r.Fuzz.Props.escapes);
       List.iter
-        (fun e -> violations := Fuzz.Props.escape_to_string e :: !violations)
+        (fun e -> g.violation "%s" (Fuzz.Props.escape_to_string e))
         r.Fuzz.Props.escapes)
     [ Fuzz.Corpus.Cisco; Fuzz.Corpus.Junos ];
   (* 3b. Structured-text targets: the topology verifier on mutated JSON
@@ -1486,8 +1434,7 @@ let table_f1 () =
               (String.concat ", "
                  (List.map (fun (n, s) -> Printf.sprintf "%s=%d" n s) hot)));
       List.iter
-        (fun e ->
-          violations := Printf.sprintf "%s: %s" name (Fuzz.Props.escape_to_string e) :: !violations)
+        (fun e -> g.violation "%s: %s" name (Fuzz.Props.escape_to_string e))
         r.Fuzz.Props.escapes)
     [
       ("topology", fun ~schedule -> Fuzz.Props.run_topology ~schedule);
@@ -1503,9 +1450,7 @@ let table_f1 () =
            ~header:[ "stage"; "constructor"; "count" ]
            (List.map
               (fun (stage, ctor, n) -> [ stage; ctor; string_of_int n ])
-              rows)));
-  gate_verdict ~noun:"escape" ~gate:"F1"
-    ~ok:"\n  F1: zero unguarded escapes\n" !violations
+              rows)))
 
 (* ------------------------------------------------------------------ *)
 (* A1: the adversarial-robustness gate                                  *)
@@ -1537,11 +1482,9 @@ let a1_rates = [ 0.0; 0.15; 0.4 ]
 let a1_budget = 40
 
 let table_a1 () =
-  section "A1 — adversarial robustness: leverage vs adversary rate x mode";
-  let violations = ref [] in
-  let violation fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
+  run_gate ~id:"A1" ~ok:"\n  A1: all invariants hold\n"
+    "A1 — adversarial robustness: leverage vs adversary rate x mode"
+  @@ fun g ->
   let n = if smoke then 4 else 20 in
   let seeds = Exec.Sweep.seeds ~base:9900 ~n in
   (* 1. The rate-0 identity pin: a spec with every rate 0 must leave both
@@ -1553,15 +1496,7 @@ let table_a1 () =
         (Cosynth.Driver.run_translation ~seed ?adversary:spec ~cisco_text ())
           .Cosynth.Driver.transcript
       in
-      let plain = t None and zero = t (Some Adversary.Spec.none) in
-      if
-        Cosynth.Driver.transcript_to_markdown ~title:"A1" plain
-        <> Cosynth.Driver.transcript_to_markdown ~title:"A1" zero
-      then violation "rate-0 markdown identity broken at seed %d" seed;
-      if
-        Netcore.Json.to_string (Cosynth.Driver.transcript_to_json plain)
-        <> Netcore.Json.to_string (Cosynth.Driver.transcript_to_json zero)
-      then violation "rate-0 JSON identity broken at seed %d" seed)
+      pin g ~what:"rate-0" ~seed (t None) (t (Some Adversary.Spec.none)))
     seeds;
   Printf.printf "  rate-0 identity: %d seed(s), markdown and JSON byte-identical\n"
     (List.length seeds);
@@ -1577,9 +1512,10 @@ let table_a1 () =
       seeds
   in
   let fmt_cell s =
-    Printf.sprintf "%5.1fx%s %d/%d" s.Cosynth.Metrics.mean_leverage
+    let c = cells s in
+    Printf.sprintf "%6s%s %s" c.leverage
       (if s.Cosynth.Metrics.infinite_leverage > 0 then "*" else " ")
-      s.Cosynth.Metrics.converged s.Cosynth.Metrics.runs
+      c.converged
   in
   let all_certs = ref [] in
   let rows =
@@ -1594,7 +1530,7 @@ let table_a1 () =
               List.iter2
                 (fun seed t ->
                   List.iter
-                    (violation "%s rate %.2f seed %d: %s" label rate seed)
+                    (g.violation "%s rate %.2f seed %d: %s" label rate seed)
                     (Cosynth.Driver.run_violations ~budget:a1_budget ~hardened t))
                 seeds ts;
               if hardened then all_certs := !all_certs @ ts;
@@ -1609,7 +1545,7 @@ let table_a1 () =
         (match (cells, List.rev cells) with
         | base :: _, worst :: _ ->
             if worst.Cosynth.Metrics.converged > base.Cosynth.Metrics.converged then
-              violation "%s: attack improved convergence (%d/%d -> %d/%d)" label
+              g.violation "%s: attack improved convergence (%d/%d -> %d/%d)" label
                 base.Cosynth.Metrics.converged base.Cosynth.Metrics.runs
                 worst.Cosynth.Metrics.converged worst.Cosynth.Metrics.runs
         | _ -> ());
@@ -1639,7 +1575,7 @@ let table_a1 () =
         cases (List.length vs);
       List.iter
         (fun (v : Fuzz.Props.violation) ->
-          violation "corrupted-findings [%s]: %s in %s (%s)"
+          g.violation "corrupted-findings [%s]: %s in %s (%s)"
             (Adversary.Findings.mode_name mode)
             v.Fuzz.Props.constructor v.Fuzz.Props.stage v.Fuzz.Props.detail)
         vs)
@@ -1651,7 +1587,7 @@ let table_a1 () =
         (fun seed ->
           List.iter
             (fun (v : Fuzz.Props.violation) ->
-              violation "loop fuzz [%s] seed %d: %s (%s)"
+              g.violation "loop fuzz [%s] seed %d: %s (%s)"
                 (Adversary.Llm.mode_name mode)
                 seed v.Fuzz.Props.property v.Fuzz.Props.detail)
             (Fuzz.Props.fuzz_loop ~mode ~seed ~rate:0.35))
@@ -1659,8 +1595,7 @@ let table_a1 () =
     Adversary.Llm.all_modes;
   Printf.printf "  loop fuzz: %d mode(s) x %d seed(s) at rate 0.35, all within budget\n"
     (List.length Adversary.Llm.all_modes)
-    (List.length loop_seeds);
-  gate_verdict ~gate:"A1" ~ok:"\n  A1: all invariants hold\n" !violations
+    (List.length loop_seeds)
 
 (* Every verifier-lie mode as (config builder, row label) pairs for the A2
    headline table. The adaptive false-negative variant gets its own row so
@@ -1680,16 +1615,12 @@ let a2_rates = [ 0.0; 0.35; 0.6 ]
 let a2_budget = 40
 
 let table_a2 () =
-  section "A2 — Byzantine verifiers: lying checks vs the cross-check trust layer";
-  let violations = ref [] in
-  let violation fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
+  run_gate ~id:"A2" ~ok:"\n  A2: all invariants hold\n"
+    "A2 — Byzantine verifiers: lying checks vs the cross-check trust layer"
+  @@ fun g ->
   let n = if smoke then 4 else 12 in
   let seeds = Exec.Sweep.seeds ~base:9950 ~n in
   let trust_cfg = Resilience.Trust.default_config in
-  let md = Cosynth.Driver.transcript_to_markdown ~title:"A2" in
-  let js t = Netcore.Json.to_string (Cosynth.Driver.transcript_to_json t) in
   (* 1. The identity pins. A spec whose only payload is an all-zero verifier
      config (adaptivity on, with nothing to escalate) must leave both
      transcript renderings byte-identical to a plain run — the rate-0
@@ -1703,21 +1634,10 @@ let table_a2 () =
           .Cosynth.Driver.transcript
       in
       let plain = run () in
-      let zero =
-        run
-          ~adversary:
-            (Adversary.Spec.make ~verifier:(Adversary.Verifier.make ~adaptive:true ()) ())
-          ()
-      in
-      if md plain <> md zero then
-        violation "rate-0 verifier-lie markdown identity broken at seed %d" seed;
-      if js plain <> js zero then
-        violation "rate-0 verifier-lie JSON identity broken at seed %d" seed;
-      let honest_trust = run ~trust:trust_cfg () in
-      if md plain <> md honest_trust then
-        violation "honest trust-on markdown identity broken at seed %d" seed;
-      if js plain <> js honest_trust then
-        violation "honest trust-on JSON identity broken at seed %d" seed)
+      let zero_lies = Adversary.Verifier.make ~adaptive:true () in
+      pin g ~what:"rate-0 verifier-lie" ~seed plain
+        (run ~adversary:(Adversary.Spec.make ~verifier:zero_lies ()) ());
+      pin g ~what:"honest trust-on" ~seed plain (run ~trust:trust_cfg ()))
     seeds;
   Printf.printf
     "  rate-0 + honest-trust identity: %d seed(s), markdown and JSON byte-identical\n"
@@ -1725,22 +1645,18 @@ let table_a2 () =
   (* 2. The headline sweep: end-state verified rate (the raw Batfish+Campion
      recheck of the final draft — the one signal a lying verifier cannot
      forge) and detected lies, trust off vs on, per (mode, rate) cell. Runs
-     stay sequential so each run's global trust-counter delta is
+     stay sequential so each run's measured trust-counter delta is
      attributable to it — the per-run budget-compliance check needs that. *)
   let sweep ~trust spec_opt =
     List.map
       (fun seed ->
-        let before = Resilience.Trust.snapshot () in
-        let r =
-          Cosynth.Driver.run_translation ~seed ?adversary:spec_opt
-            ?trust:(if trust then Some trust_cfg else None)
-            ~max_prompts:a2_budget ~cisco_text ()
+        let r, perf =
+          Cosynth.Metrics.measure (fun () ->
+              Cosynth.Driver.run_translation ~seed ?adversary:spec_opt
+                ?trust:(if trust then Some trust_cfg else None)
+                ~max_prompts:a2_budget ~cisco_text ())
         in
-        let delta =
-          Resilience.Trust.totals
-            (Resilience.Trust.diff (Resilience.Trust.snapshot ()) before)
-        in
-        (r, delta))
+        (r, Cosynth.Metrics.trust_totals perf))
       seeds
   in
   let verified rs =
@@ -1771,7 +1687,8 @@ let table_a2 () =
                       List.iter2
                         (fun seed ((r : Cosynth.Driver.translation_result), d) ->
                           List.iter
-                            (violation "%s rate %.2f seed %d [%s]: %s" label rate seed tag)
+                            (g.violation "%s rate %.2f seed %d [%s]: %s" label rate seed
+                               tag)
                             (Cosynth.Driver.run_violations ~budget:a2_budget ~hardened
                                r.Cosynth.Driver.transcript);
                           if trust then begin
@@ -1779,13 +1696,13 @@ let table_a2 () =
                               d.Resilience.Trust.cross_checks
                               > trust_cfg.Resilience.Trust.check_budget
                             then
-                              violation
+                              g.violation
                                 "%s rate %.2f seed %d: %d cross-checks exceed budget %d"
                                 label rate seed d.Resilience.Trust.cross_checks
                                 trust_cfg.Resilience.Trust.check_budget
                           end
                           else if d <> Resilience.Trust.zero then
-                            violation
+                            g.violation
                               "%s rate %.2f seed %d: trust-off run recorded trust activity"
                               label rate seed)
                         seeds runs)
@@ -1801,15 +1718,15 @@ let table_a2 () =
                       float_of_int (verified on)
                       < 0.8 *. float_of_int honest_verified
                     then
-                      violation
+                      g.violation
                         "%s rate %.2f: trust-on verified %d/%d below 80%% of honest %d/%d"
                         label rate (verified on) n honest_verified n;
                     if verified off >= verified on then
-                      violation
+                      g.violation
                         "%s rate %.2f: trust-off ablation shows no collapse (%d/%d vs %d/%d)"
                         label rate (verified off) n (verified on) n;
                     if lies on = 0 then
-                      violation "%s rate %.2f: trust layer detected no lies" label rate
+                      g.violation "%s rate %.2f: trust layer detected no lies" label rate
                   end;
                   (verified off, verified on, lies on))
                 a2_rates
@@ -1833,8 +1750,7 @@ let table_a2 () =
     (Cosynth.Report.table ~title:"trust-layer activity over the sweep (trust-on cells)"
        ~header:Cosynth.Metrics.trust_header
        (Cosynth.Metrics.trust_rows perf));
-  Format.printf "  %a@." Cosynth.Metrics.pp_perf perf;
-  gate_verdict ~gate:"A2" ~ok:"\n  A2: all invariants hold\n" !violations
+  Format.printf "  %a@." Cosynth.Metrics.pp_perf perf
 
 (* ------------------------------------------------------------------ *)
 (* A3 — collusion-resistant trust: the compromised-oracle gate          *)
@@ -1848,17 +1764,12 @@ let a3_rates = [ 0.0; 0.35 ]
 let a3_budget = 60
 
 let table_a3 () =
-  section
-    "A3 — Collusion-resistant trust: compromised oracle vs quorum cross-checks";
-  let violations = ref [] in
-  let violation fmt =
-    Printf.ksprintf (fun s -> violations := s :: !violations) fmt
-  in
+  run_gate ~id:"A3" ~ok:"\n  A3: all invariants hold\n"
+    "A3 — Collusion-resistant trust: compromised oracle vs quorum cross-checks"
+  @@ fun g ->
   let n = if smoke then 4 else 12 in
   let seeds = Exec.Sweep.seeds ~base:9980 ~n in
   let cfg = Resilience.Trust.default_config in
-  let md = Cosynth.Driver.transcript_to_markdown ~title:"A3" in
-  let js t = Netcore.Json.to_string (Cosynth.Driver.transcript_to_json t) in
   let collusion ~rate seed =
     Adversary.Spec.make
       ~collusion:
@@ -1879,28 +1790,18 @@ let table_a3 () =
           .Cosynth.Driver.transcript
       in
       let plain = run () in
-      let zero = run ~adversary:(collusion ~rate:0.0 seed) () in
-      if md plain <> md zero then
-        violation "rate-0 collusion markdown identity broken at seed %d" seed;
-      if js plain <> js zero then
-        violation "rate-0 collusion JSON identity broken at seed %d" seed;
-      let honest_quorum = run ~trust:cfg () in
-      if md plain <> md honest_quorum then
-        violation "honest-quorum markdown identity broken at seed %d" seed;
-      if js plain <> js honest_quorum then
-        violation "honest-quorum JSON identity broken at seed %d" seed;
+      pin g ~what:"rate-0 collusion" ~seed plain
+        (run ~adversary:(collusion ~rate:0.0 seed) ());
+      pin g ~what:"honest-quorum" ~seed plain (run ~trust:cfg ());
       let initial =
         Resilience.Trust.state_of (Resilience.Trust.create cfg)
           ~counters:Resilience.Trust.zero ~quorum:Resilience.Trust.zero_quorum
       in
       let fresh = run ~adversary:(collusion ~rate:0.5 seed) ~trust:cfg () in
-      let restored =
-        run ~adversary:(collusion ~rate:0.5 seed)
-          ~trust_ledger:(Resilience.Trust.create_from cfg initial)
-          ()
-      in
-      if md fresh <> md restored then
-        violation "restored-ledger transcript diverges from fresh at seed %d" seed)
+      pin g ~what:"restored-ledger" ~seed fresh
+        (run ~adversary:(collusion ~rate:0.5 seed)
+           ~trust_ledger:(Resilience.Trust.create_from cfg initial)
+           ()))
     seeds;
   Printf.printf
     "  rate-0 + honest-quorum + restored-ledger identity: %d seed(s) byte-identical\n"
@@ -1912,8 +1813,8 @@ let table_a3 () =
      agrees with the lie, so it must collapse. Quorum K=4 hand-runs
      referees that outweigh the two-party camp and must restore the
      verified rate; K=3 is the deliberately-too-small quorum the camp
-     outvotes. Runs stay sequential so each run's quorum-counter delta is
-     attributable to it. *)
+     outvotes. Runs stay sequential so each run's measured quorum-counter
+     delta is attributable to it. *)
   let modes =
     [
       ("oracle-only (PR 8)", { cfg with Resilience.Trust.audit_budget = 0 });
@@ -1924,17 +1825,14 @@ let table_a3 () =
   let sweep trust_cfg rate =
     List.map
       (fun seed ->
-        let q0 = Resilience.Trust.quorum_snapshot () in
         let spec = collusion ~rate seed in
         let adversary = if Adversary.Spec.is_none spec then None else Some spec in
-        let r =
-          Cosynth.Driver.run_translation ~seed ?adversary ~trust:trust_cfg
-            ~max_prompts:a3_budget ~cisco_text ()
+        let r, perf =
+          Cosynth.Metrics.measure (fun () ->
+              Cosynth.Driver.run_translation ~seed ?adversary ~trust:trust_cfg
+                ~max_prompts:a3_budget ~cisco_text ())
         in
-        let dq =
-          Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) q0
-        in
-        (r, dq))
+        (r, perf.Cosynth.Metrics.quorum))
       seeds
   in
   let results, perf =
@@ -1971,7 +1869,7 @@ let table_a3 () =
                         dq.Resilience.Trust.audits - dq.Resilience.Trust.overruled
                         > trust_cfg.Resilience.Trust.audit_budget
                       then
-                        violation
+                        g.violation
                           "%s rate %.2f seed %d: %d charged audits exceed budget %d"
                           label rate seed
                           (dq.Resilience.Trust.audits - dq.Resilience.Trust.overruled)
@@ -1982,10 +1880,10 @@ let table_a3 () =
                        never overrule an honest agreement or quarantine the
                        honest oracle. *)
                     if overruled > 0 then
-                      violation "%s rate 0: %d honest agreement(s) overruled" label
+                      g.violation "%s rate 0: %d honest agreement(s) overruled" label
                         overruled;
                     if oracle_q > 0 then
-                      violation "%s rate 0: honest oracle quarantined" label
+                      g.violation "%s rate 0: honest oracle quarantined" label
                   end;
                   (verified, overruled, oracle_q))
                 a3_rates
@@ -2005,18 +1903,18 @@ let table_a3 () =
           if rate >= 0.35 then
             if trust_cfg.Resilience.Trust.audit_budget = 0 then begin
               if verified > (2 * n + 11) / 12 then
-                violation
+                g.violation
                   "%s rate %.2f: oracle-only verified %d/%d — the coalition should win"
                   label rate verified n
             end
             else if trust_cfg.Resilience.Trust.quorum >= 4 then begin
               if verified < 10 * n / 12 then
-                violation "%s rate %.2f: quorum verified %d/%d below the 10/12 bar"
+                g.violation "%s rate %.2f: quorum verified %d/%d below the 10/12 bar"
                   label rate verified n;
               if overruled = 0 then
-                violation "%s rate %.2f: no colluding agreement overruled" label rate;
+                g.violation "%s rate %.2f: no colluding agreement overruled" label rate;
               if oracle_q = 0 then
-                violation "%s rate %.2f: compromised oracle never quarantined" label
+                g.violation "%s rate %.2f: compromised oracle never quarantined" label
                   rate
             end)
         a3_rates cells)
@@ -2026,7 +1924,7 @@ let table_a3 () =
       List.iter2
         (fun rate ((v4, _, _), (v3, _, _)) ->
           if rate >= 0.35 && v3 > v4 then
-            violation "quorum K=3 verified %d/%d beats K=4's %d/%d at rate %.2f" v3 n
+            g.violation "quorum K=3 verified %d/%d beats K=4's %d/%d at rate %.2f" v3 n
               v4 n rate)
         a3_rates (List.combine k4 k3)
   | _ -> ());
@@ -2049,24 +1947,11 @@ let table_a3 () =
     (Cosynth.Report.table ~title:"trust-layer activity over the sweep"
        ~header:Cosynth.Metrics.trust_header
        (Cosynth.Metrics.trust_rows perf));
-  Format.printf "  %a@." Cosynth.Metrics.pp_perf perf;
-  gate_verdict ~gate:"A3" ~ok:"\n  A3: all invariants hold\n" !violations
+  Format.printf "  %a@." Cosynth.Metrics.pp_perf perf
 
 (* ------------------------------------------------------------------ *)
 (* D1: the durability gate — crash at every write point, recover       *)
 (* ------------------------------------------------------------------ *)
-
-let d1_tmp_dir () =
-  let dir = Filename.temp_file "cosynth-d1" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
-  dir
-
-let d1_rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
 
 let d1_file_bytes path =
   if Sys.file_exists path then
@@ -2200,12 +2085,9 @@ let d1_triage_kind n =
    surface with a compactor must be byte-identical to it. Returns
    (write points, crash points with a clean prefix recovery, crash
    points whose resume converged). *)
-let d1_drill ~violation kind =
+let d1_drill g kind =
   let n = kind.d_script_len in
-  let in_fresh_dir f =
-    let dir = d1_tmp_dir () in
-    Fun.protect ~finally:(fun () -> d1_rm_rf dir) (fun () -> f dir)
-  in
+  let in_fresh_dir f = with_temp_dir "cosynth-d1" f in
   let states =
     Array.init (n + 1) (fun k ->
         in_fresh_dir (fun dir ->
@@ -2243,34 +2125,28 @@ let d1_drill ~violation kind =
               (Durable.Diskchaos.make ~crash_after:i ~seed:(1000 + i) ());
             (match kind.d_prefix ~dir ~k:n with
             | () ->
-                violation
-                  (Printf.sprintf
-                     "%s: crash_after=%d: the script completed without crashing"
-                     kind.d_name i)
+                g.violation "%s: crash_after=%d: the script completed without crashing"
+                  kind.d_name i
             | exception Durable.Diskchaos.Crashed _ -> ());
             Durable.Diskchaos.uninstall ();
             let got = kind.d_recover ~dir in
             if Array.exists (String.equal got) states then incr recovered
             else
-              violation
-              (Printf.sprintf "%s: crash at write point %d recovered a non-prefix state: %s"
-                kind.d_name i got);
+              g.violation "%s: crash at write point %d recovered a non-prefix state: %s"
+                kind.d_name i got;
             kind.d_resume ~dir;
             let final = kind.d_recover ~dir in
             if String.equal final states.(n) then incr resumed
             else
-              violation
-              (Printf.sprintf "%s: crash at write point %d: resume did not converge: %s"
-                kind.d_name i final);
+              g.violation "%s: crash at write point %d: resume did not converge: %s"
+                kind.d_name i final;
             match (kind.d_compacted, intact_compacted) with
             | Some f, Some want ->
-                let got = f ~dir in
-                if not (String.equal got want) then
-                  violation
-                    (Printf.sprintf
-                       "%s: crash at write point %d: compacted bytes differ from \
-                        the intact run's"
-                       kind.d_name i)
+                if not (String.equal (f ~dir) want) then
+                  g.violation
+                    "%s: crash at write point %d: compacted bytes differ from the \
+                     intact run's"
+                    kind.d_name i
             | _ -> ()))
   done;
   (w, !recovered, !resumed)
@@ -2279,11 +2155,8 @@ let d1_drill ~violation kind =
    at every byte offset and flip one bit at every byte position. Reads
    must never raise, never decode a phantom record, and lose at most the
    lines the damaged byte touches (a flipped newline merges two). *)
-let d1_corruption_sweep ~violation () =
-  let dir = d1_tmp_dir () in
-  Fun.protect
-    ~finally:(fun () -> d1_rm_rf dir)
-    (fun () ->
+let d1_corruption_sweep g =
+  with_temp_dir "cosynth-d1" (fun dir ->
       let path = Filename.concat dir "sweep.jsonl" in
       let records =
         List.init 6 (fun i ->
@@ -2305,9 +2178,7 @@ let d1_corruption_sweep ~violation () =
         match Durable.Store.read path with
         | recs, _ -> Some (List.map Netcore.Json.to_string recs)
         | exception e ->
-            violation
-              (Printf.sprintf "corruption sweep: %s: read raised %s" tag
-              (Printexc.to_string e));
+            g.violation "corruption sweep: %s: read raised %s" tag (Printexc.to_string e);
             None
       in
       let len = String.length bytes in
@@ -2324,9 +2195,7 @@ let d1_corruption_sweep ~violation () =
               | _ -> false
             in
             if not (is_prefix got intact) then
-              violation
-                (Printf.sprintf
-                   "corruption sweep: truncation at %d decoded a non-prefix" off)
+              g.violation "corruption sweep: truncation at %d decoded a non-prefix" off
       done;
       Printf.printf
         "  truncation: %d offset(s) swept, every surviving decode a clean prefix\n"
@@ -2338,15 +2207,11 @@ let d1_corruption_sweep ~violation () =
         with
         | None -> ()
         | Some got ->
-            if List.exists (fun g -> not (List.mem g intact)) got then
-              violation
-                (Printf.sprintf
-                   "corruption sweep: bit flip at %d decoded a phantom record" p)
+            if List.exists (fun r -> not (List.mem r intact)) got then
+              g.violation "corruption sweep: bit flip at %d decoded a phantom record" p
             else if List.length got < List.length intact - 2 then
-              violation
-                (Printf.sprintf "corruption sweep: bit flip at %d lost %d record(s)"
-                   p
-                   (List.length intact - List.length got))
+              g.violation "corruption sweep: bit flip at %d lost %d record(s)" p
+                (List.length intact - List.length got)
       done;
       Printf.printf
         "  bit flips: %d position(s) swept, no exception, no phantom, <= 2 lines \
@@ -2358,107 +2223,84 @@ let d1_corruption_sweep ~violation () =
    absent on first promotion) — never a torn hybrid — and a fault-off
    retry must converge. The corpus promoter and the admission-cap tooling
    both ride this exact path. *)
-let d1_promotion ~violation () =
-  let dir = d1_tmp_dir () in
-  Fun.protect
-    ~finally:(fun () ->
-      Durable.Diskchaos.uninstall ();
-      d1_rm_rf dir)
-    (fun () ->
-      let target = Filename.concat dir "promoted-parse-Failure.txt" in
-      let old_content = "interface OLD\n" and new_content = "interface NEW\n" in
-      Durable.Diskchaos.install (Durable.Diskchaos.make ~seed:0 ());
-      if not (Durable.Store.write_atomic target new_content) then
-        violation "promotion: fault-free write_atomic failed";
-      let w = (Durable.Diskchaos.stats ()).Durable.Diskchaos.ops in
-      Durable.Diskchaos.uninstall ();
-      Printf.printf "  corpus promotion: %d write point(s) per atomic replace\n" w;
-      List.iter
-        (fun pre_existing ->
-          for i = 0 to w - 1 do
-            if Sys.file_exists target then Sys.remove target;
-            if Sys.file_exists (target ^ ".tmp") then Sys.remove (target ^ ".tmp");
-            if pre_existing then
-              Out_channel.with_open_bin target (fun oc ->
-                  Out_channel.output_string oc old_content);
-            Durable.Diskchaos.install
-              (Durable.Diskchaos.make ~crash_after:i ~seed:(2000 + i) ());
-            (match Durable.Store.write_atomic target new_content with
-            | ok ->
-                violation
-                  (Printf.sprintf
-                     "promotion: crash_after=%d completed (%b) without crashing" i
-                     ok)
-            | exception Durable.Diskchaos.Crashed _ -> ());
-            Durable.Diskchaos.uninstall ();
-            let got = d1_file_bytes target in
-            let valid =
-              if pre_existing then
-                String.equal got old_content || String.equal got new_content
-              else String.equal got "<absent>" || String.equal got new_content
-            in
-            if not valid then
-              violation
-                (Printf.sprintf
-                   "promotion: crash at write point %d (old %s) left a torn \
-                    target: %S"
-                   i
-                   (if pre_existing then "present" else "absent")
-                   got);
-            if not (Durable.Store.write_atomic target new_content) then
-              violation
-                (Printf.sprintf
-                   "promotion: fault-off retry after crash point %d failed" i)
-            else if not (String.equal (d1_file_bytes target) new_content) then
-              violation
-                (Printf.sprintf
-                   "promotion: retry after crash point %d left stale content" i)
-          done)
-        [ true; false ];
-      Printf.printf
-        "  promotion crashes: %d point(s) x {old present, old absent}: target \
-         always whole, retry always converged\n"
-        w)
+let d1_promotion g =
+  with_temp_dir "cosynth-d1" @@ fun dir ->
+  Fun.protect ~finally:Durable.Diskchaos.uninstall @@ fun () ->
+  let target = Filename.concat dir "promoted-parse-Failure.txt" in
+  let old_content = "interface OLD\n" and new_content = "interface NEW\n" in
+  Durable.Diskchaos.install (Durable.Diskchaos.make ~seed:0 ());
+  if not (Durable.Store.write_atomic target new_content) then
+    g.violation "promotion: fault-free write_atomic failed";
+  let w = (Durable.Diskchaos.stats ()).Durable.Diskchaos.ops in
+  Durable.Diskchaos.uninstall ();
+  Printf.printf "  corpus promotion: %d write point(s) per atomic replace\n" w;
+  List.iter
+    (fun pre_existing ->
+      for i = 0 to w - 1 do
+        if Sys.file_exists target then Sys.remove target;
+        if Sys.file_exists (target ^ ".tmp") then Sys.remove (target ^ ".tmp");
+        if pre_existing then
+          Out_channel.with_open_bin target (fun oc ->
+              Out_channel.output_string oc old_content);
+        Durable.Diskchaos.install
+          (Durable.Diskchaos.make ~crash_after:i ~seed:(2000 + i) ());
+        (match Durable.Store.write_atomic target new_content with
+        | ok ->
+            g.violation "promotion: crash_after=%d completed (%b) without crashing" i ok
+        | exception Durable.Diskchaos.Crashed _ -> ());
+        Durable.Diskchaos.uninstall ();
+        let got = d1_file_bytes target in
+        let valid =
+          if pre_existing then
+            String.equal got old_content || String.equal got new_content
+          else String.equal got "<absent>" || String.equal got new_content
+        in
+        if not valid then
+          g.violation "promotion: crash at write point %d (old %s) left a torn target: %S"
+            i
+            (if pre_existing then "present" else "absent")
+            got;
+        if not (Durable.Store.write_atomic target new_content) then
+          g.violation "promotion: fault-off retry after crash point %d failed" i
+        else if not (String.equal (d1_file_bytes target) new_content) then
+          g.violation "promotion: retry after crash point %d left stale content" i
+      done)
+    [ true; false ];
+  Printf.printf
+    "  promotion crashes: %d point(s) x {old present, old absent}: target \
+     always whole, retry always converged\n"
+    w
 
 (* Fault-off identity: a run with the zero-rate config installed must
    leave byte-identical files to one with nothing installed — arming the
    chaos layer without faults costs determinism nothing. *)
-let d1_identity ~violation kind =
-  let dir_bytes dir =
+let d1_identity g kind =
+  let run armed =
+    with_temp_dir "cosynth-d1" @@ fun dir ->
+    Fun.protect ~finally:Durable.Diskchaos.uninstall @@ fun () ->
+    if armed then Durable.Diskchaos.install (Durable.Diskchaos.make ~seed:7 ());
+    kind.d_prefix ~dir ~k:kind.d_script_len;
+    Durable.Diskchaos.uninstall ();
     String.concat ""
       (List.map
          (fun f -> f ^ "=" ^ d1_file_bytes (Filename.concat dir f))
          (List.sort compare (Array.to_list (Sys.readdir dir))))
   in
-  let run armed =
-    let dir = d1_tmp_dir () in
-    Fun.protect
-      ~finally:(fun () ->
-        Durable.Diskchaos.uninstall ();
-        d1_rm_rf dir)
-      (fun () ->
-        if armed then
-          Durable.Diskchaos.install (Durable.Diskchaos.make ~seed:7 ());
-        kind.d_prefix ~dir ~k:kind.d_script_len;
-        Durable.Diskchaos.uninstall ();
-        dir_bytes dir)
-  in
   if not (String.equal (run false) (run true)) then
-    violation
-      (Printf.sprintf "%s: zero-rate armed run not byte-identical to an unarmed one"
-         kind.d_name)
+    g.violation "%s: zero-rate armed run not byte-identical to an unarmed one"
+      kind.d_name
 
 let table_d1 () =
-  section "D1 — durability gate: crash at every write point, recover";
-  let violations = ref [] in
-  let violation s = violations := s :: !violations in
+  run_gate ~id:"D1" ~ok:"\n  D1: every crash recovered, every corruption contained\n"
+    "D1 — durability gate: crash at every write point, recover"
+  @@ fun g ->
   let n = if smoke then 3 else 6 in
   let kinds = [ d1_journal_kind n; d1_ledger_kind n; d1_triage_kind n ] in
   let rows =
     List.map
       (fun kind ->
-        let w, recovered, resumed = d1_drill ~violation kind in
-        d1_identity ~violation kind;
+        let w, recovered, resumed = d1_drill g kind in
+        d1_identity g kind;
         [
           kind.d_name;
           string_of_int kind.d_script_len;
@@ -2475,12 +2317,10 @@ let table_d1 () =
           prefix, fault-off resumes converged"
        ~header:[ "store"; "records"; "W"; "prefix recovery"; "resume" ]
        rows);
-  d1_promotion ~violation ();
-  d1_corruption_sweep ~violation ();
+  d1_promotion g;
+  d1_corruption_sweep g;
   Printf.printf "  corrupt lines skipped and counted so far: %d\n"
-    (Durable.Store.corrupt_seen ());
-  gate_verdict ~gate:"D1"
-    ~ok:"\n  D1: every crash recovered, every corruption contained\n" !violations
+    (Durable.Store.corrupt_seen ())
 
 (* The gates, in precedence order: the first whose flag is given runs its
    tables alone; with none, the full harness runs.

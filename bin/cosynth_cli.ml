@@ -430,9 +430,9 @@ let use_case_conv cases =
 (* The driver defaults; the invariant under any schedule is that the
    merged transcript stays within them and the loop never raises. *)
 let use_case_budget = function
-  | `Translation -> 200
-  | `No_transit -> 400
-  | `Incremental -> 100
+  | `Translation -> Cosynth.Driver.translation_budget
+  | `No_transit -> Cosynth.Driver.no_transit_budget
+  | `Incremental -> Cosynth.Driver.incremental_budget
 
 (* The seed range of `chaos`, `adversary` and `shard`: [--runs]
    consecutive seeds from [--seed] over one use case, with each
@@ -589,6 +589,14 @@ let usage_error fmt =
       exit 2)
     fmt
 
+(* A pool larger than Exec.Pool.max_size, asked for by -j or by
+   COSYNTH_POOL_SIZE, is a usage error: refuse it before a domain spawns. *)
+let check_pool_size jobs =
+  let n = Option.value jobs ~default:(Exec.Pool.default_size ()) in
+  if n > Exec.Pool.max_size then
+    usage_error "pool size %d exceeds the cap of %d worker domains" n
+      Exec.Pool.max_size
+
 (* Refused before any file is opened. A --resume without a journal would
    quietly re-run every seed the caller believed safe. A resumed sweep
    replays journaled transcripts without re-running their cross-checks, so
@@ -743,23 +751,16 @@ let print_ledger_entry (e : Resilience.Trust.Ledger_store.entry) =
 
 let load_ledger path = Option.join (Option.map Resilience.Trust.Ledger_store.load path)
 
-(* Snapshot the live trust tallies; the returned printer ends a sweep with
-   its trust lines when trust is armed. With a persistent ledger the lines
-   are replayed from its folded per-seed counter deltas, so a killed and
-   resumed sweep reprints the exact lines of an uninterrupted one;
-   otherwise the live process-global tallies since the snapshot serve. *)
-let trust_summary (trust, trust_ledger) =
-  let trust_before = Resilience.Trust.snapshot () in
-  let quorum_before = Resilience.Trust.quorum_snapshot () in
-  fun () ->
-    if trust then
-      match load_ledger trust_ledger with
-      | Some e -> print_ledger_entry e
-      | None ->
-          print_trust_lines
-            (Resilience.Trust.totals
-               (Resilience.Trust.diff (Resilience.Trust.snapshot ()) trust_before))
-            (Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) quorum_before)
+(* End a trust-armed sweep with its trust lines. With a persistent ledger
+   the lines are replayed from its folded per-seed counter deltas, so a
+   killed and resumed sweep reprints the exact lines of an uninterrupted
+   one; otherwise the sweep's measured trust deltas serve. *)
+let print_trust (trust, trust_ledger) (perf : Cosynth.Metrics.perf) =
+  if trust then
+    match load_ledger trust_ledger with
+    | Some e -> print_ledger_entry e
+    | None ->
+        print_trust_lines (Cosynth.Metrics.trust_totals perf) perf.Cosynth.Metrics.quorum
 
 (* ------------------------------------------------------------------ *)
 (* leverage                                                            *)
@@ -767,7 +768,8 @@ let trust_summary (trust, trust_ledger) =
 
 let leverage_cmd =
   let run use_case runs routers jobs =
-    let pool = match jobs with Some d -> Exec.Pool.create ~domains:d () | None -> Exec.Pool.create () in
+    check_pool_size jobs;
+    let pool = Exec.Pool.create ?domains:jobs () in
     (* The exception is trapped inside the measured thunk so the counter
        deltas survive an abort: a sweep that dies halfway still reports
        what its verifiers were doing when it died. *)
@@ -948,7 +950,6 @@ let chaos_cmd =
     let resilience = Resilience.Runtime.config ~chaos () in
     let plan = Resilience.Chaos.worker_plan ~in_flight chaos ~salt:0 in
     let adversary = chaos_adversary ~seed:stream_seed lie_fn in
-    let print_trust = trust_summary trust_flags in
     (* The abort trap lives inside the measured thunk so the per-verifier
        counter deltas survive: a sweep that dies halfway still reports what
        its verifiers were doing when it died. *)
@@ -978,7 +979,7 @@ let chaos_cmd =
     | Some _ | None -> ());
     let seeded = if outcomes = [] then [] else List.combine seeds outcomes in
     let violations = print_sweep_summary ~chaos ~use_case ~adversary seeded in
-    print_trust ();
+    print_trust trust_flags perf;
     if verbose || aborted <> None then print_string (verifier_stats_footer perf);
     record_triage ~seed triage_path;
     List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) violations;
@@ -1088,7 +1089,6 @@ let adversary_cmd =
     in
     let spec = Adversary.Spec.make ~llm ~findings ~verifier ~collusion () in
     let hardened = not (Adversary.Spec.is_none spec) in
-    let print_trust = trust_summary trust_flags in
     (* The invariant under any rates in [0, 1]: every run stays within the
        driver's default budget (under --sweep-budget, within the sweep's
        total, which the schedule check below tightens), never raises, and
@@ -1110,8 +1110,9 @@ let adversary_cmd =
             { attempts = 1; reason = Resilience.Guard.crash_to_string c }
     in
     let budget_stats = ref None in
-    let outcomes =
+    let outcomes, perf =
       with_sweep ~journal:journal_flags ~trust_ledger @@ fun journal step ->
+      Cosynth.Metrics.measure @@ fun () ->
       match sweep_budget with
       | Some total ->
           (* Certificate-aware scheduling: each seed gets a fair share of
@@ -1147,7 +1148,7 @@ let adversary_cmd =
     Printf.printf "adversary: %s\n" (Adversary.Spec.describe spec);
     Format.printf "%a@." Cosynth.Metrics.pp_summary
       (Cosynth.Metrics.summarize transcripts);
-    print_trust ();
+    print_trust trust_flags perf;
     if hardened then
       print_string
         (Cosynth.Report.counts ~title:"convergence certificates"
@@ -1546,6 +1547,7 @@ let serve_cmd =
       max_per_client max_deadline_ms retry_after_ms io_timeout_ms drain_grace_ms
       admission_file triage_path trust_ledger_path debug_jobs supervise
       max_restarts disk =
+    check_pool_size jobs;
     if supervise then begin
       (* Supervisor mode: respawn a crashed daemon (nonzero exit or fatal
          signal) with a bounded budget; a clean exit 0 — shutdown or drain
@@ -1905,29 +1907,26 @@ let client_cmd =
        frame itself (so the exit code and JSON stream still tell the truth
        when the server stays saturated). *)
     let shed_retries = ref 0 in
-    let rec send fd req attempts_left =
-      match Exec.Serve.request fd req with
+    let send fd req =
+      match
+        Exec.Serve.request_retrying ~retries:retry_overloaded
+          ~on_retry:(fun () -> incr shed_retries)
+          fd req
+      with
       | reply -> reply
       | exception Exec.Serve.Server_overloaded { retry_after_ms } ->
-          if attempts_left <= 0 then
-            J.Obj
-              [
-                ("ok", J.Bool false);
-                ("error", J.String "overloaded: retries exhausted");
-                ("shed", J.Bool true);
-                ("retry_after_ms", J.Int retry_after_ms);
-              ]
-          else begin
-            incr shed_retries;
-            Thread.delay (float_of_int (max 0 retry_after_ms) /. 1000.);
-            send fd req (attempts_left - 1)
-          end
+          J.Obj
+            [
+              ("ok", J.Bool false);
+              ("error", J.String "overloaded: retries exhausted");
+              ("shed", J.Bool true);
+              ("retry_after_ms", J.Int retry_after_ms);
+            ]
     in
     let t0 = Unix.gettimeofday () in
     let replies =
       Exec.Serve.with_connection ~total_budget_ms:connect_budget_ms
-        ~socket_path:socket (fun fd ->
-          List.map (fun req -> send fd req retry_overloaded) reqs)
+        ~socket_path:socket (fun fd -> List.map (send fd) reqs)
     in
     let dt = Unix.gettimeofday () -. t0 in
     List.iter (fun r -> print_endline (J.to_string r)) replies;

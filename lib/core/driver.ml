@@ -114,6 +114,10 @@ let prompts t = t.auto_prompts + t.human_prompts
 let stalled_out t =
   match t.certificate with Some (Stalled_out _) -> true | _ -> false
 
+let translation_budget = 200
+let no_transit_budget = 400
+let incremental_budget = 100
+
 let run_violations ~budget ~hardened t =
   (if prompts t > budget then
      [ Printf.sprintf "spent %d prompts (budget %d)" (prompts t) budget ]
@@ -952,7 +956,7 @@ let first_error diags = List.find_opt Netcore.Diag.is_error diags
 let syntax_errors (_, diags) = List.filter Netcore.Diag.is_error diags
 
 let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
-    ?(max_prompts = 200) ?(stall_threshold = 4) ?(quality = 0.0)
+    ?(max_prompts = translation_budget) ?(stall_threshold = 4) ?(quality = 0.0)
     ?(resilience = Resilience.Runtime.default_config) ?adversary ?trust ?trust_ledger
     ~cisco_text () =
   let cisco_ir, _ = Cisco.Parser.parse cisco_text in
@@ -1040,10 +1044,11 @@ type synthesis_result = {
   proof : Lightyear.result option;
 }
 
-let run_no_transit ?(seed = 42) ?(use_iips = true) ?(max_prompts = 400)
-    ?(stall_threshold = 2) ?(final_check = Simulate) ?pool ?tasks:tasks_override
-    ?(force_hub_faults = []) ?(resilience = Resilience.Runtime.default_config)
-    ?adversary ?trust ?trust_ledger ~routers () =
+let run_no_transit ?(seed = 42) ?(use_iips = true)
+    ?(max_prompts = no_transit_budget) ?(stall_threshold = 2)
+    ?(final_check = Simulate) ?pool ?tasks:tasks_override ?(force_hub_faults = [])
+    ?(resilience = Resilience.Runtime.default_config) ?adversary ?trust ?trust_ledger
+    ~routers () =
   let star = Netcore.Star.make ~routers in
   let tasks =
     match tasks_override with Some ts -> ts | None -> Modularizer.plan star
@@ -1276,8 +1281,8 @@ type incremental_result = {
   interference_caught : bool;
 }
 
-let run_incremental ?(seed = 42) ?(max_prompts = 100) ?(stall_threshold = 2)
-    ?(target = "R2") ?(prepend = [ 1; 1 ])
+let run_incremental ?(seed = 42) ?(max_prompts = incremental_budget)
+    ?(stall_threshold = 2) ?(target = "R2") ?(prepend = [ 1; 1 ])
     ?(resilience = Resilience.Runtime.default_config) ?adversary ?trust ?trust_ledger
     ~routers () =
   let star = Netcore.Star.make ~routers in

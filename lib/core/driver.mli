@@ -93,6 +93,13 @@ val run_violations : budget:int -> hardened:bool -> transcript -> string list
     {!Adversary.Spec.is_none}). One message per broken clause, empty when
     the run keeps the contract. *)
 
+val translation_budget : int
+val no_transit_budget : int
+val incremental_budget : int
+(** The default [max_prompts] of {!run_translation} (200),
+    {!run_no_transit} (400) and {!run_incremental} (100): the [budget] a
+    sweep of that use case holds its runs to unless it sets its own. *)
+
 val outcome_to_json : transcript Exec.Supervisor.outcome -> Netcore.Json.t
 (** The journal line of one sweep seed — the only journal format of the
     seeded sweeps ([cosynth chaos], [adversary] and the [shard] workers;

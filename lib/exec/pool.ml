@@ -74,8 +74,14 @@ let lose_current_worker (t : t) =
   end
   else Domain.DLS.get lost_flag := true
 
+let max_size = 64
+
 let create ?domains () =
   let domains = match domains with Some d -> Stdlib.max 0 d | None -> default_size () in
+  if domains > max_size then
+    invalid_arg
+      (Printf.sprintf "pool size %d exceeds the cap of %d worker domains" domains
+         max_size);
   let t =
     {
       m = Mutex.create ();

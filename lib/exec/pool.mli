@@ -15,10 +15,16 @@
 
 type t
 
+val max_size : int
+(** The most worker domains one pool may have: 64, half the OCaml
+    runtime's limit of 128 domains per process on 64-bit platforms, so a pool's worker
+    replacements and the other pools a process runs stay spawnable. *)
+
 val create : ?domains:int -> unit -> t
 (** Spawn a pool of [domains] workers (default {!default_size}). A pool
     with [domains = 0] executes every job on the calling domain — the
-    sequential baseline with the same API. *)
+    sequential baseline with the same API.
+    @raise Invalid_argument naming the size when it exceeds {!max_size}. *)
 
 val default_size : unit -> int
 (** The [COSYNTH_POOL_SIZE] environment variable when set ([0] forces the

@@ -321,6 +321,14 @@ let request fd json =
           raise (Server_overloaded { retry_after_ms })
       | _ -> reply)
 
+let rec request_retrying ?(on_retry = fun () -> ()) ~retries fd json =
+  match request fd json with
+  | reply -> reply
+  | exception Server_overloaded { retry_after_ms } when retries > 0 ->
+      on_retry ();
+      Thread.delay (float_of_int (max 0 retry_after_ms) /. 1000.);
+      request_retrying ~on_retry ~retries:(retries - 1) fd json
+
 let with_connection ?total_budget_ms ~socket_path f =
   let fd = connect ?total_budget_ms ~socket_path () in
   Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) (fun () -> f fd)

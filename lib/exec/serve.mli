@@ -120,6 +120,17 @@ val request : Unix.file_descr -> Netcore.Json.t -> Netcore.Json.t
     @raise Server_overloaded on a shed frame.
     @raise Failure if the server closed the stream instead of replying. *)
 
+val request_retrying :
+  ?on_retry:(unit -> unit) ->
+  retries:int ->
+  Unix.file_descr ->
+  Netcore.Json.t ->
+  Netcore.Json.t
+(** {!request}, treating a shed frame as flow control: sleep its
+    [retry_after_ms] hint and resend, up to [retries] times, calling
+    [on_retry] before each resend.
+    @raise Server_overloaded on the shed frame after the last retry. *)
+
 val with_connection :
   ?total_budget_ms:int -> socket_path:string -> (Unix.file_descr -> 'a) -> 'a
 (** {!connect}, run, close (also on exception). *)

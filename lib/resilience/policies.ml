@@ -1,7 +1,5 @@
 type t = { retry : Retry.policy; breaker : Breaker.policy }
 
-type table = Verifier.kind -> t
-
 let default = { retry = Retry.default; breaker = Breaker.default }
 
 (* The knobs scale with what a retry costs and what a trip protects. The
@@ -13,7 +11,7 @@ let default = { retry = Retry.default; breaker = Breaker.default }
    slowest backoff, and a breaker that trips after two failures and stays
    open long past a typical outage window. The structural checkers sit at
    the defaults between those poles. *)
-let for_kind : table = function
+let for_kind = function
   | Verifier.Parse_check ->
       {
         retry =
@@ -27,15 +25,3 @@ let for_kind : table = function
         breaker = { Breaker.failure_threshold = 2; cooldown = 48 };
       }
   | Verifier.Campion | Verifier.Topology | Verifier.Route_policies -> default
-
-let uniform p : table = fun _ -> p
-
-let describe (tbl : table) =
-  String.concat "; "
-    (List.map
-       (fun k ->
-         let p = tbl k in
-         Printf.sprintf "%s: %d att, thr %d/cd %d" (Verifier.kind_name k)
-           p.retry.Retry.max_attempts p.breaker.Breaker.failure_threshold
-           p.breaker.Breaker.cooldown)
-       Verifier.all_kinds)

@@ -3,9 +3,9 @@
     One retry budget and one breaker policy do not fit a suite whose
     checkers differ by orders of magnitude in cost: a flaked parse check
     costs microseconds to retry, while a flaked whole-network BGP
-    simulation burns a meaningful slice of the round's tick budget. A
-    [table] maps each {!Verifier.kind} to its own knobs; {!for_kind} is the
-    default table the runtime uses:
+    simulation burns a meaningful slice of the round's tick budget.
+    {!for_kind} gives each {!Verifier.kind} its own knobs, and every
+    runtime context uses it:
 
     - {b Parse_check}: 4 attempts, fast backoff (base 1, cap 8), breaker
       threshold 4 with a 12-tick cooldown — cheap to retry, quick to
@@ -21,19 +21,8 @@
 
 type t = { retry : Retry.policy; breaker : Breaker.policy }
 
-type table = Verifier.kind -> t
-(** Must be pure: the runtime consults it once per kind at context
-    creation. *)
-
 val default : t
 (** {!Retry.default} + {!Breaker.default}. *)
 
-val for_kind : table
-(** The graduated default table described above. *)
-
-val uniform : t -> table
-(** The same policy for every kind — how [?retry]/[?breaker] overrides
-    keep their historical meaning. *)
-
-val describe : table -> string
-(** One line, e.g. ["parse: 4 att, thr 4/cd 12; ..."]. *)
+val for_kind : Verifier.kind -> t
+(** The graduated table described above. *)

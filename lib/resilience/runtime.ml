@@ -1,34 +1,9 @@
-type config = {
-  chaos : Chaos.config;
-  policies : Policies.table;
-  round_budget : int;
-  stage_budget : int;
-}
+type config = { chaos : Chaos.config; round_budget : int; stage_budget : int }
 
-let default_config =
-  {
-    chaos = Chaos.none;
-    policies = Policies.for_kind;
-    round_budget = 64;
-    stage_budget = 32;
-  }
+let default_config = { chaos = Chaos.none; round_budget = 64; stage_budget = 32 }
 
-(* [?retry]/[?breaker] keep their historical "one knob for every verifier"
-   meaning: either override flattens that dimension of the table. *)
-let config ?(chaos = Chaos.none) ?(policies = Policies.for_kind) ?retry ?breaker
-    ?(round_budget = 64) ?(stage_budget = 32) () =
-  let policies =
-    match (retry, breaker) with
-    | None, None -> policies
-    | _ ->
-        fun kind ->
-          let p = policies kind in
-          {
-            Policies.retry = Option.value retry ~default:p.Policies.retry;
-            breaker = Option.value breaker ~default:p.Policies.breaker;
-          }
-  in
-  { chaos; policies; round_budget; stage_budget }
+let config ?(chaos = Chaos.none) ?(round_budget = 64) ?(stage_budget = 32) () =
+  { chaos; round_budget; stage_budget }
 
 type t = {
   cfg : config;
@@ -50,7 +25,7 @@ let create ?(salt = 0) cfg =
     jitter_rng = Llmsim.Rng.make (cfg.chaos.Chaos.seed + (salt * 1_000_003) + 97);
     breakers =
       (let kinds = Array.of_list Verifier.all_kinds in
-       Array.map (fun k -> Breaker.create (cfg.policies k).Policies.breaker) kinds);
+       Array.map (fun k -> Breaker.create (Policies.for_kind k).Policies.breaker) kinds);
     round_deadline = Clock.now clock + cfg.round_budget;
   }
 
@@ -83,7 +58,7 @@ let call t v input =
               (Breaker.cooldown_left b ~now:(Clock.now t.clock));
         }
   | `Proceed ->
-      let retry = (t.cfg.policies kind).Policies.retry in
+      let retry = (Policies.for_kind kind).Policies.retry in
       let stage_start = Clock.now t.clock in
       let rec attempt failures =
         Stats.record_attempt kind;

@@ -10,9 +10,6 @@
 
 type config = {
   chaos : Chaos.config;
-  policies : Policies.table;
-      (** Per-verifier-kind retry and breaker knobs; breakers are
-          instantiated from this table at context creation. *)
   round_budget : int;
       (** Tick deadline per VPP round: once a round has burned this many
           ticks (calls, timeouts, backoff), further retries are abandoned
@@ -25,23 +22,15 @@ type config = {
 }
 
 val default_config : config
-(** No chaos, {!Policies.for_kind} (the expensive BGP sim gets fewer
-    retries and a slower breaker than the cheap parse check), round budget
-    64, stage budget 32. With this config every {!call} is exactly
-    [Ok (oracle input)]. *)
+(** No chaos, round budget 64, stage budget 32. With this config every
+    {!call} is exactly [Ok (oracle input)]. Retry and breaker knobs are
+    not configurable: every context takes them from {!Policies.for_kind}
+    (the expensive BGP sim gets fewer retries and a slower breaker than
+    the cheap parse check). *)
 
 val config :
-  ?chaos:Chaos.config ->
-  ?policies:Policies.table ->
-  ?retry:Retry.policy ->
-  ?breaker:Breaker.policy ->
-  ?round_budget:int ->
-  ?stage_budget:int ->
-  unit ->
-  config
-(** [?policies] defaults to {!Policies.for_kind}. [?retry]/[?breaker] keep
-    their historical uniform meaning: either one overrides that dimension
-    of the table for {e every} kind. *)
+  ?chaos:Chaos.config -> ?round_budget:int -> ?stage_budget:int -> unit -> config
+(** {!default_config} with the given fields replaced. *)
 
 type t
 

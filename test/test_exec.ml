@@ -1003,6 +1003,54 @@ let test_serve_overloaded_raises () =
             (Exec.Serve.request fd (J.Obj [ ("job", J.String "drain") ]) : J.t));
       Thread.join server)
 
+(* The retrying request rides out k sheds with k <= retries, one
+   [on_retry] per shed, and surfaces the shed past its last retry. *)
+let test_serve_request_retrying () =
+  with_serve_dir (fun socket_path ->
+      let module J = Netcore.Json in
+      let sheds_left = Atomic.make 0 in
+      let handle ~client:_ req =
+        match Option.bind (J.member "job" req) J.to_str with
+        | Some "stop" -> Exec.Serve.Final (J.Obj [ ("ok", J.Bool true) ])
+        | _ when Atomic.fetch_and_add sheds_left (-1) > 0 ->
+            Exec.Serve.Reply
+              (J.Obj
+                 [
+                   ("ok", J.Bool false);
+                   ("shed", J.Bool true);
+                   ("retry_after_ms", J.Int 1);
+                 ])
+        | _ -> Exec.Serve.Reply (J.Obj [ ("ok", J.Bool true) ])
+      in
+      let server =
+        Thread.create
+          (fun () -> ignore (Exec.Serve.serve ~socket_path ~handle () : bool))
+          ()
+      in
+      let work = J.Obj [ ("job", J.String "work") ] in
+      Exec.Serve.with_connection ~socket_path (fun fd ->
+          List.iter
+            (fun k ->
+              Atomic.set sheds_left k;
+              let retried = ref 0 in
+              match
+                Exec.Serve.request_retrying ~retries:2
+                  ~on_retry:(fun () -> incr retried)
+                  fd work
+              with
+              | r ->
+                  check bool_t "answered within the retries" true (k <= 2);
+                  check bool_t "the answer is the handler's" true
+                    (J.member "ok" r = Some (J.Bool true));
+                  check int_t "one retry per shed" k !retried
+              | exception Exec.Serve.Server_overloaded { retry_after_ms } ->
+                  check bool_t "shed past the last retry surfaces" true (k > 2);
+                  check int_t "the surfaced shed keeps its hint" 1 retry_after_ms;
+                  check int_t "every retry spent" 2 !retried)
+            [ 0; 1; 2; 3 ];
+          ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "stop") ]) : J.t));
+      Thread.join server)
+
 (* A client that hangs up before its reply must cost only itself: the
    reply write fails with EPIPE inside its client loop instead of a SIGPIPE
    killing the daemon and every other client with it. *)
@@ -1251,6 +1299,8 @@ let () =
             test_serve_connect_backoff;
           Alcotest.test_case "shed frame raises Server_overloaded" `Quick
             test_serve_overloaded_raises;
+          Alcotest.test_case "retrying request honours sheds up to N" `Quick
+            test_serve_request_retrying;
           Alcotest.test_case "peer gone before its reply" `Quick
             test_serve_survives_vanished_peer;
         ] );

@@ -233,13 +233,7 @@ let test_policies_cost_scaled () =
       Resilience.Verifier.Campion;
       Resilience.Verifier.Topology;
       Resilience.Verifier.Route_policies;
-    ];
-  List.iter
-    (fun k ->
-      check bool_t "uniform flattens the table" true
-        (Resilience.Policies.uniform Resilience.Policies.default k
-        = Resilience.Policies.default))
-    Resilience.Verifier.all_kinds
+    ]
 
 (* A fresh runtime per kind so one kind's tripped breaker cannot leak into
    the other's attempt count. *)
@@ -878,17 +872,10 @@ let test_guard_verifier_faulted () =
   | _ -> Alcotest.fail "the guard must be invisible on the success path"
 
 let test_runtime_stage_watchdog () =
-  (* Big retry budget, huge round budget, tiny stage budget: the tick
-     watchdog — not attempts exhaustion, not the round deadline — is what
-     cancels the stage. *)
-  let cfg =
-    Resilience.Runtime.config
-      ~retry:
-        { Resilience.Retry.max_attempts = 50; base_backoff = 4; max_backoff = 8;
-          jitter = 0. }
-      ~breaker:{ Resilience.Breaker.failure_threshold = 1000; cooldown = 1 }
-      ~round_budget:10_000 ~stage_budget:16 ()
-  in
+  (* Topology's fixed policy allows 3 attempts; a huge round budget and a
+     2-tick stage budget make the tick watchdog — not attempts exhaustion,
+     not the round deadline — what cancels the stage. *)
+  let cfg = Resilience.Runtime.config ~round_budget:10_000 ~stage_budget:2 () in
   let t = Resilience.Runtime.create cfg in
   let v = Resilience.Verifier.wrap Resilience.Verifier.Topology (fun x -> x) in
   let calls = ref 0 in
@@ -904,7 +891,7 @@ let test_runtime_stage_watchdog () =
         at 0
       in
       check bool_t "degraded by the stage watchdog" true has_needle;
-      check bool_t "watchdog fired mid-retry, not at exhaustion" true (!calls < 50)
+      check bool_t "watchdog fired mid-retry, not at exhaustion" true (!calls < 3)
   | Ok _ -> Alcotest.fail "a hung stage must be cancelled"
 
 (* ------------------------------------------------------------------ *)
