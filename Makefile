@@ -9,7 +9,8 @@ test:
 	dune runtest
 
 # Build + tests (the cram test test/sweep_cli.t pins the chaos, adversary
-# and shard CLIs, their kill/resume drills and refusals) + every bench
+# and shard CLIs, their kill/resume drills and refusals; test/bench_gates.t
+# pins the stdout of the C1, C2, A1, A2, A3 and D1 gates) + every bench
 # gate through the check alias in bench/dune (one-seed smoke run, chaos,
 # fuzz, adversary, adversary-verifier, adversary-collusion, serve,
 # serve-overload, durability) + the shard, serve, serve-overload and

@@ -61,19 +61,24 @@ let journal_name name =
       | _ -> '-')
     name
 
-let open_journal dir name =
-  let safe = journal_name name in
-  let j =
-    Exec.Sweep.journal ~resume
-      ~path:(Filename.concat dir (safe ^ ".jsonl"))
-      ~encode:Cosynth.Driver.outcome_to_json ~decode:Cosynth.Driver.outcome_of_json ()
-  in
-  (match Exec.Sweep.journaled_seeds j with
-  | [] -> ()
-  | done_ ->
-      Printf.eprintf "journal: %s: resuming %d completed seed(s)\n%!" safe
-        (List.length done_));
-  j
+(* Run [f] with the named sweep's journal under --journal DIR, closing it
+   afterwards, or with none. *)
+let with_journal name f =
+  match journal_dir with
+  | None -> f None
+  | Some dir ->
+      let safe = journal_name name in
+      let j =
+        Exec.Sweep.journal ~resume
+          ~path:(Filename.concat dir (safe ^ ".jsonl"))
+          ~encode:Cosynth.Driver.outcome_to_json ~decode:Cosynth.Driver.outcome_of_json ()
+      in
+      (match Exec.Sweep.journaled_seeds j with
+      | [] -> ()
+      | done_ ->
+          Printf.eprintf "journal: %s: resuming %d completed seed(s)\n%!" safe
+            (List.length done_));
+      Fun.protect ~finally:(fun () -> Exec.Sweep.journal_close j) (fun () -> f (Some j))
 
 (* One worker pool for the whole harness; size comes from COSYNTH_POOL_SIZE
    or the machine (Exec.Pool.default_size). *)
@@ -105,9 +110,14 @@ let renderings t =
 let byte_identical xs ys = List.map renderings xs = List.map renderings ys
 
 (* The cells every leverage table draws from one summary. *)
-type cells = { auto : string; human : string; leverage : string; converged : string }
+type summary_cells = {
+  auto : string;
+  human : string;
+  leverage : string;
+  converged : string;
+}
 
-let cells (s : Cosynth.Metrics.summary) =
+let summary_cells (s : Cosynth.Metrics.summary) =
   {
     auto = Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_auto;
     human = Printf.sprintf "%.1f" s.Cosynth.Metrics.mean_human;
@@ -126,21 +136,18 @@ let cells (s : Cosynth.Metrics.summary) =
    bench's job. A replayed abandoned record has no transcript to
    summarize. *)
 let determinism_sweep ~name ~seeds run =
-  match journal_dir with
-  | Some dir ->
-      Exec.Memo.reset ();
-      let j = open_journal dir name in
+  Exec.Memo.reset ();
+  with_journal name @@ function
+  | Some j ->
       let replayed = List.length (Exec.Sweep.journaled_seeds j) in
       let outcomes, perf =
         Cosynth.Metrics.measure ~pool (fun () ->
             Exec.Sweep.run_seeds ~pool ~journal:j ~seeds (fun seed ->
                 Exec.Supervisor.Completed (run ?pool:(Some pool) seed)))
       in
-      Exec.Sweep.journal_close j;
       ( List.filter_map Exec.Supervisor.completed outcomes,
         Journaled { replayed; fresh = List.length seeds - replayed; perf } )
   | None ->
-      Exec.Memo.reset ();
       let seq, seq_perf =
         Cosynth.Metrics.measure (fun () ->
             Exec.Sweep.run_seeds ~seeds (fun seed -> run ?pool:None seed))
@@ -175,10 +182,8 @@ type gate = { violation : 'a. ('a, unit, string, unit) format4 -> 'a }
 let run_gate ?(noun = "violation") ~id ~ok title body =
   section title;
   let recorded = ref [] in
-  body
-    {
-      violation = (fun fmt -> Printf.ksprintf (fun v -> recorded := v :: !recorded) fmt);
-    };
+  let violation fmt = Printf.ksprintf (fun v -> recorded := v :: !recorded) fmt in
+  body { violation };
   match List.rev !recorded with
   | [] -> print_string ok
   | vs ->
@@ -206,6 +211,9 @@ let with_temp_dir prefix f =
         Sys.rmdir dir
       end)
     (fun () -> f dir)
+
+(* A boolean field of a daemon reply is set. *)
+let flag f reply = Option.bind (Json.member f reply) Json.to_bool = Some true
 
 (* One daemon lifetime: the Cosynth.Service that `cosynth serve` ships, in
    process on a real Unix socket in a fresh temp dir. [drive socket_path]
@@ -322,7 +330,7 @@ let leverage_table ~heading ~name ~base ~loop ~paper_auto ~paper_leverage run =
     determinism_sweep ~name ~seeds:(Exec.Sweep.seeds ~base ~n) run
   in
   let s = Cosynth.Metrics.summarize transcripts in
-  let c = cells s in
+  let c = summary_cells s in
   print_string
     (Cosynth.Report.kv
        ~title:(Printf.sprintf "%d seeded runs of the %s VPP loop" n loop)
@@ -479,7 +487,7 @@ let table_ab1a () =
     Cosynth.Metrics.no_transit_summary ~runs:(runs 15) ~routers:7 ~use_iips:false ~pool ()
   in
   let row label s =
-    let c = cells s in
+    let c = summary_cells s in
     [ label; c.auto; c.human; c.leverage; c.converged ]
   in
   print_string
@@ -493,9 +501,8 @@ let table_ab1b () =
   let rows =
     List.map
       (fun routers ->
-        let c =
-          cells (Cosynth.Metrics.no_transit_summary ~runs:(runs 10) ~routers ~pool ())
-        in
+        let s = Cosynth.Metrics.no_transit_summary ~runs:(runs 10) ~routers ~pool () in
+        let c = summary_cells s in
         [ string_of_int routers; c.auto; c.human; c.leverage ])
       [ 3; 5; 7; 9; 11 ]
   in
@@ -518,7 +525,7 @@ let table_ab1c () =
               (Cosynth.Driver.run_translation ~seed ~stall_threshold:st ~cisco_text ())
                 .Cosynth.Driver.transcript)
         in
-        let c = cells (Cosynth.Metrics.summarize transcripts) in
+        let c = summary_cells (Cosynth.Metrics.summarize transcripts) in
         [ string_of_int st; c.auto; c.human; c.leverage ])
       [ 1; 2; 3; 4; 6 ]
   in
@@ -642,7 +649,7 @@ let table_e3 () =
               (Cosynth.Driver.run_translation ~seed ~quality:q ~cisco_text ())
                 .Cosynth.Driver.transcript)
         in
-        let c = cells (Cosynth.Metrics.summarize transcripts) in
+        let c = summary_cells (Cosynth.Metrics.summarize transcripts) in
         [ Printf.sprintf "%.2f" q; c.auto; c.human; c.leverage; c.converged ])
       [ 0.0; 0.25; 0.5; 0.75; 0.95 ]
   in
@@ -703,13 +710,8 @@ let table_c1 () =
           Exec.Supervisor.Abandoned { attempts = 1; reason = Printexc.to_string e }
     in
     let outcomes =
-      match journal_dir with
-      | None -> Exec.Sweep.run_seeds ~seeds run
-      | Some dir ->
-          let j = open_journal dir ("c1-" ^ name) in
-          let out = Exec.Sweep.run_seeds ~journal:j ~seeds run in
-          Exec.Sweep.journal_close j;
-          out
+      with_journal ("c1-" ^ name) (fun journal ->
+          Exec.Sweep.run_seeds ?journal ~seeds run)
     in
     List.iter2
       (fun seed -> function
@@ -743,9 +745,9 @@ let table_c1 () =
               in
               [
                 name;
-                (cells (Cosynth.Metrics.summarize (ts @ ss))).converged;
-                (cells (Cosynth.Metrics.summarize ts)).leverage;
-                (cells (Cosynth.Metrics.summarize ss)).leverage;
+                (summary_cells (Cosynth.Metrics.summarize (ts @ ss))).converged;
+                (summary_cells (Cosynth.Metrics.summarize ts)).leverage;
+                (summary_cells (Cosynth.Metrics.summarize ss)).leverage;
                 string_of_int (degraded_events ts + degraded_events ss);
               ])
             chaos_schedules
@@ -763,7 +765,7 @@ let table_c1 () =
                   (Printf.sprintf "no-transit[crash %.2f seed %d]" rate)
                   Cosynth.Driver.no_transit_budget (no_transit ~resilience)
               in
-              let c = cells (Cosynth.Metrics.summarize ss) in
+              let c = summary_cells (Cosynth.Metrics.summarize ss) in
               [
                 Printf.sprintf "%.2f" rate; c.auto; c.human; c.leverage; c.converged;
                 string_of_int (degraded_events ss);
@@ -969,9 +971,13 @@ let table_s1 () =
   let module J = Json in
   let n = if smoke then 4 else 16 in
   let seeds = Exec.Sweep.seeds ~base:12000 ~n in
-  let fingerprint (t : Cosynth.Driver.transcript) =
-    (t.Cosynth.Driver.auto_prompts, t.Cosynth.Driver.human_prompts,
-     t.Cosynth.Driver.converged, t.Cosynth.Driver.rounds)
+  let fields (t : Cosynth.Driver.transcript) =
+    [
+      ("auto", J.Int t.Cosynth.Driver.auto_prompts);
+      ("human", J.Int t.Cosynth.Driver.human_prompts);
+      ("converged", J.Bool t.Cosynth.Driver.converged);
+      ("rounds", J.Int t.Cosynth.Driver.rounds);
+    ]
   in
   (* Cold: what per-job CLI invocations cost — every request pays for its
      own worker pool and starts with an empty parse memo. *)
@@ -983,7 +989,7 @@ let table_s1 () =
             let p = Exec.Pool.create ~domains:2 () in
             let r = Cosynth.Driver.run_no_transit ~seed ~pool:p ~routers:5 () in
             Exec.Pool.shutdown p;
-            fingerprint r.Cosynth.Driver.transcript)
+            fields r.Cosynth.Driver.transcript)
           seeds)
   in
   (* Warm: the same jobs through the daemon over one connection — one
@@ -1017,19 +1023,9 @@ let table_s1 () =
   List.iteri
     (fun i reply ->
       let seed = List.nth seeds i in
-      let field f conv = Option.bind (J.member f reply) conv in
-      let got =
-        match
-          ( field "auto" J.to_int, field "human" J.to_int,
-            field "converged" J.to_bool, field "rounds" J.to_int )
-        with
-        | Some a, Some h, Some c, Some r -> Some (a, h, c, r)
-        | _ -> None
-      in
-      if field "ok" J.to_bool <> Some true then
-        g.violation "seed %d: daemon reply not ok" seed
-      else if got <> Some (List.nth cold i) then
-        g.violation "seed %d: warm result differs from the cold run" seed)
+      if not (flag "ok" reply) then g.violation "seed %d: daemon reply not ok" seed
+      else if List.exists (fun (k, v) -> J.member k reply <> Some v) (List.nth cold i)
+      then g.violation "seed %d: warm result differs from the cold run" seed)
     warm;
   (* Gate 2: the daemon's state really is warm — the persistent memo must
      serve hits across requests (each cold job starts from 0%). *)
@@ -1074,9 +1070,6 @@ let table_s1 () =
 (* ------------------------------------------------------------------ *)
 (* S2: service hardening — admission, deadlines, drain under overload  *)
 (* ------------------------------------------------------------------ *)
-
-(* A boolean field of a daemon reply is set. *)
-let flag f reply = Option.bind (Json.member f reply) Json.to_bool = Some true
 
 (* What one daemon request came to, as S2 tallies it: the reply's flag, a
    shed frame, or a broken connection. *)
@@ -1512,7 +1505,7 @@ let table_a1 () =
       seeds
   in
   let fmt_cell s =
-    let c = cells s in
+    let c = summary_cells s in
     Printf.sprintf "%6s%s %s" c.leverage
       (if s.Cosynth.Metrics.infinite_leverage > 0 then "*" else " ")
       c.converged
@@ -1597,6 +1590,27 @@ let table_a1 () =
     (List.length Adversary.Llm.all_modes)
     (List.length loop_seeds)
 
+(* A2's and A3's sweeps: sequential translation runs, each paired with
+   [read] of its own measured counter deltas, so a per-run bound can be
+   checked against the run that spent it. *)
+let measured_runs seeds run read =
+  List.map
+    (fun seed ->
+      let r, perf = Cosynth.Metrics.measure (fun () -> run seed) in
+      (r, read perf))
+    seeds
+
+(* The runs that ended verified: the raw Batfish+Campion recheck of the
+   final draft, the one signal no lying verifier or oracle can forge. *)
+let verified runs =
+  List.length
+    (List.filter
+       (fun ((r : Cosynth.Driver.translation_result), _) -> r.Cosynth.Driver.verified)
+       runs)
+
+(* One counter summed over a sweep's runs. *)
+let total count runs = List.fold_left (fun acc (_, c) -> acc + count c) 0 runs
+
 (* Every verifier-lie mode as (config builder, row label) pairs for the A2
    headline table. The adaptive false-negative variant gets its own row so
    the escalation schedule is swept alongside the flat rates. *)
@@ -1648,26 +1662,14 @@ let table_a2 () =
      stay sequential so each run's measured trust-counter delta is
      attributable to it — the per-run budget-compliance check needs that. *)
   let sweep ~trust spec_opt =
-    List.map
+    measured_runs seeds
       (fun seed ->
-        let r, perf =
-          Cosynth.Metrics.measure (fun () ->
-              Cosynth.Driver.run_translation ~seed ?adversary:spec_opt
-                ?trust:(if trust then Some trust_cfg else None)
-                ~max_prompts:a2_budget ~cisco_text ())
-        in
-        (r, Cosynth.Metrics.trust_totals perf))
-      seeds
+        Cosynth.Driver.run_translation ~seed ?adversary:spec_opt
+          ?trust:(if trust then Some trust_cfg else None)
+          ~max_prompts:a2_budget ~cisco_text ())
+      Cosynth.Metrics.trust_totals
   in
-  let verified rs =
-    List.length
-      (List.filter
-         (fun ((r : Cosynth.Driver.translation_result), _) -> r.Cosynth.Driver.verified)
-         rs)
-  in
-  let lies rs =
-    List.fold_left (fun acc (_, d) -> acc + d.Resilience.Trust.disagreements) 0 rs
-  in
+  let lies = total (fun d -> d.Resilience.Trust.disagreements) in
   let honest_verified = verified (sweep ~trust:false None) in
   let rows, perf =
     Cosynth.Metrics.measure (fun () ->
@@ -1823,17 +1825,13 @@ let table_a3 () =
     ]
   in
   let sweep trust_cfg rate =
-    List.map
+    measured_runs seeds
       (fun seed ->
         let spec = collusion ~rate seed in
         let adversary = if Adversary.Spec.is_none spec then None else Some spec in
-        let r, perf =
-          Cosynth.Metrics.measure (fun () ->
-              Cosynth.Driver.run_translation ~seed ?adversary ~trust:trust_cfg
-                ~max_prompts:a3_budget ~cisco_text ())
-        in
-        (r, perf.Cosynth.Metrics.quorum))
-      seeds
+        Cosynth.Driver.run_translation ~seed ?adversary ~trust:trust_cfg
+          ~max_prompts:a3_budget ~cisco_text ())
+      (fun perf -> perf.Cosynth.Metrics.quorum)
   in
   let results, perf =
     Cosynth.Metrics.measure (fun () ->
@@ -1843,23 +1841,9 @@ let table_a3 () =
               List.map
                 (fun rate ->
                   let runs = sweep trust_cfg rate in
-                  let verified =
-                    List.length
-                      (List.filter
-                         (fun ((r : Cosynth.Driver.translation_result), _) ->
-                           r.Cosynth.Driver.verified)
-                         runs)
-                  in
-                  let overruled =
-                    List.fold_left
-                      (fun acc (_, dq) -> acc + dq.Resilience.Trust.overruled)
-                      0 runs
-                  in
+                  let overruled = total (fun dq -> dq.Resilience.Trust.overruled) runs in
                   let oracle_q =
-                    List.fold_left
-                      (fun acc (_, dq) ->
-                        acc + dq.Resilience.Trust.oracle_quarantines)
-                      0 runs
+                    total (fun dq -> dq.Resilience.Trust.oracle_quarantines) runs
                   in
                   List.iter2
                     (fun seed (_, dq) ->
@@ -1885,7 +1869,7 @@ let table_a3 () =
                     if oracle_q > 0 then
                       g.violation "%s rate 0: honest oracle quarantined" label
                   end;
-                  (verified, overruled, oracle_q))
+                  (verified runs, overruled, oracle_q))
                 a3_rates
             in
             (label, trust_cfg, cells))

@@ -17,8 +17,9 @@ type t
 
 val max_size : int
 (** The most worker domains one pool may have: 64, half the OCaml
-    runtime's limit of 128 domains per process on 64-bit platforms, so a pool's worker
-    replacements and the other pools a process runs stay spawnable. *)
+    runtime's limit of 128 domains per process on 64-bit platforms, so a
+    pool's worker replacements and the other pools a process runs stay
+    spawnable. *)
 
 val create : ?domains:int -> unit -> t
 (** Spawn a pool of [domains] workers (default {!default_size}). A pool
