@@ -258,37 +258,6 @@ let attribute_findings ~original ~translation =
 (* Memoised symbolic diffs                                             *)
 (* ------------------------------------------------------------------ *)
 
-type checker = {
-  policies :
-    ( Route_map.t * Route_map.t * Eval.env * Eval.env,
-      Symbolic.Policy_diff.difference list )
-    Hashtbl.t;
-  acls : (Acl.t * Acl.t, Symbolic.Acl_diff.difference list) Hashtbl.t;
-  mutable policy_lookups : int;
-  mutable acl_lookups : int;
-}
-
-let checker () =
-  { policies = Hashtbl.create 16; acls = Hashtbl.create 8; policy_lookups = 0; acl_lookups = 0 }
-
-type stats = { policy_pairs : int; policy_hits : int; acl_pairs : int; acl_hits : int }
-
-let stats c =
-  {
-    policy_pairs = c.policy_lookups;
-    policy_hits = c.policy_lookups - Hashtbl.length c.policies;
-    acl_pairs = c.acl_lookups;
-    acl_hits = c.acl_lookups - Hashtbl.length c.acls;
-  }
-
-let memo table key diff =
-  match Hashtbl.find_opt table key with
-  | Some v -> v
-  | None ->
-      let v = diff () in
-      Hashtbl.add table key v;
-      v
-
 (* The part of an environment a policy diff reads: the prefix and AS-path
    lists either map names, as {!Symbolic.Transfer.env_slice} keeps them
    (the witness search evaluates both maps' AS-path constraints against
@@ -298,15 +267,55 @@ let env_slice (m_a : Route_map.t) (m_b : Route_map.t) (env : Eval.env) =
   let named = Symbolic.Transfer.env_slice [ m_a; m_b ] { env with Eval.community_lists = [] } in
   { named with Eval.community_lists = env.Eval.community_lists }
 
-let diff_policies c ~env_a ~env_b m_a m_b =
-  c.policy_lookups <- c.policy_lookups + 1;
-  memo c.policies
-    (m_a, m_b, env_slice m_a m_b env_a, env_slice m_a m_b env_b)
-    (fun () -> Symbolic.Policy_diff.compare_maps ~env_a ~env_b m_a m_b)
+(* [Hashtbl.hash] stops after 10 meaningful values, which on these keys
+   reach little past the map names: every draft that edits a later entry
+   of the same map would land in one bucket, and each lookup would walk it
+   with structural comparisons. *)
+let deep_hash k = Hashtbl.hash_param 100 1000 k
 
-let diff_acls c a b =
-  c.acl_lookups <- c.acl_lookups + 1;
-  memo c.acls (a, b) (fun () -> Symbolic.Acl_diff.compare_acls a b)
+module Policy_key = struct
+  type t = Route_map.t * Route_map.t * Eval.env * Eval.env
+
+  let equal = ( = )
+  let hash = deep_hash
+end
+
+module Acl_key = struct
+  type t = Acl.t * Acl.t
+
+  let equal = ( = )
+  let hash = deep_hash
+end
+
+module Policy_memo = Exec.Memo.Table (Policy_key)
+module Acl_memo = Exec.Memo.Table (Acl_key)
+
+(* A translation loop meets a few dozen distinct pairs of each kind. *)
+let memo_cap = 1024
+let policy_memo = Policy_memo.create ~cap:memo_cap
+let acl_memo = Acl_memo.create ~cap:memo_cap
+
+let memo_stats () =
+  let p = Policy_memo.stats policy_memo and a = Acl_memo.stats acl_memo in
+  {
+    Exec.Memo.hits = p.hits + a.hits;
+    misses = p.misses + a.misses;
+    entries = p.entries + a.entries;
+    evictions = p.evictions + a.evictions;
+  }
+
+let policy_key ~env_a ~env_b m_a m_b =
+  (m_a, m_b, env_slice m_a m_b env_a, env_slice m_a m_b env_b)
+
+let policy_key_hash ~env_a ~env_b m_a m_b = Policy_key.hash (policy_key ~env_a ~env_b m_a m_b)
+
+let diff_policies ~memo ~env_a ~env_b m_a m_b =
+  let diff () = Symbolic.Policy_diff.compare_maps ~env_a ~env_b m_a m_b in
+  if memo then Policy_memo.find policy_memo (policy_key ~env_a ~env_b m_a m_b) diff else diff ()
+
+let diff_acls ~memo a b =
+  let diff () = Symbolic.Acl_diff.compare_acls a b in
+  if memo then Acl_memo.find acl_memo (a, b) diff else diff ()
 
 (* ------------------------------------------------------------------ *)
 (* Behavior comparison                                                 *)
@@ -320,12 +329,11 @@ let policy_of (c : Config_ir.t) name =
          also what the simulator does. Lint reports the dangling name. *)
       Route_map.permit_all name
 
-let behavior_findings c ~original ~translation =
+let behavior_findings ~memo ~original ~translation =
   let env_o = Eval.env_of_config original and env_t = Eval.env_of_config translation in
   let fs = ref [] in
   let compare_policies direction neighbor name_o name_t =
     let m_o = policy_of original name_o and m_t = policy_of translation name_t in
-    let diffs = diff_policies c ~env_a:env_o ~env_b:env_t m_o m_t in
     List.iter
       (fun (d : Symbolic.Policy_diff.difference) ->
         match d.Symbolic.Policy_diff.example with
@@ -349,7 +357,7 @@ let behavior_findings c ~original ~translation =
                   effect_detail;
                 }
               :: !fs)
-      diffs
+      (diff_policies ~memo ~env_a:env_o ~env_b:env_t m_o m_t)
   in
   (match (original.Config_ir.bgp, translation.Config_ir.bgp) with
   | Some bo, Some bt ->
@@ -377,7 +385,7 @@ let acl_of (c : Config_ir.t) name =
   | Some a -> a
   | None -> Acl.make name []  (* dangling attachment: implicit deny-all *)
 
-let acl_findings c ~original ~translation =
+let acl_findings ~memo ~original ~translation =
   let fs = ref [] in
   List.iter
     (fun (i : Config_ir.interface) ->
@@ -400,7 +408,7 @@ let acl_findings c ~original ~translation =
                           translated_packet_action = d.Symbolic.Acl_diff.action_b;
                         }
                       :: !fs)
-                  (diff_acls c (acl_of original name_o) (acl_of translation name_t))
+                  (diff_acls ~memo (acl_of original name_o) (acl_of translation name_t))
             | _ -> ()
           in
           compare_attached Import i.Config_ir.acl_in i'.Config_ir.acl_in;
@@ -412,16 +420,17 @@ let acl_findings c ~original ~translation =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let check c ~original ~translation =
+let findings ~memo ~original ~translation =
   (* Normalize the Cisco side so redistribution, OSPF area membership and
      default costs are expressed the same way on both sides. *)
   let original = Juniper.Translate.of_cisco_ir original in
   structural_findings ~original ~translation
   @ attribute_findings ~original ~translation
-  @ behavior_findings c ~original ~translation
-  @ acl_findings c ~original ~translation
+  @ behavior_findings ~memo ~original ~translation
+  @ acl_findings ~memo ~original ~translation
 
-let compare ~original ~translation = check (checker ()) ~original ~translation
+let compare = findings ~memo:false
+let check = findings ~memo:true
 
 let equivalent ~original ~translation = compare ~original ~translation = []
 

@@ -78,24 +78,21 @@ val compare : original:Config_ir.t -> translation:Config_ir.t -> finding list
 (** Structural findings first, then attributes, then behavior — the order
     the paper says matters ("syntax errors and structural mismatches have to
     be handled earlier since they can mask attribute differences and policy
-    behavior differences"). [compare] is {!check} on a fresh {!checker}. *)
+    behavior differences"). [compare] is the uncached one-shot reference. *)
 
 (** {2 Checking a sequence of drafts}
 
     A VPP loop diffs every draft against the same original, and each fix
     touches one stanza, so most route-map and ACL pairs it compares were
-    already compared on an earlier draft. A checker remembers those
-    symbolic diffs. *)
+    already compared on an earlier draft — or in an earlier loop over the
+    same original. {!check} looks those symbolic diffs up in two
+    process-wide {!Exec.Memo.Table}s, one of route-map pairs and one of ACL
+    pairs. They are bounded (at most {!memo_cap} entries each, oldest
+    eighth evicted at the cap), domain-safe, shared by every loop, sweep
+    seed, pool domain and [serve] request, and emptied by
+    {!Exec.Memo.reset}. *)
 
-type checker
-(** Memoised symbolic diffs, meant to live for one loop. It keeps every
-    distinct pair it has seen, with no eviction, which is bounded by the
-    drafts of one loop. It is not safe to share between domains: give each
-    loop its own. *)
-
-val checker : unit -> checker
-
-val check : checker -> original:Config_ir.t -> translation:Config_ir.t -> finding list
+val check : original:Config_ir.t -> translation:Config_ir.t -> finding list
 (** Exactly {!compare}'s findings, witnesses included. The structural and
     attribute passes always run; the symbolic diffs are looked up first:
     - a route-map pair is keyed on both maps plus the part of each side's
@@ -105,14 +102,16 @@ val check : checker -> original:Config_ir.t -> translation:Config_ir.t -> findin
       with communities drawn from every one of them;
     - an ACL pair is keyed on both ACLs. *)
 
-type stats = {
-  policy_pairs : int;  (** Route-map pairs diffed through the checker. *)
-  policy_hits : int;  (** Of those, answered from the memo. *)
-  acl_pairs : int;
-  acl_hits : int;
-}
+val memo_cap : int
+(** The cap of each diff table. *)
 
-val stats : checker -> stats
+val memo_stats : unit -> Exec.Memo.stats
+(** The two diff tables' counters, summed. *)
+
+val policy_key_hash :
+  env_a:Eval.env -> env_b:Eval.env -> Route_map.t -> Route_map.t -> int
+(** The hash of the route-map-pair key {!check} builds for these maps and
+    environments. It reads past the map names into every entry. *)
 
 val equivalent : original:Config_ir.t -> translation:Config_ir.t -> bool
 

@@ -415,6 +415,7 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
              @ trust_health_fields ()))
     | "stats" ->
         let mm = Exec.Memo.stats () in
+        let dm = Campion.Differ.memo_stats () in
         let p = Exec.Pool.stats pool in
         let a = Resilience.Admission.stats adm in
         let caps = Resilience.Admission.config adm in
@@ -431,6 +432,14 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
                      ("entries", J.Int mm.Exec.Memo.entries);
                      ("evictions", J.Int mm.Exec.Memo.evictions);
                      ("hit_rate", J.Float (Exec.Memo.hit_rate mm));
+                   ] );
+               ( "diff_memo",
+                 J.Obj
+                   [
+                     ("hits", J.Int dm.Exec.Memo.hits);
+                     ("misses", J.Int dm.Exec.Memo.misses);
+                     ("entries", J.Int dm.Exec.Memo.entries);
+                     ("evictions", J.Int dm.Exec.Memo.evictions);
                    ] );
                ( "pool",
                  J.Obj

@@ -1,13 +1,50 @@
-(** A thread-safe memo cache for {!Batfish.Parse_check.check}.
+(** Bounded, thread-safe memo tables, and the one for
+    {!Batfish.Parse_check.check}.
 
-    The VPP loops re-verify the current draft after every prompt, and a
-    stalled prompt (the simulated LLM "usually does nothing when asked to
-    fix the error") leaves the draft byte-identical — so the same text is
-    parsed and linted again and again. Parsing is pure, so the result can
-    be memoized on [(dialect, text)]. The cache is shared across domains
-    and guarded by a mutex; parse work happens outside the lock (a
-    concurrent duplicate parse is harmless — both compute the same
-    value). *)
+    Every table here is one mechanism: a lock around a hash table, the
+    computation of a missing value {e outside} the lock (a concurrent
+    duplicate computation is harmless — both compute the same value), and
+    a constant cap at which the {e oldest eighth} of the entries is evicted
+    (FIFO batch) rather than the whole table, so a long-lived warm process
+    (a multi-day sweep, the [cosynth serve] daemon) keeps most of its
+    working set hot across the boundary instead of restarting from a 0%
+    hit rate. Tables live for the life of the process, are shared by every
+    domain, and hold only results of pure functions.
+
+    The parse table: the VPP loops re-verify the current draft after every
+    prompt, and a stalled prompt (the simulated LLM "usually does nothing
+    when asked to fix the error") leaves the draft byte-identical — so the
+    same text is parsed and linted again and again. Parsing is pure, so the
+    result is memoized on [(dialect, text)]. *)
+
+type stats = {
+  hits : int;
+  misses : int;
+  entries : int;
+  evictions : int;  (** Entries dropped by the bounded cap. *)
+}
+
+(** One bounded table over keys [K.t]. [K.hash] must look at every part of
+    the key that tells two keys apart, or lookups degrade to structural
+    comparisons along long bucket chains. *)
+module Table (K : Hashtbl.HashedType) : sig
+  type 'v t
+
+  val create : cap:int -> 'v t
+  (** An empty table holding at most [cap] entries (at least 1). It is
+      registered with {!reset}. *)
+
+  val find_result : 'v t -> K.t -> (unit -> ('v, 'e) result) -> ('v, 'e) result
+  (** The cached value, or the result of the computation on a miss. The
+      table is {e success-only}: an [Error] bypasses it untouched (and
+      still counts as a miss), so a transient fault can never be memoized
+      as truth. *)
+
+  val find : 'v t -> K.t -> (unit -> 'v) -> 'v
+  (** {!find_result} for a computation that cannot fail. *)
+
+  val stats : 'v t -> stats
+end
 
 val check :
   Batfish.Parse_check.dialect ->
@@ -21,30 +58,16 @@ val check_result :
   parse:(unit -> (Policy.Config_ir.t * Netcore.Diag.t list, 'e) result) ->
   (Policy.Config_ir.t * Netcore.Diag.t list, 'e) result
 (** The failure-aware seam under {!check}, which the tests use to drive
-    eviction and failed parses: consult the cache; on a miss run [parse].
-    The table is {e success-only} — only [Ok] results are cached, and an
-    [Error] (a crashed, flaky or truncated verifier call) bypasses the
-    table untouched, so a transient fault can never be memoized as truth.
-    A bypassed failure still counts as a miss in {!stats}. *)
-
-type stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-  evictions : int;
-      (** Entries dropped by the bounded cap. When the table reaches its
-          cap, the {e oldest eighth} of the entries is evicted (FIFO batch)
-          rather than the whole table — a long-lived warm process (a
-          multi-day sweep, the [cosynth serve] daemon) keeps most of its
-          working set hot across the boundary instead of restarting from a
-          0% hit rate. *)
-}
+    eviction and failed parses: {!Table.find_result} on the parse table. *)
 
 val stats : unit -> stats
+(** The parse table's counters. *)
 
 val hit_rate : stats -> float
 (** [hits / (hits + misses)]; 0 when the cache is untouched. *)
 
 val reset : unit -> unit
-(** Drop every entry and zero the counters (used between bench sections so
-    per-experiment hit rates are meaningful). *)
+(** Drop every entry of {e every} table — the parse table and any other
+    {!Table.create}d in the process, such as Campion's diff tables — and
+    zero their counters (used between bench sections so per-experiment hit
+    rates are meaningful, and before a cold run). *)

@@ -15,6 +15,8 @@ type t = {
   reintroduction_rate : float;
   class_filter : Error_class.t -> bool;
   quality : float;
+  mutable rendered : (Fault.t list * string) option;
+      (* The last [draft]: the live faults it rendered, and the text. *)
 }
 
 let suppressed iips (cls : Error_class.t) =
@@ -47,6 +49,7 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
       reintroduction_rate = reintroduction_rate *. (1.0 -. quality);
       class_filter;
       quality;
+      rendered = None;
     }
   in
   let sampled =
@@ -65,7 +68,17 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
   t.live <- sampled @ forced;
   t
 
-let draft t = Fault.render t.dialect_ t.correct t.live
+(* Many prompts leave the live faults as they were (an ignored or
+   unmatched prompt), so the text just rendered is the text again.
+   [Fault.render] is pure, so reusing it changes no byte. *)
+let draft t =
+  match t.rendered with
+  | Some (live, text) when List.equal Fault.equal live t.live -> text
+  | _ ->
+      let text = Fault.render t.dialect_ t.correct t.live in
+      t.rendered <- Some (t.live, text);
+      text
+
 let correct t = t.correct
 let live_faults t = t.live
 let fixed_faults t = t.fixed

@@ -45,7 +45,10 @@ val start :
     probabilities interpolate toward 1, and regressions scale by [1 - q]. *)
 
 val draft : t -> string
-(** Current rendering of the draft configuration. *)
+(** Current rendering of the draft configuration. A chat keeps its last
+    rendering and returns it while the live faults are structurally equal
+    to the ones it rendered, so a prompt that changed nothing costs no
+    render. *)
 
 val correct : t -> Config_ir.t
 (** The task's oracle artifact (used by adversarial wrappers that re-render

@@ -19,7 +19,6 @@ type t = {
 
 let make runtime =
   let arm ~dirty kind oracle = Runtime.arm runtime (Verifier.wrap ~dirty kind oracle) in
-  let differ = Campion.Differ.checker () in
   let transfers = Symbolic.Transfer.cache () in
   {
     runtime;
@@ -30,7 +29,7 @@ let make runtime =
     campion =
       arm Verifier.Campion
         ~dirty:(fun findings -> findings <> [])
-        (fun (original, translation) -> Campion.Differ.check differ ~original ~translation);
+        (fun (original, translation) -> Campion.Differ.check ~original ~translation);
     topology =
       arm Verifier.Topology
         ~dirty:(fun findings -> findings <> [])

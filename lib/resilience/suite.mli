@@ -6,9 +6,10 @@
     fault never reaches the table (and can never be memoized as truth) and
     cache state can never shift the fault schedule.
 
-    The Campion oracle is {!Campion.Differ.check} on one checker owned by
-    the suite, so one loop's drafts share its memoised policy and ACL
-    diffs. Likewise the Search Route Policies oracle is
+    The Campion oracle is {!Campion.Differ.check}, whose policy and ACL
+    diffs are memoised in bounded, domain-safe tables that live for the
+    process, so every loop, sweep seed and [serve] request shares them.
+    The Search Route Policies oracle is
     {!Batfish.Search_route_policies.check_in} on one
     {!Symbolic.Transfer.cache} owned by the suite, so a draft that changed
     one route map recompiles that map only. The chaos, lie and trust layers

@@ -1089,6 +1089,44 @@ let test_serve_survives_vanished_peer () =
           ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
       Thread.join server)
 
+(* [stats] reports the parse memo under [memo], as before, and Campion's
+   diff tables under [diff_memo]; a translate job looks diffs up there. *)
+let test_serve_stats_diff_memo () =
+  with_serve_dir (fun socket_path ->
+      let module J = Netcore.Json in
+      let cfg = { Cosynth.Service.default_config with Cosynth.Service.domains = Some 1 } in
+      let server =
+        Thread.create
+          (fun () ->
+            ignore (Cosynth.Service.serve ~socket_path cfg : Cosynth.Service.summary))
+          ()
+      in
+      Exec.Serve.with_connection ~socket_path (fun fd ->
+          let stats () = Exec.Serve.request fd (J.Obj [ ("job", J.String "stats") ]) in
+          let field obj k r =
+            Option.bind (J.member obj r) (fun o -> Option.bind (J.member k o) J.to_int)
+          in
+          let lookups r =
+            match (field "diff_memo" "hits" r, field "diff_memo" "misses" r) with
+            | Some h, Some m -> h + m
+            | _ -> Alcotest.fail "stats has no diff_memo hits and misses"
+          in
+          let before = stats () in
+          List.iter
+            (fun k ->
+              check bool_t ("memo keeps " ^ k) true (field "memo" k before <> None);
+              check bool_t ("diff_memo has " ^ k) true (field "diff_memo" k before <> None))
+            [ "hits"; "misses"; "entries"; "evictions" ];
+          let r =
+            Exec.Serve.request fd (J.Obj [ ("job", J.String "translate"); ("seed", J.Int 7) ])
+          in
+          check bool_t "translate answered" true
+            (Option.bind (J.member "ok" r) J.to_bool = Some true);
+          check bool_t "diff lookups grow after a translate job" true
+            (lookups (stats ()) > lookups before);
+          ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
+      Thread.join server)
+
 (* ------------------------------------------------------------------ *)
 (* Sweep: certificate-aware budgeted scheduling                        *)
 (* ------------------------------------------------------------------ *)
@@ -1303,6 +1341,8 @@ let () =
             test_serve_request_retrying;
           Alcotest.test_case "peer gone before its reply" `Quick
             test_serve_survives_vanished_peer;
+          Alcotest.test_case "stats count diff-memo lookups" `Quick
+            test_serve_stats_diff_memo;
         ] );
       ( "global-phase",
         [

@@ -129,14 +129,21 @@ let no_transit m seed =
       (r.D.global_ok :: List.map snd r.D.per_router_verified)
       (print_configs r.D.configs ^ String.concat "\n" r.D.global_violations) )
 
+let run_matrix () =
+  List.concat_map
+    (fun m ->
+      List.map (translation m) (List.init 8 succ)
+      @ List.map (incremental m) (List.init 8 succ)
+      @ List.map (no_transit m) (List.init 4 succ))
+    modes
+
+(* The memo tables live for the process, so a run can start cold or warm.
+   [matrix] is the cold run; the warm test runs the matrix again after it,
+   with every table still filled. Both must give the committed rows. *)
 let matrix =
   lazy
-    (List.concat_map
-       (fun m ->
-         List.map (translation m) (List.init 8 succ)
-         @ List.map (incremental m) (List.init 8 succ)
-         @ List.map (no_transit m) (List.init 4 succ))
-       modes)
+    (Exec.Memo.reset ();
+     run_matrix ())
 
 let read_lines path =
   let ic = open_in path in
@@ -149,11 +156,17 @@ let read_lines path =
   in
   go []
 
-let test_digests () =
-  let actual = List.map snd (Lazy.force matrix) in
+let check_rows rows =
+  let actual = List.map snd rows in
   let expected = read_lines "golden.digests" in
   Alcotest.(check int) "row count" (List.length expected) (List.length actual);
   List.iter2 (fun e a -> Alcotest.(check string) "golden row" e a) expected actual
+
+let test_digests () = check_rows (Lazy.force matrix)
+
+let test_warm_digests () =
+  ignore (Lazy.force matrix);
+  check_rows (run_matrix ())
 
 (* The matrix is only a guard if it reaches the paths a refactor can
    break: every transcript annotation the driver emits must appear. *)
@@ -185,6 +198,8 @@ let () =
       ( "transcripts",
         [
           Alcotest.test_case "digests match the committed matrix" `Quick test_digests;
+          Alcotest.test_case "warm rerun matches the committed matrix" `Quick
+            test_warm_digests;
           Alcotest.test_case "matrix reaches every annotation path" `Quick test_coverage;
         ] );
     ]

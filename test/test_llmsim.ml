@@ -303,6 +303,69 @@ let test_chat_regression_possible () =
   Llmsim.Chat.respond chat (Llmsim.Chat.human_prompt f);
   check bool_t "a new fault appeared" true (Llmsim.Chat.live_faults chat <> [])
 
+(* A chat reuses its last rendering while the live faults are unchanged.
+   Drive both dialects through every path [respond] has, and after every
+   step the draft must be exactly a fresh render of the live faults. *)
+let test_chat_draft_reuse () =
+  let paths = Hashtbl.create 8 in
+  let saw path = Hashtbl.replace paths path () in
+  let mem f fs = List.exists (Llmsim.Fault.equal f) fs in
+  let classify ~live ~fixed ~live' =
+    let gone = List.filter (fun f -> not (mem f live')) live in
+    let added = List.filter (fun f -> not (mem f live)) live' in
+    let succeeds (g : Llmsim.Fault.t) (f : Llmsim.Fault.t) =
+      g.Llmsim.Fault.target = f.Llmsim.Fault.target
+      && (Llmsim.Error_class.profile g.Llmsim.Fault.class_).Llmsim.Error_class.successor
+         = Some f.Llmsim.Fault.class_
+    in
+    if gone = [] && added = [] then saw "unchanged";
+    List.iter
+      (fun f ->
+        if List.exists (fun g -> succeeds g f) gone then saw "morph"
+        else if mem f fixed then saw "reintroduce"
+        else saw "regress")
+      added;
+    if List.exists (fun g -> not (List.exists (succeeds g) added)) gone then saw "fix"
+  in
+  List.iter
+    (fun (dialect, correct) ->
+      for seed = 1 to 30 do
+        let chat =
+          Llmsim.Chat.start ~seed ~regression_rate:0.3 ~reintroduction_rate:0.3 dialect
+            ~correct
+        in
+        let expect step =
+          let fresh =
+            Llmsim.Fault.render (Llmsim.Chat.dialect chat) (Llmsim.Chat.correct chat)
+              (Llmsim.Chat.live_faults chat)
+          in
+          let label = Printf.sprintf "seed %d step %d" seed step in
+          check Alcotest.string (label ^ ": draft") fresh (Llmsim.Chat.draft chat);
+          check Alcotest.string (label ^ ": draft again") fresh (Llmsim.Chat.draft chat)
+        in
+        expect 0;
+        let unmatched =
+          Llmsim.Fault.make Llmsim.Error_class.Wrong_med (Llmsim.Fault.Policy "nope")
+        in
+        for step = 1 to 25 do
+          let live = Llmsim.Chat.live_faults chat in
+          let fixed = Llmsim.Chat.fixed_faults chat in
+          let prompt =
+            match (step mod 4, live) with
+            | _, [] | 3, _ -> Llmsim.Chat.human_prompt unmatched
+            | 0, _ -> Llmsim.Chat.human_prompt (List.nth live (List.length live - 1))
+            | _, f :: _ -> Llmsim.Chat.auto_prompt f
+          in
+          Llmsim.Chat.respond chat prompt;
+          classify ~live ~fixed ~live':(Llmsim.Chat.live_faults chat);
+          expect step
+        done
+      done)
+    [ (Llmsim.Fault.Junos_cfg, correct_junos); (Llmsim.Fault.Cisco_cfg, hub_correct) ];
+  List.iter
+    (fun path -> check bool_t (path ^ " path reached") true (Hashtbl.mem paths path))
+    [ "unchanged"; "fix"; "regress"; "reintroduce"; "morph" ]
+
 (* Property: rendering with any single fault still yields text the parser
    survives (corrupted drafts never crash the verifiers). *)
 let prop_render_total =
@@ -365,6 +428,8 @@ let () =
           Alcotest.test_case "prefix range morphs" `Quick test_chat_prefix_range_morphs;
           Alcotest.test_case "unmatched prompt noop" `Quick test_chat_unmatched_prompt_is_noop;
           Alcotest.test_case "regression possible" `Quick test_chat_regression_possible;
+          Alcotest.test_case "draft reuse matches a fresh render" `Quick
+            test_chat_draft_reuse;
         ] );
       ("properties", props);
     ]

@@ -591,28 +591,35 @@ let test_campion_structural_masks_nothing_on_equal () =
     (Campion.Differ.equivalent ~original:border_ir
        ~translation:(reparse_junos correct_translation))
 
-(* A checker shared across many drafts must answer exactly what a one-shot
-   compare answers on each: the same findings and the same witnesses. *)
+(* The process-wide diff memo must answer exactly what a one-shot compare
+   answers on each draft: the same findings and the same witnesses. *)
 let witness = function
   | Campion.Differ.Behavior b -> Some (Route.to_string b.Campion.Differ.example)
   | Campion.Differ.Acl_behavior a -> Some (Packet.to_string a.Campion.Differ.packet)
   | _ -> None
 
-let check_shared shared label ~original ~translation =
-  let got = Campion.Differ.check shared ~original ~translation in
+(* Alcotest's checks are not domain-safe, so the walks below, which run on
+   pool domains, fail with a plain exception that the pool re-raises. *)
+let expect label ok = if not ok then failwith label
+
+let check_shared label ~original ~translation =
+  let got = Campion.Differ.check ~original ~translation in
   let want = Campion.Differ.compare ~original ~translation in
-  let strings = Alcotest.(list string) in
-  check strings (label ^ ": findings")
-    (List.map Campion.Differ.finding_to_string want)
-    (List.map Campion.Differ.finding_to_string got);
-  check strings (label ^ ": witnesses")
-    (List.filter_map witness want) (List.filter_map witness got);
+  let strings fs = String.concat "\n" (List.map Campion.Differ.finding_to_string fs) in
+  if strings want <> strings got then
+    failwith (Printf.sprintf "%s: findings\nwant:\n%s\ngot:\n%s" label (strings want) (strings got));
+  expect (label ^ ": witnesses") (List.filter_map witness want = List.filter_map witness got);
   got
+
+(* Every walk below runs from two pool domains at once, so both race on the
+   same keys of the one memo. [twice f] runs [f 0] and [f 1] that way. *)
+let pool = Exec.Pool.create ~domains:2 ()
+let twice f = ignore (Exec.Pool.map pool f [ 0; 1 ] : unit list)
 
 (* Walk a translation conversation the way the loop does: the first
    finding's prompt goes back automated, and to a human once it has been
    sent four times. *)
-let walk_translation shared ~sample ~seed =
+let walk_translation ~sample ~seed =
   let original = fst (Cisco.Parser.parse sample) in
   let chat =
     Llmsim.Chat.start ~seed ~regression_rate:0.2 Llmsim.Fault.Junos_cfg
@@ -626,7 +633,7 @@ let walk_translation shared ~sample ~seed =
       | Some d -> Some (Cosynth.Humanizer.of_diag d)
       | None -> (
           let label = Printf.sprintf "seed %d step %d" seed step in
-          match check_shared shared label ~original ~translation:ir with
+          match check_shared label ~original ~translation:ir with
           | f :: _ -> Some (Cosynth.Humanizer.of_campion f)
           | [] -> None)
     in
@@ -642,35 +649,35 @@ let walk_translation shared ~sample ~seed =
   go 1
 
 let test_checker_translation_walks () =
-  let shared = Campion.Differ.checker () in
-  List.iter
-    (fun sample ->
-      for seed = 1 to 10 do
-        walk_translation shared ~sample ~seed
-      done)
-    [ Cisco.Samples.border_router; Cisco.Samples.edge_router; Cisco.Samples.minimal ];
-  let s = Campion.Differ.stats shared in
-  check bool_t "policy diffs repeat within walks" true
-    (s.Campion.Differ.policy_hits > s.Campion.Differ.policy_pairs / 2);
-  check bool_t "acl diffs repeat within walks" true
-    (s.Campion.Differ.acl_hits > s.Campion.Differ.acl_pairs / 2)
+  Exec.Memo.reset ();
+  (* The two domains walk the seeds in opposite orders. *)
+  twice (fun d ->
+      List.iter
+        (fun sample ->
+          for i = 1 to 10 do
+            walk_translation ~sample ~seed:(if d = 0 then i else 11 - i)
+          done)
+        [ Cisco.Samples.border_router; Cisco.Samples.edge_router; Cisco.Samples.minimal ]);
+  let s = Campion.Differ.memo_stats () in
+  check bool_t "diffs repeat within and across walks" true
+    (s.Exec.Memo.hits > 3 * s.Exec.Memo.misses)
 
 let test_checker_junos_mutants () =
-  let shared = Campion.Differ.checker () in
   let corpus = Fuzz.Corpus.texts Fuzz.Corpus.Junos in
-  let clean = ref 0 in
-  for round = 0 to 299 do
-    let text = Fuzz.Mutator.mutant ~seed:12 ~round ~corpus in
-    let ir, diags = Batfish.Parse_check.check Batfish.Parse_check.Junos text in
-    if not (List.exists Diag.is_error diags) then begin
-      incr clean;
-      ignore
-        (check_shared shared
-           (Printf.sprintf "mutant %d" round)
-           ~original:border_ir ~translation:ir)
-    end
-  done;
-  check bool_t "enough clean mutants" true (!clean >= 50)
+  let clean = Array.make 2 0 in
+  twice (fun d ->
+      for round = 0 to 299 do
+        let text = Fuzz.Mutator.mutant ~seed:12 ~round ~corpus in
+        let ir, diags = Batfish.Parse_check.check Batfish.Parse_check.Junos text in
+        if not (List.exists Diag.is_error diags) then begin
+          clean.(d) <- clean.(d) + 1;
+          ignore
+            (check_shared
+               (Printf.sprintf "domain %d mutant %d" d round)
+               ~original:border_ir ~translation:ir)
+        end
+      done);
+  check bool_t "enough clean mutants" true (clean.(0) >= 50 && clean.(1) = clean.(0))
 
 (* Edits that leave every route map alone and change only a list the diff
    reads. Each one changes the answer, so a memo key that missed the edited
@@ -713,17 +720,16 @@ let export_only sets lists =
         };
   }
 
-let test_checker_environment_edits () =
-  let shared = Campion.Differ.checker () in
+let environment_edits () =
   let answer label (original, translation) =
     List.map
       (fun f -> (Campion.Differ.finding_to_string f, witness f))
-      (check_shared shared label ~original ~translation)
+      (check_shared label ~original ~translation)
   in
   let moves label before after =
     let before = answer (label ^ " before") before in
     let after = answer (label ^ " after") after in
-    check bool_t (label ^ " changes the answer") true (before <> after)
+    expect (label ^ " changes the answer") (before <> after)
   in
   let edge_ir = fst (Cisco.Parser.parse Cisco.Samples.edge_router) in
   let edge_junos = Juniper.Translate.of_cisco_ir edge_ir in
@@ -736,7 +742,7 @@ let test_checker_environment_edits () =
      matches no-far; the original's regex picks the witness path. *)
   let permit_15 =
     match Config_ir.find_route_map edge_junos "from_provider_a" with
-    | None -> Alcotest.fail "edge router has no from_provider_a"
+    | None -> failwith "edge router has no from_provider_a"
     | Some m ->
         Route_map.make m.Route_map.name
           (List.map
@@ -759,6 +765,76 @@ let test_checker_environment_edits () =
   let keeping = export_only [] [ del ] in
   moves "unreferenced community list" (deleting [ del ], keeping)
     (deleting [ cl "unused" "100:2"; del ], keeping)
+
+let test_checker_environment_edits () = twice (fun _ -> environment_edits ())
+
+(* Past the cap the table evicts its oldest eighth: it never holds more
+   than the cap, counts what it dropped, and an evicted key is just
+   recomputed, so every answer still equals the one-shot compare. *)
+let acl_pair port =
+  let filtered acl =
+    {
+      (Config_ir.empty "r") with
+      Config_ir.interfaces =
+        [ Config_ir.interface ~acl_in:"f" (Iface.ethernet ~slot:0 ~port:0) ];
+      acls = [ acl ];
+    }
+  in
+  ( filtered (Acl.make "f" [ Acl.entry ~proto:(Acl.Proto Packet.Tcp) 10 ]),
+    filtered
+      (Acl.make "f" [ Acl.entry ~proto:(Acl.Proto Packet.Tcp) ~dst_port:(Acl.Eq port) 10 ]) )
+
+let test_checker_eviction () =
+  Exec.Memo.reset ();
+  let cap = Campion.Differ.memo_cap in
+  let n = cap + (cap / 2) in
+  let ask port =
+    let original, translation = acl_pair port in
+    ignore (check_shared (Printf.sprintf "port %d" port) ~original ~translation)
+  in
+  for port = 1 to n do
+    ask port
+  done;
+  let s = Campion.Differ.memo_stats () in
+  check bool_t "entries stay at or below the cap" true (s.Exec.Memo.entries <= cap);
+  check bool_t "evictions counted" true (s.Exec.Memo.evictions > 0);
+  check int_t "entries + evictions = distinct pairs" n
+    (s.Exec.Memo.entries + s.Exec.Memo.evictions);
+  (* The oldest pair was evicted and is recomputed; the newest is a hit. *)
+  ask 1;
+  ask n;
+  let s' = Campion.Differ.memo_stats () in
+  check int_t "evicted pair recomputed" (s.Exec.Memo.misses + 1) s'.Exec.Memo.misses;
+  check int_t "recent pair still warm" (s.Exec.Memo.hits + 1) s'.Exec.Memo.hits;
+  Exec.Memo.reset ();
+  check int_t "reset empties the diff tables" 0
+    (Campion.Differ.memo_stats ()).Exec.Memo.entries
+
+(* The key hash must read past the map names: two keys that differ only in
+   the last entry of one of the border router's maps hash apart. With
+   [Hashtbl.hash] every pair here collides. *)
+let test_checker_key_hash () =
+  let env = Eval.env_of_config correct_translation in
+  let maps = correct_translation.Config_ir.route_maps in
+  check int_t "the border router's translation has five maps" 5 (List.length maps);
+  List.iter
+    (fun (m : Route_map.t) ->
+      let edited =
+        match List.rev m.Route_map.entries with
+        | [] -> Alcotest.failf "map %s has no entries" m.Route_map.name
+        | last :: rest ->
+            let flipped =
+              match last.Route_map.action with
+              | Action.Permit -> Action.Deny
+              | Action.Deny -> Action.Permit
+            in
+            Route_map.make m.Route_map.name
+              (List.rev ({ last with Route_map.action = flipped } :: rest))
+      in
+      let hash = Campion.Differ.policy_key_hash ~env_a:env ~env_b:env m in
+      check bool_t (m.Route_map.name ^ ": last entry moves the hash") true
+        (hash m <> hash edited))
+    maps
 
 let () =
   Alcotest.run "verifiers"
@@ -817,5 +893,9 @@ let () =
           Alcotest.test_case "shared checker: junos mutants" `Quick test_checker_junos_mutants;
           Alcotest.test_case "shared checker: environment edits" `Quick
             test_checker_environment_edits;
+          Alcotest.test_case "shared checker: eviction past the cap" `Quick
+            test_checker_eviction;
+          Alcotest.test_case "shared checker: key hash reads every entry" `Quick
+            test_checker_key_hash;
         ] );
     ]
