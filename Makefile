@@ -1,4 +1,4 @@
-.PHONY: all build test check bench chaos fuzz adversary adversary-verifier-smoke adversary-collusion-smoke serve-bench shard-smoke serve-smoke serve-overload-smoke durable durable-smoke perf-pairs clean
+.PHONY: all build test check bench chaos fuzz adversary adversary-verifier-smoke adversary-collusion-smoke serve-bench serve-smoke serve-overload-smoke durable durable-smoke perf-pairs clean
 
 all: build
 
@@ -8,14 +8,14 @@ build:
 test:
 	dune runtest
 
-# Build + tests (the cram test test/sweep_cli.t pins the chaos, adversary
-# and shard CLIs, their kill/resume drills and refusals; test/bench_gates.t
-# pins the stdout of the C1, C2, A1, A2, A3 and D1 gates) + every bench
-# gate through the check alias in bench/dune (one-seed smoke run, chaos,
-# fuzz, adversary, adversary-verifier, adversary-collusion, serve,
-# serve-overload, durability) + the shard, serve, serve-overload and
-# durable end-to-end drills against the real binary.
-check: shard-smoke serve-smoke serve-overload-smoke durable-smoke
+# Build + tests (the cram test test/sweep_cli.t pins the chaos and
+# adversary CLIs, their kill/resume and disk-fault drills and refusals;
+# test/bench_gates.t pins the stdout of the C1, C2, A1, A2, A3 and D1
+# gates) + every bench gate through the check alias in bench/dune
+# (one-seed smoke run, chaos, fuzz, adversary, adversary-verifier,
+# adversary-collusion, serve, serve-overload, durability) + the serve,
+# serve-overload and durable end-to-end drills against the real binary.
+check: serve-smoke serve-overload-smoke durable-smoke
 	dune build @check
 
 bench:
@@ -72,23 +72,6 @@ adversary-collusion-smoke:
 serve-bench:
 	dune exec bench/main.exe -- --serve
 
-# Sharded sweep end-to-end: 2 worker processes (shard 0 killed mid-slice
-# via --halt-first and recovered from its journal) vs the sequential run;
-# the coordinator's stdout AND the merged journal must both be
-# byte-identical to the unsharded sweep.
-SHARD_TMP := $(shell mktemp -d)
-shard-smoke: build
-	dune exec bin/cosynth_cli.exe -- chaos --use-case no-transit --runs 8 \
-	  --routers 5 --flake-rate 0.1 --journal $(SHARD_TMP)/seq.jsonl \
-	  > $(SHARD_TMP)/seq.out 2>/dev/null
-	dune exec bin/cosynth_cli.exe -- shard --shards 2 --use-case no-transit \
-	  --runs 8 --routers 5 --flake-rate 0.1 --halt-first 2 \
-	  --journal-dir $(SHARD_TMP)/shards > $(SHARD_TMP)/shard.out
-	cmp $(SHARD_TMP)/seq.jsonl $(SHARD_TMP)/shards/merged.jsonl
-	cmp $(SHARD_TMP)/seq.out $(SHARD_TMP)/shard.out
-	@rm -rf $(SHARD_TMP)
-	@echo "shard-smoke: 2-shard sweep (with a worker death) byte-identical to sequential"
-
 # Service mode end-to-end: start the daemon, drive every job kind through
 # the client over one socket, shut it down cleanly. The built binary is
 # invoked directly: a backgrounded `dune exec` would hold the dune lock
@@ -144,53 +127,16 @@ durable:
 	dune exec bench/main.exe -- --durable
 
 # Durable-state end-to-end against the real binary (the D1 gate itself
-# runs in the check alias): four drills. (1) a journaled chaos sweep
-# killed by an injected disk crash (exit 3, the kill/resume convention)
-# and resumed fault-off: stdout and the LWW-compacted journal must be
-# byte-identical to an intact run's. (2) the same sweep under silent torn writes: stdout
-# unaffected, `fsck` counts the damage (exit 1), a resume re-runs
-# exactly the torn seeds and the compacted record sets converge (sorted
-# compare: re-run seeds land at the tail, order is not part of the
-# contract after a torn loss). (3) a 2-shard sweep whose workers both
-# die from the injected crash and are respawned on their resume argv:
-# merged journal and stdout byte-identical to sequential. (4) a
-# collusion sweep's trust ledger killed mid-fsync and resumed: the final
-# ledger is byte-identical to the intact run's. Plus the SIGHUP
-# hot-reload hardening: a truncated admission file must be rejected
-# (reload_rejected=1 in health) with the old caps kept in force.
+# runs in the check alias; the chaos-journal crash and torn-write drills
+# are in test/sweep_cli.t): a collusion sweep's trust ledger killed
+# mid-fsync and resumed must end byte-identical to the intact run's.
+# Plus the SIGHUP hot-reload hardening: a truncated admission file must
+# be rejected (reload_rejected=1 in health) with the old caps kept in
+# force.
 DURABLE_TMP := $(shell mktemp -d)
-DURABLE_CHAOS := chaos --use-case no-transit --runs 6 --routers 5 --flake-rate 0.1
 DURABLE_ADV := adversary --runs 6 --seed 9980 --collude parse-check,campion \
   --collude-oracle --collude-rate 0.35
 durable-smoke: build
-	$(CLI) $(DURABLE_CHAOS) --journal $(DURABLE_TMP)/full.jsonl \
-	  > $(DURABLE_TMP)/full.out 2>/dev/null
-	sh -c '$(CLI) $(DURABLE_CHAOS) --journal $(DURABLE_TMP)/sweep.jsonl \
-	  --disk-crash-after 5 > $(DURABLE_TMP)/halted.out 2>/dev/null; test $$? -eq 3'
-	$(CLI) $(DURABLE_CHAOS) --journal $(DURABLE_TMP)/sweep.jsonl --resume \
-	  > $(DURABLE_TMP)/resumed.out 2>/dev/null
-	cmp $(DURABLE_TMP)/full.out $(DURABLE_TMP)/resumed.out
-	$(CLI) fsck $(DURABLE_TMP)/sweep.jsonl --lww > /dev/null
-	$(CLI) fsck $(DURABLE_TMP)/full.jsonl --lww > /dev/null
-	cmp $(DURABLE_TMP)/full.jsonl $(DURABLE_TMP)/sweep.jsonl
-	$(CLI) $(DURABLE_CHAOS) --journal $(DURABLE_TMP)/torn.jsonl \
-	  --disk-torn-rate 0.4 --disk-seed 7 > $(DURABLE_TMP)/torn.out 2>/dev/null
-	cmp $(DURABLE_TMP)/full.out $(DURABLE_TMP)/torn.out
-	sh -c '$(CLI) fsck $(DURABLE_TMP)/torn.jsonl > /dev/null; test $$? -eq 1'
-	$(CLI) $(DURABLE_CHAOS) --journal $(DURABLE_TMP)/torn.jsonl --resume \
-	  > $(DURABLE_TMP)/torn-resumed.out 2>/dev/null
-	cmp $(DURABLE_TMP)/full.out $(DURABLE_TMP)/torn-resumed.out
-	sh -c '$(CLI) fsck $(DURABLE_TMP)/torn.jsonl --lww > /dev/null; test $$? -eq 1'
-	sort $(DURABLE_TMP)/torn.jsonl > $(DURABLE_TMP)/torn.sorted
-	sort $(DURABLE_TMP)/full.jsonl > $(DURABLE_TMP)/full.sorted
-	cmp $(DURABLE_TMP)/torn.sorted $(DURABLE_TMP)/full.sorted
-	$(CLI) chaos --use-case no-transit --runs 8 --routers 5 --flake-rate 0.1 \
-	  --journal $(DURABLE_TMP)/seq.jsonl > $(DURABLE_TMP)/seq.out 2>/dev/null
-	$(CLI) shard --shards 2 --use-case no-transit --runs 8 --routers 5 \
-	  --flake-rate 0.1 --disk-crash-after 5 --journal-dir $(DURABLE_TMP)/shards \
-	  > $(DURABLE_TMP)/shard.out 2>/dev/null
-	cmp $(DURABLE_TMP)/seq.jsonl $(DURABLE_TMP)/shards/merged.jsonl
-	cmp $(DURABLE_TMP)/seq.out $(DURABLE_TMP)/shard.out
 	$(CLI) $(DURABLE_ADV) --trust-ledger $(DURABLE_TMP)/full-trust.jsonl \
 	  --journal $(DURABLE_TMP)/afull.jsonl > $(DURABLE_TMP)/afull.out 2>/dev/null
 	sh -c '$(CLI) $(DURABLE_ADV) --trust-ledger $(DURABLE_TMP)/trust.jsonl \
@@ -214,7 +160,7 @@ durable-smoke: build
 	  $(CLI) client --socket $(DURABLE_TMP)/reload.sock shutdown > /dev/null; \
 	  wait $$pid; test $$ok -eq 0'
 	@rm -rf $(DURABLE_TMP)
-	@echo "durable-smoke: disk crashes recovered, torn writes contained, shards respawned, ledger survived, truncated reload rejected"
+	@echo "durable-smoke: ledger survived a disk crash, truncated reload rejected"
 
 # Judge the working tree against BASE with the repository benchmark:
 # PAIRS pairs of 20 s untraced WORKLOAD runs, one on BASE and one on the

@@ -407,7 +407,7 @@ let prove_cmd =
     Term.(const run $ topo $ dir)
 
 (* ------------------------------------------------------------------ *)
-(* shared sweep plumbing (leverage / chaos / adversary / shard)        *)
+(* shared sweep plumbing (leverage / chaos / adversary)                *)
 (* ------------------------------------------------------------------ *)
 
 let verifier_stats_footer =
@@ -434,7 +434,7 @@ let use_case_budget = function
   | `No_transit -> Cosynth.Driver.no_transit_budget
   | `Incremental -> Cosynth.Driver.incremental_budget
 
-(* The seed range of `chaos`, `adversary` and `shard`: [--runs]
+(* The seed range of `chaos` and `adversary`: [--runs]
    consecutive seeds from [--seed] over one use case, with each
    subcommand's default use case and network size. Gives
    [(use_case, routers, seed, seeds)]. *)
@@ -460,9 +460,9 @@ let sweep_term ~use_case ~routers =
         (use_case, routers, seed, List.init runs (fun i -> seed + i)))
     $ use_case $ runs $ routers $ seed)
 
-(* The Resilience.Chaos rates plus --lie-fn, set on `chaos` and forwarded
-   by `shard` to every worker. Gives [(chaos, in_flight, lie_fn)]; the
-   chaos config is keyed on seed 0 until the sweep re-keys it. *)
+(* The Resilience.Chaos rates plus --lie-fn, set on `chaos`. Gives
+   [(chaos, in_flight, lie_fn)]; the chaos config is keyed on seed 0
+   until the sweep re-keys it. *)
 let chaos_rates_term =
   let rate name doc = Arg.(value & opt float 0. & info [ name ] ~docv:"R" ~doc) in
   let crash = rate "crash-rate" "Per-call crash probability (outage window, feeds the breaker)." in
@@ -485,8 +485,7 @@ let chaos_rates_term =
   let lie_fn =
     rate "lie-fn"
       "Per-check probability a verifier swallows its real findings (false \
-       negative), on top of the chaos schedule; keyed on the fault-stream \
-       seed, so a shard worker draws the sequential sweep's lie stream."
+       negative), on top of the chaos schedule; keyed on $(b,--seed)."
   in
   Term.(
     const (fun crash_rate timeout_rate flake_rate truncate_rate worker_loss_rate in_flight lie_fn ->
@@ -495,28 +494,6 @@ let chaos_rates_term =
           in_flight,
           lie_fn ))
     $ crash $ timeout $ flake $ truncate $ worker_loss $ in_flight $ lie_fn)
-
-(* A forwarded rate must reach the child process exactly: the shortest
-   rendering that reads back as the same float. *)
-let render_rate r =
-  let s = Printf.sprintf "%.15g" r in
-  if float_of_string s = r then s else Printf.sprintf "%.17g" r
-
-let rate_args =
-  List.concat_map (fun (flag, r) -> if r > 0. then [ flag; render_rate r ] else [])
-
-(* The argv fragment reproducing {!chaos_rates_term} in a worker. *)
-let chaos_rates_args ((c : Resilience.Chaos.config), in_flight, lie_fn) =
-  rate_args
-    [
-      ("--crash-rate", c.Resilience.Chaos.crash_rate);
-      ("--timeout-rate", c.Resilience.Chaos.timeout_rate);
-      ("--flake-rate", c.Resilience.Chaos.flake_rate);
-      ("--truncate-rate", c.Resilience.Chaos.truncate_rate);
-      ("--worker-loss-rate", c.Resilience.Chaos.worker_loss_rate);
-      ("--worker-loss-in-flight", in_flight);
-      ("--lie-fn", lie_fn);
-    ]
 
 (* Gives [(trust, trust_ledger)], where a ledger implies --trust: a
    persisted ledger with the trust layer off would never change. *)
@@ -528,9 +505,7 @@ let trust_term =
           ~doc:"Arm the cross-check trust ledger: suspicious answers are \
                 re-run against the raw oracle on a bounded budget, detected \
                 liars are quarantined (hand-run checks, findings escalate to \
-                human prompts) until probation clears. A shard sweep arms it \
-                in every worker, each recording its deltas to \
-                $(b,--journal-dir)/shard-K-trust.jsonl. A journaled sweep \
+                human prompts) until probation clears. A journaled sweep \
                 needs $(b,--trust-ledger) to carry it across a resume.")
   in
   let trust_ledger =
@@ -541,11 +516,8 @@ let trust_term =
           ~doc:"Persist the trust layer's state to $(docv), one fsync'd JSON \
                 line per completed seed (per-kind and oracle trust scores, \
                 quarantine flags, and that run's counter deltas). An existing \
-                ledger is loaded first, so quarantine earned before a kill — \
-                or inherited from a shard coordinator — is in force from the \
-                first run. A shard coordinator pre-seeds every worker's \
-                ledger from it and appends the campaign's merged deltas as \
-                one line. Implies $(b,--trust).")
+                ledger is loaded first, so quarantine earned before a kill \
+                is in force from the first run. Implies $(b,--trust).")
   in
   Term.(
     const (fun trust trust_ledger -> (trust || trust_ledger <> None, trust_ledger))
@@ -615,8 +587,8 @@ let check_journal_flags (journal_path, resume, _) (trust, trust_ledger) =
    journal and [step], which wraps each fresh seed's run. Only fresh
    (non-journaled) seeds reach [step], so --halt-after counts exactly the
    runs this process contributed. Each seed runs against the cumulative
-   ledger state — a quarantine earned by an earlier seed, a killed
-   predecessor or a shard coordinator is already in force — and a
+   ledger state — a quarantine earned by an earlier seed or a killed
+   predecessor is already in force — and a
    completed run lands one fsync'd ledger line. The journal holds one
    {!Cosynth.Driver.outcome_to_json} line per seed. Both files are closed
    on every exit path, the simulated crash included. *)
@@ -706,9 +678,7 @@ let chaos_adversary ~seed lie_fn =
 
 (* Print the block a chaos-style sweep ends with — fault schedule, leverage
    summary, degraded-round count, abandoned seeds — and return the
-   contract violations in seed order. `cosynth shard` reprints this from
-   the merged journals, so its stdout is byte-comparable to the sequential
-   sweep's. *)
+   contract violations in seed order. *)
 let print_sweep_summary ~chaos ~use_case ~adversary seeded =
   let transcripts = List.filter_map (fun (_, o) -> Exec.Supervisor.completed o) seeded in
   let degraded =
@@ -745,20 +715,16 @@ let print_trust_lines (d : Resilience.Trust.counters)
       q.Resilience.Trust.outvoted q.Resilience.Trust.oracle_quarantines
       q.Resilience.Trust.oracle_restores
 
-let print_ledger_entry (e : Resilience.Trust.Ledger_store.entry) =
-  print_trust_lines e.Resilience.Trust.Ledger_store.counters
-    e.Resilience.Trust.Ledger_store.quorum
-
-let load_ledger path = Option.join (Option.map Resilience.Trust.Ledger_store.load path)
-
 (* End a trust-armed sweep with its trust lines. With a persistent ledger
    the lines are replayed from its folded per-seed counter deltas, so a
    killed and resumed sweep reprints the exact lines of an uninterrupted
    one; otherwise the sweep's measured trust deltas serve. *)
 let print_trust (trust, trust_ledger) (perf : Cosynth.Metrics.perf) =
   if trust then
-    match load_ledger trust_ledger with
-    | Some e -> print_ledger_entry e
+    match Option.bind trust_ledger Resilience.Trust.Ledger_store.load with
+    | Some e ->
+        print_trust_lines e.Resilience.Trust.Ledger_store.counters
+          e.Resilience.Trust.Ledger_store.quorum
     | None ->
         print_trust_lines (Cosynth.Metrics.trust_totals perf) perf.Cosynth.Metrics.quorum
 
@@ -822,7 +788,7 @@ let leverage_cmd =
 (* disk chaos (the shared --disk-* flags)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One cmdliner term shared by chaos/adversary/shard/serve: a seeded
+(* One cmdliner term shared by chaos/adversary/serve: a seeded
    Diskchaos configuration consulted by every Durable.Store write the
    run makes (journals, trust ledgers, triage, corpus promotion). All
    rates default to 0 — the all-zero configuration is never installed,
@@ -896,8 +862,16 @@ let disk_chaos_footer disk =
       s.Durable.Diskchaos.enospc s.Durable.Diskchaos.fsync_failures
   end
 
-(* The argv fragment reproducing a configuration in a child process (shard
-   workers, the supervised serve daemon). *)
+(* A forwarded rate must reach the child process exactly: the shortest
+   rendering that reads back as the same float. *)
+let rate_args =
+  List.concat_map (fun (flag, r) ->
+      let s = Printf.sprintf "%.15g" r in
+      if r > 0. then [ flag; (if float_of_string s = r then s else Printf.sprintf "%.17g" r) ]
+      else [])
+
+(* The argv fragment reproducing a configuration in the supervised serve
+   daemon. *)
 let disk_chaos_args (d : Durable.Diskchaos.config) =
   rate_args
     [
@@ -929,7 +903,7 @@ let exit_on_disk_crash f =
 (* ------------------------------------------------------------------ *)
 
 let chaos_cmd =
-  let run (use_case, routers, seed, seeds) chaos_seed (chaos, in_flight, lie_fn)
+  let run (use_case, routers, seed, seeds) (chaos, in_flight, lie_fn)
       ((trust, trust_ledger) as trust_flags) ((journal_path, _, _) as journal_flags)
       compact_journal triage_path disk verbose =
    exit_on_disk_crash @@ fun () ->
@@ -940,16 +914,13 @@ let chaos_cmd =
     if compact_journal && journal_path = None then
       usage_error "--compact-journal requires --journal FILE";
     check_journal_flags journal_flags trust_flags;
-    (* The fault and lie streams are keyed on --chaos-seed (default:
-       --seed) so a shard worker owning the slice starting at seed 57 draws
-       the same schedules as the seed-42-based sequential sweep it is a
-       slice of. A rate-0 lie spec is treated by the driver exactly like no
-       spec, keeping lie-free sweeps byte-identical. *)
-    let stream_seed = Option.value chaos_seed ~default:seed in
-    let chaos = { chaos with Resilience.Chaos.seed = stream_seed } in
+    (* The fault and lie streams are keyed on --seed. A rate-0 lie spec is
+       treated by the driver exactly like no spec, keeping lie-free sweeps
+       byte-identical. *)
+    let chaos = { chaos with Resilience.Chaos.seed } in
     let resilience = Resilience.Runtime.config ~chaos () in
     let plan = Resilience.Chaos.worker_plan ~in_flight chaos ~salt:0 in
-    let adversary = chaos_adversary ~seed:stream_seed lie_fn in
+    let adversary = chaos_adversary ~seed lie_fn in
     (* The abort trap lives inside the measured thunk so the per-verifier
        counter deltas survive: a sweep that dies halfway still reports what
        its verifiers were doing when it died. *)
@@ -989,16 +960,6 @@ let chaos_cmd =
         1
     | None -> if violations <> [] then 1 else 0
   in
-  let chaos_seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "chaos-seed" ] ~docv:"N"
-          ~doc:"Key the fault streams on $(docv) instead of $(b,--seed). A \
-                shard worker sweeping a seed slice passes the coordinator's \
-                base seed here so the sliced sweep draws exactly the \
-                schedule of the equivalent sequential one.")
-  in
   let compact_journal =
     Arg.(
       value & flag
@@ -1027,7 +988,7 @@ let chaos_cmd =
     Term.(
       const run
       $ sweep_term ~use_case:`No_transit ~routers:7
-      $ chaos_seed $ chaos_rates_term $ trust_term $ journal_term $ compact_journal
+      $ chaos_rates_term $ trust_term $ journal_term $ compact_journal
       $ triage_path $ disk_chaos_term $ verbose)
 
 (* ------------------------------------------------------------------ *)
@@ -1293,250 +1254,6 @@ let adversary_cmd =
       $ duplicated $ misattributed $ garbled $ lie_fn $ lie_fp $ lie_mutate
       $ lie_adaptive $ collude $ collude_oracle $ collude_rate $ trust_term
       $ journal_term $ sweep_budget $ triage_path $ disk_chaos_term $ verbose)
-
-(* ------------------------------------------------------------------ *)
-(* shard                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let shard_cmd =
-  let run shards (use_case, routers, seed, seeds) rates (trust, trust_ledger) dir out
-      max_respawns halt_first disk =
-    if shards < 1 then usage_error "--shards must be >= 1";
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let chaos, _, lie_fn = rates in
-    let chaos = { chaos with Resilience.Chaos.seed } in
-    let slices =
-      List.filter (fun s -> s <> []) (Exec.Shard.slices ~seeds ~shards)
-    in
-    (* Each worker is this very binary re-invoked as `cosynth chaos` on a
-       contiguous seed slice, journaling to its own per-shard file. The
-       fault streams are pinned to the coordinator's base seed via
-       --chaos-seed so slicing never changes the schedule; the resume argv
-       is the same command plus --resume, which is exactly the recovery
-       story a died worker needs (only its unjournaled seeds re-run). *)
-    let exe = Sys.executable_name in
-    (* Trust-armed sharding: every worker gets its own per-shard trust
-       ledger, pre-seeded with the coordinator's baseline (the folded
-       state of --trust-ledger, counters zeroed so they are never counted
-       twice) at the sentinel seed -1 — a quarantine earned before this
-       campaign is in force in every worker from its first run. The
-       baseline write happens once, here; a respawned worker resumes from
-       whatever its ledger already holds. *)
-    let worker_ledger i = Filename.concat dir (Printf.sprintf "shard-%d-trust.jsonl" i) in
-    let baseline = if trust then load_ledger trust_ledger else None in
-    if trust then
-      List.iteri
-        (fun i _ ->
-          let h = Resilience.Trust.Ledger_store.open_ ~truncate:true (worker_ledger i) in
-          (match baseline with
-          | None -> ()
-          | Some e ->
-              Resilience.Trust.Ledger_store.record h ~seed:(-1)
-                {
-                  e with
-                  Resilience.Trust.Ledger_store.counters = Resilience.Trust.zero;
-                  quorum = Resilience.Trust.zero_quorum;
-                });
-          Resilience.Trust.Ledger_store.close h)
-        slices;
-    let workers =
-      List.mapi
-        (fun i slice ->
-          let journal = Filename.concat dir (Printf.sprintf "shard-%d.jsonl" i) in
-          let common =
-            [
-              "chaos";
-              "--use-case";
-              use_case_name use_case;
-              "--runs";
-              string_of_int (List.length slice);
-              "--seed";
-              string_of_int (List.hd slice);
-              "--chaos-seed";
-              string_of_int seed;
-              "--routers";
-              string_of_int routers;
-            ]
-            @ chaos_rates_args rates
-            (* Disk faults are injected in the workers — the processes
-               doing the journaled writes — not in the coordinator, whose
-               merge already goes through the store's atomic-rewrite path
-               (drilled in-process by the D1 gate). A crashed worker
-               (exit 3) is a dead shard: the supervisor respawns it with
-               the resume argv and replay skips the torn line. *)
-            @ disk_chaos_args disk
-            @ (if trust then [ "--trust-ledger"; worker_ledger i ] else [])
-            @ [ "--journal"; journal ]
-          in
-          let fresh =
-            common
-            @
-            match halt_first with
-            | Some n when i = 0 -> [ "--halt-after"; string_of_int n ]
-            | _ -> []
-          in
-          {
-            Exec.Shard.argv = Array.of_list (exe :: fresh);
-            resume_argv = Array.of_list ((exe :: common) @ [ "--resume" ]);
-            journal;
-            seeds = slice;
-          })
-        slices
-    in
-    Printf.eprintf "shard: %d worker(s) over %d seed(s), %s sweep\n%!"
-      (List.length workers) (List.length seeds) (use_case_name use_case);
-    (* Early-abandoned classification for the per-shard counter: a record
-       the supervisor gave up on, or a completed run whose certificate says
-       it stalled out — both handed budget back early. Stderr-only
-       bookkeeping: the coordinator's stdout stays byte-identical to the
-       sequential sweep. *)
-    let abandoned payload =
-      match Cosynth.Driver.outcome_of_json payload with
-      | Some (Exec.Supervisor.Abandoned _) -> true
-      | Some (Exec.Supervisor.Completed t) -> Cosynth.Driver.stalled_out t
-      | None -> false
-    in
-    match Exec.Shard.run ~max_respawns ~abandoned ~workers () with
-    | Error e ->
-        Printf.eprintf "error: %s\n%!" e;
-        1
-    | Ok report ->
-        (* Per-shard trust counters ride the stderr bookkeeping line: each
-           worker's ledger folds to exactly its own deltas (the pre-seeded
-           baseline carries zero counters), so the merged stdout below
-           stays byte-comparable to the sequential sweep. *)
-        let shard_trust i =
-          if not trust then None
-          else Resilience.Trust.Ledger_store.load (worker_ledger i)
-        in
-        List.iter
-          (fun (r : Exec.Shard.shard_report) ->
-            Printf.eprintf "shard %d: %d seed(s), %d launch(es)%s%s%s\n%!"
-              r.Exec.Shard.shard r.Exec.Shard.owned r.Exec.Shard.launches
-              (match r.Exec.Shard.recovered with
-              | [] -> ""
-              | rs ->
-                  Printf.sprintf ", %d re-run after a worker death"
-                    (List.length rs))
-              (if r.Exec.Shard.abandoned_early = 0 then ""
-               else
-                 Printf.sprintf ", %d abandoned early"
-                   r.Exec.Shard.abandoned_early)
-              (match shard_trust r.Exec.Shard.shard with
-              | None -> ""
-              | Some e ->
-                  let c = e.Resilience.Trust.Ledger_store.counters in
-                  Printf.sprintf ", trust checks=%d lies=%d quarantines=%d"
-                    c.Resilience.Trust.cross_checks
-                    c.Resilience.Trust.disagreements
-                    c.Resilience.Trust.quarantines))
-          report.Exec.Shard.shards;
-        (* Merge the per-shard ledger deltas in seed order (slices are
-           contiguous and ascending, and the merge itself is commutative):
-           state merges conservatively, per-seed counter deltas sum — the
-           merged entry is what a sequential trust-armed sweep would have
-           folded. The coordinator's --trust-ledger gets it as one line at
-           the base seed, inheriting across campaigns. *)
-        let merged_trust =
-          List.fold_left
-            (fun acc i ->
-              match (acc, shard_trust i) with
-              | None, e | e, None -> e
-              | Some a, Some b -> Some (Resilience.Trust.Ledger_store.merge a b))
-            None
-            (List.init (List.length slices) Fun.id)
-        in
-        (match (trust_ledger, merged_trust) with
-        | Some path, Some e ->
-            let h = Resilience.Trust.Ledger_store.open_ ~truncate:false path in
-            Resilience.Trust.Ledger_store.record h ~seed e;
-            Resilience.Trust.Ledger_store.close h;
-            Printf.eprintf "shard: merged trust ledger written to %s\n%!" path
-        | _ -> ());
-        let out =
-          match out with Some o -> o | None -> Filename.concat dir "merged.jsonl"
-        in
-        Exec.Shard.write_merged ~path:out report.Exec.Shard.merged;
-        Printf.eprintf "shard: merged journal written to %s\n%!" out;
-        (* Reprint the sequential sweep's summary block from the merged
-           records: the coordinator's stdout (and the merged journal's
-           bytes) must be indistinguishable from `cosynth chaos` run
-           unsharded — the cram test and the S1 gate cmp both. *)
-        let outcomes =
-          List.map
-            (fun (s, payload) ->
-              match Cosynth.Driver.outcome_of_json payload with
-              | Some o -> (s, o)
-              | None ->
-                  ( s,
-                    Exec.Supervisor.Abandoned
-                      { attempts = 0; reason = "undecodable journal record" } ))
-            report.Exec.Shard.merged
-        in
-        let violations =
-          print_sweep_summary ~chaos ~use_case
-            ~adversary:(chaos_adversary ~seed lie_fn)
-            outcomes
-        in
-        (* Stdout parity with a sequential trust-armed sweep: the same
-           trust/quorum lines, folded from the coordinator ledger when one
-           is kept (old campaigns included, as a resumed sequential ledger
-           would fold them) or from this campaign's merged deltas alone. *)
-        (if trust then
-           match (load_ledger trust_ledger, merged_trust) with
-           | Some e, _ | None, Some e -> print_ledger_entry e
-           | None, None -> print_trust_lines Resilience.Trust.zero Resilience.Trust.zero_quorum);
-        List.iter (fun v -> Printf.printf "VIOLATION: %s\n" v) violations;
-        if violations <> [] then 1 else 0
-  in
-  let shards =
-    Arg.(
-      value & opt int 2
-      & info [ "shards" ] ~docv:"N" ~doc:"Worker processes to partition the seed range across.")
-  in
-  let dir =
-    Arg.(
-      value
-      & opt string "shards"
-      & info [ "journal-dir" ] ~docv:"DIR"
-          ~doc:"Per-shard journals land here as shard-K.jsonl (created if missing).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Merged journal path (default: $(b,--journal-dir)/merged.jsonl). \
-                Byte-identical to the journal of the sequential sweep.")
-  in
-  let max_respawns =
-    Arg.(
-      value & opt int 2
-      & info [ "max-respawns" ] ~docv:"N"
-          ~doc:"Re-spawn budget per shard; a dead worker is resumed from its \
-                journal so only unjournaled seeds re-run.")
-  in
-  let halt_first =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "halt-first" ] ~docv:"N"
-          ~doc:"Kill shard 0's first launch after $(docv) fresh runs (a \
-                simulated worker crash; used by $(b,make shard-smoke) to \
-                exercise recovery).")
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:
-         "Shard a seeded chaos sweep across worker processes: spawn one \
-          `cosynth chaos` per contiguous seed slice, recover dead shards from \
-          their journals, merge in seed order, and print the sequential \
-          sweep's summary (exits nonzero on violations or unrecovered shards)")
-    Term.(
-      const run $ shards
-      $ sweep_term ~use_case:`No_transit ~routers:7
-      $ chaos_rates_term $ trust_term $ dir $ out $ max_respawns $ halt_first
-      $ disk_chaos_term)
 
 (* ------------------------------------------------------------------ *)
 (* serve / client                                                      *)
@@ -2257,6 +1974,6 @@ let () =
   exit (Cmd.eval' (Cmd.group info
          [
            topology_cmd; parse_cmd; diff_cmd; verify_cmd; translate_cmd; synth_cmd;
-           sim_cmd; prove_cmd; leverage_cmd; chaos_cmd; adversary_cmd; shard_cmd;
-           serve_cmd; client_cmd; fuzz_cmd; triage_cmd; fsck_cmd;
+           sim_cmd; prove_cmd; leverage_cmd; chaos_cmd; adversary_cmd; serve_cmd;
+           client_cmd; fuzz_cmd; triage_cmd; fsck_cmd;
          ]))

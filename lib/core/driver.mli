@@ -102,8 +102,8 @@ val incremental_budget : int
 
 val outcome_to_json : transcript Exec.Supervisor.outcome -> Netcore.Json.t
 (** The journal line of one sweep seed — the only journal format of the
-    seeded sweeps ([cosynth chaos], [adversary] and the [shard] workers;
-    the bench L1, L2, C1 and C2 sweeps): prompt counts, convergence,
+    seeded sweeps ([cosynth chaos] and [adversary]; the bench L1, L2, C1
+    and C2 sweeps): prompt counts, convergence,
     rounds, degraded rounds and the certificate of a completed run, or
     the attempts and reason of an abandoned one (a crashed run is
     abandoned after one attempt). *)

@@ -45,22 +45,30 @@ let open_ ?(truncate = false) path =
     [ Unix.O_RDWR; Unix.O_CREAT; (if truncate then Unix.O_TRUNC else Unix.O_APPEND) ]
   in
   let fd = Unix.openfile path flags 0o644 in
-  (* Seal a torn tail: a writer that died mid-record leaves a line with no
-     newline, and an append landing right after it would merge both into
-     one corrupt line — losing a good record to an old crash. One repair
-     byte isolates the damage. (A plain metadata fix-up, not a journaled
-     write: it is not routed through the fault layer, so recovery runs
-     converge instead of re-tearing.) *)
-  if not truncate then begin
-    let size = (Unix.fstat fd).Unix.st_size in
-    if size > 0 then begin
-      ignore (Unix.lseek fd (-1) Unix.SEEK_END);
-      let last = Bytes.create 1 in
-      if Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n' then
-        write_exactly fd (Bytes.of_string "\n") 0 1
-    end
-  end;
   { path; fd; m = Mutex.create (); closed = false }
+
+(* Seal a torn tail and return the end-of-file offset. A writer that died
+   mid-record, or a silent torn write on this very handle, leaves a line
+   with no newline, and a frame landing right after it would merge both
+   into one corrupt line — losing a good record to an old fault. The file
+   is asked, not the fault layer: a torn write was reported as a success.
+   The seal is " \n": the space keeps a complete frame that only lost its
+   newline corrupt (its length no longer matches), so sealing never turns
+   a torn line into a record, while a legacy bare-JSON tail still parses.
+   (A plain repair, not a journaled write: it is not routed through the
+   fault layer, so recovery runs converge instead of re-tearing.) *)
+let seal fd =
+  let size = Unix.lseek fd 0 Unix.SEEK_END in
+  if size = 0 then 0
+  else begin
+    ignore (Unix.lseek fd (size - 1) Unix.SEEK_SET);
+    let last = Bytes.create 1 in
+    if Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n' then begin
+      write_exactly fd (Bytes.of_string " \n") 0 2;
+      size + 2
+    end
+    else size
+  end
 
 let path t = t.path
 
@@ -73,7 +81,7 @@ let append t json =
     ~finally:(fun () -> Mutex.unlock t.m)
     (fun () ->
       if t.closed then invalid_arg "Store.append: store is closed";
-      let offset = Unix.lseek t.fd 0 Unix.SEEK_END in
+      let offset = seal t.fd in
       (* A detected failure rolls the file back to the pre-append length:
          short writes and I/O errors must not leave a torn line behind
          when the caller is being told about them anyway. (Torn writes
@@ -189,9 +197,16 @@ let read path =
     in
     let records = ref [] in
     let stats = ref { lines = 0; ok = 0; corrupt = 0; legacy = 0 } in
-    List.iter
-      (fun line ->
-        match decode_line line with
+    (* The text after the last newline is an unterminated tail. Every frame
+       ends in a newline, so a tail that decodes as a frame is a write that
+       died one byte short: torn, not a record. *)
+    let lines = String.split_on_char '\n' text in
+    let last = List.length lines - 1 in
+    List.iteri
+      (fun i line ->
+        match
+          match decode_line line with `Ok _ when i = last -> `Corrupt | v -> v
+        with
         | `Blank -> ()
         | `Ok j ->
             records := j :: !records;
@@ -207,7 +222,7 @@ let read path =
                 lines = !stats.lines + 1;
                 corrupt = !stats.corrupt + 1;
               })
-      (String.split_on_char '\n' text);
+      lines;
     note_corrupt !stats.corrupt;
     (List.rev !records, !stats)
   end

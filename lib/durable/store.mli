@@ -10,7 +10,9 @@
       length, IEEE CRC-32 of the payload, then the compact JSON payload.
       A torn line, a flipped bit, or two lines merged by a lost newline
       all fail the frame check and are {e skipped and counted}, never
-      raised and never silently decoded.
+      raised and never silently decoded. A frame is a record only with its
+      newline: an unterminated tail is a torn line, even when every other
+      byte of the frame made it to disk.
     - {b Durability.} {!append} writes the whole frame with raw
       [Unix.write] and [fsync]s before returning, under a mutex — a
       record is durable before the caller may treat the run it describes
@@ -37,18 +39,21 @@ type t
 
 val open_ : ?truncate:bool -> string -> t
 (** Open [path] for appending, creating it if needed; [~truncate:true]
-    discards existing contents. Opening for append {e seals} a torn tail:
-    if the file does not end in a newline (a previous writer died
-    mid-record) a bare ['\n'] is appended first, so the corrupt tail is
-    isolated to its own line and the next record cannot merge into it. *)
+    discards existing contents. *)
 
 val path : t -> string
 
 val append : t -> Netcore.Json.t -> bool
-(** Frame, write and fsync one record. [true] when the record is durably
-    on disk; [false] when an injected fault prevented that (the caller
-    must not count the record as journaled — on the fault-free path the
-    result is always [true]). Thread-safe.
+(** Frame, write and fsync one record. The write is preceded by a {e seal}:
+    when the file does not end in a newline (a writer died mid-record, or
+    an earlier append on this handle was silently torn), [" \n"] is
+    written first, so the torn tail is isolated on its own line and the
+    new record cannot merge into it. The seal leaves the tail corrupt,
+    never a record: the space breaks a frame that lost only its newline.
+    [true] when the record is durably on disk; [false] when an injected
+    fault prevented that (the caller must not count the record as
+    journaled — on the fault-free path the result is always [true]).
+    Thread-safe.
     @raise Diskchaos.Crashed under an injected crash schedule.
     @raise Invalid_argument after {!close}. *)
 
@@ -77,7 +82,9 @@ val frame : string -> string
 
 val decode_line :
   string -> [ `Ok of Netcore.Json.t | `Legacy of Netcore.Json.t | `Corrupt | `Blank ]
-(** Classify one line (no trailing newline) exactly as {!read} does. *)
+(** Classify one newline-terminated line (newline stripped) exactly as
+    {!read} does; {!read} also counts an unterminated tail that would be
+    [`Ok] as [`Corrupt]. *)
 
 val rewrite : string -> Netcore.Json.t list -> bool
 (** Atomically replace [path]'s contents with the given records, framed —

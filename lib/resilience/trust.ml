@@ -461,8 +461,8 @@ module Ledger_store = struct
 
   (* Commutative, associative state merge: a kind quarantined in either
      entry stays quarantined, scores take the minimum — the conservative
-     fold that makes per-shard ledger deltas order-insensitive within a
-     seed tier. Counters sum (they are per-run deltas). *)
+     fold that makes ledger deltas order-insensitive within a seed tier.
+     Counters sum (they are per-run deltas). *)
   let merge_cell a b =
     { s_score = Float.min a.s_score b.s_score; s_quarantined = a.s_quarantined || b.s_quarantined }
 

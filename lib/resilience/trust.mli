@@ -191,10 +191,9 @@ val quorum_active : quorum_counters -> bool
 
     An fsync'd JSONL store in the {!Exec.Checkpoint} discipline: one
     last-write-wins line per seed carrying the cumulative trust state
-    after that seed plus the per-seed counter deltas. Loaded at
-    sweep/shard/serve start and persisted as runs complete, so quarantine
-    survives kill/resume cycles and shard workers inherit the
-    coordinator's ledger. *)
+    after that seed plus the per-seed counter deltas. Loaded at sweep and
+    serve start and persisted as runs complete, so quarantine survives
+    kill/resume cycles. *)
 
 module Ledger_store : sig
   type cell_state = { s_score : float; s_quarantined : bool }
@@ -211,7 +210,7 @@ module Ledger_store : sig
 
   val merge : entry -> entry -> entry
   (** Commutative, associative: quarantine ORs, scores take the minimum,
-      counter deltas sum — per-shard ledger deltas merge deterministically
+      counter deltas sum — ledger entries merge deterministically
       regardless of arrival order within a seed tier. *)
 
   type handle

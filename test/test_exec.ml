@@ -359,6 +359,12 @@ let test_checkpoint_partial_line_tolerated () =
       check bool_t "missing file is empty" true
         (Exec.Checkpoint.load (path ^ ".does-not-exist") = []))
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let test_checkpoint_compact () =
   with_temp (fun path ->
       let ck = Exec.Checkpoint.open_ ~truncate:true path in
@@ -378,15 +384,18 @@ let test_checkpoint_compact () =
       (* Compaction must be invisible to load. *)
       check bool_t "load unchanged by compaction" true
         (Exec.Checkpoint.load path = before);
+      (* The rewrite frames records exactly as appends do: the compacted
+         file is byte-identical to a fresh journal of the survivors. *)
+      let fresh = path ^ ".fresh" in
+      let ck = Exec.Checkpoint.open_ ~truncate:true fresh in
+      List.iter (fun (seed, payload) -> Exec.Checkpoint.record ck ~seed payload) before;
+      Exec.Checkpoint.close ck;
+      let same = read_file fresh = read_file path in
+      Sys.remove fresh;
+      check bool_t "compacted bytes equal a fresh journal's" true same;
       (* And idempotent. *)
       check bool_t "second compaction drops nothing" true
         (Exec.Checkpoint.compact path = (0, 2)))
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let test_checkpoint_framing () =
   with_temp (fun path ->
@@ -470,8 +479,8 @@ let test_checkpoint_torn_tail_sealed () =
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "00000016 deadbeef {\"se";
       close_out oc;
-      (* Reopening for append seals the torn tail so the next record
-         cannot merge into it and be lost to the old crash. *)
+      (* The next append seals the torn tail so its record cannot merge
+         into it and be lost to the old crash. *)
       let ck = Exec.Checkpoint.open_ path in
       Exec.Checkpoint.record ck ~seed:2 (Netcore.Json.Int 20);
       Exec.Checkpoint.close ck;
@@ -646,132 +655,6 @@ let test_memo_eviction () =
          payload));
   check bool_t "oldest key was evicted" true !ran0;
   Exec.Memo.reset ()
-
-(* ------------------------------------------------------------------ *)
-(* Shard: slices, merge determinism, worker recovery                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_shard_slices () =
-  let seeds = List.init 10 (fun i -> 100 + i) in
-  List.iter
-    (fun shards ->
-      let ss = Exec.Shard.slices ~seeds ~shards in
-      check int_t "one slice per shard" shards (List.length ss);
-      check (Alcotest.list int_t) "concatenation is the input" seeds
-        (List.concat ss);
-      let sizes = List.map List.length ss in
-      check bool_t "balanced within one" true
-        (List.fold_left max 0 sizes - List.fold_left min max_int sizes <= 1))
-    [ 1; 2; 3; 4; 10 ];
-  (* More shards than seeds: trailing slices are empty, nothing is lost. *)
-  let ss = Exec.Shard.slices ~seeds:[ 1; 2 ] ~shards:5 in
-  check (Alcotest.list int_t) "short input still covered" [ 1; 2 ] (List.concat ss);
-  match Exec.Shard.slices ~seeds ~shards:0 with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "cosynth_shard_" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> try Sys.remove (Filename.concat dir e) with _ -> ())
-        (Sys.readdir dir);
-      try Sys.rmdir dir with _ -> ())
-    (fun () -> f dir)
-
-(* Fake workers: the journals are pre-written by the test and the argv is
-   /bin/true, so Shard.run's spawn/wait/merge machinery runs for real while
-   the "sweep" is deterministic file content. *)
-let prewritten_worker dir i slice =
-  let journal = Filename.concat dir (Printf.sprintf "shard-%d.jsonl" i) in
-  let ck = Exec.Checkpoint.open_ ~truncate:true journal in
-  List.iter (fun s -> Exec.Checkpoint.record ck ~seed:s (Netcore.Json.Int (s * 7))) slice;
-  Exec.Checkpoint.close ck;
-  {
-    Exec.Shard.argv = [| "/bin/true" |];
-    resume_argv = [| "/bin/true" |];
-    journal;
-    seeds = slice;
-  }
-
-let test_shard_merge_deterministic () =
-  let seeds = List.init 12 (fun i -> 200 + i) in
-  let merged_file n dir =
-    let slices =
-      List.filter (fun s -> s <> []) (Exec.Shard.slices ~seeds ~shards:n)
-    in
-    let workers = List.mapi (prewritten_worker dir) slices in
-    match Exec.Shard.run ~workers () with
-    | Error e -> Alcotest.fail e
-    | Ok report ->
-        let out = Filename.concat dir "merged.jsonl" in
-        Exec.Shard.write_merged ~path:out report.Exec.Shard.merged;
-        let ic = open_in_bin out in
-        let len = in_channel_length ic in
-        let bytes = really_input_string ic len in
-        close_in ic;
-        bytes
-  in
-  let runs =
-    List.map (fun n -> with_temp_dir (fun dir -> merged_file n dir)) [ 1; 2; 4 ]
-  in
-  match runs with
-  | [ one; two; four ] ->
-      check bool_t "2 shards == 1 shard, byte for byte" true (one = two);
-      check bool_t "4 shards == 1 shard, byte for byte" true (one = four);
-      check bool_t "merged journal is non-trivial" true (String.length one > 0)
-  | _ -> Alcotest.fail "impossible"
-
-let test_shard_recovery () =
-  with_temp_dir (fun dir ->
-      (* Shard 0's fresh launch journals one seed then dies; its resume argv
-         completes the slice. Shard 1 is clean. Shard.run must re-spawn only
-         shard 0 and still produce full coverage. *)
-      let j0 = Filename.concat dir "shard-0.jsonl" in
-      let line s v = Printf.sprintf "{\"seed\":%d,\"summary\":%d}" s v in
-      let sh fmt = Printf.sprintf fmt in
-      let w0 =
-        {
-          Exec.Shard.argv =
-            [| "/bin/sh"; "-c"; sh "echo '%s' >> %s; exit 1" (line 1 7) j0 |];
-          resume_argv =
-            [| "/bin/sh"; "-c"; sh "echo '%s' >> %s" (line 2 14) j0 |];
-          journal = j0;
-          seeds = [ 1; 2 ];
-        }
-      in
-      let w1 = prewritten_worker dir 1 [ 3; 4 ] in
-      match Exec.Shard.run ~workers:[ w0; w1 ] () with
-      | Error e -> Alcotest.fail e
-      | Ok report -> (
-          check (Alcotest.list int_t) "merged covers every seed in order"
-            [ 1; 2; 3; 4 ]
-            (List.map fst report.Exec.Shard.merged);
-          match report.Exec.Shard.shards with
-          | [ r0; r1 ] ->
-              check int_t "dead shard launched twice" 2 r0.Exec.Shard.launches;
-              check (Alcotest.list int_t) "only the unjournaled seed re-ran"
-                [ 2 ] r0.Exec.Shard.recovered;
-              check int_t "clean shard launched once" 1 r1.Exec.Shard.launches;
-              check (Alcotest.list int_t) "clean shard recovered nothing" []
-                r1.Exec.Shard.recovered
-          | _ -> Alcotest.fail "two shard reports expected");
-      (* A worker that NEVER succeeds exhausts its budget and errors out. *)
-      let dead =
-        {
-          Exec.Shard.argv = [| "/bin/sh"; "-c"; "exit 1" |];
-          resume_argv = [| "/bin/sh"; "-c"; "exit 1" |];
-          journal = Filename.concat dir "dead.jsonl";
-          seeds = [ 9 ];
-        }
-      in
-      match Exec.Shard.run ~max_respawns:1 ~workers:[ dead ] () with
-      | Ok _ -> Alcotest.fail "an always-failing worker must be an Error"
-      | Error msg ->
-          check bool_t "error names the failing shard" true
-            (String.length msg > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Serve: length-prefixed JSON over a Unix-domain socket               *)
@@ -1318,14 +1201,6 @@ let () =
             test_sweep_budgeted;
           Alcotest.test_case "budgeted schedule clamps overspend" `Quick
             test_sweep_budgeted_overspend_clamped;
-        ] );
-      ( "shard",
-        [
-          Alcotest.test_case "slices partition" `Quick test_shard_slices;
-          Alcotest.test_case "merge deterministic for 1/2/4 shards" `Quick
-            test_shard_merge_deterministic;
-          Alcotest.test_case "dead worker recovered from its journal" `Quick
-            test_shard_recovery;
         ] );
       ( "serve",
         [

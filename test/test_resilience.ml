@@ -604,6 +604,48 @@ let test_store_roundtrip () =
       check int_t "no corruption" 0 stats.Durable.Store.corrupt;
       check int_t "no legacy" 0 stats.Durable.Store.legacy)
 
+let store_rec i = Netcore.Json.Obj [ ("i", Netcore.Json.Int i) ]
+let store_frame i = Durable.Store.frame (Netcore.Json.to_string (store_rec i))
+
+let test_store_append_seals_torn_tail () =
+  with_store_temp (fun path ->
+      let t = Durable.Store.open_ ~truncate:true path in
+      check bool_t "first append durable" true (Durable.Store.append t (store_rec 0));
+      (* A silent torn write on this handle: reported durable, but only a
+         prefix of its frame reached the file. *)
+      Durable.Diskchaos.install (Durable.Diskchaos.make ~torn_rate:1.0 ~seed:3 ());
+      check bool_t "torn append reported durable" true
+        (Durable.Store.append t (store_rec 1));
+      Durable.Diskchaos.uninstall ();
+      (* The same damage by hand, so the tail is torn whatever prefix length
+         the fault stream drew for this temp path. *)
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+          Out_channel.output_string oc (String.sub (store_frame 2) 0 20));
+      check bool_t "next append durable" true (Durable.Store.append t (store_rec 3));
+      Durable.Store.close t;
+      let got, stats = Durable.Store.read path in
+      check bool_t "the record after the tear survives" true
+        (got = [ store_rec 0; store_rec 3 ]);
+      check int_t "the tear is one corrupt line" 1 stats.Durable.Store.corrupt)
+
+let test_store_unterminated_frame_torn () =
+  with_store_temp (fun path ->
+      (* A crash one byte short: record 1's whole frame but its newline. *)
+      let f1 = store_frame 1 in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (store_frame 0);
+          Out_channel.output_string oc (String.sub f1 0 (String.length f1 - 1)));
+      let got, stats = Durable.Store.read path in
+      check bool_t "only the terminated record reads back" true (got = [ store_rec 0 ]);
+      check int_t "the unterminated frame is corrupt" 1 stats.Durable.Store.corrupt;
+      let t = Durable.Store.open_ path in
+      check bool_t "append durable" true (Durable.Store.append t (store_rec 2));
+      Durable.Store.close t;
+      let got, stats = Durable.Store.read path in
+      check bool_t "the seal does not revive the torn frame" true
+        (got = [ store_rec 0; store_rec 2 ]);
+      check int_t "still one corrupt line" 1 stats.Durable.Store.corrupt)
+
 let test_diskchaos_deterministic () =
   let cfg = Durable.Diskchaos.make ~torn_rate:0.3 ~io_error_rate:0.2 ~seed:11 () in
   let fates cfg =
@@ -2044,6 +2086,10 @@ let () =
             test_triage_kill_mid_append;
           Alcotest.test_case "admission caps all-or-nothing" `Quick
             test_parse_admission_caps;
+          Alcotest.test_case "append seals a torn tail on its handle" `Quick
+            test_store_append_seals_torn_tail;
+          Alcotest.test_case "unterminated frame is torn" `Quick
+            test_store_unterminated_frame_torn;
         ] );
       ("properties", props);
     ]
