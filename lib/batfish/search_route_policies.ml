@@ -81,33 +81,55 @@ let check_regions env regions spec =
           replaced_communities = replaced;
         }
 
-(* A hub carries n ingress and n^2 egress specs over 2n route maps, so each
-   map name is looked up once per call, and its regions, from the cache,
-   serve every spec naming it. *)
-let check_in cache (config : Config_ir.t) specs =
-  let env = Eval.env_of_config config in
-  let compiled = Hashtbl.create 16 in
-  let regions_of policy =
-    match Hashtbl.find_opt compiled policy with
-    | Some regions -> regions
-    | None ->
-        let regions =
-          Option.map
-            (Symbolic.Transfer.compile_in cache env)
-            (Config_ir.find_route_map config policy)
-        in
-        Hashtbl.add compiled policy regions;
-        regions
-  in
-  List.map
-    (fun spec ->
-      ( spec,
-        match regions_of spec.policy with
-        | None -> Policy_missing
-        | Some regions -> check_regions env regions spec ))
-    specs
+type verdict_key = { map : Route_map.t; env : Eval.env; specs : spec list }
 
-let check_all config specs = check_in (Symbolic.Transfer.cache ()) config specs
+(* The lists the verdict reads: those the map names, which compiling it
+   reads, and the AS-path lists the specs' spaces name, which witness
+   sampling looks up by name. *)
+let verdict_key env map specs =
+  let as_path_lists =
+    List.concat_map (fun spec -> Symbolic.Pred.as_path_lists_referenced spec.space) specs
+  in
+  { map; env = Symbolic.Transfer.env_slice ~as_path_lists [ map ] env; specs }
+
+(* Computed from the key alone, so a key that matches is the whole input. *)
+let verdicts { map; env; specs } =
+  let regions = Symbolic.Transfer.compile env map in
+  List.map (check_regions env regions) specs
+
+(* A hub carries n ingress and n^2 egress specs over 2n route maps, so the
+   specs are grouped by map, each map is looked up once per call, and its
+   verdicts are handed back to the specs in their order. *)
+let check_with ~lookup (config : Config_ir.t) specs =
+  let env = Eval.env_of_config config in
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun spec ->
+      let group = Option.value ~default:[] (Hashtbl.find_opt groups spec.policy) in
+      Hashtbl.replace groups spec.policy (spec :: group))
+    (List.rev specs);
+  let pending = Hashtbl.create 16 in
+  let next spec =
+    let outcomes =
+      match Hashtbl.find_opt pending spec.policy with
+      | Some outcomes -> outcomes
+      | None -> (
+          let group = Hashtbl.find groups spec.policy in
+          match Config_ir.find_route_map config spec.policy with
+          | None -> List.map (fun _ -> Policy_missing) group
+          | Some map ->
+              let key = verdict_key env map group in
+              lookup key (fun () -> verdicts key))
+    in
+    match outcomes with
+    | outcome :: rest ->
+        Hashtbl.replace pending spec.policy rest;
+        (spec, outcome)
+    | [] -> assert false
+  in
+  List.map next specs
+
+let check_all config specs = check_with ~lookup:(fun _ verdicts -> verdicts ()) config specs
 
 let check config spec = snd (List.hd (check_all config [ spec ]))
 

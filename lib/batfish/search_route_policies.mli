@@ -43,18 +43,36 @@ type outcome = Holds | Violated of violation | Policy_missing
 
 val requirement_to_string : requirement -> string
 
-val check_in :
-  Symbolic.Transfer.cache -> Config_ir.t -> spec list -> (spec * outcome) list
-(** Every spec's outcome, in order. Looks up each route map the specs name
-    once per call, takes its regions from the cache
-    ({!Symbolic.Transfer.compile_in}), and checks every spec naming that
-    map against them. A spec whose map is absent is [Policy_missing]. A
-    cache that lives across calls (one loop's drafts) compiles only the
-    maps an earlier draft did not already have. *)
+(** {2 Checking}
+
+    A hub's specs name each of its route maps many times, so specs are
+    grouped by map: each map named is looked up once per call, compiled
+    ({!Symbolic.Transfer.compile}) once, and its regions serve every spec
+    naming it. The per-map answer is a pure function of a {!verdict_key},
+    which lets a caller memoise it. *)
+
+type verdict_key = {
+  map : Route_map.t;
+  env : Eval.env;
+      (** The lists the verdict reads: the prefix, community and AS-path
+          lists [map] names, and the AS-path lists the specs' spaces name
+          (witness sampling looks those up by name), as
+          {!Symbolic.Transfer.env_slice} keeps them. *)
+  specs : spec list;  (** Every spec naming [map], in the caller's order. *)
+}
+
+val check_with :
+  lookup:(verdict_key -> (unit -> outcome list) -> outcome list) ->
+  Config_ir.t ->
+  spec list ->
+  (spec * outcome) list
+(** Every spec's outcome, in order. For each route map the specs name,
+    [lookup key verdicts] answers the outcomes of [key.specs], in order;
+    [verdicts ()] computes them from [key] alone. A spec whose map is
+    absent is [Policy_missing] without a lookup. *)
 
 val check_all : Config_ir.t -> spec list -> (spec * outcome) list
-(** [check_all config specs] is {!check_in} on a fresh cache: each named map
-    is compiled once per call and nothing is kept between calls. *)
+(** The uncached reference: {!check_with} computing every verdict. *)
 
 val check : Config_ir.t -> spec -> outcome
 (** [check config spec] is {!check_all} over the single spec. *)

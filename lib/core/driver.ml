@@ -1338,7 +1338,7 @@ let run_incremental ?(seed = 42) ?(max_prompts = incremental_budget)
     @@ fun _ -> true
   in
   let specs_hold = loop () in
-  let hub_config, _ = Cisco.Parser.parse (Llmsim.Chat.draft chat) in
+  let hub_config = fst (Exec.Memo.check Batfish.Parse_check.Cisco_ios (Llmsim.Chat.draft chat)) in
   let configs =
     (star.Netcore.Star.hub, hub_config)
     :: List.remove_assoc star.Netcore.Star.hub base_configs

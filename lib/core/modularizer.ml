@@ -223,7 +223,7 @@ let hub_policy_description (star : Star.t) =
     star.Star.spokes;
   Buffer.contents buf
 
-let plan (star : Star.t) =
+let build_plan (star : Star.t) =
   let hub_task =
     {
       router = star.Star.hub;
@@ -244,6 +244,21 @@ let plan (star : Star.t) =
     }
   in
   hub_task :: List.map spoke_task star.Star.spokes
+
+(* Every loop over one star gets the same tasks, so their specs are the same
+   objects, which the verdict memo's key comparison then skips. Stars of
+   different sizes share their first routers, so [Hashtbl.hash] gives 29
+   sizes only 3 values; the spoke count tells them apart. *)
+module Plans = Exec.Memo.Table (struct
+  type t = Star.t
+
+  let equal a b = compare a b = 0
+  let hash (star : t) = Hashtbl.hash (List.length star.Star.spokes)
+end)
+
+(* A sweep meets a handful of star sizes. *)
+let plans = Plans.create ~cap:64
+let plan star = Plans.find plans star (fun () -> build_plan star)
 
 let as_path_hub_config (star : Star.t) =
   let t = star.Star.topology in

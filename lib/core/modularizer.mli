@@ -31,7 +31,9 @@ val community_list_name : string -> string
 (** [CL_R<k>]. *)
 
 val plan : Star.t -> router_task list
-(** Hub first, then spokes in order. *)
+(** Hub first, then spokes in order. Plans are memoised per star in a small
+    process-wide {!Exec.Memo.Table}, so every loop over one star shares its
+    tasks and specs. *)
 
 val prepend_task : Star.t -> target:string -> prepend:int list -> router_task
 (** The incremental-policy task of the paper's conclusion ("Can GPT-4 add a

@@ -45,6 +45,14 @@ let fail msg = J.Obj [ ("ok", J.Bool false); ("error", J.String msg) ]
 let jstr name req = Option.bind (J.member name req) J.to_str
 let jint name req = Option.bind (J.member name req) J.to_int
 
+let memo_fields (m : Exec.Memo.stats) =
+  [
+    ("hits", J.Int m.hits);
+    ("misses", J.Int m.misses);
+    ("entries", J.Int m.entries);
+    ("evictions", J.Int m.evictions);
+  ]
+
 (* Strict validation for a SIGHUP admission-caps reload. The file is
    typically rewritten by an operator or a config pusher moments before
    the signal lands, so "half-written" is a live failure mode, not a
@@ -415,7 +423,6 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
              @ trust_health_fields ()))
     | "stats" ->
         let mm = Exec.Memo.stats () in
-        let dm = Campion.Differ.memo_stats () in
         let p = Exec.Pool.stats pool in
         let a = Resilience.Admission.stats adm in
         let caps = Resilience.Admission.config adm in
@@ -424,23 +431,9 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
              ([
                ("served", J.Int (locked (fun () -> !served)));
                ("uptime_s", J.Float (Unix.gettimeofday () -. t0));
-               ( "memo",
-                 J.Obj
-                   [
-                     ("hits", J.Int mm.Exec.Memo.hits);
-                     ("misses", J.Int mm.Exec.Memo.misses);
-                     ("entries", J.Int mm.Exec.Memo.entries);
-                     ("evictions", J.Int mm.Exec.Memo.evictions);
-                     ("hit_rate", J.Float (Exec.Memo.hit_rate mm));
-                   ] );
-               ( "diff_memo",
-                 J.Obj
-                   [
-                     ("hits", J.Int dm.Exec.Memo.hits);
-                     ("misses", J.Int dm.Exec.Memo.misses);
-                     ("entries", J.Int dm.Exec.Memo.entries);
-                     ("evictions", J.Int dm.Exec.Memo.evictions);
-                   ] );
+               ("memo", J.Obj (memo_fields mm @ [ ("hit_rate", J.Float (Exec.Memo.hit_rate mm)) ]));
+               ("diff_memo", J.Obj (memo_fields (Campion.Differ.memo_stats ())));
+               ("verdict_memo", J.Obj (memo_fields (Exec.Memo.verdict_stats ())));
                ( "pool",
                  J.Obj
                    [

@@ -113,6 +113,32 @@ let check dialect text =
 
 let stats () = Parses.stats parses
 
+(* [compare] returns at once on sub-values that are the same object, which
+   keys often share (one plan's specs, one parse's maps); [=] walks them.
+   [Hashtbl.hash] stops after 10 meaningful values, near the map's name, so
+   the map is hashed deeper: every draft editing a later stanza of one map
+   would otherwise share a bucket. *)
+module Verdict_key = struct
+  type t = Batfish.Search_route_policies.verdict_key
+
+  let equal a b = compare a b = 0
+
+  let hash (k : t) =
+    Hashtbl.hash (Hashtbl.hash_param 100 1000 k.map, Hashtbl.hash k.env, Hashtbl.hash k.specs)
+end
+
+module Verdicts = Table (Verdict_key)
+
+(* A no-transit loop meets a few dozen distinct hub maps. *)
+let verdict_cap = 1024
+let verdicts = Verdicts.create ~cap:verdict_cap
+
+let route_policies config specs =
+  Batfish.Search_route_policies.check_with ~lookup:(Verdicts.find verdicts) config specs
+
+let verdict_key_hash = Verdict_key.hash
+let verdict_stats () = Verdicts.stats verdicts
+
 let hit_rate s =
   let total = s.hits + s.misses in
   if total = 0 then 0. else float_of_int s.hits /. float_of_int total

@@ -1,5 +1,5 @@
-(** Bounded, thread-safe memo tables, and the one for
-    {!Batfish.Parse_check.check}.
+(** Bounded, thread-safe memo tables, and the ones for
+    {!Batfish.Parse_check.check} and Search Route Policies' verdicts.
 
     Every table here is one mechanism: a lock around a hash table, the
     computation of a missing value {e outside} the lock (a concurrent
@@ -15,7 +15,13 @@
     prompt, and a stalled prompt (the simulated LLM "usually does nothing
     when asked to fix the error") leaves the draft byte-identical — so the
     same text is parsed and linted again and again. Parsing is pure, so the
-    result is memoized on [(dialect, text)]. *)
+    result is memoized on [(dialect, text)].
+
+    The verdict table: each draft of the hub re-checks some 200 specs, but
+    a fix touches one map, and the next loop or seed over the same star
+    meets the same maps again. A map's verdicts are a pure function of its
+    {!Batfish.Search_route_policies.verdict_key}, so they are memoized on
+    it. *)
 
 type stats = {
   hits : int;
@@ -63,11 +69,29 @@ val check_result :
 val stats : unit -> stats
 (** The parse table's counters. *)
 
+val route_policies :
+  Policy.Config_ir.t ->
+  Batfish.Search_route_policies.spec list ->
+  (Batfish.Search_route_policies.spec * Batfish.Search_route_policies.outcome) list
+(** Exactly {!Batfish.Search_route_policies.check_all}'s outcomes, witnesses
+    included, with each map's verdicts looked up in the verdict table. *)
+
+val verdict_cap : int
+(** The verdict table's cap. *)
+
+val verdict_stats : unit -> stats
+(** The verdict table's counters: one lookup per route map per call. *)
+
+val verdict_key_hash : Batfish.Search_route_policies.verdict_key -> int
+(** The verdict table's key hash. It reads past the map's name into every
+    stanza. *)
+
 val hit_rate : stats -> float
 (** [hits / (hits + misses)]; 0 when the cache is untouched. *)
 
 val reset : unit -> unit
-(** Drop every entry of {e every} table — the parse table and any other
-    {!Table.create}d in the process, such as Campion's diff tables — and
+(** Drop every entry of {e every} table — the parse and verdict tables and
+    any other {!Table.create}d in the process, such as Campion's diff
+    tables and the no-transit plans — and
     zero their counters (used between bench sections so per-experiment hit
     rates are meaningful, and before a cold run). *)

@@ -19,7 +19,6 @@ type t = {
 
 let make runtime =
   let arm ~dirty kind oracle = Runtime.arm runtime (Verifier.wrap ~dirty kind oracle) in
-  let transfers = Symbolic.Transfer.cache () in
   {
     runtime;
     parse =
@@ -37,5 +36,5 @@ let make runtime =
     route_policies =
       arm Verifier.Route_policies
         ~dirty:(fun outcomes -> Batfish.Search_route_policies.violations outcomes <> [])
-        (fun (ir, specs) -> Batfish.Search_route_policies.check_in transfers ir specs);
+        (fun (ir, specs) -> Exec.Memo.route_policies ir specs);
   }

@@ -9,12 +9,12 @@
     The Campion oracle is {!Campion.Differ.check}, whose policy and ACL
     diffs are memoised in bounded, domain-safe tables that live for the
     process, so every loop, sweep seed and [serve] request shares them.
-    The Search Route Policies oracle is
-    {!Batfish.Search_route_policies.check_in} on one
-    {!Symbolic.Transfer.cache} owned by the suite, so a draft that changed
-    one route map recompiles that map only. The chaos, lie and trust layers
-    all wrap these oracles, so only pristine results are memoised. A suite
-    belongs to one loop in one domain.
+    The Search Route Policies oracle is {!Exec.Memo.route_policies}, whose
+    per-map verdicts live in the same kind of process-wide table, so a
+    draft that changed one route map checks that map only, and a later loop
+    over the same star checks none it has seen. The chaos, lie and trust
+    layers all wrap these oracles, so only pristine results are memoised.
+    A suite belongs to one loop in one domain.
 
     The global no-transit check is use-case-specific, so the driver wraps
     it itself with {!Verifier.wrap} [Bgp_sim] + {!Runtime.arm}. *)

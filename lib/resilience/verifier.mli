@@ -15,7 +15,7 @@ type kind =
   | Parse_check  (** {!Batfish.Parse_check} (via {!Exec.Memo}). *)
   | Campion  (** {!Campion.Differ.check}. *)
   | Topology  (** {!Topoverify.Verifier.check}. *)
-  | Route_policies  (** {!Batfish.Search_route_policies.check_in}. *)
+  | Route_policies  (** {!Exec.Memo.route_policies}. *)
   | Bgp_sim  (** The global no-transit check (simulation and/or proof). *)
 
 val all_kinds : kind list

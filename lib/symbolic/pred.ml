@@ -33,6 +33,9 @@ let default_universe =
 let sample ~env ?(universe = default_universe) t =
   List.find_map (fun c -> Cube.sample ~env ~universe c) t
 
+let as_path_lists_referenced t =
+  List.concat_map (fun (c : Cube.t) -> c.aspath.must @ c.aspath.must_not) t
+
 let cubes t = t
 let size_hint = List.length
 

@@ -25,6 +25,10 @@ val default_universe : As_path.t list
 (** A small set of generic AS paths used to instantiate AS-path
     constraints when the caller has no topology-specific candidates. *)
 
+val as_path_lists_referenced : t -> string list
+(** The AS-path lists the predicate's cubes name, which {!satisfies} and
+    {!sample} look up by name in the environment. *)
+
 val cubes : t -> Cube.t list
 val size_hint : t -> int
 val to_string : t -> string

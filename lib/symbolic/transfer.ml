@@ -36,11 +36,11 @@ let compile env (m : Route_map.t) =
 
 (* Filtering keeps environment order, so a duplicate name still resolves to
    its first definition. *)
-let env_slice maps (env : Eval.env) =
-  let named referenced name_of = function
+let env_slice ?(as_path_lists = []) maps (env : Eval.env) =
+  let named ?(extra = []) referenced name_of = function
     | [] -> []
     | lists ->
-        let names = List.concat_map referenced maps in
+        let names = extra @ List.concat_map referenced maps in
         List.filter (fun l -> List.mem (name_of l) names) lists
   in
   {
@@ -53,20 +53,7 @@ let env_slice maps (env : Eval.env) =
         (fun (l : Community_list.t) -> l.Community_list.name)
         env.Eval.community_lists;
     as_path_lists =
-      named Route_map.as_path_lists_referenced
+      named ~extra:as_path_lists Route_map.as_path_lists_referenced
         (fun (l : As_path_list.t) -> l.As_path_list.name)
         env.Eval.as_path_lists;
   }
-
-type cache = (Route_map.t * Eval.env, region list) Hashtbl.t
-
-let cache () : cache = Hashtbl.create 16
-
-let compile_in cache env m =
-  let key = (m, env_slice [ m ] env) in
-  match Hashtbl.find_opt cache key with
-  | Some regions -> regions
-  | None ->
-      let regions = compile env m in
-      Hashtbl.add cache key regions;
-      regions

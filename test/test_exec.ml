@@ -1010,6 +1010,43 @@ let test_serve_stats_diff_memo () =
           ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
       Thread.join server)
 
+(* The stats reply reports the Search Route Policies verdict table under
+   [verdict_memo]; a synth job checks its hub there. *)
+let test_serve_stats_verdict_memo () =
+  with_serve_dir (fun socket_path ->
+      let module J = Netcore.Json in
+      let cfg = { Cosynth.Service.default_config with Cosynth.Service.domains = Some 1 } in
+      let server =
+        Thread.create
+          (fun () ->
+            ignore (Cosynth.Service.serve ~socket_path cfg : Cosynth.Service.summary))
+          ()
+      in
+      Exec.Serve.with_connection ~socket_path (fun fd ->
+          let stats () = Exec.Serve.request fd (J.Obj [ ("job", J.String "stats") ]) in
+          let field k r =
+            Option.bind (J.member "verdict_memo" r) (fun o -> Option.bind (J.member k o) J.to_int)
+          in
+          let lookups r =
+            match (field "hits" r, field "misses" r) with
+            | Some h, Some m -> h + m
+            | _ -> Alcotest.fail "stats has no verdict_memo hits and misses"
+          in
+          let before = stats () in
+          List.iter
+            (fun k -> check bool_t ("verdict_memo has " ^ k) true (field k before <> None))
+            [ "hits"; "misses"; "entries"; "evictions" ];
+          let r =
+            Exec.Serve.request fd
+              (J.Obj [ ("job", J.String "synth"); ("seed", J.Int 7); ("routers", J.Int 5) ])
+          in
+          check bool_t "synth answered" true
+            (Option.bind (J.member "ok" r) J.to_bool = Some true);
+          check bool_t "verdict lookups grow after a synth job" true
+            (lookups (stats ()) > lookups before);
+          ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
+      Thread.join server)
+
 (* ------------------------------------------------------------------ *)
 (* Sweep: certificate-aware budgeted scheduling                        *)
 (* ------------------------------------------------------------------ *)
@@ -1218,6 +1255,8 @@ let () =
             test_serve_survives_vanished_peer;
           Alcotest.test_case "stats count diff-memo lookups" `Quick
             test_serve_stats_diff_memo;
+          Alcotest.test_case "stats count verdict-memo lookups" `Quick
+            test_serve_stats_verdict_memo;
         ] );
       ( "global-phase",
         [

@@ -442,71 +442,6 @@ let test_diff_redistribution_leak () =
          | None -> false)
        diffs)
 
-(* ------------------------------------------------------------------ *)
-(* Transfer cache                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Every edit changes the regions of a map that names the edited list, so a
-   cache key that missed that list would hand back the stale regions. The
-   compiler reads only whether an AS-path list is defined, so that edit
-   defines one. *)
-let test_transfer_cache_key () =
-  let cache = Transfer.cache () in
-  let m =
-    Route_map.make "m"
-      [
-        Route_map.entry ~action:Action.Deny ~matches:[ Route_map.Match_prefix_list "pl" ] 10;
-        Route_map.entry ~action:Action.Deny ~matches:[ Route_map.Match_community_list "cl" ] 20;
-        Route_map.entry ~action:Action.Deny ~matches:[ Route_map.Match_as_path "ap" ] 30;
-        Route_map.entry 40;
-      ]
-  in
-  let pl range = Prefix_list.make "pl" [ Prefix_list.entry 5 range ] in
-  let cl c = Community_list.make "cl" [ Community_list.entry [ comm c ] ] in
-  let ap = As_path_list.make "ap" [ As_path_list.entry "^65001_" ] in
-  let base =
-    {
-      Eval.prefix_lists = [ pl (Prefix_range.orlonger (pfx "10.0.0.0/8")) ];
-      community_lists = [ cl "100:1" ];
-      as_path_lists = [];
-    }
-  in
-  let same label env =
-    check bool_t (label ^ ": cached = fresh") true
-      (Transfer.compile_in cache env m = Transfer.compile env m)
-  in
-  same "base" base;
-  let edits =
-    [
-      ( "prefix list",
-        { base with Eval.prefix_lists = [ pl (Prefix_range.exact (pfx "10.1.0.0/16")) ] } );
-      ("community list", { base with Eval.community_lists = [ cl "101:1" ] });
-      ("as-path list", { base with Eval.as_path_lists = [ ap ] });
-      ( "duplicate name",
-        {
-          base with
-          Eval.prefix_lists = pl (Prefix_range.exact (pfx "9.9.9.0/24")) :: base.Eval.prefix_lists;
-        } );
-    ]
-  in
-  List.iter
-    (fun (label, env) ->
-      check bool_t (label ^ ": the edit changes the regions") false
-        (Transfer.compile env m = Transfer.compile base m);
-      same label env)
-    edits;
-  let unreferenced =
-    {
-      Eval.prefix_lists = base.Eval.prefix_lists @ [ Prefix_list.make "other" [] ];
-      community_lists =
-        base.Eval.community_lists
-        @ [ Community_list.make "other" [ Community_list.entry [ comm "7:7" ] ] ];
-      as_path_lists = [ As_path_list.make "other" [ As_path_list.entry "_1_" ] ];
-    }
-  in
-  check bool_t "editing an unreferenced list is a hit" true
-    (Transfer.compile_in cache unreferenced m == Transfer.compile_in cache base m)
-
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -559,6 +494,5 @@ let () =
           Alcotest.test_case "equivalent maps" `Quick test_diff_equivalent_maps;
           Alcotest.test_case "redistribution leak" `Quick test_diff_redistribution_leak;
         ] );
-      ("transfer", [ Alcotest.test_case "cache key" `Quick test_transfer_cache_key ]);
       ("properties", props);
     ]

@@ -149,6 +149,15 @@ let test_srp_policy_missing () =
     (Batfish.Search_route_policies.check (Config_ir.empty "r") spec
     = Batfish.Search_route_policies.Policy_missing)
 
+(* Alcotest's checks are not domain-safe, so the walks below that run on
+   pool domains fail with a plain exception that the pool re-raises. *)
+let expect label ok = if not ok then failwith label
+
+(* Those walks run from two pool domains at once, so both race on the same
+   keys of one process-wide memo. [twice f] runs [f 0] and [f 1] that way. *)
+let pool = Exec.Pool.create ~domains:2 ()
+let twice f = ignore (Exec.Pool.map pool f [ 0; 1 ] : unit list)
+
 (* Differential: [check_all] against one-shot [check], and every witness
    against concrete evaluation, on the hub of a star — the oracle config
    and fault-injected drafts from the simulated LLM. *)
@@ -219,8 +228,21 @@ let test_srp_differential () =
                in
                go 3 []))
       in
-      (* One suite for the whole sequence, as one loop holds it: its
-         Search Route Policies oracle compiles through one shared cache. *)
+      let configs = correct :: drafts in
+      (* Both domains ask the process-wide verdict table about every draft,
+         in opposite orders, from cold; then one pass asks it warm. *)
+      let shared label cfg =
+        expect (label ^ ": the shared table = check_all")
+          (Exec.Memo.route_policies cfg specs = Batfish.Search_route_policies.check_all cfg specs)
+      in
+      Exec.Memo.reset ();
+      twice (fun d ->
+          List.iteri
+            (fun i cfg -> shared (Printf.sprintf "star %d, domain %d, config %d" routers d i) cfg)
+            (if d = 0 then configs else List.rev configs));
+      List.iteri (fun i cfg -> shared (Printf.sprintf "star %d, warm, config %d" routers i) cfg) configs;
+      (* One suite for the whole sequence, as one loop holds it: its Search
+         Route Policies oracle is the process-wide verdict table. *)
       let suite =
         Resilience.Suite.make (Resilience.Runtime.create Resilience.Runtime.default_config)
       in
@@ -233,7 +255,7 @@ let test_srp_differential () =
             (name ^ ": check_all = check per spec")
             (List.map (fun s -> Batfish.Search_route_policies.check cfg s) specs)
             (List.map snd all);
-          check bool_t (name ^ ": the suite's shared cache = check_all") true
+          check bool_t (name ^ ": the suite's shared table = check_all") true
             (Resilience.Verifier.oracle suite.Resilience.Suite.route_policies (cfg, specs) = all);
           check bool_t (name ^ ": outcomes pair each spec in order") true
             (List.map fst all = specs);
@@ -257,10 +279,210 @@ let test_srp_differential () =
           if i = 0 then
             check bool_t (name ^ ": the oracle holds") true
               (List.for_all (fun (_, o) -> o = Batfish.Search_route_policies.Holds) all))
-        (correct :: drafts);
+        configs;
       check bool_t (Printf.sprintf "star %d: some draft is violated" routers) true
         (!violated > 0))
     [ 3; 7; 15 ]
+
+(* ------------------------------------------------------------------ *)
+(* The verdict memo                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Srp = Batfish.Search_route_policies
+
+(* The process-wide verdict table's answer, checked against the uncached
+   reference, witnesses included. *)
+let memoised label cfg specs =
+  let got = Exec.Memo.route_policies cfg specs in
+  check (Alcotest.list srp) (label ^ ": memo = check_all") (List.map snd (Srp.check_all cfg specs))
+    (List.map snd got);
+  got
+
+let config_of_env maps (env : Eval.env) =
+  {
+    (Config_ir.empty "r") with
+    Config_ir.route_maps = maps;
+    prefix_lists = env.Eval.prefix_lists;
+    community_lists = env.Eval.community_lists;
+    as_path_lists = env.Eval.as_path_lists;
+  }
+
+(* Every edit changes the verdict of a map that names the edited list, so a
+   key that missed that list would hand back a stale verdict. The compiler
+   reads only whether an AS-path list is defined, so that edit defines one;
+   the third spec, outside the prefix list and without 100:1, sees it. *)
+let test_verdict_key_lists () =
+  Exec.Memo.reset ();
+  let m =
+    Route_map.make "m"
+      [
+        Route_map.entry ~action:Action.Deny ~matches:[ Route_map.Match_prefix_list "pl" ] 10;
+        Route_map.entry ~action:Action.Deny ~matches:[ Route_map.Match_community_list "cl" ] 20;
+        Route_map.entry ~action:Action.Deny ~matches:[ Route_map.Match_as_path "ap" ] 30;
+        Route_map.entry 40;
+      ]
+  in
+  let pl range = Prefix_list.make "pl" [ Prefix_list.entry 5 range ] in
+  let ap = As_path_list.make "ap" [ As_path_list.entry "^65001_" ] in
+  let outside =
+    Symbolic.Cube.make
+      ~prefixes:(Symbolic.Prefix_space.of_range (Prefix_range.orlonger (pfx "192.168.0.0/16")))
+      ~comms:(Symbolic.Comm_constr.forbid (comm "100:1"))
+      ()
+  in
+  let spec space requirement description =
+    { Srp.policy = "m"; space; requirement; description }
+  in
+  let specs =
+    [
+      spec Symbolic.Pred.full Srp.Permits "every route";
+      spec (space_with_community "100:1") Srp.Denies "routes carrying 100:1";
+      spec (Symbolic.Pred.of_cube outside) Srp.Permits "routes in 192.168/16 without 100:1";
+    ]
+  in
+  let base =
+    {
+      Eval.prefix_lists = [ pl (Prefix_range.orlonger (pfx "10.0.0.0/8")) ];
+      community_lists = [ cl "cl" "100:1" ];
+      as_path_lists = [];
+    }
+  in
+  let ask label env = memoised label (config_of_env [ m ] env) specs in
+  let at_base = ask "base" base in
+  let edits =
+    [
+      ( "prefix list",
+        { base with Eval.prefix_lists = [ pl (Prefix_range.exact (pfx "10.1.0.0/16")) ] } );
+      ("community list", { base with Eval.community_lists = [ cl "cl" "101:1" ] });
+      ("as-path list", { base with Eval.as_path_lists = [ ap ] });
+      ( "duplicate name",
+        {
+          base with
+          Eval.prefix_lists = pl (Prefix_range.exact (pfx "9.9.9.0/24")) :: base.Eval.prefix_lists;
+        } );
+    ]
+  in
+  List.iter
+    (fun (label, env) ->
+      check bool_t (label ^ ": the edit changes the verdict") false (ask label env = at_base))
+    edits;
+  let unreferenced =
+    {
+      Eval.prefix_lists = base.Eval.prefix_lists @ [ Prefix_list.make "other" [] ];
+      community_lists = base.Eval.community_lists @ [ cl "other" "7:7" ];
+      as_path_lists = [ As_path_list.make "other" [ As_path_list.entry "_1_" ] ];
+    }
+  in
+  let before = Exec.Memo.verdict_stats () in
+  check bool_t "editing an unreferenced list: same verdict" true
+    (ask "unreferenced" unreferenced = at_base);
+  let after = Exec.Memo.verdict_stats () in
+  check int_t "editing an unreferenced list is a hit" (before.Exec.Memo.hits + 1)
+    after.Exec.Memo.hits;
+  check int_t "and no miss" before.Exec.Memo.misses after.Exec.Memo.misses;
+  (* The specs are part of the key too. *)
+  ignore (memoised "the last two specs" (config_of_env [ m ] base) (List.tl specs))
+
+(* A spec's space may name an AS-path list its map does not, and witness
+   sampling looks that list up by name, so the key must keep it: sliced on
+   the map alone, the second ask would return the first witness. *)
+let test_verdict_key_spec_lists () =
+  Exec.Memo.reset ();
+  let spec =
+    {
+      Srp.policy = "m";
+      space =
+        Symbolic.Pred.of_cube
+          (Symbolic.Cube.make ~aspath:(Symbolic.Aspath_constr.require "via") ());
+      requirement = Srp.Denies;
+      description = "routes through the via list";
+    }
+  in
+  let ask regex =
+    memoised ("via " ^ regex)
+      (config_of_env [ Route_map.permit_all "m" ]
+         {
+           Eval.empty_env with
+           Eval.as_path_lists = [ As_path_list.make "via" [ As_path_list.entry regex ] ];
+         })
+      [ spec ]
+  in
+  let witness = function
+    | [ (_, Srp.Violated v) ] -> Some (Route.to_string v.Srp.example)
+    | _ -> None
+  in
+  let a = witness (ask "_65001_") and b = witness (ask "^100_") in
+  check bool_t "both violated" true (Option.is_some a && Option.is_some b);
+  check bool_t "the witness follows the spec's list" true (a <> b)
+
+(* The key hash must read past the map's name: on the 15-router hub each
+   egress map has 14 stanzas, and flipping the last one moves the hash. *)
+let test_verdict_key_hash () =
+  let star = Star.make ~routers:15 in
+  let hub = List.hd (Cosynth.Modularizer.plan star) in
+  let cfg = hub.Cosynth.Modularizer.correct in
+  let env = Eval.env_of_config cfg in
+  List.iter
+    (fun spoke ->
+      let name = Cosynth.Modularizer.egress_map_name spoke in
+      let m = Option.get (Config_ir.find_route_map cfg name) in
+      check int_t (name ^ " has 14 stanzas") 14 (List.length m.Route_map.entries);
+      let edited =
+        match List.rev m.Route_map.entries with
+        | [] -> Alcotest.failf "map %s has no entries" name
+        | last :: rest ->
+            Route_map.make name (List.rev ({ last with Route_map.action = Action.Deny } :: rest))
+      in
+      let specs = List.filter (fun (s : Srp.spec) -> s.Srp.policy = name) hub.Cosynth.Modularizer.specs in
+      let hash map =
+        Exec.Memo.verdict_key_hash
+          { Srp.map; env = Symbolic.Transfer.env_slice [ map ] env; specs }
+      in
+      check bool_t (name ^ ": the last stanza moves the hash") true (hash m <> hash edited))
+    star.Star.spokes
+
+(* Past the cap the table evicts its oldest eighth: it never holds more
+   than the cap, counts what it dropped, and an evicted key is just
+   recomputed, so every answer still equals check_all. *)
+let test_verdict_eviction () =
+  Exec.Memo.reset ();
+  let cap = Exec.Memo.verdict_cap in
+  let n = cap + (cap / 2) in
+  let spec =
+    { Srp.policy = "m"; space = Symbolic.Pred.full; requirement = Srp.Permits; description = "all" }
+  in
+  let ask med =
+    let m =
+      Route_map.make "m"
+        [ Route_map.entry ~action:Action.Deny ~matches:[ Route_map.Match_med med ] 10; Route_map.entry 20 ]
+    in
+    ignore (memoised (Printf.sprintf "med %d" med) (config_of_env [ m ] Eval.empty_env) [ spec ])
+  in
+  for med = 1 to n do
+    ask med
+  done;
+  let s = Exec.Memo.verdict_stats () in
+  check bool_t "entries stay at or below the cap" true (s.Exec.Memo.entries <= cap);
+  check bool_t "evictions counted" true (s.Exec.Memo.evictions > 0);
+  check int_t "entries + evictions = distinct maps" n (s.Exec.Memo.entries + s.Exec.Memo.evictions);
+  ask 1;
+  ask n;
+  let s' = Exec.Memo.verdict_stats () in
+  check int_t "evicted map recomputed" (s.Exec.Memo.misses + 1) s'.Exec.Memo.misses;
+  check int_t "recent map still warm" (s.Exec.Memo.hits + 1) s'.Exec.Memo.hits;
+  Exec.Memo.reset ();
+  check int_t "reset empties the verdict table" 0 (Exec.Memo.verdict_stats ()).Exec.Memo.entries
+
+(* Loops over one star share its plan, so verdict keys built from its specs
+   compare them by address; a reset drops the plan. *)
+let test_plan_shared () =
+  let plan () = Cosynth.Modularizer.plan (Star.make ~routers:7) in
+  let a = plan () in
+  check bool_t "a second star of one size gets the same plan" true (plan () == a);
+  Exec.Memo.reset ();
+  let b = plan () in
+  check bool_t "reset drops it" false (b == a);
+  check bool_t "the rebuilt plan is equal" true (b = a)
 
 (* ------------------------------------------------------------------ *)
 (* BGP simulation                                                      *)
@@ -598,10 +820,6 @@ let witness = function
   | Campion.Differ.Acl_behavior a -> Some (Packet.to_string a.Campion.Differ.packet)
   | _ -> None
 
-(* Alcotest's checks are not domain-safe, so the walks below, which run on
-   pool domains, fail with a plain exception that the pool re-raises. *)
-let expect label ok = if not ok then failwith label
-
 let check_shared label ~original ~translation =
   let got = Campion.Differ.check ~original ~translation in
   let want = Campion.Differ.compare ~original ~translation in
@@ -610,11 +828,6 @@ let check_shared label ~original ~translation =
     failwith (Printf.sprintf "%s: findings\nwant:\n%s\ngot:\n%s" label (strings want) (strings got));
   expect (label ^ ": witnesses") (List.filter_map witness want = List.filter_map witness got);
   got
-
-(* Every walk below runs from two pool domains at once, so both race on the
-   same keys of the one memo. [twice f] runs [f 0] and [f 1] that way. *)
-let pool = Exec.Pool.create ~domains:2 ()
-let twice f = ignore (Exec.Pool.map pool f [ 0; 1 ] : unit list)
 
 (* Walk a translation conversation the way the loop does: the first
    finding's prompt goes back automated, and to a human once it has been
@@ -851,6 +1064,11 @@ let () =
           Alcotest.test_case "adds community" `Quick test_srp_adds_community;
           Alcotest.test_case "policy missing" `Quick test_srp_policy_missing;
           Alcotest.test_case "differential on star hubs" `Quick test_srp_differential;
+          Alcotest.test_case "verdict memo: key lists" `Quick test_verdict_key_lists;
+          Alcotest.test_case "verdict memo: spec lists" `Quick test_verdict_key_spec_lists;
+          Alcotest.test_case "verdict memo: key hash" `Quick test_verdict_key_hash;
+          Alcotest.test_case "verdict memo: eviction" `Quick test_verdict_eviction;
+          Alcotest.test_case "verdict memo: plan shared" `Quick test_plan_shared;
         ] );
       ( "bgp-sim",
         [
