@@ -1049,7 +1049,7 @@ let table_s1 () =
            "warm (serve daemon)";
            Printf.sprintf "%.2fs" warm_perf.Cosynth.Metrics.wall_s;
            Printf.sprintf "%.1f" (throughput warm_perf);
-           Printf.sprintf "%.0f%%" (100. *. Exec.Memo.hit_rate memo_after);
+           Printf.sprintf "%.0f%%" (100. *. Netcore.Memo_table.hit_rate memo_after);
          ];
        ]);
   Printf.printf "\n  warm/cold speedup: %.2fx\n"

@@ -57,5 +57,5 @@ let () =
   let ms = Exec.Memo.stats () in
   Printf.printf "\n(verifier memo: %d hits / %d misses, %.0f%% hit rate)\n"
     ms.Exec.Memo.hits ms.Exec.Memo.misses
-    (100. *. Exec.Memo.hit_rate ms);
+    (100. *. Netcore.Memo_table.hit_rate ms);
   Exec.Pool.shutdown pool

@@ -41,8 +41,8 @@ let fires t ~kind_ix input =
   t.config.rate > 0.0
   &&
   let h = Hashtbl.hash (Resilience.Guard.fingerprint_value input) in
-  Llmsim.Rng.bernoulli
-    (Llmsim.Rng.make
+  Netcore.Rng.bernoulli
+    (Netcore.Rng.make
        ((t.config.seed * 86_028_121) + (t.salt * 49_979_687) + (kind_ix * 15_485_863)
       + (h * 86_028_157) + 73))
     t.config.rate

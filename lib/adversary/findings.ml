@@ -53,13 +53,13 @@ let create ?(salt = 0) config = { config; salt; count = 0 }
 let derive t idx = { t with salt = t.salt + ((idx + 1) * 224_737); count = 0 }
 
 let stream t ~counter ~mode_ix =
-  Llmsim.Rng.make
+  Netcore.Rng.make
     ((t.config.seed * 86_028_121) + (t.salt * 2_750_159) + (counter * 7_368_787)
     + (mode_ix * 9_576_89) + 41)
 
 let fires t ~counter mode =
   let r = rate t.config mode in
-  r > 0.0 && Llmsim.Rng.bernoulli (stream t ~counter ~mode_ix:(mode_index mode)) r
+  r > 0.0 && Netcore.Rng.bernoulli (stream t ~counter ~mode_ix:(mode_index mode)) r
 
 (* Rotate a fault reference to the "wrong router's" finding: the next error
    class in the taxonomy, anchored at the whole config (the corrupted

@@ -71,14 +71,14 @@ let derive t idx = { t with salt = t.salt + ((idx + 1) * 104_729); drafts = 0; r
    axis separates the fire/no-fire coin from the mode's own parameter
    draws. Multipliers are primes unused by any other stream in the tree. *)
 let stream t ~counter ~mode_ix ~purpose =
-  Llmsim.Rng.make
+  Netcore.Rng.make
     ((t.config.seed * 1_299_709) + (t.salt * 15_485_863) + (counter * 32_452_843)
     + (mode_ix * 49_979_687) + purpose + 23)
 
 let fires t ~counter mode =
   let r = rate t.config mode in
   r > 0.0
-  && Llmsim.Rng.bernoulli (stream t ~counter ~mode_ix:(mode_index mode) ~purpose:0) r
+  && Netcore.Rng.bernoulli (stream t ~counter ~mode_ix:(mode_index mode) ~purpose:0) r
 
 let flip = function
   | Llmsim.Fault.Cisco_cfg -> Llmsim.Fault.Junos_cfg
@@ -110,7 +110,7 @@ let draft t chat =
     if n <= 1 then real
     else
       let rng = stream t ~counter ~mode_ix:(mode_index Truncated) ~purpose:1 in
-      String.sub real 0 (1 + Llmsim.Rng.int rng (n - 1))
+      String.sub real 0 (1 + Netcore.Rng.int rng (n - 1))
   end
   else if fires t ~counter Wrong_dialect then
     (* Re-render the same latent faults in the other dialect: syntactically
@@ -122,7 +122,7 @@ let draft t chat =
       (Llmsim.Chat.live_faults chat)
   else if fires t ~counter Off_topic then
     let rng = stream t ~counter ~mode_ix:(mode_index Off_topic) ~purpose:1 in
-    Option.value ~default:real (Llmsim.Rng.choice rng fillers)
+    Option.value ~default:real (Netcore.Rng.choice rng fillers)
   else real
 
 let respond t chat (prompt : Llmsim.Chat.prompt) =

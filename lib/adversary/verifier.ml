@@ -47,7 +47,7 @@ let derive t idx = { t with salt = t.salt + ((idx + 1) * 104_395_301); count = 0
    never shifts another's lies. The multipliers are primes unused by the
    chaos/LLM/findings streams. *)
 let stream t ~kind_ix ~counter ~mode_ix =
-  Llmsim.Rng.make
+  Netcore.Rng.make
     ((t.config.seed * 122_949_823) + (t.salt * 15_485_867) + (kind_ix * 32_452_867)
     + (counter * 49_979_693) + (mode_ix * 67_867_979) + 59)
 
@@ -67,7 +67,7 @@ let decide t ~kind_ix ~dirty =
   let counter = t.count in
   let fires mode_ix r =
     let r = effective t r in
-    r > 0.0 && Llmsim.Rng.bernoulli (stream t ~kind_ix ~counter ~mode_ix) r
+    r > 0.0 && Netcore.Rng.bernoulli (stream t ~kind_ix ~counter ~mode_ix) r
   in
   let d =
     if dirty then

@@ -287,8 +287,8 @@ module Acl_key = struct
   let hash = deep_hash
 end
 
-module Policy_memo = Exec.Memo.Table (Policy_key)
-module Acl_memo = Exec.Memo.Table (Acl_key)
+module Policy_memo = Netcore.Memo_table.Make (Policy_key)
+module Acl_memo = Netcore.Memo_table.Make (Acl_key)
 
 (* A translation loop meets a few dozen distinct pairs of each kind. *)
 let memo_cap = 1024
@@ -298,7 +298,7 @@ let acl_memo = Acl_memo.create ~cap:memo_cap
 let memo_stats () =
   let p = Policy_memo.stats policy_memo and a = Acl_memo.stats acl_memo in
   {
-    Exec.Memo.hits = p.hits + a.hits;
+    Netcore.Memo_table.hits = p.hits + a.hits;
     misses = p.misses + a.misses;
     entries = p.entries + a.entries;
     evictions = p.evictions + a.evictions;

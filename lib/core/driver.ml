@@ -1044,6 +1044,57 @@ type synthesis_result = {
   proof : Lightyear.result option;
 }
 
+(* The whole-network check: the paper's BGP simulation, the Lightyear
+   proof, or both. Its answer is [((ok, violations), proof)]. *)
+let check_global_uncached final_check star configs =
+  let sim () = Modularizer.no_transit_holds star configs in
+  let prove () = Lightyear.prove_no_transit star configs in
+  let describe = function
+    | Lightyear.Proved -> []
+    | Lightyear.Refuted r ->
+        [
+          Printf.sprintf "modular proof refuted: a route from %s can reach %s"
+            r.Lightyear.from_spoke r.Lightyear.to_spoke;
+        ]
+    | Lightyear.Inapplicable why -> [ "proof inapplicable: " ^ why ]
+  in
+  match final_check with
+  | Simulate -> (sim (), None)
+  | Prove ->
+      let p = prove () in
+      ((p = Lightyear.Proved, describe p), Some p)
+  | Both ->
+      let ok_sim, v_sim = sim () in
+      let p = prove () in
+      ((ok_sim && p = Lightyear.Proved, v_sim @ describe p), Some p)
+
+(* The sim reads the star and every config, the proof the star and the hub,
+   so one key serves both. The global phase re-checks a network in which
+   only the hub changed, and every loop over one star ends on the same few
+   networks. Configs come from the parse memo and the plan, so [compare]
+   meets shared objects. The star is hashed by its spoke count, as
+   {!Modularizer.plan}'s table does, and each config separately, since
+   [Hashtbl.hash] of the list would stop within the first router. *)
+module Globals = Netcore.Memo_table.Make (struct
+  type t = final_check * Netcore.Star.t * (string * Config_ir.t) list
+
+  let equal a b = compare a b = 0
+
+  let hash (final_check, (star : Netcore.Star.t), configs) =
+    List.fold_left
+      (fun h (name, ir) -> Hashtbl.hash (h, name, Hashtbl.hash_param 100 1000 ir))
+      (Hashtbl.hash (final_check, List.length star.Netcore.Star.spokes))
+      configs
+end)
+
+(* A sweep ends on a handful of networks per star. *)
+let globals = Globals.create ~cap:1024
+let global_stats () = Globals.stats globals
+
+let check_global final_check star configs =
+  Globals.find globals (final_check, star, configs) (fun () ->
+      check_global_uncached final_check star configs)
+
 let run_no_transit ?(seed = 42) ?(use_iips = true)
     ?(max_prompts = no_transit_budget) ?(stall_threshold = 2)
     ?(final_check = Simulate) ?pool ?tasks:tasks_override ?(force_hub_faults = [])
@@ -1155,28 +1206,6 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
   let results = List.map (fun (name, chat, ir, ok, _) -> (name, chat, ir, ok)) fanned in
   let all_ok = List.for_all (fun (_, _, _, ok) -> ok) results in
   let configs_of results = List.map (fun (name, _, ir, _) -> (name, ir)) results in
-  let check_global configs =
-    let sim () = Modularizer.no_transit_holds star configs in
-    let prove () = Lightyear.prove_no_transit star configs in
-    let describe = function
-      | Lightyear.Proved -> []
-      | Lightyear.Refuted r ->
-          [
-            Printf.sprintf "modular proof refuted: a route from %s can reach %s"
-              r.Lightyear.from_spoke r.Lightyear.to_spoke;
-          ]
-      | Lightyear.Inapplicable why -> [ "proof inapplicable: " ^ why ]
-    in
-    match final_check with
-    | Simulate -> (sim (), None)
-    | Prove ->
-        let p = prove () in
-        ((p = Lightyear.Proved, describe p), Some p)
-    | Both ->
-        let ok_sim, v_sim = sim () in
-        let p = prove () in
-        ((ok_sim && p = Lightyear.Proved, v_sim @ describe p), Some p)
-  in
   (* Global phase: when every router verifies locally but the whole-network
      check fails, feed the counterexample back to the hub conversation
      (crossed attachments are the only fault that survives local
@@ -1209,7 +1238,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
   (* The whole-network check is itself wrapped: when it degrades, the human
      runs the simulation by hand and the counterexample feedback arrives as
      a human prompt. *)
-  let global_verifier = global_verifier rt_main adv_main check_global in
+  let global_verifier = global_verifier rt_main adv_main (check_global final_check star) in
   let rec global_phase results rounds =
     Resilience.Runtime.new_round rt_main;
     match run_stage st rt_main global_verifier (configs_of results) with
@@ -1348,9 +1377,7 @@ let run_incremental ?(seed = 42) ?(max_prompts = incremental_budget)
      degrades to the human running it by hand (a [Degraded] event), never
      an unchecked exception. The short-circuit stays — when the specs
      already failed there is nothing worth simulating. *)
-  let global_verifier =
-    global_verifier rt adv (fun configs -> (Modularizer.no_transit_holds star configs, None))
-  in
+  let global_verifier = global_verifier rt adv (check_global Simulate star) in
   let global_ok =
     specs_hold
     &&

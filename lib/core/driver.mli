@@ -223,6 +223,26 @@ type synthesis_result = {
   proof : Lightyear.result option;  (** Set when [final_check] involves the proof. *)
 }
 
+val check_global :
+  final_check ->
+  Netcore.Star.t ->
+  (string * Config_ir.t) list ->
+  (bool * string list) * Lightyear.result option
+(** The whole-network check that closes {!run_no_transit} and
+    {!run_incremental}: [((ok, violations), proof)], where [Simulate] runs
+    {!Modularizer.no_transit_holds} and answers no proof, [Prove] runs
+    {!Lightyear.prove_no_transit}, and [Both] requires both to pass. The
+    answer is looked up first in one process-wide {!Netcore.Memo_table}
+    keyed on all three arguments, shared by every loop, seed, pool domain
+    and [serve] request and emptied by {!Netcore.Memo_table.reset}. It is
+    the oracle inside the loops' wrapped global verifier, so injected
+    faults, lies and trust cross-checks act on top of it and never enter
+    the table. *)
+
+val global_stats : unit -> Netcore.Memo_table.stats
+(** The whole-network verdict table's counters: one lookup per oracle
+    call. *)
+
 val run_no_transit :
   ?seed:int ->
   ?use_iips:bool ->

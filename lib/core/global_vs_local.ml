@@ -20,12 +20,12 @@ let p_converge = 0.01
 
 let run_global ?(seed = 42) ?(max_prompts = 30) ~routers () =
   ignore routers;
-  let rng = Llmsim.Rng.make seed in
+  let rng = Netcore.Rng.make seed in
   let rec go prompts switches strategy =
     if prompts >= max_prompts then
       { prompts; converged = false; strategy_switches = switches; final_strategy = strategy }
     else
-      let roll = Llmsim.Rng.float rng in
+      let roll = Netcore.Rng.float rng in
       if roll < p_converge then
         {
           prompts = prompts + 1;

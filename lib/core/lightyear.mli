@@ -12,7 +12,13 @@
     The proof is sound (a [Proved] result implies the simulation-based check
     passes — a property the test suite enforces) but conservative: the
     over-approximations in {!Symbolic.Compose} can refute configurations the
-    simulation accepts. *)
+    simulation accepts.
+
+    {!prove_no_transit} itself keeps nothing between calls. The VPP loops
+    reach it through {!Driver.check_global}, whose process-wide table keeps
+    each verdict keyed on the star and every config (a superset of the hub
+    this proof reads), so a network any loop has proved before is not
+    proved again. *)
 
 open Netcore
 open Policy

@@ -249,7 +249,7 @@ let build_plan (star : Star.t) =
    objects, which the verdict memo's key comparison then skips. Stars of
    different sizes share their first routers, so [Hashtbl.hash] gives 29
    sizes only 3 values; the spoke count tells them apart. *)
-module Plans = Exec.Memo.Table (struct
+module Plans = Netcore.Memo_table.Make (struct
   type t = Star.t
 
   let equal a b = compare a b = 0

@@ -431,9 +431,13 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
              ([
                ("served", J.Int (locked (fun () -> !served)));
                ("uptime_s", J.Float (Unix.gettimeofday () -. t0));
-               ("memo", J.Obj (memo_fields mm @ [ ("hit_rate", J.Float (Exec.Memo.hit_rate mm)) ]));
+               ( "memo",
+                 J.Obj (memo_fields mm @ [ ("hit_rate", J.Float (Netcore.Memo_table.hit_rate mm)) ])
+               );
                ("diff_memo", J.Obj (memo_fields (Campion.Differ.memo_stats ())));
                ("verdict_memo", J.Obj (memo_fields (Exec.Memo.verdict_stats ())));
+               ("render_memo", J.Obj (memo_fields (Llmsim.Chat.render_stats ())));
+               ("global_memo", J.Obj (memo_fields (Driver.global_stats ())));
                ( "pool",
                  J.Obj
                    [

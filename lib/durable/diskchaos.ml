@@ -104,7 +104,7 @@ let counters = ref zero
    fate sequence a given file sees is independent of what any other file
    does, and a resumed run re-draws the same fates for the writes it
    re-issues. *)
-let streams : (int * string, Llmsim.Rng.t) Hashtbl.t = Hashtbl.create 16
+let streams : (int * string, Netcore.Rng.t) Hashtbl.t = Hashtbl.create 16
 
 let locked f =
   Mutex.lock m;
@@ -141,7 +141,7 @@ let stream c ~salt ~path =
   | Some r -> r
   | None ->
       let r =
-        Llmsim.Rng.make
+        Netcore.Rng.make
           (c.seed + ((salt + 1) * 7_368_787) + (fnv1a path land 0x3FFFFFFFFF))
       in
       Hashtbl.replace streams (salt, path) r;
@@ -163,7 +163,7 @@ let write_fate ~path ~len =
       | Some c ->
           let n = count_op () in
           let r = stream c ~salt:1 ~path in
-          let offset () = if len = 0 then 0 else Llmsim.Rng.int r len in
+          let offset () = if len = 0 then 0 else Netcore.Rng.int r len in
           if crash_due c n then begin
             crashes_now ();
             Write_crash (offset ())
@@ -172,7 +172,7 @@ let write_fate ~path ~len =
             (* One uniform draw decides the fate (cumulative thresholds),
                so arming an extra rate never perturbs which writes an
                already-armed rate strikes. *)
-            let u = Llmsim.Rng.float r in
+            let u = Netcore.Rng.float r in
             let t1 = c.io_error_rate in
             let t2 = t1 +. c.enospc_rate in
             let t3 = t2 +. c.torn_rate in
@@ -207,7 +207,7 @@ let fsync_fate ~path =
           end
           else
             let r = stream c ~salt:2 ~path in
-            if Llmsim.Rng.bernoulli r c.fsync_fail_rate then begin
+            if Netcore.Rng.bernoulli r c.fsync_fail_rate then begin
               counters :=
                 { !counters with fsync_failures = !counters.fsync_failures + 1 };
               Fsync_error

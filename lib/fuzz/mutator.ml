@@ -51,7 +51,7 @@ let lines s = String.split_on_char '\n' s
 let unlines ls = String.concat "\n" ls
 
 (* Uniform index into a non-empty list/string; callers guard emptiness. *)
-let pick rng n = Llmsim.Rng.int rng (max 1 n)
+let pick rng n = Netcore.Rng.int rng (max 1 n)
 
 let bitflip rng s =
   if s = "" then s
@@ -147,19 +147,19 @@ let op_name k = if k >= 0 && k < n_ops then op_names.(k) else "?"
 let apply rng ~corpus k s =
   clip (if k = List.length ops then splice rng ~corpus s else (List.nth ops k) rng s)
 
-let mutate rng ~corpus s = apply rng ~corpus (Llmsim.Rng.int rng n_ops) s
+let mutate rng ~corpus s = apply rng ~corpus (Netcore.Rng.int rng n_ops) s
 
 (* The (seed, round) stream: a distinct odd multiplier pair keeps it
    disjoint from every chaos/jitter/worker stream in Resilience.Chaos. *)
 let stream_seed ~seed ~round = (seed * 2_654_435_761) + (round * 40_503) + 19
 
 let mutant ~seed ~round ~corpus =
-  let rng = Llmsim.Rng.make (stream_seed ~seed ~round) in
+  let rng = Netcore.Rng.make (stream_seed ~seed ~round) in
   match corpus with
   | [] -> ""
   | _ ->
       let base = List.nth corpus (pick rng (List.length corpus)) in
-      let n_ops = 1 + Llmsim.Rng.int rng 4 in
+      let n_ops = 1 + Netcore.Rng.int rng 4 in
       let rec go n s = if n = 0 then s else go (n - 1) (mutate rng ~corpus s) in
       go n_ops base
 
@@ -186,7 +186,7 @@ let score h ~op = if op >= 0 && op < n_ops then h.scores.(op) else 0
 
 let weighted_pick rng h =
   let total = Array.fold_left (fun acc s -> acc + 1 + s) 0 h.scores in
-  let r = Llmsim.Rng.int rng total in
+  let r = Netcore.Rng.int rng total in
   let rec go k acc =
     let acc = acc + 1 + h.scores.(k) in
     if r < acc || k = n_ops - 1 then k else go (k + 1) acc
@@ -194,12 +194,12 @@ let weighted_pick rng h =
   go 0 0
 
 let weighted_mutant ~seed ~round ~corpus ~history =
-  let rng = Llmsim.Rng.make (stream_seed ~seed ~round) in
+  let rng = Netcore.Rng.make (stream_seed ~seed ~round) in
   match corpus with
   | [] -> ("", [])
   | _ ->
       let base = List.nth corpus (pick rng (List.length corpus)) in
-      let rounds = 1 + Llmsim.Rng.int rng 4 in
+      let rounds = 1 + Netcore.Rng.int rng 4 in
       let rec go n s applied =
         if n = 0 then (s, List.rev applied)
         else

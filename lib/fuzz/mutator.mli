@@ -10,7 +10,7 @@ val max_mutant_bytes : int
 (** Mutants are clipped to this size so a runaway splice chain cannot turn
     the fuzz budget into an allocation benchmark. *)
 
-val mutate : Llmsim.Rng.t -> corpus:string list -> string -> string
+val mutate : Netcore.Rng.t -> corpus:string list -> string -> string
 (** Apply one randomly chosen operator. Total: never raises, any input. *)
 
 val mutant : seed:int -> round:int -> corpus:string list -> string

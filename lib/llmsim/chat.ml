@@ -9,14 +9,12 @@ type t = {
   correct : Config_ir.t;
   mutable live : Fault.t list;
   mutable fixed : Fault.t list;
-  rng : Rng.t;
+  rng : Netcore.Rng.t;
   iips : string list;
   regression_rate : float;
   reintroduction_rate : float;
   class_filter : Error_class.t -> bool;
   quality : float;
-  mutable rendered : (Fault.t list * string) option;
-      (* The last [draft]: the live faults it rendered, and the text. *)
 }
 
 let suppressed iips (cls : Error_class.t) =
@@ -43,13 +41,12 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
       correct;
       live = [];
       fixed = [];
-      rng = Rng.make seed;
+      rng = Netcore.Rng.make seed;
       iips;
       regression_rate = regression_rate *. (1.0 -. quality);
       reintroduction_rate = reintroduction_rate *. (1.0 -. quality);
       class_filter;
       quality;
-      rendered = None;
     }
   in
   let sampled =
@@ -59,7 +56,7 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
         (fun (f : Fault.t) ->
           class_filter f.Fault.class_
           && (not (suppressed iips f.Fault.class_))
-          && Rng.bernoulli t.rng
+          && Netcore.Rng.bernoulli t.rng
                ((Error_class.profile f.Fault.class_).Error_class.injection_rate
                *. (1.0 -. quality)))
         (Fault.opportunities dialect_ correct)
@@ -68,16 +65,30 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
   t.live <- sampled @ forced;
   t
 
-(* Many prompts leave the live faults as they were (an ignored or
-   unmatched prompt), so the text just rendered is the text again.
-   [Fault.render] is pure, so reusing it changes no byte. *)
+(* [Fault.render] is pure in (dialect, correct IR, live faults), and a
+   draft recurs: a prompt that changed nothing leaves the live faults as
+   they were, and every loop over one task starts from the same few fault
+   sets. So every chat shares one table of renders. The correct IRs come
+   from the memoised plan and are the same objects across loops, which
+   [compare] skips; [Hashtbl.hash] would stop near the IR's hostname and
+   the first fault, so both are hashed deeper. *)
+module Renders = Netcore.Memo_table.Make (struct
+  type t = Fault.dialect * Config_ir.t * Fault.t list
+
+  let equal a b = compare a b = 0
+
+  let hash (dialect, correct, live) =
+    Hashtbl.hash
+      (dialect, Hashtbl.hash_param 100 1000 correct, Hashtbl.hash_param 100 1000 live)
+end)
+
+let render_cap = 4096
+let renders = Renders.create ~cap:render_cap
+let render_stats () = Renders.stats renders
+
 let draft t =
-  match t.rendered with
-  | Some (live, text) when List.equal Fault.equal live t.live -> text
-  | _ ->
-      let text = Fault.render t.dialect_ t.correct t.live in
-      t.rendered <- Some (t.live, text);
-      text
+  Renders.find renders (t.dialect_, t.correct, t.live) (fun () ->
+      Fault.render t.dialect_ t.correct t.live)
 
 let correct t = t.correct
 let live_faults t = t.live
@@ -100,14 +111,14 @@ let remove_fault t f =
   t.fixed <- f :: t.fixed
 
 let maybe_regress t =
-  if Rng.bernoulli t.rng t.regression_rate then
-    match Rng.choice t.rng (injectable t) with
+  if Netcore.Rng.bernoulli t.rng t.regression_rate then
+    match Netcore.Rng.choice t.rng (injectable t) with
     | Some f -> t.live <- t.live @ [ f ]
     | None -> ()
 
 let maybe_reintroduce t =
-  if Rng.bernoulli t.rng t.reintroduction_rate then
-    match Rng.choice t.rng t.fixed with
+  if Netcore.Rng.bernoulli t.rng t.reintroduction_rate then
+    match Netcore.Rng.choice t.rng t.fixed with
     | Some f when not (List.exists (Fault.equal f) t.live) ->
         t.live <- t.live @ [ f ];
         t.fixed <- List.filter (fun x -> not (Fault.equal x f)) t.fixed
@@ -129,14 +140,14 @@ let handle_ref t strength ref_ =
       in
       (* A better model converts correction prompts more reliably. *)
       let fix_p = base_fix +. ((1.0 -. base_fix) *. t.quality) in
-      if Rng.bernoulli t.rng fix_p then begin
+      if Netcore.Rng.bernoulli t.rng fix_p then begin
         remove_fault t fault;
         maybe_regress t;
         maybe_reintroduce t
       end
       else
         match (strength, profile.Error_class.successor) with
-        | Auto, Some successor when Rng.bernoulli t.rng morph_rate ->
+        | Auto, Some successor when Netcore.Rng.bernoulli t.rng morph_rate ->
             t.live <-
               List.map
                 (fun (f : Fault.t) ->

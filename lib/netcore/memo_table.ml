@@ -1,0 +1,102 @@
+type stats = { hits : int; misses : int; entries : int; evictions : int }
+
+(* What [reset] empties: one closure per table ever created. *)
+let registry_lock = Mutex.create ()
+let registry : (unit -> unit) list ref = ref []
+
+module Make (K : Hashtbl.HashedType) = struct
+  module H = Hashtbl.Make (K)
+
+  (* [order] holds the live keys oldest first — the eviction queue. An entry
+     is only ever removed by eviction or [reset], so the queue and the table
+     stay in lockstep (every queued key is live, every live key queued
+     exactly once). Every field is guarded by [lock]. *)
+  type 'v t = {
+    lock : Mutex.t;
+    table : 'v H.t;
+    order : K.t Queue.t;
+    cap : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let clear t =
+    Mutex.protect t.lock (fun () ->
+        H.reset t.table;
+        Queue.clear t.order;
+        t.hits <- 0;
+        t.misses <- 0;
+        t.evictions <- 0)
+
+  let create ~cap =
+    let t =
+      {
+        lock = Mutex.create ();
+        table = H.create 16;
+        order = Queue.create ();
+        cap = max 1 cap;
+        hits = 0;
+        misses = 0;
+        evictions = 0;
+      }
+    in
+    Mutex.protect registry_lock (fun () -> registry := (fun () -> clear t) :: !registry);
+    t
+
+  (* At the cap, drop the oldest eighth of the table instead of the whole
+     thing: a full reset craters the hit rate mid-sweep (and would do so
+     repeatedly in a warm long-lived server), while a bounded batch keeps
+     the ~recent 7/8 of the working set hot. Batch size >= 1 so the insert
+     after it always fits. Caller holds [lock]. *)
+  let evict_batch t =
+    for _ = 1 to max 1 (t.cap / 8) do
+      match Queue.take_opt t.order with
+      | None -> ()
+      | Some k ->
+          H.remove t.table k;
+          t.evictions <- t.evictions + 1
+    done
+
+  let find_result t key compute =
+    let cached =
+      Mutex.protect t.lock (fun () ->
+          let v = H.find_opt t.table key in
+          if Option.is_some v then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+          v)
+    in
+    match cached with
+    | Some v -> Ok v
+    | None -> (
+        match compute () with
+        | Error _ as e -> e
+        | Ok v ->
+            Mutex.protect t.lock (fun () ->
+                if not (H.mem t.table key) then begin
+                  if H.length t.table >= t.cap then evict_batch t;
+                  H.add t.table key v;
+                  Queue.push key t.order
+                end);
+            Ok v)
+
+  let find t key compute =
+    match find_result t key (fun () -> Ok (compute ())) with
+    | Ok v -> v
+    | Error () -> assert false
+
+  let stats t =
+    Mutex.protect t.lock (fun () ->
+        {
+          hits = t.hits;
+          misses = t.misses;
+          entries = H.length t.table;
+          evictions = t.evictions;
+        })
+end
+
+let hit_rate s =
+  let total = s.hits + s.misses in
+  if total = 0 then 0. else float_of_int s.hits /. float_of_int total
+
+let reset () =
+  List.iter (fun clear -> clear ()) (Mutex.protect registry_lock (fun () -> !registry))

@@ -1,6 +1,7 @@
-(** Deterministic splittable RNG (splitmix64). All stochastic behaviour of
-    the simulated LLM flows from one seed, so every experiment is exactly
-    reproducible. *)
+(** Deterministic splittable RNG (splitmix64). Every stochastic stream —
+    the simulated LLM, the chaos and disk-fault schedules, the adversaries
+    and the fuzz mutator — flows from a seed, so every experiment is
+    exactly reproducible. *)
 
 type t
 

@@ -59,7 +59,7 @@ let timeout_ticks = 4
    default retry backoff (so crashes trip the breaker) but short enough
    that a breaker cooldown gives the verifier a realistic chance to have
    restarted by half-open time. *)
-let outage rng = 8 + Llmsim.Rng.int rng 17
+let outage rng = 8 + Netcore.Rng.int rng 17
 
 (* Distinct large odd multipliers keep the (seed, salt, kind) streams
    disjoint under splitmix64's additive-gamma construction. *)
@@ -69,23 +69,23 @@ let stream_seed c ~salt kind =
 let arm c ~salt ~clock v =
   if verifier_rates_zero c then ()
   else begin
-    let rng = Llmsim.Rng.make (stream_seed c ~salt (Verifier.kind v)) in
+    let rng = Netcore.Rng.make (stream_seed c ~salt (Verifier.kind v)) in
     let down_until = ref 0 in
     Verifier.install v (fun input ->
         let now = Clock.now clock in
         if now < !down_until then
           Error (Verifier.Crashed { down_ticks = !down_until - now })
-        else if Llmsim.Rng.bernoulli rng c.crash_rate then begin
+        else if Netcore.Rng.bernoulli rng c.crash_rate then begin
           let d = outage rng in
           down_until := now + d;
           Error (Verifier.Crashed { down_ticks = d })
         end
-        else if Llmsim.Rng.bernoulli rng c.timeout_rate then begin
+        else if Netcore.Rng.bernoulli rng c.timeout_rate then begin
           Clock.advance clock timeout_ticks;
           Error (Verifier.Timed_out { ticks = timeout_ticks })
         end
-        else if Llmsim.Rng.bernoulli rng c.flake_rate then Error Verifier.Flaked
-        else if Llmsim.Rng.bernoulli rng c.truncate_rate then Error Verifier.Truncated
+        else if Netcore.Rng.bernoulli rng c.flake_rate then Error Verifier.Flaked
+        else if Netcore.Rng.bernoulli rng c.truncate_rate then Error Verifier.Truncated
         else Verifier.run_oracle v input)
   end
 
@@ -101,12 +101,12 @@ let worker_plan ?(in_flight = 0.) c ~salt : Exec.Supervisor.plan =
     if c.worker_loss_rate <= 0. then None
     else
       let rng =
-        Llmsim.Rng.make
+        Netcore.Rng.make
           (c.seed + (salt * 1_000_003) + (index * 9_368_843) + (attempt * 5_754_853))
       in
-      if not (Llmsim.Rng.bernoulli rng c.worker_loss_rate) then None
+      if not (Netcore.Rng.bernoulli rng c.worker_loss_rate) then None
         (* The mode draw comes from the same stream, after the loss draw —
            it never perturbs the loss schedule itself. *)
-      else if in_flight > 0. && Llmsim.Rng.bernoulli rng in_flight then
+      else if in_flight > 0. && Netcore.Rng.bernoulli rng in_flight then
         Some Exec.Supervisor.In_flight
       else Some Exec.Supervisor.At_dispatch

@@ -14,5 +14,5 @@ let backoff p rng ~failures =
   let exp = p.base_backoff * (1 lsl min (failures - 1) 20) in
   let capped = max 0 (min p.max_backoff exp) in
   let jitter_bound = int_of_float (p.jitter *. float_of_int capped) in
-  let jitter = if jitter_bound <= 0 then 0 else Llmsim.Rng.int rng (jitter_bound + 1) in
+  let jitter = if jitter_bound <= 0 then 0 else Netcore.Rng.int rng (jitter_bound + 1) in
   capped + jitter

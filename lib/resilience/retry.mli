@@ -14,6 +14,6 @@ type policy = {
 val default : policy
 (** 3 attempts, backoff 2 ticks doubling to a cap of 16, jitter 0.5. *)
 
-val backoff : policy -> Llmsim.Rng.t -> failures:int -> int
+val backoff : policy -> Netcore.Rng.t -> failures:int -> int
 (** Ticks to wait before the next attempt, after [failures] (>= 1)
     consecutive failures. Deterministic given the RNG state. *)

@@ -9,7 +9,7 @@ type t = {
   cfg : config;
   salt : int;
   clock : Clock.t;
-  jitter_rng : Llmsim.Rng.t;
+  jitter_rng : Netcore.Rng.t;
   breakers : Breaker.t array;
   mutable round_deadline : int;
 }
@@ -22,7 +22,7 @@ let create ?(salt = 0) cfg =
     clock;
     (* A stream disjoint from every Chaos.arm stream (kind multipliers
        start at 1 * 7_368_787). *)
-    jitter_rng = Llmsim.Rng.make (cfg.chaos.Chaos.seed + (salt * 1_000_003) + 97);
+    jitter_rng = Netcore.Rng.make (cfg.chaos.Chaos.seed + (salt * 1_000_003) + 97);
     breakers =
       (let kinds = Array.of_list Verifier.all_kinds in
        Array.map (fun k -> Breaker.create (Policies.for_kind k).Policies.breaker) kinds);

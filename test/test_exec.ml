@@ -152,7 +152,7 @@ let test_memo_hits () =
   let s2 = Exec.Memo.stats () in
   check int_t "all hits on second pass" (List.length corpus) s2.Exec.Memo.hits;
   check int_t "no new misses" s1.Exec.Memo.misses s2.Exec.Memo.misses;
-  check bool_t "hit rate 0.5" true (abs_float (Exec.Memo.hit_rate s2 -. 0.5) < 1e-9);
+  check bool_t "hit rate 0.5" true (abs_float (Netcore.Memo_table.hit_rate s2 -. 0.5) < 1e-9);
   (* Same text under the other dialect is a distinct key. *)
   let d, t = List.hd corpus in
   let other =
@@ -645,7 +645,7 @@ let test_memo_eviction () =
   | Error _ -> Alcotest.fail "cached Ok expected");
   check bool_t "recent key survives the cap (no re-parse)" false !ran;
   check bool_t "hit rate > 0 across the cap" true
-    (Exec.Memo.hit_rate (Exec.Memo.stats ()) > 0.);
+    (Netcore.Memo_table.hit_rate (Exec.Memo.stats ()) > 0.);
   (* And the oldest keys are the ones that went (FIFO). *)
   let ran0 = ref false in
   ignore
@@ -1047,6 +1047,51 @@ let test_serve_stats_verdict_memo () =
           ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
       Thread.join server)
 
+(* The stats reply reports the render table under [render_memo] and the
+   whole-network verdicts under [global_memo]; a synth job drafts every
+   router and checks the network there. *)
+let test_serve_stats_render_global_memo () =
+  with_serve_dir (fun socket_path ->
+      let module J = Netcore.Json in
+      let cfg = { Cosynth.Service.default_config with Cosynth.Service.domains = Some 1 } in
+      let server =
+        Thread.create
+          (fun () ->
+            ignore (Cosynth.Service.serve ~socket_path cfg : Cosynth.Service.summary))
+          ()
+      in
+      Exec.Serve.with_connection ~socket_path (fun fd ->
+          let stats () = Exec.Serve.request fd (J.Obj [ ("job", J.String "stats") ]) in
+          let field obj k r =
+            Option.bind (J.member obj r) (fun o -> Option.bind (J.member k o) J.to_int)
+          in
+          let lookups obj r =
+            match (field obj "hits" r, field obj "misses" r) with
+            | Some h, Some m -> h + m
+            | _ -> Alcotest.fail ("stats has no " ^ obj ^ " hits and misses")
+          in
+          let before = stats () in
+          List.iter
+            (fun obj ->
+              List.iter
+                (fun k -> check bool_t (obj ^ " has " ^ k) true (field obj k before <> None))
+                [ "hits"; "misses"; "entries"; "evictions" ])
+            [ "render_memo"; "global_memo" ];
+          let r =
+            Exec.Serve.request fd
+              (J.Obj [ ("job", J.String "synth"); ("seed", J.Int 7); ("routers", J.Int 5) ])
+          in
+          check bool_t "synth answered" true
+            (Option.bind (J.member "ok" r) J.to_bool = Some true);
+          let after = stats () in
+          List.iter
+            (fun obj ->
+              check bool_t (obj ^ " lookups grow after a synth job") true
+                (lookups obj after > lookups obj before))
+            [ "render_memo"; "global_memo" ];
+          ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
+      Thread.join server)
+
 (* ------------------------------------------------------------------ *)
 (* Sweep: certificate-aware budgeted scheduling                        *)
 (* ------------------------------------------------------------------ *)
@@ -1257,6 +1302,8 @@ let () =
             test_serve_stats_diff_memo;
           Alcotest.test_case "stats count verdict-memo lookups" `Quick
             test_serve_stats_verdict_memo;
+          Alcotest.test_case "stats count render- and global-memo lookups" `Quick
+            test_serve_stats_render_global_memo;
         ] );
       ( "global-phase",
         [

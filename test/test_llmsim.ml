@@ -1,5 +1,5 @@
-(* Tests for the simulated GPT-4: RNG determinism, fault opportunities and
-   rendering, and the conversation dynamics. *)
+(* Tests for the simulated GPT-4: fault opportunities and rendering, the
+   conversation dynamics, and the table its drafts are kept in. *)
 
 open Netcore
 open Policy
@@ -12,39 +12,6 @@ let contains ~sub s =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
-
-(* ------------------------------------------------------------------ *)
-(* Rng                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_rng_deterministic () =
-  let a = Llmsim.Rng.make 7 and b = Llmsim.Rng.make 7 in
-  let seq r = List.init 20 (fun _ -> Llmsim.Rng.int r 1000) in
-  check bool_t "same seed same sequence" true (seq a = seq b);
-  let c = Llmsim.Rng.make 8 in
-  check bool_t "different seed different sequence" false (seq (Llmsim.Rng.make 7) = seq c)
-
-let test_rng_float_range () =
-  let r = Llmsim.Rng.make 1 in
-  for _ = 1 to 1000 do
-    let f = Llmsim.Rng.float r in
-    if f < 0.0 || f >= 1.0 then Alcotest.failf "float out of range: %f" f
-  done
-
-let test_rng_choice () =
-  let r = Llmsim.Rng.make 2 in
-  check bool_t "empty" true (Llmsim.Rng.choice r [] = None);
-  for _ = 1 to 100 do
-    match Llmsim.Rng.choice r [ 1; 2; 3 ] with
-    | Some x when x >= 1 && x <= 3 -> ()
-    | _ -> Alcotest.fail "choice outside list"
-  done
-
-let test_rng_split_independent () =
-  let r = Llmsim.Rng.make 3 in
-  let a, b = Llmsim.Rng.split r in
-  let seq r = List.init 10 (fun _ -> Llmsim.Rng.int r 1000) in
-  check bool_t "split streams differ" false (seq a = seq b)
 
 (* ------------------------------------------------------------------ *)
 (* Fault opportunities and rendering                                   *)
@@ -307,6 +274,7 @@ let test_chat_regression_possible () =
    Drive both dialects through every path [respond] has, and after every
    step the draft must be exactly a fresh render of the live faults. *)
 let test_chat_draft_reuse () =
+  Netcore.Memo_table.reset ();
   let paths = Hashtbl.create 8 in
   let saw path = Hashtbl.replace paths path () in
   let mem f fs = List.exists (Llmsim.Fault.equal f) fs in
@@ -364,7 +332,129 @@ let test_chat_draft_reuse () =
     [ (Llmsim.Fault.Junos_cfg, correct_junos); (Llmsim.Fault.Cisco_cfg, hub_correct) ];
   List.iter
     (fun path -> check bool_t (path ^ " path reached") true (Hashtbl.mem paths path))
-    [ "unchanged"; "fix"; "regress"; "reintroduce"; "morph" ]
+    [ "unchanged"; "fix"; "regress"; "reintroduce"; "morph" ];
+  check bool_t "drafts came from the shared table" true
+    ((Llmsim.Chat.render_stats ()).Netcore.Memo_table.hits > 0)
+
+(* ------------------------------------------------------------------ *)
+(* The render table                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let render_stats = Llmsim.Chat.render_stats
+
+(* A chat whose draft carries exactly [faults], in order. *)
+let forced dialect correct faults =
+  Llmsim.Chat.start ~suppress_random:true ~force_faults:faults dialect ~correct
+
+(* Each part of the key — the correct IR, the dialect, the order of the live
+   faults — tells two drafts apart: changing one is a miss that renders
+   afresh, and repeating a key is a hit. *)
+let test_render_memo_key () =
+  Netcore.Memo_table.reset ();
+  let spokes = List.tl (Cosynth.Modularizer.plan star) in
+  let r2 = (List.nth spokes 0).Cosynth.Modularizer.correct in
+  let r3 = (List.nth spokes 1).Cosynth.Modularizer.correct in
+  let faults =
+    match Llmsim.Fault.opportunities Llmsim.Fault.Cisco_cfg r2 with
+    | f1 :: f2 :: _ -> [ f1; f2 ]
+    | _ -> Alcotest.fail "a spoke offers two faults"
+  in
+  let draft label dialect correct faults ~miss =
+    let s0 = render_stats () in
+    let text = Llmsim.Chat.draft (forced dialect correct faults) in
+    let s1 = render_stats () in
+    check Alcotest.string (label ^ ": equals a fresh render")
+      (Llmsim.Fault.render dialect correct faults)
+      text;
+    check int_t (label ^ ": misses")
+      (s0.Netcore.Memo_table.misses + if miss then 1 else 0)
+      s1.Netcore.Memo_table.misses;
+    check int_t (label ^ ": hits")
+      (s0.Netcore.Memo_table.hits + if miss then 0 else 1)
+      s1.Netcore.Memo_table.hits;
+    text
+  in
+  let a = draft "R2" Llmsim.Fault.Cisco_cfg r2 faults ~miss:true in
+  ignore (draft "R2 again" Llmsim.Fault.Cisco_cfg r2 faults ~miss:false : string);
+  let b = draft "R3, same faults" Llmsim.Fault.Cisco_cfg r3 faults ~miss:true in
+  check bool_t "another IR, another text" true (a <> b);
+  let c = draft "R2 in Junos" Llmsim.Fault.Junos_cfg r2 faults ~miss:true in
+  check bool_t "another dialect, another text" true (a <> c);
+  ignore (draft "R2, faults reversed" Llmsim.Fault.Cisco_cfg r2 (List.rev faults) ~miss:true
+          : string)
+
+(* Past the cap the oldest eighth goes; an evicted draft renders afresh,
+   and a reset empties the table. *)
+let test_render_memo_eviction () =
+  Netcore.Memo_table.reset ();
+  let cap = Llmsim.Chat.render_cap in
+  let ir i = Config_ir.empty (Printf.sprintf "evict%d" i) in
+  let draft i = Llmsim.Chat.draft (forced Llmsim.Fault.Cisco_cfg (ir i) []) in
+  for i = 0 to cap do
+    ignore (draft i : string)
+  done;
+  let s = render_stats () in
+  check bool_t "bounded" true (s.Netcore.Memo_table.entries <= cap);
+  check int_t "one batch evicted" (cap / 8) s.Netcore.Memo_table.evictions;
+  check Alcotest.string "the oldest re-renders"
+    (Llmsim.Fault.render Llmsim.Fault.Cisco_cfg (ir 0) [])
+    (draft 0);
+  check int_t "the oldest was evicted" (s.Netcore.Memo_table.misses + 1)
+    (render_stats ()).Netcore.Memo_table.misses;
+  ignore (draft cap : string);
+  check int_t "the newest is kept" (s.Netcore.Memo_table.hits + 1)
+    (render_stats ()).Netcore.Memo_table.hits;
+  Netcore.Memo_table.reset ();
+  check int_t "reset empties it" 0 (render_stats ()).Netcore.Memo_table.entries
+
+(* Two domains drafting the same conversations race on one table. Alcotest
+   is not domain-safe, so a domain raises a plain exception, which
+   [Domain.join] re-raises here. *)
+let test_render_memo_domains () =
+  Netcore.Memo_table.reset ();
+  let tasks =
+    [ (Llmsim.Fault.Cisco_cfg, hub_correct); (Llmsim.Fault.Junos_cfg, correct_junos) ]
+  in
+  let work () =
+    for seed = 1 to 20 do
+      List.iter
+        (fun (dialect, correct) ->
+          let chat = Llmsim.Chat.start ~seed ~regression_rate:0.3 dialect ~correct in
+          for step = 0 to 5 do
+            let fresh = Llmsim.Fault.render dialect correct (Llmsim.Chat.live_faults chat) in
+            if Llmsim.Chat.draft chat <> fresh then
+              failwith
+                (Printf.sprintf "seed %d step %d: draft differs from a fresh render" seed step);
+            match Llmsim.Chat.live_faults chat with
+            | f :: _ -> Llmsim.Chat.respond chat (Llmsim.Chat.auto_prompt f)
+            | [] -> ()
+          done)
+        tasks
+    done
+  in
+  List.iter Domain.join (List.init 2 (fun _ -> Domain.spawn work));
+  check bool_t "the domains shared drafts" true
+    ((render_stats ()).Netcore.Memo_table.hits > 0)
+
+(* The Byzantine LLM corrupts the text after [Chat.draft] returns, so what
+   it sends never enters the table: the next honest draft is the render. *)
+let test_render_memo_adversary () =
+  List.iter
+    (fun mode ->
+      Netcore.Memo_table.reset ();
+      let adv =
+        Adversary.Llm.create (Adversary.Llm.with_rate Adversary.Llm.none mode 1.0)
+      in
+      for seed = 1 to 5 do
+        let chat = Llmsim.Chat.start ~seed Llmsim.Fault.Cisco_cfg ~correct:hub_correct in
+        let fresh =
+          Llmsim.Fault.render Llmsim.Fault.Cisco_cfg hub_correct (Llmsim.Chat.live_faults chat)
+        in
+        let label = Printf.sprintf "%s seed %d" (Adversary.Llm.mode_name mode) seed in
+        check bool_t (label ^ ": mangled") true (Adversary.Llm.draft adv chat <> fresh);
+        check Alcotest.string (label ^ ": honest draft") fresh (Llmsim.Chat.draft chat)
+      done)
+    [ Adversary.Llm.Truncated; Adversary.Llm.Wrong_dialect; Adversary.Llm.Off_topic ]
 
 (* Property: rendering with any single fault still yields text the parser
    survives (corrupted drafts never crash the verifiers). *)
@@ -397,13 +487,6 @@ let props = List.map QCheck_alcotest.to_alcotest [ prop_render_total; prop_rende
 let () =
   Alcotest.run "llmsim"
     [
-      ( "rng",
-        [
-          Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
-          Alcotest.test_case "float range" `Quick test_rng_float_range;
-          Alcotest.test_case "choice" `Quick test_rng_choice;
-          Alcotest.test_case "split" `Quick test_rng_split_independent;
-        ] );
       ( "faults",
         [
           Alcotest.test_case "junos opportunities" `Quick test_junos_opportunities;
@@ -430,6 +513,13 @@ let () =
           Alcotest.test_case "regression possible" `Quick test_chat_regression_possible;
           Alcotest.test_case "draft reuse matches a fresh render" `Quick
             test_chat_draft_reuse;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "key soundness" `Quick test_render_memo_key;
+          Alcotest.test_case "eviction past the cap" `Quick test_render_memo_eviction;
+          Alcotest.test_case "two domains" `Quick test_render_memo_domains;
+          Alcotest.test_case "mangled drafts never cached" `Quick test_render_memo_adversary;
         ] );
       ("properties", props);
     ]

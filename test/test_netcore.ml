@@ -396,9 +396,49 @@ let props =
       prop_as_path_round_trip;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Rng                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_rng_deterministic () =
+  let a = Rng.make 7 and b = Rng.make 7 in
+  let seq r = List.init 20 (fun _ -> Rng.int r 1000) in
+  check bool_t "same seed same sequence" true (seq a = seq b);
+  let c = Rng.make 8 in
+  check bool_t "different seed different sequence" false (seq (Rng.make 7) = seq c)
+
+let test_rng_float_range () =
+  let r = Rng.make 1 in
+  for _ = 1 to 1000 do
+    let f = Rng.float r in
+    if f < 0.0 || f >= 1.0 then Alcotest.failf "float out of range: %f" f
+  done
+
+let test_rng_choice () =
+  let r = Rng.make 2 in
+  check bool_t "empty" true (Rng.choice r [] = None);
+  for _ = 1 to 100 do
+    match Rng.choice r [ 1; 2; 3 ] with
+    | Some x when x >= 1 && x <= 3 -> ()
+    | _ -> Alcotest.fail "choice outside list"
+  done
+
+let test_rng_split_independent () =
+  let r = Rng.make 3 in
+  let a, b = Rng.split r in
+  let seq r = List.init 10 (fun _ -> Rng.int r 1000) in
+  check bool_t "split streams differ" false (seq a = seq b)
+
 let () =
   Alcotest.run "netcore"
     [
+      ( "rng",
+        [
+          Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+          Alcotest.test_case "float range" `Quick test_rng_float_range;
+          Alcotest.test_case "choice" `Quick test_rng_choice;
+          Alcotest.test_case "split" `Quick test_rng_split_independent;
+        ] );
       ( "ipv4",
         [
           Alcotest.test_case "parse/print" `Quick test_ipv4_parse_print;

@@ -17,7 +17,7 @@ let cisco_text = Cisco.Samples.border_router
 
 let test_retry_deterministic () =
   let seq seed =
-    let rng = Llmsim.Rng.make seed in
+    let rng = Netcore.Rng.make seed in
     List.init 10 (fun i ->
         Resilience.Retry.backoff Resilience.Retry.default rng ~failures:(i + 1))
   in
@@ -26,7 +26,7 @@ let test_retry_deterministic () =
 
 let test_retry_bounds () =
   let p = Resilience.Retry.default in
-  let rng = Llmsim.Rng.make 3 in
+  let rng = Netcore.Rng.make 3 in
   for failures = 1 to 12 do
     let exp =
       min p.Resilience.Retry.max_backoff
@@ -399,6 +399,130 @@ let test_memo_failures_bypass_table () =
   check int_t "success cached" 1 s3.Exec.Memo.entries;
   check int_t "third call is a hit" 1 s3.Exec.Memo.hits
 
+(* The whole-network verdict table is the oracle inside the wrapped global
+   verifier: chaos and lies act on top of it, so what they inject never
+   enters the table. After a chaos loop and a lying loop, a rate-0 loop over
+   the same star reads the uncached sim and proof, and so does every network
+   the three loops ended on. *)
+let test_global_memo_survives_faults () =
+  Exec.Memo.reset ();
+  let routers = 5 and seeds = List.init 8 succ in
+  let star = Netcore.Star.make ~routers in
+  let lookups () =
+    let s = Cosynth.Driver.global_stats () in
+    s.Netcore.Memo_table.hits + s.Netcore.Memo_table.misses
+  in
+  let sim_failures () =
+    (List.assoc Resilience.Verifier.Bgp_sim (Resilience.Stats.snapshot ()))
+      .Resilience.Stats.failures
+  in
+  let run ?resilience ?adversary seed =
+    Cosynth.Driver.run_no_transit ~seed ~final_check:Cosynth.Driver.Both ?resilience
+      ?adversary ~routers ()
+  in
+  let loops label f =
+    let before = lookups () in
+    let rs = List.map f seeds in
+    check bool_t (label ^ ": the loops reached the table") true (lookups () > before);
+    List.map (fun r -> (label, r)) rs
+  in
+  let failures = sim_failures () in
+  let chaos =
+    loops "chaos"
+      (run ~resilience:(chaos_config ~crash:0.08 ~timeout:0.08 ~flake:0.08 ~truncate:0.08 99))
+  in
+  check bool_t "chaos: faults hit the global check" true (sim_failures () > failures);
+  let lying =
+    loops "lies"
+      (run
+         ~adversary:
+           (Adversary.Spec.make
+              ~verifier:
+                (Adversary.Verifier.make ~false_negative:0.3 ~false_positive:0.1 ~mutated:0.2
+                   ~seed:7 ())
+              ()))
+  in
+  let clean = loops "rate 0" run in
+  let uncached configs =
+    let ok, violations = Cosynth.Modularizer.no_transit_holds star configs in
+    let proof = Cosynth.Lightyear.prove_no_transit star configs in
+    (ok && proof = Cosynth.Lightyear.Proved, violations, proof)
+  in
+  List.iter
+    (fun (label, (r : Cosynth.Driver.synthesis_result)) ->
+      let ok, violations, proof = uncached r.Cosynth.Driver.configs in
+      let (ok', violations'), proof' =
+        Cosynth.Driver.check_global Cosynth.Driver.Both star r.Cosynth.Driver.configs
+      in
+      check bool_t (label ^ ": verdict") ok ok';
+      check bool_t (label ^ ": proof") true (proof' = Some proof);
+      check bool_t (label ^ ": the sim's violations lead") true
+        (List.filteri (fun i _ -> i < List.length violations) violations' = violations))
+    (chaos @ lying @ clean);
+  List.iter
+    (fun (_, (r : Cosynth.Driver.synthesis_result)) ->
+      let ok, _, proof = uncached r.Cosynth.Driver.configs in
+      check bool_t "rate-0 loop: global_ok" ok r.Cosynth.Driver.global_ok;
+      check bool_t "rate-0 loop: proof" true (r.Cosynth.Driver.proof = Some proof))
+    clean
+
+(* The key holds every config the sim reads: editing one spoke misses the
+   table and answers that network's own verdict. So does another
+   [final_check] over the same network. *)
+let test_global_memo_key () =
+  Exec.Memo.reset ();
+  let star = Netcore.Star.make ~routers:5 in
+  let configs =
+    List.map
+      (fun (t : Cosynth.Modularizer.router_task) ->
+        (t.Cosynth.Modularizer.router, t.Cosynth.Modularizer.correct))
+      (Cosynth.Modularizer.plan star)
+  in
+  let stats () = Cosynth.Driver.global_stats () in
+  let global check_kind configs = Cosynth.Driver.check_global check_kind star configs in
+  let ((ok, _), _) = global Cosynth.Driver.Both configs in
+  check bool_t "the planned network holds" true ok;
+  ignore (global Cosynth.Driver.Both configs);
+  check int_t "the same network hits" 1 (stats ()).Netcore.Memo_table.hits;
+  (* R3 stops speaking BGP: ISP-3 and the CUSTOMER lose each other, which
+     only the sim sees; the proof reads the hub alone. *)
+  let silenced =
+    List.map
+      (fun (name, (ir : Policy.Config_ir.t)) ->
+        if name = "R3" then (name, { ir with Policy.Config_ir.bgp = None }) else (name, ir))
+      configs
+  in
+  let misses = (stats ()).Netcore.Memo_table.misses in
+  let ((ok', violations), proof) = global Cosynth.Driver.Both silenced in
+  check int_t "an edited spoke misses" (misses + 1) (stats ()).Netcore.Memo_table.misses;
+  check bool_t "and fails the sim" false ok';
+  check bool_t "with the sim's violations" true
+    (violations <> []
+    && fst (Cosynth.Modularizer.no_transit_holds star silenced) = false);
+  check bool_t "while the hub still proves" true (proof = Some Cosynth.Lightyear.Proved);
+  ignore (global Cosynth.Driver.Simulate configs);
+  check int_t "another final check misses" (misses + 2) (stats ()).Netcore.Memo_table.misses
+
+(* [Exec.Memo.reset] empties every table in the process, the render and
+   whole-network tables included. *)
+let test_memo_reset_empties_new_tables () =
+  let star = Netcore.Star.make ~routers:4 in
+  let hub = List.hd (Cosynth.Modularizer.plan star) in
+  let chat =
+    Llmsim.Chat.start ~seed:1 Llmsim.Fault.Cisco_cfg ~correct:hub.Cosynth.Modularizer.correct
+  in
+  ignore (Llmsim.Chat.draft chat : string);
+  ignore
+    (Cosynth.Driver.check_global Cosynth.Driver.Simulate star
+       [ (hub.Cosynth.Modularizer.router, hub.Cosynth.Modularizer.correct) ]);
+  let filled (s : Netcore.Memo_table.stats) = s.entries > 0 && s.misses > 0 in
+  check bool_t "render table filled" true (filled (Llmsim.Chat.render_stats ()));
+  check bool_t "global table filled" true (filled (Cosynth.Driver.global_stats ()));
+  Exec.Memo.reset ();
+  let empty = { Netcore.Memo_table.hits = 0; misses = 0; entries = 0; evictions = 0 } in
+  check bool_t "render table empty" true (Llmsim.Chat.render_stats () = empty);
+  check bool_t "global table empty" true (Cosynth.Driver.global_stats () = empty)
+
 (* ------------------------------------------------------------------ *)
 (* Property: any fault schedule terminates within budget               *)
 (* ------------------------------------------------------------------ *)
@@ -469,7 +593,7 @@ let prop_retry_backoff_bounds_extreme =
     ~name:"retry: backoff within [capped, capped + jitter*capped] for any policy"
     ~count:500 ~print:retry_extreme_print retry_extreme_gen
     (fun (p, failures, seed) ->
-      let rng = Llmsim.Rng.make seed in
+      let rng = Netcore.Rng.make seed in
       (* Mirror of the documented bound: exponential on failures with the
          shift capped (so huge failure counts cannot overflow), clamped to
          max_backoff, plus jitter in [0, jitter * capped]. *)
@@ -2075,6 +2199,11 @@ let () =
         [
           Alcotest.test_case "failures bypass the table" `Quick
             test_memo_failures_bypass_table;
+          Alcotest.test_case "global verdicts survive chaos and lies" `Quick
+            test_global_memo_survives_faults;
+          Alcotest.test_case "global verdict key" `Quick test_global_memo_key;
+          Alcotest.test_case "reset empties render and global tables" `Quick
+            test_memo_reset_empties_new_tables;
         ] );
       ( "durable",
         [
