@@ -192,6 +192,74 @@ let test_coverage () =
       "global";
     ]
 
+(* Rendered drafts: every single-fault draft of a fixed set of artifacts,
+   and every initial draft [Chat.start] makes for seeds 0-199, pinned by
+   digest in [render.digests]. The transcripts above reach only the drafts
+   their loops happen to visit; these rows pin the printers and every text
+   fault on their own. Each chat's live faults are also rendered reversed,
+   since text faults do not commute. *)
+
+let render_artifacts =
+  lazy
+    (let cisco text = fst (Cisco.Parser.parse text) in
+     let hub n =
+       let star = Netcore.Star.make ~routers:n in
+       (List.find
+          (fun (t : Cosynth.Modularizer.router_task) ->
+            t.Cosynth.Modularizer.router = star.Netcore.Star.hub)
+          (Cosynth.Modularizer.plan star))
+         .Cosynth.Modularizer.correct
+     in
+     let border = cisco Cisco.Samples.border_router
+     and edge = cisco Cisco.Samples.edge_router in
+     let junos = Juniper.Translate.of_cisco_ir in
+     let open Llmsim.Fault in
+     [
+       ("border", Cisco_cfg, border);
+       ("border", Junos_cfg, junos border);
+       ("edge", Cisco_cfg, edge);
+       ("edge", Junos_cfg, junos edge);
+     ]
+     @ List.map (fun n -> (Printf.sprintf "hub%d" n, Cisco_cfg, hub n)) [ 3; 7; 15; 31 ]
+     @ [ ("hub7", Junos_cfg, junos (hub 7)) ])
+
+let dialect_name = function Llmsim.Fault.Cisco_cfg -> "cisco" | Junos_cfg -> "junos"
+
+let render_rows () =
+  List.concat_map
+    (fun (name, dialect, ir) ->
+      let row what faults =
+        Printf.sprintf "%s %s %s %s" name (dialect_name dialect) what
+          (md5 (Llmsim.Fault.render dialect ir faults))
+      in
+      let singles =
+        row "clean" []
+        :: List.map
+             (fun f -> row ("fault " ^ Llmsim.Fault.to_string f) [ f ])
+             (Llmsim.Fault.opportunities dialect ir)
+      in
+      let chats =
+        List.concat_map
+          (fun (tag, iips) ->
+            List.concat_map
+              (fun seed ->
+                let live =
+                  Llmsim.Chat.live_faults (Llmsim.Chat.start ~seed ~iips dialect ~correct:ir)
+                in
+                let what order = Printf.sprintf "chat %s seed %d %s" tag seed order in
+                [ row (what "fwd") live; row (what "rev") (List.rev live) ])
+              (List.init 200 Fun.id))
+          [ ("no-iips", []); ("iips", Cosynth.Iip.ids Cosynth.Iip.defaults) ]
+      in
+      singles @ chats)
+    (Lazy.force render_artifacts)
+
+let test_render_digests () =
+  let expected = read_lines "render.digests" in
+  let actual = render_rows () in
+  Alcotest.(check int) "row count" (List.length expected) (List.length actual);
+  List.iter2 (fun e a -> Alcotest.(check string) "render row" e a) expected actual
+
 let () =
   Alcotest.run "golden"
     [
@@ -202,4 +270,6 @@ let () =
             test_warm_digests;
           Alcotest.test_case "matrix reaches every annotation path" `Quick test_coverage;
         ] );
+      ( "render",
+        [ Alcotest.test_case "drafts match the committed digests" `Quick test_render_digests ] );
     ]
