@@ -655,10 +655,15 @@ let apply_neighbor_outside_bgp addr text =
       unlines rest ^ String.trim line ^ "\n"
 
 let apply_match_community_literal (correct : Config_ir.t) map_name seq text =
-  (* Find the stanza header, then the first community match inside it, and
-     replace the list reference with the literal community. *)
-  let header_prefix = Printf.sprintf "route-map %s" map_name in
-  let header_suffix = Printf.sprintf " %d" seq in
+  (* Find the stanza header [route-map MAP ACTION SEQ], then the first
+     community match inside it, and replace the list reference with the
+     literal community. *)
+  let seq = string_of_int seq in
+  let is_stanza l =
+    match String.split_on_char ' ' (String.trim l) |> List.filter (( <> ) "") with
+    | [ "route-map"; name; _; s ] -> name = map_name && s = seq
+    | _ -> false
+  in
   let literal_of list_name =
     match Config_ir.find_community_list correct list_name with
     | Some { Community_list.entries = { Community_list.communities = c :: _; _ } :: _; _ } ->
@@ -669,10 +674,7 @@ let apply_match_community_literal (correct : Config_ir.t) map_name seq text =
     | [] -> List.rev acc
     | l :: rest ->
         let is_header = String.length l > 0 && l.[0] <> ' ' in
-        let entering =
-          contains ~sub:header_prefix l && contains ~sub:header_suffix l && is_header
-        in
-        let in_stanza = if is_header then entering else in_stanza in
+        let in_stanza = if is_header then is_stanza l else in_stanza in
         if (not done_) && in_stanza && contains ~sub:"match community " l then
           let toks = String.split_on_char ' ' (String.trim l) in
           match toks with

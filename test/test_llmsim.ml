@@ -146,6 +146,31 @@ let test_render_match_community_literal () =
        (fun d -> contains ~sub:"'match community" (Diag.to_string d) && Diag.is_error d)
        diags)
 
+(* The stanza header is matched on its tokens: RM1's "permit 100" stanza
+   comes first and contains both "route-map RM" and " 10", but the fault
+   targets RM's seq 10. *)
+let test_render_match_community_literal_exact_stanza () =
+  let ir, _ =
+    Cisco.Parser.parse
+      "hostname R\n\
+       ip community-list standard CL1 permit 100:1\n\
+       ip community-list standard CL2 permit 200:2\n\
+       route-map RM1 permit 100\n\
+      \ match community CL1\n\
+       route-map RM permit 10\n\
+      \ match community CL2\n"
+  in
+  let text =
+    Llmsim.Fault.render Llmsim.Fault.Cisco_cfg ir
+      [
+        Llmsim.Fault.make Llmsim.Error_class.Match_community_literal
+          (Llmsim.Fault.Policy_entry ("RM", 10));
+      ]
+  in
+  check bool_t "RM1 keeps its list" true (contains ~sub:"permit 100\n match community CL1\n" text);
+  check bool_t "RM matches the literal" true
+    (contains ~sub:"route-map RM permit 10\n match community 200:2\n" text)
+
 let test_render_ir_fault_changes_semantics () =
   let map_name = Cosynth.Modularizer.ingress_map_name "R2" in
   let text =
@@ -499,6 +524,8 @@ let () =
           Alcotest.test_case "and/or confusion" `Quick test_render_and_or_confusion;
           Alcotest.test_case "match community literal" `Quick
             test_render_match_community_literal;
+          Alcotest.test_case "match community literal: exact stanza" `Quick
+            test_render_match_community_literal_exact_stanza;
           Alcotest.test_case "semantic fault" `Quick test_render_ir_fault_changes_semantics;
         ] );
       ( "chat",
