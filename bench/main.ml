@@ -2306,6 +2306,109 @@ let table_d1 () =
   Printf.printf "  corrupt lines skipped and counted so far: %d\n"
     (Durable.Store.corrupt_seen ())
 
+(* ------------------------------------------------------------------ *)
+(* R1: the cost of one draft, per layer: render and parse              *)
+(* ------------------------------------------------------------------ *)
+
+(* Median microseconds per call of [f] over [xs], over [reps] timed passes
+   after one warm-up pass. *)
+let us_per_call ~reps f xs =
+  List.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+  let pass () =
+    let t0 = Unix.gettimeofday () in
+    List.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+    (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int (List.length xs)
+  in
+  let times = List.sort Float.compare (List.init reps (fun _ -> pass ())) in
+  List.nth times (reps / 2)
+
+(* The render and parse cost of a draft on the two samples and the
+   15-router hub, in both dialects: a clean render, one row per fault
+   class (each of its single-fault opportunities rendered once per pass),
+   and the parse of the clean text. Renders bypass the draft memo. The
+   gate checks that every clean render parses back without an error. *)
+let table_r1 () =
+  run_gate ~id:"R1" ~ok:"\n  R1: every clean render parses back without errors\n"
+    "R1 — draft cost per layer: render and parse"
+  @@ fun g ->
+  let reps = if smoke then 3 else 25 in
+  let hub15 =
+    let star = Star.make ~routers:15 in
+    (List.find
+       (fun (t : Cosynth.Modularizer.router_task) ->
+         t.Cosynth.Modularizer.router = star.Star.hub)
+       (Cosynth.Modularizer.plan star))
+      .Cosynth.Modularizer.correct
+  in
+  let edge_ir = fst (Cisco.Parser.parse Cisco.Samples.edge_router) in
+  let artifacts =
+    List.concat_map
+      (fun (name, ir) ->
+        [
+          (name, Llmsim.Fault.Cisco_cfg, ir);
+          (name, Llmsim.Fault.Junos_cfg, Juniper.Translate.of_cisco_ir ir);
+        ])
+      [ ("border", border_ir); ("edge", edge_ir); ("hub15", hub15) ]
+  in
+  let row name dialect layer calls us =
+    [
+      name;
+      (match dialect with Llmsim.Fault.Cisco_cfg -> "cisco" | Junos_cfg -> "junos");
+      layer;
+      string_of_int calls;
+      Printf.sprintf "%.1f" us;
+    ]
+  in
+  let rows =
+    List.concat_map
+      (fun (name, dialect, ir) ->
+        let render faults = Llmsim.Fault.render dialect ir faults in
+        let opportunities = Llmsim.Fault.opportunities dialect ir in
+        let classes =
+          List.fold_left
+            (fun acc (f : Llmsim.Fault.t) ->
+              if List.mem f.Llmsim.Fault.class_ acc then acc else acc @ [ f.Llmsim.Fault.class_ ])
+            [] opportunities
+        in
+        let text = render [] in
+        let parse, errors =
+          match dialect with
+          | Llmsim.Fault.Cisco_cfg ->
+              let parse t = snd (Cisco.Parser.parse t) in
+              (parse, List.filter Diag.is_error (parse text))
+          | Junos_cfg ->
+              let parse t = snd (Juniper.Parser.parse t) in
+              (parse, List.filter Diag.is_error (parse text))
+        in
+        List.iter
+          (fun d -> g.violation "%s: clean render does not parse: %s" name (Diag.to_string d))
+          errors;
+        (row name dialect "render clean" 1 (us_per_call ~reps render [ [] ])
+        :: List.map
+             (fun cls ->
+               let singles =
+                 List.filter_map
+                   (fun (f : Llmsim.Fault.t) ->
+                     if f.Llmsim.Fault.class_ = cls then Some [ f ] else None)
+                   opportunities
+               in
+               row name dialect
+                 ("render " ^ Llmsim.Error_class.to_string cls)
+                 (List.length singles) (us_per_call ~reps render singles))
+             classes)
+        @ [ row name dialect "parse" 1 (us_per_call ~reps parse [ text ]) ])
+      artifacts
+  in
+  print_string
+    (Cosynth.Report.table
+       ~title:
+         (Printf.sprintf
+            "median us per call over %d passes; calls = renders per pass (one per \
+             single-fault opportunity)"
+            reps)
+       ~header:[ "artifact"; "dialect"; "layer"; "calls"; "us/call" ]
+       rows)
+
 (* The gates, in precedence order: the first whose flag is given runs its
    tables alone; with none, the full harness runs.
    - C1 + C2 (`make chaos`): the VPP loops under injected verifier faults,
@@ -2324,6 +2427,8 @@ let table_d1 () =
      2x-capacity burst: shedding, deadlines and drain.
    - D1 (`make durable`): every persistence surface killed at every write
      point and recovered, plus CRC truncation and bit-flip sweeps.
+   - R1: the render and parse cost of one draft, per dialect and fault
+     class; every clean render must parse back without errors.
    Every gate exits nonzero on any violation. *)
 let gates =
   let budget name = name ^ if smoke then " (smoke budget)" else " (full budget)" in
@@ -2335,6 +2440,7 @@ let gates =
     ("--serve", budget "serve gate", [ table_s1 ]);
     ("--serve-overload", budget "serve overload gate", [ table_s2 ]);
     ("--durable", budget "durability gate", [ table_d1 ]);
+    ("--render", budget "draft cost table", [ table_r1 ]);
     ("--chaos", "chaos sweep only (full seeds)", [ table_c1; table_c2 ]);
   ]
 

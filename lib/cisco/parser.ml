@@ -60,8 +60,23 @@ let fresh () =
 let warn st ~line fmt = Printf.ksprintf (fun s -> st.diags <- Diag.warning ~line s :: st.diags) fmt
 let err st ~line fmt = Printf.ksprintf (fun s -> st.diags <- Diag.error ~line s :: st.diags) fmt
 
+let is_trimmed = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
 let tokens line =
-  String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
+  let n = String.length line in
+  let rec first i = if i < n && is_trimmed line.[i] then first (i + 1) else i in
+  let lo = first 0 in
+  let rec last j = if j > lo && is_trimmed line.[j - 1] then last (j - 1) else j in
+  (* Words are collected right to left, so the list needs no reversal. *)
+  let rec words acc j =
+    if j <= lo then acc
+    else if line.[j - 1] = ' ' then words acc (j - 1)
+    else
+      let rec start k = if k > lo && line.[k - 1] <> ' ' then start (k - 1) else k in
+      let k = start (j - 1) in
+      words (String.sub line k (j - k) :: acc) k
+  in
+  words [] (last n)
 
 (* The CLI keywords the paper's IIP bans: they belong to an interactive
    session, not a .cfg file. *)
@@ -733,29 +748,26 @@ let parse text =
   List.iteri
     (fun idx raw ->
       let line = idx + 1 in
-      let trimmed = String.trim raw in
-      let indented =
-        String.length raw > 0 && (raw.[0] = ' ' || raw.[0] = '\t') && trimmed <> ""
-      in
-      if trimmed = "" then ()
-      else if trimmed.[0] = '!' then ctx := Top
-      else
-        let toks = tokens trimmed in
-        match (!ctx, indented) with
-        | _, false ->
-            (* A flush-left line always re-enters top-level dispatch. *)
-            ctx := dispatch_top st ~line toks
-        | Top, true -> ctx := dispatch_top st ~line toks
-        | In_interface iface, true -> handle_interface_line st ~line iface toks
-        | In_bgp, true ->
-            if is_cli_keyword toks then
-              err st ~line
-                "'%s' is an interactive CLI command, not a configuration statement"
-                (String.concat " " toks)
-            else handle_bgp_line st ~line toks
-        | In_ospf, true -> handle_ospf_line st ~line toks
-        | In_route_map stanza, true -> handle_route_map_line st ~line stanza toks
-        | In_acl name, true -> handle_acl_line st ~line name toks)
+      match tokens raw with
+      | [] -> ()
+      | first :: _ when first.[0] = '!' -> ctx := Top
+      | toks -> (
+          let indented = raw.[0] = ' ' || raw.[0] = '\t' in
+          match (!ctx, indented) with
+          | _, false ->
+              (* A flush-left line always re-enters top-level dispatch. *)
+              ctx := dispatch_top st ~line toks
+          | Top, true -> ctx := dispatch_top st ~line toks
+          | In_interface iface, true -> handle_interface_line st ~line iface toks
+          | In_bgp, true ->
+              if is_cli_keyword toks then
+                err st ~line
+                  "'%s' is an interactive CLI command, not a configuration statement"
+                  (String.concat " " toks)
+              else handle_bgp_line st ~line toks
+          | In_ospf, true -> handle_ospf_line st ~line toks
+          | In_route_map stanza, true -> handle_route_map_line st ~line stanza toks
+          | In_acl name, true -> handle_acl_line st ~line name toks))
     lines;
   let ir = assemble st in
   (ir, List.rev st.diags)

@@ -8,6 +8,11 @@
     community in [match community], neighbor/network statements outside the
     [router bgp] block, regexes in standard community lists. *)
 
+val tokens : string -> string list
+(** The words of one configuration line, in one scan: the line is trimmed
+    of the whitespace [String.trim] removes, then split on spaces, empty
+    words dropped. A tab inside the line stays part of its word. *)
+
 val parse : string -> Policy.Config_ir.t * Netcore.Diag.t list
 (** Never raises; an empty or hopeless input yields an empty config plus
     diagnostics. *)

@@ -142,27 +142,3 @@ let find head nodes =
   List.find_opt (fun n -> match n.keywords with w :: _ -> w = head | [] -> false) nodes
 
 let children n = Option.value ~default:[] n.children
-
-let needs_quotes w = String.contains w ' '
-
-let render nodes =
-  let buf = Buffer.create 1024 in
-  let rec go indent nodes =
-    List.iter
-      (fun n ->
-        Buffer.add_string buf (String.make indent ' ');
-        let ws =
-          List.map (fun w -> if needs_quotes w then "\"" ^ w ^ "\"" else w) n.keywords
-        in
-        Buffer.add_string buf (String.concat " " ws);
-        match n.children with
-        | None -> Buffer.add_string buf ";\n"
-        | Some kids ->
-            Buffer.add_string buf " {\n";
-            go (indent + 4) kids;
-            Buffer.add_string buf (String.make indent ' ');
-            Buffer.add_string buf "}\n")
-      nodes
-  in
-  go 0 nodes;
-  Buffer.contents buf

@@ -20,6 +20,3 @@ val find : string -> node list -> node option
 
 val children : node -> node list
 (** Empty list for leaves. *)
-
-val render : node list -> string
-(** Pretty-print a tree back to Junos syntax (4-space indent). *)

@@ -1,8 +1,43 @@
 open Netcore
 open Policy
 
-let leaf ?(line = 0) keywords = { Ast.keywords; children = None; line }
-let block ?(line = 0) keywords children = { Ast.keywords; children = Some children; line }
+(* The printer writes Junos statements straight into one [Buffer.t], at
+   4-space indentation. A keyword with a space in it is quoted. *)
+
+let str = Buffer.add_string
+let chr = Buffer.add_char
+let int = Buf.add_int
+
+let pad b depth =
+  for _ = 1 to depth * 4 do
+    chr b ' '
+  done
+
+let word b w =
+  if String.contains w ' ' then (
+    chr b '"';
+    str b w;
+    chr b '"')
+  else str b w
+
+(* [open_ b depth kw] starts a statement with the literal keyword [kw];
+   the caller appends its other keywords, each after a space, then ends it
+   with [leaf] or [block]. *)
+let open_ b depth kw =
+  pad b depth;
+  str b kw
+
+let arg b w =
+  chr b ' ';
+  word b w
+
+let leaf b = str b ";\n"
+
+let block b depth body =
+  str b " {\n";
+  body (depth + 1);
+  pad b depth;
+  str b "}\n"
 
 (* ------------------------------------------------------------------ *)
 (* Prefix lists -> route-filter lines                                  *)
@@ -25,314 +60,452 @@ let len_runs lens =
   in
   runs [] None (Symbolic.Len_set.to_list lens)
 
-let modifier_of_run ~base_len (lo, hi) =
-  if lo = base_len && hi = base_len then "exact"
-  else if lo = base_len && hi = 32 then "orlonger"
-  else if lo = base_len then Printf.sprintf "upto /%d" hi
-  else Printf.sprintf "prefix-length-range /%d-/%d" lo hi
-
-let route_filters_of_prefix_list l =
+(* The route filters of a list: each base prefix with one run of lengths. *)
+let route_filter_runs l =
   let space = Symbolic.Guard.compile_prefix_list l in
   List.concat_map
     (fun (a : Symbolic.Prefix_space.atom) ->
-      let base_len = Prefix.len a.base in
-      List.map
-        (fun run -> (Prefix.to_string a.base, modifier_of_run ~base_len run))
-        (len_runs a.lens))
+      List.map (fun run -> (a.base, run)) (len_runs a.lens))
     (Symbolic.Prefix_space.atoms space)
+
+let add_modifier b base (lo, hi) =
+  let base_len = Prefix.len base in
+  if lo = base_len && hi = base_len then str b "exact"
+  else if lo = base_len && hi = 32 then str b "orlonger"
+  else if lo = base_len then (
+    str b "upto /";
+    int b hi)
+  else (
+    str b "prefix-length-range /";
+    int b lo;
+    str b "-/";
+    int b hi)
+
+let route_filters_of_prefix_list l =
+  List.map
+    (fun (base, run) ->
+      let b = Buffer.create 32 in
+      add_modifier b base run;
+      (Prefix.to_string base, Buffer.contents b))
+    (route_filter_runs l)
 
 (* ------------------------------------------------------------------ *)
 (* Community names                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let add_community_def_name b comms =
+  str b "COMM-";
+  List.iteri
+    (fun i (c : Community.t) ->
+      if i > 0 then chr b '-';
+      int b c.asn;
+      chr b '-';
+      int b c.value)
+    comms
+
 let community_def_name comms =
-  "COMM-"
-  ^ String.concat "-"
-      (List.map
-         (fun c ->
-           let s = Community.to_string c in
-           String.map (fun ch -> if ch = ':' then '-' else ch) s)
-         comms)
+  let b = Buffer.create 32 in
+  add_community_def_name b comms;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Policy statements                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The state of one print: the community definitions the statements name,
+   in first-use order, and the route filters of each ranged prefix list. *)
 type defs = {
-  mutable communities : (string * Community.t list) list;
-  mutable warnings : string list;
+  mutable communities : (string * Community.t list) list;  (** Reversed. *)
+  named : (string, unit) Hashtbl.t;
+  filters : (string, (Prefix.t * (int * int)) list) Hashtbl.t;
 }
 
 let register_community defs name members =
-  if not (List.mem_assoc name defs.communities) then
-    defs.communities <- defs.communities @ [ (name, members) ]
+  if not (Hashtbl.mem defs.named name) then (
+    Hashtbl.add defs.named name ();
+    defs.communities <- (name, members) :: defs.communities)
 
-let from_lines (c : Config_ir.t) defs = function
+let filters_of defs (l : Prefix_list.t) =
+  match Hashtbl.find_opt defs.filters l.name with
+  | Some runs -> runs
+  | None ->
+      let runs = route_filter_runs l in
+      Hashtbl.add defs.filters l.name runs;
+      runs
+
+let add_from b depth (c : Config_ir.t) defs = function
   | Route_map.Match_prefix_list n -> (
       match Config_ir.find_prefix_list c n with
-      | Some l when is_exact_permit_list l -> [ leaf [ "prefix-list"; n ] ]
-      | Some l ->
-          List.map
-            (fun (p, m) ->
-              leaf (("route-filter" :: p :: String.split_on_char ' ' m)))
-            (route_filters_of_prefix_list l)
-      | None -> [ leaf [ "prefix-list"; n ] ])
+      | Some l when not (is_exact_permit_list l) ->
+          List.iter
+            (fun (base, run) ->
+              open_ b depth "route-filter ";
+              Prefix.add_to_buffer b base;
+              chr b ' ';
+              add_modifier b base run;
+              leaf b)
+            (filters_of defs l)
+      | Some _ | None ->
+          open_ b depth "prefix-list";
+          arg b n;
+          leaf b)
   | Route_map.Match_community_list n -> (
+      open_ b depth "community";
       match Config_ir.find_community_list c n with
-      | Some l -> (
-          match l.Community_list.entries with
-          | [ e ] when e.Community_list.action = Action.Permit ->
-              register_community defs n e.Community_list.communities;
-              [ leaf [ "community"; n ] ]
-          | entries ->
-              (* OR across entries: one named community per entry, all cited
-                 in a single bracketed from clause. *)
-              let names =
-                List.mapi
-                  (fun i (e : Community_list.entry) ->
-                    let name = Printf.sprintf "%s-%d" n (i + 1) in
-                    register_community defs name e.Community_list.communities;
-                    name)
-                  entries
-              in
-              [ leaf ("community" :: names) ])
-      | None -> [ leaf [ "community"; n ] ])
-  | Route_map.Match_as_path n -> [ leaf [ "as-path"; n ] ]
+      | Some { Community_list.entries = [ e ]; _ } when e.Community_list.action = Action.Permit
+        ->
+          register_community defs n e.Community_list.communities;
+          arg b n;
+          leaf b
+      | Some l ->
+          (* OR across entries: one named community per entry, all cited
+             in a single bracketed from clause. *)
+          List.iteri
+            (fun i (e : Community_list.entry) ->
+              let name = n ^ "-" ^ string_of_int (i + 1) in
+              register_community defs name e.Community_list.communities;
+              arg b name)
+            l.Community_list.entries;
+          leaf b
+      | None ->
+          arg b n;
+          leaf b)
+  | Route_map.Match_as_path n ->
+      open_ b depth "as-path";
+      arg b n;
+      leaf b
   | Route_map.Match_source_protocol s ->
-      [ leaf [ "protocol"; Route.source_to_string s ] ]
-  | Route_map.Match_med m -> [ leaf [ "metric"; string_of_int m ] ]
-  | Route_map.Match_tag t -> [ leaf [ "tag"; string_of_int t ] ]
+      open_ b depth "protocol ";
+      str b (Route.source_to_string s);
+      leaf b
+  | Route_map.Match_med m ->
+      open_ b depth "metric ";
+      int b m;
+      leaf b
+  | Route_map.Match_tag t ->
+      open_ b depth "tag ";
+      int b t;
+      leaf b
 
-let then_lines defs (e : Route_map.entry) =
-  let set_line = function
-    | Route_map.Set_med m -> [ leaf [ "metric"; string_of_int m ] ]
-    | Route_map.Set_local_pref p -> [ leaf [ "local-preference"; string_of_int p ] ]
-    | Route_map.Set_community { communities; additive } ->
-        let name = community_def_name communities in
-        register_community defs name communities;
-        [ leaf [ "community"; (if additive then "add" else "set"); name ] ]
-    | Route_map.Set_community_delete n -> [ leaf [ "community"; "delete"; n ] ]
-    | Route_map.Set_next_hop a -> [ leaf [ "next-hop"; Ipv4.to_string a ] ]
-    | Route_map.Set_as_path_prepend asns ->
-        [ leaf [ "as-path-prepend"; String.concat " " (List.map string_of_int asns) ] ]
-  in
-  List.concat_map set_line e.sets
-  @ [ leaf [ (match e.action with Action.Permit -> "accept" | Action.Deny -> "reject") ] ]
+let add_then b depth defs = function
+  | Route_map.Set_med m ->
+      open_ b depth "metric ";
+      int b m;
+      leaf b
+  | Route_map.Set_local_pref p ->
+      open_ b depth "local-preference ";
+      int b p;
+      leaf b
+  | Route_map.Set_community { communities; additive } ->
+      let name = community_def_name communities in
+      register_community defs name communities;
+      open_ b depth (if additive then "community add" else "community set");
+      arg b name;
+      leaf b
+  | Route_map.Set_community_delete n ->
+      open_ b depth "community delete";
+      arg b n;
+      leaf b
+  | Route_map.Set_next_hop a ->
+      open_ b depth "next-hop ";
+      Ipv4.add_to_buffer b a;
+      leaf b
+  | Route_map.Set_as_path_prepend asns ->
+      (* The AS numbers are one keyword, quoted when there are several. *)
+      open_ b depth "as-path-prepend ";
+      let several = List.compare_length_with asns 1 > 0 in
+      if several then chr b '"';
+      List.iteri
+        (fun i a ->
+          if i > 0 then chr b ' ';
+          int b a)
+        asns;
+      if several then chr b '"';
+      leaf b
 
-let term_of_entry (c : Config_ir.t) defs (e : Route_map.entry) =
-  let froms = List.concat_map (from_lines c defs) e.matches in
-  let body =
-    (if froms = [] then [] else [ block [ "from" ] froms ])
-    @ [ block [ "then" ] (then_lines defs e) ]
-  in
-  block [ "term"; Printf.sprintf "t%d" e.seq ] body
+let add_term b depth c defs (e : Route_map.entry) =
+  open_ b depth "term t";
+  int b e.seq;
+  block b depth (fun depth ->
+      if e.matches <> [] then (
+        (* A ranged list can compile to no route filter at all; a from
+           clause with nothing in it is left out. *)
+        let mark = Buffer.length b in
+        open_ b depth "from";
+        str b " {\n";
+        let body = Buffer.length b in
+        List.iter (add_from b (depth + 1) c defs) e.matches;
+        if Buffer.length b = body then Buffer.truncate b mark
+        else (
+          pad b depth;
+          str b "}\n"));
+      open_ b depth "then";
+      block b depth (fun depth ->
+          List.iter (add_then b depth defs) e.sets;
+          open_ b depth (match e.action with Action.Permit -> "accept" | Action.Deny -> "reject");
+          leaf b))
 
-let policy_statement c defs (m : Route_map.t) =
-  block [ "policy-statement"; m.name ] (List.map (term_of_entry c defs) m.entries)
+let add_policy_statement b depth c defs (m : Route_map.t) =
+  open_ b depth "policy-statement";
+  arg b m.name;
+  block b depth (fun depth -> List.iter (add_term b depth c defs) m.entries)
 
 (* ------------------------------------------------------------------ *)
 (* Top-level sections                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let firewall_section (c : Config_ir.t) =
-  if c.Config_ir.acls = [] then []
-  else
-    let term (e : Acl.entry) =
-      let froms =
-        (match e.Acl.proto with
-        | Acl.Any_proto -> []
-        | Acl.Proto p -> [ leaf [ "protocol"; Packet.proto_to_string p ] ])
-        @ (if Prefix.equal e.Acl.src Prefix.default then []
-           else [ leaf [ "source-address"; Prefix.to_string e.Acl.src ] ])
-        @ (if Prefix.equal e.Acl.dst Prefix.default then []
-           else [ leaf [ "destination-address"; Prefix.to_string e.Acl.dst ] ])
-        @
-        match e.Acl.dst_port with
-        | Acl.Any_port -> []
-        | Acl.Eq p -> [ leaf [ "destination-port"; string_of_int p ] ]
-        | Acl.Port_range (lo, hi) ->
-            [ leaf [ "destination-port"; Printf.sprintf "%d-%d" lo hi ] ]
-      in
-      let action =
-        match e.Acl.action with Action.Permit -> "accept" | Action.Deny -> "discard"
-      in
-      block
-        [ "term"; Printf.sprintf "t%d" e.Acl.seq ]
-        ((if froms = [] then [] else [ block [ "from" ] froms ])
-        @ [ block [ "then" ] [ leaf [ action ] ] ])
-    in
-    let filter (a : Acl.t) =
-      block [ "filter"; a.Acl.name ] (List.map term a.Acl.entries)
-    in
-    [ block [ "firewall" ] [ block [ "family"; "inet" ] (List.map filter c.Config_ir.acls) ] ]
+let add_system b (c : Config_ir.t) =
+  open_ b 0 "system";
+  block b 0 (fun depth ->
+      open_ b depth "host-name";
+      arg b c.hostname;
+      leaf b)
 
-let interfaces_section (c : Config_ir.t) =
-  let iface_node (i : Config_ir.interface) =
+let add_firewall b (c : Config_ir.t) =
+  let term depth (e : Acl.entry) =
+    open_ b depth "term t";
+    int b e.seq;
+    block b depth (fun depth ->
+        let from_src = not (Prefix.equal e.src Prefix.default)
+        and from_dst = not (Prefix.equal e.dst Prefix.default) in
+        if e.proto <> Acl.Any_proto || from_src || from_dst || e.dst_port <> Acl.Any_port
+        then (
+          open_ b depth "from";
+          block b depth (fun depth ->
+              (match e.proto with
+              | Acl.Any_proto -> ()
+              | Acl.Proto p ->
+                  open_ b depth "protocol ";
+                  str b (Packet.proto_to_string p);
+                  leaf b);
+              if from_src then (
+                open_ b depth "source-address ";
+                Prefix.add_to_buffer b e.src;
+                leaf b);
+              if from_dst then (
+                open_ b depth "destination-address ";
+                Prefix.add_to_buffer b e.dst;
+                leaf b);
+              match e.dst_port with
+              | Acl.Any_port -> ()
+              | Acl.Eq p ->
+                  open_ b depth "destination-port ";
+                  int b p;
+                  leaf b
+              | Acl.Port_range (lo, hi) ->
+                  open_ b depth "destination-port ";
+                  int b lo;
+                  chr b '-';
+                  int b hi;
+                  leaf b));
+        open_ b depth "then";
+        block b depth (fun depth ->
+            open_ b depth
+              (match e.action with Action.Permit -> "accept" | Action.Deny -> "discard");
+            leaf b))
+  in
+  if c.acls <> [] then (
+    open_ b 0 "firewall";
+    block b 0 (fun depth ->
+        open_ b depth "family inet";
+        block b depth (fun depth ->
+            List.iter
+              (fun (a : Acl.t) ->
+                open_ b depth "filter";
+                arg b a.name;
+                block b depth (fun depth -> List.iter (term depth) a.entries))
+              c.acls)))
+
+let add_interfaces b (c : Config_ir.t) =
+  let iface depth (i : Config_ir.interface) =
     let phys = Iface.junos_name i.iface in
     let phys =
       match String.index_opt phys '.' with
       | Some idx -> String.sub phys 0 idx
       | None -> phys
     in
-    let filter_attach =
-      let ins = match i.acl_in with Some n -> [ leaf [ "input"; n ] ] | None -> [] in
-      let outs = match i.acl_out with Some n -> [ leaf [ "output"; n ] ] | None -> [] in
-      if ins = [] && outs = [] then [] else [ block [ "filter" ] (ins @ outs) ]
-    in
-    let family =
-      let addr =
-        match i.address with
-        | Some (a, len) ->
-            [ leaf [ "address"; Printf.sprintf "%s/%d" (Ipv4.to_string a) len ] ]
-        | None -> []
-      in
-      if addr = [] && filter_attach = [] then []
-      else [ block [ "family"; "inet" ] (filter_attach @ addr) ]
-    in
-    let unit = block [ "unit"; "0" ] family in
-    let body =
-      (match i.description with
-      | Some d -> [ leaf [ "description"; d ] ]
-      | None -> [])
-      @ (if i.shutdown then [ leaf [ "disable" ] ] else [])
-      @ [ unit ]
-    in
-    block [ phys ] body
+    pad b depth;
+    word b phys;
+    block b depth (fun depth ->
+        (match i.description with
+        | Some d ->
+            open_ b depth "description";
+            arg b d;
+            leaf b
+        | None -> ());
+        if i.shutdown then (
+          open_ b depth "disable";
+          leaf b);
+        open_ b depth "unit 0";
+        block b depth (fun depth ->
+            if i.address <> None || i.acl_in <> None || i.acl_out <> None then (
+              open_ b depth "family inet";
+              block b depth (fun depth ->
+                  if i.acl_in <> None || i.acl_out <> None then (
+                    open_ b depth "filter";
+                    block b depth (fun depth ->
+                        Option.iter
+                          (fun n ->
+                            open_ b depth "input";
+                            arg b n;
+                            leaf b)
+                          i.acl_in;
+                        Option.iter
+                          (fun n ->
+                            open_ b depth "output";
+                            arg b n;
+                            leaf b)
+                          i.acl_out));
+                  Option.iter
+                    (fun (a, len) ->
+                      open_ b depth "address ";
+                      Ipv4.add_to_buffer b a;
+                      chr b '/';
+                      int b len;
+                      leaf b)
+                    i.address))))
   in
-  if c.interfaces = [] then [] else [ block [ "interfaces" ] (List.map iface_node c.interfaces) ]
+  if c.interfaces <> [] then (
+    open_ b 0 "interfaces";
+    block b 0 (fun depth -> List.iter (iface depth) c.interfaces))
 
-let routing_options_section (c : Config_ir.t) =
-  let statics =
-    if c.statics = [] then []
-    else
-      [
-        block [ "static" ]
-          (List.map
-             (fun (r : Config_ir.static_route) ->
-               block
-                 [ "route"; Prefix.to_string r.Config_ir.destination ]
-                 [ leaf [ "next-hop"; Ipv4.to_string r.Config_ir.next_hop ] ])
-             c.statics);
-      ]
+let add_routing_options b (c : Config_ir.t) =
+  let bgp_body =
+    match c.bgp with
+    | Some bgp -> bgp.router_id <> None || bgp.asn > 0 || bgp.networks <> []
+    | None -> false
   in
-  let body =
-    statics
-    @
-    (match c.bgp with
-    | Some b ->
-        (match b.router_id with
-        | Some r -> [ leaf [ "router-id"; Ipv4.to_string r ] ]
-        | None -> [])
-        @ (if b.asn > 0 then [ leaf [ "autonomous-system"; string_of_int b.asn ] ] else [])
-        @
-        if b.networks = [] then []
-        else
-          [
-            block [ "announce" ]
-              (List.map (fun p -> leaf [ Prefix.to_string p ]) b.networks);
-          ]
-    | None -> [])
-  in
-  if body = [] then [] else [ block [ "routing-options" ] body ]
+  if c.statics <> [] || bgp_body then (
+    open_ b 0 "routing-options";
+    block b 0 (fun depth ->
+        if c.statics <> [] then (
+          open_ b depth "static";
+          block b depth (fun depth ->
+              List.iter
+                (fun (r : Config_ir.static_route) ->
+                  open_ b depth "route ";
+                  Prefix.add_to_buffer b r.destination;
+                  block b depth (fun depth ->
+                      open_ b depth "next-hop ";
+                      Ipv4.add_to_buffer b r.next_hop;
+                      leaf b))
+                c.statics));
+        Option.iter
+          (fun (bgp : Config_ir.bgp) ->
+            Option.iter
+              (fun r ->
+                open_ b depth "router-id ";
+                Ipv4.add_to_buffer b r;
+                leaf b)
+              bgp.router_id;
+            if bgp.asn > 0 then (
+              open_ b depth "autonomous-system ";
+              int b bgp.asn;
+              leaf b);
+            if bgp.networks <> [] then (
+              open_ b depth "announce";
+              block b depth (fun depth ->
+                  List.iter
+                    (fun p ->
+                      pad b depth;
+                      Prefix.add_to_buffer b p;
+                      leaf b)
+                    bgp.networks)))
+          c.bgp))
 
-let bgp_section (c : Config_ir.t) =
-  match c.bgp with
-  | None -> []
-  | Some b ->
-      let group (n : Config_ir.neighbor) =
-        let name =
-          "PEER-"
-          ^ String.map (fun ch -> if ch = '.' then '-' else ch) (Ipv4.to_string n.addr)
-        in
-        let neighbor_body =
-          (if n.remote_as > 0 then [ leaf [ "peer-as"; string_of_int n.remote_as ] ] else [])
-          @ (match n.local_as with
-            | Some a -> [ leaf [ "local-as"; string_of_int a ] ]
-            | None -> [])
-          @ (match n.description with
-            | Some d -> [ leaf [ "description"; d ] ]
-            | None -> [])
-          @ (match n.import_policy with
-            | Some p -> [ leaf [ "import"; p ] ]
-            | None -> [])
-          @
-          match n.export_policy with
-          | Some p -> [ leaf [ "export"; p ] ]
-          | None -> []
-        in
-        block [ "group"; name ]
-          [
-            leaf [ "type"; "external" ];
-            block [ "neighbor"; Ipv4.to_string n.addr ] neighbor_body;
-          ]
-      in
-      [ block [ "bgp" ] (List.map group b.neighbors) ]
-
-let ospf_section (c : Config_ir.t) =
-  match c.ospf with
-  | None -> []
-  | Some o ->
-      let areas =
-        List.sort_uniq Int.compare
-          (List.map (fun (oi : Config_ir.ospf_interface) -> oi.area) o.interfaces)
-      in
-      let area_node area =
-        let ifaces =
-          List.filter (fun (oi : Config_ir.ospf_interface) -> oi.area = area) o.interfaces
-        in
-        let iface_node (oi : Config_ir.ospf_interface) =
-          let body =
-            (match oi.cost with
-            | Some m -> [ leaf [ "metric"; string_of_int m ] ]
-            | None -> [])
-            @ if oi.passive then [ leaf [ "passive" ] ] else []
-          in
-          block [ "interface"; Iface.junos_name oi.iface ] body
-        in
-        block [ "area"; Printf.sprintf "0.0.0.%d" area ] (List.map iface_node ifaces)
-      in
-      if areas = [] then [] else [ block [ "ospf" ] (List.map area_node areas) ]
-
-let policy_options_section (c : Config_ir.t) defs =
-  let prefix_lists =
-    List.filter_map
-      (fun (l : Prefix_list.t) ->
-        if is_exact_permit_list l then
-          Some
-            (block [ "prefix-list"; l.name ]
-               (List.map
-                  (fun (e : Prefix_list.entry) ->
-                    leaf [ Prefix.to_string (Prefix_range.base e.range) ])
-                  l.entries))
-        else None)
-      c.prefix_lists
+let add_bgp b depth (bgp : Config_ir.bgp) =
+  let group depth (n : Config_ir.neighbor) =
+    open_ b depth "group PEER-";
+    let a = Ipv4.to_int n.addr in
+    int b ((a lsr 24) land 0xFF);
+    chr b '-';
+    int b ((a lsr 16) land 0xFF);
+    chr b '-';
+    int b ((a lsr 8) land 0xFF);
+    chr b '-';
+    int b (a land 0xFF);
+    block b depth (fun depth ->
+        open_ b depth "type external";
+        leaf b;
+        open_ b depth "neighbor ";
+        Ipv4.add_to_buffer b n.addr;
+        block b depth (fun depth ->
+            if n.remote_as > 0 then (
+              open_ b depth "peer-as ";
+              int b n.remote_as;
+              leaf b);
+            Option.iter
+              (fun a ->
+                open_ b depth "local-as ";
+                int b a;
+                leaf b)
+              n.local_as;
+            Option.iter
+              (fun d ->
+                open_ b depth "description";
+                arg b d;
+                leaf b)
+              n.description;
+            Option.iter
+              (fun p ->
+                open_ b depth "import";
+                arg b p;
+                leaf b)
+              n.import_policy;
+            Option.iter
+              (fun p ->
+                open_ b depth "export";
+                arg b p;
+                leaf b)
+              n.export_policy))
   in
-  let statements = List.map (policy_statement c defs) c.route_maps in
-  let communities =
-    List.map
-      (fun (name, members) ->
-        leaf
-          (("community" :: name :: "members"
-           :: List.map Community.to_string members)))
-      defs.communities
-  in
-  let as_paths =
-    List.concat_map
-      (fun (l : As_path_list.t) ->
-        match
-          List.find_opt (fun (e : As_path_list.entry) -> e.action = Action.Permit) l.entries
-        with
-        | Some e -> [ leaf [ "as-path"; l.name; e.regex ] ]
-        | None -> [])
-      c.as_path_lists
-  in
-  (* Definitions precede the statements that use them. *)
-  let body = prefix_lists @ communities @ as_paths @ statements in
-  if body = [] then [] else [ block [ "policy-options" ] body ]
+  open_ b depth "bgp";
+  block b depth (fun depth -> List.iter (group depth) bgp.neighbors)
 
-let print (c : Config_ir.t) =
-  let defs = { communities = []; warnings = [] } in
-  (* Pre-register named community lists referenced in delete actions. *)
+let ospf_areas (o : Config_ir.ospf) =
+  List.sort_uniq Int.compare
+    (List.map (fun (oi : Config_ir.ospf_interface) -> oi.area) o.interfaces)
+
+let add_ospf b depth (o : Config_ir.ospf) =
+  let area depth a =
+    open_ b depth "area 0.0.0.";
+    int b a;
+    block b depth (fun depth ->
+        List.iter
+          (fun (oi : Config_ir.ospf_interface) ->
+            if oi.area = a then (
+              open_ b depth "interface";
+              arg b (Iface.junos_name oi.iface);
+              block b depth (fun depth ->
+                  Option.iter
+                    (fun m ->
+                      open_ b depth "metric ";
+                      int b m;
+                      leaf b)
+                    oi.cost;
+                  if oi.passive then (
+                    open_ b depth "passive";
+                    leaf b))))
+          o.interfaces)
+  in
+  open_ b depth "ospf";
+  block b depth (fun depth -> List.iter (area depth) (ospf_areas o))
+
+let add_protocols b (c : Config_ir.t) =
+  let ospf =
+    match c.ospf with Some o when o.interfaces <> [] -> Some o | _ -> None
+  in
+  if c.bgp <> None || ospf <> None then (
+    open_ b 0 "protocols";
+    block b 0 (fun depth ->
+        Option.iter (add_bgp b depth) c.bgp;
+        Option.iter (add_ospf b depth) ospf))
+
+let add_policy_options b (c : Config_ir.t) =
+  let defs =
+    { communities = []; named = Hashtbl.create 16; filters = Hashtbl.create 8 }
+  in
+  (* Community lists named in delete actions are defined first. *)
   List.iter
     (fun (m : Route_map.t) ->
       List.iter
@@ -345,23 +518,70 @@ let print (c : Config_ir.t) =
                       register_community defs n communities
                   | _ -> ())
               | _ -> ())
-            e.Route_map.sets)
-        m.Route_map.entries)
+            e.sets)
+        m.entries)
     c.route_maps;
-  let system = [ block [ "system" ] [ leaf [ "host-name"; c.hostname ] ] ] in
-  let policy = policy_options_section c defs in
-  let protocols =
-    let body = bgp_section c @ ospf_section c in
-    if body = [] then [] else [ block [ "protocols" ] body ]
+  (* The statements go to their own buffer first: printing them collects
+     the community definitions, which must precede them. *)
+  let statements = Buffer.create 4096 in
+  List.iter (add_policy_statement statements 1 c defs) c.route_maps;
+  let exact_lists = List.filter is_exact_permit_list c.prefix_lists in
+  let as_paths =
+    List.filter_map
+      (fun (l : As_path_list.t) ->
+        List.find_opt (fun (e : As_path_list.entry) -> e.action = Action.Permit) l.entries
+        |> Option.map (fun (e : As_path_list.entry) -> (l.name, e.regex)))
+      c.as_path_lists
   in
-  let dropped =
-    match c.bgp with
-    | Some b when b.redistributions <> [] ->
-        "# note: redistributions are not expressible in this dialect; fold them \
-         into export policies with Translate.of_cisco_ir\n"
-    | _ -> ""
-  in
-  dropped
-  ^ Ast.render
-      (system @ interfaces_section c @ routing_options_section c @ firewall_section c
-      @ protocols @ policy)
+  if exact_lists <> [] || defs.communities <> [] || as_paths <> [] || c.route_maps <> []
+  then (
+    open_ b 0 "policy-options";
+    block b 0 (fun depth ->
+        List.iter
+          (fun (l : Prefix_list.t) ->
+            open_ b depth "prefix-list";
+            arg b l.name;
+            block b depth (fun depth ->
+                List.iter
+                  (fun (e : Prefix_list.entry) ->
+                    pad b depth;
+                    Prefix.add_to_buffer b (Prefix_range.base e.range);
+                    leaf b)
+                  l.entries))
+          exact_lists;
+        List.iter
+          (fun (name, members) ->
+            open_ b depth "community";
+            arg b name;
+            str b " members";
+            List.iter
+              (fun m ->
+                chr b ' ';
+                Community.add_to_buffer b m)
+              members;
+            leaf b)
+          (List.rev defs.communities);
+        List.iter
+          (fun (name, regex) ->
+            open_ b depth "as-path";
+            arg b name;
+            arg b regex;
+            leaf b)
+          as_paths;
+        Buffer.add_buffer b statements))
+
+let print (c : Config_ir.t) =
+  let b = Buffer.create 8192 in
+  (match c.bgp with
+  | Some { redistributions = _ :: _; _ } ->
+      str b
+        "# note: redistributions are not expressible in this dialect; fold them into \
+         export policies with Translate.of_cisco_ir\n"
+  | _ -> ());
+  add_system b c;
+  add_interfaces b c;
+  add_routing_options b c;
+  add_firewall b c;
+  add_protocols b c;
+  add_policy_options b c;
+  Buffer.contents b

@@ -596,23 +596,37 @@ let apply_ir (c : Config_ir.t) (fault : t) =
 (* Text corruption                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+(* Text faults work on the printed draft's lines: [render] splits the text
+   once, folds every text fault over the line list and joins it once. A
+   text that ends with a newline has an empty last line. *)
 
-let lines s = String.split_on_char '\n' s
-let unlines l = String.concat "\n" l
+(* [contains ~sub s] allocates nothing: the scanners are closed, so no
+   closure is built per call. *)
+let rec matches_at s sub i j =
+  j = String.length sub || (s.[i + j] = sub.[j] && matches_at s sub i (j + 1))
 
-let apply_missing_local_as text =
-  unlines
-    (List.filter
-       (fun l -> not (contains ~sub:"autonomous-system" l || contains ~sub:"local-as" l))
-       (lines text))
+let rec contains_from s sub i =
+  i + String.length sub <= String.length s
+  && (matches_at s sub i 0 || contains_from s sub (i + 1))
 
-let apply_bad_prefix_list (correct : Config_ir.t) list_name text =
+let contains ~sub s = contains_from s sub 0
+
+(* The lines of the text [lines] followed by [s]: the first line of [s]
+   continues the last line. *)
+let append lines s =
+  match (List.rev lines, String.split_on_char '\n' s) with
+  | last :: rev_init, first :: rest -> List.rev_append rev_init ((last ^ first) :: rest)
+  | [], parts -> parts
+  | _, [] -> lines
+
+let apply_missing_local_as lines =
+  List.filter
+    (fun l -> not (contains ~sub:"autonomous-system" l || contains ~sub:"local-as" l))
+    lines
+
+let apply_bad_prefix_list (correct : Config_ir.t) list_name lines =
   match Config_ir.find_prefix_list correct list_name with
-  | None | Some { Prefix_list.entries = []; _ } -> text
+  | None | Some { Prefix_list.entries = []; _ } -> lines
   | Some { Prefix_list.entries = e :: _; _ } ->
       let base = Prefix_range.base e.Prefix_list.range in
       let base_str = Prefix.to_string base in
@@ -632,35 +646,32 @@ let apply_bad_prefix_list (correct : Config_ir.t) list_name text =
           end
         else Some l
       in
-      let body = List.filter_map keep (lines text) in
       let invalid_def =
         Printf.sprintf "policy-options {\n    prefix-list %s {\n        %s-32;\n    }\n}\n"
           list_name base_str
       in
-      unlines body ^ invalid_def
+      append (List.filter_map keep lines) invalid_def
 
-let apply_cli_keywords text =
-  "configure terminal\n" ^ text ^ "end\nwrite memory\n"
+let apply_cli_keywords lines = "configure terminal" :: append lines "end\nwrite memory\n"
 
-let apply_neighbor_outside_bgp addr text =
-  let addr_str = Netcore.Ipv4.to_string addr in
-  let is_export_attachment l =
-    contains ~sub:("neighbor " ^ addr_str ^ " route-map") l && contains ~sub:" out" l
-  in
-  let moved = List.filter is_export_attachment (lines text) in
-  match moved with
-  | [] -> text
-  | line :: _ ->
-      let rest = List.filter (fun l -> not (is_export_attachment l)) (lines text) in
-      unlines rest ^ String.trim line ^ "\n"
+let apply_neighbor_outside_bgp addr lines =
+  let attachment = "neighbor " ^ Netcore.Ipv4.to_string addr ^ " route-map" in
+  let is_export_attachment l = contains ~sub:attachment l && contains ~sub:" out" l in
+  match List.partition is_export_attachment lines with
+  | [], _ -> lines
+  | line :: _, rest -> append rest (String.trim line ^ "\n")
 
-let apply_match_community_literal (correct : Config_ir.t) map_name seq text =
+let apply_match_community_literal (correct : Config_ir.t) map_name seq lines =
   (* Find the stanza header [route-map MAP ACTION SEQ], then the first
      community match inside it, and replace the list reference with the
      literal community. *)
   let seq = string_of_int seq in
+  let is_header l = String.length l > 0 && l.[0] <> ' ' in
+  (* Only a line that names the map is split into words. *)
   let is_stanza l =
-    match String.split_on_char ' ' (String.trim l) |> List.filter (( <> ) "") with
+    contains ~sub:map_name l
+    &&
+    match Cisco.Parser.tokens l with
     | [ "route-map"; name; _; s ] -> name = map_name && s = seq
     | _ -> false
   in
@@ -670,30 +681,32 @@ let apply_match_community_literal (correct : Config_ir.t) map_name seq text =
         Community.to_string c
     | _ -> "100:1"
   in
-  let rec go acc in_stanza done_ = function
-    | [] -> List.rev acc
+  let rec go acc in_stanza = function
+    | [] -> lines
     | l :: rest ->
-        let is_header = String.length l > 0 && l.[0] <> ' ' in
-        let in_stanza = if is_header then is_stanza l else in_stanza in
-        if (not done_) && in_stanza && contains ~sub:"match community " l then
-          let toks = String.split_on_char ' ' (String.trim l) in
-          match toks with
-          | [ "match"; "community"; name ] ->
-              go ((" match community " ^ literal_of name) :: acc) in_stanza true rest
-          | _ -> go (l :: acc) in_stanza done_ rest
-        else go (l :: acc) in_stanza done_ rest
+        let in_stanza = if is_header l then is_stanza l else in_stanza in
+        let literal =
+          if in_stanza && contains ~sub:"match community " l then
+            match String.split_on_char ' ' (String.trim l) with
+            | [ "match"; "community"; name ] -> Some (" match community " ^ literal_of name)
+            | _ -> None
+          else None
+        in
+        match literal with
+        | Some l -> List.rev_append acc (l :: rest)
+        | None -> go (l :: acc) in_stanza rest
   in
-  unlines (go [] false false (lines text))
+  go [] false lines
 
-let apply_text (correct : Config_ir.t) text (fault : t) =
+let apply_text (correct : Config_ir.t) lines (fault : t) =
   match (fault.class_, fault.target) with
-  | Error_class.Missing_local_as, _ -> apply_missing_local_as text
-  | Error_class.Bad_prefix_list_syntax, Named_list n -> apply_bad_prefix_list correct n text
-  | Error_class.Cli_keywords, _ -> apply_cli_keywords text
-  | Error_class.Neighbor_outside_bgp, Neighbor a -> apply_neighbor_outside_bgp a text
+  | Error_class.Missing_local_as, _ -> apply_missing_local_as lines
+  | Error_class.Bad_prefix_list_syntax, Named_list n -> apply_bad_prefix_list correct n lines
+  | Error_class.Cli_keywords, _ -> apply_cli_keywords lines
+  | Error_class.Neighbor_outside_bgp, Neighbor a -> apply_neighbor_outside_bgp a lines
   | Error_class.Match_community_literal, Policy_entry (m, s) ->
-      apply_match_community_literal correct m s text
-  | _ -> text
+      apply_match_community_literal correct m s lines
+  | _ -> lines
 
 let is_text_fault (fault : t) =
   match fault.class_ with
@@ -711,4 +724,8 @@ let render dialect (correct : Config_ir.t) faults =
     | Cisco_cfg -> Cisco.Printer.print ir
     | Junos_cfg -> Juniper.Printer.print ir
   in
-  List.fold_left (apply_text correct) text text_faults
+  match text_faults with
+  | [] -> text
+  | _ ->
+      String.concat "\n"
+        (List.fold_left (apply_text correct) (String.split_on_char '\n' text) text_faults)

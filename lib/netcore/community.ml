@@ -19,7 +19,15 @@ let of_string_exn s =
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Community.of_string_exn: %S" s)
 
-let to_string c = Printf.sprintf "%d:%d" c.asn c.value
+let add_to_buffer b c =
+  Buf.add_int b c.asn;
+  Buffer.add_char b ':';
+  Buf.add_int b c.value
+
+let to_string c =
+  let b = Buffer.create 11 in
+  add_to_buffer b c;
+  Buffer.contents b
 
 let compare a b =
   match Int.compare a.asn b.asn with 0 -> Int.compare a.value b.value | c -> c

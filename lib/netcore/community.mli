@@ -11,6 +11,9 @@ val of_string : string -> t option
 val of_string_exn : string -> t
 val to_string : t -> string
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s text without allocating. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

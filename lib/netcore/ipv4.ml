@@ -36,9 +36,19 @@ let of_string_exn s =
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Ipv4.of_string_exn: %S" s)
 
+let add_to_buffer b a =
+  Buf.add_int b ((a lsr 24) land 0xFF);
+  Buffer.add_char b '.';
+  Buf.add_int b ((a lsr 16) land 0xFF);
+  Buffer.add_char b '.';
+  Buf.add_int b ((a lsr 8) land 0xFF);
+  Buffer.add_char b '.';
+  Buf.add_int b (a land 0xFF)
+
 let to_string a =
-  let o1, o2, o3, o4 = to_octets a in
-  Printf.sprintf "%d.%d.%d.%d" o1 o2 o3 o4
+  let b = Buffer.create 15 in
+  add_to_buffer b a;
+  Buffer.contents b
 
 let compare = Int.compare
 let equal = Int.equal

@@ -32,6 +32,9 @@ val of_string_exn : string -> t
 
 val to_string : t -> string
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s text without allocating. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int

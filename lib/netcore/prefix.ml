@@ -22,7 +22,15 @@ let of_string_exn s =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Prefix.of_string_exn: %S" s)
 
-let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string p.addr) p.len
+let add_to_buffer b p =
+  Ipv4.add_to_buffer b p.addr;
+  Buffer.add_char b '/';
+  Buf.add_int b p.len
+
+let to_string p =
+  let b = Buffer.create 18 in
+  add_to_buffer b p;
+  Buffer.contents b
 let default = { addr = Ipv4.zero; len = 0 }
 let host a = { addr = a; len = 32 }
 let contains_addr p a = Ipv4.equal (Ipv4.network a p.len) p.addr

@@ -19,6 +19,9 @@ val of_string : string -> t option
 val of_string_exn : string -> t
 val to_string : t -> string
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s text without allocating. *)
+
 val default : t
 (** [0.0.0.0/0]. *)
 

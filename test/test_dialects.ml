@@ -588,12 +588,25 @@ let prop_junos_print_parse_fixpoint =
       let b, d2 = Juniper.Parser.parse (Juniper.Printer.print a) in
       d1 = [] && d2 = [] && Config_ir.equal a b)
 
+(* The reference the one-scan tokenizer replaced: trim, split on spaces,
+   drop the empty words. *)
+let reference_tokens l = String.split_on_char ' ' (String.trim l) |> List.filter (( <> ) "")
+
+let prop_tokens_match_reference =
+  QCheck2.Test.make ~name:"cisco tokens equal trim+split+filter" ~count:2000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      string_size ~gen:(oneofl [ ' '; ' '; '\t'; '\r'; '\012'; '\n'; '!'; 'a'; 'b'; '1' ])
+        (int_range 0 24))
+    (fun l -> Cisco.Parser.tokens l = reference_tokens l)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_route_filters_preserve_semantics;
       prop_cisco_round_trip_route_maps;
       prop_junos_print_parse_fixpoint;
+      prop_tokens_match_reference;
     ]
 
 let () =
