@@ -19,12 +19,14 @@ let contents write x =
   write b x;
   Buffer.contents b
 
-let add_communities b comms =
+let add_spaced add b xs =
   List.iteri
-    (fun i c ->
+    (fun i x ->
       if i > 0 then chr b ' ';
-      Community.add_to_buffer b c)
-    comms
+      add b x)
+    xs
+
+let add_communities = add_spaced Community.add_to_buffer
 
 let add_match_cond b = function
   | Route_map.Match_prefix_list n ->
@@ -66,11 +68,7 @@ let add_set_action b = function
       ip b a
   | Route_map.Set_as_path_prepend asns ->
       str b "set as-path prepend ";
-      List.iteri
-        (fun i a ->
-          if i > 0 then chr b ' ';
-          int b a)
-        asns
+      add_spaced int b asns
 
 let match_cond_line = contents add_match_cond
 let set_action_line = contents add_set_action

@@ -33,6 +33,21 @@ let arg b w =
 
 let leaf b = str b ";\n"
 
+let kw_leaf b depth kw =
+  open_ b depth kw;
+  leaf b
+
+let word_leaf b depth kw w =
+  open_ b depth kw;
+  arg b w;
+  leaf b
+
+let int_leaf b depth kw n =
+  open_ b depth kw;
+  chr b ' ';
+  int b n;
+  leaf b
+
 let block b depth body =
   str b " {\n";
   body (depth + 1);
@@ -146,9 +161,7 @@ let add_from b depth (c : Config_ir.t) defs = function
               leaf b)
             (filters_of defs l)
       | Some _ | None ->
-          open_ b depth "prefix-list";
-          arg b n;
-          leaf b)
+          word_leaf b depth "prefix-list" n)
   | Route_map.Match_community_list n -> (
       open_ b depth "community";
       match Config_ir.find_community_list c n with
@@ -171,31 +184,21 @@ let add_from b depth (c : Config_ir.t) defs = function
           arg b n;
           leaf b)
   | Route_map.Match_as_path n ->
-      open_ b depth "as-path";
-      arg b n;
-      leaf b
+      word_leaf b depth "as-path" n
   | Route_map.Match_source_protocol s ->
       open_ b depth "protocol ";
       str b (Route.source_to_string s);
       leaf b
   | Route_map.Match_med m ->
-      open_ b depth "metric ";
-      int b m;
-      leaf b
+      int_leaf b depth "metric" m
   | Route_map.Match_tag t ->
-      open_ b depth "tag ";
-      int b t;
-      leaf b
+      int_leaf b depth "tag" t
 
 let add_then b depth defs = function
   | Route_map.Set_med m ->
-      open_ b depth "metric ";
-      int b m;
-      leaf b
+      int_leaf b depth "metric" m
   | Route_map.Set_local_pref p ->
-      open_ b depth "local-preference ";
-      int b p;
-      leaf b
+      int_leaf b depth "local-preference" p
   | Route_map.Set_community { communities; additive } ->
       let name = community_def_name communities in
       register_community defs name communities;
@@ -203,9 +206,7 @@ let add_then b depth defs = function
       arg b name;
       leaf b
   | Route_map.Set_community_delete n ->
-      open_ b depth "community delete";
-      arg b n;
-      leaf b
+      word_leaf b depth "community delete" n
   | Route_map.Set_next_hop a ->
       open_ b depth "next-hop ";
       Ipv4.add_to_buffer b a;
@@ -242,8 +243,7 @@ let add_term b depth c defs (e : Route_map.entry) =
       open_ b depth "then";
       block b depth (fun depth ->
           List.iter (add_then b depth defs) e.sets;
-          open_ b depth (match e.action with Action.Permit -> "accept" | Action.Deny -> "reject");
-          leaf b))
+          kw_leaf b depth (match e.action with Action.Permit -> "accept" | Action.Deny -> "reject")))
 
 let add_policy_statement b depth c defs (m : Route_map.t) =
   open_ b depth "policy-statement";
@@ -257,9 +257,7 @@ let add_policy_statement b depth c defs (m : Route_map.t) =
 let add_system b (c : Config_ir.t) =
   open_ b 0 "system";
   block b 0 (fun depth ->
-      open_ b depth "host-name";
-      arg b c.hostname;
-      leaf b)
+      word_leaf b depth "host-name" c.hostname)
 
 let add_firewall b (c : Config_ir.t) =
   let term depth (e : Acl.entry) =
@@ -289,9 +287,7 @@ let add_firewall b (c : Config_ir.t) =
               match e.dst_port with
               | Acl.Any_port -> ()
               | Acl.Eq p ->
-                  open_ b depth "destination-port ";
-                  int b p;
-                  leaf b
+                  int_leaf b depth "destination-port" p
               | Acl.Port_range (lo, hi) ->
                   open_ b depth "destination-port ";
                   int b lo;
@@ -300,9 +296,8 @@ let add_firewall b (c : Config_ir.t) =
                   leaf b));
         open_ b depth "then";
         block b depth (fun depth ->
-            open_ b depth
-              (match e.action with Action.Permit -> "accept" | Action.Deny -> "discard");
-            leaf b))
+            kw_leaf b depth
+              (match e.action with Action.Permit -> "accept" | Action.Deny -> "discard")))
   in
   if c.acls <> [] then (
     open_ b 0 "firewall";
@@ -327,15 +322,8 @@ let add_interfaces b (c : Config_ir.t) =
     pad b depth;
     word b phys;
     block b depth (fun depth ->
-        (match i.description with
-        | Some d ->
-            open_ b depth "description";
-            arg b d;
-            leaf b
-        | None -> ());
-        if i.shutdown then (
-          open_ b depth "disable";
-          leaf b);
+        Option.iter (word_leaf b depth "description") i.description;
+        if i.shutdown then kw_leaf b depth "disable";
         open_ b depth "unit 0";
         block b depth (fun depth ->
             if i.address <> None || i.acl_in <> None || i.acl_out <> None then (
@@ -344,18 +332,8 @@ let add_interfaces b (c : Config_ir.t) =
                   if i.acl_in <> None || i.acl_out <> None then (
                     open_ b depth "filter";
                     block b depth (fun depth ->
-                        Option.iter
-                          (fun n ->
-                            open_ b depth "input";
-                            arg b n;
-                            leaf b)
-                          i.acl_in;
-                        Option.iter
-                          (fun n ->
-                            open_ b depth "output";
-                            arg b n;
-                            leaf b)
-                          i.acl_out));
+                        Option.iter (word_leaf b depth "input") i.acl_in;
+                        Option.iter (word_leaf b depth "output") i.acl_out));
                   Option.iter
                     (fun (a, len) ->
                       open_ b depth "address ";
@@ -399,9 +377,7 @@ let add_routing_options b (c : Config_ir.t) =
                 leaf b)
               bgp.router_id;
             if bgp.asn > 0 then (
-              open_ b depth "autonomous-system ";
-              int b bgp.asn;
-              leaf b);
+              int_leaf b depth "autonomous-system" bgp.asn);
             if bgp.networks <> [] then (
               open_ b depth "announce";
               block b depth (fun depth ->
@@ -425,39 +401,15 @@ let add_bgp b depth (bgp : Config_ir.bgp) =
     chr b '-';
     int b (a land 0xFF);
     block b depth (fun depth ->
-        open_ b depth "type external";
-        leaf b;
+        kw_leaf b depth "type external";
         open_ b depth "neighbor ";
         Ipv4.add_to_buffer b n.addr;
         block b depth (fun depth ->
-            if n.remote_as > 0 then (
-              open_ b depth "peer-as ";
-              int b n.remote_as;
-              leaf b);
-            Option.iter
-              (fun a ->
-                open_ b depth "local-as ";
-                int b a;
-                leaf b)
-              n.local_as;
-            Option.iter
-              (fun d ->
-                open_ b depth "description";
-                arg b d;
-                leaf b)
-              n.description;
-            Option.iter
-              (fun p ->
-                open_ b depth "import";
-                arg b p;
-                leaf b)
-              n.import_policy;
-            Option.iter
-              (fun p ->
-                open_ b depth "export";
-                arg b p;
-                leaf b)
-              n.export_policy))
+            if n.remote_as > 0 then int_leaf b depth "peer-as" n.remote_as;
+            Option.iter (int_leaf b depth "local-as") n.local_as;
+            Option.iter (word_leaf b depth "description") n.description;
+            Option.iter (word_leaf b depth "import") n.import_policy;
+            Option.iter (word_leaf b depth "export") n.export_policy))
   in
   open_ b depth "bgp";
   block b depth (fun depth -> List.iter (group depth) bgp.neighbors)
@@ -477,15 +429,8 @@ let add_ospf b depth (o : Config_ir.ospf) =
               open_ b depth "interface";
               arg b (Iface.junos_name oi.iface);
               block b depth (fun depth ->
-                  Option.iter
-                    (fun m ->
-                      open_ b depth "metric ";
-                      int b m;
-                      leaf b)
-                    oi.cost;
-                  if oi.passive then (
-                    open_ b depth "passive";
-                    leaf b))))
+                  Option.iter (int_leaf b depth "metric") oi.cost;
+                  if oi.passive then kw_leaf b depth "passive")))
           o.interfaces)
   in
   open_ b depth "ospf";

@@ -601,15 +601,15 @@ let apply_ir (c : Config_ir.t) (fault : t) =
    text that ends with a newline has an empty last line. *)
 
 (* [contains ~sub s] allocates nothing: the scanners are closed, so no
-   closure is built per call. *)
+   closure is built per call. [contains_from] needs a non-empty [sub]. *)
 let rec matches_at s sub i j =
   j = String.length sub || (s.[i + j] = sub.[j] && matches_at s sub i (j + 1))
 
 let rec contains_from s sub i =
   i + String.length sub <= String.length s
-  && (matches_at s sub i 0 || contains_from s sub (i + 1))
+  && ((s.[i] = sub.[0] && matches_at s sub i 1) || contains_from s sub (i + 1))
 
-let contains ~sub s = contains_from s sub 0
+let contains ~sub s = sub = "" || contains_from s sub 0
 
 (* The lines of the text [lines] followed by [s]: the first line of [s]
    continues the last line. *)
