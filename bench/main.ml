@@ -2370,19 +2370,17 @@ let table_r1 () =
               if List.mem f.Llmsim.Fault.class_ acc then acc else acc @ [ f.Llmsim.Fault.class_ ])
             [] opportunities
         in
-        let text = render [] in
-        let parse, errors =
+        let parse text =
           match dialect with
-          | Llmsim.Fault.Cisco_cfg ->
-              let parse t = snd (Cisco.Parser.parse t) in
-              (parse, List.filter Diag.is_error (parse text))
-          | Junos_cfg ->
-              let parse t = snd (Juniper.Parser.parse t) in
-              (parse, List.filter Diag.is_error (parse text))
+          | Llmsim.Fault.Cisco_cfg -> snd (Cisco.Parser.parse text)
+          | Junos_cfg -> snd (Juniper.Parser.parse text)
         in
+        let text = render [] in
         List.iter
-          (fun d -> g.violation "%s: clean render does not parse: %s" name (Diag.to_string d))
-          errors;
+          (fun d ->
+            if Diag.is_error d then
+              g.violation "%s: clean render does not parse: %s" name (Diag.to_string d))
+          (parse text);
         (row name dialect "render clean" 1 (us_per_call ~reps render [ [] ])
         :: List.map
              (fun cls ->

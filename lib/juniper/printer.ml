@@ -127,25 +127,24 @@ let community_def_name comms =
 (* Policy statements                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The state of one print: the community definitions the statements name,
-   in first-use order, and the route filters of each ranged prefix list. *)
+(* The state of one print, both lists newest first: the community
+   definitions the statements name, and the route filters of each ranged
+   prefix list printed so far. *)
 type defs = {
-  mutable communities : (string * Community.t list) list;  (** Reversed. *)
-  named : (string, unit) Hashtbl.t;
-  filters : (string, (Prefix.t * (int * int)) list) Hashtbl.t;
+  mutable communities : (string * Community.t list) list;
+  mutable filters : (string * (Prefix.t * (int * int)) list) list;
 }
 
 let register_community defs name members =
-  if not (Hashtbl.mem defs.named name) then (
-    Hashtbl.add defs.named name ();
-    defs.communities <- (name, members) :: defs.communities)
+  if not (List.mem_assoc name defs.communities) then
+    defs.communities <- (name, members) :: defs.communities
 
 let filters_of defs (l : Prefix_list.t) =
-  match Hashtbl.find_opt defs.filters l.name with
+  match List.assoc_opt l.name defs.filters with
   | Some runs -> runs
   | None ->
       let runs = route_filter_runs l in
-      Hashtbl.add defs.filters l.name runs;
+      defs.filters <- (l.name, runs) :: defs.filters;
       runs
 
 let add_from b depth (c : Config_ir.t) defs = function
@@ -447,9 +446,7 @@ let add_protocols b (c : Config_ir.t) =
         Option.iter (add_ospf b depth) ospf))
 
 let add_policy_options b (c : Config_ir.t) =
-  let defs =
-    { communities = []; named = Hashtbl.create 16; filters = Hashtbl.create 8 }
-  in
+  let defs = { communities = []; filters = [] } in
   (* Community lists named in delete actions are defined first. *)
   List.iter
     (fun (m : Route_map.t) ->

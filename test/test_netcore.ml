@@ -382,6 +382,14 @@ let prop_as_path_round_trip =
       let p = As_path.of_list l in
       As_path.of_string (As_path.to_string p) = Some p)
 
+let prop_add_int_is_string_of_int =
+  QCheck2.Test.make ~name:"Buf.add_int writes string_of_int" ~count:500
+    QCheck2.Gen.(oneof [ int; oneofl [ 0; -1; 9; 10; -10; max_int; min_int ] ])
+    (fun n ->
+      let b = Buffer.create 4 in
+      Buf.add_int b n;
+      Buffer.contents b = string_of_int n)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -394,6 +402,7 @@ let props =
       prop_star_json_round_trip;
       prop_community_round_trip;
       prop_as_path_round_trip;
+      prop_add_int_is_string_of_int;
     ]
 
 (* ------------------------------------------------------------------ *)
