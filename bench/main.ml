@@ -81,8 +81,11 @@ let with_journal name f =
       Fun.protect ~finally:(fun () -> Exec.Sweep.journal_close j) (fun () -> f (Some j))
 
 (* One worker pool for the whole harness; size comes from COSYNTH_POOL_SIZE
-   or the machine (Exec.Pool.default_size). *)
-let pool = Exec.Pool.create ()
+   or the machine (Exec.Pool.default_size). It is spawned on the first
+   fan-out: a gate that never fans out (R1's timings, say) would otherwise
+   run beside an idle domain that every GC must stop. *)
+let harness_pool = lazy (Exec.Pool.create ())
+let pool () = Lazy.force harness_pool
 
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
@@ -140,6 +143,7 @@ let determinism_sweep ~name ~seeds run =
   with_journal name @@ function
   | Some j ->
       let replayed = List.length (Exec.Sweep.journaled_seeds j) in
+      let pool = pool () in
       let outcomes, perf =
         Cosynth.Metrics.measure ~pool (fun () ->
             Exec.Sweep.run_seeds ~pool ~journal:j ~seeds (fun seed ->
@@ -153,6 +157,7 @@ let determinism_sweep ~name ~seeds run =
             Exec.Sweep.run_seeds ~seeds (fun seed -> run ?pool:None seed))
       in
       Exec.Memo.reset ();
+      let pool = pool () in
       let par, par_perf =
         Cosynth.Metrics.measure ~pool (fun () ->
             Exec.Sweep.run_seeds ~pool ~seeds (fun seed -> run ?pool:(Some pool) seed))
@@ -480,6 +485,7 @@ let table_ab1a () =
   section
     (Printf.sprintf "AB1a — Ablation: IIP database on/off (7-router no-transit, %d runs)"
        (runs 15));
+  let pool = pool () in
   let with_iips =
     Cosynth.Metrics.no_transit_summary ~runs:(runs 15) ~routers:7 ~use_iips:true ~pool ()
   in
@@ -501,7 +507,9 @@ let table_ab1b () =
   let rows =
     List.map
       (fun routers ->
-        let s = Cosynth.Metrics.no_transit_summary ~runs:(runs 10) ~routers ~pool () in
+        let s =
+          Cosynth.Metrics.no_transit_summary ~runs:(runs 10) ~routers ~pool:(pool ()) ()
+        in
         let c = summary_cells s in
         [ string_of_int routers; c.auto; c.human; c.leverage ])
       [ 3; 5; 7; 9; 11 ]
@@ -519,7 +527,7 @@ let table_ab1c () =
     List.map
       (fun st ->
         let transcripts =
-          Exec.Sweep.run_seeds ~pool
+          Exec.Sweep.run_seeds ~pool:(pool ())
             ~seeds:(Exec.Sweep.seeds ~base:4000 ~n:(runs 10))
             (fun seed ->
               (Cosynth.Driver.run_translation ~seed ~stall_threshold:st ~cisco_text ())
@@ -602,7 +610,7 @@ let table_e2 () =
     "E2 — Extension: incremental policy addition (the paper's closing question)";
   let runs = runs 25 in
   let results =
-    Exec.Sweep.run_seeds ~pool
+    Exec.Sweep.run_seeds ~pool:(pool ())
       ~seeds:(List.init runs (fun i -> i * 31))
       (fun seed -> Cosynth.Driver.run_incremental ~seed ~routers:7 ())
   in
@@ -643,7 +651,7 @@ let table_e3 () =
     List.map
       (fun q ->
         let transcripts =
-          Exec.Sweep.run_seeds ~pool
+          Exec.Sweep.run_seeds ~pool:(pool ())
             ~seeds:(Exec.Sweep.seeds ~base:6000 ~n:(runs 15))
             (fun seed ->
               (Cosynth.Driver.run_translation ~seed ~quality:q ~cisco_text ())
@@ -831,6 +839,7 @@ let table_c2 () =
   (* The pre-supervisor reference: today's plain pooled sweep. The rate-0
      supervised sweep below must reproduce it byte-for-byte. *)
   let zero = Resilience.Runtime.default_config in
+  let pool = pool () in
   let baseline =
     Exec.Sweep.run_seeds ~pool ~seeds (fun seed -> run_seed zero seed)
   in
@@ -1153,7 +1162,7 @@ let table_s2 () =
   let synth_seed = 12345 in
   let expected_unloaded =
     let r =
-      Cosynth.Driver.run_no_transit ~seed:synth_seed ~pool
+      Cosynth.Driver.run_no_transit ~seed:synth_seed ~pool:(pool ())
         ~resilience:
           (Resilience.Runtime.config ~round_budget:64 ~stage_budget:32 ())
         ~routers:5 ()
@@ -2475,10 +2484,10 @@ let () =
     "CoSynth benchmark harness — reproduction of 'What do LLMs need to Synthesize \
      Correct Router Configurations?' (HotNets 2023)\n";
   Printf.printf "mode: %s | worker pool: %d domain(s) (COSYNTH_POOL_SIZE to override)\n"
-    label (Exec.Pool.size pool);
+    label (Exec.Pool.default_size ());
   List.iter (fun table -> table ()) tables;
   if Option.is_none gate then begin
-    let ps = Exec.Pool.stats pool in
+    let ps = Exec.Pool.stats (pool ()) in
     let ms = Exec.Memo.stats () in
     Printf.printf
       "\npool: %d domain(s), %d jobs, %.1fs busy over %.1fs wall (utilization %.0f%%), \
@@ -2490,5 +2499,5 @@ let () =
     Printf.printf "memo: %d hits / %d misses since last reset, %d entries cached\n"
       ms.Exec.Memo.hits ms.Exec.Memo.misses ms.Exec.Memo.entries
   end;
-  Exec.Pool.shutdown pool;
+  if Lazy.is_val harness_pool then Exec.Pool.shutdown (pool ());
   Printf.printf "\nDone.\n"

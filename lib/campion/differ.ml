@@ -296,13 +296,7 @@ let policy_memo = Policy_memo.create ~cap:memo_cap
 let acl_memo = Acl_memo.create ~cap:memo_cap
 
 let memo_stats () =
-  let p = Policy_memo.stats policy_memo and a = Acl_memo.stats acl_memo in
-  {
-    Netcore.Memo_table.hits = p.hits + a.hits;
-    misses = p.misses + a.misses;
-    entries = p.entries + a.entries;
-    evictions = p.evictions + a.evictions;
-  }
+  Netcore.Memo_table.sum [ Policy_memo.stats policy_memo; Acl_memo.stats acl_memo ]
 
 let policy_key ~env_a ~env_b m_a m_b =
   (m_a, m_b, env_slice m_a m_b env_a, env_slice m_a m_b env_b)

@@ -1140,7 +1140,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
         (star.Netcore.Star.topology, task.Modularizer.router, ir)
         ~name:"topology" ~findings:Fun.id ~prompt:Humanizer.of_topology
       @@ fun _ ->
-      stage suite.Resilience.Suite.route_policies (ir, task.Modularizer.specs) ~name:"semantic"
+      stage suite.Resilience.Suite.route_policies (draft, task.Modularizer.specs) ~name:"semantic"
         ~findings:Batfish.Search_route_policies.violations ~prompt:Humanizer.of_violation
       @@ fun _ -> (draft, true)
     in
@@ -1361,8 +1361,8 @@ let run_incremental ?(seed = 42) ?(max_prompts = incremental_budget)
     let stage v input = stage st rt chat v input ~retry:loop ~stop:(fun () -> false) in
     stage suite.Resilience.Suite.parse (Batfish.Parse_check.Cisco_ios, draft) ~name:"syntax"
       ~findings:syntax_errors ~prompt:Humanizer.of_diag
-    @@ fun (ir, _) ->
-    stage suite.Resilience.Suite.route_policies (ir, task.Modularizer.specs) ~name:"semantic"
+    @@ fun _ ->
+    stage suite.Resilience.Suite.route_policies (draft, task.Modularizer.specs) ~name:"semantic"
       ~findings:violations ~prompt:Humanizer.of_violation
     @@ fun _ -> true
   in

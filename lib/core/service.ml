@@ -435,7 +435,11 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
                  J.Obj (memo_fields mm @ [ ("hit_rate", J.Float (Netcore.Memo_table.hit_rate mm)) ])
                );
                ("diff_memo", J.Obj (memo_fields (Campion.Differ.memo_stats ())));
-               ("verdict_memo", J.Obj (memo_fields (Exec.Memo.verdict_stats ())));
+               ( "verdict_memo",
+                 J.Obj
+                   (memo_fields
+                      (Netcore.Memo_table.sum
+                         [ Exec.Memo.draft_verdict_stats (); Exec.Memo.verdict_stats () ])) );
                ("render_memo", J.Obj (memo_fields (Llmsim.Chat.render_stats ())));
                ("global_memo", J.Obj (memo_fields (Driver.global_stats ())));
                ( "pool",

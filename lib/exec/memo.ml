@@ -50,4 +50,29 @@ let route_policies config specs =
 let verdict_key_hash = Verdict_key.hash
 let verdict_stats () = Verdicts.stats verdicts
 
+(* A loop re-checks the same draft many times, so the whole answer is kept
+   on the text the verifier is handed. [Hashtbl.hash] mixes every byte of a
+   string; the specs are one plan's list, so [compare] meets them by
+   address. *)
+module Drafts = Netcore.Memo_table.Make (struct
+  type t = string * Batfish.Search_route_policies.spec list
+
+  let equal a b = compare a b = 0
+  let hash (text, specs) = Hashtbl.hash (Hashtbl.hash text, Hashtbl.hash specs)
+end)
+
+(* A no-transit loop meets a few dozen distinct drafts, and a draft recurs
+   within its own loop, so the last thousand answers keep every hit. *)
+let draft_verdict_cap = 1024
+let drafts = Drafts.create ~cap:draft_verdict_cap
+
+(* On a miss the syntax stage has just parsed the text, so [check] is a
+   hit, and a draft that changed one map asks the verdict table for that
+   map only. *)
+let route_policies_of_draft text specs =
+  Drafts.find drafts (text, specs) (fun () ->
+      route_policies (fst (check Batfish.Parse_check.Cisco_ios text)) specs)
+
+let draft_verdict_stats () = Drafts.stats drafts
+
 let reset = Netcore.Memo_table.reset

@@ -1,8 +1,9 @@
 (** The memo tables for {!Batfish.Parse_check.check} and Search Route
-    Policies' verdicts, on the one bounded, thread-safe mechanism of
-    {!Netcore.Memo_table} (its lock, success-only inserts and FIFO-batch
-    eviction). Both tables live for the life of the process, are shared by
-    every domain, and hold only results of pure functions.
+    Policies' verdicts, per draft and per map, on the one bounded,
+    thread-safe mechanism of {!Netcore.Memo_table} (its lock, success-only
+    inserts and FIFO-batch eviction). The three tables live for the life of
+    the process, are shared by every domain, and hold only results of pure
+    functions.
 
     The parse table: the VPP loops re-verify the current draft after every
     prompt, and a stalled prompt (the simulated LLM "usually does nothing
@@ -14,7 +15,13 @@
     a fix touches one map, and the next loop or seed over the same star
     meets the same maps again. A map's verdicts are a pure function of its
     {!Batfish.Search_route_policies.verdict_key}, so they are memoized on
-    it. *)
+    it.
+
+    The draft table: a loop hands the verifier the same draft text again
+    and again (most of the no-transit loop's calls), and building one
+    verdict key per map costs more than the lookups it saves. So the whole
+    answer is memoized on [(text, specs)], in front of the verdict table,
+    which still serves a new draft that changed one map. *)
 
 type stats = Netcore.Memo_table.stats = {
   hits : int;
@@ -58,8 +65,23 @@ val verdict_key_hash : Batfish.Search_route_policies.verdict_key -> int
 (** The verdict table's key hash. It reads past the map's name into every
     stanza. *)
 
+val route_policies_of_draft :
+  string ->
+  Batfish.Search_route_policies.spec list ->
+  (Batfish.Search_route_policies.spec * Batfish.Search_route_policies.outcome) list
+(** [route_policies_of_draft text specs] is {!route_policies} on the parse
+    of the Cisco IOS draft [text] ({!check}), looked up first in the draft
+    table on [(text, specs)]. A miss parses through the parse table and asks
+    the verdict table per map. *)
+
+val draft_verdict_cap : int
+(** The draft table's cap. *)
+
+val draft_verdict_stats : unit -> stats
+(** The draft table's counters: one lookup per call. *)
+
 val reset : unit -> unit
 (** {!Netcore.Memo_table.reset}: drop every entry of {e every} table in the
-    process — the parse and verdict tables here, Campion's diff tables, the
-    no-transit plans, the simulated LLM's renders and the whole-network
-    verdicts — and zero their counters. *)
+    process — the parse, draft and verdict tables here, Campion's diff
+    tables, the no-transit plans, the simulated LLM's renders and the
+    whole-network verdicts — and zero their counters. *)

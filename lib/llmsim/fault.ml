@@ -661,19 +661,35 @@ let apply_neighbor_outside_bgp addr lines =
   | [], _ -> lines
   | line :: _, rest -> append rest (String.trim line ^ "\n")
 
-let apply_match_community_literal (correct : Config_ir.t) map_name seq lines =
-  (* Find the stanza header [route-map MAP ACTION SEQ], then the first
-     community match inside it, and replace the list reference with the
-     literal community. *)
-  let seq = string_of_int seq in
+(* A run of match-community-literal faults, applied in one pass. Each fault
+   rewrites the first [match community LIST] line of the stanzas headed
+   [route-map MAP ACTION SEQ] to match the list's first community instead.
+   The stanzas of distinct (MAP, SEQ) targets are disjoint, and a rewritten
+   line is such a line again, so the next fault on the same target rewrites
+   it once more: the pass gives what applying the faults one by one gives. *)
+let apply_match_community_literals (correct : Config_ir.t) targets lines =
+  let pending = Hashtbl.create 16 in
+  List.iter
+    (fun (map_name, seq) ->
+      let key = (map_name, string_of_int seq) in
+      Hashtbl.replace pending key (1 + Option.value ~default:0 (Hashtbl.find_opt pending key)))
+    targets;
+  let left = ref (List.length targets) in
   let is_header l = String.length l > 0 && l.[0] <> ' ' in
-  (* Only a line that names the map is split into words. *)
-  let is_stanza l =
-    contains ~sub:map_name l
-    &&
-    match Cisco.Parser.tokens l with
-    | [ "route-map"; name; _; s ] -> name = map_name && s = seq
-    | _ -> false
+  (* Only a header that may name a target is split into words; a run of
+     one map's faults, a single-fault render among them, keeps the cheaper
+     test for that map's name. *)
+  let may_name =
+    match List.sort_uniq compare (List.map fst targets) with
+    | [ map_name ] -> contains ~sub:map_name
+    | _ -> contains ~sub:"route-map"
+  in
+  let stanza l =
+    if may_name l then
+      match Cisco.Parser.tokens l with
+      | [ "route-map"; name; _; s ] when Hashtbl.mem pending (name, s) -> Some (name, s)
+      | _ -> None
+    else None
   in
   let literal_of list_name =
     match Config_ir.find_community_list correct list_name with
@@ -681,22 +697,32 @@ let apply_match_community_literal (correct : Config_ir.t) map_name seq lines =
         Community.to_string c
     | _ -> "100:1"
   in
-  let rec go acc in_stanza = function
-    | [] -> lines
-    | l :: rest ->
-        let in_stanza = if is_header l then is_stanza l else in_stanza in
-        let literal =
-          if in_stanza && contains ~sub:"match community " l then
-            match String.split_on_char ' ' (String.trim l) with
-            | [ "match"; "community"; name ] -> Some (" match community " ^ literal_of name)
-            | _ -> None
-          else None
-        in
-        match literal with
-        | Some l -> List.rev_append acc (l :: rest)
-        | None -> go (l :: acc) in_stanza rest
+  let listed l =
+    if contains ~sub:"match community " l then
+      match String.split_on_char ' ' (String.trim l) with
+      | [ "match"; "community"; name ] -> Some name
+      | _ -> None
+    else None
   in
-  go [] false lines
+  (* [l] under every fault left on [key] while it stays a match line. *)
+  let rec rewrite key l =
+    let n = Hashtbl.find pending key in
+    match listed l with
+    | Some name when n > 0 ->
+        Hashtbl.replace pending key (n - 1);
+        decr left;
+        rewrite key (" match community " ^ literal_of name)
+    | _ -> l
+  in
+  let rec go acc key = function
+    | [] -> List.rev acc
+    | rest when !left = 0 -> List.rev_append acc rest
+    | l :: rest ->
+        let key = if is_header l then stanza l else key in
+        let l = match key with Some key -> rewrite key l | None -> l in
+        go (l :: acc) key rest
+  in
+  go [] None lines
 
 let apply_text (correct : Config_ir.t) lines (fault : t) =
   match (fault.class_, fault.target) with
@@ -704,9 +730,21 @@ let apply_text (correct : Config_ir.t) lines (fault : t) =
   | Error_class.Bad_prefix_list_syntax, Named_list n -> apply_bad_prefix_list correct n lines
   | Error_class.Cli_keywords, _ -> apply_cli_keywords lines
   | Error_class.Neighbor_outside_bgp, Neighbor a -> apply_neighbor_outside_bgp a lines
-  | Error_class.Match_community_literal, Policy_entry (m, s) ->
-      apply_match_community_literal correct m s lines
   | _ -> lines
+
+(* The text faults in order, each consecutive run of match-community-literal
+   faults taken in one pass. *)
+let rec apply_texts (correct : Config_ir.t) lines = function
+  | [] -> lines
+  | { class_ = Error_class.Match_community_literal; target = Policy_entry _ } :: _ as faults ->
+      let rec run targets = function
+        | { class_ = Error_class.Match_community_literal; target = Policy_entry (m, s) } :: rest ->
+            run ((m, s) :: targets) rest
+        | rest -> (targets, rest)
+      in
+      let targets, rest = run [] faults in
+      apply_texts correct (apply_match_community_literals correct targets lines) rest
+  | fault :: rest -> apply_texts correct (apply_text correct lines fault) rest
 
 let is_text_fault (fault : t) =
   match fault.class_ with
@@ -726,6 +764,4 @@ let render dialect (correct : Config_ir.t) faults =
   in
   match text_faults with
   | [] -> text
-  | _ ->
-      String.concat "\n"
-        (List.fold_left (apply_text correct) (String.split_on_char '\n' text) text_faults)
+  | _ -> String.concat "\n" (apply_texts correct (String.split_on_char '\n' text) text_faults)

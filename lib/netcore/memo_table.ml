@@ -5,7 +5,18 @@ let registry_lock = Mutex.create ()
 let registry : (unit -> unit) list ref = ref []
 
 module Make (K : Hashtbl.HashedType) = struct
-  module H = Hashtbl.Make (K)
+  (* A key carries its hash, computed once per call: a miss looks the key
+     up, checks it again under the lock and adds it, and eviction removes
+     it later, so [K.hash] (which may read a whole draft) runs once instead
+     of four times. Equality compares the stored hashes before the keys. *)
+  type key = { hash : int; key : K.t }
+
+  module H = Hashtbl.Make (struct
+    type t = key
+
+    let equal a b = a.hash = b.hash && K.equal a.key b.key
+    let hash k = k.hash
+  end)
 
   (* [order] holds the live keys oldest first — the eviction queue. An entry
      is only ever removed by eviction or [reset], so the queue and the table
@@ -14,7 +25,7 @@ module Make (K : Hashtbl.HashedType) = struct
   type 'v t = {
     lock : Mutex.t;
     table : 'v H.t;
-    order : K.t Queue.t;
+    order : key Queue.t;
     cap : int;
     mutable hits : int;
     mutable misses : int;
@@ -59,6 +70,7 @@ module Make (K : Hashtbl.HashedType) = struct
     done
 
   let find_result t key compute =
+    let key = { hash = K.hash key; key } in
     let cached =
       Mutex.protect t.lock (fun () ->
           let v = H.find_opt t.table key in
@@ -93,6 +105,17 @@ module Make (K : Hashtbl.HashedType) = struct
           evictions = t.evictions;
         })
 end
+
+let sum =
+  List.fold_left
+    (fun a s ->
+      {
+        hits = a.hits + s.hits;
+        misses = a.misses + s.misses;
+        entries = a.entries + s.entries;
+        evictions = a.evictions + s.evictions;
+      })
+    { hits = 0; misses = 0; entries = 0; evictions = 0 }
 
 let hit_rate s =
   let total = s.hits + s.misses in

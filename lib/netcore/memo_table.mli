@@ -44,6 +44,10 @@ module Make (K : Hashtbl.HashedType) : sig
   val stats : 'v t -> stats
 end
 
+val sum : stats list -> stats
+(** The counters of several tables added field by field, for a layer that
+    memoises on more than one table. *)
+
 val hit_rate : stats -> float
 (** [hits / (hits + misses)]; 0 when the table is untouched. *)
 

@@ -11,7 +11,7 @@ type t = {
       Topoverify.Verifier.finding list )
     Verifier.t;
   route_policies :
-    ( Policy.Config_ir.t * Batfish.Search_route_policies.spec list,
+    ( string * Batfish.Search_route_policies.spec list,
       (Batfish.Search_route_policies.spec * Batfish.Search_route_policies.outcome) list
     )
     Verifier.t;
@@ -36,5 +36,5 @@ let make runtime =
     route_policies =
       arm Verifier.Route_policies
         ~dirty:(fun outcomes -> Batfish.Search_route_policies.violations outcomes <> [])
-        (fun (ir, specs) -> Exec.Memo.route_policies ir specs);
+        (fun (draft, specs) -> Exec.Memo.route_policies_of_draft draft specs);
   }

@@ -9,12 +9,16 @@
     The Campion oracle is {!Campion.Differ.check}, whose policy and ACL
     diffs are memoised in bounded, domain-safe tables that live for the
     process, so every loop, sweep seed and [serve] request shares them.
-    The Search Route Policies oracle is {!Exec.Memo.route_policies}, whose
-    per-map verdicts live in the same kind of process-wide table, so a
-    draft that changed one route map checks that map only, and a later loop
-    over the same star checks none it has seen. The chaos, lie and trust
-    layers all wrap these oracles, so only pristine results are memoised.
-    A suite belongs to one loop in one domain.
+    The Search Route Policies oracle is {!Exec.Memo.route_policies_of_draft}.
+    It is handed the Cisco IOS draft text, as the real verifier is, and
+    keeps its answer in a process-wide table keyed on [(text, specs)], so a
+    draft the loop checked before costs one lookup. A new draft is parsed
+    through the parse table and checked map by map against a second
+    process-wide table, so a draft that changed one route map checks that
+    map only, and a later loop over the same star checks none it has seen.
+    The chaos, lie and trust layers all wrap these oracles, so only
+    pristine results are memoised. A suite belongs to one loop in one
+    domain.
 
     The global no-transit check is use-case-specific, so the driver wraps
     it itself with {!Verifier.wrap} [Bgp_sim] + {!Runtime.arm}. *)
@@ -34,10 +38,11 @@ type t = {
     Verifier.t;
       (** Input: [(topology, router, config)]. *)
   route_policies :
-    ( Policy.Config_ir.t * Batfish.Search_route_policies.spec list,
+    ( string * Batfish.Search_route_policies.spec list,
       (Batfish.Search_route_policies.spec * Batfish.Search_route_policies.outcome) list
     )
     Verifier.t;
+      (** Input: [(draft text, specs)]. *)
 }
 
 val make : Runtime.t -> t

@@ -54,13 +54,16 @@ let wrap ?(dirty = fun _ -> false) kind oracle =
 let kind t = t.kind
 let dirty t o = t.dirty o
 
+(* The oracle behind the exception firewall. The input's fingerprint hashes
+   the whole input (a draft, for the syntax and route-policy stages), so it
+   is filled into the crash only when there is one. *)
+let guarded ~label t input =
+  Result.map_error
+    (fun crash -> { crash with Guard.fingerprint = Guard.fingerprint_value input })
+    (Guard.run ~label (fun () -> t.oracle input))
+
 let run_oracle t input =
-  match
-    Guard.run ~label:(kind_name t.kind)
-      ~fingerprint:(Guard.fingerprint_value input) (fun () -> t.oracle input)
-  with
-  | Ok v -> Ok v
-  | Error crash -> Error (Faulted crash)
+  Result.map_error (fun crash -> Faulted crash) (guarded ~label:(kind_name t.kind) t input)
 
 let run t input =
   match t.schedule with None -> run_oracle t input | Some f -> f input
@@ -74,10 +77,7 @@ let runner t = match t.schedule with None -> run_oracle t | Some f -> f
    directly, bypassing the fault schedule AND any installed cross-check
    oracle service. The label matches the historical driver-side hand check
    so crash records stay byte-identical. *)
-let hand_run t input =
-  Guard.run ~label:(kind_name t.kind ^ "/hand-check")
-    ~fingerprint:(Guard.fingerprint_value input)
-    (fun () -> t.oracle input)
+let hand_run t input = guarded ~label:(kind_name t.kind ^ "/hand-check") t input
 
 let install_oracle t f = t.oracle_service <- Some f
 let oracle_run t input = match t.oracle_service with None -> hand_run t input | Some f -> f input

@@ -15,7 +15,7 @@ type kind =
   | Parse_check  (** {!Batfish.Parse_check} (via {!Exec.Memo}). *)
   | Campion  (** {!Campion.Differ.check}. *)
   | Topology  (** {!Topoverify.Verifier.check}. *)
-  | Route_policies  (** {!Exec.Memo.route_policies}. *)
+  | Route_policies  (** {!Exec.Memo.route_policies_of_draft}. *)
   | Bgp_sim  (** The global no-transit check (simulation and/or proof). *)
 
 val all_kinds : kind list

@@ -608,6 +608,44 @@ let test_sweep_journal_lww () =
         (Exec.Checkpoint.compact path = (2, 2));
       check int_t "one line per seed after compaction" 2 (count_lines path))
 
+(* A table hashes each key once per call: a miss looks the key up, checks
+   it again and adds it, and an eviction removes it, all on one hash. *)
+module Counted = struct
+  let calls = Atomic.make 0
+
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    Atomic.incr calls;
+    Hashtbl.hash k
+end
+
+module Counted_table = Netcore.Memo_table.Make (Counted)
+
+let test_memo_hash_once () =
+  let t = Counted_table.create ~cap:8 in
+  let hashes f =
+    let before = Atomic.get Counted.calls in
+    f ();
+    Atomic.get Counted.calls - before
+  in
+  let ask k = ignore (Counted_table.find t k (fun () -> k * 2) : int) in
+  check int_t "a miss hashes once" 1 (hashes (fun () -> ask 1));
+  check int_t "a hit hashes once" 1 (hashes (fun () -> ask 1));
+  for k = 2 to 8 do
+    ask k
+  done;
+  check int_t "a miss that evicts hashes once" 1 (hashes (fun () -> ask 9));
+  let s = Counted_table.stats t in
+  check int_t "evicted one" 1 s.Netcore.Memo_table.evictions;
+  check int_t "entries" 8 s.Netcore.Memo_table.entries;
+  check int_t "hits" 1 s.Netcore.Memo_table.hits;
+  check int_t "misses" 9 s.Netcore.Memo_table.misses;
+  check int_t "the evicted key is gone" 1 (hashes (fun () -> ask 1));
+  check int_t "and was a miss" 10 (Counted_table.stats t).Netcore.Memo_table.misses
+
 (* ------------------------------------------------------------------ *)
 (* Memo eviction: bounded, FIFO, warm across the cap                   *)
 (* ------------------------------------------------------------------ *)
@@ -1250,6 +1288,7 @@ let () =
           Alcotest.test_case "thread safe" `Quick test_memo_thread_safe;
           Alcotest.test_case "bounded eviction keeps the cache warm" `Quick
             test_memo_eviction;
+          Alcotest.test_case "one hash per call" `Quick test_memo_hash_once;
         ] );
       ( "supervisor",
         [

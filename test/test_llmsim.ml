@@ -171,6 +171,52 @@ let test_render_match_community_literal_exact_stanza () =
   check bool_t "RM matches the literal" true
     (contains ~sub:"route-map RM permit 10\n match community 200:2\n" text)
 
+(* A run of these faults is applied in one pass, with what applying them one
+   by one gives: a rewritten line is a match line again, so a second fault
+   on the same stanza rewrites it once more (here through the community
+   list named like the first literal), a fault on another stanza of the map
+   leaves it, and a text fault between two runs sees the first run's
+   lines. *)
+let test_render_match_community_literal_runs () =
+  let ir, _ =
+    Cisco.Parser.parse
+      "hostname R\n\
+       ip community-list standard CL permit 7:7\n\
+       ip community-list standard 7:7 permit 8:8\n\
+       route-map RM permit 10\n\
+      \ match community CL\n\
+       route-map RM permit 20\n\
+      \ match community CL\n"
+  in
+  let literal seq =
+    Llmsim.Fault.make Llmsim.Error_class.Match_community_literal
+      (Llmsim.Fault.Policy_entry ("RM", seq))
+  in
+  let render faults = Llmsim.Fault.render Llmsim.Fault.Cisco_cfg ir faults in
+  let stanzas text =
+    List.filter_map
+      (fun seq ->
+        List.find_map
+          (fun lit ->
+            if contains ~sub:(Printf.sprintf "permit %d\n match community %s\n" seq lit) text
+            then Some lit
+            else None)
+          [ "CL"; "7:7"; "8:8"; "100:1" ])
+      [ 10; 20 ]
+  in
+  let expect label faults want =
+    check (Alcotest.list Alcotest.string) label want (stanzas (render faults))
+  in
+  expect "one fault" [ literal 10 ] [ "7:7"; "CL" ];
+  expect "twice on one stanza" [ literal 10; literal 10 ] [ "8:8"; "CL" ];
+  expect "three times" [ literal 10; literal 10; literal 10 ] [ "100:1"; "CL" ];
+  expect "two stanzas" [ literal 20; literal 10; literal 20 ] [ "7:7"; "8:8" ];
+  let cli = Llmsim.Fault.make Llmsim.Error_class.Cli_keywords Llmsim.Fault.Whole_config in
+  let text = render [ literal 10; cli; literal 10 ] in
+  check (Alcotest.list Alcotest.string) "runs split by another text fault" [ "8:8"; "CL" ]
+    (stanzas text);
+  check bool_t "and that fault applied" true (contains ~sub:"configure terminal\n" text)
+
 let test_render_ir_fault_changes_semantics () =
   let map_name = Cosynth.Modularizer.ingress_map_name "R2" in
   let text =
@@ -526,6 +572,8 @@ let () =
             test_render_match_community_literal;
           Alcotest.test_case "match community literal: exact stanza" `Quick
             test_render_match_community_literal_exact_stanza;
+          Alcotest.test_case "match community literal: runs" `Quick
+            test_render_match_community_literal_runs;
           Alcotest.test_case "semantic fault" `Quick test_render_ir_fault_changes_semantics;
         ] );
       ( "chat",

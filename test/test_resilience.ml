@@ -1037,6 +1037,31 @@ let test_guard_verifier_faulted () =
   | Ok 6 -> ()
   | _ -> Alcotest.fail "the guard must be invisible on the success path"
 
+(* The input's fingerprint is filled into the crash on the error path, for
+   the automated call and the hand check alike, with the text a crash has
+   always carried. *)
+let test_guard_crash_fingerprint () =
+  Resilience.Guard.reset ();
+  let input = ("route-map m permit 10\n", [ 1; 2 ]) in
+  let v =
+    Resilience.Verifier.wrap Resilience.Verifier.Route_policies (fun _ ->
+        failwith "verifier blew up")
+  in
+  (match Resilience.Verifier.run v input with
+  | Error (Resilience.Verifier.Faulted c as f) ->
+      check Alcotest.string "fingerprint of the input" "186e59f3" c.Resilience.Guard.fingerprint;
+      check Alcotest.string "failure text"
+        "stage route-policies aborted on Failure (input 186e59f3)"
+        (Resilience.Verifier.failure_to_string f)
+  | _ -> Alcotest.fail "a raising oracle must surface as Faulted");
+  (match Resilience.Verifier.hand_run v input with
+  | Error c ->
+      check Alcotest.string "hand-check stage" "route-policies/hand-check"
+        c.Resilience.Guard.stage;
+      check Alcotest.string "hand-check fingerprint" "186e59f3" c.Resilience.Guard.fingerprint
+  | Ok _ -> Alcotest.fail "the hand check must surface the crash");
+  check int_t "both crashes recorded" 2 (Resilience.Guard.total ())
+
 let test_runtime_stage_watchdog () =
   (* Topology's fixed policy allows 3 attempts; a huge round budget and a
      2-tick stage budget make the tick watchdog — not attempts exhaustion,
@@ -2083,6 +2108,8 @@ let () =
             test_guard_wall_clock_watchdog;
           Alcotest.test_case "raising oracle becomes Faulted" `Quick
             test_guard_verifier_faulted;
+          Alcotest.test_case "crash carries the input's fingerprint" `Quick
+            test_guard_crash_fingerprint;
           Alcotest.test_case "runtime stage watchdog" `Quick
             test_runtime_stage_watchdog;
           Alcotest.test_case "deadline: in-time passthrough" `Quick

@@ -219,7 +219,8 @@ let test_srp_differential () =
                  Llmsim.Chat.start ~seed:((routers * 1000) + i) Llmsim.Fault.Cisco_cfg ~correct
                in
                let rec go n acc =
-                 let acc = fst (Cisco.Parser.parse (Llmsim.Chat.draft chat)) :: acc in
+                 let text = Llmsim.Chat.draft chat in
+                 let acc = (text, fst (Cisco.Parser.parse text)) :: acc in
                  match Llmsim.Chat.live_faults chat with
                  | f :: _ when n > 1 ->
                      Llmsim.Chat.respond chat (Llmsim.Chat.auto_prompt f);
@@ -228,35 +229,43 @@ let test_srp_differential () =
                in
                go 3 []))
       in
-      let configs = correct :: drafts in
-      (* Both domains ask the process-wide verdict table about every draft,
-         in opposite orders, from cold; then one pass asks it warm. *)
-      let shared label cfg =
+      let texts = (Cisco.Printer.print correct, correct) :: drafts in
+      (* Both domains ask the process-wide tables about every draft, in
+         opposite orders, from cold; then one pass asks them warm. The
+         per-map table is handed the parsed draft, and each domain's suite
+         its text, as a loop hands it. *)
+      let shared label suite (text, cfg) =
         expect (label ^ ": the shared table = check_all")
-          (Exec.Memo.route_policies cfg specs = Batfish.Search_route_policies.check_all cfg specs)
+          (Exec.Memo.route_policies cfg specs = Batfish.Search_route_policies.check_all cfg specs);
+        expect (label ^ ": the suite's draft table = check_all of the parse")
+          (Resilience.Verifier.oracle suite.Resilience.Suite.route_policies (text, specs)
+          = Batfish.Search_route_policies.check_all (fst (Cisco.Parser.parse text)) specs)
+      in
+      let suite () =
+        Resilience.Suite.make (Resilience.Runtime.create Resilience.Runtime.default_config)
       in
       Exec.Memo.reset ();
       twice (fun d ->
+          let suite = suite () in
           List.iteri
-            (fun i cfg -> shared (Printf.sprintf "star %d, domain %d, config %d" routers d i) cfg)
-            (if d = 0 then configs else List.rev configs));
-      List.iteri (fun i cfg -> shared (Printf.sprintf "star %d, warm, config %d" routers i) cfg) configs;
-      (* One suite for the whole sequence, as one loop holds it: its Search
-         Route Policies oracle is the process-wide verdict table. *)
-      let suite =
-        Resilience.Suite.make (Resilience.Runtime.create Resilience.Runtime.default_config)
-      in
+            (fun i t ->
+              shared (Printf.sprintf "star %d, domain %d, draft %d" routers d i) suite t)
+            (if d = 0 then texts else List.rev texts));
+      let suite = suite () in
+      List.iteri
+        (fun i t -> shared (Printf.sprintf "star %d, warm, draft %d" routers i) suite t)
+        texts;
       let violated = ref 0 in
       List.iteri
-        (fun i cfg ->
+        (fun i (text, cfg) ->
           let name = Printf.sprintf "star %d, config %d" routers i in
           let all = Batfish.Search_route_policies.check_all cfg specs in
           check (Alcotest.list srp)
             (name ^ ": check_all = check per spec")
             (List.map (fun s -> Batfish.Search_route_policies.check cfg s) specs)
             (List.map snd all);
-          check bool_t (name ^ ": the suite's shared table = check_all") true
-            (Resilience.Verifier.oracle suite.Resilience.Suite.route_policies (cfg, specs) = all);
+          check bool_t (name ^ ": the suite's oracle on the draft text = check_all") true
+            (Resilience.Verifier.oracle suite.Resilience.Suite.route_policies (text, specs) = all);
           check bool_t (name ^ ": outcomes pair each spec in order") true
             (List.map fst all = specs);
           let env = Eval.env_of_config cfg in
@@ -279,7 +288,7 @@ let test_srp_differential () =
           if i = 0 then
             check bool_t (name ^ ": the oracle holds") true
               (List.for_all (fun (_, o) -> o = Batfish.Search_route_policies.Holds) all))
-        configs;
+        texts;
       check bool_t (Printf.sprintf "star %d: some draft is violated" routers) true
         (!violated > 0))
     [ 3; 7; 15 ]
@@ -472,6 +481,79 @@ let test_verdict_eviction () =
   check int_t "recent map still warm" (s.Exec.Memo.hits + 1) s'.Exec.Memo.hits;
   Exec.Memo.reset ();
   check int_t "reset empties the verdict table" 0 (Exec.Memo.verdict_stats ()).Exec.Memo.entries
+
+(* The draft table, checked against the uncached reference on the parse of
+   the text. *)
+let by_draft label text specs =
+  check (Alcotest.list srp)
+    (label ^ ": draft memo = check_all of the parse")
+    (List.map snd (Srp.check_all (fst (Cisco.Parser.parse text)) specs))
+    (List.map snd (Exec.Memo.route_policies_of_draft text specs))
+
+(* The key is the text and the specs, whole: the same text under other
+   specs, or a one-byte edit of it, misses and gets its own answer. *)
+let test_draft_key () =
+  Exec.Memo.reset ();
+  let hub = List.hd (Cosynth.Modularizer.plan (Star.make ~routers:7)) in
+  let specs = hub.Cosynth.Modularizer.specs in
+  let text = Cisco.Printer.print hub.Cosynth.Modularizer.correct in
+  let misses () = (Exec.Memo.draft_verdict_stats ()).Exec.Memo.misses in
+  let asks label text specs =
+    let before = misses () in
+    by_draft label text specs;
+    misses () - before
+  in
+  check int_t "first ask misses" 1 (asks "first" text specs);
+  check int_t "same text and specs hit" 0 (asks "again" text specs);
+  (* Every spec holds on this draft, so a key that ignored the specs would
+     hand back one outcome per hub spec for the egress specs alone. *)
+  let egress = List.filter (fun (s : Srp.spec) -> s.Srp.requirement = Srp.Denies) specs in
+  check bool_t "fewer specs" true (List.length egress < List.length specs);
+  check int_t "other specs miss" 1 (asks "other specs" text egress);
+  (* [100:2] for [100:1] in the first community list tags the first ISP's
+     routes with a community no egress map drops. *)
+  let edited =
+    let rec find i = if String.sub text i 6 = " 100:1" then i else find (i + 1) in
+    let at = find 0 + 5 in
+    String.mapi (fun j c -> if j = at then '2' else c) text
+  in
+  check bool_t "one byte differs" true
+    (String.length edited = String.length text
+    && List.length
+         (List.filter Fun.id (List.init (String.length text) (fun j -> text.[j] <> edited.[j])))
+       = 1);
+  check int_t "a one-byte edit misses" 1 (asks "one-byte edit" edited specs);
+  check bool_t "and its answer differs" false
+    (Exec.Memo.route_policies_of_draft edited specs = Exec.Memo.route_policies_of_draft text specs)
+
+(* Past the cap the draft table evicts its oldest eighth, like the verdict
+   table, and a reset empties it. *)
+let test_draft_eviction () =
+  Exec.Memo.reset ();
+  let cap = Exec.Memo.draft_verdict_cap in
+  let n = cap + (cap / 2) in
+  let spec =
+    { Srp.policy = "m"; space = Symbolic.Pred.full; requirement = Srp.Permits; description = "all" }
+  in
+  let ask med =
+    by_draft (Printf.sprintf "med %d" med)
+      (Printf.sprintf "route-map m deny 10\n match metric %d\nroute-map m permit 20\n" med)
+      [ spec ]
+  in
+  for med = 1 to n do
+    ask med
+  done;
+  let s = Exec.Memo.draft_verdict_stats () in
+  check bool_t "entries stay at or below the cap" true (s.Exec.Memo.entries <= cap);
+  check bool_t "evictions counted" true (s.Exec.Memo.evictions > 0);
+  check int_t "entries + evictions = distinct drafts" n (s.Exec.Memo.entries + s.Exec.Memo.evictions);
+  ask 1;
+  ask n;
+  let s' = Exec.Memo.draft_verdict_stats () in
+  check int_t "evicted draft recomputed" (s.Exec.Memo.misses + 1) s'.Exec.Memo.misses;
+  check int_t "recent draft still warm" (s.Exec.Memo.hits + 1) s'.Exec.Memo.hits;
+  Exec.Memo.reset ();
+  check int_t "reset empties the draft table" 0 (Exec.Memo.draft_verdict_stats ()).Exec.Memo.entries
 
 (* Loops over one star share its plan, so verdict keys built from its specs
    compare them by address; a reset drops the plan. *)
@@ -1069,6 +1151,8 @@ let () =
           Alcotest.test_case "verdict memo: key hash" `Quick test_verdict_key_hash;
           Alcotest.test_case "verdict memo: eviction" `Quick test_verdict_eviction;
           Alcotest.test_case "verdict memo: plan shared" `Quick test_plan_shared;
+          Alcotest.test_case "draft memo: key" `Quick test_draft_key;
+          Alcotest.test_case "draft memo: eviction" `Quick test_draft_eviction;
         ] );
       ( "bgp-sim",
         [
