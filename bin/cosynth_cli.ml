@@ -272,49 +272,52 @@ let synth_cmd =
     Term.(const run $ n $ seed $ no_iips $ verbose $ outdir $ prove)
 
 (* ------------------------------------------------------------------ *)
-(* sim                                                                 *)
+(* sim and prove: a topology and a directory of configs                *)
 (* ------------------------------------------------------------------ *)
+
+(* The topology dictionary in [file], handed to [k]; a malformed one is
+   reported on stderr and exits 2. *)
+let with_topology file k =
+  match Netcore.Topology.of_json (Netcore.Json.of_string_exn (read_file file)) with
+  | Error e ->
+      prerr_endline e;
+      2
+  | Ok topology -> k topology
+
+(* Every [<router>.cfg] in [dir], in name order, parsed as Cisco IOS into
+   [(router, IR)]; parse errors are reported on stderr. *)
+let parse_config_dir dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".cfg")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let ir, diags = Cisco.Parser.parse (read_file (Filename.concat dir f)) in
+         List.iter
+           (fun d ->
+             if Netcore.Diag.is_error d then Printf.eprintf "%s: %s\n" f (Netcore.Diag.to_string d))
+           diags;
+         (Filename.chop_suffix f ".cfg", ir))
 
 let sim_cmd =
   let run topo_file dir router =
-    let json = Netcore.Json.of_string_exn (read_file topo_file) in
-    match Netcore.Topology.of_json json with
-    | Error e ->
-        prerr_endline e;
-        2
-    | Ok topology ->
-        let configs =
-          Sys.readdir dir |> Array.to_list
-          |> List.filter (fun f -> Filename.check_suffix f ".cfg")
-          |> List.map (fun f ->
-                 let name = Filename.chop_suffix f ".cfg" in
-                 let ir, diags = Cisco.Parser.parse (read_file (Filename.concat dir f)) in
-                 List.iter
-                   (fun d ->
-                     if Netcore.Diag.is_error d then
-                       Printf.eprintf "%s: %s
-" f (Netcore.Diag.to_string d))
-                   diags;
-                 (name, ir))
-        in
-        let ribs = Batfish.Bgp_sim.run { Batfish.Bgp_sim.topology; configs } in
-        let show name =
-          Printf.printf "== %s ==
-" name;
-          List.iter
-            (fun (e : Batfish.Bgp_sim.rib_entry) ->
-              Printf.printf "  %s%s
-"
-                (Netcore.Route.to_string e.Batfish.Bgp_sim.route)
-                (match e.Batfish.Bgp_sim.learned_from with
-                | Some n -> " (via " ^ n ^ ")"
-                | None -> " (local)"))
-            (Batfish.Bgp_sim.rib ribs name)
-        in
-        (match router with
-        | Some r -> show r
-        | None -> List.iter show (Batfish.Bgp_sim.routers ribs));
-        0
+    with_topology topo_file @@ fun topology ->
+    let configs = parse_config_dir dir in
+    let ribs = Batfish.Bgp_sim.run { Batfish.Bgp_sim.topology; configs } in
+    let show name =
+      Printf.printf "== %s ==\n" name;
+      List.iter
+        (fun (e : Batfish.Bgp_sim.rib_entry) ->
+          Printf.printf "  %s%s\n"
+            (Netcore.Route.to_string e.Batfish.Bgp_sim.route)
+            (match e.Batfish.Bgp_sim.learned_from with
+            | Some n -> " (via " ^ n ^ ")"
+            | None -> " (local)"))
+        (Batfish.Bgp_sim.rib ribs name)
+    in
+    (match router with
+    | Some r -> show r
+    | None -> List.iter show (Batfish.Bgp_sim.routers ribs));
+    0
   in
   let topo =
     Arg.(
@@ -344,50 +347,36 @@ let sim_cmd =
 
 let prove_cmd =
   let run topo_file dir =
-    let json = Netcore.Json.of_string_exn (read_file topo_file) in
-    match Netcore.Topology.of_json json with
-    | Error e ->
-        prerr_endline e;
-        2
-    | Ok topology ->
-        (* The proof applies to star networks following the generator's
-           conventions: hub R1, spokes R2..Rn, customer network 10.0.0.0/24. *)
-        let star =
-          {
-            Netcore.Star.topology;
-            hub = "R1";
-            spokes =
-              List.filter_map
-                (fun (r : Netcore.Topology.router) ->
-                  if r.Netcore.Topology.name = "R1" then None
-                  else Some r.Netcore.Topology.name)
-                topology.Netcore.Topology.routers;
-            customer_prefix = Netcore.Prefix.of_string_exn "10.0.0.0/24";
-          }
-        in
-        let configs =
-          Sys.readdir dir |> Array.to_list
-          |> List.filter (fun f -> Filename.check_suffix f ".cfg")
-          |> List.map (fun f ->
-                 ( Filename.chop_suffix f ".cfg",
-                   fst (Cisco.Parser.parse (read_file (Filename.concat dir f))) ))
-        in
-        (match Cosynth.Lightyear.prove_no_transit star configs with
-        | Cosynth.Lightyear.Proved ->
-            print_endline "PROVED: the local policies imply the global no-transit policy.";
-            0
-        | Cosynth.Lightyear.Refuted r ->
-            Printf.printf "REFUTED: a route from %s can reach %s%s
-"
-              r.Cosynth.Lightyear.from_spoke r.Cosynth.Lightyear.to_spoke
-              (match r.Cosynth.Lightyear.example with
-              | Some e -> Printf.sprintf " (e.g. %s)" (Netcore.Route.to_string e)
-              | None -> "");
-            1
-        | Cosynth.Lightyear.Inapplicable why ->
-            Printf.printf "INAPPLICABLE: %s
-" why;
-            2)
+    with_topology topo_file @@ fun topology ->
+    (* The proof applies to star networks following the generator's
+       conventions: hub R1, spokes R2..Rn, customer network 10.0.0.0/24. *)
+    let star =
+      {
+        Netcore.Star.topology;
+        hub = "R1";
+        spokes =
+          List.filter_map
+            (fun (r : Netcore.Topology.router) ->
+              if r.Netcore.Topology.name = "R1" then None
+              else Some r.Netcore.Topology.name)
+            topology.Netcore.Topology.routers;
+        customer_prefix = Netcore.Prefix.of_string_exn "10.0.0.0/24";
+      }
+    in
+    (match Cosynth.Lightyear.prove_no_transit star (parse_config_dir dir) with
+    | Cosynth.Lightyear.Proved ->
+        print_endline "PROVED: the local policies imply the global no-transit policy.";
+        0
+    | Cosynth.Lightyear.Refuted r ->
+        Printf.printf "REFUTED: a route from %s can reach %s%s\n"
+          r.Cosynth.Lightyear.from_spoke r.Cosynth.Lightyear.to_spoke
+          (match r.Cosynth.Lightyear.example with
+          | Some e -> Printf.sprintf " (e.g. %s)" (Netcore.Route.to_string e)
+          | None -> "");
+        1
+    | Cosynth.Lightyear.Inapplicable why ->
+        Printf.printf "INAPPLICABLE: %s\n" why;
+        2)
   in
   let topo =
     Arg.(

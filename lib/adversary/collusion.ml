@@ -60,7 +60,8 @@ let arm t ~lens v =
     if List.mem k t.config.members then begin
       let kind_ix = Resilience.Verifier.kind_index k in
       let suppress honest =
-        if lens.Verifier.dirty honest && fires t ~kind_ix honest then lens.Verifier.clean honest
+        if Resilience.Verifier.dirty v honest && fires t ~kind_ix honest then
+          lens.Verifier.clean honest
         else honest
       in
       let inner = Resilience.Verifier.runner v in

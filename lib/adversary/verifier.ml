@@ -84,7 +84,6 @@ let decide t ~kind_ix ~dirty =
    supplies a lens per wrapped verifier — only it knows the typed findings
    well enough to swallow, fabricate or misplace them plausibly. *)
 type 'o lens = {
-  dirty : 'o -> bool;
   clean : 'o -> 'o;  (** False negative: strip every finding. *)
   fabricate : 'o -> 'o;  (** False positive: add a plausible fake finding. *)
   mutate : 'o -> 'o;  (** Real finding, wrong router/line/direction. *)
@@ -104,7 +103,7 @@ let arm t ~lens v =
         match inner input with
         | Error _ as e -> e
         | Ok honest -> (
-            match decide t ~kind_ix ~dirty:(lens.dirty honest) with
+            match decide t ~kind_ix ~dirty:(Resilience.Verifier.dirty v honest) with
             | Honest -> Ok honest
             | Lie_clean -> Ok (lens.clean honest)
             | Lie_fabricate -> Ok (lens.fabricate honest)

@@ -59,25 +59,18 @@ val derive : t -> int -> t
 (** Independent streams for fan-out task [idx] (fresh counters, disjoint
     salt), mirroring [Resilience.Runtime.derive]. *)
 
-type decision = Honest | Lie_clean | Lie_fabricate | Lie_mutate
-
-val decide : t -> kind_ix:int -> dirty:bool -> decision
-(** One seeded draw per applicable mode for this call: a dirty honest
-    answer can be swallowed ([Lie_clean]) or misplaced ([Lie_mutate]); a
-    clean one can gain a fabricated finding ([Lie_fabricate]). Also feeds
-    the adaptive signal. Exposed for the property tests; {!arm} is the
-    normal entry point. *)
-
 type 'o lens = {
-  dirty : 'o -> bool;
   clean : 'o -> 'o;  (** False negative: strip every finding. *)
   fabricate : 'o -> 'o;  (** False positive: add a plausible fake finding. *)
   mutate : 'o -> 'o;  (** Real finding, wrong router/line/direction. *)
 }
 (** How to forge each lie mode for one verifier's output type; supplied by
-    the driver, which knows the typed findings. *)
+    the driver, which knows the typed findings. Whether an answer is dirty
+    is the verifier's own {!Resilience.Verifier.dirty}. *)
 
 val arm : t -> lens:'o lens -> ('i, 'o) Resilience.Verifier.t -> unit
 (** Install the lying schedule, composed over whatever fault schedule is
     already armed (chaos faults pass through; only successes are lied
-    about). A no-op when {!is_none}. *)
+    about). Each call draws one seeded lie per applicable mode: a dirty
+    honest answer can be swallowed or misplaced, a clean one can gain a
+    fabricated finding. A no-op when {!is_none}. *)

@@ -273,35 +273,26 @@ let env_slice (m_a : Route_map.t) (m_b : Route_map.t) (env : Eval.env) =
    with structural comparisons. *)
 let deep_hash k = Hashtbl.hash_param 100 1000 k
 
-module Policy_key = struct
+module Policy_memo = Netcore.Memo_table.Make (struct
   type t = Route_map.t * Route_map.t * Eval.env * Eval.env
 
-  let equal = ( = )
   let hash = deep_hash
-end
+end)
 
-module Acl_key = struct
+module Acl_memo = Netcore.Memo_table.Make (struct
   type t = Acl.t * Acl.t
 
-  let equal = ( = )
   let hash = deep_hash
-end
-
-module Policy_memo = Netcore.Memo_table.Make (Policy_key)
-module Acl_memo = Netcore.Memo_table.Make (Acl_key)
+end)
 
 (* A translation loop meets a few dozen distinct pairs of each kind. *)
-let memo_cap = 1024
-let policy_memo = Policy_memo.create ~cap:memo_cap
-let acl_memo = Acl_memo.create ~cap:memo_cap
-
-let memo_stats () =
-  Netcore.Memo_table.sum [ Policy_memo.stats policy_memo; Acl_memo.stats acl_memo ]
+let policy_memo = Policy_memo.create ~name:"diff_memo" ~cap:1024
+let acl_memo = Acl_memo.create ~name:"diff_memo" ~cap:1024
 
 let policy_key ~env_a ~env_b m_a m_b =
   (m_a, m_b, env_slice m_a m_b env_a, env_slice m_a m_b env_b)
 
-let policy_key_hash ~env_a ~env_b m_a m_b = Policy_key.hash (policy_key ~env_a ~env_b m_a m_b)
+let policy_key_hash ~env_a ~env_b m_a m_b = deep_hash (policy_key ~env_a ~env_b m_a m_b)
 
 let diff_policies ~memo ~env_a ~env_b m_a m_b =
   let diff () = Symbolic.Policy_diff.compare_maps ~env_a ~env_b m_a m_b in

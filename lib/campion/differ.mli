@@ -86,11 +86,10 @@ val compare : original:Config_ir.t -> translation:Config_ir.t -> finding list
     touches one stanza, so most route-map and ACL pairs it compares were
     already compared on an earlier draft — or in an earlier loop over the
     same original. {!check} looks those symbolic diffs up in two
-    process-wide {!Netcore.Memo_table}s, one of route-map pairs and one of ACL
-    pairs. They are bounded (at most {!memo_cap} entries each, oldest
-    eighth evicted at the cap), domain-safe, shared by every loop, sweep
-    seed, pool domain and [serve] request, and emptied by
-    {!Netcore.Memo_table.reset}. *)
+    process-wide {!Netcore.Memo_table}s named ["diff_memo"], one of route-map
+    pairs and one of ACL pairs. They are bounded (oldest eighth evicted at
+    the cap), domain-safe, shared by every loop, sweep seed, pool domain
+    and [serve] request, and emptied by {!Netcore.Memo_table.reset}. *)
 
 val check : original:Config_ir.t -> translation:Config_ir.t -> finding list
 (** Exactly {!compare}'s findings, witnesses included. The structural and
@@ -101,12 +100,6 @@ val check : original:Config_ir.t -> translation:Config_ir.t -> finding list
       and {e all} community lists, because witness routes are decorated
       with communities drawn from every one of them;
     - an ACL pair is keyed on both ACLs. *)
-
-val memo_cap : int
-(** The cap of each diff table. *)
-
-val memo_stats : unit -> Netcore.Memo_table.stats
-(** The two diff tables' counters, summed. *)
 
 val policy_key_hash :
   env_a:Eval.env -> env_b:Eval.env -> Route_map.t -> Route_map.t -> int

@@ -2,7 +2,7 @@ open Netcore
 open Policy
 
 (* Every writer appends to one [Buffer.t]. Sections print their lines
-   separated by newlines, as the exported helpers return them; [print]
+   separated by newlines, as [print_route_map] returns them; [print]
    closes each non-empty section with a newline and a [!] line. *)
 
 let str = Buffer.add_string
@@ -13,11 +13,6 @@ let ip = Ipv4.add_to_buffer
 (* Start a line of a section that began at [start]: a newline separates it
    from the previous line, if any. *)
 let line b start = if Buffer.length b > start then chr b '\n'
-
-let contents write x =
-  let b = Buffer.create 256 in
-  write b x;
-  Buffer.contents b
 
 let add_spaced add b xs =
   List.iteri
@@ -69,9 +64,6 @@ let add_set_action b = function
   | Route_map.Set_as_path_prepend asns ->
       str b "set as-path prepend ";
       add_spaced int b asns
-
-let match_cond_line = contents add_match_cond
-let set_action_line = contents add_set_action
 
 let add_prefix_list b (l : Prefix_list.t) =
   let start = Buffer.length b in
@@ -190,10 +182,10 @@ let add_acl b (a : Acl.t) =
           int b hi)
     a.Acl.entries
 
-let print_route_map = contents add_route_map
-let print_acl = contents add_acl
-let print_prefix_list = contents add_prefix_list
-let print_community_list = contents add_community_list
+let print_route_map m =
+  let b = Buffer.create 256 in
+  add_route_map b m;
+  Buffer.contents b
 
 (* The interface, BGP and OSPF blocks end every line with a newline. *)
 

@@ -6,9 +6,4 @@
 val print : Policy.Config_ir.t -> string
 
 val print_route_map : Policy.Route_map.t -> string
-val print_acl : Policy.Acl.t -> string
-val print_prefix_list : Policy.Prefix_list.t -> string
-val print_community_list : Policy.Community_list.t -> string
-
-val match_cond_line : Policy.Route_map.match_cond -> string
-val set_action_line : Policy.Route_map.set_action -> string
+(** One route map's lines, as {!print} writes them. *)

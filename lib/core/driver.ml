@@ -379,9 +379,8 @@ let send st (chat : Llmsim.Chat.t) (prompt : Humanizer.prompt) ~note =
 
 let parse_lens =
   {
-    Adversary.Verifier.dirty =
-      (fun (_, diags) -> List.exists Netcore.Diag.is_error diags);
-    clean = (fun (ir, diags) -> (ir, List.filter (fun d -> not (Netcore.Diag.is_error d)) diags));
+    Adversary.Verifier.clean =
+      (fun (ir, diags) -> (ir, List.filter (fun d -> not (Netcore.Diag.is_error d)) diags));
     fabricate =
       (fun (ir, diags) ->
         (ir, diags @ [ Netcore.Diag.error ~line:1 "unexpected token at top of file" ]));
@@ -419,8 +418,7 @@ let campion_lens =
     | Acl_behavior b -> Acl_behavior { b with acl_direction = flip b.acl_direction }
   in
   {
-    Adversary.Verifier.dirty = (fun findings -> findings <> []);
-    clean = (fun _ -> []);
+    Adversary.Verifier.clean = (fun _ -> []);
     fabricate =
       (fun findings ->
         Structural
@@ -436,8 +434,7 @@ let campion_lens =
 
 let topology_lens =
   {
-    Adversary.Verifier.dirty = (fun findings -> findings <> []);
-    clean = (fun _ -> []);
+    Adversary.Verifier.clean = (fun _ -> []);
     fabricate =
       (fun findings ->
         {
@@ -466,8 +463,7 @@ let topology_lens =
 let route_policies_lens =
   let open Batfish.Search_route_policies in
   {
-    Adversary.Verifier.dirty = (fun outcomes -> violations outcomes <> []);
-    clean =
+    Adversary.Verifier.clean =
       List.map (fun (s, o) -> match o with Violated _ -> (s, Holds) | _ -> (s, o));
     fabricate =
       (function
@@ -522,8 +518,7 @@ let global_verifier rt adversary check =
   arm_verifier_lies adversary v
     ~lens:
       {
-        Adversary.Verifier.dirty = (fun ((ok, _), _) -> not ok);
-        clean = (fun (_, proof) -> ((true, []), proof));
+        Adversary.Verifier.clean = (fun (_, proof) -> ((true, []), proof));
         fabricate =
           (fun ((_, violations), proof) ->
             ((false, violations @ [ "a route from ISP-1 can reach ISP-2" ]), proof));
@@ -1071,14 +1066,11 @@ let check_global_uncached final_check star configs =
 (* The sim reads the star and every config, the proof the star and the hub,
    so one key serves both. The global phase re-checks a network in which
    only the hub changed, and every loop over one star ends on the same few
-   networks. Configs come from the parse memo and the plan, so [compare]
-   meets shared objects. The star is hashed by its spoke count, as
-   {!Modularizer.plan}'s table does, and each config separately, since
-   [Hashtbl.hash] of the list would stop within the first router. *)
+   networks. The star is hashed by its spoke count, as {!Modularizer.plan}'s
+   table does, and each config separately, since [Hashtbl.hash] of the list
+   would stop within the first router. *)
 module Globals = Netcore.Memo_table.Make (struct
   type t = final_check * Netcore.Star.t * (string * Config_ir.t) list
-
-  let equal a b = compare a b = 0
 
   let hash (final_check, (star : Netcore.Star.t), configs) =
     List.fold_left
@@ -1088,8 +1080,7 @@ module Globals = Netcore.Memo_table.Make (struct
 end)
 
 (* A sweep ends on a handful of networks per star. *)
-let globals = Globals.create ~cap:1024
-let global_stats () = Globals.stats globals
+let globals = Globals.create ~name:"global_memo" ~cap:1024
 
 let check_global final_check star configs =
   Globals.find globals (final_check, star, configs) (fun () ->

@@ -233,15 +233,11 @@ val check_global :
     {!Modularizer.no_transit_holds} and answers no proof, [Prove] runs
     {!Lightyear.prove_no_transit}, and [Both] requires both to pass. The
     answer is looked up first in one process-wide {!Netcore.Memo_table}
-    keyed on all three arguments, shared by every loop, seed, pool domain
-    and [serve] request and emptied by {!Netcore.Memo_table.reset}. It is
-    the oracle inside the loops' wrapped global verifier, so injected
-    faults, lies and trust cross-checks act on top of it and never enter
-    the table. *)
-
-val global_stats : unit -> Netcore.Memo_table.stats
-(** The whole-network verdict table's counters: one lookup per oracle
-    call. *)
+    named ["global_memo"], keyed on all three arguments, one lookup per
+    oracle call. It is shared by every loop, seed, pool domain and [serve]
+    request and emptied by {!Netcore.Memo_table.reset}. It is the oracle
+    inside the loops' wrapped global verifier, so injected faults, lies and
+    trust cross-checks act on top of it and never enter the table. *)
 
 val run_no_transit :
   ?seed:int ->

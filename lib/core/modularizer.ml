@@ -252,12 +252,11 @@ let build_plan (star : Star.t) =
 module Plans = Netcore.Memo_table.Make (struct
   type t = Star.t
 
-  let equal a b = compare a b = 0
   let hash (star : t) = Hashtbl.hash (List.length star.Star.spokes)
 end)
 
 (* A sweep meets a handful of star sizes. *)
-let plans = Plans.create ~cap:64
+let plans = Plans.create ~name:"plan_memo" ~cap:64
 let plan star = Plans.find plans star (fun () -> build_plan star)
 
 let as_path_hub_config (star : Star.t) =

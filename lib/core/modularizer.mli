@@ -32,8 +32,8 @@ val community_list_name : string -> string
 
 val plan : Star.t -> router_task list
 (** Hub first, then spokes in order. Plans are memoised per star in a small
-    process-wide {!Netcore.Memo_table}, so every loop over one star shares its
-    tasks and specs. *)
+    process-wide {!Netcore.Memo_table} named ["plan_memo"], so every loop
+    over one star shares its tasks and specs. *)
 
 val prepend_task : Star.t -> target:string -> prepend:int list -> router_task
 (** The incremental-policy task of the paper's conclusion ("Can GPT-4 add a

@@ -423,6 +423,7 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
              @ trust_health_fields ()))
     | "stats" ->
         let mm = Exec.Memo.stats () in
+        let memo name = (name, J.Obj (memo_fields (Netcore.Memo_table.stats name))) in
         let p = Exec.Pool.stats pool in
         let a = Resilience.Admission.stats adm in
         let caps = Resilience.Admission.config adm in
@@ -434,14 +435,10 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
                ( "memo",
                  J.Obj (memo_fields mm @ [ ("hit_rate", J.Float (Netcore.Memo_table.hit_rate mm)) ])
                );
-               ("diff_memo", J.Obj (memo_fields (Campion.Differ.memo_stats ())));
-               ( "verdict_memo",
-                 J.Obj
-                   (memo_fields
-                      (Netcore.Memo_table.sum
-                         [ Exec.Memo.draft_verdict_stats (); Exec.Memo.verdict_stats () ])) );
-               ("render_memo", J.Obj (memo_fields (Llmsim.Chat.render_stats ())));
-               ("global_memo", J.Obj (memo_fields (Driver.global_stats ())));
+               memo "diff_memo";
+               memo "verdict_memo";
+               memo "render_memo";
+               memo "global_memo";
                ( "pool",
                  J.Obj
                    [

@@ -8,63 +8,49 @@ type stats = Netcore.Memo_table.stats = {
 module Parses = Netcore.Memo_table.Make (struct
   type t = Batfish.Parse_check.dialect * string
 
-  let equal = ( = )
   let hash = Hashtbl.hash
 end)
 
 (* Drafts are bounded in practice (a handful of live faults over one oracle
    config), but a long sweep over many topologies could still accumulate;
    cap the table rather than grow without bound. *)
-let parses = Parses.create ~cap:16_384
-
-let check_result dialect text ~parse = Parses.find_result parses (dialect, text) parse
+let parses = Parses.create ~name:"memo" ~cap:16_384
 
 let check dialect text =
   Parses.find parses (dialect, text) (fun () -> Batfish.Parse_check.check dialect text)
 
-let stats () = Parses.stats parses
+let stats () = Netcore.Memo_table.stats "memo"
 
-(* [compare] returns at once on sub-values that are the same object, which
-   keys often share (one plan's specs, one parse's maps); [=] walks them.
-   [Hashtbl.hash] stops after 10 meaningful values, near the map's name, so
+(* [Hashtbl.hash] stops after 10 meaningful values, near the map's name, so
    the map is hashed deeper: every draft editing a later stanza of one map
    would otherwise share a bucket. *)
-module Verdict_key = struct
+let verdict_key_hash (k : Batfish.Search_route_policies.verdict_key) =
+  Hashtbl.hash (Hashtbl.hash_param 100 1000 k.map, Hashtbl.hash k.env, Hashtbl.hash k.specs)
+
+module Verdicts = Netcore.Memo_table.Make (struct
   type t = Batfish.Search_route_policies.verdict_key
 
-  let equal a b = compare a b = 0
-
-  let hash (k : t) =
-    Hashtbl.hash (Hashtbl.hash_param 100 1000 k.map, Hashtbl.hash k.env, Hashtbl.hash k.specs)
-end
-
-module Verdicts = Netcore.Memo_table.Make (Verdict_key)
+  let hash = verdict_key_hash
+end)
 
 (* A no-transit loop meets a few dozen distinct hub maps. *)
-let verdict_cap = 1024
-let verdicts = Verdicts.create ~cap:verdict_cap
+let verdicts = Verdicts.create ~name:"verdict_memo" ~cap:1024
 
 let route_policies config specs =
   Batfish.Search_route_policies.check_with ~lookup:(Verdicts.find verdicts) config specs
 
-let verdict_key_hash = Verdict_key.hash
-let verdict_stats () = Verdicts.stats verdicts
-
 (* A loop re-checks the same draft many times, so the whole answer is kept
    on the text the verifier is handed. [Hashtbl.hash] mixes every byte of a
-   string; the specs are one plan's list, so [compare] meets them by
-   address. *)
+   string. *)
 module Drafts = Netcore.Memo_table.Make (struct
   type t = string * Batfish.Search_route_policies.spec list
 
-  let equal a b = compare a b = 0
   let hash (text, specs) = Hashtbl.hash (Hashtbl.hash text, Hashtbl.hash specs)
 end)
 
 (* A no-transit loop meets a few dozen distinct drafts, and a draft recurs
    within its own loop, so the last thousand answers keep every hit. *)
-let draft_verdict_cap = 1024
-let drafts = Drafts.create ~cap:draft_verdict_cap
+let drafts = Drafts.create ~name:"verdict_memo" ~cap:1024
 
 (* On a miss the syntax stage has just parsed the text, so [check] is a
    hit, and a draft that changed one map asks the verdict table for that
@@ -72,7 +58,5 @@ let drafts = Drafts.create ~cap:draft_verdict_cap
 let route_policies_of_draft text specs =
   Drafts.find drafts (text, specs) (fun () ->
       route_policies (fst (check Batfish.Parse_check.Cisco_ios text)) specs)
-
-let draft_verdict_stats () = Drafts.stats drafts
 
 let reset = Netcore.Memo_table.reset

@@ -1,15 +1,14 @@
 (** The memo tables for {!Batfish.Parse_check.check} and Search Route
     Policies' verdicts, per draft and per map, on the one bounded,
-    thread-safe mechanism of {!Netcore.Memo_table} (its lock, success-only
-    inserts and FIFO-batch eviction). The three tables live for the life of
-    the process, are shared by every domain, and hold only results of pure
-    functions.
+    thread-safe mechanism of {!Netcore.Memo_table}. The three tables live
+    for the life of the process, are shared by every domain, and hold only
+    results of pure functions.
 
-    The parse table: the VPP loops re-verify the current draft after every
-    prompt, and a stalled prompt (the simulated LLM "usually does nothing
-    when asked to fix the error") leaves the draft byte-identical — so the
-    same text is parsed and linted again and again. Parsing is pure, so the
-    result is memoized on [(dialect, text)].
+    The parse table (named ["memo"]): the VPP loops re-verify the current
+    draft after every prompt, and a stalled prompt (the simulated LLM
+    "usually does nothing when asked to fix the error") leaves the draft
+    byte-identical — so the same text is parsed and linted again and again.
+    Parsing is pure, so the result is memoized on [(dialect, text)].
 
     The verdict table: each draft of the hub re-checks some 200 specs, but
     a fix touches one map, and the next loop or seed over the same star
@@ -21,7 +20,8 @@
     and again (most of the no-transit loop's calls), and building one
     verdict key per map costs more than the lookups it saves. So the whole
     answer is memoized on [(text, specs)], in front of the verdict table,
-    which still serves a new draft that changed one map. *)
+    which still serves a new draft that changed one map. The draft and
+    verdict tables are both named ["verdict_memo"]. *)
 
 type stats = Netcore.Memo_table.stats = {
   hits : int;
@@ -36,17 +36,8 @@ val check :
   Policy.Config_ir.t * Netcore.Diag.t list
 (** Same contract as {!Batfish.Parse_check.check}, memoized. *)
 
-val check_result :
-  Batfish.Parse_check.dialect ->
-  string ->
-  parse:(unit -> (Policy.Config_ir.t * Netcore.Diag.t list, 'e) result) ->
-  (Policy.Config_ir.t * Netcore.Diag.t list, 'e) result
-(** The failure-aware seam under {!check}, which the tests use to drive
-    eviction and failed parses: {!Netcore.Memo_table.Make.find_result} on
-    the parse table. *)
-
 val stats : unit -> stats
-(** The parse table's counters. *)
+(** The parse table's counters: [Netcore.Memo_table.stats "memo"]. *)
 
 val route_policies :
   Policy.Config_ir.t ->
@@ -54,12 +45,6 @@ val route_policies :
   (Batfish.Search_route_policies.spec * Batfish.Search_route_policies.outcome) list
 (** Exactly {!Batfish.Search_route_policies.check_all}'s outcomes, witnesses
     included, with each map's verdicts looked up in the verdict table. *)
-
-val verdict_cap : int
-(** The verdict table's cap. *)
-
-val verdict_stats : unit -> stats
-(** The verdict table's counters: one lookup per route map per call. *)
 
 val verdict_key_hash : Batfish.Search_route_policies.verdict_key -> int
 (** The verdict table's key hash. It reads past the map's name into every
@@ -73,12 +58,6 @@ val route_policies_of_draft :
     of the Cisco IOS draft [text] ({!check}), looked up first in the draft
     table on [(text, specs)]. A miss parses through the parse table and asks
     the verdict table per map. *)
-
-val draft_verdict_cap : int
-(** The draft table's cap. *)
-
-val draft_verdict_stats : unit -> stats
-(** The draft table's counters: one lookup per call. *)
 
 val reset : unit -> unit
 (** {!Netcore.Memo_table.reset}: drop every entry of {e every} table in the

@@ -68,23 +68,18 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
 (* [Fault.render] is pure in (dialect, correct IR, live faults), and a
    draft recurs: a prompt that changed nothing leaves the live faults as
    they were, and every loop over one task starts from the same few fault
-   sets. So every chat shares one table of renders. The correct IRs come
-   from the memoised plan and are the same objects across loops, which
-   [compare] skips; [Hashtbl.hash] would stop near the IR's hostname and
-   the first fault, so both are hashed deeper. *)
+   sets. So every chat shares one table of renders. [Hashtbl.hash] would
+   stop near the IR's hostname and the first fault, so both are hashed
+   deeper. *)
 module Renders = Netcore.Memo_table.Make (struct
   type t = Fault.dialect * Config_ir.t * Fault.t list
-
-  let equal a b = compare a b = 0
 
   let hash (dialect, correct, live) =
     Hashtbl.hash
       (dialect, Hashtbl.hash_param 100 1000 correct, Hashtbl.hash_param 100 1000 live)
 end)
 
-let render_cap = 4096
-let renders = Renders.create ~cap:render_cap
-let render_stats () = Renders.stats renders
+let renders = Renders.create ~name:"render_memo" ~cap:4096
 
 let draft t =
   Renders.find renders (t.dialect_, t.correct, t.live) (fun () ->

@@ -47,19 +47,13 @@ val start :
 val draft : t -> string
 (** Current rendering of the draft configuration: exactly
     [Fault.render (dialect t) (correct t) (live_faults t)], looked up first
-    in one process-wide {!Netcore.Memo_table} keyed on those three values
-    (live faults in order). Every chat, loop, seed, pool domain and
-    [serve] request shares it, so a prompt that changed nothing, or a fault
-    set an earlier loop over the same task met, costs no render. The table
-    holds at most {!render_cap} drafts and is emptied by
+    in one process-wide {!Netcore.Memo_table} named ["render_memo"], keyed
+    on those three values (live faults in order), one lookup per call.
+    Every chat, loop, seed, pool domain and [serve] request shares it, so a
+    prompt that changed nothing, or a fault set an earlier loop over the
+    same task met, costs no render. The table is bounded and emptied by
     {!Netcore.Memo_table.reset}. Only honest renders enter it: adversarial
     wrappers corrupt the text after this returns. *)
-
-val render_cap : int
-(** The render table's cap. *)
-
-val render_stats : unit -> Netcore.Memo_table.stats
-(** The render table's counters: one lookup per {!draft}. *)
 
 val correct : t -> Config_ir.t
 (** The task's oracle artifact (used by adversarial wrappers that re-render

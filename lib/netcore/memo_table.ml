@@ -1,20 +1,31 @@
 type stats = { hits : int; misses : int; entries : int; evictions : int }
 
-(* What [reset] empties: one closure per table ever created. *)
-let registry_lock = Mutex.create ()
-let registry : (unit -> unit) list ref = ref []
+(* Every table ever created, by name: [reset] clears them all and [stats]
+   sums the ones sharing a name. *)
+type entry = { name : string; clear : unit -> unit; read : unit -> stats }
 
-module Make (K : Hashtbl.HashedType) = struct
+let registry_lock = Mutex.create ()
+let registry : entry list ref = ref []
+
+module Make (K : sig
+  type t
+
+  val hash : t -> int
+end) =
+struct
   (* A key carries its hash, computed once per call: a miss looks the key
      up, checks it again under the lock and adds it, and eviction removes
      it later, so [K.hash] (which may read a whole draft) runs once instead
-     of four times. Equality compares the stored hashes before the keys. *)
+     of four times. Equality compares the stored hashes before the keys.
+     [compare] returns at once on sub-values that are the same object,
+     which keys often share (one plan's specs, one parse's maps), where
+     [=] would walk them. *)
   type key = { hash : int; key : K.t }
 
   module H = Hashtbl.Make (struct
     type t = key
 
-    let equal a b = a.hash = b.hash && K.equal a.key b.key
+    let equal a b = a.hash = b.hash && compare a.key b.key = 0
     let hash k = k.hash
   end)
 
@@ -40,7 +51,16 @@ module Make (K : Hashtbl.HashedType) = struct
         t.misses <- 0;
         t.evictions <- 0)
 
-  let create ~cap =
+  let read t =
+    Mutex.protect t.lock (fun () ->
+        {
+          hits = t.hits;
+          misses = t.misses;
+          entries = H.length t.table;
+          evictions = t.evictions;
+        })
+
+  let create ~name ~cap =
     let t =
       {
         lock = Mutex.create ();
@@ -52,7 +72,8 @@ module Make (K : Hashtbl.HashedType) = struct
         evictions = 0;
       }
     in
-    Mutex.protect registry_lock (fun () -> registry := (fun () -> clear t) :: !registry);
+    let entry = { name; clear = (fun () -> clear t); read = (fun () -> read t) } in
+    Mutex.protect registry_lock (fun () -> registry := entry :: !registry);
     t
 
   (* At the cap, drop the oldest eighth of the table instead of the whole
@@ -69,7 +90,7 @@ module Make (K : Hashtbl.HashedType) = struct
           t.evictions <- t.evictions + 1
     done
 
-  let find_result t key compute =
+  let find t key compute =
     let key = { hash = K.hash key; key } in
     let cached =
       Mutex.protect t.lock (fun () ->
@@ -78,48 +99,38 @@ module Make (K : Hashtbl.HashedType) = struct
           v)
     in
     match cached with
-    | Some v -> Ok v
-    | None -> (
-        match compute () with
-        | Error _ as e -> e
-        | Ok v ->
-            Mutex.protect t.lock (fun () ->
-                if not (H.mem t.table key) then begin
-                  if H.length t.table >= t.cap then evict_batch t;
-                  H.add t.table key v;
-                  Queue.push key t.order
-                end);
-            Ok v)
-
-  let find t key compute =
-    match find_result t key (fun () -> Ok (compute ())) with
-    | Ok v -> v
-    | Error () -> assert false
-
-  let stats t =
-    Mutex.protect t.lock (fun () ->
-        {
-          hits = t.hits;
-          misses = t.misses;
-          entries = H.length t.table;
-          evictions = t.evictions;
-        })
+    | Some v -> v
+    | None ->
+        let v = compute () in
+        Mutex.protect t.lock (fun () ->
+            if not (H.mem t.table key) then begin
+              if H.length t.table >= t.cap then evict_batch t;
+              H.add t.table key v;
+              Queue.push key t.order
+            end);
+        v
 end
 
-let sum =
-  List.fold_left
-    (fun a s ->
-      {
-        hits = a.hits + s.hits;
-        misses = a.misses + s.misses;
-        entries = a.entries + s.entries;
-        evictions = a.evictions + s.evictions;
-      })
-    { hits = 0; misses = 0; entries = 0; evictions = 0 }
+let registered () = Mutex.protect registry_lock (fun () -> !registry)
+
+let stats name =
+  match List.filter (fun e -> e.name = name) (registered ()) with
+  | [] -> invalid_arg ("Memo_table.stats: no table named " ^ name)
+  | named ->
+      List.fold_left
+        (fun a e ->
+          let s = e.read () in
+          {
+            hits = a.hits + s.hits;
+            misses = a.misses + s.misses;
+            entries = a.entries + s.entries;
+            evictions = a.evictions + s.evictions;
+          })
+        { hits = 0; misses = 0; entries = 0; evictions = 0 }
+        named
 
 let hit_rate s =
   let total = s.hits + s.misses in
   if total = 0 then 0. else float_of_int s.hits /. float_of_int total
 
-let reset () =
-  List.iter (fun clear -> clear ()) (Mutex.protect registry_lock (fun () -> !registry))
+let reset () = List.iter (fun e -> e.clear ()) (registered ())

@@ -1,4 +1,5 @@
-(** Bounded, thread-safe memo tables for the results of pure functions.
+(** Bounded, thread-safe, named memo tables for the results of pure
+    functions.
 
     Every table is one mechanism: a lock around a hash table, the
     computation of a missing value {e outside} the lock (a concurrent
@@ -10,9 +11,14 @@
     hit rate. Tables live for the life of the process and are shared by
     every domain.
 
+    Keys are compared with [compare a b = 0], so a key type must hold no
+    floats or closures; [compare] returns at once on sub-values that are
+    the same object, which keys built from one plan or one parse share.
+
     The module sits at the bottom of the library graph so that any layer —
     the simulated LLM's renders as well as the verifiers' verdicts — can
-    memoise on the same mechanism, and one {!reset} empties them all. *)
+    memoise on the same mechanism. One {!reset} empties them all, and
+    {!stats} reads them by name. *)
 
 type stats = {
   hits : int;
@@ -22,31 +28,28 @@ type stats = {
 }
 
 (** One bounded table over keys [K.t]. [K.hash] must look at every part of
-    the key that tells two keys apart, or lookups degrade to structural
-    comparisons along long bucket chains. *)
-module Make (K : Hashtbl.HashedType) : sig
+    the key that tells two keys apart, or lookups degrade to comparisons
+    along long bucket chains. *)
+module Make (K : sig
+  type t
+
+  val hash : t -> int
+end) : sig
   type 'v t
 
-  val create : cap:int -> 'v t
+  val create : name:string -> cap:int -> 'v t
   (** An empty table holding at most [cap] entries (at least 1). It is
-      registered with {!reset}. *)
-
-  val find_result : 'v t -> K.t -> (unit -> ('v, 'e) result) -> ('v, 'e) result
-  (** The cached value, or the result of the computation on a miss. The
-      table is {e success-only}: an [Error] bypasses it untouched (and
-      still counts as a miss), so a transient fault can never be memoized
-      as truth. An exception raised by the computation propagates and
-      stores nothing either. *)
+      registered under [name] with {!reset} and {!stats}. *)
 
   val find : 'v t -> K.t -> (unit -> 'v) -> 'v
-  (** {!find_result} for a computation that cannot fail. *)
-
-  val stats : 'v t -> stats
+  (** The cached value, or the result of the computation on a miss, which
+      is stored. An exception raised by the computation propagates and
+      stores nothing. *)
 end
 
-val sum : stats list -> stats
-(** The counters of several tables added field by field, for a layer that
-    memoises on more than one table. *)
+val stats : string -> stats
+(** The counters of every table created under this name, added field by
+    field. Raises [Invalid_argument] when no table has the name. *)
 
 val hit_rate : stats -> float
 (** [hits / (hits + misses)]; 0 when the table is untouched. *)

@@ -9,8 +9,6 @@ type crash = {
   fingerprint : string;
 }
 
-exception Stage_timeout of int
-
 (* Backtrace recording must be on for the digest to carry information; the
    runtime flag only affects exception-raise bookkeeping, never output. *)
 let () = Printexc.record_backtrace true
@@ -50,7 +48,6 @@ let fingerprint_value v = Printf.sprintf "%08x" (Hashtbl.hash v)
 
 let constructor_of exn =
   match exn with
-  | Stage_timeout _ -> "Stage_timeout"
   | Failure _ -> "Failure"
   | Invalid_argument _ -> "Invalid_argument"
   | Not_found -> "Not_found"
@@ -63,28 +60,8 @@ let constructor_of exn =
         | head :: _ -> head
         | [] -> "<unknown>"))
 
-(* Wall-clock watchdog, used by the fuzz drivers (the driver-loop watchdog is
-   tick-based and lives in Runtime).  SIGALRM-based, so only one may be armed
-   at a time; fuzzing is single-threaded so that is fine. *)
-let with_timeout_ms ms f =
-  let old =
-    Sys.signal Sys.sigalrm
-      (Sys.Signal_handle (fun _ -> raise (Stage_timeout ms)))
-  in
-  let disarm () =
-    ignore
-      (Unix.setitimer Unix.ITIMER_REAL
-         { Unix.it_interval = 0.; it_value = 0. });
-    Sys.set_signal Sys.sigalrm old
-  in
-  ignore
-    (Unix.setitimer Unix.ITIMER_REAL
-       { Unix.it_interval = 0.; it_value = float_of_int ms /. 1000. });
-  Fun.protect ~finally:disarm f
-
-let run ?timeout_ms ?fingerprint ~label f =
-  let body () = match timeout_ms with None -> f () | Some ms -> with_timeout_ms ms f in
-  match body () with
+let run ?fingerprint ~label f =
+  match f () with
   | v -> Ok v
   | exception exn ->
       let raw_backtrace = Printexc.get_backtrace () in
@@ -101,12 +78,12 @@ let run ?timeout_ms ?fingerprint ~label f =
       record c;
       Error c
 
-(* Thread-based deadline, for the multi-threaded daemon where the SIGALRM
-   watchdog above is off limits. OCaml threads cannot be killed, so an
-   expired thunk is *abandoned*, not stopped: the caller gets its timeout
-   crash immediately while the worker thread runs to completion in the
-   background — which is why resources the thunk holds (an admission slot,
-   say) must be released in [on_settled], not on the caller's return path.
+(* Thread-based deadline, safe in the multi-threaded daemon. OCaml threads
+   cannot be killed, so an expired thunk is *abandoned*, not stopped: the
+   caller gets its timeout crash immediately while the worker thread runs
+   to completion in the background — which is why resources the thunk
+   holds (an admission slot, say) must be released in [on_settled], not on
+   the caller's return path.
    The caller sleeps in [select] on a per-call pipe that the worker writes
    one byte to once its result is stored, so it wakes on completion.
    Whether the caller still listens is decided under the cell mutex, and

@@ -18,23 +18,16 @@ type crash = {
   fingerprint : string;  (** Short fingerprint of the offending input. *)
 }
 
-exception Stage_timeout of int
-(** Raised inside the thunk when the optional wall-clock watchdog fires;
-    caught by [run] itself, so callers only ever see it as a [crash] with
-    constructor ["Stage_timeout"]. *)
-
 val run :
-  ?timeout_ms:int ->
   ?fingerprint:string ->
   label:string ->
   (unit -> 'a) ->
   ('a, crash) result
 (** [run ~label f] is [Ok (f ())] unless [f] raises, in which case the
     exception is converted to a [crash], recorded in the registry, and
-    returned as [Error].  [?timeout_ms] arms a SIGALRM wall-clock watchdog
-    around the call (used by the fuzz drivers; single-threaded use only —
-    the driver loop's watchdog is the tick-based one in {!Runtime}).
-    [?fingerprint] identifies the offending input (default ["-"]). *)
+    returned as [Error]. It sets no wall-clock limit: the driver loop's
+    watchdog is the tick-based one in {!Runtime}, and {!run_deadline} bounds
+    a call in the daemon. [?fingerprint] identifies the offending input (default ["-"]). *)
 
 val run_deadline :
   deadline_ms:int ->

@@ -17,8 +17,9 @@
     process-wide table, so a draft that changed one route map checks that
     map only, and a later loop over the same star checks none it has seen.
     The chaos, lie and trust layers all wrap these oracles, so only
-    pristine results are memoised. A suite belongs to one loop in one
-    domain.
+    pristine results are memoised. That ordering is what keeps faults and
+    lies out of the tables: {!Netcore.Memo_table} stores whatever its
+    computation returns. A suite belongs to one loop in one domain.
 
     The global no-transit check is use-case-specific, so the driver wraps
     it itself with {!Verifier.wrap} [Bgp_sim] + {!Runtime.arm}. *)

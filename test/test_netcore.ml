@@ -438,6 +438,86 @@ let test_rng_split_independent () =
   let seq r = List.init 10 (fun _ -> Rng.int r 1000) in
   check bool_t "split streams differ" false (seq a = seq b)
 
+(* ------------------------------------------------------------------ *)
+(* Memo tables: the one mechanism under every layer's table            *)
+(* ------------------------------------------------------------------ *)
+
+module Ints = Memo_table.Make (struct
+  type t = int
+
+  let hash = Hashtbl.hash
+end)
+
+let ask t k = Ints.find t k (fun () -> 2 * k)
+
+(* Whether asking [k] ran the computation: a miss. *)
+let recomputes name t k =
+  let misses = (Memo_table.stats name).Memo_table.misses in
+  check int_t "the cached value" (2 * k) (ask t k);
+  (Memo_table.stats name).Memo_table.misses > misses
+
+let test_memo_eviction () =
+  let cap = 64 in
+  let t = Ints.create ~name:"eviction" ~cap in
+  for k = 0 to cap do
+    ignore (ask t k : int)
+  done;
+  let s = Memo_table.stats "eviction" in
+  check int_t "the insert past the cap evicts the oldest eighth" (cap / 8)
+    s.Memo_table.evictions;
+  check int_t "entries + evictions = inserts" (cap + 1)
+    (s.Memo_table.entries + s.Memo_table.evictions);
+  check bool_t "a recent key stays warm" false (recomputes "eviction" t cap);
+  check bool_t "the oldest key kept stays warm" false (recomputes "eviction" t (cap / 8));
+  check bool_t "an evicted key is recomputed" true (recomputes "eviction" t 0);
+  for k = cap + 1 to 4 * cap do
+    ignore (ask t k : int)
+  done;
+  let s = Memo_table.stats "eviction" in
+  check bool_t "bounded" true (s.Memo_table.entries <= cap);
+  check int_t "entries + evictions = inserts, batch after batch" ((4 * cap) + 2)
+    (s.Memo_table.entries + s.Memo_table.evictions)
+
+let test_memo_reset () =
+  let a = Ints.create ~name:"reset a" ~cap:8 and b = Ints.create ~name:"reset b" ~cap:8 in
+  for k = 0 to 9 do
+    ignore (ask a k : int);
+    ignore (ask b k : int);
+    ignore (ask b k : int)
+  done;
+  check bool_t "filled, and b has hits" true
+    ((Memo_table.stats "reset a").Memo_table.entries > 0
+    && (Memo_table.stats "reset b").Memo_table.hits > 0);
+  Memo_table.reset ();
+  let empty = { Memo_table.hits = 0; misses = 0; entries = 0; evictions = 0 } in
+  check bool_t "a empty and zeroed" true (Memo_table.stats "reset a" = empty);
+  check bool_t "b empty and zeroed" true (Memo_table.stats "reset b" = empty);
+  check bool_t "a computes afresh" true (recomputes "reset a" a 9)
+
+let test_memo_raising () =
+  let t = Ints.create ~name:"raising" ~cap:8 in
+  (match Ints.find t 1 (fun () -> raise Exit) with
+  | _ -> Alcotest.fail "the exception must propagate"
+  | exception Exit -> ());
+  let s = Memo_table.stats "raising" in
+  check int_t "counted as a miss" 1 s.Memo_table.misses;
+  check int_t "nothing stored" 0 s.Memo_table.entries;
+  check bool_t "the key computes again" true (recomputes "raising" t 1);
+  check bool_t "and is then stored" false (recomputes "raising" t 1)
+
+let test_memo_stats_by_name () =
+  let a = Ints.create ~name:"shared" ~cap:8 and b = Ints.create ~name:"shared" ~cap:8 in
+  ignore (ask a 1 : int);
+  ignore (ask a 1 : int);
+  ignore (ask b 1 : int);
+  ignore (ask b 2 : int);
+  check bool_t "summed over the tables sharing the name" true
+    (Memo_table.stats "shared" = { Memo_table.hits = 1; misses = 3; entries = 3; evictions = 0 });
+  check bool_t "an unknown name raises" true
+    (match Memo_table.stats "no such table" with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "netcore"
     [
@@ -507,6 +587,13 @@ let () =
           Alcotest.test_case "describe" `Quick test_topology_describe;
           Alcotest.test_case "invalid size" `Quick test_star_invalid_size;
           Alcotest.test_case "validate catches bad AS" `Quick test_topology_validate_catches;
+        ] );
+      ( "memo-table",
+        [
+          Alcotest.test_case "eviction: the oldest eighth" `Quick test_memo_eviction;
+          Alcotest.test_case "reset empties every table" `Quick test_memo_reset;
+          Alcotest.test_case "a raising computation stores nothing" `Quick test_memo_raising;
+          Alcotest.test_case "stats by name" `Quick test_memo_stats_by_name;
         ] );
       ("properties", props);
     ]

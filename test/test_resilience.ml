@@ -366,38 +366,10 @@ let test_budget_exhaustion_no_transit () =
   assert_counts_accurate t
 
 (* ------------------------------------------------------------------ *)
-(* Memo: success-only caching                                          *)
+(* Memo: faults and lies never reach a table                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_memo_failures_bypass_table () =
-  Exec.Memo.reset ();
-  (* A unique key so earlier tests cannot have primed the table. *)
-  let text = "hostname memo-success-only\n" in
-  let dialect = Batfish.Parse_check.Cisco_ios in
-  (match Exec.Memo.check_result dialect text ~parse:(fun () -> Error `Down) with
-  | Error `Down -> ()
-  | Ok _ -> Alcotest.fail "an injected failure must be surfaced, not swallowed");
-  let s1 = Exec.Memo.stats () in
-  check int_t "failure counted as a miss" 1 s1.Exec.Memo.misses;
-  check int_t "failure not cached" 0 s1.Exec.Memo.entries;
-  let parsed = ref 0 in
-  (match
-     Exec.Memo.check_result dialect text ~parse:(fun () ->
-         incr parsed;
-         Ok (Batfish.Parse_check.check dialect text))
-   with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "a clean parse must succeed");
-  check int_t "failure did not poison the key: re-parsed" 1 !parsed;
-  (match
-     Exec.Memo.check_result dialect text ~parse:(fun () ->
-         Alcotest.fail "cached success must not re-parse")
-   with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "expected the cached success");
-  let s3 = Exec.Memo.stats () in
-  check int_t "success cached" 1 s3.Exec.Memo.entries;
-  check int_t "third call is a hit" 1 s3.Exec.Memo.hits
+let global_stats () = Netcore.Memo_table.stats "global_memo"
 
 (* The whole-network verdict table is the oracle inside the wrapped global
    verifier: chaos and lies act on top of it, so what they inject never
@@ -409,7 +381,7 @@ let test_global_memo_survives_faults () =
   let routers = 5 and seeds = List.init 8 succ in
   let star = Netcore.Star.make ~routers in
   let lookups () =
-    let s = Cosynth.Driver.global_stats () in
+    let s = global_stats () in
     s.Netcore.Memo_table.hits + s.Netcore.Memo_table.misses
   in
   let sim_failures () =
@@ -466,6 +438,98 @@ let test_global_memo_survives_faults () =
       check bool_t "rate-0 loop: proof" true (r.Cosynth.Driver.proof = Some proof))
     clean
 
+(* The parse and draft-verdict tables sit inside the chaos gate and under
+   the lie layer ({!Resilience.Suite}), so a chaos loop or a lying loop can
+   store only honest answers there. Each runs first on empty tables, since a
+   draft an earlier loop stored is never asked of the faulty verifier. A
+   rate-0 loop run after it ends exactly as it does on empty tables, and
+   every draft a loop over the star is likely to have checked reads the
+   uncached parse and [check_all]. *)
+let test_local_memos_survive_faults () =
+  let routers = 5 and seeds = List.init 8 succ in
+  let star = Netcore.Star.make ~routers in
+  let run ?resilience ?adversary seed =
+    Cosynth.Driver.run_no_transit ~seed ?resilience ?adversary ~routers ()
+  in
+  let outcome (r : Cosynth.Driver.synthesis_result) =
+    ( Netcore.Json.to_string (Cosynth.Driver.transcript_to_json r.Cosynth.Driver.transcript),
+      r.Cosynth.Driver.configs,
+      r.Cosynth.Driver.global_ok )
+  in
+  let cold =
+    List.map
+      (fun seed ->
+        Exec.Memo.reset ();
+        outcome (run seed))
+      seeds
+  in
+  let hits name = (Netcore.Memo_table.stats name).Netcore.Memo_table.hits in
+  let dialect = Batfish.Parse_check.Cisco_ios in
+  let after label faulty =
+    Exec.Memo.reset ();
+    let faulted = List.map (fun seed -> outcome (faulty seed)) seeds in
+    let parse_hits = hits "memo" and verdict_hits = hits "verdict_memo" in
+    let clean = List.map (fun seed -> outcome (run seed)) seeds in
+    check bool_t (label ^ ", then rate 0: the loops read the parse table") true
+      (hits "memo" > parse_hits);
+    check bool_t (label ^ ", then rate 0: the loops read the verdict tables") true
+      (hits "verdict_memo" > verdict_hits);
+    List.iter2
+      (fun seed ((t, configs, ok), (t', configs', ok')) ->
+        let label = Printf.sprintf "%s, then rate 0, seed %d" label seed in
+        check Alcotest.string (label ^ ": transcript as on empty tables") t t';
+        check bool_t (label ^ ": configs as on empty tables") true (configs = configs');
+        check bool_t (label ^ ": global verdict as on empty tables") ok ok')
+      seeds (List.combine cold clean);
+    let parse_hits = hits "memo" in
+    List.iter
+      (fun (task : Cosynth.Modularizer.router_task) ->
+        let correct = task.Cosynth.Modularizer.correct in
+        let specs = task.Cosynth.Modularizer.specs in
+        let draft_label = Printf.sprintf "%s: %s draft" label task.Cosynth.Modularizer.router in
+        let fault_sets =
+          [] :: List.map (fun f -> [ f ]) (Llmsim.Fault.opportunities Llmsim.Fault.Cisco_cfg correct)
+        in
+        List.iter
+          (fun faults ->
+            let text = Llmsim.Fault.render Llmsim.Fault.Cisco_cfg correct faults in
+            let parsed = Batfish.Parse_check.check dialect text in
+            check bool_t (draft_label ^ ": parse as uncached") true
+              (Exec.Memo.check dialect text = parsed);
+            check bool_t (draft_label ^ ": verdicts as check_all") true
+              (Exec.Memo.route_policies_of_draft text specs
+              = Batfish.Search_route_policies.check_all (fst parsed) specs))
+          fault_sets)
+      (Cosynth.Modularizer.plan star);
+    check bool_t (label ^ ": those drafts were in the parse table") true (hits "memo" > parse_hits);
+    faulted
+  in
+  let failures kind =
+    (List.assoc kind (Resilience.Stats.snapshot ())).Resilience.Stats.failures
+  in
+  let kinds = [ Resilience.Verifier.Parse_check; Resilience.Verifier.Route_policies ] in
+  let before = List.map failures kinds in
+  ignore
+    (after "chaos"
+       (run ~resilience:(chaos_config ~crash:0.08 ~timeout:0.08 ~flake:0.08 ~truncate:0.08 99)));
+  List.iter2
+    (fun kind n ->
+      check bool_t
+        ("chaos: faults hit " ^ Resilience.Verifier.kind_name kind)
+        true (failures kind > n))
+    kinds before;
+  let lying =
+    after "lies"
+      (run
+         ~adversary:
+           (Adversary.Spec.make
+              ~verifier:
+                (Adversary.Verifier.make ~false_negative:0.3 ~false_positive:0.1 ~mutated:0.2
+                   ~seed:7 ())
+              ()))
+  in
+  check bool_t "lies: some loop ends otherwise" true (lying <> cold)
+
 (* The key holds every config the sim reads: editing one spoke misses the
    table and answers that network's own verdict. So does another
    [final_check] over the same network. *)
@@ -478,7 +542,7 @@ let test_global_memo_key () =
         (t.Cosynth.Modularizer.router, t.Cosynth.Modularizer.correct))
       (Cosynth.Modularizer.plan star)
   in
-  let stats () = Cosynth.Driver.global_stats () in
+  let stats = global_stats in
   let global check_kind configs = Cosynth.Driver.check_global check_kind star configs in
   let ((ok, _), _) = global Cosynth.Driver.Both configs in
   check bool_t "the planned network holds" true ok;
@@ -516,12 +580,13 @@ let test_memo_reset_empties_new_tables () =
     (Cosynth.Driver.check_global Cosynth.Driver.Simulate star
        [ (hub.Cosynth.Modularizer.router, hub.Cosynth.Modularizer.correct) ]);
   let filled (s : Netcore.Memo_table.stats) = s.entries > 0 && s.misses > 0 in
-  check bool_t "render table filled" true (filled (Llmsim.Chat.render_stats ()));
-  check bool_t "global table filled" true (filled (Cosynth.Driver.global_stats ()));
+  let render_stats () = Netcore.Memo_table.stats "render_memo" in
+  check bool_t "render table filled" true (filled (render_stats ()));
+  check bool_t "global table filled" true (filled (global_stats ()));
   Exec.Memo.reset ();
   let empty = { Netcore.Memo_table.hits = 0; misses = 0; entries = 0; evictions = 0 } in
-  check bool_t "render table empty" true (Llmsim.Chat.render_stats () = empty);
-  check bool_t "global table empty" true (Cosynth.Driver.global_stats () = empty)
+  check bool_t "render table empty" true (render_stats () = empty);
+  check bool_t "global table empty" true (global_stats () = empty)
 
 (* ------------------------------------------------------------------ *)
 (* Property: any fault schedule terminates within budget               *)
@@ -1001,19 +1066,6 @@ let test_guard_maps_exceptions () =
     (List.exists
        (fun (s, k, n) -> s = "boom-stage" && k = "Failure" && n = 1)
        (Resilience.Guard.crashes ()))
-
-let test_guard_wall_clock_watchdog () =
-  Resilience.Guard.reset ();
-  match
-    Resilience.Guard.run ~timeout_ms:100 ~label:"spin-stage" (fun () ->
-        while true do
-          ignore (Sys.opaque_identity (ref 0))
-        done)
-  with
-  | Error c ->
-      check Alcotest.string "timeout constructor" "Stage_timeout"
-        c.Resilience.Guard.constructor
-  | Ok _ -> Alcotest.fail "an infinite loop must be cut by the watchdog"
 
 let test_guard_verifier_faulted () =
   Resilience.Guard.reset ();
@@ -2104,8 +2156,6 @@ let () =
           Alcotest.test_case "pass-through" `Quick test_guard_passthrough;
           Alcotest.test_case "exception -> crash mapping" `Quick
             test_guard_maps_exceptions;
-          Alcotest.test_case "wall-clock watchdog" `Quick
-            test_guard_wall_clock_watchdog;
           Alcotest.test_case "raising oracle becomes Faulted" `Quick
             test_guard_verifier_faulted;
           Alcotest.test_case "crash carries the input's fingerprint" `Quick
@@ -2224,8 +2274,8 @@ let () =
         ] );
       ( "memo",
         [
-          Alcotest.test_case "failures bypass the table" `Quick
-            test_memo_failures_bypass_table;
+          Alcotest.test_case "parse and draft verdicts survive chaos and lies" `Quick
+            test_local_memos_survive_faults;
           Alcotest.test_case "global verdicts survive chaos and lies" `Quick
             test_global_memo_survives_faults;
           Alcotest.test_case "global verdict key" `Quick test_global_memo_key;
