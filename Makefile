@@ -92,20 +92,26 @@ serve-smoke: build
 	@echo "serve-smoke: daemon served every job kind and shut down cleanly"
 
 # Service hardening end-to-end (the S2 overload gate itself runs in the
-# check alias): the supervisor smoke — crash the daemon via the debug
-# `crash` job, let the supervisor respawn it, confirm the restart count in
-# `health`, then drain and demand the socket gone. Same direct-binary discipline as
+# check alias): the supervisor smoke — start it with a non-default
+# --max-in-flight, crash the daemon via the debug `crash` job, let the
+# supervisor respawn it, confirm the restart count in `health` and that
+# the respawned daemon still runs with the supervisor's flags in `stats`,
+# then drain and demand the socket gone. Same direct-binary discipline as
 # serve-smoke: a backgrounded `dune exec` would hold the dune lock.
 OVERLOAD_TMP := $(shell mktemp -d)
 serve-overload-smoke: build
 	$(CLI) serve --socket $(OVERLOAD_TMP)/cosynth.sock --supervise \
-	  --debug-jobs --triage $(OVERLOAD_TMP)/triage.jsonl \
+	  --max-in-flight 3 --debug-jobs --triage $(OVERLOAD_TMP)/triage.jsonl \
 	  > $(OVERLOAD_TMP)/serve.out 2>&1 & \
 	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock --connect-budget-ms 5000 ping && \
+	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock stats \
+	  | grep -q '"max_in_flight":3' && \
 	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock crash && \
 	sleep 1 && \
 	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock --connect-budget-ms 5000 health \
 	  | grep -q '"restarts":1' && \
+	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock stats \
+	  | grep -q '"max_in_flight":3' && \
 	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock sleep --ms 600 --deadline-ms 100; \
 	test $$? -eq 1 && \
 	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock drain && \
@@ -114,7 +120,7 @@ serve-overload-smoke: build
 	$(CLI) triage $(OVERLOAD_TMP)/triage.jsonl | grep -q Deadline_exceeded && \
 	wait
 	@rm -rf $(OVERLOAD_TMP)
-	@echo "serve-overload-smoke: crash/respawn, deadline, drain all clean"
+	@echo "serve-overload-smoke: crash/respawn, flag forwarding, deadline, drain all clean"
 
 # The durability gate: D1 — every persistence surface (checkpoint
 # journal, trust ledger, crash triage, corpus promotion) killed at every

@@ -22,63 +22,18 @@ let cisco_text = Cisco.Samples.border_router
 let border_ir = fst (Cisco.Parser.parse cisco_text)
 let correct_junos = Juniper.Translate.of_cisco_ir border_ir
 
-(* The command line, parsed once into its flags and the --journal DIR
-   operand; the gate table at the bottom of this file lists every flag and
-   [main] refuses anything else.
+(* The command line: the gate table at the bottom of this file lists
+   every flag and [main] refuses anything else.
    --smoke: 1 seed per experiment — a fast end-to-end exercise of the
    sweep plumbing for the `check` alias / CI; each gate shrinks its budget
-   under it.
-   --journal DIR: checkpoint every seeded sweep (L1/L2/C1) to one journal
-   file per sweep under DIR, one {!Cosynth.Driver.outcome_to_json} line
-   per seed; --resume replays the recorded seeds instead of re-running
-   them. Journal notices go to stderr so a resumed run's stdout stays
-   comparable to an uninterrupted one. *)
-let flags, journal_dir =
-  let rec parse = function
-    | "--journal" :: dir :: rest when not (String.starts_with ~prefix:"--" dir) ->
-        (fst (parse rest), Some dir)
-    | a :: rest ->
-        let flags, dir = parse rest in
-        (a :: flags, dir)
-    | [] -> ([], None)
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
+   under it. *)
+let flags = List.tl (Array.to_list Sys.argv)
 let smoke = List.mem "--smoke" flags
-let resume = List.mem "--resume" flags
 
 (* C1 and C2 run at full seed count under the --chaos gate, --smoke or
    not. *)
 let chaos_only = List.mem "--chaos" flags
 let runs n = if smoke then 1 else n
-
-(* One journal per sweep, named for the table cell that owns it. *)
-let journal_name name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> c
-      | _ -> '-')
-    name
-
-(* Run [f] with the named sweep's journal under --journal DIR, closing it
-   afterwards, or with none. *)
-let with_journal name f =
-  match journal_dir with
-  | None -> f None
-  | Some dir ->
-      let safe = journal_name name in
-      let j =
-        Exec.Sweep.journal ~resume
-          ~path:(Filename.concat dir (safe ^ ".jsonl"))
-          ~encode:Cosynth.Driver.outcome_to_json ~decode:Cosynth.Driver.outcome_of_json ()
-      in
-      (match Exec.Sweep.journaled_seeds j with
-      | [] -> ()
-      | done_ ->
-          Printf.eprintf "journal: %s: resuming %d completed seed(s)\n%!" safe
-            (List.length done_));
-      Fun.protect ~finally:(fun () -> Exec.Sweep.journal_close j) (fun () -> f (Some j))
 
 (* One worker pool for the whole harness; size comes from COSYNTH_POOL_SIZE
    or the machine (Exec.Pool.default_size). It is spawned on the first
@@ -94,13 +49,11 @@ let print_perf label (p : Cosynth.Metrics.perf) =
   Printf.printf "  %-11s %s\n" label
     (Format.asprintf "%a" Cosynth.Metrics.pp_perf p)
 
-type sweep_report =
-  | Two_pass of {
-      identical : bool;
-      seq_perf : Cosynth.Metrics.perf;
-      par_perf : Cosynth.Metrics.perf;
-    }
-  | Journaled of { replayed : int; fresh : int; perf : Cosynth.Metrics.perf }
+type sweep_report = {
+  identical : bool;
+  seq_perf : Cosynth.Metrics.perf;
+  par_perf : Cosynth.Metrics.perf;
+}
 
 (* The byte-identity pin: a transcript's markdown and JSON renderings. Two
    runs are byte-identical when every rendering matches byte for byte. *)
@@ -131,52 +84,28 @@ let summary_cells (s : Cosynth.Metrics.summary) =
 (* Run a seeded sweep twice — sequentially and on the pool — check the
    transcripts are byte-identical (determinism is the acceptance bar), and
    report both timings. The memo cache is cleared before each pass so the
-   hit rates and wall clocks are comparable.
-
-   Under --journal the sweep instead runs once, pooled, checkpointing each
-   completed seed to its own journal file (and replaying recorded seeds
-   under --resume); the cross-pass determinism check is the unjournaled
-   bench's job. A replayed abandoned record has no transcript to
-   summarize. *)
-let determinism_sweep ~name ~seeds run =
+   hit rates and wall clocks are comparable. *)
+let determinism_sweep ~seeds run =
   Exec.Memo.reset ();
-  with_journal name @@ function
-  | Some j ->
-      let replayed = List.length (Exec.Sweep.journaled_seeds j) in
-      let pool = pool () in
-      let outcomes, perf =
-        Cosynth.Metrics.measure ~pool (fun () ->
-            Exec.Sweep.run_seeds ~pool ~journal:j ~seeds (fun seed ->
-                Exec.Supervisor.Completed (run ?pool:(Some pool) seed)))
-      in
-      ( List.filter_map Exec.Supervisor.completed outcomes,
-        Journaled { replayed; fresh = List.length seeds - replayed; perf } )
-  | None ->
-      let seq, seq_perf =
-        Cosynth.Metrics.measure (fun () ->
-            Exec.Sweep.run_seeds ~seeds (fun seed -> run ?pool:None seed))
-      in
-      Exec.Memo.reset ();
-      let pool = pool () in
-      let par, par_perf =
-        Cosynth.Metrics.measure ~pool (fun () ->
-            Exec.Sweep.run_seeds ~pool ~seeds (fun seed -> run ?pool:(Some pool) seed))
-      in
-      (par, Two_pass { identical = byte_identical seq par; seq_perf; par_perf })
+  let seq, seq_perf =
+    Cosynth.Metrics.measure (fun () ->
+        Exec.Sweep.run_seeds ~seeds (fun seed -> run ?pool:None seed))
+  in
+  Exec.Memo.reset ();
+  let pool = pool () in
+  let par, par_perf =
+    Cosynth.Metrics.measure ~pool (fun () ->
+        Exec.Sweep.run_seeds ~pool ~seeds (fun seed -> run ?pool:(Some pool) seed))
+  in
+  (par, { identical = byte_identical seq par; seq_perf; par_perf })
 
-let print_determinism = function
-  | Two_pass { identical; seq_perf; par_perf } ->
-      Printf.printf "\n  parallel transcripts byte-identical to sequential: %b\n"
-        identical;
-      print_perf "sequential:" seq_perf;
-      print_perf "parallel:" par_perf;
-      if par_perf.Cosynth.Metrics.wall_s > 0. then
-        Printf.printf "  %-11s %.2fx\n" "speedup:"
-          (seq_perf.Cosynth.Metrics.wall_s /. par_perf.Cosynth.Metrics.wall_s)
-  | Journaled { replayed; fresh; perf } ->
-      Printf.printf "\n  journaled sweep: %d seed(s) replayed, %d run fresh\n"
-        replayed fresh;
-      print_perf "wall:" perf
+let print_determinism { identical; seq_perf; par_perf } =
+  Printf.printf "\n  parallel transcripts byte-identical to sequential: %b\n" identical;
+  print_perf "sequential:" seq_perf;
+  print_perf "parallel:" par_perf;
+  if par_perf.Cosynth.Metrics.wall_s > 0. then
+    Printf.printf "  %-11s %.2fx\n" "speedup:"
+      (seq_perf.Cosynth.Metrics.wall_s /. par_perf.Cosynth.Metrics.wall_s)
 
 (* An invariant gate's body records what it finds through [violation]. *)
 type gate = { violation : 'a. ('a, unit, string, unit) format4 -> 'a }
@@ -328,11 +257,11 @@ let table_t2 () =
 
 (* One seeded sweep of a VPP loop, summarized against the paper's prompt
    counts (2 human prompts in both use cases). *)
-let leverage_table ~heading ~name ~base ~loop ~paper_auto ~paper_leverage run =
+let leverage_table ~heading ~base ~loop ~paper_auto ~paper_leverage run =
   section heading;
   let n = runs 30 in
   let transcripts, report =
-    determinism_sweep ~name ~seeds:(Exec.Sweep.seeds ~base ~n) run
+    determinism_sweep ~seeds:(Exec.Sweep.seeds ~base ~n) run
   in
   let s = Cosynth.Metrics.summarize transcripts in
   let c = summary_cells s in
@@ -352,7 +281,7 @@ let leverage_table ~heading ~name ~base ~loop ~paper_auto ~paper_leverage run =
 
 let table_l1 () =
   leverage_table ~heading:"L1 — Translation leverage (paper: ~20 automated, 2 human, 10x)"
-    ~name:"l1-translation" ~base:1000 ~loop:"translation" ~paper_auto:"~20"
+    ~base:1000 ~loop:"translation" ~paper_auto:"~20"
     ~paper_leverage:"10x" (fun ?pool:_ seed ->
       (Cosynth.Driver.run_translation ~seed ~cisco_text ()).Cosynth.Driver.transcript)
 
@@ -361,7 +290,7 @@ let table_l1 () =
    the waiting caller helps drain the queue). *)
 let table_l2 () =
   leverage_table ~heading:"L2 — No-transit leverage (paper: 12 automated, 2 human, 6x)"
-    ~name:"l2-no-transit" ~base:2000 ~loop:"7-router no-transit" ~paper_auto:"12"
+    ~base:2000 ~loop:"7-router no-transit" ~paper_auto:"12"
     ~paper_leverage:"6x" (fun ?pool seed ->
       (Cosynth.Driver.run_no_transit ~seed ?pool ~routers:7 ()).Cosynth.Driver.transcript)
 
@@ -703,24 +632,18 @@ let table_c1 () =
     (Cosynth.Driver.run_no_transit ~seed ?resilience ~routers:7 ())
       .Cosynth.Driver.transcript
   in
-  (* One C1 cell: the seeds of one loop under one schedule, checkpointed
-     to the cell's own journal under --journal and replayed under
-     --resume. The two invariants under ANY fault schedule — the loop
-     never raises (a raise is journaled as abandoned), and the merged
-     transcript stays within its prompt budget — are checked on the
-     outcomes the sweep returns, so a replayed record is held to them
-     exactly like a fresh run. *)
-  let c1_sweep name label budget run =
+  (* One C1 cell: the seeds of one loop under one schedule. The two
+     invariants under ANY fault schedule — the loop never raises (a raise
+     is recorded as abandoned), and the merged transcript stays within its
+     prompt budget — are checked on the outcomes the sweep returns. *)
+  let c1_sweep label budget run =
     let run seed =
       match run seed with
       | t -> Exec.Supervisor.Completed t
       | exception e ->
           Exec.Supervisor.Abandoned { attempts = 1; reason = Printexc.to_string e }
     in
-    let outcomes =
-      with_journal ("c1-" ^ name) (fun journal ->
-          Exec.Sweep.run_seeds ?journal ~seeds run)
-    in
+    let outcomes = Exec.Sweep.run_seeds ~seeds run in
     List.iter2
       (fun seed -> function
         | Exec.Supervisor.Completed t ->
@@ -741,13 +664,11 @@ let table_c1 () =
               let resilience = Resilience.Runtime.config ~chaos () in
               let ts =
                 c1_sweep
-                  (Printf.sprintf "translation-%s" name)
                   (Printf.sprintf "translation[%s seed %d]" name)
                   Cosynth.Driver.translation_budget (translation ~resilience)
               in
               let ss =
                 c1_sweep
-                  (Printf.sprintf "no-transit-%s" name)
                   (Printf.sprintf "no-transit[%s seed %d]" name)
                   Cosynth.Driver.no_transit_budget (no_transit ~resilience)
               in
@@ -769,7 +690,6 @@ let table_c1 () =
               let resilience = Resilience.Runtime.config ~chaos () in
               let ss =
                 c1_sweep
-                  (Printf.sprintf "crash-%.2f" rate)
                   (Printf.sprintf "no-transit[crash %.2f seed %d]" rate)
                   Cosynth.Driver.no_transit_budget (no_transit ~resilience)
               in
@@ -2455,19 +2375,12 @@ let () =
   let gate_flags = List.map (fun (flag, _, _) -> flag) gates in
   List.iter
     (fun a ->
-      if not (List.mem a ("--smoke" :: "--resume" :: gate_flags)) then begin
-        if a = "--journal" then Printf.eprintf "error: --journal requires a DIR\n"
-        else Printf.eprintf "error: unknown argument %S\n" a;
-        Printf.eprintf "usage: main.exe [--smoke] [--journal DIR [--resume]] [%s]\n%!"
-          (String.concat " | " gate_flags);
+      if not (List.mem a ("--smoke" :: gate_flags)) then begin
+        Printf.eprintf "error: unknown argument %S\n" a;
+        Printf.eprintf "usage: main.exe [--smoke] [%s]\n%!" (String.concat " | " gate_flags);
         exit 2
       end)
     flags;
-  if resume && journal_dir = None then begin
-    Printf.eprintf "error: --resume requires --journal DIR\n%!";
-    exit 2
-  end;
-  Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) journal_dir;
   let gate = List.find_opt (fun (flag, _, _) -> List.mem flag flags) gates in
   let label, tables =
     match gate with

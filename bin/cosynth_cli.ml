@@ -7,8 +7,16 @@
    - verify     run the topology verifier on a router's config
    - translate  run the translation VPP loop on a Cisco config
    - synth      run the no-transit VPP loop on an n-router star
+   - sim        simulate BGP over a topology and print the converged RIBs
+   - prove      prove no-transit from the local policies (no simulation)
    - leverage   multi-seed leverage summaries for both use cases
-   - chaos      a seeded fault-injection sweep over either VPP loop *)
+   - chaos      a seeded fault-injection sweep over either VPP loop
+   - adversary  a seeded Byzantine-LLM and lying-verifier sweep
+   - serve      the persistent synthesis daemon on a Unix-domain socket
+   - client     send jobs to a running serve daemon
+   - fuzz       mutation-fuzz every pipeline stage behind the Guard firewall
+   - triage     print the crash-bucket table of a triage journal
+   - fsck       check (and optionally compact) a durable store file *)
 
 open Cmdliner
 
@@ -851,33 +859,6 @@ let disk_chaos_footer disk =
       s.Durable.Diskchaos.enospc s.Durable.Diskchaos.fsync_failures
   end
 
-(* A forwarded rate must reach the child process exactly: the shortest
-   rendering that reads back as the same float. *)
-let rate_args =
-  List.concat_map (fun (flag, r) ->
-      let s = Printf.sprintf "%.15g" r in
-      if r > 0. then [ flag; (if float_of_string s = r then s else Printf.sprintf "%.17g" r) ]
-      else [])
-
-(* The argv fragment reproducing a configuration in the supervised serve
-   daemon. *)
-let disk_chaos_args (d : Durable.Diskchaos.config) =
-  rate_args
-    [
-      ("--disk-short-rate", d.Durable.Diskchaos.short_rate);
-      ("--disk-torn-rate", d.Durable.Diskchaos.torn_rate);
-      ("--disk-io-error-rate", d.Durable.Diskchaos.io_error_rate);
-      ("--disk-enospc-rate", d.Durable.Diskchaos.enospc_rate);
-      ("--disk-fsync-fail-rate", d.Durable.Diskchaos.fsync_fail_rate);
-    ]
-  @ (if d.Durable.Diskchaos.seed <> 0 then
-       [ "--disk-seed"; string_of_int d.Durable.Diskchaos.seed ]
-     else [])
-  @
-  match d.Durable.Diskchaos.crash_after with
-  | Some n -> [ "--disk-crash-after"; string_of_int n ]
-  | None -> []
-
 (* An injected crash must end the process like a real one: exit 3, the
    kill/resume convention --halt-after established, after the Fun.protect
    finalizers on the way out have closed every journal handle. *)
@@ -893,15 +874,12 @@ let exit_on_disk_crash f =
 
 let chaos_cmd =
   let run (use_case, routers, seed, seeds) (chaos, in_flight, lie_fn)
-      ((trust, trust_ledger) as trust_flags) ((journal_path, _, _) as journal_flags)
-      compact_journal triage_path disk verbose =
+      ((trust, trust_ledger) as trust_flags) journal_flags triage_path disk verbose =
    exit_on_disk_crash @@ fun () ->
     if triage_path <> None then Resilience.Guard.reset ();
     disk_chaos_arm disk;
     (* Validated before the sweep runs: discovering a flag error only
        after a multi-hour sweep would be its own kind of fault. *)
-    if compact_journal && journal_path = None then
-      usage_error "--compact-journal requires --journal FILE";
     check_journal_flags journal_flags trust_flags;
     (* The fault and lie streams are keyed on --seed. A rate-0 lie spec is
        treated by the driver exactly like no spec, keeping lie-free sweeps
@@ -931,12 +909,6 @@ let chaos_cmd =
           | e -> ([], Some e))
     in
     disk_chaos_footer disk;
-    (match journal_path with
-    | Some path when compact_journal ->
-        let dropped, kept = Exec.Checkpoint.compact path in
-        Printf.eprintf "journal: compacted %s (%d line(s) dropped, %d kept)\n%!"
-          path dropped kept
-    | Some _ | None -> ());
     let seeded = if outcomes = [] then [] else List.combine seeds outcomes in
     let violations = print_sweep_summary ~chaos ~use_case ~adversary seeded in
     print_trust trust_flags perf;
@@ -948,14 +920,6 @@ let chaos_cmd =
         Printf.eprintf "error: sweep aborted: %s\n%!" (Printexc.to_string e);
         1
     | None -> if violations <> [] then 1 else 0
-  in
-  let compact_journal =
-    Arg.(
-      value & flag
-      & info [ "compact-journal" ]
-          ~doc:"After the sweep, rewrite $(b,--journal) keeping only the \
-                surviving line per seed (retries and malformed lines \
-                dropped) via an atomic temp-file rename.")
   in
   let triage_path =
     Arg.(
@@ -977,8 +941,7 @@ let chaos_cmd =
     Term.(
       const run
       $ sweep_term ~use_case:`No_transit ~routers:7
-      $ chaos_rates_term $ trust_term $ journal_term $ compact_journal
-      $ triage_path $ disk_chaos_term $ verbose)
+      $ chaos_rates_term $ trust_term $ journal_term $ triage_path $ disk_chaos_term $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* adversary                                                           *)
@@ -1254,39 +1217,19 @@ let serve_cmd =
       admission_file triage_path trust_ledger_path debug_jobs supervise
       max_restarts disk =
     check_pool_size jobs;
-    if supervise then begin
+    (* The supervisor sets COSYNTH_SERVE_RESTARTS for every daemon it
+       spawns; a process started with it set is such a daemon and never
+       supervises, so the respawned argv may keep --supervise. *)
+    let restarts_env = Sys.getenv_opt "COSYNTH_SERVE_RESTARTS" in
+    if supervise && restarts_env = None then begin
       (* Supervisor mode: respawn a crashed daemon (nonzero exit or fatal
          signal) with a bounded budget; a clean exit 0 — shutdown or drain
-         — ends the loop. The restart count rides down in the environment
-         so the child reports it in stats/health. *)
+         — ends the loop. The daemon runs this process's own argv, so
+         every serve flag (disk-chaos rates included: faults belong in the
+         daemon doing the ledger/triage writes, not here) reaches it
+         unchanged. The restart count rides down in the environment so
+         the child reports it in stats/health. *)
       let exe = Sys.executable_name in
-      let child_argv =
-        Array.of_list
-          ([ exe; "serve"; "--socket"; socket ]
-          @ (match jobs with Some j -> [ "-j"; string_of_int j ] | None -> [])
-          @ [
-              "--round-budget"; string_of_int round_budget_cap;
-              "--stage-budget"; string_of_int stage_budget_cap;
-              "--max-in-flight"; string_of_int max_in_flight;
-              "--max-queue"; string_of_int max_queue;
-              "--max-per-client"; string_of_int max_per_client;
-              "--max-deadline-ms"; string_of_int max_deadline_ms;
-              "--retry-after-ms"; string_of_int retry_after_ms;
-              "--io-timeout-ms"; string_of_int io_timeout_ms;
-              "--drain-grace-ms"; string_of_int drain_grace_ms;
-            ]
-          @ (if debug_jobs then [ "--debug-jobs" ] else [])
-          @ (match admission_file with
-            | Some p -> [ "--admission-file"; p ]
-            | None -> [])
-          @ (match triage_path with Some p -> [ "--triage"; p ] | None -> [])
-          @ (match trust_ledger_path with
-            | Some p -> [ "--trust-ledger"; p ]
-            | None -> [])
-          (* Faults belong in the daemon doing the ledger/triage writes,
-             not in the supervisor: forward the flags, stay clean here. *)
-          @ disk_chaos_args disk)
-      in
       let restarts = ref 0 in
       let child = ref None in
       (* Forward TERM/INT so killing the supervisor drains the daemon
@@ -1320,7 +1263,7 @@ let serve_cmd =
       in
       let rec loop () =
         let pid =
-          Unix.create_process_env exe child_argv (env_for !restarts) Unix.stdin
+          Unix.create_process_env exe Sys.argv (env_for !restarts) Unix.stdin
             Unix.stdout Unix.stderr
         in
         child := Some pid;
@@ -1349,7 +1292,7 @@ let serve_cmd =
          ledger and triage writes) are the useful knobs here. *)
       disk_chaos_arm disk;
       let restarts =
-        match Sys.getenv_opt "COSYNTH_SERVE_RESTARTS" with
+        match restarts_env with
         | Some s -> ( try int_of_string s with _ -> 0)
         | None -> 0
       in
@@ -1523,7 +1466,10 @@ let serve_cmd =
       & info [ "supervise" ]
           ~doc:"Run as a supervisor: spawn the daemon as a child process and \
                 respawn it after a crash (bounded by $(b,--max-restarts)); \
-                restart counts surface in the daemon's $(b,stats)/$(b,health).")
+                restart counts surface in the daemon's $(b,stats)/$(b,health). \
+                The daemon re-runs the supervisor's own command line with \
+                COSYNTH_SERVE_RESTARTS set; a process started with that \
+                variable set runs the daemon and never supervises.")
   in
   let max_restarts =
     Arg.(

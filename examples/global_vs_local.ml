@@ -9,7 +9,7 @@
 
 let () =
   print_endline "=== One global-prompting run, step by step ===";
-  let g = Cosynth.Global_vs_local.run_global ~seed:11 ~routers:7 () in
+  let g = Cosynth.Global_vs_local.run_global ~seed:11 () in
   Printf.printf
     "after %d counterexample prompts: %s, %d strategy switches, final strategy: %s\n"
     g.Cosynth.Global_vs_local.prompts

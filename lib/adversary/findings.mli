@@ -47,6 +47,3 @@ val corrupt :
 (** Pass one finding through the corruption layer. Each returned pair is
     delivered as one prompt; [[]] means the finding was dropped. Total on
     arbitrary text/refs. *)
-
-val garble : string -> string
-(** The deterministic text mangling (exposed for tests/fuzzers). *)

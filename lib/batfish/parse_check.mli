@@ -11,5 +11,3 @@ val check : dialect -> string -> Policy.Config_ir.t * Netcore.Diag.t list
 val syntax_ok : dialect -> string -> bool
 (** True when {!check} yields no diagnostics of severity [Error]. Lint
     warnings do not make a config syntactically bad. *)
-
-val errors_only : Netcore.Diag.t list -> Netcore.Diag.t list

@@ -1087,14 +1087,12 @@ let check_global final_check star configs =
       check_global_uncached final_check star configs)
 
 let run_no_transit ?(seed = 42) ?(use_iips = true)
-    ?(max_prompts = no_transit_budget) ?(stall_threshold = 2)
-    ?(final_check = Simulate) ?pool ?tasks:tasks_override ?(force_hub_faults = [])
-    ?(resilience = Resilience.Runtime.default_config) ?adversary ?trust ?trust_ledger
-    ~routers () =
+    ?(max_prompts = no_transit_budget) ?(final_check = Simulate) ?pool
+    ?(force_hub_faults = []) ?(resilience = Resilience.Runtime.default_config) ?adversary
+    ?trust ?trust_ledger ~routers () =
+  let stall_threshold = 2 in
   let star = Netcore.Star.make ~routers in
-  let tasks =
-    match tasks_override with Some ts -> ts | None -> Modularizer.plan star
-  in
+  let tasks = Modularizer.plan star in
   let iips = if use_iips then Iip.ids Iip.defaults else [] in
   let rt_main = Resilience.Runtime.create ~salt:seed resilience in
   let suite_main = Resilience.Suite.make rt_main in
@@ -1153,10 +1151,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
      never exceed [max_prompts] (the termination invariant the chaos sweep
      enforces). In fault-free runs a share is an order of magnitude more
      than any router uses, so transcripts are unchanged. *)
-  let router_budget =
-    if tasks = [] then 0
-    else max 0 ((max_prompts - (st.auto + st.human)) / List.length tasks)
-  in
+  let router_budget = max 0 ((max_prompts - (st.auto + st.human)) / List.length tasks) in
   let synthesize_router (idx, (task : Modularizer.router_task)) =
     let sub =
       new_loop
@@ -1201,30 +1196,15 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
      check fails, feed the counterexample back to the hub conversation
      (crossed attachments are the only fault that survives local
      verification) and re-verify the hub locally after each prompt. *)
-  (* The hub is looked up by name, not by position: the modularizer
-     currently plans it first, but the feedback must keep firing (and fail
-     loudly, not silently return) if the plan is ever reordered. *)
+  (* The hub is looked up by name, not by position: the modularizer plans
+     every router of the star, the hub among them. *)
   let hub_name = star.Netcore.Star.hub in
-  let hub_task_exn () =
-    match
-      List.find_opt
-        (fun (t : Modularizer.router_task) -> t.Modularizer.router = hub_name)
-        tasks
-    with
-    | Some t -> t
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Driver.run_no_transit: hub %s missing from the task plan"
-             hub_name)
+  let hub_task =
+    List.find (fun (t : Modularizer.router_task) -> t.Modularizer.router = hub_name) tasks
   in
-  let hub_chat_exn results =
-    match List.find_opt (fun (name, _, _, _) -> name = hub_name) results with
-    | Some (_, chat, _, _) -> chat
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Driver.run_no_transit: hub %s missing from the synthesis results"
-             hub_name)
+  let hub_chat results =
+    let _, chat, _, _ = List.find (fun (name, _, _, _) -> name = hub_name) results in
+    chat
   in
   (* The whole-network check is itself wrapped: when it degrades, the human
      runs the simulation by hand and the counterexample feedback arrives as
@@ -1242,7 +1222,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
         in
         if rounds = 0 || not (budget_left st) then crashed ()
         else
-          on_crash st (hub_chat_exn results) crash
+          on_crash st (hub_chat results) crash
             ~k:(fun () -> global_phase results (rounds - 1))
             ~stop:crashed
     | (Checked ((ok, violations), proof) | Hand_checked ((ok, violations), proof)) as checked
@@ -1251,8 +1231,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
     else if observe_findings st ~stage:"global" ~findings:(List.length violations) then
       (results, ok, violations, proof)
     else
-      let hub_task = hub_task_exn () in
-      let hub_chat = hub_chat_exn results in
+      let hub_chat = hub_chat results in
       let prompt = Humanizer.of_global_violations ~hub:hub_name violations in
       let resynthesize () =
         let draft, local_ok = local_loop st suite_main hub_task hub_chat in
@@ -1302,15 +1281,16 @@ type incremental_result = {
 }
 
 let run_incremental ?(seed = 42) ?(max_prompts = incremental_budget)
-    ?(stall_threshold = 2) ?(target = "R2") ?(prepend = [ 1; 1 ])
     ?(resilience = Resilience.Runtime.default_config) ?adversary ?trust ?trust_ledger
     ~routers () =
+  let stall_threshold = 2 in
   let star = Netcore.Star.make ~routers in
   let rt = Resilience.Runtime.create ~salt:seed resilience in
   let suite = Resilience.Suite.make rt in
   let adv = adv_of_spec adversary in
   arm_suite_lies adv suite;
-  let task = Modularizer.prepend_task star ~target ~prepend in
+  (* The new policy: prepend the hub AS twice on routes exported to R2. *)
+  let task = Modularizer.prepend_task star ~target:"R2" ~prepend:[ 1; 1 ] in
   let base_configs =
     List.map
       (fun (t : Modularizer.router_task) -> (t.Modularizer.router, t.Modularizer.correct))

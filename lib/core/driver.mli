@@ -102,8 +102,8 @@ val incremental_budget : int
 
 val outcome_to_json : transcript Exec.Supervisor.outcome -> Netcore.Json.t
 (** The journal line of one sweep seed — the only journal format of the
-    seeded sweeps ([cosynth chaos] and [adversary]; the bench L1, L2, C1
-    and C2 sweeps): prompt counts, convergence,
+    seeded sweeps ([cosynth chaos] and [adversary]; the bench C2 resume
+    check): prompt counts, convergence,
     rounds, degraded rounds and the certificate of a completed run, or
     the attempts and reason of an abandoned one (a crashed run is
     abandoned after one attempt). *)
@@ -243,10 +243,8 @@ val run_no_transit :
   ?seed:int ->
   ?use_iips:bool ->
   ?max_prompts:int ->
-  ?stall_threshold:int ->
   ?final_check:final_check ->
   ?pool:Exec.Pool.t ->
-  ?tasks:Modularizer.router_task list ->
   ?force_hub_faults:Llmsim.Fault.t list ->
   ?resilience:Resilience.Runtime.config ->
   ?adversary:Adversary.Spec.t ->
@@ -256,16 +254,16 @@ val run_no_transit :
   unit ->
   synthesis_result
 (** [use_iips] defaults to true (the paper supplies the IIPs); switching it
-    off is the S1 ablation. [final_check] defaults to [Simulate].
+    off is the S1 ablation. [final_check] defaults to [Simulate]. A
+    finding escalates to the human after 2 automated prompts.
 
-    Each router's synthesis is an independent task (own chat, own derived
-    seed, own prompt accounting merged back in task order), so passing
-    [pool] fans the routers across worker domains with bit-identical
-    results to the sequential run. [tasks] overrides the modularizer's plan
-    (testing/ablation hook — the driver locates the hub by name and raises
-    [Invalid_argument] if it is absent). [force_hub_faults] injects faults
-    into the hub's chat on top of the seeded sample, e.g. a crossed policy
-    attachment to deterministically exercise the global phase.
+    The routers are {!Modularizer.plan}'s tasks. Each router's synthesis
+    is an independent task (own chat, own derived seed, own prompt
+    accounting merged back in task order), so passing [pool] fans the
+    routers across worker domains with bit-identical results to the
+    sequential run. [force_hub_faults] injects faults into the hub's chat
+    on top of the seeded sample, e.g. a crossed policy attachment to
+    deterministically exercise the global phase.
 
     Faults that pass every local check (crossed policy attachments) surface
     only in the global phase; the driver then feeds a whole-network
@@ -305,9 +303,6 @@ type incremental_result = {
 val run_incremental :
   ?seed:int ->
   ?max_prompts:int ->
-  ?stall_threshold:int ->
-  ?target:string ->
-  ?prepend:int list ->
   ?resilience:Resilience.Runtime.config ->
   ?adversary:Adversary.Spec.t ->
   ?trust:Resilience.Trust.config ->
@@ -315,7 +310,8 @@ val run_incremental :
   routers:int ->
   unit ->
   incremental_result
-(** Defaults: [target] = "R2", [prepend] = the hub AS twice. [resilience]
+(** The new policy prepends the hub AS twice on routes exported to R2,
+    and a finding escalates to the human after 2 automated prompts. [resilience]
     as for {!run_translation} — it covers every stage end to end, the
     closing whole-network BGP check included: under chaos that check can
     degrade to a hand-run simulation ([Degraded] event), never an

@@ -18,8 +18,9 @@ type global_run = {
 let p_switch = 0.55
 let p_converge = 0.01
 
-let run_global ?(seed = 42) ?(max_prompts = 30) ~routers () =
-  ignore routers;
+let max_prompts = 30
+
+let run_global ?(seed = 42) () =
   let rng = Netcore.Rng.make seed in
   let rec go prompts switches strategy =
     if prompts >= max_prompts then
@@ -54,8 +55,10 @@ type comparison = {
   local_mean_prompts : float;
 }
 
-let compare ?(runs = 20) ?(base_seed = 5000) ~routers () =
-  let globals = List.init runs (fun i -> run_global ~seed:(base_seed + i) ~routers ()) in
+let base_seed = 5000
+
+let compare ?(runs = 20) ~routers () =
+  let globals = List.init runs (fun i -> run_global ~seed:(base_seed + i) ()) in
   let locals =
     List.init runs (fun i ->
         (Driver.run_no_transit ~seed:(base_seed + i) ~routers ()).Driver.transcript)

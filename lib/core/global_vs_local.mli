@@ -21,7 +21,10 @@ type global_run = {
   final_strategy : strategy;
 }
 
-val run_global : ?seed:int -> ?max_prompts:int -> routers:int -> unit -> global_run
+val run_global : ?seed:int -> unit -> global_run
+(** One global-prompting run of the stochastic model: at most 30
+    whole-network counterexample prompts. The model does not depend on
+    the size of the network. *)
 
 type comparison = {
   routers : int;
@@ -33,4 +36,6 @@ type comparison = {
   local_mean_prompts : float;
 }
 
-val compare : ?runs:int -> ?base_seed:int -> routers:int -> unit -> comparison
+val compare : ?runs:int -> routers:int -> unit -> comparison
+(** [runs] (default 20) seeds of each side, from 5000; the local side
+    runs {!Driver.run_no_transit} on a [routers]-router star. *)

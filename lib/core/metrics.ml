@@ -82,17 +82,16 @@ let summarize transcripts =
              transcripts);
     }
 
-let translation_summary ?(runs = 20) ?(base_seed = 1000) ?pool ~cisco_text () =
+let translation_summary ?(runs = 20) ?pool ~cisco_text () =
   let transcripts =
-    Exec.Sweep.run_seeds ?pool ~seeds:(Exec.Sweep.seeds ~base:base_seed ~n:runs)
+    Exec.Sweep.run_seeds ?pool ~seeds:(Exec.Sweep.seeds ~base:1000 ~n:runs)
       (fun seed -> (Driver.run_translation ~seed ~cisco_text ()).Driver.transcript)
   in
   summarize transcripts
 
-let no_transit_summary ?(runs = 20) ?(base_seed = 2000) ?(use_iips = true) ?pool
-    ~routers () =
+let no_transit_summary ?(runs = 20) ?(use_iips = true) ?pool ~routers () =
   let transcripts =
-    Exec.Sweep.run_seeds ?pool ~seeds:(Exec.Sweep.seeds ~base:base_seed ~n:runs)
+    Exec.Sweep.run_seeds ?pool ~seeds:(Exec.Sweep.seeds ~base:2000 ~n:runs)
       (fun seed -> (Driver.run_no_transit ~seed ~use_iips ~routers ()).Driver.transcript)
   in
   summarize transcripts

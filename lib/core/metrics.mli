@@ -25,19 +25,15 @@ type summary = {
 val summarize : Driver.transcript list -> summary
 
 val translation_summary :
-  ?runs:int -> ?base_seed:int -> ?pool:Exec.Pool.t -> cisco_text:string -> unit -> summary
+  ?runs:int -> ?pool:Exec.Pool.t -> cisco_text:string -> unit -> summary
 
 val no_transit_summary :
-  ?runs:int ->
-  ?base_seed:int ->
-  ?use_iips:bool ->
-  ?pool:Exec.Pool.t ->
-  routers:int ->
-  unit ->
-  summary
-(** Both summaries fan their seeded runs across [pool] when given
-    ({!Exec.Sweep.run_seeds}); the seeds, and therefore the transcripts and
-    every statistic, are identical with or without the pool. *)
+  ?runs:int -> ?use_iips:bool -> ?pool:Exec.Pool.t -> routers:int -> unit -> summary
+(** Both summaries run [runs] (default 20) consecutive seeds, from 1000
+    for translation and from 2000 for no-transit, and fan them across
+    [pool] when given ({!Exec.Sweep.run_seeds}); the seeds, and therefore
+    the transcripts and every statistic, are identical with or without
+    the pool. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** One line; stalled/oscillating counts are appended only when nonzero, so
@@ -76,8 +72,6 @@ type perf = {
 val measure : ?pool:Exec.Pool.t -> (unit -> 'a) -> 'a * perf
 (** Run the thunk and capture wall clock plus memo/pool/resilience counter
     deltas. *)
-
-val memo_hit_rate : perf -> float
 
 val verifier_table : title:string -> perf -> string
 (** The per-verifier resilience counters as a {!Report.table}: one row per

@@ -27,9 +27,6 @@ val ingress_map_name : string -> string
 val egress_map_name : string -> string
 (** [FILTER_COMM_OUT_R<k>]. *)
 
-val community_list_name : string -> string
-(** [CL_R<k>]. *)
-
 val plan : Star.t -> router_task list
 (** Hub first, then spokes in order. Plans are memoised per star in a small
     process-wide {!Netcore.Memo_table} named ["plan_memo"], so every loop

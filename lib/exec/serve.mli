@@ -14,20 +14,13 @@
     Framing: each message is a 4-byte big-endian byte length followed by
     exactly that many bytes of compact JSON. Length-prefixing (rather than
     newline-delimiting) lets request and response bodies contain anything —
-    embedded newlines in config text included. *)
-
-val max_frame_bytes : int
-(** Hard cap (16 MiB) on a single frame; a peer announcing more is treated
-    as malformed and its connection dropped. *)
+    embedded newlines in config text included. A frame holds at most 16 MiB;
+    a peer announcing more is treated as malformed and its connection
+    dropped. *)
 
 val write_frame : Unix.file_descr -> Netcore.Json.t -> unit
 (** Serialize compactly and write header + payload (handles short
     writes). *)
-
-val read_frame : Unix.file_descr -> Netcore.Json.t option
-(** [None] on a clean end-of-stream at a frame boundary.
-    @raise Failure on a truncated frame, an oversized announced length, or
-    a payload that is not valid JSON. *)
 
 (** What the handler wants done with its reply. *)
 type reply =
@@ -38,9 +31,6 @@ type reply =
           then close every connection (the [drain] job). *)
   | Final of Netcore.Json.t
       (** Send, then shut the whole server down (the [shutdown] job). *)
-
-val default_drain_reject : Netcore.Json.t -> Netcore.Json.t
-(** [{"ok": false, "error": "server draining", "draining": true}]. *)
 
 val serve :
   socket_path:string ->
@@ -76,7 +66,7 @@ val serve :
        [handle_signals:true]) stops accepting at once; requests arriving on
        live connections during the next [drain_grace_ms] (default 1 000)
        are answered with [drain_reject] applied to the request (default
-       {!default_drain_reject}), in-flight handlers finish and their
+       [{"ok": false, "error": "server draining", "draining": true}]), in-flight handlers finish and their
        replies are flushed, and then every connection is closed.
        [on_drain] runs once when the drain begins.}
     {- [handle_signals] installs SIGTERM/SIGINT handlers for the server's
@@ -116,7 +106,7 @@ val connect :
     @raise Failure when the budget is exhausted. *)
 
 val request : Unix.file_descr -> Netcore.Json.t -> Netcore.Json.t
-(** One round trip: {!write_frame} then {!read_frame}.
+(** One round trip: {!write_frame}, then read one reply frame.
     @raise Server_overloaded on a shed frame.
     @raise Failure if the server closed the stream instead of replying. *)
 

@@ -42,24 +42,20 @@ val run : ?schedule:Mutator.history -> Corpus.dialect -> seeds:int list -> mutat
     (1 point each, 2 when the input opened an unseen (stage, constructor)
     bucket), biasing later rounds toward productive operators. *)
 
-val check_topology : string -> violation list
-(** Totality of the topology verifier on an arbitrary JSON text: parse
-    failures must be structured [Error]s, a parseable dictionary must
-    verify (or structurally reject) any router without raising. *)
-
-val check_policy : string -> violation list
-(** Totality of the Cisco parse + semantic route-policy check
-    ({!Batfish.Search_route_policies.check_all} against the full symbolic
-    space) on an arbitrary policy fragment. *)
-
 val run_topology :
   ?schedule:Mutator.history -> seeds:int list -> mutations:int -> unit -> report
-(** {!run} over {!Corpus.topology_seeds} with {!check_topology}. The
-    report's [dialect] is [Cisco] (the field keys replay only). *)
+(** {!run} over {!Corpus.topology_seeds}, checking that the topology
+    verifier is total on an arbitrary JSON text: parse failures must be
+    structured [Error]s, a parseable dictionary must verify (or
+    structurally reject) any router without raising. The report's
+    [dialect] is [Cisco] (the field keys replay only). *)
 
 val run_policy :
   ?schedule:Mutator.history -> seeds:int list -> mutations:int -> unit -> report
-(** {!run} over {!Corpus.policy_seeds} with {!check_policy}. *)
+(** {!run} over {!Corpus.policy_seeds}, checking that the Cisco parse +
+    semantic route-policy check ({!Batfish.Search_route_policies.check_all}
+    against the full symbolic space) is total on an arbitrary policy
+    fragment. *)
 
 val fuzz_corrupted_findings :
   mode:Adversary.Findings.mode -> seed:int -> cases:int -> violation list

@@ -21,7 +21,6 @@ type dialect = Cisco_cfg | Junos_cfg
 val make : Error_class.t -> target -> t
 val equal : t -> t -> bool
 val to_string : t -> string
-val target_to_string : target -> string
 
 val opportunities : dialect -> Config_ir.t -> t list
 (** Every fault instance that could be injected into this artifact: e.g. one

@@ -9,7 +9,6 @@ val make : int -> t
 val split : t -> t * t
 (** Two independent streams. *)
 
-val next_int64 : t -> int64
 val float : t -> float
 (** Uniform in [0, 1). *)
 

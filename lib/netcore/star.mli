@@ -37,9 +37,6 @@ val isp_prefix : t -> string -> Prefix.t option
 val community_of : t -> string -> Community.t option
 (** The community tagging routes learned from a given spoke. *)
 
-val spoke_index : t -> string -> int option
-(** [spoke_index t "Rk"] is [k] when Rk is a spoke of [t]. *)
-
 val description : t -> string
 (** Output 1 of the generator: the natural-language topology prompt. *)
 

@@ -98,7 +98,6 @@ val find_interface : t -> Iface.t -> interface option
 val find_route_map : t -> string -> Route_map.t option
 val find_prefix_list : t -> string -> Prefix_list.t option
 val find_community_list : t -> string -> Community_list.t option
-val find_as_path_list : t -> string -> As_path_list.t option
 val find_acl : t -> string -> Acl.t option
 val find_neighbor : bgp -> Ipv4.t -> neighbor option
 

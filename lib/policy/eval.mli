@@ -26,8 +26,6 @@ val entry_matches : env -> Route_map.entry -> Route.t -> bool
 (** All conditions of the entry hold (AND semantics; an empty condition list
     matches everything). *)
 
-val apply_sets : env -> Route_map.set_action list -> Route.t -> Route.t
-
 val eval : env -> Route_map.t -> Route.t -> verdict
 (** First matching entry decides; no match is an implicit deny. *)
 

@@ -71,7 +71,3 @@ val worker_plan : ?in_flight:float -> config -> salt:int -> Exec.Supervisor.plan
     dispatch; the mode draw follows the loss draw on the same stream, so
     varying it never changes {e which} dispatches are lost. Always [None]
     when [worker_loss_rate = 0]. *)
-
-val timeout_ticks : int
-(** Ticks an injected timeout burns (also the cost reported in
-    {!Verifier.Timed_out}). *)

@@ -9,10 +9,6 @@ val compile_prefix_list : Prefix_list.t -> Prefix_space.t
 val compile_community_list : Community_list.t -> Comm_constr.t list
 (** The set of community-sets the list permits, as a union of cubes. *)
 
-val compile_match : Eval.env -> Route_map.match_cond -> Pred.t
-(** A reference to an undefined list compiles to the empty predicate,
-    matching the concrete evaluator. *)
-
 val compile_entry_guard : Eval.env -> Route_map.entry -> Pred.t
 (** Conjunction of the entry's conditions (AND semantics); the empty
     condition list compiles to the full space. *)

@@ -28,8 +28,6 @@ type finding = {
   network : Prefix.t option;  (** The network involved, when applicable. *)
 }
 
-val kind_to_string : kind -> string
-
 val check : Topology.t -> router:string -> Policy.Config_ir.t -> finding list
 (** Compare a single router's parsed configuration against its row of the
     topology dictionary. Raises [Invalid_argument] if [router] is not in the

@@ -373,11 +373,12 @@ let global_stats () = Netcore.Memo_table.stats "global_memo"
 
 (* The whole-network verdict table is the oracle inside the wrapped global
    verifier: chaos and lies act on top of it, so what they inject never
-   enters the table. After a chaos loop and a lying loop, a rate-0 loop over
-   the same star reads the uncached sim and proof, and so does every network
-   the three loops ended on. *)
+   enters the table. The chaos loops and the lying loops each run first on
+   emptied tables, since a network an earlier loop stored is never asked of
+   the faulty verifier; every network a loop ends on then reads the
+   uncached sim and proof. A rate-0 loop run after the lying loops, over
+   what they stored, ends on the uncached verdict and proof. *)
 let test_global_memo_survives_faults () =
-  Exec.Memo.reset ();
   let routers = 5 and seeds = List.init 8 succ in
   let star = Netcore.Star.make ~routers in
   let lookups () =
@@ -392,51 +393,49 @@ let test_global_memo_survives_faults () =
     Cosynth.Driver.run_no_transit ~seed ~final_check:Cosynth.Driver.Both ?resilience
       ?adversary ~routers ()
   in
-  let loops label f =
-    let before = lookups () in
-    let rs = List.map f seeds in
-    check bool_t (label ^ ": the loops reached the table") true (lookups () > before);
-    List.map (fun r -> (label, r)) rs
-  in
-  let failures = sim_failures () in
-  let chaos =
-    loops "chaos"
-      (run ~resilience:(chaos_config ~crash:0.08 ~timeout:0.08 ~flake:0.08 ~truncate:0.08 99))
-  in
-  check bool_t "chaos: faults hit the global check" true (sim_failures () > failures);
-  let lying =
-    loops "lies"
-      (run
-         ~adversary:
-           (Adversary.Spec.make
-              ~verifier:
-                (Adversary.Verifier.make ~false_negative:0.3 ~false_positive:0.1 ~mutated:0.2
-                   ~seed:7 ())
-              ()))
-  in
-  let clean = loops "rate 0" run in
   let uncached configs =
     let ok, violations = Cosynth.Modularizer.no_transit_holds star configs in
     let proof = Cosynth.Lightyear.prove_no_transit star configs in
     (ok && proof = Cosynth.Lightyear.Proved, violations, proof)
   in
+  let loops label ~reset f =
+    if reset then Exec.Memo.reset ();
+    let before = lookups () in
+    let rs = List.map f seeds in
+    check bool_t (label ^ ": the loops reached the table") true (lookups () > before);
+    List.iter
+      (fun (r : Cosynth.Driver.synthesis_result) ->
+        let ok, violations, proof = uncached r.Cosynth.Driver.configs in
+        let (ok', violations'), proof' =
+          Cosynth.Driver.check_global Cosynth.Driver.Both star r.Cosynth.Driver.configs
+        in
+        check bool_t (label ^ ": verdict") ok ok';
+        check bool_t (label ^ ": proof") true (proof' = Some proof);
+        check bool_t (label ^ ": the sim's violations lead") true
+          (List.filteri (fun i _ -> i < List.length violations) violations' = violations))
+      rs;
+    rs
+  in
+  let failures = sim_failures () in
+  ignore
+    (loops "chaos" ~reset:true
+       (run ~resilience:(chaos_config ~crash:0.08 ~timeout:0.08 ~flake:0.08 ~truncate:0.08 99)));
+  check bool_t "chaos: faults hit the global check" true (sim_failures () > failures);
+  ignore
+    (loops "lies" ~reset:true
+       (run
+          ~adversary:
+            (Adversary.Spec.make
+               ~verifier:
+                 (Adversary.Verifier.make ~false_negative:0.3 ~false_positive:0.1 ~mutated:0.2
+                    ~seed:7 ())
+               ())));
   List.iter
-    (fun (label, (r : Cosynth.Driver.synthesis_result)) ->
-      let ok, violations, proof = uncached r.Cosynth.Driver.configs in
-      let (ok', violations'), proof' =
-        Cosynth.Driver.check_global Cosynth.Driver.Both star r.Cosynth.Driver.configs
-      in
-      check bool_t (label ^ ": verdict") ok ok';
-      check bool_t (label ^ ": proof") true (proof' = Some proof);
-      check bool_t (label ^ ": the sim's violations lead") true
-        (List.filteri (fun i _ -> i < List.length violations) violations' = violations))
-    (chaos @ lying @ clean);
-  List.iter
-    (fun (_, (r : Cosynth.Driver.synthesis_result)) ->
+    (fun (r : Cosynth.Driver.synthesis_result) ->
       let ok, _, proof = uncached r.Cosynth.Driver.configs in
       check bool_t "rate-0 loop: global_ok" ok r.Cosynth.Driver.global_ok;
       check bool_t "rate-0 loop: proof" true (r.Cosynth.Driver.proof = Some proof))
-    clean
+    (loops "rate 0" ~reset:false run)
 
 (* The parse and draft-verdict tables sit inside the chaos gate and under
    the lie layer ({!Resilience.Suite}), so a chaos loop or a lying loop can
