@@ -76,19 +76,22 @@ serve-bench:
 # the client over one socket, shut it down cleanly. The built binary is
 # invoked directly: a backgrounded `dune exec` would hold the dune lock
 # for the daemon's whole lifetime and deadlock the client invocations.
-SERVE_TMP := $(shell mktemp -d)
+# Each drill runs in one shell under `set -e`, in a directory made by
+# mktemp in its own recipe. An EXIT trap stops whatever daemon is still up
+# and removes the directory, on success and on failure alike.
 CLI := ./_build/default/bin/cosynth_cli.exe
 serve-smoke: build
-	$(CLI) serve --socket $(SERVE_TMP)/cosynth.sock -j 2 \
-	  > $(SERVE_TMP)/serve.out & \
-	$(CLI) client --socket $(SERVE_TMP)/cosynth.sock ping && \
-	$(CLI) client --socket $(SERVE_TMP)/cosynth.sock synth --seed 42 --routers 5 --count 2 && \
-	$(CLI) client --socket $(SERVE_TMP)/cosynth.sock translate && \
-	$(CLI) client --socket $(SERVE_TMP)/cosynth.sock repair && \
-	$(CLI) client --socket $(SERVE_TMP)/cosynth.sock stats && \
-	$(CLI) client --socket $(SERVE_TMP)/cosynth.sock shutdown && \
-	wait
-	@rm -rf $(SERVE_TMP)
+	set -e; dir=$$(mktemp -d); sock=$$dir/cosynth.sock; pid=; \
+	trap 'st=$$?; set +e; if [ -n "$$pid" ]; then kill $$pid 2>/dev/null; wait $$pid; fi; \
+	  rm -rf $$dir; exit $$st' EXIT; \
+	$(CLI) serve --socket $$sock -j 2 > $$dir/serve.out & pid=$$!; \
+	$(CLI) client --socket $$sock ping; \
+	$(CLI) client --socket $$sock synth --seed 42 --routers 5 --count 2; \
+	$(CLI) client --socket $$sock translate; \
+	$(CLI) client --socket $$sock repair; \
+	$(CLI) client --socket $$sock stats; \
+	$(CLI) client --socket $$sock shutdown; \
+	wait $$pid; pid=
 	@echo "serve-smoke: daemon served every job kind and shut down cleanly"
 
 # Service hardening end-to-end (the S2 overload gate itself runs in the
@@ -97,29 +100,29 @@ serve-smoke: build
 # supervisor respawn it, confirm the restart count in `health` and that
 # the respawned daemon still runs with the supervisor's flags in `stats`,
 # then drain and demand the socket gone. Same direct-binary discipline as
-# serve-smoke: a backgrounded `dune exec` would hold the dune lock.
-OVERLOAD_TMP := $(shell mktemp -d)
+# serve-smoke: a backgrounded `dune exec` would hold the dune lock. Any
+# failed step fails the target; the trap then drains the supervisor (or
+# signals it when the drain is refused).
 serve-overload-smoke: build
-	$(CLI) serve --socket $(OVERLOAD_TMP)/cosynth.sock --supervise \
-	  --max-in-flight 3 --debug-jobs --triage $(OVERLOAD_TMP)/triage.jsonl \
-	  > $(OVERLOAD_TMP)/serve.out 2>&1 & \
-	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock --connect-budget-ms 5000 ping && \
-	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock stats \
-	  | grep -q '"max_in_flight":3' && \
-	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock crash && \
-	sleep 1 && \
-	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock --connect-budget-ms 5000 health \
-	  | grep -q '"restarts":1' && \
-	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock stats \
-	  | grep -q '"max_in_flight":3' && \
-	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock sleep --ms 600 --deadline-ms 100; \
-	test $$? -eq 1 && \
-	$(CLI) client --socket $(OVERLOAD_TMP)/cosynth.sock drain && \
-	sleep 1 && \
-	test ! -e $(OVERLOAD_TMP)/cosynth.sock && \
-	$(CLI) triage $(OVERLOAD_TMP)/triage.jsonl | grep -q Deadline_exceeded && \
-	wait
-	@rm -rf $(OVERLOAD_TMP)
+	set -e; dir=$$(mktemp -d); sock=$$dir/cosynth.sock; pid=; \
+	trap 'st=$$?; set +e; if [ -n "$$pid" ]; then \
+	    $(CLI) client --socket $$sock drain > /dev/null 2>&1 || kill $$pid 2>/dev/null; \
+	    wait $$pid; fi; rm -rf $$dir; exit $$st' EXIT; \
+	$(CLI) serve --socket $$sock --supervise \
+	  --max-in-flight 3 --debug-jobs --triage $$dir/triage.jsonl \
+	  > $$dir/serve.out 2>&1 & pid=$$!; \
+	$(CLI) client --socket $$sock --connect-budget-ms 5000 ping; \
+	$(CLI) client --socket $$sock stats | grep -q '"max_in_flight":3'; \
+	$(CLI) client --socket $$sock crash; \
+	sleep 1; \
+	$(CLI) client --socket $$sock --connect-budget-ms 5000 health | grep -q '"restarts":1'; \
+	$(CLI) client --socket $$sock stats | grep -q '"max_in_flight":3'; \
+	rc=0; $(CLI) client --socket $$sock sleep --ms 600 --deadline-ms 100 || rc=$$?; \
+	test $$rc -eq 1; \
+	$(CLI) client --socket $$sock drain; \
+	wait $$pid; pid=; \
+	test ! -e $$sock; \
+	$(CLI) triage $$dir/triage.jsonl | grep -q Deadline_exceeded
 	@echo "serve-overload-smoke: crash/respawn, flag forwarding, deadline, drain all clean"
 
 # The durability gate: D1 — every persistence surface (checkpoint
@@ -139,33 +142,36 @@ durable:
 # Plus the SIGHUP hot-reload hardening: a truncated admission file must
 # be rejected (reload_rejected=1 in health) with the old caps kept in
 # force.
-DURABLE_TMP := $(shell mktemp -d)
 DURABLE_ADV := adversary --runs 6 --seed 9980 --collude parse-check,campion \
   --collude-oracle --collude-rate 0.35
 durable-smoke: build
-	$(CLI) $(DURABLE_ADV) --trust-ledger $(DURABLE_TMP)/full-trust.jsonl \
-	  --journal $(DURABLE_TMP)/afull.jsonl > $(DURABLE_TMP)/afull.out 2>/dev/null
-	sh -c '$(CLI) $(DURABLE_ADV) --trust-ledger $(DURABLE_TMP)/trust.jsonl \
-	  --journal $(DURABLE_TMP)/asweep.jsonl --disk-crash-after 9 \
-	  > $(DURABLE_TMP)/ahalted.out 2>/dev/null; test $$? -eq 3'
-	$(CLI) $(DURABLE_ADV) --trust-ledger $(DURABLE_TMP)/trust.jsonl \
-	  --journal $(DURABLE_TMP)/asweep.jsonl --resume \
-	  > $(DURABLE_TMP)/aresumed.out 2>/dev/null
-	cmp $(DURABLE_TMP)/afull.out $(DURABLE_TMP)/aresumed.out
-	$(CLI) fsck $(DURABLE_TMP)/trust.jsonl --lww > /dev/null
-	$(CLI) fsck $(DURABLE_TMP)/full-trust.jsonl --lww > /dev/null
-	cmp $(DURABLE_TMP)/full-trust.jsonl $(DURABLE_TMP)/trust.jsonl
-	sh -c 'echo "{\"max_in_flight\": 4}" > $(DURABLE_TMP)/caps.json; \
-	  $(CLI) serve --socket $(DURABLE_TMP)/reload.sock \
-	    --admission-file $(DURABLE_TMP)/caps.json > /dev/null 2>&1 & pid=$$!; \
-	  sleep 1; \
-	  printf "{\"max_in_flight\": 2, \"max_qu" > $(DURABLE_TMP)/caps.json; \
-	  kill -HUP $$pid; sleep 1; \
-	  $(CLI) client --socket $(DURABLE_TMP)/reload.sock --connect-budget-ms 5000 \
-	    health | grep -q "\"reload_rejected\":1"; ok=$$?; \
-	  $(CLI) client --socket $(DURABLE_TMP)/reload.sock shutdown > /dev/null; \
-	  wait $$pid; test $$ok -eq 0'
-	@rm -rf $(DURABLE_TMP)
+	set -e; dir=$$(mktemp -d); pid=; \
+	trap 'st=$$?; set +e; if [ -n "$$pid" ]; then kill $$pid 2>/dev/null; wait $$pid; fi; \
+	  rm -rf $$dir; exit $$st' EXIT; \
+	$(CLI) $(DURABLE_ADV) --trust-ledger $$dir/full-trust.jsonl \
+	  --journal $$dir/afull.jsonl > $$dir/afull.out 2>/dev/null; \
+	rc=0; $(CLI) $(DURABLE_ADV) --trust-ledger $$dir/trust.jsonl \
+	  --journal $$dir/asweep.jsonl --disk-crash-after 9 \
+	  > $$dir/ahalted.out 2>/dev/null || rc=$$?; \
+	test $$rc -eq 3; \
+	$(CLI) $(DURABLE_ADV) --trust-ledger $$dir/trust.jsonl \
+	  --journal $$dir/asweep.jsonl --resume \
+	  > $$dir/aresumed.out 2>/dev/null; \
+	cmp $$dir/afull.out $$dir/aresumed.out; \
+	$(CLI) fsck $$dir/trust.jsonl --lww > /dev/null; \
+	$(CLI) fsck $$dir/full-trust.jsonl --lww > /dev/null; \
+	cmp $$dir/full-trust.jsonl $$dir/trust.jsonl; \
+	echo '{"max_in_flight": 4}' > $$dir/caps.json; \
+	$(CLI) serve --socket $$dir/reload.sock \
+	  --admission-file $$dir/caps.json > /dev/null 2>&1 & pid=$$!; \
+	sleep 1; \
+	printf '{"max_in_flight": 2, "max_qu' > $$dir/caps.json; \
+	kill -HUP $$pid; sleep 1; \
+	ok=0; $(CLI) client --socket $$dir/reload.sock --connect-budget-ms 5000 \
+	  health | grep -q '"reload_rejected":1' || ok=$$?; \
+	$(CLI) client --socket $$dir/reload.sock shutdown > /dev/null; \
+	wait $$pid; pid=; \
+	test $$ok -eq 0
 	@echo "durable-smoke: ledger survived a disk crash, truncated reload rejected"
 
 # Judge the working tree against BASE with the repository benchmark:

@@ -32,7 +32,6 @@ val make :
   config
 
 val none : config
-val rate : config -> mode -> float
 val with_rate : config -> mode -> float -> config
 val is_none : config -> bool
 val describe : config -> string

@@ -38,7 +38,6 @@ val make :
 (** All rates default to 0; [seed] defaults to 0. *)
 
 val none : config
-val rate : config -> mode -> float
 val with_rate : config -> mode -> float -> config
 val is_none : config -> bool
 val describe : config -> string

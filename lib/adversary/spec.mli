@@ -16,9 +16,6 @@ type t = {
   watchdog_rounds : int;  (** Progress watchdog K ({!Watch.progress}). *)
 }
 
-val default_osc_repeat : int
-val default_watchdog_rounds : int
-
 val make :
   ?llm:Llm.config ->
   ?findings:Findings.config ->

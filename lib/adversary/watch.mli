@@ -23,9 +23,6 @@ val observe : osc -> string -> int option
     observation. Detection clears the history, so the same episode is
     reported once and the detector re-arms. *)
 
-val digest : string -> string
-(** The 8-hex-digit digest the detector compares (exposed for tests). *)
-
 (** {2 Progress watchdog}
 
     Fires after [rounds] consecutive observations in which no verifier

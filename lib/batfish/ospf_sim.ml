@@ -165,6 +165,3 @@ let rib (t : ribs) name = Option.value ~default:[] (List.assoc_opt name t)
 
 let lookup t ~router prefix =
   List.find_opt (fun e -> Prefix.equal e.prefix prefix) (rib t router)
-
-let reachable t ~router prefix = lookup t ~router prefix <> None
-let cost_to t ~router prefix = Option.map (fun e -> e.cost) (lookup t ~router prefix)

@@ -13,7 +13,6 @@
 
 open Netcore
 
-
 type entry = {
   prefix : Prefix.t;
   cost : int;
@@ -31,5 +30,3 @@ val rib : ribs -> string -> entry list
 (** Sorted by prefix; empty for routers not running OSPF. *)
 
 val lookup : ribs -> router:string -> Prefix.t -> entry option
-val reachable : ribs -> router:string -> Prefix.t -> bool
-val cost_to : ribs -> router:string -> Prefix.t -> int option

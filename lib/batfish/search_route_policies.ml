@@ -24,16 +24,6 @@ type violation = {
 
 type outcome = Holds | Violated of violation | Policy_missing
 
-let requirement_to_string = function
-  | Permits -> "be permitted"
-  | Denies -> "be denied"
-  | Adds_community c ->
-      Printf.sprintf "be permitted with community %s added (additively)"
-        (Community.to_string c)
-  | Prepends asns ->
-      Printf.sprintf "be permitted with AS path prepended by %s"
-        (String.concat " " (List.map string_of_int asns))
-
 (* Whether one region's behaviour satisfies the requirement. *)
 let region_ok requirement (r : Symbolic.Transfer.region) =
   match requirement with

@@ -41,8 +41,6 @@ type violation = {
 
 type outcome = Holds | Violated of violation | Policy_missing
 
-val requirement_to_string : requirement -> string
-
 (** {2 Checking}
 
     A hub's specs name each of its route maps many times, so specs are

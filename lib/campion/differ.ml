@@ -417,8 +417,6 @@ let findings ~memo ~original ~translation =
 let compare = findings ~memo:false
 let check = findings ~memo:true
 
-let equivalent ~original ~translation = compare ~original ~translation = []
-
 let finding_to_string = function
   | Structural s -> (
       let side b = if b then "the translation" else "the original" in
@@ -478,5 +476,3 @@ let finding_to_string = function
         (Packet.to_string a.packet)
         (verdict a.original_packet_action)
         (verdict a.translated_packet_action)
-
-let pp_finding ppf f = Format.pp_print_string ppf (finding_to_string f)

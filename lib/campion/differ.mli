@@ -106,8 +106,5 @@ val policy_key_hash :
 (** The hash of the route-map-pair key {!check} builds for these maps and
     environments. It reads past the map names into every entry. *)
 
-val equivalent : original:Config_ir.t -> translation:Config_ir.t -> bool
-
 val direction_to_string : direction -> string
 val finding_to_string : finding -> string
-val pp_finding : Format.formatter -> finding -> unit

@@ -771,8 +771,3 @@ let parse text =
     lines;
   let ir = assemble st in
   (ir, List.rev st.diags)
-
-let parse_clean text =
-  match parse text with
-  | ir, [] -> Ok ir
-  | _, diags -> Error diags

@@ -16,6 +16,3 @@ val tokens : string -> string list
 val parse : string -> Policy.Config_ir.t * Netcore.Diag.t list
 (** Never raises; an empty or hopeless input yields an empty config plus
     diagnostics. *)
-
-val parse_clean : string -> (Policy.Config_ir.t, Netcore.Diag.t list) result
-(** [Ok ir] only when there are no diagnostics at all. *)

@@ -27,6 +27,5 @@ let defaults =
     };
   ]
 
-let find id = List.find_opt (fun i -> i.id = id) defaults
 let ids l = List.map (fun i -> i.id) l
 let render l = String.concat "\n\n" (List.map (fun i -> i.text) l)

@@ -11,7 +11,6 @@ val defaults : t list
 (** cfg-files-only, no-cli-keywords advice folded into it,
     community-list-matching, additive-community. *)
 
-val find : string -> t option
 val ids : t list -> string list
 val render : t list -> string
 (** The concatenated instruction block that opens a chat. *)

@@ -236,8 +236,8 @@ let measure ?pool f =
       pool_utilization = utilization;
       verifier = Resilience.Stats.diff v0 v1;
       supervisor = Exec.Supervisor.diff s0 (Exec.Supervisor.stats ());
-      trust = Resilience.Trust.diff (Resilience.Trust.snapshot ()) t0;
-      quorum = Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) q0;
+      trust = Resilience.Trust.diff t0 (Resilience.Trust.snapshot ());
+      quorum = Resilience.Trust.diff_quorum q0 (Resilience.Trust.quorum_snapshot ());
     } )
 
 let pp_perf ppf p =

@@ -7,9 +7,3 @@
 
 val digest : string -> int
 (** CRC-32 of the whole string, in [0, 0xFFFFFFFF]. *)
-
-val update : int -> string -> int
-(** Fold more bytes into a running digest: [digest s = update (digest "") s]
-    does {e not} hold (the pre/post conditioning is baked in); instead
-    [update] takes and returns the {e unconditioned} register so callers
-    can checksum streams chunk by chunk. [digest] is the one-shot form. *)

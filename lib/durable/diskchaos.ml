@@ -17,17 +17,6 @@ exception Crashed of string
 
 let clamp r = if r < 0. then 0. else if r > 1. then 1. else r
 
-let none =
-  {
-    seed = 0;
-    short_rate = 0.;
-    torn_rate = 0.;
-    io_error_rate = 0.;
-    enospc_rate = 0.;
-    fsync_fail_rate = 0.;
-    crash_after = None;
-  }
-
 let make ?(short_rate = 0.) ?(torn_rate = 0.) ?(io_error_rate = 0.)
     ?(enospc_rate = 0.) ?(fsync_fail_rate = 0.) ?crash_after ~seed () =
   {
@@ -121,7 +110,6 @@ let uninstall () =
       active := None;
       Hashtbl.reset streams)
 
-let installed () = locked (fun () -> !active <> None)
 let stats () = locked (fun () -> !counters)
 
 (* FNV-1a over the path, folded with the seed and a distinct large odd

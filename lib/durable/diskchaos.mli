@@ -50,9 +50,6 @@ exception Crashed of string
     Never caught inside the store — it must propagate like a real crash
     (the CLI maps it to exit code 3, the kill/resume convention). *)
 
-val none : config
-(** All rates 0, no crash schedule — never installed, never consulted. *)
-
 val make :
   ?short_rate:float ->
   ?torn_rate:float ->
@@ -70,20 +67,19 @@ val is_none : config -> bool
 (** Every rate is 0 and there is no crash schedule. *)
 
 val describe : config -> string
-(** E.g. ["torn 0.30, fsync-fail 0.05 (seed 7)"]; ["no disk faults"] for
-    {!none}. *)
+(** E.g. ["torn 0.30, fsync-fail 0.05 (seed 7)"]; ["no disk faults"] when
+    {!is_none}. *)
 
 val install : config -> unit
 (** Arm the configuration process-wide: resets the operation counter, the
     fault counters and every per-path stream, so two identical runs under
-    the same configuration draw identical fates. Installing {!none} is
-    allowed and useful — it counts operations without injecting. *)
+    the same configuration draw identical fates. Installing a
+    configuration that {!is_none} is allowed and useful — it counts
+    operations without injecting. *)
 
 val uninstall : unit -> unit
 (** Disarm. Fault counters survive so a post-run report can still read
     {!stats}; the next {!install} resets them. *)
-
-val installed : unit -> bool
 
 type write_fate =
   | Write_all  (** The write succeeds in full. *)
@@ -118,6 +114,5 @@ type stats = {
   crashes : int;
 }
 
-val zero : stats
 val stats : unit -> stats
 (** Injected-fault tallies since the last {!install}. *)

@@ -70,8 +70,6 @@ let seal fd =
     else size
   end
 
-let path t = t.path
-
 let append t json =
   let payload = Netcore.Json.to_string json in
   let line = Bytes.of_string (frame payload) in

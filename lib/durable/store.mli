@@ -41,8 +41,6 @@ val open_ : ?truncate:bool -> string -> t
 (** Open [path] for appending, creating it if needed; [~truncate:true]
     discards existing contents. *)
 
-val path : t -> string
-
 val append : t -> Netcore.Json.t -> bool
 (** Frame, write and fsync one record. The write is preceded by a {e seal}:
     when the file does not end in a newline (a writer died mid-record, or

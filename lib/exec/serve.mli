@@ -96,15 +96,6 @@ exception Server_overloaded of { retry_after_ms : int }
     clients and tests can catch it and retry deliberately after
     [retry_after_ms]. *)
 
-val connect :
-  ?total_budget_ms:int -> socket_path:string -> unit -> Unix.file_descr
-(** Connect to the daemon, retrying with exponential backoff (1 ms
-    doubling to a 200 ms cap) while the socket file does not exist yet or
-    refuses connections — the daemon may still be binding, or a supervisor
-    may be respawning it. [total_budget_ms] (default 1 000) bounds the
-    whole attempt in wall-clock time.
-    @raise Failure when the budget is exhausted. *)
-
 val request : Unix.file_descr -> Netcore.Json.t -> Netcore.Json.t
 (** One round trip: {!write_frame}, then read one reply frame.
     @raise Server_overloaded on a shed frame.
@@ -123,4 +114,10 @@ val request_retrying :
 
 val with_connection :
   ?total_budget_ms:int -> socket_path:string -> (Unix.file_descr -> 'a) -> 'a
-(** {!connect}, run, close (also on exception). *)
+(** Connect to the daemon, run the function on the socket, and close it
+    (also on exception). The connect retries with exponential backoff
+    (1 ms doubling to a 200 ms cap) while the socket file does not exist
+    yet or refuses connections — the daemon may still be binding, or a
+    supervisor may be respawning it. [total_budget_ms] (default 1 000)
+    bounds the whole attempt in wall-clock time.
+    @raise Failure when the budget is exhausted. *)

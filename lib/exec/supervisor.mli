@@ -92,7 +92,6 @@ type counters = {
   abandoned : int;  (** Tasks that exhausted their budget. *)
 }
 
-val zero : counters
 val stats : unit -> counters
 val diff : counters -> counters -> counters
 (** [diff before after]: the deltas for a measured section. *)

@@ -10,9 +10,6 @@ val max_mutant_bytes : int
 (** Mutants are clipped to this size so a runaway splice chain cannot turn
     the fuzz budget into an allocation benchmark. *)
 
-val mutate : Netcore.Rng.t -> corpus:string list -> string -> string
-(** Apply one randomly chosen operator. Total: never raises, any input. *)
-
 val mutant : seed:int -> round:int -> corpus:string list -> string
 (** The deterministic entry point: pick a corpus base and apply 1–4
     operators, all drawn from the [(seed, round)] stream (disjoint by

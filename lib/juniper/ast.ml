@@ -138,7 +138,4 @@ let parse text =
   | _ -> err 0 "unbalanced braces: extra '}'");
   (nodes, !diags)
 
-let find head nodes =
-  List.find_opt (fun n -> match n.keywords with w :: _ -> w = head | [] -> false) nodes
-
 let children n = Option.value ~default:[] n.children

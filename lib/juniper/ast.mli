@@ -15,8 +15,5 @@ val parse : string -> node list * Netcore.Diag.t list
 (** Tokenize and build the statement tree. Unbalanced braces, missing
     semicolons and stray tokens are reported and recovered from. *)
 
-val find : string -> node list -> node option
-(** First node whose head keyword matches. *)
-
 val children : node -> node list
 (** Empty list for leaves. *)

@@ -828,8 +828,3 @@ let parse text =
       ospf;
     },
     List.rev st.diags )
-
-let parse_clean text =
-  match parse text with
-  | ir, [] -> Ok ir
-  | _, diags -> Error diags

@@ -8,4 +8,3 @@
     [ge]/[le] ranges. *)
 
 val parse : string -> Policy.Config_ir.t * Netcore.Diag.t list
-val parse_clean : string -> (Policy.Config_ir.t, Netcore.Diag.t list) result

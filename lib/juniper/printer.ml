@@ -96,14 +96,6 @@ let add_modifier b base (lo, hi) =
     str b "-/";
     int b hi)
 
-let route_filters_of_prefix_list l =
-  List.map
-    (fun (base, run) ->
-      let b = Buffer.create 32 in
-      add_modifier b base run;
-      (Prefix.to_string base, Buffer.contents b))
-    (route_filter_runs l)
-
 (* ------------------------------------------------------------------ *)
 (* Community names                                                     *)
 (* ------------------------------------------------------------------ *)

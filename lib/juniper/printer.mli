@@ -17,10 +17,3 @@
       are dropped with a [#] comment marker. *)
 
 val print : Policy.Config_ir.t -> string
-
-val route_filters_of_prefix_list : Policy.Prefix_list.t -> (string * string) list
-(** [(prefix, modifier)] pairs, e.g. [("1.2.3.0/24", "prefix-length-range /25-/30")].
-    Exposed for tests. *)
-
-val community_def_name : Netcore.Community.t list -> string
-(** The synthesized [policy-options community] name for a member set. *)

@@ -152,6 +152,3 @@ let handle_ref t strength ref_ =
         | _ -> ()
 
 let respond t prompt = List.iter (handle_ref t prompt.strength) prompt.refs
-
-let auto_prompt ?(text = "") f = { text; refs = [ f ]; strength = Auto }
-let human_prompt ?(text = "") f = { text; refs = [ f ]; strength = Human }

@@ -67,6 +67,3 @@ val respond : t -> prompt -> unit
 (** Process one correction prompt; {!draft} reflects the outcome. A prompt
     whose references match no live fault changes nothing (the model "usually
     does nothing when asked to fix the error"). *)
-
-val auto_prompt : ?text:string -> Fault.t -> prompt
-val human_prompt : ?text:string -> Fault.t -> prompt

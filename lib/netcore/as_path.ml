@@ -2,7 +2,6 @@ type t = int list
 
 let empty = []
 let of_list l = l
-let to_list p = p
 let prepend asn p = asn :: p
 
 let prepend_n asn k p =
@@ -46,7 +45,3 @@ let matches ~regex p =
       invalid_arg (Printf.sprintf "As_path.matches: bad regex %S" regex)
   in
   Re.execp re (to_string p)
-
-let compare = Stdlib.compare
-let equal a b = compare a b = 0
-let pp ppf p = Format.pp_print_string ppf (to_string p)

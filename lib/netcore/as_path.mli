@@ -11,7 +11,6 @@ type t
 
 val empty : t
 val of_list : int list -> t
-val to_list : t -> int list
 
 val prepend : int -> t -> t
 (** [prepend asn p] is the path after [asn] announces it onward. *)
@@ -37,7 +36,3 @@ val of_string : string -> t option
 val matches : regex:string -> t -> bool
 (** [matches ~regex p] applies an AS-path regular expression (with [_]
     sugar) to [p]. Raises [Invalid_argument] if [regex] is malformed. *)
-
-val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

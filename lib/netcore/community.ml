@@ -14,11 +14,6 @@ let of_string s =
       | _ -> None)
   | _ -> None
 
-let of_string_exn s =
-  match of_string s with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Community.of_string_exn: %S" s)
-
 let add_to_buffer b c =
   Buf.add_int b c.asn;
   Buffer.add_char b ':';
@@ -31,9 +26,6 @@ let to_string c =
 
 let compare a b =
   match Int.compare a.asn b.asn with 0 -> Int.compare a.value b.value | c -> c
-
-let equal a b = compare a b = 0
-let pp ppf c = Format.pp_print_string ppf (to_string c)
 
 module Ord = struct
   type nonrec t = t

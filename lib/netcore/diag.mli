@@ -11,5 +11,3 @@ val error : ?line:int -> string -> t
 
 val is_error : t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val compare : t -> t -> int

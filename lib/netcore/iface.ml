@@ -81,7 +81,6 @@ let of_junos s =
 let is_loopback i = i.kind = Loopback
 let compare = Stdlib.compare
 let equal a b = compare a b = 0
-let pp ppf i = Format.pp_print_string ppf (cisco_name i)
 
 module Map = Map.Make (struct
   type nonrec t = t

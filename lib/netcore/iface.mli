@@ -31,6 +31,5 @@ val of_junos : string -> t option
 val is_loopback : t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t

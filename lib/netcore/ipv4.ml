@@ -2,7 +2,6 @@ type t = int
 
 let max32 = 0xFFFFFFFF
 let zero = 0
-let broadcast_all = max32
 let of_int n = n land max32
 let to_int a = a
 
@@ -52,11 +51,9 @@ let to_string a =
 
 let compare = Int.compare
 let equal = Int.equal
-let hash a = Hashtbl.hash a
 let succ a = (a + 1) land max32
 let bit a i = (a lsr (31 - i)) land 1 = 1
 let mask n = if n <= 0 then 0 else (max32 lsl (32 - n)) land max32
 let logor a b = a lor b
 let lognot a = lnot a land max32
 let network a len = a land mask len
-let pp ppf a = Format.pp_print_string ppf (to_string a)

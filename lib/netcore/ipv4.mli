@@ -9,9 +9,6 @@ type t
 val zero : t
 (** [0.0.0.0]. *)
 
-val broadcast_all : t
-(** [255.255.255.255]. *)
-
 val of_int : int -> t
 (** [of_int n] is the address with numeric value [n land 0xFFFFFFFF]. *)
 
@@ -37,7 +34,6 @@ val add_to_buffer : Buffer.t -> t -> unit
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val succ : t -> t
 (** Next address, wrapping at [255.255.255.255]. *)
@@ -53,5 +49,3 @@ val lognot : t -> t
 
 val network : t -> int -> t
 (** [network a len] zeroes all but the first [len] bits of [a]. *)
-
-val pp : Format.formatter -> t -> unit

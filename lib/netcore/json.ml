@@ -82,8 +82,6 @@ let to_string ?(pretty = false) v =
   go 0 v;
   Buffer.contents buf
 
-let pp ppf v = Format.pp_print_string ppf (to_string ~pretty:true v)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -299,5 +297,3 @@ let str_exn v =
 
 let list_exn v =
   match to_list v with Some l -> l | None -> invalid_arg "Json.list_exn: not a list"
-
-let equal a b = a = b

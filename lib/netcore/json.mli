@@ -24,8 +24,6 @@ val of_string_exn : string -> t
 val to_string : ?pretty:bool -> t -> string
 (** Compact by default; [~pretty:true] indents with two spaces. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Accessors}
 
     All return [None] on shape mismatch rather than raising. *)
@@ -42,5 +40,3 @@ val member_exn : string -> t -> t
 val int_exn : t -> int
 val str_exn : t -> string
 val list_exn : t -> t list
-
-val equal : t -> t -> bool

@@ -2,8 +2,6 @@ type proto = Tcp | Udp | Icmp | Other
 
 type t = { src : Ipv4.t; dst : Ipv4.t; proto : proto; dst_port : int }
 
-let make ?(proto = Tcp) ?(dst_port = 0) ~src ~dst () = { src; dst; proto; dst_port }
-
 let proto_to_string = function
   | Tcp -> "tcp"
   | Udp -> "udp"
@@ -17,11 +15,7 @@ let proto_of_string = function
   | _ -> None
 
 let all_protos = [ Tcp; Udp; Icmp; Other ]
-let compare = Stdlib.compare
-let equal a b = compare a b = 0
 
 let to_string p =
   Printf.sprintf "%s %s -> %s port %d" (proto_to_string p.proto) (Ipv4.to_string p.src)
     (Ipv4.to_string p.dst) p.dst_port
-
-let pp ppf p = Format.pp_print_string ppf (to_string p)

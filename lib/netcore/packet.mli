@@ -9,9 +9,6 @@ type t = {
   dst_port : int;  (** 0 when the protocol has no ports. *)
 }
 
-val make : ?proto:proto -> ?dst_port:int -> src:Ipv4.t -> dst:Ipv4.t -> unit -> t
-(** Defaults: TCP, port 0. *)
-
 val proto_to_string : proto -> string
 val proto_of_string : string -> proto option
 (** Recognises ["tcp"], ["udp"], ["icmp"]; anything else is [None] (the
@@ -19,7 +16,4 @@ val proto_of_string : string -> proto option
     themselves). *)
 
 val all_protos : proto list
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -36,7 +36,6 @@ let host a = { addr = a; len = 32 }
 let contains_addr p a = Ipv4.equal (Ipv4.network a p.len) p.addr
 let subsumes p q = p.len <= q.len && Ipv4.equal (Ipv4.network q.addr p.len) p.addr
 let overlaps p q = subsumes p q || subsumes q p
-let first p = p.addr
 let last p = Ipv4.logor p.addr (Ipv4.lognot (Ipv4.mask p.len))
 
 let split p =
@@ -56,7 +55,6 @@ let compare p q =
   match Ipv4.compare p.addr q.addr with 0 -> Int.compare p.len q.len | c -> c
 
 let equal p q = compare p q = 0
-let pp ppf p = Format.pp_print_string ppf (to_string p)
 
 module Ord = struct
   type nonrec t = t

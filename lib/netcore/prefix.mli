@@ -38,9 +38,6 @@ val subsumes : t -> t -> bool
 val overlaps : t -> t -> bool
 (** True iff the address sets intersect, i.e. one subsumes the other. *)
 
-val first : t -> Ipv4.t
-(** Lowest address (the network address). *)
-
 val last : t -> Ipv4.t
 (** Highest address (the broadcast address for subnets). *)
 
@@ -53,7 +50,6 @@ val nth_host : t -> int -> Ipv4.t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

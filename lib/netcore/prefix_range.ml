@@ -17,18 +17,9 @@ let ge_bound r = r.ge
 let le_bound r = r.le
 let is_exact r = r.ge = Prefix.len r.base && r.le = Prefix.len r.base
 
-let to_string r =
-  let b = Prefix.to_string r.base in
-  if is_exact r then b
-  else if r.le = 32 && r.ge = Prefix.len r.base then Printf.sprintf "%s le 32" b
-  else if r.le = 32 then Printf.sprintf "%s ge %d" b r.ge
-  else if r.ge = Prefix.len r.base then Printf.sprintf "%s le %d" b r.le
-  else Printf.sprintf "%s ge %d le %d" b r.ge r.le
-
 let compare a b =
   match Prefix.compare a.base b.base with
   | 0 -> ( match Int.compare a.ge b.ge with 0 -> Int.compare a.le b.le | c -> c)
   | c -> c
 
 let equal a b = compare a b = 0
-let pp ppf r = Format.pp_print_string ppf (to_string r)

@@ -33,9 +33,4 @@ val le_bound : t -> int
 val is_exact : t -> bool
 (** True iff the range matches exactly one prefix, its base. *)
 
-val to_string : t -> string
-(** Cisco-flavoured rendering, e.g. ["1.2.3.0/24 ge 25 le 30"]. *)
-
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -21,7 +21,6 @@ let make ?next_hop ?(as_path = As_path.empty) ?(communities = Community.Set.empt
 
 let with_communities r communities = { r with communities }
 let add_community r c = { r with communities = Community.Set.add c r.communities }
-let has_community r c = Community.Set.mem c r.communities
 let origin_to_string = function Igp -> "igp" | Egp -> "egp" | Incomplete -> "incomplete"
 
 let source_to_string = function
@@ -41,5 +40,3 @@ let to_string r =
     (As_path.to_string r.as_path)
     (Community.Set.to_string r.communities)
     r.med r.local_pref (origin_to_string r.origin) (source_to_string r.source)
-
-let pp ppf r = Format.pp_print_string ppf (to_string r)

@@ -39,12 +39,7 @@ val default_local_pref : int
 val with_communities : t -> Community.Set.t -> t
 val add_community : t -> Community.t -> t
 
-val has_community : t -> Community.t -> bool
-
-val origin_to_string : origin -> string
 val source_to_string : source -> string
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -52,8 +52,6 @@ let networks_of t name =
   let all = r.stub_networks @ link_subnets in
   List.fold_left (fun acc p -> if List.exists (Prefix.equal p) acc then acc else acc @ [ p ]) [] all
 
-let degree t name = List.length (links_of t name)
-
 let validate t =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -250,6 +248,3 @@ let describe t =
         l.b.router (Prefix.to_string l.subnet))
     t.links;
   Buffer.contents buf
-
-let equal a b = a = b
-let pp ppf t = Format.pp_print_string ppf (describe t)

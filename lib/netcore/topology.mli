@@ -46,9 +46,6 @@ val networks_of : t -> string -> Prefix.t list
 (** All networks router [name] should announce in BGP: its stub networks
     followed by the subnets of its incident links, without duplicates. *)
 
-val degree : t -> string -> int
-(** Number of incident links. *)
-
 val validate : t -> (unit, string list) result
 (** Structural sanity: router names unique; link endpoints name known
     routers and ports; both ends of a link lie in the link subnet; stub
@@ -60,6 +57,3 @@ val of_json : Json.t -> (t, string) result
 val describe : t -> string
 (** English description of the topology, sentence per fact — the "textual
     description used as a prompt" of Section 4.1. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

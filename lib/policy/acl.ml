@@ -49,21 +49,3 @@ let matching_entry t pkt = List.find_opt (fun e -> entry_matches e pkt) t.entrie
 
 let permits t pkt =
   match matching_entry t pkt with Some e -> e.action = Action.Permit | None -> false
-
-let port_match_to_string = function
-  | Any_port -> "any"
-  | Eq p -> Printf.sprintf "eq %d" p
-  | Port_range (lo, hi) -> Printf.sprintf "range %d %d" lo hi
-
-let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "access-list %s:" t.name;
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "@ seq %d %s %s %s -> %s port %s" e.seq
-        (Action.to_string e.action)
-        (match e.proto with Any_proto -> "ip" | Proto p -> Packet.proto_to_string p)
-        (Prefix.to_string e.src) (Prefix.to_string e.dst)
-        (port_match_to_string e.dst_port))
-    t.entries

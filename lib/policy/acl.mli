@@ -36,11 +36,5 @@ val entry :
 (** Defaults: permit, any protocol, any source/destination ([0.0.0.0/0]),
     any port. *)
 
-val entry_matches : entry -> Packet.t -> bool
 val permits : t -> Packet.t -> bool
 (** First matching entry decides; implicit deny. *)
-
-val matching_entry : t -> Packet.t -> entry option
-val port_match_to_string : port_match -> string
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

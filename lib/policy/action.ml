@@ -8,5 +8,3 @@ let of_string = function
   | _ -> None
 
 let flip = function Permit -> Deny | Deny -> Permit
-let equal a b = a = b
-let pp ppf a = Format.pp_print_string ppf (to_string a)

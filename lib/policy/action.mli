@@ -5,5 +5,3 @@ type t = Permit | Deny
 val to_string : t -> string
 val of_string : string -> t option
 val flip : t -> t
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -14,11 +14,3 @@ let matches t path =
         else go rest
   in
   go t.entries
-
-let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "as-path list %s:" t.name;
-  List.iter
-    (fun e -> Format.fprintf ppf "@ %s %S" (Action.to_string e.action) e.regex)
-    t.entries

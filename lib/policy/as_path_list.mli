@@ -12,6 +12,3 @@ val entry : ?action:Action.t -> string -> entry
 val matches : t -> As_path.t -> bool
 (** Raises [Invalid_argument] if an entry's regex is malformed (the linter
     reports those before evaluation in the verification pipeline). *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -18,13 +18,3 @@ let communities_mentioned t =
   List.fold_left
     (fun acc e -> List.fold_left (fun acc c -> Community.Set.add c acc) acc e.communities)
     Community.Set.empty t.entries
-
-let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "community-list %s:" t.name;
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "@ %s %s" (Action.to_string e.action)
-        (String.concat " " (List.map Community.to_string e.communities)))
-    t.entries

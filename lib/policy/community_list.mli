@@ -13,11 +13,7 @@ val make : string -> entry list -> t
 val entry : ?action:Action.t -> Community.t list -> entry
 
 val matches : t -> Community.Set.t -> bool
-val matching_entry : t -> Community.Set.t -> entry option
 
 val communities_mentioned : t -> Community.Set.t
 (** Every community appearing in any entry (used to build the symbolic
     community universe). *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

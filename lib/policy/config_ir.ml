@@ -158,13 +158,3 @@ let undefined_references t =
         (Route_map.as_path_lists_referenced m))
     t.route_maps;
   List.sort_uniq String.compare !missing
-
-let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "config %s: %d interfaces, %d route-maps, bgp=%s ospf=%s"
-    t.hostname
-    (List.length t.interfaces)
-    (List.length t.route_maps)
-    (match t.bgp with Some b -> Printf.sprintf "AS%d" b.asn | None -> "none")
-    (match t.ospf with Some o -> Printf.sprintf "pid%d" o.process_id | None -> "none")

@@ -110,6 +110,3 @@ val connected_prefixes : t -> Prefix.t list
 val undefined_references : t -> string list
 (** Names referenced by route maps or BGP/OSPF blocks but not defined:
     dangling prefix lists, community lists, AS-path lists, route maps. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

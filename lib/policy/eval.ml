@@ -13,8 +13,6 @@ let env_of_config (c : Config_ir.t) =
     as_path_lists = c.as_path_lists;
   }
 
-let empty_env = { prefix_lists = []; community_lists = []; as_path_lists = [] }
-
 type verdict = Permitted of Route.t | Denied
 
 let find_pl env n = List.find_opt (fun (l : Prefix_list.t) -> l.name = n) env.prefix_lists
@@ -78,5 +76,3 @@ let eval env (m : Route_map.t) r =
 
 let eval_optional env m r =
   match m with None -> Permitted r | Some m -> eval env m r
-
-let verdict_action = function Permitted _ -> Action.Permit | Denied -> Action.Deny

@@ -15,12 +15,7 @@ type env = {
 
 val env_of_config : Config_ir.t -> env
 
-val empty_env : env
-
 type verdict = Permitted of Route.t | Denied
-
-val match_cond : env -> Route_map.match_cond -> Route.t -> bool
-(** A reference to an undefined list matches nothing. *)
 
 val entry_matches : env -> Route_map.entry -> Route.t -> bool
 (** All conditions of the entry hold (AND semantics; an empty condition list
@@ -31,5 +26,3 @@ val eval : env -> Route_map.t -> Route.t -> verdict
 
 val eval_optional : env -> Route_map.t option -> Route.t -> verdict
 (** [None] (no policy attached) permits the route unchanged. *)
-
-val verdict_action : verdict -> Action.t

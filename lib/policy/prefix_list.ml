@@ -24,13 +24,3 @@ let matches t p =
   match matching_entry t p with
   | Some e -> e.action = Action.Permit
   | None -> false
-
-let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "prefix-list %s:" t.name;
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "@ seq %d %s %s" e.seq (Action.to_string e.action)
-        (Prefix_range.to_string e.range))
-    t.entries

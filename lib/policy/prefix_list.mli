@@ -17,8 +17,3 @@ val entry : ?action:Action.t -> int -> Prefix_range.t -> entry
 
 val matches : t -> Prefix.t -> bool
 (** First matching entry decides; an empty or exhausted list denies. *)
-
-val matching_entry : t -> Prefix.t -> entry option
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

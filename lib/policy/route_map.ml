@@ -42,7 +42,6 @@ let entry ?(action = Action.Permit) ?(matches = []) ?(sets = []) seq =
   { seq; action; matches; sets }
 
 let permit_all name = make name [ entry 10 ]
-let deny_all name = make name [ entry ~action:Action.Deny 10 ]
 
 let referenced f t =
   List.concat_map (fun e -> List.filter_map f e.matches) t.entries
@@ -67,35 +66,3 @@ let community_lists_referenced t =
 
 let as_path_lists_referenced t =
   referenced (function Match_as_path n -> Some n | _ -> None) t
-
-let match_cond_to_string = function
-  | Match_prefix_list n -> Printf.sprintf "match prefix-list %s" n
-  | Match_community_list n -> Printf.sprintf "match community-list %s" n
-  | Match_as_path n -> Printf.sprintf "match as-path %s" n
-  | Match_source_protocol s -> Printf.sprintf "from protocol %s" (Route.source_to_string s)
-  | Match_med m -> Printf.sprintf "match med %d" m
-  | Match_tag t -> Printf.sprintf "match tag %d" t
-
-let set_action_to_string = function
-  | Set_med m -> Printf.sprintf "set med %d" m
-  | Set_local_pref p -> Printf.sprintf "set local-preference %d" p
-  | Set_community { communities; additive } ->
-      Printf.sprintf "set community %s%s"
-        (String.concat " " (List.map Community.to_string communities))
-        (if additive then " additive" else "")
-  | Set_community_delete n -> Printf.sprintf "set comm-list %s delete" n
-  | Set_next_hop a -> Printf.sprintf "set next-hop %s" (Ipv4.to_string a)
-  | Set_as_path_prepend asns ->
-      Printf.sprintf "set as-path prepend %s"
-        (String.concat " " (List.map string_of_int asns))
-
-let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "route-map %s:" t.name;
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "@ %s %d [%s] [%s]" (Action.to_string e.action) e.seq
-        (String.concat "; " (List.map match_cond_to_string e.matches))
-        (String.concat "; " (List.map set_action_to_string e.sets)))
-    t.entries

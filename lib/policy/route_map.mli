@@ -47,14 +47,6 @@ val entry :
 val permit_all : string -> t
 (** A map with a single empty-match permit entry. *)
 
-val deny_all : string -> t
-
 val prefix_lists_referenced : t -> string list
 val community_lists_referenced : t -> string list
 val as_path_lists_referenced : t -> string list
-
-val match_cond_to_string : match_cond -> string
-val set_action_to_string : set_action -> string
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -4,11 +4,6 @@ let default = { failure_threshold = 3; cooldown = 24 }
 
 type state = Closed | Open | Half_open
 
-let state_to_string = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half-open"
-
 type t = {
   policy : policy;
   mutable state : state;

@@ -16,8 +16,6 @@ val default : policy
 
 type state = Closed | Open | Half_open
 
-val state_to_string : state -> string
-
 type t
 
 val create : policy -> t

@@ -48,9 +48,6 @@ val make :
   config
 (** Rates default to 0 and are clamped to [0, 1]. *)
 
-val is_none : config -> bool
-(** Every rate is 0, worker loss included. *)
-
 val describe : config -> string
 (** E.g. ["crash 0.10, timeout 0.05 (seed 7)"]; ["no faults"] for {!none}. *)
 

@@ -21,8 +21,5 @@
 
 type t = { retry : Retry.policy; breaker : Breaker.policy }
 
-val default : t
-(** {!Retry.default} + {!Breaker.default}. *)
-
 val for_kind : Verifier.kind -> t
 (** The graduated table described above. *)

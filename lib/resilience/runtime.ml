@@ -107,6 +107,5 @@ let call t v input =
       in
       attempt 0
 
-let clock t = t.clock
 let breaker_state t kind = Breaker.state (breaker_for t kind)
 let breaker_trips t kind = Breaker.trips (breaker_for t kind)

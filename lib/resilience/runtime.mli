@@ -61,6 +61,5 @@ val call : t -> ('i, 'o) Verifier.t -> 'i -> ('o, degraded) result
     caller should consult {!Verifier.oracle} and escalate findings to the
     human. Counters land in {!Stats}. *)
 
-val clock : t -> Clock.t
 val breaker_state : t -> Verifier.kind -> Breaker.state
 val breaker_trips : t -> Verifier.kind -> int

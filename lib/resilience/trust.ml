@@ -54,14 +54,14 @@ let add a b =
     probation_runs = a.probation_runs + b.probation_runs;
   }
 
-let diff_counters a b =
+let diff_counters before after =
   {
-    cross_checks = a.cross_checks - b.cross_checks;
-    agreements = a.agreements - b.agreements;
-    disagreements = a.disagreements - b.disagreements;
-    quarantines = a.quarantines - b.quarantines;
-    restores = a.restores - b.restores;
-    probation_runs = a.probation_runs - b.probation_runs;
+    cross_checks = after.cross_checks - before.cross_checks;
+    agreements = after.agreements - before.agreements;
+    disagreements = after.disagreements - before.disagreements;
+    quarantines = after.quarantines - before.quarantines;
+    restores = after.restores - before.restores;
+    probation_runs = after.probation_runs - before.probation_runs;
   }
 
 (* Quorum activity is tallied separately from the PR 8 counters above so
@@ -98,14 +98,14 @@ let add_quorum a b =
     oracle_probations = a.oracle_probations + b.oracle_probations;
   }
 
-let diff_quorum a b =
+let diff_quorum before after =
   {
-    audits = a.audits - b.audits;
-    overruled = a.overruled - b.overruled;
-    outvoted = a.outvoted - b.outvoted;
-    oracle_quarantines = a.oracle_quarantines - b.oracle_quarantines;
-    oracle_restores = a.oracle_restores - b.oracle_restores;
-    oracle_probations = a.oracle_probations - b.oracle_probations;
+    audits = after.audits - before.audits;
+    overruled = after.overruled - before.overruled;
+    outvoted = after.outvoted - before.outvoted;
+    oracle_quarantines = after.oracle_quarantines - before.oracle_quarantines;
+    oracle_restores = after.oracle_restores - before.oracle_restores;
+    oracle_probations = after.oracle_probations - before.oracle_probations;
   }
 
 let n_kinds = List.length Verifier.all_kinds
@@ -125,12 +125,12 @@ let snapshot () : snapshot =
   Mutex.protect lock (fun () ->
       List.map (fun k -> (k, tallies.(Verifier.kind_index k))) Verifier.all_kinds)
 
-let diff (after : snapshot) (before : snapshot) : snapshot =
+let diff (before : snapshot) (after : snapshot) : snapshot =
   List.map2
-    (fun (k, a) (k', b) ->
+    (fun (k, b) (k', a) ->
       assert (k = k');
-      (k, diff_counters a b))
-    after before
+      (k, diff_counters b a))
+    before after
 
 let totals (s : snapshot) = List.fold_left (fun acc (_, c) -> add acc c) zero s
 let quorum_snapshot () = Mutex.protect lock (fun () -> !quorum_tally)
@@ -558,8 +558,8 @@ let with_ledger ledger ~seed ~keep f =
       if keep r then begin
         let e =
           state_of t
-            ~counters:(totals (diff (snapshot ()) counters0))
-            ~quorum:(diff_quorum (quorum_snapshot ()) quorum0)
+            ~counters:(totals (diff counters0 (snapshot ())))
+            ~quorum:(diff_quorum quorum0 (quorum_snapshot ()))
         in
         Ledger_store.record l.handle ~seed e;
         l.state <- Some (match l.state with None -> e | Some a -> Ledger_store.merge a e)

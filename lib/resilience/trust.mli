@@ -154,13 +154,12 @@ type counters = {
 }
 
 val zero : counters
-val add : counters -> counters -> counters
 
 type snapshot = (Verifier.kind * counters) list
 
 val snapshot : unit -> snapshot
 val diff : snapshot -> snapshot -> snapshot
-(** [diff after before]. *)
+(** [diff before after]: per-kind deltas. *)
 
 val totals : snapshot -> counters
 
@@ -174,9 +173,8 @@ type quorum_counters = {
 }
 
 val zero_quorum : quorum_counters
-val add_quorum : quorum_counters -> quorum_counters -> quorum_counters
 val diff_quorum : quorum_counters -> quorum_counters -> quorum_counters
-(** [diff_quorum after before]. *)
+(** [diff_quorum before after]. *)
 
 val quorum_snapshot : unit -> quorum_counters
 (** Process-wide quorum tallies (one record, not per-kind: the oracle is a

@@ -13,10 +13,6 @@ open Policy
 type proto_set
 (** Subsets of {!Netcore.Packet.proto}. *)
 
-val proto_full : proto_set
-val proto_of_match : Acl.proto_match -> proto_set
-val proto_mem : Packet.proto -> proto_set -> bool
-
 type cube = {
   src : Prefix_space.t;  (** /32 atoms: a set of addresses. *)
   dst : Prefix_space.t;
@@ -24,13 +20,7 @@ type cube = {
   ports : Port_set.t;
 }
 
-val cube_full : cube
-val cube_of_entry : Acl.entry -> cube
-val cube_is_empty : cube -> bool
-val cube_inter : cube -> cube -> cube option
-val cube_diff : cube -> cube -> cube list
 val cube_satisfies : Packet.t -> cube -> bool
-val sample_packet : cube -> Packet.t option
 
 type region = { space : cube list; action : Action.t; seq : int option }
 

@@ -17,7 +17,6 @@ let complement t =
   List.map forbid t.must @ List.map require t.must_not
 
 let is_top t = t.must = [] && t.must_not = []
-let equal a b = a = b
 
 let list_matches env name path =
   match List.find_opt (fun (l : As_path_list.t) -> l.name = name) env with
@@ -31,11 +30,3 @@ let satisfies ~env path t =
 let sample ~env ~universe t =
   if is_top t then Some As_path.empty
   else List.find_opt (fun p -> satisfies ~env p t) universe
-
-let to_string t =
-  if is_top t then "*"
-  else
-    String.concat " "
-      (List.map (fun n -> "~" ^ n) t.must @ List.map (fun n -> "!~" ^ n) t.must_not)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -13,7 +13,6 @@ type t = private { must : string list; must_not : string list }
 
 val top : t
 val require : string -> t
-val forbid : string -> t
 
 val inter : t -> t -> t option
 (** [None] only on a direct contradiction (same list required and
@@ -22,14 +21,9 @@ val inter : t -> t -> t option
     space). *)
 
 val complement : t -> t list
-val is_top : t -> bool
-val equal : t -> t -> bool
 
 val satisfies : env:As_path_list.t list -> As_path.t -> t -> bool
 
 val sample : env:As_path_list.t list -> universe:As_path.t list -> t -> As_path.t option
 (** First path in [universe] satisfying the cube; for the top cube the empty
     path is returned without consulting the universe. *)
-
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -31,16 +31,3 @@ let satisfies set t =
   && Community.Set.is_empty (Community.Set.inter t.must_not set)
 
 let sample t = t.must
-let is_top t = Community.Set.is_empty t.must && Community.Set.is_empty t.must_not
-let equal a b = Community.Set.equal a.must b.must && Community.Set.equal a.must_not b.must_not
-
-let to_string t =
-  if is_top t then "*"
-  else
-    let plus = List.map (fun c -> "+" ^ Community.to_string c) (Community.Set.elements t.must) in
-    let minus =
-      List.map (fun c -> "-" ^ Community.to_string c) (Community.Set.elements t.must_not)
-    in
-    String.concat " " (plus @ minus)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -27,8 +27,3 @@ val complement : t -> t list
 val satisfies : Community.Set.t -> t -> bool
 val sample : t -> Community.Set.t
 (** The smallest satisfying set ([must] itself). *)
-
-val is_top : t -> bool
-val equal : t -> t -> bool
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

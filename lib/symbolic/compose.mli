@@ -15,12 +15,10 @@
     route that can come out of the policy is inside the computed image, so
     "image ∩ bad = empty" is a valid proof of absence. *)
 
-val apply_effect : Effects.t -> Cube.t -> Cube.t
-(** The image of a cube under an effect (over-approximate, see above). *)
-
 val image : Transfer.region list -> Pred.t -> Pred.t
 (** Image of an input space under a compiled map: union over its permit
-    regions of [apply_effect effect (region ∩ input)]. *)
+    regions of the region's effect applied to [region ∩ input]
+    (over-approximate, see above). *)
 
 val permits : Transfer.region list -> Pred.t -> Pred.t
 (** The part of an input space a compiled map permits: union over its

@@ -107,13 +107,3 @@ let sample ~env ~universe c =
                   (Route.make ~as_path
                      ~communities:(Comm_constr.sample c.comms)
                      ~med:(Int_constr.sample c.med) ~source prefix)))
-
-let to_string c =
-  Printf.sprintf "{pfx=%s comm=%s src=%s med=%s path=%s}"
-    (Prefix_space.to_string c.prefixes)
-    (Comm_constr.to_string c.comms)
-    (Source_set.to_string c.sources)
-    (Int_constr.to_string c.med)
-    (Aspath_constr.to_string c.aspath)
-
-let pp ppf c = Format.pp_print_string ppf (to_string c)

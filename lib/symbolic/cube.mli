@@ -37,6 +37,3 @@ val sample :
   env:Policy.Eval.env -> universe:As_path.t list -> t -> Route.t option
 (** A concrete witness, [None] when the cube is empty or no AS path in
     [universe] satisfies the AS-path component. *)
-
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

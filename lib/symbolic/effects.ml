@@ -65,21 +65,3 @@ let differing_fields a b =
   check "AS-path prepend" a.prepend b.prepend (fun l ->
       String.concat " " (List.map string_of_int l));
   List.rev !diffs
-
-let to_string e =
-  let parts = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> parts := s :: !parts) fmt in
-  (match e.med with Some m -> add "med=%d" m | None -> ());
-  (match e.local_pref with Some p -> add "lp=%d" p | None -> ());
-  (match e.comm_base with
-  | Some s -> add "comm:={%s}" (Community.Set.to_string s)
-  | None -> ());
-  if not (Community.Set.is_empty e.comm_added) then
-    add "comm+={%s}" (Community.Set.to_string e.comm_added);
-  if e.comm_deleted <> [] then add "comm-del=%s" (String.concat "," e.comm_deleted);
-  (match e.next_hop with Some a -> add "nh=%s" (Ipv4.to_string a) | None -> ());
-  if e.prepend <> [] then
-    add "prepend=%s" (String.concat " " (List.map string_of_int e.prepend));
-  match !parts with [] -> "(no changes)" | ps -> String.concat " " (List.rev ps)
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)

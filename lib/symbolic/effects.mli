@@ -25,6 +25,3 @@ val equal : t -> t -> bool
 val differing_fields : t -> t -> (string * string * string) list
 (** [(attribute, value_in_first, value_in_second)] for each field where the
     two effects disagree; empty when equal. *)
-
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

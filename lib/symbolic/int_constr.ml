@@ -27,11 +27,3 @@ let sample = function
       first 0
 
 let satisfies v = function Any -> true | Eq n -> v = n | Neq l -> not (List.mem v l)
-let equal a b = a = b
-
-let to_string = function
-  | Any -> "*"
-  | Eq n -> Printf.sprintf "=%d" n
-  | Neq l -> "!=" ^ String.concat "," (List.map string_of_int l)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -7,7 +7,6 @@ type t = Any | Eq of int | Neq of int list  (** [Neq] list is sorted, non-empty.
 
 val any : t
 val eq : int -> t
-val neq : int list -> t
 
 val inter : t -> t -> t option
 (** [None] when unsatisfiable. *)
@@ -19,6 +18,3 @@ val sample : t -> int
 (** A satisfying value (deterministic). *)
 
 val satisfies : int -> t -> bool
-val equal : t -> t -> bool
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -16,13 +16,10 @@ let range lo hi =
     (all_mask lsr (32 - hi)) land lnot ((1 lsl lo) - 1)
 
 let mem n t = n >= 0 && n <= 32 && (t lsr n) land 1 = 1
-let add n t = t lor singleton n
 let inter a b = a land b
 let union a b = a lor b
 let diff a b = a land lnot b
 let is_empty t = t = 0
-let equal a b = a = b
-let subset a b = a land lnot b = 0
 
 let min_elt t =
   if t = 0 then None
@@ -30,34 +27,8 @@ let min_elt t =
     let rec go i = if (t lsr i) land 1 = 1 then Some i else go (i + 1) in
     go 0
 
-let max_elt t =
-  if t = 0 then None
-  else
-    let rec go i = if (t lsr i) land 1 = 1 then Some i else go (i - 1) in
-    go 32
-
-let cardinal t =
-  let rec go acc i = if i > 32 then acc else go (acc + ((t lsr i) land 1)) (i + 1) in
-  go 0 0
-
 let to_list t =
   let rec go acc i = if i < 0 then acc else go (if mem i t then i :: acc else acc) (i - 1) in
   go [] 32
 
-let of_list l = List.fold_left (fun acc n -> add n acc) empty l
 let restrict_ge n t = inter t (range n 32)
-
-(* Render contiguous runs as lo-hi for readability. *)
-let to_string t =
-  let rec runs acc cur = function
-    | [] -> List.rev (match cur with None -> acc | Some r -> r :: acc)
-    | n :: rest -> (
-        match cur with
-        | Some (lo, hi) when n = hi + 1 -> runs acc (Some (lo, n)) rest
-        | Some r -> runs (r :: acc) (Some (n, n)) rest
-        | None -> runs acc (Some (n, n)) rest)
-  in
-  let show (lo, hi) = if lo = hi then string_of_int lo else Printf.sprintf "%d-%d" lo hi in
-  "{" ^ String.concat "," (List.map show (runs [] None (to_list t))) ^ "}"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -2,7 +2,6 @@
 
 type t
 
-val empty : t
 val full : t
 val singleton : int -> t
 val range : int -> int -> t
@@ -10,20 +9,11 @@ val range : int -> int -> t
     clamped to [0, 32]. *)
 
 val mem : int -> t -> bool
-val add : int -> t -> t
 val inter : t -> t -> t
 val union : t -> t -> t
 val diff : t -> t -> t
 val is_empty : t -> bool
-val equal : t -> t -> bool
-val subset : t -> t -> bool
 val min_elt : t -> int option
-val max_elt : t -> int option
-val cardinal : t -> int
 val to_list : t -> int list
-val of_list : int list -> t
 val restrict_ge : int -> t -> t
 (** Keep only lengths [>= n]. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

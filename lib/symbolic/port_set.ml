@@ -47,15 +47,3 @@ let mem p t = List.exists (fun (lo, hi) -> lo <= p && p <= hi) t
 let is_empty t = t = []
 let equal a b = normalize a = normalize b
 let choose = function [] -> None | (lo, _) :: _ -> Some lo
-let intervals t = t
-
-let to_string t =
-  if t = [] then "{}"
-  else
-    String.concat ","
-      (List.map
-         (fun (lo, hi) ->
-           if lo = hi then string_of_int lo else Printf.sprintf "%d-%d" lo hi)
-         t)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

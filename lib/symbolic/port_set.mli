@@ -17,7 +17,3 @@ val is_empty : t -> bool
 val equal : t -> t -> bool
 val choose : t -> int option
 (** Smallest member. *)
-
-val intervals : t -> (int * int) list
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

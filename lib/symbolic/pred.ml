@@ -37,9 +37,3 @@ let as_path_lists_referenced t =
   List.concat_map (fun (c : Cube.t) -> c.aspath.must @ c.aspath.must_not) t
 
 let cubes t = t
-let size_hint = List.length
-
-let to_string t =
-  if t = [] then "(empty)" else String.concat " U " (List.map Cube.to_string t)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

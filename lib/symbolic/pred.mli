@@ -30,6 +30,3 @@ val as_path_lists_referenced : t -> string list
     {!sample} look up by name in the environment. *)
 
 val cubes : t -> Cube.t list
-val size_hint : t -> int
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

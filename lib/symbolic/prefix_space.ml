@@ -10,13 +10,10 @@ let mk_atom base lens =
 let empty = []
 let full = mk_atom Prefix.default Len_set.full
 let atom base lens = mk_atom base lens
-let exact p = mk_atom p (Len_set.singleton (Prefix.len p))
 
 let of_range r =
   mk_atom (Prefix_range.base r)
     (Len_set.range (Prefix_range.ge_bound r) (Prefix_range.le_bound r))
-
-let of_ranges rs = List.concat_map of_range rs
 
 (* Merge atoms sharing a base so spaces stay small under repeated union. *)
 let compact t =
@@ -76,8 +73,6 @@ let diff a b = compact (List.fold_left (fun acc x -> List.concat_map (fun y -> d
 
 let is_empty t = t = []
 let mem p t = List.exists (fun a -> Prefix.subsumes a.base p && Len_set.mem (Prefix.len p) a.lens) t
-let subset a b = is_empty (diff a b)
-let equal a b = subset a b && subset b a
 
 let sample = function
   | [] -> None
@@ -87,14 +82,3 @@ let sample = function
       | None -> None)
 
 let atoms t = t
-let size_hint = List.length
-
-let to_string t =
-  if t = [] then "{}"
-  else
-    String.concat " | "
-      (List.map
-         (fun a -> Printf.sprintf "%s len%s" (Prefix.to_string a.base) (Len_set.to_string a.lens))
-         t)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

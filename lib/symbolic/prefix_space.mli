@@ -21,11 +21,7 @@ val full : t
 val atom : Netcore.Prefix.t -> Len_set.t -> t
 (** Drops lengths shorter than the base; empty result allowed. *)
 
-val exact : Netcore.Prefix.t -> t
-(** The space containing exactly one prefix. *)
-
 val of_range : Netcore.Prefix_range.t -> t
-val of_ranges : Netcore.Prefix_range.t list -> t
 
 val union : t -> t -> t
 val inter : t -> t -> t
@@ -33,15 +29,8 @@ val diff : t -> t -> t
 
 val is_empty : t -> bool
 val mem : Netcore.Prefix.t -> t -> bool
-val equal : t -> t -> bool
-val subset : t -> t -> bool
 
 val sample : t -> Netcore.Prefix.t option
 (** Some concrete prefix in the space, [None] when empty. Deterministic. *)
 
 val atoms : t -> atom list
-val size_hint : t -> int
-(** Number of atoms (a complexity measure for benchmarks). *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -4,21 +4,11 @@ type t = int
 
 let all = [ Route.Bgp; Route.Ospf; Route.Connected; Route.Static ]
 let index = function Route.Bgp -> 0 | Route.Ospf -> 1 | Route.Connected -> 2 | Route.Static -> 3
-let empty = 0
 let full = 0b1111
 let singleton s = 1 lsl index s
-let of_list l = List.fold_left (fun acc s -> acc lor singleton s) empty l
 let mem s t = t land singleton s <> 0
 let inter a b = a land b
-let union a b = a lor b
 let diff a b = a land lnot b
-let complement t = full land lnot t
 let is_empty t = t = 0
-let equal a b = a = b
 let to_list t = List.filter (fun s -> mem s t) all
 let choose t = match to_list t with [] -> None | s :: _ -> Some s
-
-let to_string t =
-  "{" ^ String.concat "," (List.map Route.source_to_string (to_list t)) ^ "}"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -4,18 +4,10 @@
 
 type t
 
-val empty : t
 val full : t
 val singleton : Netcore.Route.source -> t
-val of_list : Netcore.Route.source list -> t
 val mem : Netcore.Route.source -> t -> bool
 val inter : t -> t -> t
-val union : t -> t -> t
 val diff : t -> t -> t
-val complement : t -> t
 val is_empty : t -> bool
-val equal : t -> t -> bool
 val choose : t -> Netcore.Route.source option
-val to_list : t -> Netcore.Route.source list
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

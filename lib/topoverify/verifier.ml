@@ -20,17 +20,6 @@ type finding = {
   network : Prefix.t option;
 }
 
-let kind_to_string = function
-  | Interface_address_mismatch -> "interface-address-mismatch"
-  | Missing_interface -> "missing-interface"
-  | Local_as_mismatch -> "local-as-mismatch"
-  | Router_id_mismatch -> "router-id-mismatch"
-  | Neighbor_not_declared -> "neighbor-not-declared"
-  | Network_not_declared -> "network-not-declared"
-  | Incorrect_network -> "incorrect-network"
-  | Incorrect_neighbor -> "incorrect-neighbor"
-  | No_bgp_process -> "no-bgp-process"
-
 let check topology ~router config =
   let spec = Topology.find_router_exn topology router in
   let findings = ref [] in
@@ -144,6 +133,3 @@ let check_from_json json ~router config =
       match Topology.find_router topology router with
       | None -> Error (Printf.sprintf "router %s not in topology dictionary" router)
       | Some _ -> Ok (check topology ~router config))
-
-let pp_finding ppf f =
-  Format.fprintf ppf "[%s] %s" (kind_to_string f.kind) f.message

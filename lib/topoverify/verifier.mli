@@ -35,5 +35,3 @@ val check : Topology.t -> router:string -> Policy.Config_ir.t -> finding list
 
 val check_from_json : Json.t -> router:string -> Policy.Config_ir.t -> (finding list, string) result
 (** Same, starting from the JSON dictionary itself. *)
-
-val pp_finding : Format.formatter -> finding -> unit

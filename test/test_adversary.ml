@@ -461,7 +461,7 @@ let test_trust_crosscheck_budget_and_quarantine () =
       ~cisco_text:Cisco.Samples.border_router ()
   in
   let d =
-    Resilience.Trust.totals (Resilience.Trust.diff (Resilience.Trust.snapshot ()) before)
+    Resilience.Trust.totals (Resilience.Trust.diff before (Resilience.Trust.snapshot ()))
   in
   check bool_t "cross-checks within the budget" true
     (d.Resilience.Trust.cross_checks <= cfg.Resilience.Trust.check_budget);
@@ -559,7 +559,7 @@ let test_collusion_quorum_restores_verification () =
       ~cisco_text:Cisco.Samples.border_router ()
   in
   let d =
-    Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) before
+    Resilience.Trust.diff_quorum before (Resilience.Trust.quorum_snapshot ())
   in
   check bool_t "quorum audits spent" true (d.Resilience.Trust.audits > 0);
   check bool_t "collusion overruled" true (d.Resilience.Trust.overruled > 0);
@@ -575,7 +575,7 @@ let test_collusion_quorum_restores_verification () =
       ~cisco_text:Cisco.Samples.border_router ()
   in
   let d8 =
-    Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) before
+    Resilience.Trust.diff_quorum before (Resilience.Trust.quorum_snapshot ())
   in
   ignore r8;
   check int_t "oracle-only defense never audits" 0 d8.Resilience.Trust.audits;

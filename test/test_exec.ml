@@ -816,10 +816,8 @@ let test_serve_connect_backoff () =
       let module J = Netcore.Json in
       (* No server: the budget bounds the retry loop. *)
       let t0 = Unix.gettimeofday () in
-      (match Exec.Serve.connect ~total_budget_ms:200 ~socket_path () with
-      | fd ->
-          Unix.close fd;
-          Alcotest.fail "connect succeeded with no server listening"
+      (match Exec.Serve.with_connection ~total_budget_ms:200 ~socket_path ignore with
+      | () -> Alcotest.fail "connect succeeded with no server listening"
       | exception Failure _ -> ());
       let waited = Unix.gettimeofday () -. t0 in
       check bool_t "gave up within ~2x the budget" true (waited < 2.0);
@@ -935,9 +933,8 @@ let test_serve_survives_vanished_peer () =
             ignore (Cosynth.Service.serve ~socket_path cfg : Cosynth.Service.summary))
           ()
       in
-      let fd = Exec.Serve.connect ~total_budget_ms:3_000 ~socket_path () in
-      Exec.Serve.write_frame fd (J.Obj [ ("job", J.String "synth"); ("routers", J.Int 5) ]);
-      Unix.close fd;
+      Exec.Serve.with_connection ~total_budget_ms:3_000 ~socket_path (fun fd ->
+          Exec.Serve.write_frame fd (J.Obj [ ("job", J.String "synth"); ("routers", J.Int 5) ]));
       Exec.Serve.with_connection ~socket_path (fun fd ->
           let field k r = Option.value ~default:0 (Option.bind (J.member k r) J.to_int) in
           (* [served] counts every request, these polls included: the synth

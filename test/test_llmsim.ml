@@ -8,6 +8,10 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
+(* One-fault prompts of each strength, shaped as the humanizer builds them. *)
+let auto_prompt f = { Llmsim.Chat.text = ""; refs = [ f ]; strength = Auto }
+let human_prompt f = { Llmsim.Chat.text = ""; refs = [ f ]; strength = Human }
+
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -268,7 +272,7 @@ let test_chat_forced_faults_fixable () =
   in
   check int_t "one live fault" 1 (List.length (Llmsim.Chat.live_faults chat));
   (* A human prompt always fixes (human_fix = 1.0). *)
-  Llmsim.Chat.respond chat (Llmsim.Chat.human_prompt f);
+  Llmsim.Chat.respond chat (human_prompt f);
   check int_t "fixed" 0 (List.length (Llmsim.Chat.live_faults chat));
   check int_t "recorded as fixed" 1 (List.length (Llmsim.Chat.fixed_faults chat))
 
@@ -282,11 +286,11 @@ let test_chat_auto_never_fixes_redistribution () =
       ~correct:correct_junos
   in
   for _ = 1 to 20 do
-    Llmsim.Chat.respond chat (Llmsim.Chat.auto_prompt f)
+    Llmsim.Chat.respond chat (auto_prompt f)
   done;
   check int_t "still live after 20 auto prompts" 1
     (List.length (Llmsim.Chat.live_faults chat));
-  Llmsim.Chat.respond chat (Llmsim.Chat.human_prompt f);
+  Llmsim.Chat.respond chat (human_prompt f);
   check int_t "human fixes" 0 (List.length (Llmsim.Chat.live_faults chat))
 
 let test_chat_prefix_range_morphs () =
@@ -310,7 +314,7 @@ let test_chat_prefix_range_morphs () =
                Llmsim.Error_class.Bad_prefix_list_syntax ->
           ()
       | _ ->
-          Llmsim.Chat.respond chat (Llmsim.Chat.auto_prompt f);
+          Llmsim.Chat.respond chat (auto_prompt f);
           poke (n - 1)
   in
   poke 50;
@@ -326,7 +330,7 @@ let test_chat_unmatched_prompt_is_noop () =
       Llmsim.Fault.Junos_cfg ~correct:correct_junos
   in
   let other = Llmsim.Fault.make Llmsim.Error_class.Wrong_med (Llmsim.Fault.Policy "nope") in
-  Llmsim.Chat.respond chat (Llmsim.Chat.human_prompt other);
+  Llmsim.Chat.respond chat (human_prompt other);
   check int_t "fault survives unrelated prompt" 1
     (List.length (Llmsim.Chat.live_faults chat))
 
@@ -338,7 +342,7 @@ let test_chat_regression_possible () =
       ~regression_rate:1.0 ~reintroduction_rate:0.0 Llmsim.Fault.Junos_cfg
       ~correct:correct_junos
   in
-  Llmsim.Chat.respond chat (Llmsim.Chat.human_prompt f);
+  Llmsim.Chat.respond chat (human_prompt f);
   check bool_t "a new fault appeared" true (Llmsim.Chat.live_faults chat <> [])
 
 let render_stats () = Netcore.Memo_table.stats "render_memo"
@@ -393,9 +397,9 @@ let test_chat_draft_reuse () =
           let fixed = Llmsim.Chat.fixed_faults chat in
           let prompt =
             match (step mod 4, live) with
-            | _, [] | 3, _ -> Llmsim.Chat.human_prompt unmatched
-            | 0, _ -> Llmsim.Chat.human_prompt (List.nth live (List.length live - 1))
-            | _, f :: _ -> Llmsim.Chat.auto_prompt f
+            | _, [] | 3, _ -> human_prompt unmatched
+            | 0, _ -> human_prompt (List.nth live (List.length live - 1))
+            | _, f :: _ -> auto_prompt f
           in
           Llmsim.Chat.respond chat prompt;
           classify ~live ~fixed ~live':(Llmsim.Chat.live_faults chat);
@@ -474,7 +478,7 @@ let test_render_memo_domains () =
               failwith
                 (Printf.sprintf "seed %d step %d: draft differs from a fresh render" seed step);
             match Llmsim.Chat.live_faults chat with
-            | f :: _ -> Llmsim.Chat.respond chat (Llmsim.Chat.auto_prompt f)
+            | f :: _ -> Llmsim.Chat.respond chat (auto_prompt f)
             | [] -> ()
           done)
         tasks

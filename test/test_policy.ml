@@ -9,7 +9,7 @@ let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 let string_t = Alcotest.string
 let pfx = Prefix.of_string_exn
-let comm = Community.of_string_exn
+let comm s = Option.get (Community.of_string s)
 let ip = Ipv4.of_string_exn
 
 (* ------------------------------------------------------------------ *)
@@ -340,7 +340,9 @@ let test_config_ir_connected () =
 let test_config_ir_with_route_map () =
   let c = Config_ir.empty "r" in
   let c = Config_ir.with_route_map c (Route_map.permit_all "m") in
-  let c = Config_ir.with_route_map c (Route_map.deny_all "m") in
+  let c =
+    Config_ir.with_route_map c (Route_map.make "m" [ Route_map.entry ~action:Action.Deny 10 ])
+  in
   check int_t "replaced, not duplicated" 1 (List.length c.Config_ir.route_maps);
   match Config_ir.find_route_map c "m" with
   | Some m ->
@@ -400,7 +402,7 @@ let prop_additive_superset =
               10;
           ]
       in
-      match Eval.eval Eval.empty_env m r with
+      match Eval.eval (Eval.env_of_config (Config_ir.empty "r")) m r with
       | Eval.Permitted r' ->
           Community.Set.subset r.Route.communities r'.Route.communities
           && Community.Set.mem c r'.Route.communities

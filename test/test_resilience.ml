@@ -49,7 +49,12 @@ let breaker_policy = { Resilience.Breaker.failure_threshold = 3; cooldown = 10 }
 
 let state_t =
   Alcotest.testable
-    (fun ppf s -> Format.pp_print_string ppf (Resilience.Breaker.state_to_string s))
+    (fun ppf s ->
+      Format.pp_print_string ppf
+        (match s with
+        | Resilience.Breaker.Closed -> "closed"
+        | Open -> "open"
+        | Half_open -> "half-open"))
     ( = )
 
 let test_breaker_trips_and_recovers () =
@@ -113,7 +118,8 @@ let test_chaos_none_is_noop () =
   let clock = Resilience.Clock.create () in
   let v = Resilience.Verifier.wrap Resilience.Verifier.Campion (fun x -> x + 1) in
   Resilience.Chaos.arm (Resilience.Chaos.make ~seed:3 ()) ~salt:0 ~clock v;
-  check bool_t "is_none" true (Resilience.Chaos.is_none (Resilience.Chaos.make ~seed:3 ()));
+  check bool_t "is_none" true
+    (Resilience.Chaos.describe (Resilience.Chaos.make ~seed:3 ()) = "no faults");
   (match Resilience.Verifier.run v 41 with
   | Ok 42 -> ()
   | _ -> Alcotest.fail "all-zero chaos must leave the Ok-oracle fast path")
@@ -228,7 +234,11 @@ let test_policies_cost_scaled () =
   List.iter
     (fun k ->
       check bool_t "mid-cost kinds keep the default policy" true
-        (Resilience.Policies.for_kind k = Resilience.Policies.default))
+        (Resilience.Policies.for_kind k
+        = {
+            Resilience.Policies.retry = Resilience.Retry.default;
+            breaker = Resilience.Breaker.default;
+          }))
     [
       Resilience.Verifier.Campion;
       Resilience.Verifier.Topology;
@@ -850,14 +860,14 @@ let test_diskchaos_deterministic () =
     (fates cfg
     <> fates (Durable.Diskchaos.make ~torn_rate:0.3 ~io_error_rate:0.2 ~seed:12 ()));
   check bool_t "none is none" true
-    (Durable.Diskchaos.is_none Durable.Diskchaos.none);
+    (Durable.Diskchaos.is_none (Durable.Diskchaos.make ~seed:0 ()));
   (* Disarmed: the fast path neither injects nor counts. Installing the
      all-zero config injects nothing but counts every operation — how the
      D1 gate measures a run's write-point schedule. *)
   check bool_t "disarmed fast path" true
     (Durable.Diskchaos.write_fate ~path:"/x/a" ~len:100
     = Durable.Diskchaos.Write_all);
-  Durable.Diskchaos.install Durable.Diskchaos.none;
+  Durable.Diskchaos.install (Durable.Diskchaos.make ~seed:0 ());
   ignore (Durable.Diskchaos.write_fate ~path:"/x/a" ~len:10);
   ignore (Durable.Diskchaos.fsync_fate ~path:"/x/a");
   let st = Durable.Diskchaos.stats () in
@@ -1387,7 +1397,7 @@ let test_guard_deadline_closes_fds () =
 (* The process-wide tallies for one kind since [before]. *)
 let trust_delta before k =
   let open Resilience.Trust in
-  List.assoc k (diff (snapshot ()) before)
+  List.assoc k (diff before (snapshot ()))
 
 let test_trust_two_disagreements_quarantine () =
   let t = Resilience.Trust.create Resilience.Trust.default_config in
@@ -1559,7 +1569,7 @@ let test_quorum_overrule_refund_and_tie () =
       check bool_t "one overrule quarantines the oracle" true oracle_q
   | `Outvoted -> Alcotest.fail "tie must go to the referees");
   check bool_t "oracle quarantined" true (Resilience.Trust.oracle_quarantined t);
-  let d = Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) before in
+  let d = Resilience.Trust.diff_quorum before (Resilience.Trust.quorum_snapshot ()) in
   check int_t "collusion counted" 1 d.Resilience.Trust.overruled;
   check int_t "oracle quarantine counted" 1 d.Resilience.Trust.oracle_quarantines;
   (* The overrule refunds its audit charge: the budget bounds what
@@ -1585,7 +1595,7 @@ let test_quorum_k3_outvoted () =
   check bool_t "one referee is outvoted" true
     (Resilience.Trust.quorum_verdict t k = `Outvoted);
   check bool_t "no debit on an outvote" true (Resilience.Trust.oracle_score t = 1.0);
-  let d = Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) before in
+  let d = Resilience.Trust.diff_quorum before (Resilience.Trust.quorum_snapshot ()) in
   check int_t "no collusion counted" 0 d.Resilience.Trust.overruled;
   check int_t "outvote counted" 1 d.Resilience.Trust.outvoted;
   check int_t "outvoted audit stays charged" 1 (Resilience.Trust.audits_spent t)
@@ -1638,7 +1648,7 @@ let test_quorum_oracle_probation_and_alert_mode () =
     (Resilience.Trust.oracle_probation t ~agree:true = `Restored 3);
   check bool_t "oracle quarantine lifted" false
     (Resilience.Trust.oracle_quarantined t);
-  let d = Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) before in
+  let d = Resilience.Trust.diff_quorum before (Resilience.Trust.quorum_snapshot ()) in
   check int_t "every oracle re-run counted" 5 d.Resilience.Trust.oracle_probations;
   check int_t "oracle restore counted" 1 d.Resilience.Trust.oracle_restores;
   (* Peacetime rules are back: clean-after-clean is no longer suspicious.
@@ -1805,8 +1815,8 @@ let test_trust_with_ledger () =
               t)
         in
         T.state_of t
-          ~counters:(T.totals (T.diff (T.snapshot ()) c0))
-          ~quorum:(T.diff_quorum (T.quorum_snapshot ()) q0)
+          ~counters:(T.totals (T.diff c0 (T.snapshot ())))
+          ~quorum:(T.diff_quorum q0 (T.quorum_snapshot ()))
       in
       let e1 = kept ~seed:2 in
       check int_t "kept run appends one line" 1 (lines ());
@@ -1897,7 +1907,7 @@ let test_tallies_exact_under_pool () =
   in
   ignore (Exec.Pool.map pool bump (List.init n Fun.id));
   let stats = Resilience.Stats.diff s0 (Resilience.Stats.snapshot ()) in
-  let trust = Resilience.Trust.diff (Resilience.Trust.snapshot ()) t0 in
+  let trust = Resilience.Trust.diff t0 (Resilience.Trust.snapshot ()) in
   Array.iter
     (fun k ->
       let m = reps * per_kind k in
@@ -1932,7 +1942,7 @@ let test_tallies_exact_under_pool () =
             ("probation_runs", 3 * m, t.probation_runs);
           ])
     kinds;
-  let q = Resilience.Trust.diff_quorum (Resilience.Trust.quorum_snapshot ()) q0 in
+  let q = Resilience.Trust.diff_quorum q0 (Resilience.Trust.quorum_snapshot ()) in
   List.iter
     (fun (field, want, v) -> check int_t ("quorum " ^ field) want v)
     Resilience.Trust.
