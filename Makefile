@@ -179,7 +179,9 @@ durable-smoke: build
 # working tree, alternating which side runs first and cycling the pairs
 # through SEEDS. BASE is built in a git worktree at .perf-run/base (hidden,
 # so dune and git skip it). Results go to .perf-run/pairs/{base,head}.jsonl
-# and end in `perf.exe --compare`, which exits 1 on any regression.
+# and end in `perf.exe --compare`, which exits 1 on any regression. The
+# pairs run in one shell under `set -e`; an EXIT trap removes the worktree
+# on success and on failure alike.
 #   make perf-pairs BASE=HEAD~1 WORKLOAD=translate PAIRS=10
 WORKLOAD ?= translate
 PAIRS ?= 10
@@ -187,10 +189,11 @@ SEEDS ?= 1000 7000
 PAIRS_DIR := .perf-run/pairs
 perf-pairs:
 	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<rev> [WORKLOAD=w] [PAIRS=n] [SEEDS='s ...']"; exit 2; }
-	rm -rf .perf-run/base $(PAIRS_DIR)
-	git worktree prune
-	git worktree add --detach .perf-run/base $(BASE)
-	mkdir -p $(PAIRS_DIR)
+	set -e; rm -rf .perf-run/base $(PAIRS_DIR); git worktree prune; \
+	trap 'st=$$?; set +e; git worktree remove --force .perf-run/base 2>/dev/null; \
+	  rm -rf .perf-run/base; git worktree prune; exit $$st' EXIT; \
+	git worktree add --detach .perf-run/base $(BASE); \
+	mkdir -p $(PAIRS_DIR); \
 	for p in $$(seq 1 $(PAIRS)); do \
 	  set -- $(SEEDS); shift $$(( (p - 1) % $$# )); seed=$$1; \
 	  if [ $$((p % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
@@ -198,11 +201,9 @@ perf-pairs:
 	    if [ $$side = base ]; then dir=.perf-run/base; else dir=.; fi; \
 	    echo "pair $$p: $$side, seed $$seed"; \
 	    (cd $$dir && bash bench/perf/run.sh --workload $(WORKLOAD) --seed $$seed \
-	      --seconds 20 --trace 0 --out $(CURDIR)/$(PAIRS_DIR)/$$side.jsonl > /dev/null) \
-	      || exit 1; \
+	      --seconds 20 --trace 0 --out $(CURDIR)/$(PAIRS_DIR)/$$side.jsonl > /dev/null); \
 	  done; \
 	done
-	git worktree remove --force .perf-run/base
 	./_build/default/bench/perf/perf.exe --compare $(PAIRS_DIR)/base.jsonl $(PAIRS_DIR)/head.jsonl
 
 clean:

@@ -20,12 +20,7 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let print_diags diags =
   List.iter (fun d -> Printf.printf "%s\n" (Netcore.Diag.to_string d)) diags
@@ -1759,23 +1754,12 @@ let triage_cmd =
        chasing one failing stage (or one crash constructor) reads a table
        scoped to it instead of the whole campaign's. No filters — no
        change, so existing triage output is untouched. *)
-    let contains ~needle hay =
-      let nl = String.length needle and hl = String.length hay in
-      nl = 0
-      || (nl <= hl
-         && (let found = ref false in
-             for i = 0 to hl - nl do
-               if (not !found) && String.sub hay i nl = needle then found := true
-             done;
-             !found))
+    let matches filter field =
+      match filter with None -> true | Some sub -> Netcore.Substring.contains ~sub field
     in
     let keep (r : Resilience.Triage.row) =
-      (match stage with
-      | None -> true
-      | Some s -> contains ~needle:s r.Resilience.Triage.stage)
-      && (match ctor with
-         | None -> true
-         | Some c -> contains ~needle:c r.Resilience.Triage.constructor)
+      matches stage r.Resilience.Triage.stage
+      && matches ctor r.Resilience.Triage.constructor
     in
     match List.filter keep (Resilience.Triage.load file) with
     | [] ->

@@ -236,7 +236,7 @@ type loop_state = {
   trust : Resilience.Trust.t option;
 }
 
-let adv_of_spec ?(salt = 0) spec =
+let adv_of_spec spec =
   match spec with
   | None -> None
   | Some s when Adversary.Spec.is_none s -> None
@@ -244,10 +244,10 @@ let adv_of_spec ?(salt = 0) spec =
       Some
         {
           spec = s;
-          llm = Adversary.Llm.create ~salt s.Adversary.Spec.llm;
-          corruption = Adversary.Findings.create ~salt s.Adversary.Spec.findings;
-          lies = Adversary.Verifier.create ~salt s.Adversary.Spec.verifier;
-          colluders = Adversary.Collusion.create ~salt s.Adversary.Spec.collusion;
+          llm = Adversary.Llm.create s.Adversary.Spec.llm;
+          corruption = Adversary.Findings.create s.Adversary.Spec.findings;
+          lies = Adversary.Verifier.create s.Adversary.Spec.verifier;
+          colluders = Adversary.Collusion.create s.Adversary.Spec.collusion;
           osc = Adversary.Watch.osc ~repeat_threshold:s.Adversary.Spec.osc_repeat ();
           prog = Adversary.Watch.progress ~rounds:s.Adversary.Spec.watchdog_rounds;
           escalate = None;
@@ -285,13 +285,6 @@ let new_loop ~adversary ~trust ~max_prompts ~stall_threshold =
     adversary;
     trust;
   }
-
-(* The run's trust ledger: the caller's [trust_ledger] instance when one is
-   passed, else a fresh ledger for a [trust] config, else none. *)
-let trust_of ?trust ?trust_ledger () =
-  match trust_ledger with
-  | Some _ -> trust_ledger
-  | None -> Option.map Resilience.Trust.create trust
 
 let budget_left st = st.auto + st.human < st.max_prompts
 
@@ -533,190 +526,76 @@ let global_verifier rt adversary check =
 (* Resilient verifier stages                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One verifier stage run through the resilience runtime. [Checked] is the
-   normal automated path. When the call degrades (breaker open, retries
-   exhausted), a [Degraded] event lands in the transcript and the simulated
-   human runs the check by hand: [Hand_checked] carries the oracle's
-   answer, and the caller must escalate any finding to the human — a
-   verifier outage shows up as reduced leverage, not a hang or a crash.
-   [Crashed_stage] is the third outcome: the oracle itself raised on this
-   input (caught by the {!Resilience.Guard} firewall even when the human
-   re-ran it by hand), so there is no answer at all — the caller must turn
-   the crash into a rewrite prompt and move on. *)
-type 'a stage_result =
-  | Checked of 'a
-  | Hand_checked of 'a
-  | Crashed_stage of Resilience.Guard.crash
+(* The transcript wording of what a hardened check reports. A degraded or
+   quarantined stage's findings arrive as human prompts; a verifier outage
+   shows up as reduced leverage, not a hang or a crash. *)
+let record_note st (n : Resilience.Runtime.note) =
+  let crosscheck = record st Crosscheck in
+  let name = Resilience.Verifier.kind_name in
+  match n with
+  | Degraded (kind, reason) ->
+      record st Degraded
+        (Printf.sprintf
+           "[degraded] %s verifier unavailable: %s. The human operator runs this check \
+            by hand; its findings arrive as human prompts."
+           (name kind) reason)
+        "degraded"
+  | Caught_lying kind ->
+      crosscheck
+        (Printf.sprintf
+           "[cross-check] the %s verifier's answer disagrees with an independent \
+            oracle re-run; using the oracle's answer and debiting the verifier's \
+            trust."
+           (name kind))
+        "cross-check"
+  | Quarantined kind ->
+      crosscheck
+        (Printf.sprintf
+           "[quarantine] the %s verifier fell below the trust threshold; its checks are now \
+            hand-run and its findings escalate to human prompts until probation clears."
+           (name kind))
+        "quarantine"
+  | Restored (kind, streak) ->
+      crosscheck
+        (Printf.sprintf
+           "[probation] the %s verifier matched the hand-run check %d consecutive \
+            times; trust restored and quarantine lifted."
+           (name kind) streak)
+        "probation"
+  | Outvoted kind ->
+      crosscheck
+        (Printf.sprintf
+           "[quorum] a hand-run referee disputes the clean pass the %s verifier and \
+            the cross-check oracle agree on, but their combined trust outvotes the \
+            quorum; the clean pass stands."
+           (name kind))
+        "quorum-outvoted"
+  | Overruled kind ->
+      crosscheck
+        (Printf.sprintf
+           "[quorum] the %s verifier and the cross-check oracle agree on a clean pass, \
+            but the hand-run quorum referees overrule them: collusion detected — using \
+            the referee's findings and debiting both."
+           (name kind))
+        "quorum"
+  | Oracle_quarantined ->
+      crosscheck
+        "[oracle-quarantine] the cross-check oracle fell below the trust threshold; \
+         cross-checks now consult the hand-run check directly until oracle probation \
+         clears."
+        "oracle-quarantine"
+  | Oracle_restored streak ->
+      crosscheck
+        (Printf.sprintf
+           "[oracle-probation] the cross-check oracle matched the hand-run check %d \
+            consecutive times; oracle trust restored."
+           streak)
+        "oracle-probation"
 
-let stage_degraded = function Checked _ -> false | Hand_checked _ | Crashed_stage _ -> true
+let run_stage st rt v input =
+  Resilience.Runtime.check rt ?trust:st.trust ~note:(record_note st) v input
 
-let run_stage st rt (v : _ Resilience.Verifier.t) input =
-  let kind = Resilience.Verifier.kind v in
-  let kname = Resilience.Verifier.kind_name kind in
-  (* The hand check consults the raw oracle — bypassing every installed
-     schedule, chaos faults, lies and compromised oracle services alike —
-     which on an adversarial draft can raise the very exception that
-     degraded the automated path; the firewall keeps the loop alive either
-     way. *)
-  let hand_check () = Resilience.Verifier.hand_run v input in
-  let quarantined () =
-    record st Crosscheck
-      (Printf.sprintf
-         "[quarantine] the %s verifier fell below the trust threshold; its checks are now \
-          hand-run and its findings escalate to human prompts until probation clears."
-         kname)
-      "quarantine"
-  in
-  let degraded reason =
-    record st Degraded
-      (Printf.sprintf
-         "[degraded] %s verifier unavailable: %s. The human operator runs this check \
-          by hand; its findings arrive as human prompts."
-         kname reason)
-      "degraded";
-    match hand_check () with
-    | Ok r -> Hand_checked r
-    | Error crash -> Crashed_stage crash
-  in
-  let automated () =
-    match Resilience.Runtime.call rt v input with
-    | Ok r -> `Ok r
-    | Error { Resilience.Runtime.kind = _; reason } -> `Degraded (degraded reason)
-  in
-  match st.trust with
-  | None -> (
-      (* No trust ledger: the exact pre-Byzantine code path. *)
-      match automated () with `Ok r -> Checked r | `Degraded res -> res)
-  | Some ledger when Resilience.Trust.quarantined ledger kind -> (
-      (* Quarantined kind: the hand-run oracle is authoritative and its
-         findings escalate to the human (the PR 2 degradation path). The
-         suspect schedule still runs as a probation re-run — enough
-         consecutive agreements lift the quarantine. *)
-      match hand_check () with
-      | Error crash -> Crashed_stage crash
-      | Ok honest ->
-          Resilience.Trust.note_truth ledger kind
-            ~dirty:(Resilience.Verifier.dirty v honest);
-          (match Resilience.Verifier.run v input with
-          | Ok suspect -> (
-              match Resilience.Trust.probation ledger kind ~agree:(suspect = honest) with
-              | `Restored streak ->
-                  record st Crosscheck
-                    (Printf.sprintf
-                       "[probation] the %s verifier matched the hand-run check %d consecutive \
-                        times; trust restored and quarantine lifted."
-                       kname streak)
-                    "probation"
-              | `Still -> ())
-          | Error _ -> ());
-          (* an injected fault is not a lie: probation streak unchanged *)
-          Hand_checked honest)
-  | Some ledger -> (
-      match automated () with
-      | `Degraded res -> res
-      | `Ok r ->
-          let dirty_r = Resilience.Verifier.dirty v r in
-          (* Shared disagreement machinery: [honest] is authoritative (a
-             hand-run, or an oracle service that is only consulted while
-             untainted), the suspect is debited. Exactly the PR 8 path. *)
-          let caught_lying honest =
-            (* The suspect's (possibly lying) dirtiness went into
-               [should_check]; re-anchor the trigger to the truth so a
-               caught false negative cannot launder the kind's history and
-               slip its next fake clean pass through. *)
-            Resilience.Trust.note_truth ledger kind
-              ~dirty:(Resilience.Verifier.dirty v honest);
-            record st Crosscheck
-              (Printf.sprintf
-                 "[cross-check] the %s verifier's answer disagrees with an independent \
-                  oracle re-run; using the oracle's answer and debiting the verifier's \
-                  trust."
-                 kname)
-              "cross-check";
-            (match Resilience.Trust.disagree ledger kind with
-            | `Quarantined -> quarantined ()
-            | `Ok -> ());
-            Hand_checked honest
-          in
-          if Resilience.Trust.should_check ledger kind ~dirty:dirty_r then
-            if Resilience.Trust.oracle_quarantined ledger then (
-              (* A quarantined oracle drops out of cross-checks: the
-                 hand-run answer is authoritative, and the oracle service
-                 rides along on probation — enough consecutive matches
-                 against the hand-run answer restore it. *)
-              match hand_check () with
-              | Error crash -> Crashed_stage crash
-              | Ok honest ->
-                  (match Resilience.Verifier.oracle_run v input with
-                  | Error _ -> ()
-                  | Ok osvc -> (
-                      match
-                        Resilience.Trust.oracle_probation ledger ~agree:(osvc = honest)
-                      with
-                      | `Restored streak ->
-                          record st Crosscheck
-                            (Printf.sprintf
-                               "[oracle-probation] the cross-check oracle matched the \
-                                hand-run check %d consecutive times; oracle trust restored."
-                               streak)
-                            "oracle-probation"
-                      | `Still -> ()));
-                  if honest = r then begin
-                    Resilience.Trust.agree ledger kind;
-                    Checked r
-                  end
-                  else caught_lying honest)
-            else (
-              match Resilience.Verifier.oracle_run v input with
-              | Error crash -> Crashed_stage crash
-              | Ok honest ->
-                  if honest = r then begin
-                    Resilience.Trust.agree ledger kind;
-                    (* The collusion signature: suspect and oracle agree on
-                       a CLEAN answer. A budgeted quorum audit hand-runs
-                       the check as referee votes; in honest runs the
-                       referee is the very call that just agreed, so the
-                       audit is silent and rate-0 byte-identity holds. *)
-                    if (not dirty_r) && Resilience.Trust.should_audit ledger kind then (
-                      match hand_check () with
-                      | Error crash -> Crashed_stage crash
-                      | Ok referee ->
-                          if referee = r then Checked r
-                          else (
-                            match Resilience.Trust.quorum_verdict ledger kind with
-                            | `Outvoted ->
-                                record st Crosscheck
-                                  (Printf.sprintf
-                                     "[quorum] a hand-run referee disputes the clean pass \
-                                      the %s verifier and the cross-check oracle agree on, \
-                                      but their combined trust outvotes the quorum; the \
-                                      clean pass stands."
-                                     kname)
-                                  "quorum-outvoted";
-                                Checked r
-                            | `Overruled (kind_quarantined, oracle_quarantined) ->
-                                Resilience.Trust.note_truth ledger kind
-                                  ~dirty:(Resilience.Verifier.dirty v referee);
-                                record st Crosscheck
-                                  (Printf.sprintf
-                                     "[quorum] the %s verifier and the cross-check oracle \
-                                      agree on a clean pass, but the hand-run quorum \
-                                      referees overrule them: collusion detected — using \
-                                      the referee's findings and debiting both."
-                                     kname)
-                                  "quorum";
-                                if kind_quarantined then quarantined ();
-                                if oracle_quarantined then
-                                  record st Crosscheck
-                                    "[oracle-quarantine] the cross-check oracle fell below \
-                                     the trust threshold; cross-checks now consult the \
-                                     hand-run check directly until oracle probation clears."
-                                    "oracle-quarantine";
-                                Hand_checked referee))
-                    else Checked r
-                  end
-                  else caught_lying honest)
-          else Checked r)
+let hand_checked = function Resilience.Runtime.Checked _ -> false | _ -> true
 
 (* Deliver a finding down the channel the stage earned: the automated
    prompt (with stall escalation) when the verifier answered, the human
@@ -850,7 +729,7 @@ let round st rt chat ~out_of_budget ~stop body =
 let stage st rt chat v input ~name ~findings ~prompt ?(sent = fun _ _ -> ()) ~retry ~stop
     next =
   match run_stage st rt v input with
-  | Crashed_stage crash -> on_crash st chat crash ~k:retry ~stop
+  | Crashed crash -> on_crash st chat crash ~k:retry ~stop
   | (Checked answer | Hand_checked answer) as result -> (
       match findings answer with
       | [] -> next answer
@@ -858,7 +737,7 @@ let stage st rt chat v input ~name ~findings ~prompt ?(sent = fun _ _ -> ()) ~re
           if observe_findings st ~stage:name ~findings:(List.length all) then stop ()
           else
             let prompt = prompt first in
-            match deliver st chat ~degraded:(stage_degraded result) prompt ~note:name with
+            match deliver st chat ~degraded:(hand_checked result) prompt ~note:name with
             | `Sent origin ->
                 sent origin prompt;
                 retry ()
@@ -950,6 +829,26 @@ let first_error diags = List.find_opt Netcore.Diag.is_error diags
 
 let syntax_errors (_, diags) = List.filter Netcore.Diag.is_error diags
 
+(* The start every loop shares: a resilience context salted by the seed,
+   its suite with the adversary's lies armed, the loop state, and the
+   task's opening human prompt as the transcript's first event. The trust
+   ledger is the caller's [trust_ledger] when one is passed, else a fresh
+   one for a [trust] config, else none. *)
+let start_loop ~seed ~resilience ~adversary ?trust ?trust_ledger ~max_prompts
+    ~stall_threshold ~prompt ~note () =
+  let rt = Resilience.Runtime.create ~salt:seed resilience in
+  let suite = Resilience.Suite.make rt in
+  let adv = adv_of_spec adversary in
+  arm_suite_lies adv suite;
+  let trust =
+    match trust_ledger with
+    | Some _ -> trust_ledger
+    | None -> Option.map Resilience.Trust.create trust
+  in
+  let st = new_loop ~adversary:adv ~trust ~max_prompts ~stall_threshold in
+  record st Human prompt note;
+  (rt, suite, st)
+
 let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
     ?(max_prompts = translation_budget) ?(stall_threshold = 4) ?(quality = 0.0)
     ?(resilience = Resilience.Runtime.default_config) ?adversary ?trust ?trust_ledger
@@ -960,19 +859,13 @@ let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
     Llmsim.Chat.start ~seed ~force_faults ~suppress_random ~regression_rate:0.2 ~quality
       Llmsim.Fault.Junos_cfg ~correct
   in
-  let rt = Resilience.Runtime.create ~salt:seed resilience in
-  let suite = Resilience.Suite.make rt in
-  let adv = adv_of_spec adversary in
-  arm_suite_lies adv suite;
-  let st =
-    new_loop ~adversary:adv ~trust:(trust_of ?trust ?trust_ledger ()) ~max_prompts
+  let rt, suite, st =
+    start_loop ~seed ~resilience ~adversary ?trust ?trust_ledger ~max_prompts
       ~stall_threshold
+      ~prompt:"Translate the configuration into an equivalent Juniper configuration."
+      ~note:"initial task prompt" ()
   in
   let tr = { seen = []; tainted = [] } in
-  (* The initial task prompt ("translate the configuration into an
-     equivalent Juniper configuration") is the first human prompt. *)
-  record st Human "Translate the configuration into an equivalent Juniper configuration."
-    "initial task prompt";
   track_seen tr chat;
   let taint_refs origin (prompt : Humanizer.prompt) =
     List.iter
@@ -1094,21 +987,17 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
   let star = Netcore.Star.make ~routers in
   let tasks = Modularizer.plan star in
   let iips = if use_iips then Iip.ids Iip.defaults else [] in
-  let rt_main = Resilience.Runtime.create ~salt:seed resilience in
-  let suite_main = Resilience.Suite.make rt_main in
-  let adv_main = adv_of_spec adversary in
-  arm_suite_lies adv_main suite_main;
-  let st =
-    new_loop ~adversary:adv_main ~trust:(trust_of ?trust ?trust_ledger ()) ~max_prompts
+  let rt_main, suite_main, st =
+    start_loop ~seed ~resilience ~adversary ?trust ?trust_ledger ~max_prompts
       ~stall_threshold
+      ~prompt:
+        (Printf.sprintf
+           "Make a %d-router star network follow the no-transit policy: no two ISPs \
+            should be able to reach each other, but all ISPs should reach the \
+            CUSTOMER and vice versa."
+           routers)
+      ~note:"initial task prompt" ()
   in
-  record st Human
-    (Printf.sprintf
-       "Make a %d-router star network follow the no-transit policy: no two ISPs \
-        should be able to reach each other, but all ISPs should reach the \
-        CUSTOMER and vice versa."
-       routers)
-    "initial task prompt";
   (* One local verification pass for a router: syntax, then topology, then
      local policy semantics. [st] is the loop state charged for the prompts:
      the run-wide one during the global phase, a per-router one during the
@@ -1155,7 +1044,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
   let synthesize_router (idx, (task : Modularizer.router_task)) =
     let sub =
       new_loop
-        ~adversary:(adv_derive adv_main idx)
+        ~adversary:(adv_derive st.adversary idx)
         ~trust:(Option.map Resilience.Trust.derive st.trust)
         ~max_prompts:router_budget ~stall_threshold
     in
@@ -1209,11 +1098,13 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
   (* The whole-network check is itself wrapped: when it degrades, the human
      runs the simulation by hand and the counterexample feedback arrives as
      a human prompt. *)
-  let global_verifier = global_verifier rt_main adv_main (check_global final_check star) in
+  let global_verifier =
+    global_verifier rt_main st.adversary (check_global final_check star)
+  in
   let rec global_phase results rounds =
     Resilience.Runtime.new_round rt_main;
     match run_stage st rt_main global_verifier (configs_of results) with
-    | Crashed_stage crash ->
+    | Crashed crash ->
         (* The whole-network check aborted on these configs: surface the
            crash to the hub conversation as a rewrite prompt and re-check,
            within the same round bound as ordinary counterexamples. *)
@@ -1245,7 +1136,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
         global_phase results (rounds - 1)
       in
       match
-        deliver st hub_chat ~degraded:(stage_degraded checked) prompt ~note:"global"
+        deliver st hub_chat ~degraded:(hand_checked checked) prompt ~note:"global"
       with
       | `Gave_up -> (results, ok, violations, proof)
       | `Sent _ -> resynthesize ()
@@ -1285,10 +1176,6 @@ let run_incremental ?(seed = 42) ?(max_prompts = incremental_budget)
     ~routers () =
   let stall_threshold = 2 in
   let star = Netcore.Star.make ~routers in
-  let rt = Resilience.Runtime.create ~salt:seed resilience in
-  let suite = Resilience.Suite.make rt in
-  let adv = adv_of_spec adversary in
-  arm_suite_lies adv suite;
   (* The new policy: prepend the hub AS twice on routes exported to R2. *)
   let task = Modularizer.prepend_task star ~target:"R2" ~prepend:[ 1; 1 ] in
   let base_configs =
@@ -1296,12 +1183,11 @@ let run_incremental ?(seed = 42) ?(max_prompts = incremental_budget)
       (fun (t : Modularizer.router_task) -> (t.Modularizer.router, t.Modularizer.correct))
       (Modularizer.plan star)
   in
-  let st =
-    new_loop ~adversary:adv ~trust:(trust_of ?trust ?trust_ledger ()) ~max_prompts
-      ~stall_threshold
+  let rt, suite, st =
+    start_loop ~seed ~resilience ~adversary ?trust ?trust_ledger ~max_prompts
+      ~stall_threshold ~prompt:task.Modularizer.prompt ~note:"incremental task prompt" ()
   in
   let interference = ref false in
-  record st Human task.Modularizer.prompt "incremental task prompt";
   (* The LLM edits an already-correct configuration: only the edit-related
      mistake classes apply. *)
   let edit_classes cls =
@@ -1348,13 +1234,13 @@ let run_incremental ?(seed = 42) ?(max_prompts = incremental_budget)
      degrades to the human running it by hand (a [Degraded] event), never
      an unchecked exception. The short-circuit stays — when the specs
      already failed there is nothing worth simulating. *)
-  let global_verifier = global_verifier rt adv (check_global Simulate star) in
+  let global_verifier = global_verifier rt st.adversary (check_global Simulate star) in
   let global_ok =
     specs_hold
     &&
     (Resilience.Runtime.new_round rt;
      match run_stage st rt global_verifier configs with
-     | Crashed_stage crash ->
+     | Crashed crash ->
          (* No re-synthesis loop here: the closing check aborting on these
             configs is a failed verification, recorded as such. *)
          ignore (send st chat (Humanizer.of_crash crash) ~note:"crash");

@@ -2,24 +2,13 @@ open Netcore
 
 type prompt = { text : string; refs : Llmsim.Fault.t list }
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 (* First whitespace-delimited token following [after] in [s]. *)
 let token_after ~after s =
-  let rec find i =
-    if i + String.length after > String.length s then None
-    else if String.sub s i (String.length after) = after then
-      Some (i + String.length after)
-    else find (i + 1)
-  in
-  match find 0 with
+  match Substring.find ~sub:after s with
   | None -> None
-  | Some start ->
-      let rest = String.sub s start (String.length s - start) in
-      let rest = String.trim rest in
+  | Some i ->
+      let start = i + String.length after in
+      let rest = String.trim (String.sub s start (String.length s - start)) in
       let stop =
         match String.index_opt rest ' ' with Some i -> i | None -> String.length rest
       in
@@ -37,20 +26,20 @@ let fault = Llmsim.Fault.make
 
 let infer_syntax_refs message =
   let open Llmsim in
-  if contains ~sub:"no local AS" message || contains ~sub:"local-as" message then
+  let says sub = Substring.contains ~sub message in
+  if says "no local AS" || says "local-as" then
     [ fault Error_class.Missing_local_as Fault.Whole_config ]
   else if
-    contains ~sub:"not valid Juniper syntax" message
-    || contains ~sub:"route-filter" message && contains ~sub:"not valid syntax" message
+    says "not valid Juniper syntax" || (says "route-filter" && says "not valid syntax")
   then
     match token_after ~after:"prefix-list " message with
     | Some name -> [ fault Error_class.Bad_prefix_list_syntax (Fault.Named_list name) ]
     | None -> [ fault Error_class.Bad_prefix_list_syntax Fault.Whole_config ]
-  else if contains ~sub:"interactive CLI command" message then
+  else if says "interactive CLI command" then
     [ fault Error_class.Cli_keywords Fault.Whole_config ]
-  else if contains ~sub:"'match community" message && contains ~sub:"is invalid" message
-  then [ fault Error_class.Match_community_literal Fault.Whole_config ]
-  else if contains ~sub:"only valid inside a 'router bgp'" message then
+  else if says "'match community" && says "is invalid" then
+    [ fault Error_class.Match_community_literal Fault.Whole_config ]
+  else if says "only valid inside a 'router bgp'" then
     match token_after ~after:"neighbor " message with
     | Some addr -> (
         match Ipv4.of_string addr with

@@ -357,27 +357,19 @@ let fuzz_loop ~mode ~seed ~rate =
 (* Regression corpus replay                                            *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let dialect_of_filename name =
-  if String.length name >= 6 && String.sub name 0 6 = "junos-" then Corpus.Junos
-  else Corpus.Cisco
-
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+  if String.starts_with ~prefix:"junos-" name then Corpus.Junos else Corpus.Cisco
 
 (* A promoted crasher's name, modulo the dialect prefix replay keys on. *)
 let is_promoted_filename name =
   let base =
-    if starts_with "junos-" name then String.sub name 6 (String.length name - 6)
+    if String.starts_with ~prefix:"junos-" name then
+      String.sub name 6 (String.length name - 6)
     else name
   in
-  starts_with "promoted-" base
+  String.starts_with ~prefix:"promoted-" base
 
 let replay_dir dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then []
@@ -435,7 +427,8 @@ let promote ~dir escapes =
        (fun f ->
          if is_promoted_filename f && Filename.check_suffix f ".txt" then
            let base =
-             if starts_with "junos-" f then String.sub f 6 (String.length f - 6)
+             if String.starts_with ~prefix:"junos-" f then
+               String.sub f 6 (String.length f - 6)
              else f
            in
            Hashtbl.replace covered (Filename.chop_suffix base ".txt") ())

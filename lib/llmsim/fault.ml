@@ -600,17 +600,6 @@ let apply_ir (c : Config_ir.t) (fault : t) =
    once, folds every text fault over the line list and joins it once. A
    text that ends with a newline has an empty last line. *)
 
-(* [contains ~sub s] allocates nothing: the scanners are closed, so no
-   closure is built per call. [contains_from] needs a non-empty [sub]. *)
-let rec matches_at s sub i j =
-  j = String.length sub || (s.[i + j] = sub.[j] && matches_at s sub i (j + 1))
-
-let rec contains_from s sub i =
-  i + String.length sub <= String.length s
-  && ((s.[i] = sub.[0] && matches_at s sub i 1) || contains_from s sub (i + 1))
-
-let contains ~sub s = sub = "" || contains_from s sub 0
-
 (* The lines of the text [lines] followed by [s]: the first line of [s]
    continues the last line. *)
 let append lines s =
@@ -621,7 +610,10 @@ let append lines s =
 
 let apply_missing_local_as lines =
   List.filter
-    (fun l -> not (contains ~sub:"autonomous-system" l || contains ~sub:"local-as" l))
+    (fun l ->
+      not
+        (Substring.contains ~sub:"autonomous-system" l
+        || Substring.contains ~sub:"local-as" l))
     lines
 
 let apply_bad_prefix_list (correct : Config_ir.t) list_name lines =
@@ -633,7 +625,7 @@ let apply_bad_prefix_list (correct : Config_ir.t) list_name lines =
       let marker = "route-filter " ^ base_str in
       let replaced = ref false in
       let keep l =
-        if contains ~sub:marker l then
+        if Substring.contains ~sub:marker l then
           if !replaced then None
           else begin
             replaced := true;
@@ -656,7 +648,9 @@ let apply_cli_keywords lines = "configure terminal" :: append lines "end\nwrite 
 
 let apply_neighbor_outside_bgp addr lines =
   let attachment = "neighbor " ^ Netcore.Ipv4.to_string addr ^ " route-map" in
-  let is_export_attachment l = contains ~sub:attachment l && contains ~sub:" out" l in
+  let is_export_attachment l =
+    Substring.contains ~sub:attachment l && Substring.contains ~sub:" out" l
+  in
   match List.partition is_export_attachment lines with
   | [], _ -> lines
   | line :: _, rest -> append rest (String.trim line ^ "\n")
@@ -681,8 +675,8 @@ let apply_match_community_literals (correct : Config_ir.t) targets lines =
      test for that map's name. *)
   let may_name =
     match List.sort_uniq compare (List.map fst targets) with
-    | [ map_name ] -> contains ~sub:map_name
-    | _ -> contains ~sub:"route-map"
+    | [ map_name ] -> Substring.contains ~sub:map_name
+    | _ -> Substring.contains ~sub:"route-map"
   in
   let stanza l =
     if may_name l then
@@ -698,7 +692,7 @@ let apply_match_community_literals (correct : Config_ir.t) targets lines =
     | _ -> "100:1"
   in
   let listed l =
-    if contains ~sub:"match community " l then
+    if Substring.contains ~sub:"match community " l then
       match String.split_on_char ' ' (String.trim l) with
       | [ "match"; "community"; name ] -> Some name
       | _ -> None

@@ -90,12 +90,14 @@ struct
           t.evictions <- t.evictions + 1
     done
 
+  (* A miss is counted when its value is stored, and a domain that lost the
+     race to store it counts a hit, so misses do not depend on scheduling. *)
   let find t key compute =
     let key = { hash = K.hash key; key } in
     let cached =
       Mutex.protect t.lock (fun () ->
           let v = H.find_opt t.table key in
-          if Option.is_some v then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+          if Option.is_some v then t.hits <- t.hits + 1;
           v)
     in
     match cached with
@@ -103,10 +105,12 @@ struct
     | None ->
         let v = compute () in
         Mutex.protect t.lock (fun () ->
-            if not (H.mem t.table key) then begin
+            if H.mem t.table key then t.hits <- t.hits + 1
+            else begin
               if H.length t.table >= t.cap then evict_batch t;
               H.add t.table key v;
-              Queue.push key t.order
+              Queue.push key t.order;
+              t.misses <- t.misses + 1
             end);
         v
 end

@@ -22,7 +22,9 @@
 
 type stats = {
   hits : int;
-  misses : int;
+      (** Lookups that stored nothing; a domain that computes a key another
+          domain stores first counts one, so hits depend on scheduling. *)
+  misses : int;  (** Values stored: [misses = entries + evictions] always. *)
   entries : int;
   evictions : int;  (** Entries dropped by the bounded cap. *)
 }

@@ -39,8 +39,6 @@ let arm t v =
 
 let new_round t = t.round_deadline <- Clock.now t.clock + t.cfg.round_budget
 
-type degraded = { kind : Verifier.kind; reason : string }
-
 let breaker_for t kind = t.breakers.(Verifier.kind_index kind)
 
 let call t v input =
@@ -51,12 +49,8 @@ let call t v input =
       Stats.record_failure kind;
       Stats.record_degraded kind;
       Error
-        {
-          kind;
-          reason =
-            Printf.sprintf "circuit open (%d ticks until half-open)"
-              (Breaker.cooldown_left b ~now:(Clock.now t.clock));
-        }
+        (Printf.sprintf "circuit open (%d ticks until half-open)"
+           (Breaker.cooldown_left b ~now:(Clock.now t.clock)))
   | `Proceed ->
       let retry = (Policies.for_kind kind).Policies.retry in
       let stage_start = Clock.now t.clock in
@@ -77,7 +71,7 @@ let call t v input =
             let give_up reason =
               Stats.record_degraded kind;
               Stats.record_call_attempts kind failures;
-              Error { kind; reason }
+              Error reason
             in
             if failures >= retry.Retry.max_attempts then
               give_up
@@ -106,6 +100,105 @@ let call t v input =
             end
       in
       attempt 0
+
+type note =
+  | Degraded of Verifier.kind * string
+  | Caught_lying of Verifier.kind
+  | Quarantined of Verifier.kind
+  | Restored of Verifier.kind * int
+  | Outvoted of Verifier.kind
+  | Overruled of Verifier.kind
+  | Oracle_quarantined
+  | Oracle_restored of int
+
+type 'o verdict = Checked of 'o | Hand_checked of 'o | Crashed of Guard.crash
+
+(* The simulated human consults the raw oracle, bypassing every installed
+   schedule, lie and oracle service. It runs behind the firewall, labelled
+   as the oracle service's default is. *)
+let hand_run v input =
+  Result.map_error
+    (fun crash -> { crash with Guard.fingerprint = Guard.fingerprint_value input })
+    (Guard.run
+       ~label:(Verifier.kind_name (Verifier.kind v) ^ "/hand-check")
+       (fun () -> Verifier.oracle v input))
+
+let caught_lying ledger ~note v honest =
+  let kind = Verifier.kind v in
+  Trust.note_truth ledger kind ~dirty:(Verifier.dirty v honest);
+  note (Caught_lying kind);
+  (match Trust.disagree ledger kind with
+  | `Quarantined -> note (Quarantined kind)
+  | `Ok -> ());
+  Hand_checked honest
+
+(* In honest runs the referee is the answer that just agreed, so the audit
+   is silent. *)
+let audit ledger ~note v input r =
+  let kind = Verifier.kind v in
+  match hand_run v input with
+  | Error c -> Crashed c
+  | Ok referee when referee = r -> Checked r
+  | Ok referee -> (
+      match Trust.quorum_verdict ledger kind with
+      | `Outvoted ->
+          note (Outvoted kind);
+          Checked r
+      | `Overruled (kind_quarantined, oracle_quarantined) ->
+          Trust.note_truth ledger kind ~dirty:(Verifier.dirty v referee);
+          note (Overruled kind);
+          if kind_quarantined then note (Quarantined kind);
+          if oracle_quarantined then note Oracle_quarantined;
+          Hand_checked referee)
+
+let vet ledger ~note v input r =
+  let kind = Verifier.kind v in
+  let dirty = Verifier.dirty v r in
+  if not (Trust.should_check ledger kind ~dirty) then Checked r
+  else
+    let oracle_out = Trust.oracle_quarantined ledger in
+    match if oracle_out then hand_run v input else Verifier.oracle_runner v input with
+    | Error c -> Crashed c
+    | Ok honest ->
+        (if oracle_out then
+           match Verifier.oracle_runner v input with
+           | Error _ -> ()
+           | Ok service -> (
+               match Trust.oracle_probation ledger ~agree:(service = honest) with
+               | `Restored n -> note (Oracle_restored n)
+               | `Still -> ()));
+        if honest <> r then caught_lying ledger ~note v honest
+        else begin
+          Trust.agree ledger kind;
+          if oracle_out || dirty || not (Trust.should_audit ledger kind) then Checked r
+          else audit ledger ~note v input r
+        end
+
+let probation ledger ~note v input =
+  let kind = Verifier.kind v in
+  match hand_run v input with
+  | Error c -> Crashed c
+  | Ok honest ->
+      Trust.note_truth ledger kind ~dirty:(Verifier.dirty v honest);
+      (match Verifier.run v input with
+      | Ok suspect -> (
+          match Trust.probation ledger kind ~agree:(suspect = honest) with
+          | `Restored n -> note (Restored (kind, n))
+          | `Still -> ())
+      | Error _ -> ());
+      Hand_checked honest
+
+let check t ?trust ~note v input =
+  match trust with
+  | Some ledger when Trust.quarantined ledger (Verifier.kind v) ->
+      probation ledger ~note v input
+  | _ -> (
+      match call t v input with
+      | Error reason -> (
+          note (Degraded (Verifier.kind v, reason));
+          match hand_run v input with Ok o -> Hand_checked o | Error c -> Crashed c)
+      | Ok r -> (
+          match trust with None -> Checked r | Some ledger -> vet ledger ~note v input r))
 
 let breaker_state t kind = Breaker.state (breaker_for t kind)
 let breaker_trips t kind = Breaker.trips (breaker_for t kind)

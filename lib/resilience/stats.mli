@@ -31,8 +31,8 @@ val record_trip : Verifier.kind -> unit
 val record_degraded : Verifier.kind -> unit
 
 val record_call_attempts : Verifier.kind -> int -> unit
-(** Record that one {!Runtime.call} used this many attempts (a max, not
-    a sum). *)
+(** Record that one automated call of {!Runtime.check} used this many
+    attempts (a max, not a sum). *)
 
 val snapshot : unit -> (Verifier.kind * counters) list
 (** One row per kind, in {!Verifier.all_kinds} order. *)

@@ -6,13 +6,10 @@
     clean pass the loop happily converges on, and PR 5's headline already
     showed that leverage alone cannot detect a poisoned feedback signal.
     This module keeps one trust score per {!Verifier.kind}, fed by
-    cross-check outcomes: the driver spends a bounded budget re-running
-    suspicious answers against the raw oracle ({!Verifier.oracle}, which
-    bypasses every installed schedule); a disagreement debits trust, and a
-    kind that falls below the threshold is {e quarantined} — its checks are
-    hand-run and its findings escalate to human prompts, exactly the PR 2
-    degradation path — until enough consecutive agreeing probation re-runs
-    restore it.
+    cross-check outcomes: a disagreement debits trust, and a kind that
+    falls below the threshold is {e quarantined} until enough consecutive
+    agreeing probation re-runs restore it. It keeps the state only;
+    {!Runtime.check} runs the vetting protocol.
 
     What counts as suspicious: any answer carrying findings, and a clean
     pass immediately after a dirty one (the false-negative signature — the
@@ -62,32 +59,24 @@ val score : t -> Verifier.kind -> float
 val checks_spent : t -> int
 
 val should_check : t -> Verifier.kind -> dirty:bool -> bool
-(** Should the driver spend a cross-check on this answer? True when the
-    answer is suspicious (see above), the kind is not already quarantined,
-    and budget remains — in which case one unit of budget is consumed.
+(** Spend a cross-check on this answer? True when the answer is
+    suspicious (see above), the kind is not already quarantined, and
+    budget remains — in which case one unit of budget is consumed.
     While the {e oracle} is quarantined the ledger is in alert mode:
     every answer from a non-quarantined kind is suspicious (a compromised
     oracle proves a coalition with unknown membership) and the check is
-    free — the budget bounds voluntary oracle-service calls, and alert-mode
-    checks resolve against the hand-run fallback the quarantine mandates
-    anyway. *)
+    free, since the budget bounds only oracle-service calls. *)
 
 val note_truth : t -> Verifier.kind -> dirty:bool -> unit
-(** Re-anchor the suspicious-clean trigger to the {e oracle}'s answer after
-    a cross-check. {!should_check} records the suspect's dirtiness, so
-    without this a caught false negative would launder the kind's history:
-    the lie reads clean, the next fake clean pass is no longer suspicious,
-    and the swallowed findings converge unchecked. The driver calls this
-    with the oracle's dirtiness whenever it has one (cross-checks and
-    quarantine hand-runs). *)
+(** Set the suspicious-clean trigger to a truthful answer's dirtiness,
+    replacing the suspect's that {!should_check} recorded. *)
 
 val agree : t -> Verifier.kind -> unit
 (** Record a cross-check that matched the oracle. *)
 
 val disagree : t -> Verifier.kind -> [ `Ok | `Quarantined ]
 (** Record a detected lie. [`Quarantined] exactly when this disagreement
-    pushed the kind below the threshold (the caller records the transcript
-    event once, on entry). *)
+    pushed the kind below the threshold. *)
 
 val probation : t -> Verifier.kind -> agree:bool -> [ `Still | `Restored of int ]
 (** Record a probation re-run of a quarantined kind. [`Restored n] after
@@ -97,38 +86,33 @@ val probation : t -> Verifier.kind -> agree:bool -> [ `Still | `Restored of int 
 
 (** {2 Quorum cross-checks}
 
-    The collusion defense. PR 8 treated the cross-check oracle as
-    unconditional ground truth; a coalition that owns the oracle makes
-    every cross-check agree with the lie. The quorum layer audits exactly
-    that signature — a suspicious answer the oracle {e agrees} is clean —
-    by hand-running the pristine check as referee votes in a K-member
-    weighted quorum. An overruled agreement debits both the suspect kind
-    and the oracle itself; a quarantined oracle drops out of cross-checks
-    entirely (hand-run answers become authoritative) until its own
-    probation clears. *)
+    The collusion defense: a coalition that owns the cross-check oracle
+    makes every cross-check agree with the lie, so a clean agreement may be
+    audited by referee votes in a K-member weighted quorum. An overruled
+    agreement debits both the suspect kind and the oracle itself. *)
 
 val oracle_quarantined : t -> bool
 val oracle_score : t -> float
 val audits_spent : t -> int
 
 val should_audit : t -> Verifier.kind -> bool
-(** Should the driver spend a quorum audit on this clean agreement? True
-    when audit budget remains, neither the kind nor the oracle is
-    quarantined, and the kind's trust-weighted share of the budget is not
-    exhausted — in which case one audit is consumed. Trust-informed
-    scheduling: shares are proportional to current scores (ceiling
-    division, floor 1), so audit budget concentrates on the high-trust
-    kinds whose lies would do the most damage. *)
+(** Spend a quorum audit on a clean agreement? True when audit budget
+    remains, neither the kind nor the oracle is quarantined, and the kind's
+    trust-weighted share of the budget is not exhausted — in which case one
+    audit is consumed. Trust-informed scheduling: shares are proportional
+    to current scores (ceiling division, floor 1), so audit budget
+    concentrates on the high-trust kinds whose lies would do the most
+    damage. *)
 
 val quorum_verdict : t -> Verifier.kind -> [ `Overruled of bool * bool | `Outvoted ]
-(** Resolve an audit where the hand-run referee {e disagreed} with the
-    suspect+oracle clean camp. [`Overruled (kind_quarantined,
-    oracle_quarantined)] when the referee votes carry the quorum: the kind
-    is debited via {!disagree} and the oracle debited alongside (the two
-    booleans flag threshold crossings on this call), and the audit charge
-    is refunded — the budget bounds what auditing {e honest} agreements may
-    cost, never the pursuit of a proven coalition (refunds are bounded
-    because two overrules quarantine the oracle, which stops all audits).
+(** Resolve an audit whose referee {e disagreed} with the suspect+oracle
+    clean camp. [`Overruled (kind_quarantined, oracle_quarantined)] when
+    the referee votes carry the quorum: the kind is debited via
+    {!disagree} and the oracle debited alongside (the two booleans flag
+    threshold crossings on this call), and the audit charge is refunded —
+    the budget bounds what auditing {e honest} agreements may cost, never
+    the pursuit of a proven coalition (refunds are bounded because two
+    overrules quarantine the oracle, which stops all audits).
     [`Outvoted] when the camp's combined trust outweighs the referees
     (quorum too small — the K=3 failure mode the bench pins). *)
 

@@ -73,12 +73,10 @@ let install t f = t.schedule <- Some f
 
 let runner t = match t.schedule with None -> run_oracle t | Some f -> f
 
-(* The hand-run check: the simulated human consults the pristine oracle
-   directly, bypassing the fault schedule AND any installed cross-check
-   oracle service. The label matches the historical driver-side hand check
-   so crash records stay byte-identical. *)
-let hand_run t input = guarded ~label:(kind_name t.kind ^ "/hand-check") t input
-
 let install_oracle t f = t.oracle_service <- Some f
-let oracle_run t input = match t.oracle_service with None -> hand_run t input | Some f -> f input
-let oracle_runner t = match t.oracle_service with None -> hand_run t | Some f -> f
+
+(* Without a service, the cross-check oracle is [Runtime]'s hand-run check. *)
+let oracle_runner t =
+  match t.oracle_service with
+  | None -> guarded ~label:(kind_name t.kind ^ "/hand-check") t
+  | Some f -> f

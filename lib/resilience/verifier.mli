@@ -81,27 +81,16 @@ val runner : ('i, 'o) t -> 'i -> ('o, failure) result
 
 (** {2 The cross-check oracle as a service}
 
-    PR 8's trust layer consulted {!oracle} directly, making the raw oracle
-    unconditional ground truth — a single point of failure a colluding
-    coalition can own. The cross-check oracle is now itself a replaceable
-    {e service}: {!oracle_run} is what the trust layer consults, and the
+    A trust cross-check consults a replaceable oracle {e service}, so the
     collusion adversary can {!install_oracle} a compromised one. The
-    hand-run path ({!hand_run}) always bypasses it — the simulated human's
-    own run cannot be compromised, only budgeted. *)
-
-val hand_run : ('i, 'o) t -> 'i -> ('o, Guard.crash) result
-(** The pristine oracle behind the {!Guard} firewall, labelled
-    ["<kind>/hand-check"] — the simulated human running the check by hand.
-    Bypasses both the fault schedule and any installed oracle service. *)
+    hand-run check that {!Runtime.check} falls back on always bypasses it:
+    the simulated human's own run cannot be compromised, only budgeted. *)
 
 val install_oracle : ('i, 'o) t -> ('i -> ('o, Guard.crash) result) -> unit
 (** Replace the cross-check oracle service (the collusion adversary). *)
 
-val oracle_run : ('i, 'o) t -> 'i -> ('o, Guard.crash) result
-(** What a trust cross-check consults: the installed oracle service, or
-    {!hand_run} when none is installed — so an unarmed run is byte-identical
-    to consulting the raw oracle. *)
-
 val oracle_runner : ('i, 'o) t -> 'i -> ('o, Guard.crash) result
-(** The effective cross-check oracle at the moment of the call, for outer
-    wrappers that compose with an already-installed service. *)
+(** The effective cross-check oracle at the moment of the call: the
+    installed service, or the pristine oracle behind the {!Guard} firewall,
+    labelled ["<kind>/hand-check"], when none is installed. Outer wrappers
+    compose with it. *)

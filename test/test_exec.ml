@@ -644,6 +644,44 @@ let test_memo_hash_once () =
   check int_t "the evicted key is gone" 1 (hashes (fun () -> ask 1));
   check int_t "and was a miss" 10 (Netcore.Memo_table.stats "counted").Netcore.Memo_table.misses
 
+(* Domains that miss on one key race to compute it, and only one stores it.
+   A table counts a miss per stored value and a hit otherwise, so its
+   counters add up under any schedule: misses equal entries plus
+   evictions, and every lookup counts once. *)
+module Race_table = Netcore.Memo_table.Make (struct
+  type t = int
+
+  let hash = Hashtbl.hash
+end)
+
+let test_memo_counts_under_races () =
+  let t = Race_table.create ~name:"race" ~cap:16 in
+  let slow k () =
+    for _ = 1 to 2_000 do
+      Domain.cpu_relax ()
+    done;
+    2 * k
+  in
+  let jobs = 8 and keys = 24 in
+  ignore
+    (Exec.Pool.map pool
+       (fun _ ->
+         for k = 0 to keys - 1 do
+           ignore (Race_table.find t k (slow k) : int)
+         done)
+       (List.init jobs Fun.id));
+  let s = Netcore.Memo_table.stats "race" in
+  check int_t "misses = entries + evictions"
+    (s.Netcore.Memo_table.entries + s.Netcore.Memo_table.evictions)
+    s.Netcore.Memo_table.misses;
+  check int_t "every lookup counted once" (jobs * keys)
+    (s.Netcore.Memo_table.hits + s.Netcore.Memo_table.misses);
+  (match Race_table.find t 99 (fun () -> failwith "no value") with
+  | _ -> Alcotest.fail "the computation's exception must propagate"
+  | exception Failure _ -> ());
+  check bool_t "a raising computation counts nothing" true
+    (Netcore.Memo_table.stats "race" = s)
+
 (* ------------------------------------------------------------------ *)
 (* Serve: length-prefixed JSON over a Unix-domain socket               *)
 (* ------------------------------------------------------------------ *)
@@ -1209,6 +1247,8 @@ let () =
           Alcotest.test_case "hit accounting" `Quick test_memo_hits;
           Alcotest.test_case "thread safe" `Quick test_memo_thread_safe;
           Alcotest.test_case "one hash per call" `Quick test_memo_hash_once;
+          Alcotest.test_case "counters add up under racing domains" `Quick
+            test_memo_counts_under_races;
         ] );
       ( "supervisor",
         [

@@ -12,10 +12,7 @@ let int_t = Alcotest.int
 let auto_prompt f = { Llmsim.Chat.text = ""; refs = [ f ]; strength = Auto }
 let human_prompt f = { Llmsim.Chat.text = ""; refs = [ f ]; strength = Human }
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+let contains = Netcore.Substring.contains
 
 (* ------------------------------------------------------------------ *)
 (* Fault opportunities and rendering                                   *)

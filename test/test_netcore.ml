@@ -271,11 +271,19 @@ let test_topology_json_round_trip () =
   | Ok t' -> check bool_t "round trip" true (t = t')
   | Error e -> Alcotest.fail e
 
-(* Simple substring helper to avoid extra dependencies. *)
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+let contains = Netcore.Substring.contains
+
+let test_substring_find () =
+  let find sub s = Substring.find ~sub s in
+  check (Alcotest.option int_t) "empty sub" (Some 0) (find "" "abc");
+  check (Alcotest.option int_t) "at the start" (Some 0) (find "ab" "abc");
+  check (Alcotest.option int_t) "at the end" (Some 1) (find "bc" "abc");
+  check (Alcotest.option int_t) "first occurrence" (Some 1) (find "ab" "aabab");
+  check (Alcotest.option int_t) "after a false start" (Some 1) (find "aab" "aaab");
+  check (Alcotest.option int_t) "absent" None (find "abd" "abcabc");
+  check (Alcotest.option int_t) "longer than the string" None (find "abcd" "abc");
+  check bool_t "contains agrees" true (contains ~sub:"cab" "abcabc");
+  check bool_t "contains on absence" false (contains ~sub:"x" "")
 
 let test_topology_describe () =
   let d = Topology.describe star7.Star.topology in
@@ -513,7 +521,8 @@ let test_memo_raising () =
   | _ -> Alcotest.fail "the exception must propagate"
   | exception Exit -> ());
   let s = Memo_table.stats "raising" in
-  check int_t "counted as a miss" 1 s.Memo_table.misses;
+  check int_t "not counted as a miss" 0 s.Memo_table.misses;
+  check int_t "nor as a hit" 0 s.Memo_table.hits;
   check int_t "nothing stored" 0 s.Memo_table.entries;
   check bool_t "the key computes again" true (recomputes "raising" t 1);
   check bool_t "and is then stored" false (recomputes "raising" t 1)
@@ -598,6 +607,7 @@ let () =
           Alcotest.test_case "star isp prefixes" `Quick test_star_isp_prefixes;
           Alcotest.test_case "json round trip" `Quick test_topology_json_round_trip;
           Alcotest.test_case "describe" `Quick test_topology_describe;
+          Alcotest.test_case "substring find" `Quick test_substring_find;
           Alcotest.test_case "invalid size" `Quick test_star_invalid_size;
           Alcotest.test_case "validate catches bad AS" `Quick test_topology_validate_catches;
         ] );

@@ -165,12 +165,20 @@ let test_chaos_truncate_never_passes () =
 
 let rt () = Resilience.Runtime.create Resilience.Runtime.default_config
 
+(* [Runtime.check] with its notes collected in order. *)
+let run_check ?trust t v input =
+  let notes = ref [] in
+  let verdict =
+    Resilience.Runtime.check t ?trust ~note:(fun n -> notes := n :: !notes) v input
+  in
+  (verdict, List.rev !notes)
+
 let test_runtime_success_passthrough () =
   let t = rt () in
   let v = Resilience.Verifier.wrap Resilience.Verifier.Parse_check (fun x -> x * 3) in
-  match Resilience.Runtime.call t v 5 with
-  | Ok 15 -> ()
-  | _ -> Alcotest.fail "no faults: call must be Ok (oracle input)"
+  match run_check t v 5 with
+  | Resilience.Runtime.Checked 15, [] -> ()
+  | _ -> Alcotest.fail "no faults: check must be Checked (oracle input)"
 
 let test_runtime_retries_transient () =
   let t = rt () in
@@ -179,8 +187,8 @@ let test_runtime_retries_transient () =
   Resilience.Verifier.install v (fun x ->
       incr calls;
       if !calls = 1 then Error Resilience.Verifier.Flaked else Ok x);
-  (match Resilience.Runtime.call t v 9 with
-  | Ok 9 -> ()
+  (match run_check t v 9 with
+  | Resilience.Runtime.Checked 9, [] -> ()
   | _ -> Alcotest.fail "a flake within the retry budget must recover");
   check int_t "one retry" 2 !calls;
   check state_t "breaker closed after recovery" Resilience.Breaker.Closed
@@ -190,23 +198,26 @@ let test_runtime_exhaustion_degrades_and_trips () =
   let t = rt () in
   let v = Resilience.Verifier.wrap Resilience.Verifier.Topology (fun x -> x) in
   Resilience.Verifier.install v (fun _ -> Error Resilience.Verifier.Flaked);
-  (match Resilience.Runtime.call t v 0 with
-  | Error { Resilience.Runtime.kind = Resilience.Verifier.Topology; _ } -> ()
-  | _ -> Alcotest.fail "a permanently failing verifier must degrade");
+  (match run_check t v 0 with
+  | Resilience.Runtime.Hand_checked 0, [ Degraded (Resilience.Verifier.Topology, reason) ]
+    ->
+      check Alcotest.string "the reason names the failure and the attempts"
+        "transient failure; 3 attempts exhausted" reason
+  | _ -> Alcotest.fail "a permanently failing verifier must degrade to the hand check");
   (* Three failed attempts (Retry.default) = Breaker.default's threshold. *)
   check int_t "breaker tripped" 1
     (Resilience.Runtime.breaker_trips t Resilience.Verifier.Topology);
-  match Resilience.Runtime.call t v 0 with
-  | Error { Resilience.Runtime.reason; _ } ->
+  match run_check t v 0 with
+  | _, [ Resilience.Runtime.Degraded (_, reason) ] ->
       check bool_t "short-circuited by the open breaker" true
-        (String.length reason >= 12 && String.sub reason 0 12 = "circuit open")
-  | Ok _ -> Alcotest.fail "the open breaker must reject without calling"
+        (String.starts_with ~prefix:"circuit open" reason)
+  | _ -> Alcotest.fail "the open breaker must reject without calling"
 
 let test_runtime_derive_is_independent () =
   let t = rt () in
   let v = Resilience.Verifier.wrap Resilience.Verifier.Bgp_sim (fun x -> x) in
   Resilience.Verifier.install v (fun _ -> Error Resilience.Verifier.Flaked);
-  ignore (Resilience.Runtime.call t v 0);
+  ignore (run_check t v 0);
   check bool_t "parent breaker tripped" true
     (Resilience.Runtime.breaker_trips t Resilience.Verifier.Bgp_sim > 0);
   let child = Resilience.Runtime.derive t 0 in
@@ -254,9 +265,9 @@ let attempts_under_permafail kind =
   Resilience.Verifier.install v (fun _ ->
       incr calls;
       Error Resilience.Verifier.Flaked);
-  (match Resilience.Runtime.call t v 0 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a permanently failing verifier must degrade");
+  (match run_check t v 0 with
+  | Resilience.Runtime.Hand_checked _, [ Degraded _ ] -> ()
+  | _ -> Alcotest.fail "a permanently failing verifier must degrade");
   !calls
 
 let test_runtime_honors_per_kind_caps () =
@@ -1115,13 +1126,23 @@ let test_guard_crash_fingerprint () =
         "stage route-policies aborted on Failure (input 186e59f3)"
         (Resilience.Verifier.failure_to_string f)
   | _ -> Alcotest.fail "a raising oracle must surface as Faulted");
-  (match Resilience.Verifier.hand_run v input with
-  | Error c ->
+  (* A schedule that only ever truncates degrades the stage without raising,
+     so the one further crash is the hand check's. *)
+  Resilience.Verifier.install v (fun _ -> Error Resilience.Verifier.Truncated);
+  (match run_check (rt ()) v input with
+  | Resilience.Runtime.Crashed c, [ Degraded _ ] ->
       check Alcotest.string "hand-check stage" "route-policies/hand-check"
         c.Resilience.Guard.stage;
       check Alcotest.string "hand-check fingerprint" "186e59f3" c.Resilience.Guard.fingerprint
-  | Ok _ -> Alcotest.fail "the hand check must surface the crash");
-  check int_t "both crashes recorded" 2 (Resilience.Guard.total ())
+  | _ -> Alcotest.fail "the hand check must surface the crash");
+  check int_t "both crashes recorded" 2 (Resilience.Guard.total ());
+  (* Without an installed service, the cross-check oracle is the same hand
+     check, under the same label. *)
+  match Resilience.Verifier.oracle_runner v input with
+  | Error c ->
+      check Alcotest.string "service default stage" "route-policies/hand-check"
+        c.Resilience.Guard.stage
+  | Ok _ -> Alcotest.fail "the service default must surface the crash"
 
 let test_runtime_stage_watchdog () =
   (* Topology's fixed policy allows 3 attempts; a huge round budget and a
@@ -1134,17 +1155,12 @@ let test_runtime_stage_watchdog () =
   Resilience.Verifier.install v (fun _ ->
       incr calls;
       Error Resilience.Verifier.Flaked);
-  match Resilience.Runtime.call t v 0 with
-  | Error { Resilience.Runtime.reason; _ } ->
-      let has_needle =
-        let needle = "stage watchdog" in
-        let n = String.length needle and l = String.length reason in
-        let rec at i = i + n <= l && (String.sub reason i n = needle || at (i + 1)) in
-        at 0
-      in
-      check bool_t "degraded by the stage watchdog" true has_needle;
+  match run_check t v 0 with
+  | _, [ Resilience.Runtime.Degraded (_, reason) ] ->
+      check bool_t "degraded by the stage watchdog" true
+        (Netcore.Substring.contains ~sub:"stage watchdog" reason);
       check bool_t "watchdog fired mid-retry, not at exhaustion" true (!calls < 3)
-  | Ok _ -> Alcotest.fail "a hung stage must be cancelled"
+  | _ -> Alcotest.fail "a hung stage must be cancelled"
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
@@ -1655,6 +1671,40 @@ let test_quorum_oracle_probation_and_alert_mode () =
      ([k2]'s last observation above was clean.) *)
   check bool_t "alert mode ends with the quarantine" false
     (Resilience.Trust.should_check t k2 ~dirty:false)
+
+(* The referee step of [Runtime.check]. While the oracle is quarantined the
+   hand-run check referees and the oracle service rides along on
+   probation. A probation that finishes on this very call restores the
+   oracle, but opens no audit on the same call. *)
+let test_check_restored_oracle_opens_no_audit () =
+  let cfg = { Resilience.Trust.default_config with Resilience.Trust.probation = 1 } in
+  let t = Resilience.Trust.create cfg in
+  ignore (Resilience.Trust.should_audit t Resilience.Verifier.Campion);
+  (match Resilience.Trust.quorum_verdict t Resilience.Verifier.Campion with
+  | `Overruled (_, true) -> ()
+  | _ -> Alcotest.fail "setup: overrule must quarantine the oracle");
+  let v = Resilience.Verifier.wrap Resilience.Verifier.Topology (fun x -> x) in
+  let before = Resilience.Trust.quorum_snapshot () in
+  (match run_check ~trust:t (rt ()) v 7 with
+  | Resilience.Runtime.Checked 7, [ Oracle_restored 1 ] -> ()
+  | _ -> Alcotest.fail "an agreeing cross-check must restore the oracle and pass");
+  check bool_t "oracle restored" false (Resilience.Trust.oracle_quarantined t);
+  let d = Resilience.Trust.diff_quorum before (Resilience.Trust.quorum_snapshot ()) in
+  check int_t "no audit counted" 0 d.Resilience.Trust.audits;
+  check int_t "no audit spent" 0 (Resilience.Trust.audits_spent t)
+
+(* A lie caught by the oracle service: the referee's answer stands as a
+   hand-checked one and the kind is debited. *)
+let test_check_catches_a_lie () =
+  let t = Resilience.Trust.create Resilience.Trust.default_config in
+  let k = Resilience.Verifier.Route_policies in
+  let v = Resilience.Verifier.wrap ~dirty:(fun f -> f <> []) k (fun _ -> [ "finding" ]) in
+  Resilience.Verifier.install v (fun _ -> Ok []);
+  (match run_check ~trust:t (rt ()) v () with
+  | Resilience.Runtime.Hand_checked [ "finding" ], [ Caught_lying k' ] ->
+      check bool_t "the liar is named" true (k' = k)
+  | _ -> Alcotest.fail "a fake clean pass must be caught and replaced");
+  check bool_t "the liar is debited" true (Resilience.Trust.score t k < 1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Persistent trust ledger (Ledger_store)                              *)
@@ -2213,6 +2263,10 @@ let () =
             test_quorum_trust_weighted_shares;
           Alcotest.test_case "oracle probation and alert mode" `Quick
             test_quorum_oracle_probation_and_alert_mode;
+          Alcotest.test_case "check: a restored oracle opens no audit" `Quick
+            test_check_restored_oracle_opens_no_audit;
+          Alcotest.test_case "check: a caught lie is hand-checked" `Quick
+            test_check_catches_a_lie;
         ] );
       ( "ledger",
         [

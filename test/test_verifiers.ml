@@ -12,10 +12,7 @@ let pfx = Prefix.of_string_exn
 let ip = Ipv4.of_string_exn
 let comm s = Option.get (Community.of_string s)
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+let contains = Netcore.Substring.contains
 
 (* ------------------------------------------------------------------ *)
 (* Parse check                                                         *)
