@@ -104,25 +104,29 @@ let fillers =
 let draft t chat =
   t.drafts <- t.drafts + 1;
   let counter = t.drafts in
-  let real = Llmsim.Chat.draft chat in
+  let real = Llmsim.Chat.hashed_draft chat in
+  let text = real.Netcore.Draft.text in
+  (* A forged text is hashed once, here, where it enters. *)
+  let forged = Netcore.Draft.of_string in
   if fires t ~counter Truncated then begin
-    let n = String.length real in
+    let n = String.length text in
     if n <= 1 then real
     else
       let rng = stream t ~counter ~mode_ix:(mode_index Truncated) ~purpose:1 in
-      String.sub real 0 (1 + Netcore.Rng.int rng (n - 1))
+      forged (String.sub text 0 (1 + Netcore.Rng.int rng (n - 1)))
   end
   else if fires t ~counter Wrong_dialect then
     (* Re-render the same latent faults in the other dialect: syntactically
        coherent, but not what was asked for. [Fault.render] is total, so
        unknown targets in the flipped dialect are simply ignored. *)
-    Llmsim.Fault.render
-      (flip (Llmsim.Chat.dialect chat))
-      (Llmsim.Chat.correct chat)
-      (Llmsim.Chat.live_faults chat)
+    forged
+      (Llmsim.Fault.render
+         (flip (Llmsim.Chat.dialect chat))
+         (Llmsim.Chat.correct chat)
+         (Llmsim.Chat.live_faults chat))
   else if fires t ~counter Off_topic then
     let rng = stream t ~counter ~mode_ix:(mode_index Off_topic) ~purpose:1 in
-    Option.value ~default:real (Netcore.Rng.choice rng fillers)
+    match Netcore.Rng.choice rng fillers with Some s -> forged s | None -> real
   else real
 
 let respond t chat (prompt : Llmsim.Chat.prompt) =

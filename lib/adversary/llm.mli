@@ -50,9 +50,10 @@ val derive : t -> int -> t
 (** An independent stream for fan-out task [idx]; deterministic whether the
     tasks run sequentially or on a pool. *)
 
-val draft : t -> Llmsim.Chat.t -> string
+val draft : t -> Llmsim.Chat.t -> Netcore.Draft.t
 (** The possibly-corrupted draft for this round ([Truncated],
-    [Wrong_dialect] and [Off_topic] act here). *)
+    [Wrong_dialect] and [Off_topic] act here). An honest draft is
+    {!Llmsim.Chat.hashed_draft}'s; a forged one is hashed here. *)
 
 val respond : t -> Llmsim.Chat.t -> Llmsim.Chat.prompt -> unit
 (** Deliver a correction prompt through the wrapper ([Stale] and

@@ -417,6 +417,24 @@ let findings ~memo ~original ~translation =
 let compare = findings ~memo:false
 let check = findings ~memo:true
 
+(* A loop hands Campion the same draft again and again, and a repeated
+   draft would otherwise redo the normalization, the structural and
+   attribute passes and one environment slice and deep hash per policy
+   pair. So the whole answer is kept on the two texts, each hashed where it
+   entered. The original's text is one string across loops, so the entries
+   share it where keying on its IR would keep a parse per loop alive. *)
+module Answers = Netcore.Memo_table.Make (struct
+  type t = Netcore.Draft.t * Netcore.Draft.t
+
+  let hash ((o : Netcore.Draft.t), (d : Netcore.Draft.t)) = Hashtbl.hash (o.hash, d.hash)
+end)
+
+(* A translation loop meets a handful of distinct drafts. *)
+let answers = Answers.create ~name:"campion_memo" ~cap:1024
+
+let check_draft ~original:(o_text, original) ~translation:(t_text, translation) =
+  Answers.find answers (o_text, t_text) (fun () -> check ~original ~translation)
+
 let finding_to_string = function
   | Structural s -> (
       let side b = if b then "the translation" else "the original" in

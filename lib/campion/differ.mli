@@ -101,6 +101,17 @@ val check : original:Config_ir.t -> translation:Config_ir.t -> finding list
       with communities drawn from every one of them;
     - an ACL pair is keyed on both ACLs. *)
 
+val check_draft :
+  original:Netcore.Draft.t * Config_ir.t ->
+  translation:Netcore.Draft.t * Config_ir.t ->
+  finding list
+(** [check_draft ~original:(o, o_ir) ~translation:(d, d_ir)] is {!check}
+    [~original:o_ir ~translation:d_ir], where [o_ir] is the Cisco parse of
+    [o] and [d_ir] the Junos parse of [d]. The whole answer is looked up
+    first in a third process-wide table, named ["campion_memo"] and keyed
+    on the two texts by their carried hashes, so a draft Campion has
+    answered costs one lookup; a new draft still reaches the diff tables. *)
+
 val policy_key_hash :
   env_a:Eval.env -> env_b:Eval.env -> Route_map.t -> Route_map.t -> int
 (** The hash of the route-map-pair key {!check} builds for these maps and

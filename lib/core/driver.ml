@@ -316,7 +316,7 @@ let record st origin prompt note =
    [None] arms are exactly the pre-adversary code path. *)
 let adv_draft st chat =
   match st.adversary with
-  | None -> Llmsim.Chat.draft chat
+  | None -> Llmsim.Chat.hashed_draft chat
   | Some a -> Adversary.Llm.draft a.llm chat
 
 let adv_respond st chat prompt =
@@ -618,7 +618,7 @@ let observe_draft st draft =
   match st.adversary with
   | None -> false
   | Some a -> (
-      match Adversary.Watch.observe a.osc draft with
+      match Adversary.Watch.observe a.osc draft.Netcore.Draft.text with
       | None -> false
       | Some period ->
           if a.escalations >= max_oscillation_escalations then begin
@@ -854,6 +854,7 @@ let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
     ?(resilience = Resilience.Runtime.default_config) ?adversary ?trust ?trust_ledger
     ~cisco_text () =
   let cisco_ir, _ = Cisco.Parser.parse cisco_text in
+  let original = (Netcore.Draft.of_string cisco_text, cisco_ir) in
   let correct = Juniper.Translate.of_cisco_ir cisco_ir in
   let chat =
     Llmsim.Chat.start ~seed ~force_faults ~suppress_random ~regression_rate:0.2 ~quality
@@ -880,21 +881,21 @@ let run_translation ?(seed = 42) ?(force_faults = []) ?(suppress_random = false)
     stage suite.Resilience.Suite.parse (Batfish.Parse_check.Junos, draft) ~name:"syntax"
       ~findings:syntax_errors ~prompt:Humanizer.of_diag
     @@ fun (ir, _) ->
-    stage suite.Resilience.Suite.campion (cisco_ir, ir) ~name:"campion" ~findings:Fun.id
+    stage suite.Resilience.Suite.campion (original, (draft, ir)) ~name:"campion" ~findings:Fun.id
       ~prompt:Humanizer.of_campion
     @@ fun _ -> finish st true
   in
   let transcript = loop () in
   pre_taint tr;
-  let final_text = Llmsim.Chat.draft chat in
+  let final = Llmsim.Chat.hashed_draft chat in
   let verified =
     transcript.converged
     &&
-    let ir, diags = Exec.Memo.check Batfish.Parse_check.Junos final_text in
+    let ir, diags = Exec.Memo.check_draft Batfish.Parse_check.Junos final in
     first_error diags = None
-    && Resilience.Verifier.oracle suite.Resilience.Suite.campion (cisco_ir, ir) = []
+    && Resilience.Verifier.oracle suite.Resilience.Suite.campion (original, (final, ir)) = []
   in
-  { transcript; final_text; outcomes = outcomes_of tr chat; verified }
+  { transcript; final_text = final.Netcore.Draft.text; outcomes = outcomes_of tr chat; verified }
 
 let table2_faults ~cisco_text =
   let cisco_ir, _ = Cisco.Parser.parse cisco_text in
@@ -1007,7 +1008,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
     let rt = suite.Resilience.Suite.runtime in
     let rec loop () =
       round st rt chat
-        ~out_of_budget:(fun () -> (Llmsim.Chat.draft chat, false))
+        ~out_of_budget:(fun () -> (Llmsim.Chat.hashed_draft chat, false))
         ~stop:(fun draft -> (draft, false))
       @@ fun draft ->
       let stage v input = stage st rt chat v input ~retry:loop ~stop:(fun () -> (draft, false)) in
@@ -1015,7 +1016,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
         ~findings:syntax_errors ~prompt:Humanizer.of_diag
       @@ fun (ir, _) ->
       stage suite.Resilience.Suite.topology
-        (star.Netcore.Star.topology, task.Modularizer.router, ir)
+        (star.Netcore.Star.topology, task.Modularizer.router, draft, ir)
         ~name:"topology" ~findings:Fun.id ~prompt:Humanizer.of_topology
       @@ fun _ ->
       stage suite.Resilience.Suite.route_policies (draft, task.Modularizer.specs) ~name:"semantic"
@@ -1027,7 +1028,7 @@ let run_no_transit ?(seed = 42) ?(use_iips = true)
   (* The IR of a router's final draft. The local loop has usually parsed
      that draft already, so this is a memo hit. The memo holds the parser's
      own output, never a stage value an adversary lens may have rewritten. *)
-  let final_ir draft = fst (Exec.Memo.check Batfish.Parse_check.Cisco_ios draft) in
+  let final_ir draft = fst (Exec.Memo.check_draft Batfish.Parse_check.Cisco_ios draft) in
   (* Each router is an independent task: its own chat, its own derived seed,
      its own loop state (budget = what is left after the initial prompt).
      That makes the fan-out embarrassingly parallel — Lightyear's
@@ -1224,7 +1225,9 @@ let run_incremental ?(seed = 42) ?(max_prompts = incremental_budget)
     @@ fun _ -> true
   in
   let specs_hold = loop () in
-  let hub_config = fst (Exec.Memo.check Batfish.Parse_check.Cisco_ios (Llmsim.Chat.draft chat)) in
+  let hub_config =
+    fst (Exec.Memo.check_draft Batfish.Parse_check.Cisco_ios (Llmsim.Chat.hashed_draft chat))
+  in
   let configs =
     (star.Netcore.Star.hub, hub_config)
     :: List.remove_assoc star.Netcore.Star.hub base_configs

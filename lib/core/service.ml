@@ -435,7 +435,9 @@ let serve ?(on_ready = fun ~domains:_ -> ()) ~socket_path cfg =
                ( "memo",
                  J.Obj (memo_fields mm @ [ ("hit_rate", J.Float (Netcore.Memo_table.hit_rate mm)) ])
                );
+               memo "campion_memo";
                memo "diff_memo";
+               memo "topology_memo";
                memo "verdict_memo";
                memo "render_memo";
                memo "global_memo";

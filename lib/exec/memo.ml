@@ -6,9 +6,9 @@ type stats = Netcore.Memo_table.stats = {
 }
 
 module Parses = Netcore.Memo_table.Make (struct
-  type t = Batfish.Parse_check.dialect * string
+  type t = Batfish.Parse_check.dialect * Netcore.Draft.t
 
-  let hash = Hashtbl.hash
+  let hash (dialect, (d : Netcore.Draft.t)) = Hashtbl.hash (dialect, d.hash)
 end)
 
 (* Drafts are bounded in practice (a handful of live faults over one oracle
@@ -16,8 +16,10 @@ end)
    cap the table rather than grow without bound. *)
 let parses = Parses.create ~name:"memo" ~cap:16_384
 
-let check dialect text =
-  Parses.find parses (dialect, text) (fun () -> Batfish.Parse_check.check dialect text)
+let check_draft dialect (d : Netcore.Draft.t) =
+  Parses.find parses (dialect, d) (fun () -> Batfish.Parse_check.check dialect d.text)
+
+let check dialect text = check_draft dialect (Netcore.Draft.of_string text)
 
 let stats () = Netcore.Memo_table.stats "memo"
 
@@ -40,12 +42,11 @@ let route_policies config specs =
   Batfish.Search_route_policies.check_with ~lookup:(Verdicts.find verdicts) config specs
 
 (* A loop re-checks the same draft many times, so the whole answer is kept
-   on the text the verifier is handed. [Hashtbl.hash] mixes every byte of a
-   string. *)
+   on the text the verifier is handed. *)
 module Drafts = Netcore.Memo_table.Make (struct
-  type t = string * Batfish.Search_route_policies.spec list
+  type t = Netcore.Draft.t * Batfish.Search_route_policies.spec list
 
-  let hash (text, specs) = Hashtbl.hash (Hashtbl.hash text, Hashtbl.hash specs)
+  let hash ((d : Netcore.Draft.t), specs) = Hashtbl.hash (d.hash, Hashtbl.hash specs)
 end)
 
 (* A no-transit loop meets a few dozen distinct drafts, and a draft recurs
@@ -55,8 +56,8 @@ let drafts = Drafts.create ~name:"verdict_memo" ~cap:1024
 (* On a miss the syntax stage has just parsed the text, so [check] is a
    hit, and a draft that changed one map asks the verdict table for that
    map only. *)
-let route_policies_of_draft text specs =
-  Drafts.find drafts (text, specs) (fun () ->
-      route_policies (fst (check Batfish.Parse_check.Cisco_ios text)) specs)
+let route_policies_of_draft d specs =
+  Drafts.find drafts (d, specs) (fun () ->
+      route_policies (fst (check_draft Batfish.Parse_check.Cisco_ios d)) specs)
 
 let reset = Netcore.Memo_table.reset

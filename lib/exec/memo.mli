@@ -1,8 +1,15 @@
 (** The memo tables for {!Batfish.Parse_check.check} and Search Route
     Policies' verdicts, per draft and per map, on the one bounded,
-    thread-safe mechanism of {!Netcore.Memo_table}. The three tables live
-    for the life of the process, are shared by every domain, and hold only
-    results of pure functions.
+    thread-safe mechanism of {!Netcore.Memo_table}. The three tables here
+    live for the life of the process, are shared by every domain, and hold
+    only results of pure functions.
+
+    A draft is hashed once, where it enters ({!Netcore.Draft}): the parse
+    and draft tables read that hash, so each of their lookups costs a hash
+    of a few words and one [compare]. The two other per-draft tables sit in
+    front of their verifiers: Campion's answers
+    ({!Campion.Differ.check_draft}, ["campion_memo"]) and the topology
+    check's ({!Topoverify.Verifier.check_draft}, ["topology_memo"]).
 
     The parse table (named ["memo"]): the VPP loops re-verify the current
     draft after every prompt, and a stalled prompt (the simulated LLM
@@ -30,11 +37,18 @@ type stats = Netcore.Memo_table.stats = {
   evictions : int;  (** Entries dropped by the bounded cap. *)
 }
 
+val check_draft :
+  Batfish.Parse_check.dialect ->
+  Netcore.Draft.t ->
+  Policy.Config_ir.t * Netcore.Diag.t list
+(** Same contract as {!Batfish.Parse_check.check} on the draft's text,
+    memoized. *)
+
 val check :
   Batfish.Parse_check.dialect ->
   string ->
   Policy.Config_ir.t * Netcore.Diag.t list
-(** Same contract as {!Batfish.Parse_check.check}, memoized. *)
+(** {!check_draft} on a text that enters here: it is hashed once. *)
 
 val stats : unit -> stats
 (** The parse table's counters: [Netcore.Memo_table.stats "memo"]. *)
@@ -51,16 +65,17 @@ val verdict_key_hash : Batfish.Search_route_policies.verdict_key -> int
     stanza. *)
 
 val route_policies_of_draft :
-  string ->
+  Netcore.Draft.t ->
   Batfish.Search_route_policies.spec list ->
   (Batfish.Search_route_policies.spec * Batfish.Search_route_policies.outcome) list
-(** [route_policies_of_draft text specs] is {!route_policies} on the parse
-    of the Cisco IOS draft [text] ({!check}), looked up first in the draft
-    table on [(text, specs)]. A miss parses through the parse table and asks
-    the verdict table per map. *)
+(** [route_policies_of_draft draft specs] is {!route_policies} on the parse
+    of the Cisco IOS [draft] ({!check_draft}), looked up first in the draft
+    table on [(draft, specs)]. A miss parses through the parse table and
+    asks the verdict table per map. *)
 
 val reset : unit -> unit
 (** {!Netcore.Memo_table.reset}: drop every entry of {e every} table in the
-    process — the parse, draft and verdict tables here, Campion's diff
-    tables, the no-transit plans, the simulated LLM's renders and the
-    whole-network verdicts — and zero their counters. *)
+    process — the parse, draft and verdict tables here, Campion's answer
+    and diff tables, the topology answers, the no-transit plans, the
+    simulated LLM's renders and the whole-network verdicts — and zero their
+    counters. *)

@@ -7,7 +7,9 @@ type prompt = { text : string; refs : Fault.t list; strength : strength }
 type t = {
   dialect_ : Fault.dialect;
   correct : Config_ir.t;
+  correct_hash : int;  (* of the dialect and the correct IR, once at [start] *)
   mutable live : Fault.t list;
+  mutable key_hash : int;  (* the render key's: [correct_hash] and [live] *)
   mutable fixed : Fault.t list;
   rng : Netcore.Rng.t;
   iips : string list;
@@ -21,6 +23,12 @@ let suppressed iips (cls : Error_class.t) =
   match (Error_class.profile cls).Error_class.iip with
   | Some iip -> List.mem iip iips
   | None -> false
+
+(* The render key's hash is carried, so a draft walks neither the IR nor
+   the faults: it is recomputed from [correct_hash] when the faults change. *)
+let set_live t live =
+  t.live <- live;
+  t.key_hash <- List.fold_left (fun h f -> Hashtbl.hash (h, f)) t.correct_hash live
 
 let injectable t =
   List.filter
@@ -39,7 +47,9 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
     {
       dialect_;
       correct;
+      correct_hash = Hashtbl.hash (dialect_, Hashtbl.hash_param 100 1000 correct);
       live = [];
+      key_hash = 0;
       fixed = [];
       rng = Netcore.Rng.make seed;
       iips;
@@ -62,28 +72,28 @@ let start ?(seed = 42) ?(iips = []) ?(regression_rate = 0.12)
         (Fault.opportunities dialect_ correct)
   in
   let forced = List.filter (fun f -> not (List.exists (Fault.equal f) sampled)) force_faults in
-  t.live <- sampled @ forced;
+  set_live t (sampled @ forced);
   t
 
 (* [Fault.render] is pure in (dialect, correct IR, live faults), and a
    draft recurs: a prompt that changed nothing leaves the live faults as
    they were, and every loop over one task starts from the same few fault
-   sets. So every chat shares one table of renders. [Hashtbl.hash] would
-   stop near the IR's hostname and the first fault, so both are hashed
-   deeper. *)
+   sets. So every chat shares one table of renders, keyed on the chat's
+   carried hash ahead of the three values it hashes. A miss hashes the
+   rendered text once and stores it with the render. *)
 module Renders = Netcore.Memo_table.Make (struct
-  type t = Fault.dialect * Config_ir.t * Fault.t list
+  type t = int * Fault.dialect * Config_ir.t * Fault.t list
 
-  let hash (dialect, correct, live) =
-    Hashtbl.hash
-      (dialect, Hashtbl.hash_param 100 1000 correct, Hashtbl.hash_param 100 1000 live)
+  let hash (key_hash, _, _, _) = key_hash
 end)
 
 let renders = Renders.create ~name:"render_memo" ~cap:4096
 
-let draft t =
-  Renders.find renders (t.dialect_, t.correct, t.live) (fun () ->
-      Fault.render t.dialect_ t.correct t.live)
+let hashed_draft t =
+  Renders.find renders (t.key_hash, t.dialect_, t.correct, t.live)
+    (fun () -> Netcore.Draft.of_string (Fault.render t.dialect_ t.correct t.live))
+
+let draft t = (hashed_draft t).Netcore.Draft.text
 
 let correct t = t.correct
 let live_faults t = t.live
@@ -102,20 +112,20 @@ let resolve t (ref_ : Fault.t) =
         t.live
 
 let remove_fault t f =
-  t.live <- List.filter (fun x -> not (Fault.equal x f)) t.live;
+  set_live t (List.filter (fun x -> not (Fault.equal x f)) t.live);
   t.fixed <- f :: t.fixed
 
 let maybe_regress t =
   if Netcore.Rng.bernoulli t.rng t.regression_rate then
     match Netcore.Rng.choice t.rng (injectable t) with
-    | Some f -> t.live <- t.live @ [ f ]
+    | Some f -> set_live t (t.live @ [ f ])
     | None -> ()
 
 let maybe_reintroduce t =
   if Netcore.Rng.bernoulli t.rng t.reintroduction_rate then
     match Netcore.Rng.choice t.rng t.fixed with
     | Some f when not (List.exists (Fault.equal f) t.live) ->
-        t.live <- t.live @ [ f ];
+        set_live t (t.live @ [ f ]);
         t.fixed <- List.filter (fun x -> not (Fault.equal x f)) t.fixed
     | _ -> ()
 
@@ -143,11 +153,11 @@ let handle_ref t strength ref_ =
       else
         match (strength, profile.Error_class.successor) with
         | Auto, Some successor when Netcore.Rng.bernoulli t.rng morph_rate ->
-            t.live <-
-              List.map
-                (fun (f : Fault.t) ->
-                  if Fault.equal f fault then Fault.make successor f.Fault.target else f)
-                t.live;
+            set_live t
+              (List.map
+                 (fun (f : Fault.t) ->
+                   if Fault.equal f fault then Fault.make successor f.Fault.target else f)
+                 t.live);
             t.fixed <- fault :: t.fixed
         | _ -> ()
 

@@ -44,16 +44,22 @@ val start :
     will decrease": at quality [q], injection rates scale by [1 - q], fix
     probabilities interpolate toward 1, and regressions scale by [1 - q]. *)
 
-val draft : t -> string
+val hashed_draft : t -> Netcore.Draft.t
 (** Current rendering of the draft configuration: exactly
-    [Fault.render (dialect t) (correct t) (live_faults t)], looked up first
-    in one process-wide {!Netcore.Memo_table} named ["render_memo"], keyed
-    on those three values (live faults in order), one lookup per call.
-    Every chat, loop, seed, pool domain and [serve] request shares it, so a
-    prompt that changed nothing, or a fault set an earlier loop over the
-    same task met, costs no render. The table is bounded and emptied by
+    [Fault.render (dialect t) (correct t) (live_faults t)] with its hash,
+    looked up first in one process-wide {!Netcore.Memo_table} named
+    ["render_memo"], keyed on those three values (live faults in order), one
+    lookup per call. The chat hashes its correct IR once at {!start} and its
+    live faults whenever they change, so a lookup walks neither; a render
+    hashes its text once, and the hash is stored with it. Every chat, loop,
+    seed, pool domain and [serve] request shares the table, so a prompt
+    that changed nothing, or a fault set an earlier loop over the same task
+    met, costs no render. The table is bounded and emptied by
     {!Netcore.Memo_table.reset}. Only honest renders enter it: adversarial
     wrappers corrupt the text after this returns. *)
+
+val draft : t -> string
+(** The text of {!hashed_draft}. *)
 
 val correct : t -> Config_ir.t
 (** The task's oracle artifact (used by adversarial wrappers that re-render

@@ -15,7 +15,7 @@ end) =
 struct
   (* A key carries its hash, computed once per call: a miss looks the key
      up, checks it again under the lock and adds it, and eviction removes
-     it later, so [K.hash] (which may read a whole draft) runs once instead
+     it later, so [K.hash] (which may walk a route map) runs once instead
      of four times. Equality compares the stored hashes before the keys.
      [compare] returns at once on sub-values that are the same object,
      which keys often share (one plan's specs, one parse's maps), where

@@ -31,7 +31,12 @@ type stats = {
 
 (** One bounded table over keys [K.t]. [K.hash] must look at every part of
     the key that tells two keys apart, or lookups degrade to comparisons
-    along long bucket chains. *)
+    along long bucket chains. A part hashed once where it entered carries
+    that hash — a {!Draft.t}, or the hashes a chat keeps of its correct IR
+    and live faults — and [K.hash] folds the carried hash in instead of
+    walking the part, so a lookup on it costs a hash of a few words and one
+    [compare]. A carried hash only has to be consistent: equal parts carry
+    equal hashes. *)
 module Make (K : sig
   type t
 

@@ -160,11 +160,19 @@ let vet ledger ~note v input r =
     match if oracle_out then hand_run v input else Verifier.oracle_runner v input with
     | Error c -> Crashed c
     | Ok honest ->
+        (* The oracle service's probation re-run. With no service installed
+           it would be the hand-run check just made, so it agrees unasked. *)
         (if oracle_out then
-           match Verifier.oracle_runner v input with
-           | Error _ -> ()
-           | Ok service -> (
-               match Trust.oracle_probation ledger ~agree:(service = honest) with
+           let agree =
+             match Verifier.oracle_service v with
+             | None -> Some true
+             | Some service -> (
+                 match service input with Ok s -> Some (s = honest) | Error _ -> None)
+           in
+           match agree with
+           | None -> ()
+           | Some agree -> (
+               match Trust.oracle_probation ledger ~agree with
                | `Restored n -> note (Oracle_restored n)
                | `Still -> ()));
         if honest <> r then caught_lying ledger ~note v honest

@@ -91,7 +91,9 @@ val check :
       alone). Otherwise a suspicious answer ({!Trust.should_check}) is
       cross-checked against one referee: the oracle service, or the
       hand-run check while the oracle is quarantined, with the service
-      riding along on its own probation. A disagreement returns the
+      riding along on its own probation (with no service installed, the
+      service is that same pristine check, so it agrees without a second
+      run). A disagreement returns the
       referee's answer. A clean agreement with a trusted oracle may open a
       quorum audit ({!Trust.should_audit}, {!Trust.quorum_verdict}) whose
       referee is the hand-run check. Whenever a truthful answer is known,

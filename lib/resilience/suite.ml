@@ -1,17 +1,19 @@
 type t = {
   runtime : Runtime.t;
   parse :
-    ( Batfish.Parse_check.dialect * string,
+    ( Batfish.Parse_check.dialect * Netcore.Draft.t,
       Policy.Config_ir.t * Netcore.Diag.t list )
     Verifier.t;
   campion :
-    (Policy.Config_ir.t * Policy.Config_ir.t, Campion.Differ.finding list) Verifier.t;
+    ( (Netcore.Draft.t * Policy.Config_ir.t) * (Netcore.Draft.t * Policy.Config_ir.t),
+      Campion.Differ.finding list )
+    Verifier.t;
   topology :
-    ( Netcore.Topology.t * string * Policy.Config_ir.t,
+    ( Netcore.Topology.t * string * Netcore.Draft.t * Policy.Config_ir.t,
       Topoverify.Verifier.finding list )
     Verifier.t;
   route_policies :
-    ( string * Batfish.Search_route_policies.spec list,
+    ( Netcore.Draft.t * Batfish.Search_route_policies.spec list,
       (Batfish.Search_route_policies.spec * Batfish.Search_route_policies.outcome) list
     )
     Verifier.t;
@@ -24,15 +26,15 @@ let make runtime =
     parse =
       arm Verifier.Parse_check
         ~dirty:(fun (_, diags) -> List.exists Netcore.Diag.is_error diags)
-        (fun (dialect, text) -> Exec.Memo.check dialect text);
+        (fun (dialect, draft) -> Exec.Memo.check_draft dialect draft);
     campion =
       arm Verifier.Campion
         ~dirty:(fun findings -> findings <> [])
-        (fun (original, translation) -> Campion.Differ.check ~original ~translation);
+        (fun (original, translation) -> Campion.Differ.check_draft ~original ~translation);
     topology =
       arm Verifier.Topology
         ~dirty:(fun findings -> findings <> [])
-        (fun (topo, router, ir) -> Topoverify.Verifier.check topo ~router ir);
+        (fun (topo, router, draft, ir) -> Topoverify.Verifier.check_draft topo ~router draft ir);
     route_policies =
       arm Verifier.Route_policies
         ~dirty:(fun outcomes -> Batfish.Search_route_policies.violations outcomes <> [])

@@ -74,6 +74,7 @@ let install t f = t.schedule <- Some f
 let runner t = match t.schedule with None -> run_oracle t | Some f -> f
 
 let install_oracle t f = t.oracle_service <- Some f
+let oracle_service t = t.oracle_service
 
 (* Without a service, the cross-check oracle is [Runtime]'s hand-run check. *)
 let oracle_runner t =

@@ -89,6 +89,9 @@ val runner : ('i, 'o) t -> 'i -> ('o, failure) result
 val install_oracle : ('i, 'o) t -> ('i -> ('o, Guard.crash) result) -> unit
 (** Replace the cross-check oracle service (the collusion adversary). *)
 
+val oracle_service : ('i, 'o) t -> ('i -> ('o, Guard.crash) result) option
+(** The installed cross-check oracle service, if any. *)
+
 val oracle_runner : ('i, 'o) t -> 'i -> ('o, Guard.crash) result
 (** The effective cross-check oracle at the moment of the call: the
     installed service, or the pristine oracle behind the {!Guard} firewall,

@@ -126,6 +126,21 @@ let check topology ~router config =
         b.Config_ir.networks);
   List.rev !findings
 
+(* A loop re-checks the same draft after every prompt that changed
+   nothing, so the answer is kept per draft. The draft's carried hash and
+   the router tell keys apart; [compare] still reads the topology. *)
+module Answers = Netcore.Memo_table.Make (struct
+  type t = string * Netcore.Draft.t * Topology.t
+
+  let hash (router, (d : Netcore.Draft.t), _) = Hashtbl.hash (router, d.hash)
+end)
+
+(* A no-transit loop meets a few dozen distinct drafts. *)
+let answers = Answers.create ~name:"topology_memo" ~cap:1024
+
+let check_draft topology ~router draft config =
+  Answers.find answers (router, draft, topology) (fun () -> check topology ~router config)
+
 let check_from_json json ~router config =
   match Topology.of_json json with
   | Error e -> Error e

@@ -33,5 +33,12 @@ val check : Topology.t -> router:string -> Policy.Config_ir.t -> finding list
     topology dictionary. Raises [Invalid_argument] if [router] is not in the
     topology. *)
 
+val check_draft :
+  Topology.t -> router:string -> Draft.t -> Policy.Config_ir.t -> finding list
+(** [check_draft topology ~router draft config] is {!check}, where [config]
+    is the parse of [draft], looked up first in a process-wide
+    {!Netcore.Memo_table} named ["topology_memo"] on
+    [(topology, router, draft)], with the draft's carried hash. *)
+
 val check_from_json : Json.t -> router:string -> Policy.Config_ir.t -> (finding list, string) result
 (** Same, starting from the JSON dictionary itself. *)

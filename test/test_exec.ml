@@ -163,6 +163,31 @@ let test_memo_hits () =
   ignore (Exec.Memo.check other t);
   check int_t "dialect in the key" (s2.Exec.Memo.misses + 1) (Exec.Memo.stats ()).Exec.Memo.misses
 
+(* A draft carries [Hashtbl.hash] of its text, and the parse and draft
+   tables read it: the same text in another string object, hashed where it
+   enters, hits. *)
+let test_memo_carried_hash () =
+  Exec.Memo.reset ();
+  let hub = List.hd (Cosynth.Modularizer.plan (Netcore.Star.make ~routers:5)) in
+  let text = Cisco.Printer.print hub.Cosynth.Modularizer.correct
+  and specs = hub.Cosynth.Modularizer.specs in
+  let same = Bytes.to_string (Bytes.of_string text) in
+  check bool_t "another string object" false (same == text);
+  let d = Netcore.Draft.of_string text and d' = Netcore.Draft.of_string same in
+  check int_t "the carried hash is the text's" (Hashtbl.hash text) d.Netcore.Draft.hash;
+  check int_t "equal texts carry equal hashes" d.Netcore.Draft.hash d'.Netcore.Draft.hash;
+  let cisco = Batfish.Parse_check.Cisco_ios in
+  ignore (Exec.Memo.route_policies_of_draft d specs);
+  let parses = Exec.Memo.stats () and verdicts = Netcore.Memo_table.stats "verdict_memo" in
+  ignore (Exec.Memo.check_draft cisco d');
+  ignore (Exec.Memo.check cisco same);
+  ignore (Exec.Memo.route_policies_of_draft d' specs);
+  let parses' = Exec.Memo.stats () and verdicts' = Netcore.Memo_table.stats "verdict_memo" in
+  check int_t "two parse hits" (parses.Exec.Memo.hits + 2) parses'.Exec.Memo.hits;
+  check int_t "no parse miss" parses.Exec.Memo.misses parses'.Exec.Memo.misses;
+  check int_t "one draft-table hit" (verdicts.Exec.Memo.hits + 1) verdicts'.Exec.Memo.hits;
+  check int_t "no draft-table miss" verdicts.Exec.Memo.misses verdicts'.Exec.Memo.misses
+
 let test_memo_thread_safe () =
   Exec.Memo.reset ();
   let corpus = draft_corpus () in
@@ -995,8 +1020,9 @@ let test_serve_survives_vanished_peer () =
           ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
       Thread.join server)
 
-(* [stats] reports the parse memo under [memo], as before, and Campion's
-   diff tables under [diff_memo]; a translate job looks diffs up there. *)
+(* [stats] reports the parse memo under [memo], as before, Campion's
+   answers under [campion_memo] and its diff tables under [diff_memo]; a
+   translate job looks both up there. *)
 let test_serve_stats_diff_memo () =
   with_serve_dir (fun socket_path ->
       let module J = Netcore.Json in
@@ -1012,24 +1038,29 @@ let test_serve_stats_diff_memo () =
           let field obj k r =
             Option.bind (J.member obj r) (fun o -> Option.bind (J.member k o) J.to_int)
           in
-          let lookups r =
-            match (field "diff_memo" "hits" r, field "diff_memo" "misses" r) with
+          let lookups ?(obj = "diff_memo") r =
+            match (field obj "hits" r, field obj "misses" r) with
             | Some h, Some m -> h + m
-            | _ -> Alcotest.fail "stats has no diff_memo hits and misses"
+            | _ -> Alcotest.fail ("stats has no " ^ obj ^ " hits and misses")
           in
           let before = stats () in
           List.iter
             (fun k ->
               check bool_t ("memo keeps " ^ k) true (field "memo" k before <> None);
-              check bool_t ("diff_memo has " ^ k) true (field "diff_memo" k before <> None))
+              check bool_t ("diff_memo has " ^ k) true (field "diff_memo" k before <> None);
+              check bool_t ("campion_memo has " ^ k) true
+                (field "campion_memo" k before <> None))
             [ "hits"; "misses"; "entries"; "evictions" ];
           let r =
             Exec.Serve.request fd (J.Obj [ ("job", J.String "translate"); ("seed", J.Int 7) ])
           in
           check bool_t "translate answered" true
             (Option.bind (J.member "ok" r) J.to_bool = Some true);
+          let after = stats () in
           check bool_t "diff lookups grow after a translate job" true
-            (lookups (stats ()) > lookups before);
+            (lookups after > lookups before);
+          check bool_t "answer lookups grow after a translate job" true
+            (lookups ~obj:"campion_memo" after > lookups ~obj:"campion_memo" before);
           ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
       Thread.join server)
 
@@ -1070,9 +1101,10 @@ let test_serve_stats_verdict_memo () =
           ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
       Thread.join server)
 
-(* The stats reply reports the render table under [render_memo] and the
-   whole-network verdicts under [global_memo]; a synth job drafts every
-   router and checks the network there. *)
+(* The stats reply reports the render table under [render_memo], the
+   whole-network verdicts under [global_memo] and the topology answers under
+   [topology_memo]; a synth job drafts and checks every router and checks
+   the network there. *)
 let test_serve_stats_render_global_memo () =
   with_serve_dir (fun socket_path ->
       let module J = Netcore.Json in
@@ -1099,7 +1131,7 @@ let test_serve_stats_render_global_memo () =
               List.iter
                 (fun k -> check bool_t (obj ^ " has " ^ k) true (field obj k before <> None))
                 [ "hits"; "misses"; "entries"; "evictions" ])
-            [ "render_memo"; "global_memo" ];
+            [ "render_memo"; "global_memo"; "topology_memo" ];
           let r =
             Exec.Serve.request fd
               (J.Obj [ ("job", J.String "synth"); ("seed", J.Int 7); ("routers", J.Int 5) ])
@@ -1111,7 +1143,7 @@ let test_serve_stats_render_global_memo () =
             (fun obj ->
               check bool_t (obj ^ " lookups grow after a synth job") true
                 (lookups obj after > lookups obj before))
-            [ "render_memo"; "global_memo" ];
+            [ "render_memo"; "global_memo"; "topology_memo" ];
           ignore (Exec.Serve.request fd (J.Obj [ ("job", J.String "shutdown") ]) : J.t));
       Thread.join server)
 
@@ -1245,6 +1277,7 @@ let () =
         [
           Alcotest.test_case "matches uncached" `Quick test_memo_matches_uncached;
           Alcotest.test_case "hit accounting" `Quick test_memo_hits;
+          Alcotest.test_case "a carried hash hits on equal text" `Quick test_memo_carried_hash;
           Alcotest.test_case "thread safe" `Quick test_memo_thread_safe;
           Alcotest.test_case "one hash per call" `Quick test_memo_hash_once;
           Alcotest.test_case "counters add up under racing domains" `Quick

@@ -456,6 +456,39 @@ let test_render_memo_key () =
   ignore (draft "R2, faults reversed" Llmsim.Fault.Cisco_cfg r2 (List.rev faults) ~miss:true
           : string)
 
+(* A chat carries the hashes of its render key. Through every path
+   [respond] has (the prompts of [test_chat_draft_reuse] reach them all),
+   a chat started on the same live faults, which hashes them from scratch,
+   draws a hit; and the draft carries [Hashtbl.hash] of its text. *)
+let test_render_memo_carried_hashes () =
+  Netcore.Memo_table.reset ();
+  let unmatched = Llmsim.Fault.make Llmsim.Error_class.Wrong_med (Llmsim.Fault.Policy "nope") in
+  List.iter
+    (fun (dialect, correct) ->
+      for seed = 1 to 30 do
+        let chat =
+          Llmsim.Chat.start ~seed ~regression_rate:0.3 ~reintroduction_rate:0.3 dialect
+            ~correct
+        in
+        for step = 0 to 25 do
+          let label = Printf.sprintf "seed %d step %d" seed step in
+          let d = Llmsim.Chat.hashed_draft chat in
+          check int_t (label ^ ": the text's hash")
+            (Hashtbl.hash d.Netcore.Draft.text) d.Netcore.Draft.hash;
+          let live = Llmsim.Chat.live_faults chat in
+          let misses = (render_stats ()).Netcore.Memo_table.misses in
+          ignore (Llmsim.Chat.hashed_draft (forced dialect correct live) : Netcore.Draft.t);
+          check int_t (label ^ ": a chat started on these faults hits") misses
+            (render_stats ()).Netcore.Memo_table.misses;
+          Llmsim.Chat.respond chat
+            (match (step mod 4, live) with
+            | _, [] | 3, _ -> human_prompt unmatched
+            | 0, _ -> human_prompt (List.nth live (List.length live - 1))
+            | _, f :: _ -> auto_prompt f)
+        done
+      done)
+    [ (Llmsim.Fault.Junos_cfg, correct_junos); (Llmsim.Fault.Cisco_cfg, hub_correct) ]
+
 (* Two domains drafting the same conversations race on one table. Alcotest
    is not domain-safe, so a domain raises a plain exception, which
    [Domain.join] re-raises here. *)
@@ -500,7 +533,10 @@ let test_render_memo_adversary () =
           Llmsim.Fault.render Llmsim.Fault.Cisco_cfg hub_correct (Llmsim.Chat.live_faults chat)
         in
         let label = Printf.sprintf "%s seed %d" (Adversary.Llm.mode_name mode) seed in
-        check bool_t (label ^ ": mangled") true (Adversary.Llm.draft adv chat <> fresh);
+        let forged = Adversary.Llm.draft adv chat in
+        check bool_t (label ^ ": mangled") true (forged.Netcore.Draft.text <> fresh);
+        check int_t (label ^ ": a forged text carries its hash")
+          (Hashtbl.hash forged.Netcore.Draft.text) forged.Netcore.Draft.hash;
         check Alcotest.string (label ^ ": honest draft") fresh (Llmsim.Chat.draft chat)
       done)
     [ Adversary.Llm.Truncated; Adversary.Llm.Wrong_dialect; Adversary.Llm.Off_topic ]
@@ -570,6 +606,7 @@ let () =
       ( "memo",
         [
           Alcotest.test_case "key soundness" `Quick test_render_memo_key;
+          Alcotest.test_case "carried hashes" `Quick test_render_memo_carried_hashes;
           Alcotest.test_case "two domains" `Quick test_render_memo_domains;
           Alcotest.test_case "mangled drafts never cached" `Quick test_render_memo_adversary;
         ] );

@@ -517,7 +517,7 @@ let test_local_memos_survive_faults () =
             check bool_t (draft_label ^ ": parse as uncached") true
               (Exec.Memo.check dialect text = parsed);
             check bool_t (draft_label ^ ": verdicts as check_all") true
-              (Exec.Memo.route_policies_of_draft text specs
+              (Exec.Memo.route_policies_of_draft (Netcore.Draft.of_string text) specs
               = Batfish.Search_route_policies.check_all (fst parsed) specs))
           fault_sets)
       (Cosynth.Modularizer.plan star);
@@ -1693,6 +1693,49 @@ let test_check_restored_oracle_opens_no_audit () =
   check int_t "no audit counted" 0 d.Resilience.Trust.audits;
   check int_t "no audit spent" 0 (Resilience.Trust.audits_spent t)
 
+(* While the oracle is quarantined and no oracle service is installed, the
+   service's probation re-run would be the hand-run check just made, so
+   each cross-check runs the oracle once beside the automated call. An
+   installed service still re-runs, so a lying one stays on probation. *)
+let test_check_alert_mode_runs_the_oracle_once () =
+  let quarantined_oracle () =
+    let t = Resilience.Trust.create Resilience.Trust.default_config in
+    ignore (Resilience.Trust.should_audit t Resilience.Verifier.Campion);
+    (match Resilience.Trust.quorum_verdict t Resilience.Verifier.Campion with
+    | `Overruled (_, true) -> ()
+    | _ -> Alcotest.fail "setup: overrule must quarantine the oracle");
+    t
+  in
+  let calls = ref 0 in
+  let v =
+    Resilience.Verifier.wrap Resilience.Verifier.Topology (fun x ->
+        incr calls;
+        x)
+  in
+  let t = quarantined_oracle () and r = rt () in
+  (match List.map (run_check ~trust:t r v) [ 1; 2; 3 ] with
+  | [
+   (Resilience.Runtime.Checked 1, []);
+   (Resilience.Runtime.Checked 2, []);
+   (Resilience.Runtime.Checked 3, [ Oracle_restored 3 ]);
+  ] ->
+      ()
+  | _ -> Alcotest.fail "three agreeing cross-checks must pass and restore the oracle");
+  check int_t "oracle runs for 3 checks" 6 !calls;
+  let t = quarantined_oracle () in
+  let served = ref 0 in
+  Resilience.Verifier.install_oracle v (fun x ->
+      incr served;
+      Ok (x + 1));
+  List.iter
+    (fun i ->
+      match run_check ~trust:t r v i with
+      | Resilience.Runtime.Checked _, [] -> ()
+      | _ -> Alcotest.fail "the referee agrees, so the answer stands")
+    [ 1; 2; 3 ];
+  check int_t "the installed service re-ran on every check" 3 !served;
+  check bool_t "a lying service stays quarantined" true (Resilience.Trust.oracle_quarantined t)
+
 (* A lie caught by the oracle service: the referee's answer stands as a
    hand-checked one and the kind is debited. *)
 let test_check_catches_a_lie () =
@@ -2267,6 +2310,8 @@ let () =
             test_check_restored_oracle_opens_no_audit;
           Alcotest.test_case "check: a caught lie is hand-checked" `Quick
             test_check_catches_a_lie;
+          Alcotest.test_case "check: alert mode runs the oracle once" `Quick
+            test_check_alert_mode_runs_the_oracle_once;
         ] );
       ( "ledger",
         [

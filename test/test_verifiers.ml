@@ -240,7 +240,8 @@ let test_srp_differential () =
         expect (label ^ ": the shared table = check_all")
           (Exec.Memo.route_policies cfg specs = Batfish.Search_route_policies.check_all cfg specs);
         expect (label ^ ": the suite's draft table = check_all of the parse")
-          (Resilience.Verifier.oracle suite.Resilience.Suite.route_policies (text, specs)
+          (Resilience.Verifier.oracle suite.Resilience.Suite.route_policies
+            (Netcore.Draft.of_string text, specs)
           = Batfish.Search_route_policies.check_all (fst (Cisco.Parser.parse text)) specs)
       in
       let suite () =
@@ -267,7 +268,8 @@ let test_srp_differential () =
             (List.map (fun s -> Batfish.Search_route_policies.check cfg s) specs)
             (List.map snd all);
           check bool_t (name ^ ": the suite's oracle on the draft text = check_all") true
-            (Resilience.Verifier.oracle suite.Resilience.Suite.route_policies (text, specs) = all);
+            (Resilience.Verifier.oracle suite.Resilience.Suite.route_policies
+            (Netcore.Draft.of_string text, specs) = all);
           check bool_t (name ^ ": outcomes pair each spec in order") true
             (List.map fst all = specs);
           let env = Eval.env_of_config cfg in
@@ -461,7 +463,7 @@ let by_draft label text specs =
   check (Alcotest.list srp)
     (label ^ ": draft memo = check_all of the parse")
     (List.map snd (Srp.check_all (fst (Cisco.Parser.parse text)) specs))
-    (List.map snd (Exec.Memo.route_policies_of_draft text specs))
+    (List.map snd (Exec.Memo.route_policies_of_draft (Netcore.Draft.of_string text) specs))
 
 (* The key is the text and the specs, whole: the same text under other
    specs, or a one-byte edit of it, misses and gets its own answer. *)
@@ -506,7 +508,8 @@ let test_draft_key () =
        = 1);
   check int_t "a one-byte edit misses" 1 (asks "one-byte edit" edited specs);
   check bool_t "and its answer differs" false
-    (Exec.Memo.route_policies_of_draft edited specs = Exec.Memo.route_policies_of_draft text specs)
+    (Exec.Memo.route_policies_of_draft (Netcore.Draft.of_string edited) specs
+    = Exec.Memo.route_policies_of_draft (Netcore.Draft.of_string text) specs)
 
 (* Loops over one star share its plan, so verdict keys built from its specs
    compare them by address; a reset drops the plan. *)
@@ -856,13 +859,15 @@ let witness = function
   | Campion.Differ.Acl_behavior a -> Some (Packet.to_string a.Campion.Differ.packet)
   | _ -> None
 
-let check_shared label ~original ~translation =
-  let got = Campion.Differ.check ~original ~translation in
-  let want = Campion.Differ.compare ~original ~translation in
+let same_findings label ~want got =
   let strings fs = String.concat "\n" (List.map Campion.Differ.finding_to_string fs) in
   if strings want <> strings got then
     failwith (Printf.sprintf "%s: findings\nwant:\n%s\ngot:\n%s" label (strings want) (strings got));
-  expect (label ^ ": witnesses") (List.filter_map witness want = List.filter_map witness got);
+  expect (label ^ ": witnesses") (List.filter_map witness want = List.filter_map witness got)
+
+let check_shared label ~original ~translation =
+  let got = Campion.Differ.check ~original ~translation in
+  same_findings label ~want:(Campion.Differ.compare ~original ~translation) got;
   got
 
 (* Walk a translation conversation the way the loop does: the first
@@ -1043,6 +1048,133 @@ let test_checker_key_hash () =
         (hash m <> hash edited))
     maps
 
+(* ------------------------------------------------------------------ *)
+(* Answers per draft                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The same text in another string object: a key built from it must hit. *)
+let copy (d : Netcore.Draft.t) = Netcore.Draft.of_string (Bytes.to_string (Bytes.of_string d.text))
+
+(* Drafts of [render.digests]' matrix for one artifact: the clean draft,
+   every single-fault draft, and the chat rows of a seeded subset of the
+   200 seeds, with and without IIPs, in both fault orders. *)
+let matrix_drafts dialect correct =
+  let rng = Netcore.Rng.make 33 in
+  let seeds = List.init 6 (fun _ -> Netcore.Rng.int rng 200) in
+  let chats =
+    List.concat_map
+      (fun iips ->
+        List.concat_map
+          (fun seed ->
+            let live = Llmsim.Chat.live_faults (Llmsim.Chat.start ~seed ~iips dialect ~correct) in
+            [ live; List.rev live ])
+          seeds)
+      [ []; Cosynth.Iip.ids Cosynth.Iip.defaults ]
+  in
+  List.map
+    (fun faults -> Netcore.Draft.of_string (Llmsim.Fault.render dialect correct faults))
+    (([] :: List.map (fun f -> [ f ]) (Llmsim.Fault.opportunities dialect correct)) @ chats)
+
+let misses name = (Netcore.Memo_table.stats name).Netcore.Memo_table.misses
+
+let hub_of routers =
+  let star = Star.make ~routers in
+  ( star,
+    (List.find
+       (fun (t : Cosynth.Modularizer.router_task) -> t.router = star.Star.hub)
+       (Cosynth.Modularizer.plan star))
+      .Cosynth.Modularizer.correct )
+
+(* Cold and then warm, on copies of the texts, Campion's per-draft answer
+   is the uncached reference on every Junos draft of the matrix, and the
+   warm pass stores nothing. *)
+let test_campion_per_draft () =
+  Exec.Memo.reset ();
+  let cases =
+    List.concat_map
+      (fun (name, original) ->
+        let original_ir = fst (Cisco.Parser.parse original) in
+        let o = Netcore.Draft.of_string original in
+        List.mapi
+          (fun i d ->
+            let ir = fst (Batfish.Parse_check.check Batfish.Parse_check.Junos d.Netcore.Draft.text) in
+            (Printf.sprintf "%s draft %d" name i, (o, original_ir), d, ir))
+          (matrix_drafts Llmsim.Fault.Junos_cfg (Juniper.Translate.of_cisco_ir original_ir)))
+      [
+        ("border", Cisco.Samples.border_router);
+        ("edge", Cisco.Samples.edge_router);
+        ("hub7", Cisco.Printer.print (snd (hub_of 7)));
+      ]
+  in
+  let pass label draft =
+    List.iter
+      (fun (name, (o, o_ir), d, ir) ->
+        same_findings (label ^ " " ^ name)
+          ~want:(Campion.Differ.compare ~original:o_ir ~translation:ir)
+          (Campion.Differ.check_draft ~original:(copy o, o_ir) ~translation:(draft d, ir)))
+      cases
+  in
+  pass "cold" Fun.id;
+  let stored = misses "campion_memo" in
+  check bool_t "the cold pass stored answers" true (stored > 0);
+  pass "warm" copy;
+  check int_t "the warm pass stores nothing" stored (misses "campion_memo")
+
+(* The same for the topology check, on the hub's Cisco drafts of the
+   7- and 15-router stars, warm against a star built again. *)
+let test_topology_per_draft () =
+  Exec.Memo.reset ();
+  let cases =
+    List.concat_map
+      (fun routers ->
+        let star, correct = hub_of routers in
+        List.map
+          (fun d ->
+            (routers, star.Star.hub, d, fst (Cisco.Parser.parse d.Netcore.Draft.text)))
+          (matrix_drafts Llmsim.Fault.Cisco_cfg correct))
+      [ 7; 15 ]
+  in
+  let pass label draft =
+    List.iteri
+      (fun i (routers, router, d, ir) ->
+        let topology = (Star.make ~routers).Star.topology in
+        expect
+          (Printf.sprintf "%s hub%d draft %d" label routers i)
+          (Topoverify.Verifier.check_draft topology ~router (draft d) ir
+          = Topoverify.Verifier.check topology ~router ir))
+      cases
+  in
+  pass "cold" Fun.id;
+  let stored = misses "topology_memo" in
+  check bool_t "the cold pass stored answers" true (stored > 0);
+  pass "warm" copy;
+  check int_t "the warm pass stores nothing" stored (misses "topology_memo")
+
+(* A translation loop run again asks Campion's diff tables nothing: every
+   draft it meets is answered whole. *)
+let test_translation_rerun_answered_whole () =
+  Exec.Memo.reset ();
+  let run () =
+    Cosynth.Driver.run_translation ~seed:11 ~cisco_text:Cisco.Samples.border_router ()
+  in
+  let lookups name =
+    let s = Netcore.Memo_table.stats name in
+    s.Netcore.Memo_table.hits + s.Netcore.Memo_table.misses
+  in
+  let cold = run () in
+  let diffs = lookups "diff_memo" and answers = lookups "campion_memo" in
+  let stored = misses "campion_memo" in
+  check bool_t "the cold run asked the diff tables" true (diffs > 0);
+  let warm = run () in
+  check int_t "no per-policy or ACL lookup" diffs (lookups "diff_memo");
+  check int_t "no answer stored" stored (misses "campion_memo");
+  check bool_t "the answers were asked" true (lookups "campion_memo" > answers);
+  check bool_t "the same run" true
+    (warm.Cosynth.Driver.final_text = cold.Cosynth.Driver.final_text
+    && warm.Cosynth.Driver.verified = cold.Cosynth.Driver.verified
+    && warm.Cosynth.Driver.transcript.Cosynth.Driver.rounds
+       = cold.Cosynth.Driver.transcript.Cosynth.Driver.rounds)
+
 let () =
   Alcotest.run "verifiers"
     [
@@ -1107,5 +1239,14 @@ let () =
             test_checker_environment_edits;
           Alcotest.test_case "shared checker: key hash reads every entry" `Quick
             test_checker_key_hash;
+        ] );
+      ( "per-draft answers",
+        [
+          Alcotest.test_case "campion: matrix drafts, cold and warm" `Quick
+            test_campion_per_draft;
+          Alcotest.test_case "topology: hub drafts, cold and warm" `Quick
+            test_topology_per_draft;
+          Alcotest.test_case "campion: a rerun is answered whole" `Quick
+            test_translation_rerun_answered_whole;
         ] );
     ]
