@@ -7,7 +7,7 @@ type prompt = { text : string; refs : Fault.t list; strength : strength }
 type t = {
   dialect_ : Fault.dialect;
   correct : Config_ir.t;
-  correct_hash : int;  (* of the dialect and the correct IR, once at [start] *)
+  correct_hash : int;  (* of the dialect and, deeply, the correct IR, at [start] *)
   mutable live : Fault.t list;
   mutable key_hash : int;  (* the render key's: [correct_hash] and [live] *)
   mutable fixed : Fault.t list;

@@ -1022,8 +1022,10 @@ let test_serve_survives_vanished_peer () =
 
 (* [stats] reports the parse memo under [memo], as before, Campion's
    answers under [campion_memo] and its diff tables under [diff_memo]; a
-   translate job looks both up there. *)
+   translate job looks both up there. The tables start empty: a draft
+   Campion has answered before asks the diff tables nothing. *)
 let test_serve_stats_diff_memo () =
+  Exec.Memo.reset ();
   with_serve_dir (fun socket_path ->
       let module J = Netcore.Json in
       let cfg = { Cosynth.Service.default_config with Cosynth.Service.domains = Some 1 } in

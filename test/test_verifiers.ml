@@ -1097,7 +1097,9 @@ let test_campion_per_draft () =
         let o = Netcore.Draft.of_string original in
         List.mapi
           (fun i d ->
-            let ir = fst (Batfish.Parse_check.check Batfish.Parse_check.Junos d.Netcore.Draft.text) in
+            let ir =
+              fst (Batfish.Parse_check.check Batfish.Parse_check.Junos d.Netcore.Draft.text)
+            in
             (Printf.sprintf "%s draft %d" name i, (o, original_ir), d, ir))
           (matrix_drafts Llmsim.Fault.Junos_cfg (Juniper.Translate.of_cisco_ir original_ir)))
       [
