@@ -225,40 +225,103 @@ let render_artifacts =
 
 let dialect_name = function Llmsim.Fault.Cisco_cfg -> "cisco" | Junos_cfg -> "junos"
 
-let render_rows () =
+(* Parses: the syntax stage's answer (IR, then each diagnostic's severity,
+   line and message, parse and lint alike) on every draft of the render
+   matrix and on seeded mutants of the samples and the 15-router hub in both
+   dialects, pinned by digest in [parse.digests]. The IR is digested through
+   [Marshal] without sharing, so the digest sees its structure only. *)
+
+let parse_digest dialect text =
+  let ir, diags =
+    Batfish.Parse_check.check
+      (match dialect with
+      | Llmsim.Fault.Cisco_cfg -> Batfish.Parse_check.Cisco_ios
+      | Junos_cfg -> Junos)
+      text
+  in
+  let diag (d : Netcore.Diag.t) =
+    Printf.sprintf "%c %d %s"
+      (match d.severity with Warning -> 'w' | Error -> 'e')
+      d.line d.message
+  in
+  md5 (String.concat "\n" (Marshal.to_string ir [ Marshal.No_sharing ] :: List.map diag diags))
+
+let mutant_rows () =
+  let corpus dialect =
+    List.map
+      (fun name ->
+        let _, _, ir = List.find (fun (n, _, _) -> n = name) (Lazy.force render_artifacts) in
+        Llmsim.Fault.render dialect ir [])
+      [ "border"; "edge"; "hub15" ]
+  in
   List.concat_map
-    (fun (name, dialect, ir) ->
-      let row what faults =
-        Printf.sprintf "%s %s %s %s" name (dialect_name dialect) what
-          (md5 (Llmsim.Fault.render dialect ir faults))
-      in
-      let singles =
-        row "clean" []
-        :: List.map
-             (fun f -> row ("fault " ^ Llmsim.Fault.to_string f) [ f ])
-             (Llmsim.Fault.opportunities dialect ir)
-      in
-      let chats =
-        List.concat_map
-          (fun (tag, iips) ->
-            List.concat_map
-              (fun seed ->
-                let live =
-                  Llmsim.Chat.live_faults (Llmsim.Chat.start ~seed ~iips dialect ~correct:ir)
-                in
-                let what order = Printf.sprintf "chat %s seed %d %s" tag seed order in
-                [ row (what "fwd") live; row (what "rev") (List.rev live) ])
-              (List.init 200 Fun.id))
-          [ ("no-iips", []); ("iips", Cosynth.Iip.ids Cosynth.Iip.defaults) ]
-      in
-      singles @ chats)
-    (Lazy.force render_artifacts)
+    (fun dialect ->
+      let corpus = corpus dialect in
+      List.concat_map
+        (fun seed ->
+          List.map
+            (fun round ->
+              Printf.sprintf "mutant %s seed %d round %d %s" (dialect_name dialect) seed
+                round
+                (parse_digest dialect (Fuzz.Mutator.mutant ~seed ~round ~corpus)))
+            [ 0; 1 ])
+        (List.init 150 Fun.id))
+    Llmsim.Fault.[ Cisco_cfg; Junos_cfg ]
+
+(* One pass over the matrix gives both tables' rows: the MD5 of each draft
+   and of its parse. Chat seeds repeat drafts, so each distinct text is
+   parsed once. *)
+let draft_rows =
+  lazy
+    (let renders = ref [] and parses = ref [] in
+     let parsed = Hashtbl.create 4096 in
+     let draft name dialect ir what faults =
+       let label = Printf.sprintf "%s %s %s" name (dialect_name dialect) what in
+       let text = Llmsim.Fault.render dialect ir faults in
+       let digest = md5 text in
+       let parse =
+         match Hashtbl.find_opt parsed digest with
+         | Some d -> d
+         | None ->
+             let d = parse_digest dialect text in
+             Hashtbl.add parsed digest d;
+             d
+       in
+       renders := Printf.sprintf "%s %s" label digest :: !renders;
+       parses := Printf.sprintf "%s %s" label parse :: !parses
+     in
+     List.iter
+       (fun (name, dialect, ir) ->
+         let draft = draft name dialect ir in
+         draft "clean" [];
+         List.iter
+           (fun f -> draft ("fault " ^ Llmsim.Fault.to_string f) [ f ])
+           (Llmsim.Fault.opportunities dialect ir);
+         List.iter
+           (fun (tag, iips) ->
+             for seed = 0 to 199 do
+               let live =
+                 Llmsim.Chat.live_faults (Llmsim.Chat.start ~seed ~iips dialect ~correct:ir)
+               in
+               let what order = Printf.sprintf "chat %s seed %d %s" tag seed order in
+               draft (what "fwd") live;
+               draft (what "rev") (List.rev live)
+             done)
+           [ ("no-iips", []); ("iips", Cosynth.Iip.ids Cosynth.Iip.defaults) ])
+       (Lazy.force render_artifacts);
+     (List.rev !renders, List.rev !parses @ mutant_rows ()))
 
 let test_render_digests () =
   let expected = read_lines "render.digests" in
-  let actual = render_rows () in
+  let actual = fst (Lazy.force draft_rows) in
   Alcotest.(check int) "row count" (List.length expected) (List.length actual);
   List.iter2 (fun e a -> Alcotest.(check string) "render row" e a) expected actual
+
+let test_parse_digests () =
+  let expected = read_lines "parse.digests" in
+  let actual = snd (Lazy.force draft_rows) in
+  Alcotest.(check int) "row count" (List.length expected) (List.length actual);
+  List.iter2 (fun e a -> Alcotest.(check string) "parse row" e a) expected actual
 
 let () =
   Alcotest.run "golden"
@@ -272,4 +335,6 @@ let () =
         ] );
       ( "render",
         [ Alcotest.test_case "drafts match the committed digests" `Quick test_render_digests ] );
+      ( "parse",
+        [ Alcotest.test_case "parses match the committed digests" `Quick test_parse_digests ] );
     ]
