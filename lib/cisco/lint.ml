@@ -30,27 +30,12 @@ let check (c : Config_ir.t) =
           b.networks);
   (* Route maps defined but attached nowhere are suspicious in generated
      configs (usually a mis-typed attachment). *)
-  let attached =
-    (match c.bgp with
-    | None -> []
-    | Some b ->
-        List.concat_map
-          (fun (n : Config_ir.neighbor) ->
-            Option.to_list n.import_policy @ Option.to_list n.export_policy)
-          b.neighbors
-        @ List.filter_map (fun (r : Config_ir.redistribution) -> r.policy) b.redistributions)
-    @
-    match c.ospf with
-    | None -> []
-    | Some o -> List.filter_map (fun (r : Config_ir.redistribution) -> r.policy) o.redistributions
-  in
   List.iter
-    (fun (m : Route_map.t) ->
-      if not (List.mem m.name attached) then
-        warn "route-map %s is defined but not attached to any neighbor or \
-              redistribution"
-          m.name)
-    c.route_maps;
+    (fun name ->
+      warn "route-map %s is defined but not attached to any neighbor or \
+            redistribution"
+        name)
+    (Config_ir.unattached_route_maps c);
   List.iter
     (fun (l : As_path_list.t) ->
       List.iter

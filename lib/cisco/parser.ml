@@ -1,55 +1,88 @@
 open Netcore
 open Policy
 
-(* Parsing state: the configuration is assembled into mutable accumulators
-   and frozen into a Config_ir.t at the end. A context tracks which block
-   ("interface", "router bgp", ...) indented lines belong to. *)
+(* Parsing state: one scan over the text hands each line's words to the
+   handler of the block it belongs to ("interface", "router bgp", ...),
+   which records them in mutable builders. Every list is accumulated
+   reversed, and [assemble] builds the Config_ir.t once, in first-mention
+   order. A record the IR keeps per interface, neighbor or OSPF interface
+   sits in a [ref] that later lines update in place. *)
 
-type rm_key = { rm_name : string; rm_seq : int }
+module Names = Hashtbl.Make (String)
 
-(* One route-map stanza as its lines arrive: each [match]/[set] line conses
-   onto the open stanza, and [assemble] reverses each list once. *)
+(* The entries of one named list (prefix, community, AS-path, access list)
+   or the stanzas of one route map, as they arrive. *)
+type 'e group = {
+  name : string;
+  mutable entries : 'e list;  (* reversed *)
+  mutable size : int;
+  mutable max_seq : int;  (* route maps: the highest stanza number so far *)
+}
+
+(* Groups by name: [order] holds them in first-mention order, reversed. *)
+type 'e groups = { index : 'e group Names.t; mutable order : 'e group list }
+
+(* One route-map stanza: each [match]/[set] line conses onto the open
+   stanza, and [assemble] reverses each list once. *)
 type stanza = {
-  key : rm_key;
+  seq : int;
   action : Action.t;
   mutable matches : Route_map.match_cond list;  (* reversed *)
   mutable sets : Route_map.set_action list;  (* reversed *)
 }
 
+type bgp = {
+  asn : int;
+  mutable bgp_router_id : Ipv4.t option;
+  mutable bgp_networks : Prefix.t list;  (* reversed *)
+  mutable neighbors : Config_ir.neighbor ref list;  (* reversed *)
+  mutable bgp_redistributions : Config_ir.redistribution list;  (* reversed *)
+}
+
+type ospf = {
+  process_id : int;
+  mutable ospf_router_id : Ipv4.t option;
+  mutable ospf_networks : (Prefix.t * int) list;  (* reversed *)
+  mutable ospf_interfaces : Config_ir.ospf_interface ref list;  (* reversed *)
+  mutable ospf_redistributions : Config_ir.redistribution list;  (* reversed *)
+}
+
 type state = {
   mutable hostname : string;
-  mutable interfaces : Config_ir.interface list;  (* in order *)
-  mutable pl_entries : (string * Prefix_list.entry) list;  (* reversed *)
-  mutable cl_entries : (string * Community_list.entry) list;  (* reversed *)
-  mutable al_entries : (string * As_path_list.entry) list;  (* reversed *)
-  mutable rm_entries : stanza list;  (* reversed *)
-  rm_keys : (rm_key, unit) Hashtbl.t;  (* stanza headers seen, for duplicates *)
-  mutable acl_entries : (string * Acl.entry) list;  (* in order *)
-  mutable statics : Config_ir.static_route list;  (* in order *)
-  mutable bgp : Config_ir.bgp option;
-  mutable ospf : Config_ir.ospf option;
+  mutable interfaces : Config_ir.interface ref list;  (* reversed *)
+  prefix_lists : Prefix_list.entry groups;
+  community_lists : Community_list.entry groups;
+  as_path_lists : As_path_list.entry groups;
+  route_maps : stanza groups;
+  acls : Acl.entry groups;
+  mutable statics : Config_ir.static_route list;  (* reversed *)
+  mutable bgp : bgp option;
+  mutable ospf : ospf option;
   mutable ospf_costs : (Iface.t * int) list;  (* from interface blocks, reversed *)
   mutable diags : Diag.t list;  (* reversed *)
 }
 
 type context =
   | Top
-  | In_interface of Iface.t
-  | In_bgp
-  | In_ospf
+  | In_interface of Iface.t * Config_ir.interface ref list
+      (* every interface record of the block's name: a name opened twice
+         has two, and each later line updates both *)
+  | In_bgp of bgp
+  | In_ospf of ospf
   | In_route_map of stanza
   | In_acl of string
+
+let groups () = { index = Names.create 8; order = [] }
 
 let fresh () =
   {
     hostname = "router";
     interfaces = [];
-    pl_entries = [];
-    cl_entries = [];
-    al_entries = [];
-    rm_entries = [];
-    rm_keys = Hashtbl.create 16;
-    acl_entries = [];
+    prefix_lists = groups ();
+    community_lists = groups ();
+    as_path_lists = groups ();
+    route_maps = groups ();
+    acls = groups ();
     statics = [];
     bgp = None;
     ospf = None;
@@ -60,87 +93,102 @@ let fresh () =
 let warn st ~line fmt = Printf.ksprintf (fun s -> st.diags <- Diag.warning ~line s :: st.diags) fmt
 let err st ~line fmt = Printf.ksprintf (fun s -> st.diags <- Diag.error ~line s :: st.diags) fmt
 
+(* Lines of one name usually arrive together, so the newest group is tried
+   before the index. *)
+let find_group gs name =
+  match gs.order with
+  | g :: _ when String.equal g.name name -> Some g
+  | _ -> Names.find_opt gs.index name
+
+let group gs name =
+  match find_group gs name with
+  | Some g -> g
+  | None ->
+      let g = { name; entries = []; size = 0; max_seq = min_int } in
+      Names.add gs.index name g;
+      gs.order <- g :: gs.order;
+      g
+
+let add_entry gs name e =
+  let g = group gs name in
+  g.entries <- e :: g.entries;
+  g.size <- g.size + 1
+
+(* Each group as [make] builds it, in first-mention order. *)
+let build gs make = List.map (fun g -> make g.name (List.rev g.entries)) (List.rev gs.order)
+
+(* ------------------------------------------------------------------ *)
+(* Tokens                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The scanners take the text and the bounds of a line in it, so a line is
+   never copied and no closure is built per line or per word. *)
+
 let is_trimmed = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec skip_trimmed s i hi = if i < hi && is_trimmed s.[i] then skip_trimmed s (i + 1) hi else i
+let rec trim_end s lo j = if j > lo && is_trimmed s.[j - 1] then trim_end s lo (j - 1) else j
+let rec word_start s lo k = if k > lo && s.[k - 1] <> ' ' then word_start s lo (k - 1) else k
+
+(* The words of [s.[lo, j)], collected right to left so the list needs no
+   reversal; [s.[lo]] is not a space. *)
+let rec words s lo acc j =
+  if j <= lo then acc
+  else if s.[j - 1] = ' ' then words s lo acc (j - 1)
+  else
+    let k = word_start s lo (j - 1) in
+    words s lo (String.sub s k (j - k) :: acc) k
 
 let tokens line =
   let n = String.length line in
-  let rec first i = if i < n && is_trimmed line.[i] then first (i + 1) else i in
-  let lo = first 0 in
-  let rec last j = if j > lo && is_trimmed line.[j - 1] then last (j - 1) else j in
-  (* Words are collected right to left, so the list needs no reversal. *)
-  let rec words acc j =
-    if j <= lo then acc
-    else if line.[j - 1] = ' ' then words acc (j - 1)
-    else
-      let rec start k = if k > lo && line.[k - 1] <> ' ' then start (k - 1) else k in
-      let k = start (j - 1) in
-      words (String.sub line k (j - k) :: acc) k
-  in
-  words [] (last n)
+  let lo = skip_trimmed line 0 n in
+  words line lo [] (trim_end line lo n)
 
 (* The CLI keywords the paper's IIP bans: they belong to an interactive
-   session, not a .cfg file. *)
+   session, not a .cfg file. Matched without regard to case. *)
 let cli_keywords =
   [ "exit"; "end"; "configure"; "conf"; "write"; "enable"; "copy"; "show" ]
 
-let is_cli_keyword = function
+let rec equal_ci a b i =
+  i = String.length a || (Char.lowercase_ascii a.[i] = b.[i] && equal_ci a b (i + 1))
+
+let rec mem_ci w = function
   | [] -> false
-  | w :: _ -> List.mem (String.lowercase_ascii w) cli_keywords
+  | k :: ks -> (String.length k = String.length w && equal_ci w k 0) || mem_ci w ks
+
+let is_cli_keyword = function [] -> false | w :: _ -> mem_ci w cli_keywords
 
 (* ------------------------------------------------------------------ *)
 (* Field updates                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let ensure_bgp st asn =
-  match st.bgp with
-  | Some b -> b
+let update cells f = List.iter (fun c -> c := f !c) cells
+
+let rec find_neighbor addr = function
+  | [] -> None
+  | c :: rest ->
+      if Ipv4.equal !c.Config_ir.addr addr then Some c else find_neighbor addr rest
+
+let update_neighbor b addr f =
+  match find_neighbor addr b.neighbors with
+  | Some c -> c := f !c
   | None ->
-      let b =
-        {
-          Config_ir.asn;
-          router_id = None;
-          networks = [];
-          neighbors = [];
-          redistributions = [];
-        }
-      in
-      st.bgp <- Some b;
-      b
+      b.neighbors <-
+        ref (f (Config_ir.neighbor addr ~remote_as:(-1) ~send_community:false))
+        :: b.neighbors
 
-let ensure_ospf st pid =
-  match st.ospf with
-  | Some o -> o
+let rec find_ospf_iface iface = function
+  | [] -> None
+  | c :: rest ->
+      if Iface.equal !c.Config_ir.iface iface then Some c else find_ospf_iface iface rest
+
+let set_ospf_iface o iface f =
+  match find_ospf_iface iface o.ospf_interfaces with
+  | Some c -> c := f !c
   | None ->
-      let o =
-        {
-          Config_ir.process_id = pid;
-          router_id = None;
-          networks = [];
-          interfaces = [];
-          redistributions = [];
-        }
-      in
-      st.ospf <- Some o;
-      o
-
-let update_bgp st f = match st.bgp with Some b -> st.bgp <- Some (f b) | None -> ()
-let update_ospf st f = match st.ospf with Some o -> st.ospf <- Some (f o) | None -> ()
-
-let update_neighbor st addr ~create f =
-  update_bgp st (fun b ->
-      match Config_ir.find_neighbor b addr with
-      | Some _ ->
-          {
-            b with
-            Config_ir.neighbors =
-              List.map
-                (fun (x : Config_ir.neighbor) -> if Ipv4.equal x.addr addr then f x else x)
-                b.neighbors;
-          }
-      | None ->
-          if create then
-            { b with Config_ir.neighbors = b.neighbors @ [ f (Config_ir.neighbor addr ~remote_as:(-1) ~send_community:false) ] }
-          else b)
+      o.ospf_interfaces <-
+        ref (f { Config_ir.iface; cost = None; passive = false; area = 0 })
+        :: o.ospf_interfaces
 
 (* ------------------------------------------------------------------ *)
 (* Line handlers                                                       *)
@@ -173,46 +221,26 @@ let parse_redistribute st ~line rest =
           warn st ~line "malformed redistribute statement";
           None)
 
-let handle_interface_line st ~line iface toks =
+let handle_interface_line st ~line cells iface toks =
   match toks with
   | [ "ip"; "address"; a; m ] -> (
       match (Ipv4.of_string a, Ipv4.of_string m) with
       | Some addr, Some mask -> (
           match Netmask.len_of_mask mask with
           | Some len ->
-              st.interfaces <-
-                List.map
-                  (fun (i : Config_ir.interface) ->
-                    if Iface.equal i.iface iface then { i with Config_ir.address = Some (addr, len) }
-                    else i)
-                  st.interfaces
+              let address = Some (addr, len) in
+              update cells (fun i -> { i with Config_ir.address })
           | None -> err st ~line "'%s' is not a contiguous netmask" m)
       | _ -> err st ~line "malformed ip address statement")
   | "description" :: rest ->
-      let d = String.concat " " rest in
-      st.interfaces <-
-        List.map
-          (fun (i : Config_ir.interface) ->
-            if Iface.equal i.iface iface then { i with Config_ir.description = Some d } else i)
-          st.interfaces
-  | [ "shutdown" ] ->
-      st.interfaces <-
-        List.map
-          (fun (i : Config_ir.interface) ->
-            if Iface.equal i.iface iface then { i with Config_ir.shutdown = true } else i)
-          st.interfaces
+      let description = Some (String.concat " " rest) in
+      update cells (fun i -> { i with Config_ir.description })
+  | [ "shutdown" ] -> update cells (fun i -> { i with Config_ir.shutdown = true })
   | [ "no"; "shutdown" ] -> ()
   | [ "ip"; "access-group"; name; dir ] -> (
-      let set f =
-        st.interfaces <-
-          List.map
-            (fun (i : Config_ir.interface) ->
-              if Iface.equal i.iface iface then f i else i)
-            st.interfaces
-      in
       match dir with
-      | "in" -> set (fun i -> { i with Config_ir.acl_in = Some name })
-      | "out" -> set (fun i -> { i with Config_ir.acl_out = Some name })
+      | "in" -> update cells (fun i -> { i with Config_ir.acl_in = Some name })
+      | "out" -> update cells (fun i -> { i with Config_ir.acl_out = Some name })
       | _ -> err st ~line "access-group direction must be 'in' or 'out'")
   | [ "ip"; "ospf"; "cost"; c ] -> (
       match int_of_string_opt c with
@@ -221,17 +249,40 @@ let handle_interface_line st ~line iface toks =
   | _ ->
       err st ~line "unrecognized interface statement: '%s'" (String.concat " " toks)
 
-let handle_bgp_line st ~line toks =
+let handle_neighbor_line st ~line b addr rest =
+  match rest with
+  | [ "remote-as"; asn ] -> (
+      match int_of_string_opt asn with
+      | Some asn when asn > 0 ->
+          update_neighbor b addr (fun n -> { n with Config_ir.remote_as = asn })
+      | _ -> err st ~line "invalid remote AS number")
+  | [ "local-as"; asn ] -> (
+      match int_of_string_opt asn with
+      | Some asn when asn > 0 ->
+          update_neighbor b addr (fun n -> { n with Config_ir.local_as = Some asn })
+      | _ -> err st ~line "invalid local AS number")
+  | "description" :: d ->
+      let description = Some (String.concat " " d) in
+      update_neighbor b addr (fun n -> { n with Config_ir.description })
+  | [ "send-community" ] ->
+      update_neighbor b addr (fun n -> { n with Config_ir.send_community = true })
+  | [ "next-hop-self" ] ->
+      update_neighbor b addr (fun n -> { n with Config_ir.next_hop_self = true })
+  | [ "route-map"; name; "in" ] ->
+      update_neighbor b addr (fun n -> { n with Config_ir.import_policy = Some name })
+  | [ "route-map"; name; "out" ] ->
+      update_neighbor b addr (fun n -> { n with Config_ir.export_policy = Some name })
+  | _ -> err st ~line "unrecognized neighbor statement: '%s'" (String.concat " " rest)
+
+let handle_bgp_line st ~line b toks =
   match toks with
   | [ "bgp"; "router-id"; r ] -> (
       match Ipv4.of_string r with
-      | Some rid -> update_bgp st (fun b -> { b with Config_ir.router_id = Some rid })
+      | Some rid -> b.bgp_router_id <- Some rid
       | None -> err st ~line "invalid router id '%s'" r)
   | [ "network"; a; "mask"; m ] -> (
       match (Ipv4.of_string a, Option.bind (Ipv4.of_string m) Netmask.len_of_mask) with
-      | Some addr, Some len ->
-          update_bgp st (fun b ->
-              { b with Config_ir.networks = b.networks @ [ Prefix.make addr len ] })
+      | Some addr, Some len -> b.bgp_networks <- Prefix.make addr len :: b.bgp_networks
       | _ -> err st ~line "malformed network statement")
   | [ "network"; a ] -> (
       match Ipv4.of_string a with
@@ -239,76 +290,24 @@ let handle_bgp_line st ~line toks =
           let len = Netmask.classful_len addr in
           warn st ~line
             "network statement without mask: assuming classful /%d for %s" len a;
-          update_bgp st (fun b ->
-              { b with Config_ir.networks = b.networks @ [ Prefix.make addr len ] })
+          b.bgp_networks <- Prefix.make addr len :: b.bgp_networks
       | None -> err st ~line "malformed network statement")
   | "neighbor" :: addr :: rest -> (
       match Ipv4.of_string addr with
       | None -> err st ~line "invalid neighbor address '%s'" addr
-      | Some addr -> (
-          match rest with
-          | [ "remote-as"; asn ] -> (
-              match int_of_string_opt asn with
-              | Some asn when asn > 0 ->
-                  update_neighbor st addr ~create:true (fun n ->
-                      { n with Config_ir.remote_as = asn })
-              | _ -> err st ~line "invalid remote AS number")
-          | [ "local-as"; asn ] -> (
-              match int_of_string_opt asn with
-              | Some asn when asn > 0 ->
-                  update_neighbor st addr ~create:true (fun n ->
-                      { n with Config_ir.local_as = Some asn })
-              | _ -> err st ~line "invalid local AS number")
-          | "description" :: d ->
-              update_neighbor st addr ~create:true (fun n ->
-                  { n with Config_ir.description = Some (String.concat " " d) })
-          | [ "send-community" ] ->
-              update_neighbor st addr ~create:true (fun n ->
-                  { n with Config_ir.send_community = true })
-          | [ "next-hop-self" ] ->
-              update_neighbor st addr ~create:true (fun n ->
-                  { n with Config_ir.next_hop_self = true })
-          | [ "route-map"; name; "in" ] ->
-              update_neighbor st addr ~create:true (fun n ->
-                  { n with Config_ir.import_policy = Some name })
-          | [ "route-map"; name; "out" ] ->
-              update_neighbor st addr ~create:true (fun n ->
-                  { n with Config_ir.export_policy = Some name })
-          | _ ->
-              err st ~line "unrecognized neighbor statement: '%s'" (String.concat " " rest)))
+      | Some addr -> handle_neighbor_line st ~line b addr rest)
   | "redistribute" :: rest -> (
       match parse_redistribute st ~line rest with
-      | Some r ->
-          update_bgp st (fun b ->
-              { b with Config_ir.redistributions = b.redistributions @ [ r ] })
+      | Some r -> b.bgp_redistributions <- r :: b.bgp_redistributions
       | None -> ())
   | [ "no"; "auto-summary" ] | [ "no"; "synchronization" ] -> ()
   | _ -> err st ~line "unrecognized router bgp statement: '%s'" (String.concat " " toks)
 
-let set_ospf_iface st iface f =
-  update_ospf st (fun o ->
-      let exists =
-        List.exists
-          (fun (oi : Config_ir.ospf_interface) -> Iface.equal oi.iface iface)
-          o.interfaces
-      in
-      let interfaces =
-        if exists then
-          List.map
-            (fun (oi : Config_ir.ospf_interface) ->
-              if Iface.equal oi.iface iface then f oi else oi)
-            o.interfaces
-        else
-          o.interfaces
-          @ [ f { Config_ir.iface; cost = None; passive = false; area = 0 } ]
-      in
-      { o with Config_ir.interfaces = interfaces })
-
-let handle_ospf_line st ~line toks =
+let handle_ospf_line st ~line o toks =
   match toks with
   | [ "router-id"; r ] -> (
       match Ipv4.of_string r with
-      | Some rid -> update_ospf st (fun o -> { o with Config_ir.router_id = Some rid })
+      | Some rid -> o.ospf_router_id <- Some rid
       | None -> err st ~line "invalid router id '%s'" r)
   | [ "network"; a; w; "area"; area ] -> (
       match
@@ -317,27 +316,25 @@ let handle_ospf_line st ~line toks =
           int_of_string_opt area )
       with
       | Some addr, Some len, Some area ->
-          update_ospf st (fun o ->
-              { o with Config_ir.networks = o.networks @ [ (Prefix.make addr len, area) ] })
+          o.ospf_networks <- (Prefix.make addr len, area) :: o.ospf_networks
       | _ -> err st ~line "malformed ospf network statement")
   | [ "passive-interface"; ifname ] -> (
       match Iface.of_cisco ifname with
-      | Some iface -> set_ospf_iface st iface (fun oi -> { oi with Config_ir.passive = true })
+      | Some iface -> set_ospf_iface o iface (fun oi -> { oi with Config_ir.passive = true })
       | None -> err st ~line "unknown interface '%s'" ifname)
   | "redistribute" :: rest -> (
       match parse_redistribute st ~line rest with
-      | Some r ->
-          update_ospf st (fun o ->
-              { o with Config_ir.redistributions = o.redistributions @ [ r ] })
+      | Some r -> o.ospf_redistributions <- r :: o.ospf_redistributions
       | None -> ())
   | _ -> err st ~line "unrecognized router ospf statement: '%s'" (String.concat " " toks)
 
+let add_match stanza m = stanza.matches <- m :: stanza.matches
+let add_set stanza s = stanza.sets <- s :: stanza.sets
+
 let handle_route_map_line st ~line stanza toks =
-  let add_match m = stanza.matches <- m :: stanza.matches in
-  let add_set s = stanza.sets <- s :: stanza.sets in
   match toks with
   | [ "match"; "ip"; "address"; "prefix-list"; name ] ->
-      add_match (Route_map.Match_prefix_list name)
+      add_match stanza (Route_map.Match_prefix_list name)
   | "match" :: "ip" :: "address" :: "prefix-list" :: _ ->
       err st ~line "only one prefix-list per match line is supported"
   | [ "match"; "community"; arg ] -> (
@@ -350,29 +347,29 @@ let handle_route_map_line st ~line stanza toks =
              community-list; define 'ip community-list standard <name> permit \
              %s' and match the list by name"
             arg arg
-      | None -> add_match (Route_map.Match_community_list arg))
+      | None -> add_match stanza (Route_map.Match_community_list arg))
   | "match" :: "community" :: _ ->
       err st ~line "only one community-list per match line is supported"
-  | [ "match"; "as-path"; name ] -> add_match (Route_map.Match_as_path name)
+  | [ "match"; "as-path"; name ] -> add_match stanza (Route_map.Match_as_path name)
   | [ "match"; "source-protocol"; p ] -> (
       match parse_source_protocol p with
-      | Some s -> add_match (Route_map.Match_source_protocol s)
+      | Some s -> add_match stanza (Route_map.Match_source_protocol s)
       | None -> err st ~line "unknown source protocol '%s'" p)
   | [ "match"; "metric"; m ] -> (
       match int_of_string_opt m with
-      | Some m -> add_match (Route_map.Match_med m)
+      | Some m -> add_match stanza (Route_map.Match_med m)
       | None -> err st ~line "invalid metric")
   | [ "match"; "tag"; t ] -> (
       match int_of_string_opt t with
-      | Some t -> add_match (Route_map.Match_tag t)
+      | Some t -> add_match stanza (Route_map.Match_tag t)
       | None -> err st ~line "invalid tag")
   | [ "set"; "metric"; m ] -> (
       match int_of_string_opt m with
-      | Some m -> add_set (Route_map.Set_med m)
+      | Some m -> add_set stanza (Route_map.Set_med m)
       | None -> err st ~line "invalid metric")
   | [ "set"; "local-preference"; p ] -> (
       match int_of_string_opt p with
-      | Some p -> add_set (Route_map.Set_local_pref p)
+      | Some p -> add_set stanza (Route_map.Set_local_pref p)
       | None -> err st ~line "invalid local-preference")
   | "set" :: "community" :: rest -> (
       let additive, comm_toks =
@@ -385,20 +382,22 @@ let handle_route_map_line st ~line stanza toks =
       | [], _ -> err st ~line "set community requires at least one community"
       | _, false -> err st ~line "invalid community value in set community"
       | _, true ->
-          add_set
+          add_set stanza
             (Route_map.Set_community
                { communities = List.filter_map Fun.id comms; additive }))
-  | [ "set"; "comm-list"; name; "delete" ] -> add_set (Route_map.Set_community_delete name)
+  | [ "set"; "comm-list"; name; "delete" ] ->
+      add_set stanza (Route_map.Set_community_delete name)
   | [ "set"; "ip"; "next-hop"; a ] -> (
       match Ipv4.of_string a with
-      | Some a -> add_set (Route_map.Set_next_hop a)
+      | Some a -> add_set stanza (Route_map.Set_next_hop a)
       | None -> err st ~line "invalid next-hop address")
   | "set" :: "as-path" :: "prepend" :: asns -> (
       let parsed = List.map int_of_string_opt asns in
       match (asns, List.for_all Option.is_some parsed) with
       | [], _ -> err st ~line "as-path prepend requires at least one AS"
       | _, false -> err st ~line "invalid AS number in prepend"
-      | _, true -> add_set (Route_map.Set_as_path_prepend (List.filter_map Fun.id parsed)))
+      | _, true ->
+          add_set stanza (Route_map.Set_as_path_prepend (List.filter_map Fun.id parsed)))
   | _ -> err st ~line "unrecognized route-map statement: '%s'" (String.concat " " toks)
 
 let parse_addr_spec st ~line toks =
@@ -422,7 +421,7 @@ let parse_addr_spec st ~line toks =
       None
 
 let handle_acl_line st ~line name toks =
-  let add entry = st.acl_entries <- st.acl_entries @ [ (name, entry) ] in
+  let add entry = add_entry st.acls name entry in
   match toks with
   | action :: proto :: rest -> (
       match Action.of_string action with
@@ -441,7 +440,12 @@ let handle_acl_line st ~line name toks =
                   match parse_addr_spec st ~line rest with
                   | None -> ()
                   | Some (dst, rest) -> (
-                      let seq = (List.length (List.filter (fun (n, _) -> n = name) st.acl_entries) + 1) * 10 in
+                      (* Entries are numbered 10, 20, ... per list. *)
+                      let seq =
+                        match find_group st.acls name with
+                        | Some g -> (g.size + 1) * 10
+                        | None -> 10
+                      in
                       match rest with
                       | [] -> add (Acl.entry ~action ~proto ~src ~dst seq)
                       | [ "eq"; port ] -> (
@@ -490,8 +494,7 @@ let handle_prefix_list st ~line toks =
             | _ -> None
           in
           match range with
-          | Some range ->
-              st.pl_entries <- (name, Prefix_list.entry ~action seq range) :: st.pl_entries
+          | Some range -> add_entry st.prefix_lists name (Prefix_list.entry ~action seq range)
           | None -> err st ~line "invalid prefix-list bounds")
       | _ -> err st ~line "malformed ip prefix-list statement")
   | name :: action :: prefix :: _
@@ -503,33 +506,33 @@ let handle_prefix_list st ~line toks =
 let looks_like_regex s =
   String.exists (fun c -> List.mem c [ '.'; '*'; '+'; '['; '^'; '$'; '_' ]) s
 
+let add_community_list st ~line name action comms =
+  match Action.of_string action with
+  | None -> err st ~line "malformed ip community-list statement"
+  | Some action -> (
+      let parsed = List.map Community.of_string comms in
+      match (comms, List.for_all Option.is_some parsed) with
+      | [], _ -> err st ~line "community-list entry needs at least one community"
+      | _, false ->
+          if List.exists looks_like_regex comms then
+            err st ~line
+              "'ip community-list standard %s %s %s' is wrong syntax: standard \
+               community lists take literal communities (asn:value), not regular \
+               expressions; use an expanded community list for regex matching"
+              name (Action.to_string action) (String.concat " " comms)
+          else err st ~line "invalid community value in community-list"
+      | _, true ->
+          add_entry st.community_lists name
+            (Community_list.entry ~action (List.filter_map Fun.id parsed)))
+
 let handle_community_list st ~line toks =
   (* ip community-list standard NAME permit c1 c2... (also numbered lists) *)
-  let parse name action comms =
-    match Action.of_string action with
-    | None -> err st ~line "malformed ip community-list statement"
-    | Some action -> (
-        let parsed = List.map Community.of_string comms in
-        match (comms, List.for_all Option.is_some parsed) with
-        | [], _ -> err st ~line "community-list entry needs at least one community"
-        | _, false ->
-            if List.exists looks_like_regex comms then
-              err st ~line
-                "'ip community-list standard %s %s %s' is wrong syntax: standard \
-                 community lists take literal communities (asn:value), not regular \
-                 expressions; use an expanded community list for regex matching"
-                name (Action.to_string action) (String.concat " " comms)
-            else err st ~line "invalid community value in community-list"
-        | _, true ->
-            st.cl_entries <-
-              (name, Community_list.entry ~action (List.filter_map Fun.id parsed))
-              :: st.cl_entries)
-  in
   match toks with
-  | "standard" :: name :: action :: comms -> parse name action comms
+  | "standard" :: name :: action :: comms -> add_community_list st ~line name action comms
   | "expanded" :: name :: _ ->
       err st ~line "expanded community-list %s: regex community lists are not supported" name
-  | name :: action :: comms when Action.of_string action <> None -> parse name action comms
+  | name :: action :: comms when Action.of_string action <> None ->
+      add_community_list st ~line name action comms
   | _ -> err st ~line "malformed ip community-list statement"
 
 let handle_as_path_list st ~line toks =
@@ -539,9 +542,23 @@ let handle_as_path_list st ~line toks =
       match Action.of_string action with
       | Some action ->
           let regex = String.concat " " regex_parts in
-          st.al_entries <- (name, As_path_list.entry ~action regex) :: st.al_entries
+          add_entry st.as_path_lists name (As_path_list.entry ~action regex)
       | None -> err st ~line "malformed as-path access-list statement")
   | _ -> err st ~line "malformed as-path access-list statement"
+
+(* A stanza number already taken in its map is refused; stanzas usually
+   arrive in increasing order, which needs no search. *)
+let open_stanza st ~line name action seq =
+  let g = group st.route_maps name in
+  if seq <= g.max_seq && List.exists (fun (s : stanza) -> s.seq = seq) g.entries then (
+    err st ~line "duplicate route-map stanza %s %d" name seq;
+    Top)
+  else
+    let stanza = { seq; action; matches = []; sets = [] } in
+    g.entries <- stanza :: g.entries;
+    g.size <- g.size + 1;
+    g.max_seq <- max g.max_seq seq;
+    In_route_map stanza
 
 let dispatch_top st ~line toks : context =
   match toks with
@@ -552,24 +569,54 @@ let dispatch_top st ~line toks : context =
   | "interface" :: [ ifname ] -> (
       match Iface.of_cisco ifname with
       | Some iface ->
-          st.interfaces <- st.interfaces @ [ Config_ir.interface iface ];
-          In_interface iface
+          let same =
+            List.filter
+              (fun (c : Config_ir.interface ref) -> Iface.equal !c.iface iface)
+              st.interfaces
+          in
+          let cell = ref (Config_ir.interface iface) in
+          st.interfaces <- cell :: st.interfaces;
+          In_interface (iface, cell :: same)
       | None ->
           err st ~line "unknown interface name '%s'" ifname;
           Top)
   | [ "router"; "bgp"; asn ] -> (
       match int_of_string_opt asn with
-      | Some asn when asn > 0 ->
-          ignore (ensure_bgp st asn);
-          In_bgp
+      | Some asn when asn > 0 -> (
+          match st.bgp with
+          | Some b -> In_bgp b
+          | None ->
+              let b =
+                {
+                  asn;
+                  bgp_router_id = None;
+                  bgp_networks = [];
+                  neighbors = [];
+                  bgp_redistributions = [];
+                }
+              in
+              st.bgp <- Some b;
+              In_bgp b)
       | _ ->
           err st ~line "invalid BGP AS number '%s'" asn;
           Top)
   | [ "router"; "ospf"; pid ] -> (
       match int_of_string_opt pid with
-      | Some pid when pid > 0 ->
-          ignore (ensure_ospf st pid);
-          In_ospf
+      | Some pid when pid > 0 -> (
+          match st.ospf with
+          | Some o -> In_ospf o
+          | None ->
+              let o =
+                {
+                  process_id = pid;
+                  ospf_router_id = None;
+                  ospf_networks = [];
+                  ospf_interfaces = [];
+                  ospf_redistributions = [];
+                }
+              in
+              st.ospf <- Some o;
+              In_ospf o)
       | _ ->
           err st ~line "invalid OSPF process id '%s'" pid;
           Top)
@@ -585,9 +632,7 @@ let dispatch_top st ~line toks : context =
            Ipv4.of_string nh )
        with
       | Some dest, Some len, Some next_hop ->
-          st.statics <-
-            st.statics
-            @ [ { Config_ir.destination = Prefix.make dest len; next_hop } ]
+          st.statics <- { Config_ir.destination = Prefix.make dest len; next_hop } :: st.statics
       | _ -> err st ~line "malformed ip route statement");
       Top
   | "ip" :: "prefix-list" :: rest ->
@@ -601,16 +646,7 @@ let dispatch_top st ~line toks : context =
       Top
   | [ "route-map"; name; action; seq ] -> (
       match (Action.of_string action, int_of_string_opt seq) with
-      | Some action, Some seq ->
-          let key = { rm_name = name; rm_seq = seq } in
-          if Hashtbl.mem st.rm_keys key then (
-            err st ~line "duplicate route-map stanza %s %d" name seq;
-            Top)
-          else
-            let stanza = { key; action; matches = []; sets = [] } in
-            Hashtbl.add st.rm_keys key ();
-            st.rm_entries <- stanza :: st.rm_entries;
-            In_route_map stanza
+      | Some action, Some seq -> open_stanza st ~line name action seq
       | _ ->
           err st ~line "malformed route-map header";
           Top)
@@ -642,132 +678,135 @@ let dispatch_top st ~line toks : context =
 (* Assembly                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let group_by_name pairs =
-  (* Preserve first-appearance order of names and entry order per name. *)
-  let groups = Hashtbl.create 16 in
-  let names =
-    List.fold_left
-      (fun names (n, e) ->
-        match Hashtbl.find_opt groups n with
-        | Some es ->
-            Hashtbl.replace groups n (e :: es);
-            names
-        | None ->
-            Hashtbl.add groups n [ e ];
-            n :: names)
-      [] pairs
-  in
-  List.rev_map (fun n -> (n, List.rev (Hashtbl.find groups n))) names
-
 let assemble st =
-  let pl_pairs = List.rev st.pl_entries in
   let prefix_lists =
-    List.filter_map
-      (fun (name, entries) ->
-        try Some (Prefix_list.make name entries)
+    build st.prefix_lists (fun name entries ->
+        try Prefix_list.make name entries
         with Invalid_argument _ ->
           warn st ~line:0 "prefix-list %s has duplicate sequence numbers" name;
           let dedup =
             List.fold_left
               (fun acc (e : Prefix_list.entry) ->
                 if List.exists (fun (x : Prefix_list.entry) -> x.seq = e.seq) acc then acc
-                else acc @ [ e ])
+                else e :: acc)
               [] entries
           in
-          Some (Prefix_list.make name dedup))
-      (group_by_name pl_pairs)
+          Prefix_list.make name (List.rev dedup))
   in
-  let community_lists =
-    List.map (fun (n, es) -> Community_list.make n es) (group_by_name (List.rev st.cl_entries))
-  in
-  let as_path_lists =
-    List.map (fun (n, es) -> As_path_list.make n es) (group_by_name (List.rev st.al_entries))
-  in
+  let community_lists = build st.community_lists Community_list.make in
+  let as_path_lists = build st.as_path_lists As_path_list.make in
   let route_maps =
     List.rev_map
-      (fun s ->
-        ( s.key.rm_name,
-          Route_map.entry ~action:s.action ~matches:(List.rev s.matches)
-            ~sets:(List.rev s.sets) s.key.rm_seq ))
-      st.rm_entries
-    |> group_by_name
-    |> List.map (fun (n, es) -> Route_map.make n es)
+      (fun g ->
+        Route_map.make g.name
+          (List.rev_map
+             (fun s ->
+               Route_map.entry ~action:s.action ~matches:(List.rev s.matches)
+                 ~sets:(List.rev s.sets) s.seq)
+             g.entries))
+      st.route_maps.order
   in
   (* Merge interface-level ospf costs into the ospf block. *)
   (match (st.ospf, List.rev st.ospf_costs) with
   | _, [] -> ()
   | None, _ :: _ ->
       warn st ~line:0 "'ip ospf cost' configured but there is no 'router ospf' process"
-  | Some _, costs ->
+  | Some o, costs ->
       List.iter
         (fun (iface, cost) ->
-          set_ospf_iface st iface (fun oi -> { oi with Config_ir.cost = Some cost }))
+          set_ospf_iface o iface (fun oi -> { oi with Config_ir.cost = Some cost }))
         costs);
-  (* Neighbors created by a non-remote-as command first. *)
-  (match st.bgp with
-  | Some b ->
-      List.iter
-        (fun (n : Config_ir.neighbor) ->
-          if n.remote_as <= 0 then
-            warn st ~line:0 "neighbor %s has no remote-as configured" (Ipv4.to_string n.addr))
-        b.neighbors
-  | None -> ());
+  let bgp =
+    Option.map
+      (fun b ->
+        let neighbors = List.rev_map ( ! ) b.neighbors in
+        (* Neighbors created by a non-remote-as command first. *)
+        List.iter
+          (fun (n : Config_ir.neighbor) ->
+            if n.remote_as <= 0 then
+              warn st ~line:0 "neighbor %s has no remote-as configured" (Ipv4.to_string n.addr))
+          neighbors;
+        {
+          Config_ir.asn = b.asn;
+          router_id = b.bgp_router_id;
+          networks = List.rev b.bgp_networks;
+          neighbors;
+          redistributions = List.rev b.bgp_redistributions;
+        })
+      st.bgp
+  in
   let ospf =
     Option.map
-      (fun (o : Config_ir.ospf) ->
+      (fun o ->
         {
-          o with
-          Config_ir.interfaces =
+          Config_ir.process_id = o.process_id;
+          router_id = o.ospf_router_id;
+          networks = List.rev o.ospf_networks;
+          interfaces =
             List.sort
               (fun (a : Config_ir.ospf_interface) (b : Config_ir.ospf_interface) ->
                 Iface.compare a.iface b.iface)
-              o.interfaces;
+              (List.rev_map ( ! ) o.ospf_interfaces);
+          redistributions = List.rev o.ospf_redistributions;
         })
       st.ospf
   in
-  let acls =
-    List.map (fun (n, es) -> Acl.make n es) (group_by_name st.acl_entries)
-  in
   {
     Config_ir.hostname = st.hostname;
-    interfaces = st.interfaces;
+    interfaces = List.rev_map ( ! ) st.interfaces;
     prefix_lists;
     community_lists;
     as_path_lists;
     route_maps;
-    acls;
-    statics = st.statics;
-    bgp = st.bgp;
+    acls = build st.acls Acl.make;
+    statics = List.rev st.statics;
+    bgp;
     ospf;
   }
 
+(* One line, [text.[start, hi)]: its words go to the handler of the open
+   block, and the block open after it is returned. *)
+let parse_line st ctx ~line text start hi =
+  let lo = skip_trimmed text start hi in
+  if lo = hi then ctx
+  else if text.[lo] = '!' then Top
+  else
+    let toks = words text lo [] (trim_end text lo hi) in
+    let indented = text.[start] = ' ' || text.[start] = '\t' in
+    if not indented then
+      (* A flush-left line always re-enters top-level dispatch. *)
+      dispatch_top st ~line toks
+    else
+      match ctx with
+      | Top -> dispatch_top st ~line toks
+      | In_interface (iface, cells) ->
+          handle_interface_line st ~line cells iface toks;
+          ctx
+      | In_bgp b ->
+          if is_cli_keyword toks then
+            err st ~line "'%s' is an interactive CLI command, not a configuration statement"
+              (String.concat " " toks)
+          else handle_bgp_line st ~line b toks;
+          ctx
+      | In_ospf o ->
+          handle_ospf_line st ~line o toks;
+          ctx
+      | In_route_map stanza ->
+          handle_route_map_line st ~line stanza toks;
+          ctx
+      | In_acl name ->
+          handle_acl_line st ~line name toks;
+          ctx
+
+let rec line_end text i n = if i < n && text.[i] <> '\n' then line_end text (i + 1) n else i
+
+let rec parse_lines st text n ctx line lo =
+  let hi = line_end text lo n in
+  let ctx = parse_line st ctx ~line text lo hi in
+  if hi < n then parse_lines st text n ctx (line + 1) (hi + 1)
+
 let parse text =
   let st = fresh () in
-  let ctx = ref Top in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun idx raw ->
-      let line = idx + 1 in
-      match tokens raw with
-      | [] -> ()
-      | first :: _ when first.[0] = '!' -> ctx := Top
-      | toks -> (
-          let indented = raw.[0] = ' ' || raw.[0] = '\t' in
-          match (!ctx, indented) with
-          | _, false ->
-              (* A flush-left line always re-enters top-level dispatch. *)
-              ctx := dispatch_top st ~line toks
-          | Top, true -> ctx := dispatch_top st ~line toks
-          | In_interface iface, true -> handle_interface_line st ~line iface toks
-          | In_bgp, true ->
-              if is_cli_keyword toks then
-                err st ~line
-                  "'%s' is an interactive CLI command, not a configuration statement"
-                  (String.concat " " toks)
-              else handle_bgp_line st ~line toks
-          | In_ospf, true -> handle_ospf_line st ~line toks
-          | In_route_map stanza, true -> handle_route_map_line st ~line stanza toks
-          | In_acl name, true -> handle_acl_line st ~line name toks))
-    lines;
+  parse_lines st text (String.length text) Top 1 0;
   let ir = assemble st in
   (ir, List.rev st.diags)

@@ -5,14 +5,15 @@ let make asn value =
     invalid_arg "Community.make: halves must fit in 16 bits";
   { asn; value }
 
+(* Exactly one colon between two halves, each 0-65535 as
+   [int_of_string_opt] reads it, scanned in place. *)
 let of_string s =
-  match String.split_on_char ':' s with
-  | [ a; v ] -> (
-      match (int_of_string_opt a, int_of_string_opt v) with
-      | Some a, Some v when a >= 0 && a <= 0xFFFF && v >= 0 && v <= 0xFFFF ->
-          Some { asn = a; value = v }
-      | _ -> None)
-  | _ -> None
+  let colon = Substring.index_char s ':' 0 in
+  if colon < 0 || Substring.index_char s ':' (colon + 1) >= 0 then None
+  else
+    let asn = Substring.bounded_int s 0 colon ~max:0xFFFF
+    and value = Substring.bounded_int s (colon + 1) (String.length s) ~max:0xFFFF in
+    if asn < 0 || value < 0 then None else Some { asn; value }
 
 let add_to_buffer b c =
   Buf.add_int b c.asn;

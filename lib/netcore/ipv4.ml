@@ -17,18 +17,21 @@ let of_octets a b c d =
 
 let to_octets a = ((a lsr 24) land 0xFF, (a lsr 16) land 0xFF, (a lsr 8) land 0xFF, a land 0xFF)
 
+(* Exactly three dots, four octets each 0-255 as [int_of_string_opt] reads
+   them, scanned in place. *)
 let of_string s =
-  match String.split_on_char '.' s with
-  | [ a; b; c; d ] -> (
-      let octet x =
-        match int_of_string_opt x with
-        | Some v when v >= 0 && v <= 255 && String.length x > 0 -> Some v
-        | _ -> None
-      in
-      match (octet a, octet b, octet c, octet d) with
-      | Some a, Some b, Some c, Some d -> Some (of_octets a b c d)
-      | _ -> None)
-  | _ -> None
+  let n = String.length s in
+  let d1 = Substring.index_char s '.' 0 in
+  let d2 = if d1 < 0 then -1 else Substring.index_char s '.' (d1 + 1) in
+  let d3 = if d2 < 0 then -1 else Substring.index_char s '.' (d2 + 1) in
+  if d3 < 0 || Substring.index_char s '.' (d3 + 1) >= 0 then None
+  else
+    let a = Substring.bounded_int s 0 d1 ~max:255
+    and b = Substring.bounded_int s (d1 + 1) d2 ~max:255
+    and c = Substring.bounded_int s (d2 + 1) d3 ~max:255
+    and d = Substring.bounded_int s (d3 + 1) n ~max:255 in
+    if a < 0 || b < 0 || c < 0 || d < 0 then None
+    else Some ((a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d)
 
 let of_string_exn s =
   match of_string s with

@@ -97,9 +97,6 @@ let find_prefix_list t name =
 let find_community_list t name =
   List.find_opt (fun (l : Community_list.t) -> l.name = name) t.community_lists
 
-let find_as_path_list t name =
-  List.find_opt (fun (l : As_path_list.t) -> l.name = name) t.as_path_lists
-
 let find_acl t name = List.find_opt (fun (a : Acl.t) -> a.Acl.name = name) t.acls
 
 let find_neighbor (b : bgp) addr =
@@ -118,43 +115,79 @@ let connected_prefixes t =
       | _ -> None)
     t.interfaces
 
-let undefined_references t =
-  let missing = ref [] in
-  let note kind name = missing := Printf.sprintf "%s %s" kind name :: !missing in
-  let policy_refs =
-    (match t.bgp with
-    | None -> []
-    | Some b ->
-        List.concat_map
-          (fun n ->
-            Option.to_list n.import_policy @ Option.to_list n.export_policy)
-          b.neighbors
-        @ List.filter_map (fun r -> r.policy) b.redistributions)
-    @
-    match t.ospf with
-    | None -> []
-    | Some o -> List.filter_map (fun r -> r.policy) o.redistributions
+(* Route maps named by a BGP neighbor or a redistribution, with repeats. *)
+let policy_references t =
+  let of_redistributions acc rs =
+    List.fold_left (fun acc r -> match r.policy with Some p -> p :: acc | None -> acc) acc rs
   in
-  List.iter
-    (fun name -> if find_route_map t name = None then note "route-map" name)
-    (List.sort_uniq String.compare policy_refs);
+  let acc =
+    match t.ospf with None -> [] | Some o -> of_redistributions [] o.redistributions
+  in
+  match t.bgp with
+  | None -> acc
+  | Some b ->
+      List.fold_left
+        (fun acc n ->
+          let acc = match n.import_policy with Some p -> p :: acc | None -> acc in
+          match n.export_policy with Some p -> p :: acc | None -> acc)
+        (of_redistributions acc b.redistributions)
+        b.neighbors
+
+module Names = Hashtbl.Make (String)
+
+(* What a name is defined as, one bit per kind of definition. *)
+let route_map_bit = 1
+let prefix_list_bit = 2
+let community_list_bit = 4
+let as_path_list_bit = 8
+let acl_bit = 16
+
+let undefined_references t =
+  let defined = Names.create 64 in
+  let define bit name =
+    let bits = match Names.find defined name with b -> b | exception Not_found -> 0 in
+    Names.replace defined name (bits lor bit)
+  in
+  List.iter (fun (m : Route_map.t) -> define route_map_bit m.name) t.route_maps;
+  List.iter (fun (l : Prefix_list.t) -> define prefix_list_bit l.name) t.prefix_lists;
+  List.iter (fun (l : Community_list.t) -> define community_list_bit l.name) t.community_lists;
+  List.iter (fun (l : As_path_list.t) -> define as_path_list_bit l.name) t.as_path_lists;
+  List.iter (fun (a : Acl.t) -> define acl_bit a.name) t.acls;
+  let missing = ref [] in
+  let check bit kind name =
+    match Names.find defined name with
+    | bits when bits land bit <> 0 -> ()
+    | _ | (exception Not_found) -> missing := Printf.sprintf "%s %s" kind name :: !missing
+  in
+  List.iter (check route_map_bit "route-map") (policy_references t);
+  let check_acl = check acl_bit "access-list" in
   List.iter
     (fun (i : interface) ->
-      List.iter
-        (fun name ->
-          if find_acl t name = None then note "access-list" name)
-        (Option.to_list i.acl_in @ Option.to_list i.acl_out))
+      Option.iter check_acl i.acl_in;
+      Option.iter check_acl i.acl_out)
     t.interfaces;
-  List.iter
-    (fun (m : Route_map.t) ->
-      List.iter
-        (fun n -> if find_prefix_list t n = None then note "prefix-list" n)
-        (Route_map.prefix_lists_referenced m);
-      List.iter
-        (fun n -> if find_community_list t n = None then note "community-list" n)
-        (Route_map.community_lists_referenced m);
-      List.iter
-        (fun n -> if find_as_path_list t n = None then note "as-path-list" n)
-        (Route_map.as_path_lists_referenced m))
-    t.route_maps;
+  let check_match = function
+    | Route_map.Match_prefix_list n -> check prefix_list_bit "prefix-list" n
+    | Match_community_list n -> check community_list_bit "community-list" n
+    | Match_as_path n -> check as_path_list_bit "as-path-list" n
+    | Match_source_protocol _ | Match_med _ | Match_tag _ -> ()
+  and check_set = function
+    | Route_map.Set_community_delete n -> check community_list_bit "community-list" n
+    | _ -> ()
+  in
+  let check_entry (e : Route_map.entry) =
+    List.iter check_match e.matches;
+    List.iter check_set e.sets
+  in
+  List.iter (fun (m : Route_map.t) -> List.iter check_entry m.entries) t.route_maps;
   List.sort_uniq String.compare !missing
+
+let unattached_route_maps t =
+  match t.route_maps with
+  | [] -> []
+  | maps ->
+      let attached = Names.create 64 in
+      List.iter (fun name -> Names.replace attached name ()) (policy_references t);
+      List.filter_map
+        (fun (m : Route_map.t) -> if Names.mem attached m.name then None else Some m.name)
+        maps

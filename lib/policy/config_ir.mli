@@ -108,5 +108,11 @@ val connected_prefixes : t -> Prefix.t list
 (** Subnets of all configured, non-shutdown interface addresses. *)
 
 val undefined_references : t -> string list
-(** Names referenced by route maps or BGP/OSPF blocks but not defined:
-    dangling prefix lists, community lists, AS-path lists, route maps. *)
+(** Names referenced by route maps, interfaces or BGP/OSPF blocks but not
+    defined, as ["<kind> <name>"] sorted and without repeats: dangling
+    prefix lists, community lists, AS-path lists, access lists, route maps.
+    One pass over the definitions and one over the references. *)
+
+val unattached_route_maps : t -> string list
+(** The route maps, in definition order, that no BGP neighbor and no
+    redistribution names. *)

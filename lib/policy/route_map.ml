@@ -25,18 +25,26 @@ type entry = {
 
 type t = { name : string; entries : entry list }
 
+let rec increasing = function
+  | a :: (b :: _ as rest) -> a.seq < b.seq && increasing rest
+  | _ -> true
+
+(* Stanzas usually arrive in order; those need neither the sort nor the
+   duplicate check. *)
 let make name entries =
-  let entries = List.sort (fun a b -> Int.compare a.seq b.seq) entries in
-  let rec check = function
-    | a :: (b :: _ as rest) ->
-        if a.seq = b.seq then
-          invalid_arg
-            (Printf.sprintf "Route_map.make: duplicate seq %d in %s" a.seq name);
-        check rest
-    | _ -> ()
-  in
-  check entries;
-  { name; entries }
+  if increasing entries then { name; entries }
+  else
+    let entries = List.sort (fun a b -> Int.compare a.seq b.seq) entries in
+    let rec check = function
+      | a :: (b :: _ as rest) ->
+          if a.seq = b.seq then
+            invalid_arg
+              (Printf.sprintf "Route_map.make: duplicate seq %d in %s" a.seq name);
+          check rest
+      | _ -> ()
+    in
+    check entries;
+    { name; entries }
 
 let entry ?(action = Action.Permit) ?(matches = []) ?(sets = []) seq =
   { seq; action; matches; sets }

@@ -619,13 +619,69 @@ let prop_junos_print_parse_fixpoint =
    drop the empty words. *)
 let reference_tokens l = String.split_on_char ' ' (String.trim l) |> List.filter (( <> ) "")
 
+(* Multi-line texts: lines ended by [\n] or [\r\n], blank lines among
+   them. *)
+let text_gen line =
+  QCheck2.Gen.(
+    map
+      (fun ls -> String.concat "" (List.map (fun (l, eol) -> l ^ eol) ls))
+      (list_size (int_range 1 16) (pair line (oneofl [ "\n"; "\r\n"; "\n\n"; "\r\n \t\r\n" ]))))
+
 let prop_tokens_match_reference =
   QCheck2.Test.make ~name:"cisco tokens equal trim+split+filter" ~count:2000
     ~print:(Printf.sprintf "%S")
     QCheck2.Gen.(
-      string_size ~gen:(oneofl [ ' '; ' '; '\t'; '\r'; '\012'; '\n'; '!'; 'a'; 'b'; '1' ])
-        (int_range 0 24))
-    (fun l -> Cisco.Parser.tokens l = reference_tokens l)
+      let soup n =
+        string_size ~gen:(oneofl [ ' '; ' '; '\t'; '\r'; '\012'; '\n'; '!'; 'a'; 'b'; '1' ])
+          (int_range 0 n)
+      in
+      oneof [ soup 24; text_gen (soup 12) ])
+    (fun text ->
+      Cisco.Parser.tokens text = reference_tokens text
+      && List.for_all
+           (fun l -> Cisco.Parser.tokens l = reference_tokens l)
+           (String.split_on_char '\n' text))
+
+(* The parser scans lines in place: on any text it must answer as on the
+   text rebuilt from each line's reference tokens, keeping the line count
+   and each line's indentation as the parser reads it (a leading space or
+   tab). The texts are configuration lines with their whitespace varied. *)
+let prop_parse_sees_reference_tokens =
+  let statements =
+    [ "hostname R1"; "interface Ethernet0/1"; " ip address 10.0.0.1 255.255.255.0";
+      " description uplink to R2"; " ip ospf cost 5"; "router bgp 1"; " network 10.0.0.0 mask 255.255.255.0";
+      " neighbor 1.0.0.2 remote-as 2"; " neighbor 1.0.0.2 route-map RM out"; "router ospf 1";
+      " passive-interface Ethernet0/1"; "route-map RM permit 10"; "route-map RM deny 10";
+      " match community CL"; " set community 100:1 additive"; "ip community-list standard CL permit 100:1";
+      "ip prefix-list PL seq 5 permit 10.0.0.0/8 le 24"; "ip access-list extended A";
+      " permit tcp any host 10.0.0.1 eq 22"; "!"; "exit"; "bgp router-id 1.0.0.1" ]
+  in
+  let line =
+    QCheck2.Gen.(
+      let gap = oneofl [ " "; " "; "  "; " \t "; " \r " ] in
+      let edge = oneofl [ ""; ""; " "; "\t"; "  "; "\r"; "\012"; " \t" ] in
+      oneofl statements >>= fun st ->
+      let words = reference_tokens st in
+      map3
+        (fun lead gaps trail ->
+          let indent = if st.[0] = ' ' then " " else "" in
+          let rec weave ws gs =
+            match (ws, gs) with
+            | w :: (_ :: _ as rest), g :: gs -> w ^ g ^ weave rest gs
+            | [ w ], _ | w :: _, [] -> w
+            | [], _ -> ""
+          in
+          indent ^ lead ^ weave words gaps ^ trail)
+        edge (list_repeat (List.length words) gap) edge)
+  in
+  QCheck2.Test.make ~name:"cisco parse reads each line's reference tokens" ~count:1000
+    ~print:(Printf.sprintf "%S") (text_gen line) (fun text ->
+      let normal l =
+        let indent = l <> "" && (l.[0] = ' ' || l.[0] = '\t') in
+        (if indent then " " else "") ^ String.concat " " (reference_tokens l)
+      in
+      let rebuilt = String.concat "\n" (List.map normal (String.split_on_char '\n' text)) in
+      Cisco.Parser.parse text = Cisco.Parser.parse rebuilt)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -634,6 +690,7 @@ let props =
       prop_cisco_round_trip_route_maps;
       prop_junos_print_parse_fixpoint;
       prop_tokens_match_reference;
+      prop_parse_sees_reference_tokens;
     ]
 
 let () =
