@@ -18,8 +18,7 @@ let parse_index name =
     int_of_string_opt (String.sub name 1 (String.length name - 1))
   else None
 
-let make ~routers:n =
-  if n < 2 || n > 200 then invalid_arg "Star.make: need 2..200 routers";
+let build n =
   let hub_ports =
     { Topology.iface = Iface.ethernet ~slot:0 ~port:0;
       addr = Ipv4.of_octets 10 0 0 1;
@@ -75,6 +74,22 @@ let make ~routers:n =
     spokes = List.map (fun (r : Topology.router) -> r.name) spokes;
     customer_prefix;
   }
+
+(* One star per size, shared by every caller: a table keyed on the
+   topology (a memo table's key, or a plan's) then finds equal stars by
+   physical equality instead of walking two equal copies. The table holds
+   every size the generator accepts. *)
+module Stars = Memo_table.Make (struct
+  type t = int
+
+  let hash = Hashtbl.hash
+end)
+
+let stars = Stars.create ~name:"star" ~cap:256
+
+let make ~routers:n =
+  if n < 2 || n > 200 then invalid_arg "Star.make: need 2..200 routers";
+  Stars.find stars n (fun () -> build n)
 
 let spoke_index t name =
   if List.mem name t.spokes then parse_index name else None

@@ -26,9 +26,11 @@ type t = {
 }
 
 val make : routers:int -> t
-(** [make ~routers:n] builds the star with [n] routers total ([n - 1] ISPs).
-    Raises [Invalid_argument] when [n < 2] or [n > 200] (the /24-per-spoke
-    addressing scheme runs out beyond that). *)
+(** [make ~routers:n] is the star with [n] routers total ([n - 1] ISPs).
+    Every call with the same [n] returns the same immutable value, kept in
+    the {!Memo_table} named ["star"], so tables keyed on a topology compare
+    it by physical equality. Raises [Invalid_argument] when [n < 2] or
+    [n > 200] (the /24-per-spoke addressing scheme runs out beyond that). *)
 
 val isp_prefix : t -> string -> Prefix.t option
 (** The ISP network attached to a spoke, [None] for the hub or unknown

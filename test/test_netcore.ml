@@ -298,6 +298,14 @@ let test_star_invalid_size () =
   Alcotest.check_raises "too small" (Invalid_argument "Star.make: need 2..200 routers")
     (fun () -> ignore (Star.make ~routers:1))
 
+let test_star_shared () =
+  let a = Star.make ~routers:9 in
+  check bool_t "one value per size" true (a == Star.make ~routers:9);
+  check bool_t "sizes apart" false (a == Star.make ~routers:10);
+  Memo_table.reset ();
+  let b = Star.make ~routers:9 in
+  check bool_t "rebuilt equal after a reset" true (a = b && a != b)
+
 let test_topology_validate_catches () =
   let t = star7.Star.topology in
   let broken =
@@ -411,6 +419,88 @@ let prop_add_int_is_string_of_int =
       Buf.add_int b n;
       Buffer.contents b = string_of_int n)
 
+(* The scanners that replaced [split_on_char] must accept exactly what
+   these definitions accepted, [int_of_string_opt]'s syntax included. *)
+let reference_ipv4 s =
+  match String.split_on_char '.' s with
+  | [ a; b; c; d ] -> (
+      let octet x =
+        match int_of_string_opt x with
+        | Some v when v >= 0 && v <= 255 && String.length x > 0 -> Some v
+        | _ -> None
+      in
+      match (octet a, octet b, octet c, octet d) with
+      | Some a, Some b, Some c, Some d -> Some (Ipv4.of_octets a b c d)
+      | _ -> None)
+  | _ -> None
+
+let reference_community s =
+  match String.split_on_char ':' s with
+  | [ a; v ] -> (
+      match (int_of_string_opt a, int_of_string_opt v) with
+      | Some a, Some v when a >= 0 && a <= 0xFFFF && v >= 0 && v <= 0xFFFF ->
+          Some (Community.make a v)
+      | _ -> None)
+  | _ -> None
+
+(* Number fields as [int_of_string_opt] reads them: signs, radix prefixes,
+   underscores, leading zeros, overflow, and the values around each bound. *)
+let field_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map string_of_int (int_range (-300) 70_000);
+      map (Printf.sprintf "%04d") (int_bound 9999);
+      map (fun n -> "000000" ^ string_of_int n) (int_bound 70_000);
+      map2 ( ^ )
+        (oneofl [ ""; "0x"; "0X"; "0o"; "0O"; "0b"; "0B"; "0u"; "0U"; "-"; "+"; "-0x"; "+0b"; "_" ])
+        (string_size ~gen:(oneofl [ '0'; '1'; '2'; '5'; '7'; '9'; 'a'; 'F'; '_' ]) (int_range 0 6));
+      oneofl
+        [ ""; "_"; "1_"; "_1"; "1__2"; "0x"; "-0"; "+0"; "0x_1"; "0_x1"; "255"; "256"; "65535";
+          "65536"; "0xFF"; "0x100"; "0xFFFF"; "0x10000"; "-0x7FFFFFFFFFFFFFFF";
+          "0x7FFFFFFFFFFFFFFF"; "4611686018427387903"; "99999999999999999999"; " 1"; "1 " ];
+      string_size ~gen:(oneofl [ '0'; '1'; '5'; '.'; ':'; 'x'; '_'; '-'; '+'; ' ' ]) (int_range 0 8);
+    ]
+
+(* Values near [0, bound] in every spelling [int_of_string_opt] accepts. *)
+let spelled_gen bound =
+  let open QCheck2.Gen in
+  let binary n =
+    let rec go n acc = if n = 0 then acc else go (n / 2) (string_of_int (n mod 2) ^ acc) in
+    "0b" ^ go n (if n = 0 then "0" else "")
+  in
+  int_range 0 (bound + 2) >>= fun n ->
+  oneofl
+    [
+      string_of_int n;
+      Printf.sprintf "0x%x" n;
+      Printf.sprintf "0X%X" n;
+      Printf.sprintf "0o%o" n;
+      Printf.sprintf "0u%d" n;
+      binary n;
+      Printf.sprintf "+%d" n;
+      Printf.sprintf "-%d" n;
+      Printf.sprintf "%07d" n;
+      Printf.sprintf "%d_" n;
+      String.concat "_" (List.map (String.make 1) (List.of_seq (String.to_seq (string_of_int n))));
+    ]
+
+let fields_gen sep ~bound ~fields =
+  QCheck2.Gen.(
+    map (String.concat sep)
+      (frequency [ (6, return fields); (1, int_range 1 (fields + 1)) ] >>= fun n ->
+       list_repeat n (frequency [ (3, spelled_gen bound); (1, field_gen) ])))
+
+let prop_ipv4_of_string_matches_reference =
+  QCheck2.Test.make ~name:"ipv4 of_string accepts what split+int_of_string did" ~count:3000
+    ~print:(Printf.sprintf "%S") (fields_gen "." ~bound:255 ~fields:4)
+    (fun s -> Ipv4.of_string s = reference_ipv4 s)
+
+let prop_community_of_string_matches_reference =
+  QCheck2.Test.make ~name:"community of_string accepts what split+int_of_string did"
+    ~count:3000 ~print:(Printf.sprintf "%S") (fields_gen ":" ~bound:0xFFFF ~fields:2)
+    (fun s -> Community.of_string s = reference_community s)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -424,6 +514,8 @@ let props =
       prop_community_round_trip;
       prop_as_path_round_trip;
       prop_add_int_is_string_of_int;
+      prop_ipv4_of_string_matches_reference;
+      prop_community_of_string_matches_reference;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -609,6 +701,7 @@ let () =
           Alcotest.test_case "describe" `Quick test_topology_describe;
           Alcotest.test_case "substring find" `Quick test_substring_find;
           Alcotest.test_case "invalid size" `Quick test_star_invalid_size;
+          Alcotest.test_case "one star per size" `Quick test_star_shared;
           Alcotest.test_case "validate catches bad AS" `Quick test_topology_validate_catches;
         ] );
       ( "memo-table",
