@@ -2240,25 +2240,30 @@ let table_d1 () =
 (* ------------------------------------------------------------------ *)
 
 (* Median microseconds per call of [f] over [xs], over [reps] timed passes
-   after one warm-up pass. *)
-let us_per_call ~reps f xs =
+   after one warm-up pass, and the minor kilowords one call allocates (the
+   warm-up pass's, as allocation does not vary between passes). *)
+let cost_per_call ~reps f xs =
+  let calls = float_of_int (List.length xs) in
+  let w0 = Gc.minor_words () in
   List.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+  let kwords = (Gc.minor_words () -. w0) /. 1e3 /. calls in
   let pass () =
     let t0 = Unix.gettimeofday () in
     List.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
-    (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int (List.length xs)
+    (Unix.gettimeofday () -. t0) *. 1e6 /. calls
   in
   let times = List.sort Float.compare (List.init reps (fun _ -> pass ())) in
-  List.nth times (reps / 2)
+  (List.nth times (reps / 2), kwords)
 
-(* The render and parse cost of a draft on the two samples and the
+(* The render and syntax-check cost of a draft on the two samples and the
    15-router hub, in both dialects: a clean render, one row per fault
    class (each of its single-fault opportunities rendered once per pass),
-   and the parse of the clean text. Renders bypass the draft memo. The
+   and the syntax stage on the clean text (the dialect's parse, then its
+   lint: [Batfish.Parse_check.check]). Renders bypass the draft memo. The
    gate checks that every clean render parses back without an error. *)
 let table_r1 () =
   run_gate ~id:"R1" ~ok:"\n  R1: every clean render parses back without errors\n"
-    "R1 — draft cost per layer: render and parse"
+    "R1 — draft cost per layer: render and syntax check"
   @@ fun g ->
   let reps = if smoke then 3 else 25 in
   let hub15 =
@@ -2279,13 +2284,14 @@ let table_r1 () =
         ])
       [ ("border", border_ir); ("edge", edge_ir); ("hub15", hub15) ]
   in
-  let row name dialect layer calls us =
+  let row name dialect layer calls (us, kwords) =
     [
       name;
       (match dialect with Llmsim.Fault.Cisco_cfg -> "cisco" | Junos_cfg -> "junos");
       layer;
       string_of_int calls;
       Printf.sprintf "%.1f" us;
+      Printf.sprintf "%.2f" kwords;
     ]
   in
   let rows =
@@ -2300,9 +2306,12 @@ let table_r1 () =
             [] opportunities
         in
         let parse text =
-          match dialect with
-          | Llmsim.Fault.Cisco_cfg -> snd (Cisco.Parser.parse text)
-          | Junos_cfg -> snd (Juniper.Parser.parse text)
+          snd
+            (Batfish.Parse_check.check
+               (match dialect with
+               | Llmsim.Fault.Cisco_cfg -> Batfish.Parse_check.Cisco_ios
+               | Junos_cfg -> Junos)
+               text)
         in
         let text = render [] in
         List.iter
@@ -2310,7 +2319,7 @@ let table_r1 () =
             if Diag.is_error d then
               g.violation "%s: clean render does not parse: %s" name (Diag.to_string d))
           (parse text);
-        (row name dialect "render clean" 1 (us_per_call ~reps render [ [] ])
+        (row name dialect "render clean" 1 (cost_per_call ~reps render [ [] ])
         :: List.map
              (fun cls ->
                let singles =
@@ -2321,19 +2330,19 @@ let table_r1 () =
                in
                row name dialect
                  ("render " ^ Llmsim.Error_class.to_string cls)
-                 (List.length singles) (us_per_call ~reps render singles))
+                 (List.length singles) (cost_per_call ~reps render singles))
              classes)
-        @ [ row name dialect "parse" 1 (us_per_call ~reps parse [ text ]) ])
+        @ [ row name dialect "parse+lint" 1 (cost_per_call ~reps parse [ text ]) ])
       artifacts
   in
   print_string
     (Cosynth.Report.table
        ~title:
          (Printf.sprintf
-            "median us per call over %d passes; calls = renders per pass (one per \
-             single-fault opportunity)"
+            "median us per call over %d passes, minor kwords per call; calls = \
+             renders per pass (one per single-fault opportunity)"
             reps)
-       ~header:[ "artifact"; "dialect"; "layer"; "calls"; "us/call" ]
+       ~header:[ "artifact"; "dialect"; "layer"; "calls"; "us/call"; "kw/call" ]
        rows)
 
 (* The gates, in precedence order: the first whose flag is given runs its
