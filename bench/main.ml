@@ -2363,8 +2363,9 @@ let table_r1 () =
      2x-capacity burst: shedding, deadlines and drain.
    - D1 (`make durable`): every persistence surface killed at every write
      point and recovered, plus CRC truncation and bit-flip sweeps.
-   - R1: the render and parse cost of one draft, per dialect and fault
-     class; every clean render must parse back without errors.
+   - R1: the render and syntax-check cost of one draft, in microseconds
+     and minor kilowords, per dialect and fault class; every clean render
+     must parse back without errors.
    Every gate exits nonzero on any violation. *)
 let gates =
   let budget name = name ^ if smoke then " (smoke budget)" else " (full budget)" in

@@ -109,10 +109,11 @@ let group gs name =
       gs.order <- g :: gs.order;
       g
 
-let add_entry gs name e =
-  let g = group gs name in
+let push g e =
   g.entries <- e :: g.entries;
   g.size <- g.size + 1
+
+let add_entry gs name e = push (group gs name) e
 
 (* Each group as [make] builds it, in first-mention order. *)
 let build gs make = List.map (fun g -> make g.name (List.rev g.entries)) (List.rev gs.order)
@@ -555,8 +556,7 @@ let open_stanza st ~line name action seq =
     Top)
   else
     let stanza = { seq; action; matches = []; sets = [] } in
-    g.entries <- stanza :: g.entries;
-    g.size <- g.size + 1;
+    push g stanza;
     g.max_seq <- max g.max_seq seq;
     In_route_map stanza
 
